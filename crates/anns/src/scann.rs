@@ -6,7 +6,7 @@
 //! relevant properties for tuning — a cheap lossy scan whose recall is
 //! recovered by `reorder_k` re-ranking, with `nlist`/`nprobe` controlling the
 //! partition trade-off — are preserved here (documented substitution, see
-//! DESIGN.md).
+//! ARCHITECTURE.md, "What is real and what is modelled").
 
 use crate::cost::{BuildStats, SearchCost};
 use crate::index::{BuildError, VectorIndex};

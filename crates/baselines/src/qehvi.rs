@@ -5,7 +5,7 @@
 //! normalization, and no budget allocation — the index type is just another
 //! input dimension.
 
-use gp::{fit_gp, FitOptions};
+use gp::{fit_gp_on, FitOptions, TrainingInputs};
 use mobo::acquisition::ehvi_mc;
 use mobo::optimize::{argmax_acquisition, candidate_pool, local_refine, CandidateOptions};
 use mobo::pareto::non_dominated_indices;
@@ -68,8 +68,9 @@ impl Tuner for QehviTuner {
         let max_qps = history.iter().map(|o| o.qps).fold(1e-9, f64::max);
         let y_speed: Vec<f64> = history.iter().map(|o| o.qps / max_qps).collect();
         let y_recall: Vec<f64> = history.iter().map(|o| o.recall).collect();
-        let gp_speed = fit_gp(&x, &y_speed, &self.fit);
-        let gp_recall = fit_gp(&x, &y_recall, &self.fit);
+        let inputs = TrainingInputs::new(&x);
+        let gp_speed = fit_gp_on(&inputs, &y_speed, &self.fit);
+        let gp_recall = fit_gp_on(&inputs, &y_recall, &self.fit);
 
         let pairs: Vec<[f64; 2]> = y_speed.iter().zip(&y_recall).map(|(&s, &r)| [s, r]).collect();
         let front: Vec<[f64; 2]> =

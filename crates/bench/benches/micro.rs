@@ -250,9 +250,15 @@ fn bench_gp(c: &mut Criterion) {
     c.bench_function("gp/fit_mle_64x16", |b| {
         b.iter(|| fit_gp(black_box(&x), black_box(&y), &FitOptions::default()))
     });
-    let gp = GaussianProcess::fit(x.clone(), &y, Matern52::default(), 1e-4).unwrap();
+    let gp = GaussianProcess::fit(&x, &y, Matern52::default(), 1e-4).unwrap();
     let q = vec![0.4; 16];
     c.bench_function("gp/predict_64x16", |b| b.iter(|| gp.predict(black_box(&q))));
+    // The size that matters: the widest space late in a 200-iteration run,
+    // where the two fits per proposal dominate recommendation time.
+    let (x, y) = training_data(180, 22);
+    c.bench_function("gp/fit_mle_180x22", |b| {
+        b.iter(|| fit_gp(black_box(&x), black_box(&y), &FitOptions::default()))
+    });
 }
 
 fn bench_acquisition(c: &mut Criterion) {

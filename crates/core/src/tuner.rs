@@ -17,7 +17,7 @@ use crate::history::TuningOutcome;
 use crate::npi::NpiNormalizer;
 use crate::space::SpaceSpec;
 use anns::params::IndexType;
-use gp::{fit_gp, FitOptions, GaussianProcess, Matern52};
+use gp::{fit_gp_on, FitOptions, GaussianProcess, Matern52, TrainingInputs};
 use mobo::acquisition::constrained_ei;
 use mobo::optimize::{argmax_acquisition_par, candidate_pool, local_refine_par, CandidateOptions};
 use mobo::pareto::non_dominated_indices;
@@ -217,8 +217,11 @@ impl VdTuner {
             y_recall.push(target[1]);
             pairs.push(target);
         }
-        let gp_speed = fit_gp(&x, &y_log_speed, &self.options.fit);
-        let gp_recall = fit_gp(&x, &y_recall, &self.options.fit);
+        // Both surrogates train on the same inputs: one distance matrix
+        // serves the two fits and all their likelihood evaluations.
+        let inputs = TrainingInputs::new(&x);
+        let gp_speed = fit_gp_on(&inputs, &y_log_speed, &self.options.fit);
+        let gp_recall = fit_gp_on(&inputs, &y_recall, &self.options.fit);
         Some((gp_speed, gp_recall, pairs))
     }
 

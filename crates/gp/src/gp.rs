@@ -1,8 +1,10 @@
 //! Exact Gaussian-process regression with standardized targets.
 
-use crate::kernel::Kernel;
+use crate::inputs::TrainingInputs;
+use crate::kernel::{distance, Kernel};
 use crate::linalg::{
-    cholesky_jittered, dot, log_det_half, solve_cholesky, solve_lower, NotPositiveDefinite,
+    cholesky_jittered, dot, log_det_half, solve_cholesky_in_place, solve_lower_in_place,
+    NotPositiveDefinite,
 };
 
 /// Posterior prediction at one point.
@@ -21,12 +23,22 @@ impl Posterior {
 
 /// A fitted GP: training inputs, Cholesky factor of `K + σₙ²I`, and the
 /// precomputed `α = (K + σₙ²I)⁻¹ y`.
+///
+/// The struct doubles as the workspace of the hyperparameter search
+/// ([`crate::fit_gp`]): the crate-private `refit` re-conditions it in
+/// place on new hyperparameters, reusing the `n × n` factor buffer and the
+/// two `n`-vectors, so a likelihood evaluation allocates nothing and the
+/// model the search returns *is* its last evaluation.
 pub struct GaussianProcess<K: Kernel> {
     kernel: K,
     noise_variance: f64,
-    x: Vec<Vec<f64>>,
+    dim: usize,
+    /// Training rows, flattened row-major.
+    x: Vec<f64>,
     chol: Vec<f64>,
     alpha: Vec<f64>,
+    /// Standardized targets.
+    yn: Vec<f64>,
     y_mean: f64,
     y_std: f64,
     lml: f64,
@@ -36,14 +48,37 @@ impl<K: Kernel> GaussianProcess<K> {
     /// Fit on `x` (rows of equal dimension, ideally in the unit hypercube)
     /// and targets `y`. Targets are standardized internally; predictions are
     /// returned on the original scale.
+    ///
+    /// # Panics
+    /// On an empty training set, ragged rows, or `x`/`y` of unequal length.
     pub fn fit(
-        x: Vec<Vec<f64>>,
+        x: &[Vec<f64>],
         y: &[f64],
         kernel: K,
         noise_variance: f64,
     ) -> Result<GaussianProcess<K>, NotPositiveDefinite> {
-        assert_eq!(x.len(), y.len(), "x/y length mismatch");
-        let n = x.len();
+        GaussianProcess::fit_on(&TrainingInputs::new(x), y, kernel, noise_variance)
+    }
+
+    /// [`GaussianProcess::fit`] on inputs whose distances are already
+    /// computed — for several fits on the same `x`.
+    pub fn fit_on(
+        inputs: &TrainingInputs,
+        y: &[f64],
+        kernel: K,
+        noise_variance: f64,
+    ) -> Result<GaussianProcess<K>, NotPositiveDefinite> {
+        let mut gp = GaussianProcess::unfitted(inputs, y, kernel);
+        gp.condition(inputs, noise_variance)?;
+        Ok(gp)
+    }
+
+    /// Standardize `y` and allocate the buffers of a fit on `inputs`. The
+    /// result must not predict before [`GaussianProcess::condition`]
+    /// succeeds on it.
+    pub(crate) fn unfitted(inputs: &TrainingInputs, y: &[f64], kernel: K) -> GaussianProcess<K> {
+        assert_eq!(inputs.len(), y.len(), "x/y length mismatch");
+        let n = inputs.len();
         assert!(n > 0, "cannot fit a GP on zero points");
 
         let y_mean = y.iter().sum::<f64>() / n as f64;
@@ -51,35 +86,63 @@ impl<K: Kernel> GaussianProcess<K> {
         let y_std = var.sqrt().max(1e-12);
         let yn: Vec<f64> = y.iter().map(|v| (v - y_mean) / y_std).collect();
 
-        let noise = noise_variance.max(1e-8);
-        let mut k = vec![0.0f64; n * n];
-        for i in 0..n {
-            for j in 0..=i {
-                let v = kernel.eval(&x[i], &x[j]);
-                k[i * n + j] = v;
-                k[j * n + i] = v;
-            }
-            k[i * n + i] += noise;
+        GaussianProcess {
+            kernel,
+            noise_variance: f64::NAN,
+            dim: inputs.dim(),
+            x: inputs.flat().to_vec(),
+            chol: vec![0.0; n * n],
+            alpha: vec![0.0; n],
+            yn,
+            y_mean,
+            y_std,
+            lml: f64::NAN,
         }
-        let (chol, _jitter) = cholesky_jittered(&k, n)?;
-        let alpha = solve_cholesky(&chol, n, &yn);
+    }
+
+    /// Factorize `K + σₙ²I` for the current kernel, solve for `α` and
+    /// return the log marginal likelihood. `inputs` must be the ones the
+    /// model was built on. After an error the model is unusable until a
+    /// later call succeeds.
+    pub(crate) fn condition(
+        &mut self,
+        inputs: &TrainingInputs,
+        noise_variance: f64,
+    ) -> Result<f64, NotPositiveDefinite> {
+        let n = self.alpha.len();
+        debug_assert_eq!(inputs.len(), n);
+        self.noise_variance = noise_variance.max(1e-8);
+        let (kernel, noise) = (&self.kernel, self.noise_variance);
+        cholesky_jittered(&mut self.chol, n, |a| inputs.kernel_matrix_into(kernel, noise, a))?;
+        self.alpha.copy_from_slice(&self.yn);
+        solve_cholesky_in_place(&self.chol, n, &mut self.alpha);
 
         // Log marginal likelihood of the standardized targets.
-        let lml = -0.5 * dot(&yn, &alpha)
-            - log_det_half(&chol, n)
+        self.lml = -0.5 * dot(&self.yn, &self.alpha)
+            - log_det_half(&self.chol, n)
             - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
+        Ok(self.lml)
+    }
 
-        Ok(GaussianProcess { kernel, noise_variance: noise, x, chol, alpha, y_mean, y_std, lml })
+    /// [`GaussianProcess::condition`] under a new kernel.
+    pub(crate) fn refit(
+        &mut self,
+        inputs: &TrainingInputs,
+        kernel: K,
+        noise_variance: f64,
+    ) -> Result<f64, NotPositiveDefinite> {
+        self.kernel = kernel;
+        self.condition(inputs, noise_variance)
     }
 
     /// Number of training points.
     pub fn len(&self) -> usize {
-        self.x.len()
+        self.alpha.len()
     }
 
     /// True when fitted on zero points (cannot happen; kept for API hygiene).
     pub fn is_empty(&self) -> bool {
-        self.x.is_empty()
+        self.alpha.is_empty()
     }
 
     /// Log marginal likelihood (of the standardized targets).
@@ -94,10 +157,14 @@ impl<K: Kernel> GaussianProcess<K> {
 
     /// Posterior mean and variance at `q`, on the original target scale.
     pub fn predict(&self, q: &[f64]) -> Posterior {
-        let n = self.x.len();
-        let kstar: Vec<f64> = self.x.iter().map(|xi| self.kernel.eval(q, xi)).collect();
-        let mean_n = dot(&kstar, &self.alpha);
-        let v = solve_lower(&self.chol, n, &kstar);
+        debug_assert_eq!(q.len(), self.dim, "query has the wrong dimension");
+        let n = self.alpha.len();
+        // k* first, then forward-substituted in place into v = L⁻¹ k*.
+        let mut v: Vec<f64> = (0..n)
+            .map(|i| self.kernel.eval_dist(distance(q, &self.x[i * self.dim..(i + 1) * self.dim])))
+            .collect();
+        let mean_n = dot(&v, &self.alpha);
+        solve_lower_in_place(&self.chol, n, &mut v);
         let var_n = (self.kernel.diag() - dot(&v, &v)).max(1e-12);
         Posterior {
             mean: mean_n * self.y_std + self.y_mean,
@@ -128,7 +195,7 @@ mod tests {
     #[test]
     fn interpolates_training_points() {
         let (x, y) = toy();
-        let gp = GaussianProcess::fit(x.clone(), &y, Matern52::default(), 1e-6).unwrap();
+        let gp = GaussianProcess::fit(&x, &y, Matern52::default(), 1e-6).unwrap();
         for (xi, yi) in x.iter().zip(&y) {
             let p = gp.predict(xi);
             assert!((p.mean - yi).abs() < 0.3, "pred {} vs {}", p.mean, yi);
@@ -138,9 +205,13 @@ mod tests {
     #[test]
     fn variance_small_at_data_large_away() {
         let (x, y) = toy();
-        let gp =
-            GaussianProcess::fit(x, &y, Matern52 { lengthscale: 0.15, ..Default::default() }, 1e-6)
-                .unwrap();
+        let gp = GaussianProcess::fit(
+            &x,
+            &y,
+            Matern52 { lengthscale: 0.15, ..Default::default() },
+            1e-6,
+        )
+        .unwrap();
         let at_data = gp.predict(&[0.5]).variance;
         let away = gp.predict(&[3.0]).variance;
         assert!(away > at_data * 10.0, "{away} vs {at_data}");
@@ -150,7 +221,7 @@ mod tests {
     fn mean_reverts_to_prior_far_away() {
         let (x, y) = toy();
         let y_mean = y.iter().sum::<f64>() / y.len() as f64;
-        let gp = GaussianProcess::fit(x, &y, Matern52::default(), 1e-6).unwrap();
+        let gp = GaussianProcess::fit(&x, &y, Matern52::default(), 1e-6).unwrap();
         let far = gp.predict(&[100.0]);
         assert!((far.mean - y_mean).abs() < 1e-6);
     }
@@ -158,8 +229,8 @@ mod tests {
     #[test]
     fn noisier_fit_smooths() {
         let (x, y) = toy();
-        let tight = GaussianProcess::fit(x.clone(), &y, Matern52::default(), 1e-6).unwrap();
-        let loose = GaussianProcess::fit(x.clone(), &y, Matern52::default(), 1.0).unwrap();
+        let tight = GaussianProcess::fit(&x, &y, Matern52::default(), 1e-6).unwrap();
+        let loose = GaussianProcess::fit(&x, &y, Matern52::default(), 1.0).unwrap();
         // With high noise, training-point predictions shrink toward the mean.
         let err_tight = (tight.predict(&x[0]).mean - y[0]).abs();
         let err_loose = (loose.predict(&x[0]).mean - y[0]).abs();
@@ -169,25 +240,25 @@ mod tests {
     #[test]
     fn lml_prefers_sensible_lengthscale() {
         let (x, y) = toy();
-        let good = GaussianProcess::fit(
-            x.clone(),
+        let good =
+            GaussianProcess::fit(&x, &y, Matern52 { lengthscale: 0.3, signal_variance: 1.0 }, 1e-4)
+                .unwrap()
+                .log_marginal_likelihood();
+        let bad = GaussianProcess::fit(
+            &x,
             &y,
-            Matern52 { lengthscale: 0.3, signal_variance: 1.0 },
+            Matern52 { lengthscale: 1e-3, signal_variance: 1.0 },
             1e-4,
         )
         .unwrap()
         .log_marginal_likelihood();
-        let bad =
-            GaussianProcess::fit(x, &y, Matern52 { lengthscale: 1e-3, signal_variance: 1.0 }, 1e-4)
-                .unwrap()
-                .log_marginal_likelihood();
         assert!(good > bad, "good {good} bad {bad}");
     }
 
     #[test]
     fn sample_at_is_mean_plus_z_std() {
         let (x, y) = toy();
-        let gp = GaussianProcess::fit(x, &y, Matern52::default(), 1e-6).unwrap();
+        let gp = GaussianProcess::fit(&x, &y, Matern52::default(), 1e-6).unwrap();
         let q = [0.42];
         let p = gp.predict(&q);
         assert!((gp.sample_at(&q, 0.0) - p.mean).abs() < 1e-12);
@@ -195,8 +266,17 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "query has the wrong dimension")]
+    fn short_query_is_caught_not_truncated() {
+        let x = vec![vec![0.1, 0.2], vec![0.7, 0.4]];
+        let gp = GaussianProcess::fit(&x, &[1.0, 2.0], Matern52::default(), 1e-6).unwrap();
+        gp.predict(&[0.1]);
+    }
+
+    #[test]
     fn single_point_fit_works() {
-        let gp = GaussianProcess::fit(vec![vec![0.5]], &[3.0], Matern52::default(), 1e-6).unwrap();
+        let gp = GaussianProcess::fit(&[vec![0.5]], &[3.0], Matern52::default(), 1e-6).unwrap();
         let p = gp.predict(&[0.5]);
         assert!((p.mean - 3.0).abs() < 1e-6);
     }

@@ -5,19 +5,32 @@
 //! kernels here use an isotropic lengthscale over unit-hypercube inputs —
 //! the tuner normalizes every parameter into [0, 1] first, which makes a
 //! shared lengthscale appropriate and keeps hyperparameter fitting cheap.
+//! Isotropic means the covariance depends on the two points only through
+//! their Euclidean distance, which does not depend on the hyperparameters:
+//! a fit computes the distances once ([`crate::TrainingInputs`]) and every
+//! likelihood evaluation maps them through [`Kernel::eval_dist`].
 
-/// A positive-definite covariance function.
+/// A positive-definite, stationary and isotropic covariance function.
 pub trait Kernel: Send + Sync {
-    /// Covariance between two input points.
-    fn eval(&self, a: &[f64], b: &[f64]) -> f64;
+    /// Covariance of two points at Euclidean distance `r`.
+    fn eval_dist(&self, r: f64) -> f64;
+
+    /// Covariance between two input points (of equal dimension).
+    fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
+        self.eval_dist(distance(a, b))
+    }
 
     /// Marginal variance `k(x, x)`.
     fn diag(&self) -> f64;
 }
 
+/// Euclidean distance, the squares summed in ascending dimension. Does not
+/// check that the dimensions agree (the shorter one wins); the callers
+/// that take outside input — [`crate::TrainingInputs::new`] and
+/// [`crate::GaussianProcess::predict`] — do.
 #[inline]
-fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
+pub(crate) fn distance(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f64>().sqrt()
 }
 
 /// Matérn 5/2: `σ² (1 + √5 r/ℓ + 5r²/(3ℓ²)) exp(−√5 r/ℓ)`.
@@ -34,8 +47,7 @@ impl Default for Matern52 {
 }
 
 impl Kernel for Matern52 {
-    fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        let r = sq_dist(a, b).sqrt();
+    fn eval_dist(&self, r: f64) -> f64 {
         let s = 5f64.sqrt() * r / self.lengthscale.max(1e-9);
         self.signal_variance * (1.0 + s + s * s / 3.0) * (-s).exp()
     }
@@ -60,8 +72,8 @@ impl Default for Rbf {
 }
 
 impl Kernel for Rbf {
-    fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        let d2 = sq_dist(a, b);
+    fn eval_dist(&self, r: f64) -> f64 {
+        let d2 = r * r;
         let l2 = self.lengthscale * self.lengthscale;
         self.signal_variance * (-0.5 * d2 / l2.max(1e-18)).exp()
     }

@@ -4,7 +4,7 @@
 //! datasets land in the paper's QPS ranges (hundreds for exhaustive search,
 //! low thousands for well-tuned ANN configs). Absolute numbers are not the
 //! point — the *shape* (orderings, crossovers, parameter sensitivities) is;
-//! see DESIGN.md.
+//! see ARCHITECTURE.md, "What is real and what is modelled".
 
 use crate::system_params::SystemParams;
 use crate::topology::{CalibrationSource, HostTopology, PenaltyMatrix, PinningPolicy};

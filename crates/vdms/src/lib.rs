@@ -1,11 +1,12 @@
 //! A Milvus-like vector data management system (VDMS) **simulator**.
 //!
 //! The VDTuner paper tunes Milvus 2.3.1 on a 72-core server. This crate is
-//! the documented substitution (DESIGN.md): it reproduces the *mechanisms*
-//! that make VDMS tuning hard — segment lifecycle (growing vs sealed),
-//! per-segment index builds, scatter-gather search, bounded-consistency
-//! stalls, buffer sizing — while producing **deterministic** performance
-//! numbers from an analytic cost model:
+//! the documented substitution (ARCHITECTURE.md, "What is real and what is
+//! modelled"): it reproduces the *mechanisms* that make VDMS tuning hard —
+//! segment lifecycle (growing vs sealed), per-segment index builds,
+//! scatter-gather search, bounded-consistency stalls, buffer sizing — while
+//! producing **deterministic** performance numbers from an analytic cost
+//! model:
 //!
 //! * **Recall is real.** Searches execute the actual ANNS algorithms from
 //!   the `anns` crate (growing segments are brute-force scanned exactly as
