@@ -1,0 +1,236 @@
+//! Pinned digests of the serving simulator's traces and the cluster perf
+//! law, captured on the commit *before* the event loops and perf laws were
+//! collapsed into one each. Where the other suites compare two runs of the
+//! current code, these compare the current code with that commit: every
+//! field of every event, bit for bit, over a panel that reaches each arm
+//! of the loop (shared pool / reactors, analytic watermark / WAL
+//! visibility, both routers, query shedding, insert parking and shedding,
+//! the deferred-consistency retry, the empty run).
+
+use vdtuner::anns::SearchCost;
+use vdtuner::prelude::*;
+use vdtuner::vdms::system_params::SystemParams;
+use vdtuner::vdms::writepath::WriteKnobs;
+use vdtuner::vdms::{CostModel, PinningPolicy};
+use vdtuner::workload::serving::{simulate_pinned, simulate_pinned_mixed, simulate_replicated};
+use vdtuner::workload::ServingTrace;
+
+/// FNV-1a over a stream of 64-bit words, byte by byte.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+fn trace_digest(t: &ServingTrace) -> u64 {
+    let mut h = Fnv::new();
+    for w in [t.events.len(), t.slots, t.replicas, t.max_queue_depth] {
+        h.word(w as u64);
+    }
+    for e in &t.events {
+        for f in [e.arrival_secs, e.consistency_wait_secs, e.service_secs, e.finish_secs] {
+            h.word(f.to_bits());
+        }
+        h.word(e.shed as u64);
+        h.word(e.replica as u64);
+    }
+    let w = t.writes;
+    for c in [
+        w.offered,
+        w.accepted,
+        w.shed,
+        w.flushes_full_batch,
+        w.flushes_end_of_tick,
+        w.segments_sealed,
+        w.compactions,
+    ] {
+        h.word(c as u64);
+    }
+    h.word(w.last_durable_lsn);
+    h.0
+}
+
+/// Compare the panel with its pinned table; on any difference print the
+/// whole actual table in a form that pastes back into the source.
+fn check(pinned: &[(&str, u64)], actual: &[(String, u64)]) {
+    let same = pinned.len() == actual.len()
+        && pinned.iter().zip(actual).all(|(p, a)| p.0 == a.0 && p.1 == a.1);
+    let table: String =
+        actual.iter().map(|(name, d)| format!("    (\"{name}\", 0x{d:016x}),\n")).collect();
+    assert!(same, "digests moved; the panel now yields:\n{table}");
+}
+
+const TRACES: &[(&str, u64)] = &[
+    ("readonly shared r1", 0xcf678e1d3c7a78c5),
+    ("readonly shared r3", 0x60a312d7482e98d2),
+    ("readonly shared r3 random tight", 0x44135103cd76d54e),
+    ("readonly compact r1", 0x9553a0065f6473a5),
+    ("readonly smt-avoid r2", 0xb36e6d0f7d1d6960),
+    ("readonly scatter r2 random", 0xd28dfe94ab627246),
+    ("readonly overload sheds queries", 0xd3aee671e1439b32),
+    ("readonly wrappers ignore inserts", 0x14a26b2f5ef6754b),
+    ("readonly pinned wrapper ignores inserts", 0xd4dc46f25857c577),
+    ("mixed shared r1", 0x31b48280d9cfa5e6),
+    ("mixed shared r3 random", 0x7931e148e1d71a32),
+    ("mixed scatter r2", 0xb3f5d0365de94e64),
+    ("mixed compact r2 random", 0xc3d6321d0eb01503),
+    ("mixed parks and sheds inserts", 0xfafab1e784d01169),
+    ("mixed retry shared r2", 0xd6ee104b1c9b1ac1),
+    ("mixed retry smt-avoid r1", 0xcf8ddeb762fa0898),
+    ("mixed overload sheds queries", 0x5024131cbf473cd3),
+    ("mixed fraction rounds to zero inserts", 0x639a594dee2a9c50),
+    ("zero insert fraction through the mixed entry", 0x85af03038dbb0bef),
+    ("zero requests shared", 0xde4dbfc88674e82f),
+    ("zero requests compact", 0x1c8f6abb14eaceee),
+    ("zero requests mixed", 0xde4dbfc88674e82f),
+];
+
+#[test]
+fn serving_traces_match_the_pre_collapse_simulators_bitwise() {
+    use PinningPolicy::{Compact, Scatter, Shared, SmtAvoid};
+    let model = CostModel::default();
+    let sys = SystemParams { max_read_concurrency: 8, ..Default::default() };
+    let tight = SystemParams { graceful_time_ms: 0.0, ..sys };
+    let one_slot = SystemParams { max_read_concurrency: 1, ..Default::default() };
+    let base = ServingSpec { arrival_qps: 1_200.0, requests: 900, ..Default::default() };
+    let random = base.with_routing(RoutingPolicy::Random { seed: 21 });
+    let mixed = base.with_inserts(0.5);
+    let overload =
+        ServingSpec { arrival_qps: 5_000.0, requests: 1_500, queue_capacity: 16, ..base };
+    let cramped = ServingSpec { arrival_qps: 2_000.0, queue_capacity: 8, ..base }.with_inserts(1.0);
+    let empty = ServingSpec { requests: 0, ..base };
+    let knobs = WriteKnobs { wal_batch_rows: 16, flush_interval_secs: 0.02, seal_rows: 32 };
+    let lazy = WriteKnobs { wal_batch_rows: 64, flush_interval_secs: 0.04, seal_rows: 4096 };
+    let per_row = WriteKnobs { wal_batch_rows: 1, flush_interval_secs: 0.05, seal_rows: 4096 };
+
+    let ro = |sys: &SystemParams, spec: &ServingSpec, seed, replicas| {
+        simulate_replicated(&model, sys, 0.004, spec, seed, replicas)
+    };
+    let pin = |spec: &ServingSpec, seed, replicas, policy| {
+        simulate_pinned(&model, &sys, 0.004, spec, seed, replicas, policy, 10)
+    };
+    let mix = |sys: &SystemParams, spec: &ServingSpec, seed, replicas, policy, knobs| {
+        simulate_pinned_mixed(&model, sys, 0.004, spec, seed, replicas, policy, 10, knobs)
+    };
+
+    let shed_queries = ro(&one_slot, &overload, 3, 1);
+    assert!(shed_queries.events.iter().any(|e| e.shed), "the overload case must shed");
+    let parked = mix(&sys, &cramped, 13, 1, Shared, per_row);
+    assert!(parked.writes.shed > 0, "the cramped window must shed inserts");
+    // gracefulTime = 0 asks for rows no triggered commit covers yet, so
+    // queries defer to the tick and wait on real durability.
+    let retried = mix(&tight, &mixed, 9, 2, Shared, lazy);
+    assert!(retried.events.iter().any(|e| e.consistency_wait_secs > 0.0));
+    // A positive insert fraction that rounds to zero inserts still takes
+    // the WAL visibility arm and runs the tick chain.
+    let rounds_to_none = mix(&tight, &base.with_inserts(0.0004), 9, 2, Compact, lazy);
+    assert_eq!(rounds_to_none.writes.offered, 0);
+
+    let panel = [
+        ("readonly shared r1", ro(&sys, &base, 11, 1)),
+        ("readonly shared r3", ro(&sys, &base, 11, 3)),
+        ("readonly shared r3 random tight", ro(&tight, &random, 5, 3)),
+        ("readonly compact r1", pin(&base, 11, 1, Compact)),
+        ("readonly smt-avoid r2", pin(&base, 7, 2, SmtAvoid)),
+        ("readonly scatter r2 random", pin(&random, 7, 2, Scatter)),
+        ("readonly overload sheds queries", shed_queries),
+        ("readonly wrappers ignore inserts", ro(&sys, &mixed, 11, 2)),
+        ("readonly pinned wrapper ignores inserts", pin(&mixed, 11, 2, Compact)),
+        ("mixed shared r1", mix(&sys, &mixed, 7, 1, Shared, knobs)),
+        ("mixed shared r3 random", mix(&sys, &random.with_inserts(0.5), 7, 3, Shared, knobs)),
+        ("mixed scatter r2", mix(&sys, &mixed, 5, 2, Scatter, knobs)),
+        ("mixed compact r2 random", mix(&sys, &random.with_inserts(0.5), 5, 2, Compact, lazy)),
+        ("mixed parks and sheds inserts", parked),
+        ("mixed retry shared r2", retried),
+        ("mixed retry smt-avoid r1", mix(&tight, &mixed, 9, 1, SmtAvoid, lazy)),
+        (
+            "mixed overload sheds queries",
+            mix(&one_slot, &overload.with_inserts(0.5), 3, 1, Shared, knobs),
+        ),
+        ("mixed fraction rounds to zero inserts", rounds_to_none),
+        ("zero insert fraction through the mixed entry", mix(&tight, &base, 9, 2, Scatter, lazy)),
+        ("zero requests shared", ro(&sys, &empty, 1, 2)),
+        ("zero requests compact", pin(&empty, 1, 3, Compact)),
+        ("zero requests mixed", mix(&sys, &empty.with_inserts(0.5), 1, 2, Scatter, knobs)),
+    ];
+    let actual: Vec<(String, u64)> =
+        panel.iter().map(|(name, trace)| (name.to_string(), trace_digest(trace))).collect();
+    check(TRACES, &actual);
+}
+
+const PERF: &[(&str, u64)] = &[
+    ("shared r1 s1", 0x8ccd2e380ebfb761),
+    ("shared r1 s4", 0x752a00a30ba7035b),
+    ("shared r3 s1", 0x254dde29f1b87b24),
+    ("shared r3 s4", 0xe40d2701e6a96ce8),
+    ("compact r1 s1", 0x3bd68db7a90ce852),
+    ("compact r1 s4", 0x229f13929cca4165),
+    ("compact r3 s1", 0x84d23f5ab878c6b8),
+    ("compact r3 s4", 0xafc61a2fea09d4d7),
+    ("scatter r1 s1", 0xc784e08f62cd0055),
+    ("scatter r1 s4", 0x935a932559306c2a),
+    ("scatter r3 s1", 0x34174fecf94900ed),
+    ("scatter r3 s4", 0xa8c8d20d7025f6c6),
+    ("smt-avoid r1 s1", 0x1c0a032829c453b9),
+    ("smt-avoid r1 s4", 0x4644e386e07d9cb8),
+    ("smt-avoid r3 s1", 0xf8a7656309af9119),
+    ("smt-avoid r3 s4", 0xbde0f979c63e1d57),
+];
+
+#[test]
+fn cluster_perf_matches_the_pre_collapse_laws_bitwise() {
+    let model = CostModel::default();
+    let sys = SystemParams { max_read_concurrency: 8, ..Default::default() };
+    // 24 read slots: scatter opens the SMT plane, smt-avoid stops at 16.
+    let tight =
+        SystemParams { graceful_time_ms: 40.0, chunk_rows: 4096, max_read_concurrency: 24, ..sys };
+    let flat =
+        SearchCost { f32_dims: 8_000 * 48, heap_pushes: 8_000, segments: 5, ..Default::default() };
+    let ivf = SearchCost {
+        u8_dims: 900 * 48,
+        pq_lookups: 4_000,
+        heap_pushes: 900,
+        lists_probed: 8,
+        segments: 3,
+        ..Default::default()
+    };
+    let graph = SearchCost {
+        graph_dims: 600 * 48,
+        graph_hops: 600,
+        heap_pushes: 300,
+        segments: 7,
+        ..Default::default()
+    };
+    let costs = [flat, ivf, graph, flat];
+    let segments = [20usize, 3, 7, 18];
+    let mut actual = Vec::new();
+    for policy in PinningPolicy::ALL {
+        for replicas in [1usize, 3] {
+            for shards in [1usize, 4] {
+                let mut h = Fnv::new();
+                for sys in [&sys, &tight] {
+                    let perf = model.pinned_cluster_perf(
+                        &costs[..shards],
+                        &segments[..shards],
+                        sys,
+                        10,
+                        replicas,
+                        policy,
+                    );
+                    h.word(perf.latency_secs.to_bits());
+                    h.word(perf.qps.to_bits());
+                }
+                actual.push((format!("{} r{replicas} s{shards}", policy.name()), h.0));
+            }
+        }
+    }
+    check(PERF, &actual);
+}
