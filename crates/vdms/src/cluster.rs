@@ -42,7 +42,7 @@
 //! global segment order regardless of placement, so any routed group
 //! returns bit-identical neighbors. What the deployment shape changes is
 //! the **performance model** — per-shard search costs of the *routed*
-//! group feed [`CostModel::replicated_cluster_perf`] (straggler latency
+//! group feed [`CostModel::cluster_perf`] (straggler latency
 //! over the routed nodes + proxy merge + slowest-replica consistency
 //! staleness, with fleet-level read-slot scaling), per-node builds and
 //! loads proceed in parallel (wall time is the slowest node's), and every

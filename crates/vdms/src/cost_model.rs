@@ -157,46 +157,30 @@ impl CostModel {
         0.02 + 0.16 * (sys.insert_buf_size_mb / 2048.0).sqrt()
     }
 
-    /// Consistency stall per query (seconds): queries wait for the tsafe
-    /// watermark to pass `now - gracefulTime`. The ingestion lag grows with
-    /// the insert buffer (bigger buffers flush less often). This is the
-    /// *mean-field* form used by the offline replay; the serving simulator
-    /// resolves the same mechanism per event via
-    /// [`CostModel::consistency_wait_secs`].
-    fn stall_secs(sys: &SystemParams) -> f64 {
-        Self::stall_secs_replicated(sys, 1)
-    }
-
-    /// [`CostModel::stall_secs`] of a replicated deployment: the effective
-    /// ingestion lag includes the slowest replica's WAL fan-out staleness
-    /// ([`CostModel::replica_lag_ms`]). At one replica the extra term is
-    /// exactly `0.0`, so this reduces bitwise to the unreplicated stall.
+    /// Mean-field consistency stall per query (seconds) of a deployment
+    /// with `replicas` copies: queries wait for the tsafe watermark to pass
+    /// `now - gracefulTime`. The ingestion lag grows with the insert buffer
+    /// (bigger buffers flush less often) and with the slowest replica's WAL
+    /// fan-out staleness ([`CostModel::replica_lag_ms`], exactly `0.0` at
+    /// one replica). This is the form the offline replay charges; the
+    /// serving simulator resolves the same mechanism per event via
+    /// [`CostModel::consistency_wait_secs_replicated`].
     fn stall_secs_replicated(sys: &SystemParams, replicas: usize) -> f64 {
         let lag_ms = Self::ingest_lag_ms(sys) + Self::replica_lag_ms(replicas);
         ((lag_ms - sys.graceful_time_ms).max(0.0)) / 1_000.0
     }
 
-    /// Event-level consistency wait for a query arriving at `arrival_secs`:
-    /// the query may start once some flush published a watermark covering
-    /// `arrival - gracefulTime`, i.e. once a flush happened at or after
-    /// `arrival - gracefulTime + lag`. Flushes occur at multiples of
-    /// [`CostModel::flush_interval_secs`], so the wait depends on the
-    /// arrival's *phase* within the flush cycle — the source of the
-    /// consistency tail. Zero for every arrival once
-    /// `gracefulTime >= lag`: a graceful window that already covers the
-    /// ingestion lag asks only for data old enough to be durable, so it
-    /// must never wait on flush quantization (in particular, a zero-lag
-    /// system never waits at all). Up to
-    /// `lag - gracefulTime + flush_interval` otherwise.
-    pub fn consistency_wait_secs(sys: &SystemParams, arrival_secs: f64) -> f64 {
-        Self::consistency_wait_secs_replicated(sys, arrival_secs, 1)
-    }
-
-    /// [`CostModel::consistency_wait_secs`] of a replicated deployment:
-    /// the watermark a bounded-staleness read waits for is the *slowest*
-    /// replica's, which trails the leader's by
-    /// [`CostModel::replica_lag_ms`]. One replica adds exactly `0.0` ms,
-    /// reducing bitwise to the unreplicated wait.
+    /// Event-level consistency wait for a query arriving at `arrival_secs`
+    /// on a deployment with `replicas` copies: the query may start once
+    /// some flush published a watermark covering `arrival - gracefulTime`,
+    /// i.e. once a flush happened at or after
+    /// `arrival - gracefulTime + lag`, where the lag is the *slowest*
+    /// replica's ([`CostModel::replica_lag_ms`] behind the leader's).
+    /// Flushes occur at multiples of [`CostModel::flush_interval_secs`], so
+    /// the wait depends on the arrival's *phase* within the flush cycle —
+    /// the source of the consistency tail. Zero for every arrival once
+    /// `gracefulTime >= lag`, up to `lag - gracefulTime + flush_interval`
+    /// otherwise.
     pub fn consistency_wait_secs_replicated(
         sys: &SystemParams,
         arrival_secs: f64,
@@ -221,18 +205,11 @@ impl CostModel {
         (next_flush - arrival_secs).max(0.0)
     }
 
-    /// Scheduling efficiency of read concurrency: capped by the workload's
-    /// own concurrency, with a mild over-provisioning penalty.
-    fn parallelism(&self, sys: &SystemParams) -> f64 {
-        self.parallelism_replicated(sys, 1)
-    }
-
-    /// [`CostModel::parallelism`] of a replicated deployment: `r` replica
-    /// groups each run their own `maxReadConcurrency` read slots, so the
-    /// fleet offers `r ×` the slots — still capped by the workload's own
-    /// concurrency, and still paying the over-provisioning penalty on the
-    /// *total* slot count (a fleet of idle slots is pure scheduling
-    /// overhead). One replica reduces bitwise to the unreplicated law.
+    /// Scheduling efficiency of read concurrency: `replicas` groups each
+    /// run their own `maxReadConcurrency` read slots, so the fleet offers
+    /// `replicas ×` the slots — capped by the workload's own concurrency,
+    /// with a mild over-provisioning penalty on the *total* slot count (a
+    /// fleet of idle slots is pure scheduling overhead).
     fn parallelism_replicated(&self, sys: &SystemParams, replicas: usize) -> f64 {
         let slots = sys.max_read_concurrency * replicas.max(1);
         let eff = (self.workload_concurrency.min(slots)) as f64;
@@ -269,8 +246,21 @@ impl CostModel {
         CostModel { scan, scan_source, penalties, penalty_source, ..Default::default() }
     }
 
-    /// Convert one query's accumulated counts into latency and QPS.
-    pub fn query_perf(&self, cost: &SearchCost, sys: &SystemParams) -> QueryPerf {
+    /// Latency and QPS of one unreplicated node serving `cost` per query.
+    /// The node's reactors scan their own segments concurrently, so the
+    /// scan work counts at the straggler reactor's `straggler_share` of
+    /// it (owned fraction × SMT penalty), every populated reactor hands
+    /// its partial top-k to the delegator (`handoff_secs` in total), and
+    /// the fixed dispatch/merge costs stay serial on the delegator. A node
+    /// without reactors is one penalty-free owner of everything: share
+    /// `1.0`, handoff `0.0`.
+    fn node_perf(
+        &self,
+        cost: &SearchCost,
+        sys: &SystemParams,
+        straggler_share: f64,
+        handoff_secs: f64,
+    ) -> QueryPerf {
         use unit_costs::*;
         let chunk = Self::chunk_factor(sys.chunk_rows);
         let scan_ns = cost.f32_dims as f64 * self.scan.f32_dim_ns
@@ -284,19 +274,19 @@ impl CostModel {
             + cost.lists_probed as f64 * LIST_PROBE_NS
             + cost.segments as f64 * SEGMENT_NS
             + QUERY_BASE_NS;
-        let latency_secs = (scan_ns * chunk + graph_ns + fixed_ns) / 1e9 + Self::stall_secs(sys);
-        let qps = self.parallelism(sys) / latency_secs.max(1e-9);
-        QueryPerf { latency_secs, qps }
+        let latency_secs = ((scan_ns * chunk + graph_ns) * straggler_share + fixed_ns) / 1e9
+            + handoff_secs
+            + Self::stall_secs_replicated(sys, 1);
+        QueryPerf {
+            latency_secs,
+            qps: self.parallelism_replicated(sys, 1) / latency_secs.max(1e-9),
+        }
     }
 
-    /// Inverse of [`CostModel::query_perf`]'s throughput law: the mean
-    /// per-query latency a measured QPS implies under this workload's
-    /// concurrency. Lets the serving layer recover service times from any
-    /// evaluation backend's outcome — single-node, sharded
-    /// (straggler + proxy merge already folded into the cluster's QPS) or
-    /// topology-tuned — without re-running the replay.
-    pub fn latency_from_qps(&self, qps: f64, sys: &SystemParams) -> f64 {
-        self.parallelism(sys) / qps.max(1e-9)
+    /// Convert one query's accumulated counts into latency and QPS on a
+    /// single node serving from the shared slot pool.
+    pub fn query_perf(&self, cost: &SearchCost, sys: &SystemParams) -> QueryPerf {
+        self.node_perf(cost, sys, 1.0, 0.0)
     }
 
     /// Worker slots the serving executor actually runs concurrently: the
@@ -314,24 +304,13 @@ impl CostModel {
         1.0 + 0.04 * (over - 1.0)
     }
 
-    /// Base service time of one query on a worker slot, derived from a
-    /// measured QPS: the implied mean latency *minus* the mean-field
-    /// consistency stall (the serving simulator re-applies consistency per
-    /// event via [`CostModel::consistency_wait_secs`], so keeping the
-    /// stall here would double-charge it), inflated by the
-    /// over-provisioning overhead.
-    pub fn service_secs_from_qps(&self, qps: f64, sys: &SystemParams) -> f64 {
-        self.service_secs_from_qps_replicated(qps, sys, 1)
-    }
-
-    /// [`CostModel::service_secs_from_qps`] for a replicated deployment:
-    /// the measured QPS of a replicated cluster already folds in the
-    /// fleet-level concurrency scaling
-    /// ([`CostModel::replicated_cluster_perf`]), so the inversion must use
-    /// the *replicated* throughput law — and subtract the *replicated*
-    /// mean-field stall, since the serving simulator re-applies consistency
-    /// per event with the replica lag included. One replica reduces
-    /// bitwise to the unreplicated form.
+    /// Base service time of one query on a worker slot, derived from the
+    /// measured QPS of a deployment with `replicas` copies: the mean
+    /// latency that QPS implies under the fleet's throughput law (the
+    /// inverse of [`CostModel::cluster_perf`]'s) *minus* the mean-field
+    /// consistency stall — the serving simulator re-applies consistency
+    /// per event, replica lag included, so keeping the stall here would
+    /// double-charge it — inflated by the over-provisioning overhead.
     pub fn service_secs_from_qps_replicated(
         &self,
         qps: f64,
@@ -352,62 +331,6 @@ impl CostModel {
     pub fn proxy_merge_secs(&self, shards: usize, top_k: usize) -> f64 {
         let extra = shards.saturating_sub(1) as f64;
         extra * (0.5 * unit_costs::QUERY_BASE_NS + top_k as f64 * unit_costs::HEAP_PUSH_NS) / 1e9
-    }
-
-    /// Per-query performance of a sharded cluster: the proxy scatters every
-    /// query to all shards, so latency is the *straggler* shard's latency
-    /// plus the proxy merge overhead. With one shard this reduces exactly
-    /// (bit for bit) to [`CostModel::query_perf`] on that shard's cost.
-    ///
-    /// `shard_costs` holds one mean per-query [`SearchCost`] per shard.
-    pub fn cluster_perf(
-        &self,
-        shard_costs: &[SearchCost],
-        sys: &SystemParams,
-        top_k: usize,
-    ) -> QueryPerf {
-        let slowest = shard_costs
-            .iter()
-            .map(|c| self.query_perf(c, sys))
-            .max_by(|a, b| a.latency_secs.total_cmp(&b.latency_secs))
-            .expect("cluster_perf needs at least one shard");
-        let proxy = self.proxy_merge_secs(shard_costs.len(), top_k);
-        if proxy == 0.0 {
-            return slowest;
-        }
-        let latency_secs = slowest.latency_secs + proxy;
-        QueryPerf { latency_secs, qps: self.parallelism(sys) / latency_secs.max(1e-9) }
-    }
-
-    /// Per-query performance of a *replicated* sharded cluster: every query
-    /// is routed to exactly one replica group, whose `shards` nodes it
-    /// scatter-gathers — so per-query latency is still the straggler over
-    /// the **routed** nodes plus the proxy merge, now also paying the
-    /// slowest replica's consistency staleness
-    /// ([`CostModel::replica_lag_ms`]); throughput scales with the fleet's
-    /// total read slots (the replicated throughput law). With one
-    /// replica this reduces bit-for-bit to [`CostModel::cluster_perf`].
-    ///
-    /// `shard_costs` holds one mean per-query [`SearchCost`] per *local*
-    /// shard — identical across replica groups, since every group hosts the
-    /// same placement.
-    pub fn replicated_cluster_perf(
-        &self,
-        shard_costs: &[SearchCost],
-        sys: &SystemParams,
-        top_k: usize,
-        replicas: usize,
-    ) -> QueryPerf {
-        let base = self.cluster_perf(shard_costs, sys, top_k);
-        if replicas <= 1 {
-            return base;
-        }
-        let latency_secs =
-            base.latency_secs - Self::stall_secs(sys) + Self::stall_secs_replicated(sys, replicas);
-        QueryPerf {
-            latency_secs,
-            qps: self.parallelism_replicated(sys, replicas) / latency_secs.max(1e-9),
-        }
     }
 
     // ------------------------------------------------------------------
@@ -467,64 +390,34 @@ impl CostModel {
             .collect()
     }
 
-    /// Per-query performance of one *pinned* node: the node's segments are
-    /// owned round-robin by its reactors
-    /// ([`crate::cluster::reactor_placement`]), reactors scan their own
-    /// segments concurrently, and per-query scan latency is the straggler
-    /// reactor's share — its owned fraction of the scan work inflated by
-    /// its SMT sharing penalty — plus every populated reactor's handoff to
-    /// the delegator. The fixed dispatch/merge costs stay serial on the
-    /// delegator.
-    fn pinned_node_perf(
-        &self,
-        cost: &SearchCost,
-        segments: usize,
-        sys: &SystemParams,
-        scan_penalties: &[f64],
-        handoff_secs: &[f64],
-    ) -> QueryPerf {
-        use unit_costs::*;
-        let chunk = Self::chunk_factor(sys.chunk_rows);
-        let scan_ns = cost.f32_dims as f64 * self.scan.f32_dim_ns
-            + cost.u8_dims as f64 * self.scan.u8_dim_ns
-            + cost.pq_lookups as f64 * self.scan.pq_lookup_ns;
-        let graph_ns = cost.graph_dims as f64 * self.scan.f32_dim_ns * 1.1;
-        let fixed_ns = cost.graph_hops as f64 * GRAPH_HOP_NS
-            + cost.heap_pushes as f64 * HEAP_PUSH_NS
-            + cost.lists_probed as f64 * LIST_PROBE_NS
-            + cost.segments as f64 * SEGMENT_NS
-            + QUERY_BASE_NS;
-        let segs = segments.max(1);
-        let used = scan_penalties.len().min(segs).max(1);
-        let mut owned = vec![0usize; used];
-        for r in crate::cluster::reactor_placement(segs, used) {
-            owned[r] += 1;
-        }
-        // The straggler reactor: largest owned share × its own penalty.
-        let straggler = (0..used)
-            .map(|r| owned[r] as f64 / segs as f64 * scan_penalties[r])
-            .fold(0.0f64, f64::max);
-        let handoff: f64 = handoff_secs[..used].iter().sum();
-        let latency_secs = ((scan_ns * chunk + graph_ns) * straggler + fixed_ns) / 1e9
-            + handoff
-            + Self::stall_secs(sys);
-        QueryPerf { latency_secs, qps: self.parallelism(sys) / latency_secs.max(1e-9) }
-    }
-
-    /// Per-query performance of a replicated sharded cluster whose nodes
-    /// run **pinned shard reactors** instead of the shared slot pool.
-    /// [`PinningPolicy::Shared`] delegates to
-    /// [`CostModel::replicated_cluster_perf`] unchanged — the legacy model
-    /// *is* the shared policy — so a pinning knob frozen at its default
-    /// reproduces pre-reactor results bit for bit. A degenerate
-    /// single-core topology runs one penalty-free reactor and is likewise
-    /// bitwise the slot-pool model.
+    /// Per-query performance of a sharded, replicated cluster — the one
+    /// perf law every deployment shape goes through.
     ///
-    /// `shard_segments` holds the number of segments each local shard
-    /// scans per query (sealed, plus the growing tail on the delegator
-    /// shard), which bounds how much intra-query parallelism its reactors
-    /// can extract.
-    pub fn pinned_cluster_perf(
+    /// * **Shards.** The proxy scatters every query to all `shard_costs`
+    ///   nodes of the routed replica group, so latency is the *straggler*
+    ///   node's plus the proxy merge ([`CostModel::proxy_merge_secs`]).
+    ///   One shard, one replica and the shared policy reduce bit for bit
+    ///   to [`CostModel::query_perf`] on that shard's cost.
+    /// * **Reactors.** Under a pinning `policy` each node runs
+    ///   [`CostModel::reactor_count`] reactors that own its segments
+    ///   round-robin ([`crate::cluster::reactor_placement`]) and scan them
+    ///   concurrently: the node's scan work counts at the straggler
+    ///   reactor's share — owned fraction × its SMT penalty
+    ///   ([`CostModel::reactor_scan_penalties`]) — plus every populated
+    ///   reactor's handoff ([`CostModel::reactor_handoff_secs`]).
+    ///   [`PinningPolicy::Shared`] is the same arithmetic with one
+    ///   penalty-free reactor owning every segment, as is any policy on a
+    ///   single-core topology.
+    /// * **Replicas.** Every query is routed to exactly one of `replicas`
+    ///   identical groups: latency additionally pays the slowest replica's
+    ///   consistency staleness ([`CostModel::replica_lag_ms`]) and
+    ///   throughput scales with the fleet's total read slots.
+    ///
+    /// `shard_costs` holds one mean per-query [`SearchCost`] per *local*
+    /// shard and `shard_segments` the number of segments each scans per
+    /// query (sealed, plus the growing tail on the delegator shard), which
+    /// bounds how much intra-query parallelism its reactors can extract.
+    pub fn cluster_perf(
         &self,
         shard_costs: &[SearchCost],
         shard_segments: &[usize],
@@ -533,31 +426,46 @@ impl CostModel {
         replicas: usize,
         policy: PinningPolicy,
     ) -> QueryPerf {
-        if policy == PinningPolicy::Shared {
-            return self.replicated_cluster_perf(shard_costs, sys, top_k, replicas);
-        }
         debug_assert_eq!(shard_costs.len(), shard_segments.len());
-        let reactors = self.reactor_count(policy, sys);
-        let scan_pen = self.reactor_scan_penalties(policy, reactors);
-        let handoff = self.reactor_handoff_secs(policy, reactors, top_k);
+        let reactors =
+            if policy == PinningPolicy::Shared { 1 } else { self.reactor_count(policy, sys) };
+        let scan_penalties = self.reactor_scan_penalties(policy, reactors);
+        let handoff_secs = self.reactor_handoff_secs(policy, reactors, top_k);
         let slowest = shard_costs
             .iter()
             .zip(shard_segments)
-            .map(|(c, &segs)| self.pinned_node_perf(c, segs, sys, &scan_pen, &handoff))
+            .map(|(cost, &segments)| {
+                let segs = segments.max(1);
+                let used = reactors.min(segs);
+                let mut owned = vec![0usize; used];
+                for r in crate::cluster::reactor_placement(segs, used) {
+                    owned[r] += 1;
+                }
+                // The straggler reactor: largest owned share × its own penalty.
+                let straggler = (0..used)
+                    .map(|r| owned[r] as f64 / segs as f64 * scan_penalties[r])
+                    .fold(0.0f64, f64::max);
+                self.node_perf(cost, sys, straggler, handoff_secs[..used].iter().sum())
+            })
             .max_by(|a, b| a.latency_secs.total_cmp(&b.latency_secs))
-            .expect("pinned_cluster_perf needs at least one shard");
+            .expect("cluster_perf needs at least one shard");
         let proxy = self.proxy_merge_secs(shard_costs.len(), top_k);
         let base = if proxy == 0.0 {
             slowest
         } else {
             let latency_secs = slowest.latency_secs + proxy;
-            QueryPerf { latency_secs, qps: self.parallelism(sys) / latency_secs.max(1e-9) }
+            QueryPerf {
+                latency_secs,
+                qps: self.parallelism_replicated(sys, 1) / latency_secs.max(1e-9),
+            }
         };
         if replicas <= 1 {
             return base;
         }
-        let latency_secs =
-            base.latency_secs - Self::stall_secs(sys) + Self::stall_secs_replicated(sys, replicas);
+        // Swap the one-copy stall for the fleet's. Keep this association:
+        // it is what every replicated history was recorded under.
+        let latency_secs = base.latency_secs - Self::stall_secs_replicated(sys, 1)
+            + Self::stall_secs_replicated(sys, replicas);
         QueryPerf {
             latency_secs,
             qps: self.parallelism_replicated(sys, replicas) / latency_secs.max(1e-9),
@@ -692,9 +600,9 @@ mod tests {
     fn stall_grows_with_insert_buffer() {
         let mut sys = SystemParams { graceful_time_ms: 0.0, ..Default::default() };
         sys.insert_buf_size_mb = 64.0;
-        let small = CostModel::stall_secs(&sys);
+        let small = CostModel::stall_secs_replicated(&sys, 1);
         sys.insert_buf_size_mb = 2048.0;
-        let large = CostModel::stall_secs(&sys);
+        let large = CostModel::stall_secs_replicated(&sys, 1);
         assert!(large > small);
     }
 
@@ -723,7 +631,7 @@ mod tests {
         let model = CostModel::default();
         let sys = SystemParams::default();
         let single = model.query_perf(&flat_cost(), &sys);
-        let cluster = model.cluster_perf(&[flat_cost()], &sys, 100);
+        let cluster = model.cluster_perf(&[flat_cost()], &[1], &sys, 100, 1, PinningPolicy::Shared);
         assert_eq!(single.latency_secs.to_bits(), cluster.latency_secs.to_bits());
         assert_eq!(single.qps.to_bits(), cluster.qps.to_bits());
     }
@@ -733,7 +641,14 @@ mod tests {
         let model = CostModel::default();
         let sys = SystemParams::default();
         let light = SearchCost { f32_dims: 100 * 48, segments: 1, ..Default::default() };
-        let cluster = model.cluster_perf(&[light, flat_cost(), light], &sys, 10);
+        let cluster = model.cluster_perf(
+            &[light, flat_cost(), light],
+            &[1; 3],
+            &sys,
+            10,
+            1,
+            PinningPolicy::Shared,
+        );
         let straggler = model.query_perf(&flat_cost(), &sys);
         assert!(cluster.latency_secs > straggler.latency_secs, "merge overhead adds latency");
         assert!(cluster.qps < straggler.qps);
@@ -748,27 +663,18 @@ mod tests {
     }
 
     #[test]
-    fn latency_from_qps_inverts_query_perf() {
-        let model = CostModel::default();
-        let sys = SystemParams::default();
-        let perf = model.query_perf(&flat_cost(), &sys);
-        let back = model.latency_from_qps(perf.qps, &sys);
-        assert!((back - perf.latency_secs).abs() < 1e-12, "{back} vs {}", perf.latency_secs);
-    }
-
-    #[test]
     fn service_secs_excludes_the_mean_field_stall() {
         // The serving path re-applies consistency per event; the derived
         // service time must not double-charge the offline stall.
         let model = CostModel::default();
         let stalled = SystemParams { graceful_time_ms: 0.0, ..Default::default() };
         let perf = model.query_perf(&flat_cost(), &stalled);
-        let service = model.service_secs_from_qps(perf.qps, &stalled);
+        let service = model.service_secs_from_qps_replicated(perf.qps, &stalled, 1);
         let covered = SystemParams::default();
         let pure = model.query_perf(&flat_cost(), &covered);
         // Both systems do the same compute; only the stall differs, and the
         // over-provisioning factor (same concurrency) is identical.
-        let service_covered = model.service_secs_from_qps(pure.qps, &covered);
+        let service_covered = model.service_secs_from_qps_replicated(pure.qps, &covered, 1);
         assert!((service - service_covered).abs() < 1e-9, "{service} vs {service_covered}");
         assert!(service < perf.latency_secs, "stall removed from the service time");
     }
@@ -779,8 +685,12 @@ mod tests {
         let interval = CostModel::flush_interval_secs(&sys);
         let lag = CostModel::ingest_lag_ms(&sys) / 1_000.0;
         // Two arrivals a quarter-interval apart wait different amounts.
-        let w1 = CostModel::consistency_wait_secs(&sys, 10.0 * interval + 0.01);
-        let w2 = CostModel::consistency_wait_secs(&sys, 10.0 * interval + 0.01 + interval / 4.0);
+        let w1 = CostModel::consistency_wait_secs_replicated(&sys, 10.0 * interval + 0.01, 1);
+        let w2 = CostModel::consistency_wait_secs_replicated(
+            &sys,
+            10.0 * interval + 0.01 + interval / 4.0,
+            1,
+        );
         assert!(w1 >= lag - 1e-12, "uncovered arrivals wait at least the lag");
         assert!((w1 - w2).abs() > 1e-9, "wait depends on the flush-cycle phase");
         // A graceful window past lag + interval covers every arrival.
@@ -790,7 +700,7 @@ mod tests {
         };
         for k in 0..7 {
             let t = 3.0 + 0.13 * k as f64;
-            assert_eq!(CostModel::consistency_wait_secs(&covered, t), 0.0, "t={t}");
+            assert_eq!(CostModel::consistency_wait_secs_replicated(&covered, t, 1), 0.0, "t={t}");
         }
     }
 
@@ -808,43 +718,20 @@ mod tests {
     }
 
     #[test]
-    fn one_replica_perf_is_bitwise_the_unreplicated_cluster() {
-        let model = CostModel::default();
-        let sys = SystemParams::default();
-        let costs = [flat_cost(), flat_cost()];
-        let a = model.cluster_perf(&costs, &sys, 10);
-        let b = model.replicated_cluster_perf(&costs, &sys, 10, 1);
-        assert_eq!(a.latency_secs.to_bits(), b.latency_secs.to_bits());
-        assert_eq!(a.qps.to_bits(), b.qps.to_bits());
-        assert_eq!(CostModel::replica_lag_ms(1), 0.0);
-        assert_eq!(
-            model.service_secs_from_qps(a.qps, &sys).to_bits(),
-            model.service_secs_from_qps_replicated(a.qps, &sys, 1).to_bits()
-        );
-        for t in [0.3, 1.7, 12.9] {
-            assert_eq!(
-                CostModel::consistency_wait_secs(&sys, t).to_bits(),
-                CostModel::consistency_wait_secs_replicated(&sys, t, 1).to_bits(),
-                "t={t}"
-            );
-        }
-    }
-
-    #[test]
     fn replicas_scale_throughput_when_slots_are_scarce() {
         // 2 read slots against 10 workload clients: the fleet is
         // slot-starved, so doubling the replicas nearly doubles QPS.
         let model = CostModel::default();
         let sys = SystemParams { max_read_concurrency: 2, ..Default::default() };
         let costs = [flat_cost()];
-        let one = model.replicated_cluster_perf(&costs, &sys, 10, 1);
-        let four = model.replicated_cluster_perf(&costs, &sys, 10, 4);
+        let one = model.cluster_perf(&costs, &[1], &sys, 10, 1, PinningPolicy::Shared);
+        let four = model.cluster_perf(&costs, &[1], &sys, 10, 4, PinningPolicy::Shared);
         assert!(four.qps > one.qps * 2.0, "{} vs {}", four.qps, one.qps);
         // Already at the workload's concurrency: extra replicas are pure
         // scheduling overhead.
         let wide = SystemParams { max_read_concurrency: 16, ..Default::default() };
-        let base = model.replicated_cluster_perf(&costs, &wide, 10, 1);
-        let over = model.replicated_cluster_perf(&costs, &wide, 10, 4);
+        let base = model.cluster_perf(&costs, &[1], &wide, 10, 1, PinningPolicy::Shared);
+        let over = model.cluster_perf(&costs, &[1], &wide, 10, 4, PinningPolicy::Shared);
         assert!(over.qps < base.qps, "over-replication must not help: {}", over.qps);
     }
 
@@ -858,8 +745,8 @@ mod tests {
             ..Default::default()
         };
         let costs = [flat_cost()];
-        let one = model.replicated_cluster_perf(&costs, &sys, 10, 1);
-        let four = model.replicated_cluster_perf(&costs, &sys, 10, 4);
+        let one = model.cluster_perf(&costs, &[1], &sys, 10, 1, PinningPolicy::Shared);
+        let four = model.cluster_perf(&costs, &[1], &sys, 10, 4, PinningPolicy::Shared);
         assert!(
             four.latency_secs > one.latency_secs + 0.5 * 3.0 * REPLICA_LAG_MS_PER_COPY / 1_000.0,
             "{} vs {}",
@@ -934,26 +821,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_policy_is_bitwise_the_legacy_cluster_perf() {
-        let model = CostModel::default();
-        let sys = SystemParams::default();
-        let costs = [flat_cost(), flat_cost()];
-        for replicas in [1, 3] {
-            let legacy = model.replicated_cluster_perf(&costs, &sys, 10, replicas);
-            let pinned = model.pinned_cluster_perf(
-                &costs,
-                &[4, 3],
-                &sys,
-                10,
-                replicas,
-                PinningPolicy::Shared,
-            );
-            assert_eq!(legacy.latency_secs.to_bits(), pinned.latency_secs.to_bits());
-            assert_eq!(legacy.qps.to_bits(), pinned.qps.to_bits());
-        }
-    }
-
-    #[test]
     fn single_core_topology_reproduces_the_slot_pool_bitwise() {
         // One reactor, no siblings, no handoff: the pinned model must be
         // bit-identical to the pre-reactor model for every policy.
@@ -965,9 +832,10 @@ mod tests {
         let sys = SystemParams::default();
         let costs = [flat_cost(), flat_cost()];
         for replicas in [1, 2] {
-            let legacy = model.replicated_cluster_perf(&costs, &sys, 10, replicas);
+            let legacy =
+                model.cluster_perf(&costs, &[5, 5], &sys, 10, replicas, PinningPolicy::Shared);
             for policy in PinningPolicy::ALL {
-                let pinned = model.pinned_cluster_perf(&costs, &[5, 5], &sys, 10, replicas, policy);
+                let pinned = model.cluster_perf(&costs, &[5, 5], &sys, 10, replicas, policy);
                 assert_eq!(
                     legacy.latency_secs.to_bits(),
                     pinned.latency_secs.to_bits(),
@@ -990,9 +858,8 @@ mod tests {
             segments: 16,
             ..Default::default()
         };
-        let shared = model.pinned_cluster_perf(&[cost], &[16], &sys, 10, 1, PinningPolicy::Shared);
-        let pinned =
-            model.pinned_cluster_perf(&[cost], &[16], &sys, 10, 1, PinningPolicy::SmtAvoid);
+        let shared = model.cluster_perf(&[cost], &[16], &sys, 10, 1, PinningPolicy::Shared);
+        let pinned = model.cluster_perf(&[cost], &[16], &sys, 10, 1, PinningPolicy::SmtAvoid);
         assert!(
             pinned.latency_secs < shared.latency_secs * 0.5,
             "reactors parallelize the scan: {} vs {}",
@@ -1001,8 +868,8 @@ mod tests {
         );
         // A single-segment shard cannot parallelize and only pays costs.
         let one_seg = SearchCost { f32_dims: 10_000 * 48, segments: 1, ..Default::default() };
-        let sp = model.pinned_cluster_perf(&[one_seg], &[1], &sys, 10, 1, PinningPolicy::Shared);
-        let pp = model.pinned_cluster_perf(&[one_seg], &[1], &sys, 10, 1, PinningPolicy::Scatter);
+        let sp = model.cluster_perf(&[one_seg], &[1], &sys, 10, 1, PinningPolicy::Shared);
+        let pp = model.cluster_perf(&[one_seg], &[1], &sys, 10, 1, PinningPolicy::Scatter);
         assert!(
             pp.latency_secs.to_bits() == sp.latency_secs.to_bits(),
             "one segment, one reactor, no handoff"
@@ -1023,13 +890,16 @@ mod tests {
         let tight = SystemParams { graceful_time_ms: lag_ms + 0.5, ..base };
         for k in 0..11 {
             let t = 2.0 + k as f64 * interval / 3.0;
-            assert_eq!(CostModel::consistency_wait_secs(&tight, t), 0.0, "t={t}");
+            assert_eq!(CostModel::consistency_wait_secs_replicated(&tight, t, 1), 0.0, "t={t}");
         }
         // Just below the lag, the quantized wait still applies somewhere
         // in the cycle — the fix must not erase the real staleness cost.
         let uncovered = SystemParams { graceful_time_ms: lag_ms - 5.0, ..base };
         let some_wait = (0..11)
-            .map(|k| CostModel::consistency_wait_secs(&uncovered, 2.0 + k as f64 * interval / 3.0))
+            .map(|k| {
+                let t = 2.0 + k as f64 * interval / 3.0;
+                CostModel::consistency_wait_secs_replicated(&uncovered, t, 1)
+            })
             .fold(0.0f64, f64::max);
         assert!(some_wait > 0.0, "an uncovered window still pays");
     }

@@ -27,7 +27,7 @@
 //! [`BackendInfo`] switches the evaluator's caching off.
 
 use crate::replay::{evaluate, evaluate_sharded, Outcome};
-use crate::serving::{simulate_pinned_mixed, simulate_replicated_mixed, ServingSpec};
+use crate::serving::{simulate, ServingSpec};
 use crate::Workload;
 use vdms::cluster::ClusterSpec;
 use vdms::{PinningPolicy, VdmsConfig, VdmsError, WriteKnobs};
@@ -249,9 +249,9 @@ impl<'a> TopologyBackend<'a> {
 
     /// A backend additionally letting candidates choose the reactor
     /// pinning policy (the 19-dimensional space): every [`PinningPolicy`]
-    /// is realizable, and evaluation routes non-shared policies through
-    /// the shard-reactor perf law
-    /// ([`vdms::CostModel::pinned_cluster_perf`]). Declaring the dimension
+    /// is realizable, and the perf law
+    /// ([`vdms::CostModel::cluster_perf`]) prices non-shared policies as
+    /// shard reactors. Declaring the dimension
     /// with the tuner's pinning coordinate frozen at
     /// [`PinningPolicy::Shared`] reproduces 18-dimensional tuning bit for
     /// bit against the same control plane.
@@ -488,37 +488,22 @@ impl<B: EvalBackend> EvalBackend for ServingBackend<'_, B> {
         let model = &self.workload.cost_model;
         let service = model.service_secs_from_qps_replicated(out.qps, &sys, replicas);
         // A pinning request replaces each group's shared slot pool with
-        // per-reactor single-owner queues; `simulate_pinned_mixed`
-        // delegates for the shared policy, so `Some(Shared)` stays bitwise
-        // `None`. A write-path request selects the WAL/segment knobs the
-        // simulated insert traffic runs under; absent a request the
-        // backend's fixed defaults apply, so `Some(DEFAULT)` is likewise
-        // bitwise `None`, and with `insert_fraction <= 0` the mixed
-        // simulators delegate to the read-only ones unchanged.
-        let serving_seed = derive(seed, 0x5E2B);
-        let knobs = cfg.writepath.unwrap_or(WriteKnobs::DEFAULT);
-        let trace = match cfg.pinning {
-            Some(policy) => simulate_pinned_mixed(
-                model,
-                &sys,
-                service,
-                &self.spec,
-                serving_seed,
-                replicas,
-                policy,
-                self.inner_info.top_k,
-                knobs,
-            ),
-            None => simulate_replicated_mixed(
-                model,
-                &sys,
-                service,
-                &self.spec,
-                serving_seed,
-                replicas,
-                knobs,
-            ),
-        };
+        // per-reactor single-owner queues, and a write-path request selects
+        // the WAL/segment knobs the simulated insert traffic runs under.
+        // Absent a request the backend's fixed execution model and write
+        // path apply — the shared pool and the default knobs — so
+        // `Some(Shared)` and `Some(DEFAULT)` are the same call as `None`.
+        let trace = simulate(
+            model,
+            &sys,
+            service,
+            &self.spec,
+            derive(seed, 0x5E2B),
+            replicas,
+            cfg.pinning.unwrap_or(PinningPolicy::Shared),
+            self.inner_info.top_k,
+            cfg.writepath.unwrap_or(WriteKnobs::DEFAULT),
+        );
         let stats = trace.stats(&self.spec);
         if stats.violates_slo(&self.spec) {
             out.failure = Some(VdmsError::SloViolation {

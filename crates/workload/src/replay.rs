@@ -5,7 +5,7 @@
 use crate::Workload;
 use vdms::cluster::{ClusterSpec, ShardedCollection};
 use vdms::cost_model::{REPLAY_REQUESTS, REPLAY_TIME_CAP_SECS};
-use vdms::{Collection, VdmsConfig, VdmsError};
+use vdms::{Collection, PinningPolicy, VdmsConfig, VdmsError};
 
 /// Relative σ of throughput measurement noise. Real VDMS benchmarks show
 /// 5–15% run-to-run variance (scheduling, cache state, compaction); a
@@ -112,7 +112,7 @@ pub fn evaluate(workload: &Workload, config: &VdmsConfig, seed: u64) -> Outcome 
 /// outcomes exactly like single-node OOMs, the latency model pays the
 /// straggler of the *routed* group plus the proxy merge and the
 /// slowest-replica consistency staleness
-/// ([`vdms::CostModel::replicated_cluster_perf`]), builds and loads
+/// ([`vdms::CostModel::cluster_perf`]), builds and loads
 /// proceed per node in parallel, and memory is the cluster aggregate —
 /// every copy accounted. With `spec.shards == 1`, one replica and the
 /// default budget, every field of the outcome is bit-identical to
@@ -143,26 +143,16 @@ pub fn evaluate_sharded(
     }
     let shard_means: Vec<anns::SearchCost> =
         shard_totals.iter().map(|c| mean_cost(c, nq)).collect();
-    // A non-shared pinning request routes the perf law through the shard
-    // reactors; `Some(Shared)` and `None` take the identical legacy path
-    // (and `pinned_cluster_perf` delegates for Shared anyway), so a frozen
-    // pinning dimension reproduces unpinned replays bit for bit.
-    let perf = match cfg.pinning {
-        Some(policy) => workload.cost_model.pinned_cluster_perf(
-            &shard_means,
-            &cluster.shard_segment_counts(),
-            &cfg.system,
-            workload.top_k,
-            cluster.replicas(),
-            policy,
-        ),
-        None => workload.cost_model.replicated_cluster_perf(
-            &shard_means,
-            &cfg.system,
-            workload.top_k,
-            cluster.replicas(),
-        ),
-    };
+    // No pinning request means the shared slot pool, so a frozen pinning
+    // dimension reproduces unpinned replays bit for bit.
+    let perf = workload.cost_model.cluster_perf(
+        &shard_means,
+        &cluster.shard_segment_counts(),
+        &cfg.system,
+        workload.top_k,
+        cluster.replicas(),
+        cfg.pinning.unwrap_or(PinningPolicy::Shared),
+    );
     finish(
         workload,
         &cfg,

@@ -1,44 +1,54 @@
 //! A deterministic discrete-event *serving* simulator: the live-traffic
 //! counterpart to the offline batch replay.
 //!
-//! Every evaluation so far replays the workload as a closed batch and
-//! derives QPS analytically — `maxReadConcurrency` and `gracefulTime` are
-//! *costed*, never *exercised*, so tail latency (the metric production
-//! VDBMSs are provisioned for) is invisible to the tuner. This module
-//! simulates the system serving an **open-loop** arrival process instead:
+//! The offline replay runs the workload as a closed batch and derives QPS
+//! analytically — `maxReadConcurrency` and `gracefulTime` are *costed*,
+//! never *exercised*, so tail latency (the metric production VDBMSs are
+//! provisioned for) is invisible to it. This module simulates the system
+//! serving an **open-loop** arrival process instead, in **one event loop**
+//! ([`simulate`]) whose variants are data:
 //!
-//! * a seeded arrival process ([`ServingSpec::arrival_qps`], hyperexponential
-//!   burstiness via [`ServingSpec::burstiness`]) generates request arrivals;
-//! * arrivals wait for *consistency* — a query may start only once a flush
-//!   has published a tsafe watermark covering `arrival - gracefulTime`
-//!   ([`vdms::CostModel::consistency_wait_secs`]); this is where
-//!   `gracefulTime` finally becomes load-bearing, and the flush-cycle phase
-//!   dependence is what creates its latency *tail*;
-//! * eligible requests queue (bounded — overflow is **shed**) for one of
-//!   [`vdms::CostModel::serving_slots`] worker slots (`maxReadConcurrency`
+//! * **Arrivals.** A seeded process ([`ServingSpec::arrival_qps`],
+//!   hyperexponential burstiness via [`ServingSpec::burstiness`]) generates
+//!   query arrivals; when the spec carries an insert fraction
+//!   ([`ServingSpec::insert_fraction`]) a second, independent stream
+//!   generates insert arrivals. Both are time-sorted vectors walked by
+//!   cursors; only the events a run creates while it runs — flush ticks,
+//!   commit completions, deferred consistency retries — live in a heap.
+//! * **Slots.** Eligible requests queue (bounded — overflow is **shed**)
+//!   for a worker slot. The shared pool is one queue per replica group
+//!   over [`vdms::CostModel::serving_slots`] slots (`maxReadConcurrency`
 //!   capped by the node's cores, over-provisioning paying a scheduling
-//!   penalty);
-//! * per-query service times come from the cost model's measured QPS
-//!   ([`vdms::CostModel::service_secs_from_qps`] — the straggler and
-//!   proxy-merge terms of the cluster path are already folded into a
-//!   sharded backend's QPS) with deterministic per-query jitter;
-//! * when the spec carries an insert fraction
-//!   ([`ServingSpec::insert_fraction`]), a second seeded arrival stream
-//!   offers **inserts** to a [`vdms::WalSim`] write path: WAL group
-//!   commits (full-batch or end-of-tick), segment seals and compactions
-//!   are priced by the same cost model and occupy the same worker slots
-//!   queries contend for, backpressure from a full insert window parks
-//!   arrivals against the primary queue, and `gracefulTime` consistency
-//!   waits resolve against the WAL's *actual* durability events
-//!   ([`vdms::WalSim::durable_time_of`]) instead of the analytic
-//!   quantized watermark.
+//!   penalty); shard reactors are [`vdms::CostModel::reactor_count`]
+//!   single-slot queues per group, each with its own scan penalty and
+//!   handoff. Same code, different queue count and per-queue constants.
+//! * **Service.** Per-query service times come from the cost model's
+//!   measured QPS ([`vdms::CostModel::service_secs_from_qps_replicated`] —
+//!   the straggler and proxy-merge terms of the cluster path are already
+//!   folded into a sharded backend's QPS) with deterministic per-query
+//!   jitter.
+//! * **Visibility.** Arrivals wait for *consistency* — this is where
+//!   `gracefulTime` becomes load-bearing. Without an insert stream a query
+//!   may start once a flush has published a tsafe watermark covering
+//!   `arrival - gracefulTime`
+//!   ([`vdms::CostModel::consistency_wait_secs_replicated`]); the
+//!   flush-cycle phase dependence is what creates its latency *tail*. With
+//!   one, inserts flow through a [`vdms::WalSim`] write path and the wait
+//!   resolves against the WAL's *actual* durability events
+//!   ([`vdms::WalSim::durable_time_of`]).
+//! * **Write work.** WAL group commits (full-batch or end-of-tick),
+//!   segment seals and compactions are priced by the same cost model and
+//!   occupy the primary queue's worker slots — the ones queries contend
+//!   for — and backpressure from a full insert window parks arrivals
+//!   against the primary queue.
 //!
 //! **Determinism is the contract**: every random draw is a pure function of
-//! `(seed, query index)`, the parallel service-time precomputation uses an
-//! order-stable collect, and the event loop itself is serial — so the same
-//! seed yields a bit-identical [`ServingTrace`] no matter how many rayon
-//! worker threads execute the simulation (`tests/serving.rs` proves 1 vs N
-//! thread invariance by property).
+//! `(seed, index)`, the parallel precomputation uses an order-stable
+//! collect, and the event loop itself is serial — so the same seed yields a
+//! bit-identical [`ServingTrace`] no matter how many rayon worker threads
+//! execute the simulation (`tests/serving.rs` proves 1 vs N thread
+//! invariance by property; `tests/serving_trace_digests.rs` pins traces
+//! captured before the loops were unified).
 
 use rayon::prelude::*;
 use std::collections::BinaryHeap;
@@ -91,8 +101,8 @@ pub struct ServingSpec {
     /// insert_fraction`, and `requests * insert_fraction` (rounded) of
     /// them are simulated — so the insert:query mix is a scenario axis,
     /// not a split of the query budget. `0.0` (the default) disables the
-    /// write path entirely: the mixed simulators delegate to the
-    /// read-only ones bit for bit.
+    /// write path entirely: no insert stream, no WAL, and consistency
+    /// waits follow the analytic watermark.
     pub insert_fraction: f64,
 }
 
@@ -161,9 +171,8 @@ impl QueryEvent {
     }
 }
 
-/// Aggregate write-path counters of one mixed simulation — all zero for a
-/// read-only run, so the read-only paths stay bitwise comparable. `Copy`
-/// so it rides inside [`ServingStats`].
+/// Aggregate write-path counters of one simulation — all zero for a
+/// read-only run. `Copy` so it rides inside [`ServingStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct WriteStats {
     /// Inserts that arrived.
@@ -293,33 +302,36 @@ fn unit(bits: u64) -> f64 {
     (((bits >> 11) + 1) as f64) / (1u64 << 53) as f64
 }
 
-const STREAM_ARRIVAL: u64 = 0x5E21;
-const STREAM_BURST: u64 = 0x5E22;
+/// `(arrival, burst)` draw streams of the query and insert processes.
+const STREAMS_QUERY: (u64, u64) = (0x5E21, 0x5E22);
+const STREAMS_INSERT: (u64, u64) = (0x5E25, 0x5E26);
 const STREAM_JITTER: u64 = 0x5E23;
 const STREAM_ROUTE: u64 = 0x5E24;
-const STREAM_INS_ARRIVAL: u64 = 0x5E25;
-const STREAM_INS_BURST: u64 = 0x5E26;
 
-/// Inter-arrival gap before query `i`: an exponential draw at the mean
-/// rate, scaled by the two-point burstiness mixture (mean exactly 1).
-fn interarrival_secs(spec: &ServingSpec, seed: u64, i: u64) -> f64 {
-    let exp = -unit(mix(seed, STREAM_ARRIVAL, i)).ln() / spec.arrival_qps.max(1e-9);
-    let b = spec.burstiness.max(0.0);
-    let tight = 1.0 / (1.0 + b);
-    let scale = if mix(seed, STREAM_BURST, i) & 1 == 0 { tight } else { 2.0 - tight };
+/// Inter-arrival gap before request `i` of a process arriving at `rate`:
+/// an exponential draw at the mean rate, scaled by the two-point
+/// burstiness mixture (mean exactly 1). Queries and inserts are the same
+/// process on independent `(arrival, burst)` streams.
+fn interarrival_secs(
+    rate: f64,
+    burstiness: f64,
+    (arrival, burst): (u64, u64),
+    seed: u64,
+    i: u64,
+) -> f64 {
+    let exp = -unit(mix(seed, arrival, i)).ln() / rate.max(1e-9);
+    let tight = 1.0 / (1.0 + burstiness.max(0.0));
+    let scale = if mix(seed, burst, i) & 1 == 0 { tight } else { 2.0 - tight };
     exp * scale
 }
 
-/// Inter-arrival gap before insert `j`: the same exponential-with-
-/// burstiness process as queries, on independent streams, at
-/// `arrival_qps * insert_fraction`.
-fn insert_interarrival_secs(spec: &ServingSpec, seed: u64, j: u64) -> f64 {
-    let rate = (spec.arrival_qps * spec.insert_fraction).max(1e-9);
-    let exp = -unit(mix(seed, STREAM_INS_ARRIVAL, j)).ln() / rate;
-    let b = spec.burstiness.max(0.0);
-    let tight = 1.0 / (1.0 + b);
-    let scale = if mix(seed, STREAM_INS_BURST, j) & 1 == 0 { tight } else { 2.0 - tight };
-    exp * scale
+/// Turn inter-arrival gaps into arrival times, in place.
+fn accumulate<'a>(gaps: impl Iterator<Item = &'a mut f64>) {
+    let mut clock = 0.0f64;
+    for gap in gaps {
+        clock += *gap;
+        *gap = clock;
+    }
 }
 
 /// Per-query service-time jitter: lognormal around 1, clamped — stragglers
@@ -331,281 +343,10 @@ fn service_jitter(seed: u64, i: u64) -> f64 {
     (0.25 * z).exp().clamp(0.5, 3.0)
 }
 
-/// Run the serving simulation against an unreplicated deployment —
-/// [`simulate_replicated`] with one replica group, bit for bit.
-pub fn simulate(
-    model: &CostModel,
-    sys: &SystemParams,
-    base_service_secs: f64,
-    spec: &ServingSpec,
-    seed: u64,
-) -> ServingTrace {
-    simulate_replicated(model, sys, base_service_secs, spec, seed, 1)
-}
-
-/// Run the serving simulation: `base_service_secs` is the per-query service
-/// time the cost model derived for this configuration
-/// ([`vdms::CostModel::service_secs_from_qps_replicated`]); arrivals,
-/// replica routing, consistency waits, bounded queueing and slot
-/// scheduling happen here.
-///
-/// The deployment is `replicas` identical groups, each with its own
-/// bounded scheduler queue and [`vdms::CostModel::serving_slots`] worker
-/// slots. At every arrival the router ([`ServingSpec::routing`]) picks one
-/// group: join-shortest-queue reads the *real* per-group queue depths —
-/// this is where load-aware routing actually drains queues — while random
-/// routing draws a group from the seed. Consistency waits include the
-/// slowest replica's WAL staleness
-/// ([`vdms::CostModel::consistency_wait_secs_replicated`]).
-///
-/// The per-query draws are precomputed with a parallel, order-stable map
-/// (pure functions of the query index); the event loop that threads queue
-/// and slot state is serial. Same `(spec, seed, replicas)` ⇒ bit-identical
-/// trace on any thread count, and one replica is bit-identical to the
-/// pre-replication simulator.
-pub fn simulate_replicated(
-    model: &CostModel,
-    sys: &SystemParams,
-    base_service_secs: f64,
-    spec: &ServingSpec,
-    seed: u64,
-    replicas: usize,
-) -> ServingTrace {
-    let slots = model.serving_slots(sys);
-    let replicas = replicas.max(1);
-    let n = spec.requests;
-    if n == 0 || spec.arrival_qps <= 0.0 {
-        return ServingTrace {
-            events: Vec::new(),
-            slots,
-            replicas,
-            max_queue_depth: 0,
-            writes: WriteStats::default(),
-        };
-    }
-
-    // Parallel fan-out: each draw is a pure function of its index, and the
-    // shim's collect preserves input order, so this is thread-invariant.
-    let draws: Vec<(f64, f64)> = (0..n)
-        .into_par_iter()
-        .map(|i| {
-            let i = i as u64;
-            (interarrival_secs(spec, seed, i), base_service_secs * service_jitter(seed, i))
-        })
-        .collect();
-
-    // Serial event loop: per-group queue + slot state threads through in
-    // arrival order. Slot free times and pending start times live in
-    // binary heaps keyed by `f64::to_bits` — monotone for the non-negative
-    // times the simulation produces, so the cheapest u64 ordering is the
-    // time ordering.
-    let mut slot_free: Vec<BinaryHeap<std::cmp::Reverse<u64>>> =
-        (0..replicas).map(|_| (0..slots).map(|_| std::cmp::Reverse(0u64)).collect()).collect();
-    let mut waiting: Vec<BinaryHeap<std::cmp::Reverse<u64>>> =
-        (0..replicas).map(|_| BinaryHeap::new()).collect();
-    let mut events = Vec::with_capacity(n);
-    let mut max_queue_depth = 0usize;
-    let mut clock = 0.0f64;
-    for (i, &(gap, service)) in draws.iter().enumerate() {
-        clock += gap;
-        let arrival = clock;
-
-        // Requests admitted earlier whose service has started by now have
-        // left their scheduler queues — drain every group, so the router
-        // sees current depths.
-        for group in waiting.iter_mut() {
-            while let Some(&std::cmp::Reverse(bits)) = group.peek() {
-                if f64::from_bits(bits) <= arrival {
-                    group.pop();
-                } else {
-                    break;
-                }
-            }
-        }
-
-        // Route: JSQ joins the shallowest queue (ties to the lowest group
-        // index); random draws a pure function of the request index.
-        let g = match spec.routing {
-            RoutingPolicy::JoinShortestQueue => (0..replicas)
-                .min_by_key(|&g| (waiting[g].len(), g))
-                .expect("replicas >= 1 by construction"),
-            RoutingPolicy::Random { seed: route_seed } => {
-                (mix(route_seed, STREAM_ROUTE, i as u64) % replicas as u64) as usize
-            }
-        };
-        max_queue_depth =
-            max_queue_depth.max(waiting.iter().map(BinaryHeap::len).max().unwrap_or(0));
-        if waiting[g].len() >= spec.queue_capacity {
-            events.push(QueryEvent {
-                arrival_secs: arrival,
-                consistency_wait_secs: 0.0,
-                service_secs: 0.0,
-                finish_secs: arrival,
-                shed: true,
-                replica: g,
-            });
-            continue;
-        }
-
-        let consistency = CostModel::consistency_wait_secs_replicated(sys, arrival, replicas);
-        let eligible = arrival + consistency;
-        let std::cmp::Reverse(free_bits) = slot_free[g].pop().expect("slots >= 1 by construction");
-        let start = eligible.max(f64::from_bits(free_bits));
-        let finish = start + service;
-        slot_free[g].push(std::cmp::Reverse(finish.to_bits()));
-        waiting[g].push(std::cmp::Reverse(start.to_bits()));
-        events.push(QueryEvent {
-            arrival_secs: arrival,
-            consistency_wait_secs: consistency,
-            service_secs: service,
-            finish_secs: finish,
-            shed: false,
-            replica: g,
-        });
-    }
-
-    ServingTrace { events, slots, replicas, max_queue_depth, writes: WriteStats::default() }
-}
-
-/// Run the serving simulation over **shard reactors**: each replica group
-/// runs [`vdms::CostModel::reactor_count`] single-owner reactors instead of
-/// one shared pool of worker slots. Every reactor is its own single-slot
-/// queue — there is no work stealing, which is the shared-nothing property
-/// — so the router chooses among `replicas × reactors` queues:
-/// join-shortest-queue reads the real per-reactor depths, random routing
-/// draws a flat queue index. A request served by reactor `r` pays the
-/// reactor's SMT scan penalty on its service time
-/// ([`vdms::CostModel::reactor_scan_penalties`]) plus the delegator-merge
-/// handoff ([`vdms::CostModel::reactor_handoff_secs`]).
-///
-/// Degenerate contracts, both bit-exact:
-/// * [`PinningPolicy::Shared`] delegates to [`simulate_replicated`] —
-///   the shared slot pool *is* the legacy execution model;
-/// * a 1-reactor deployment (single-core [`vdms::HostTopology`]) walks the
-///   identical event-loop schedule as a 1-slot shared pool: penalty 1.0 and
-///   handoff 0.0 leave every service time bitwise untouched.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_pinned(
-    model: &CostModel,
-    sys: &SystemParams,
-    base_service_secs: f64,
-    spec: &ServingSpec,
-    seed: u64,
-    replicas: usize,
-    policy: PinningPolicy,
-    top_k: usize,
-) -> ServingTrace {
-    if policy == PinningPolicy::Shared {
-        return simulate_replicated(model, sys, base_service_secs, spec, seed, replicas);
-    }
-    let replicas = replicas.max(1);
-    let reactors = model.reactor_count(policy, sys);
-    let scan_penalties = model.reactor_scan_penalties(policy, reactors);
-    let handoff_secs = model.reactor_handoff_secs(policy, reactors, top_k);
-    let queues = replicas * reactors;
-    let n = spec.requests;
-    if n == 0 || spec.arrival_qps <= 0.0 {
-        return ServingTrace {
-            events: Vec::new(),
-            slots: reactors,
-            replicas,
-            max_queue_depth: 0,
-            writes: WriteStats::default(),
-        };
-    }
-
-    // Identical draw streams to the shared-pool simulator: arrivals and
-    // jitter are pure functions of the query index, so pinning changes
-    // *scheduling*, never the offered workload.
-    let draws: Vec<(f64, f64)> = (0..n)
-        .into_par_iter()
-        .map(|i| {
-            let i = i as u64;
-            (interarrival_secs(spec, seed, i), base_service_secs * service_jitter(seed, i))
-        })
-        .collect();
-
-    // One slot and one bounded queue per reactor: a reactor owns its work.
-    let mut slot_free: Vec<std::cmp::Reverse<u64>> = vec![std::cmp::Reverse(0u64); queues];
-    let mut waiting: Vec<BinaryHeap<std::cmp::Reverse<u64>>> =
-        (0..queues).map(|_| BinaryHeap::new()).collect();
-    let mut events = Vec::with_capacity(n);
-    let mut max_queue_depth = 0usize;
-    let mut clock = 0.0f64;
-    for (i, &(gap, base)) in draws.iter().enumerate() {
-        clock += gap;
-        let arrival = clock;
-
-        for queue in waiting.iter_mut() {
-            while let Some(&std::cmp::Reverse(bits)) = queue.peek() {
-                if f64::from_bits(bits) <= arrival {
-                    queue.pop();
-                } else {
-                    break;
-                }
-            }
-        }
-
-        // Route across the flat reactor queues: JSQ joins the shallowest
-        // (ties to the lowest index — group 0, reactor 0 first, matching
-        // the shared pool's lowest-group tie break); random draws a queue.
-        let q = match spec.routing {
-            RoutingPolicy::JoinShortestQueue => (0..queues)
-                .min_by_key(|&q| (waiting[q].len(), q))
-                .expect("queues >= 1 by construction"),
-            RoutingPolicy::Random { seed: route_seed } => {
-                (mix(route_seed, STREAM_ROUTE, i as u64) % queues as u64) as usize
-            }
-        };
-        let (group, reactor) = (q / reactors, q % reactors);
-        max_queue_depth =
-            max_queue_depth.max(waiting.iter().map(BinaryHeap::len).max().unwrap_or(0));
-        if waiting[q].len() >= spec.queue_capacity {
-            events.push(QueryEvent {
-                arrival_secs: arrival,
-                consistency_wait_secs: 0.0,
-                service_secs: 0.0,
-                finish_secs: arrival,
-                shed: true,
-                replica: group,
-            });
-            continue;
-        }
-
-        let service = base * scan_penalties[reactor] + handoff_secs[reactor];
-        let consistency = CostModel::consistency_wait_secs_replicated(sys, arrival, replicas);
-        let eligible = arrival + consistency;
-        let std::cmp::Reverse(free_bits) = slot_free[q];
-        let start = eligible.max(f64::from_bits(free_bits));
-        let finish = start + service;
-        slot_free[q] = std::cmp::Reverse(finish.to_bits());
-        waiting[q].push(std::cmp::Reverse(start.to_bits()));
-        events.push(QueryEvent {
-            arrival_secs: arrival,
-            consistency_wait_secs: consistency,
-            service_secs: service,
-            shed: false,
-            finish_secs: finish,
-            replica: group,
-        });
-    }
-
-    ServingTrace {
-        events,
-        slots: reactors,
-        replicas,
-        max_queue_depth,
-        writes: WriteStats::default(),
-    }
-}
-
-/// One event of the mixed read/write loop. Inserts are indistinguishable
-/// until the WAL assigns an LSN, so their event carries no payload.
+/// One *dynamic* event of the loop — the ones a run schedules while it
+/// runs. Query and insert arrivals are known up front and never enter
+/// the heap.
 enum Ev {
-    /// Query `i` arrives.
-    Query(usize),
-    /// An insert arrives and is offered to the write path.
-    Insert,
     /// Flush-interval deadline: group-commit whatever the full-batch
     /// trigger left pending.
     Tick,
@@ -617,9 +358,9 @@ enum Ev {
     Retry { query: usize, queue: usize, arrival_secs: f64, lsn: u64 },
 }
 
-/// Heap entry of the mixed event loop, ordered by `(time, push order)` —
-/// FIFO on time ties, so a tick pushed before a same-instant retry fires
-/// first and the loop is fully deterministic.
+/// Heap entry of the event loop, ordered by `(time, push order)` — FIFO on
+/// time ties, so a tick pushed before a same-instant retry fires first and
+/// the loop is fully deterministic.
 struct Scheduled {
     time_bits: u64,
     seq: u64,
@@ -646,359 +387,350 @@ impl Ord for Scheduled {
     }
 }
 
-fn sched(heap: &mut BinaryHeap<Scheduled>, seq: &mut u64, at: f64, ev: Ev) {
-    *seq += 1;
-    heap.push(Scheduled { time_bits: at.to_bits(), seq: *seq, ev });
+/// The dynamic events still ahead, earliest first.
+#[derive(Default)]
+struct Agenda {
+    heap: BinaryHeap<Scheduled>,
+    seq: u64,
 }
 
-/// The worker slots the mixed loop schedules on: the shared per-group
-/// pool ([`simulate_replicated`]'s execution model) or single-owner
-/// reactors ([`simulate_pinned`]'s). Write work (commits, seals,
-/// compactions) always lands on queue 0 — the primary's slots — which is
-/// exactly where it competes with queries.
-enum SlotPool {
-    Shared {
-        free: Vec<BinaryHeap<std::cmp::Reverse<u64>>>,
-        slots: usize,
-    },
-    Reactors {
-        free: Vec<std::cmp::Reverse<u64>>,
-        reactors: usize,
-        scan: Vec<f64>,
-        handoff: Vec<f64>,
-    },
+impl Agenda {
+    fn push(&mut self, at: f64, ev: Ev) {
+        self.seq += 1;
+        self.heap.push(Scheduled { time_bits: at.to_bits(), seq: self.seq, ev });
+    }
+}
+
+/// The deployment's scheduler queues, flat in group-major order. The
+/// execution model is data, not a code path: the shared pool is one queue
+/// per replica group backed by [`vdms::CostModel::serving_slots`] worker
+/// slots, serving at the base service time (scan multiplier 1, no
+/// handoff); shard reactors are [`vdms::CostModel::reactor_count`]
+/// single-slot queues per group, each paying its own SMT scan penalty and
+/// delegator handoff. Write work (commits, seals, compactions) always
+/// lands on queue 0 — the primary's slots — which is exactly where it
+/// competes with queries.
+///
+/// Slot free times and pending start times live in binary heaps keyed by
+/// `f64::to_bits` — monotone for the non-negative times the simulation
+/// produces, so the cheapest u64 ordering is the time ordering.
+struct SlotPool {
+    /// Per queue: when each of its worker slots next falls free.
+    free: Vec<BinaryHeap<std::cmp::Reverse<u64>>>,
+    /// Per queue: start times of admitted requests not yet in service.
+    waiting: Vec<BinaryHeap<std::cmp::Reverse<u64>>>,
+    queues_per_group: usize,
+    /// Scan multiplier and additive handoff of queue `q`, indexed by
+    /// `q % queues_per_group`.
+    scan: Vec<f64>,
+    handoff: Vec<f64>,
 }
 
 impl SlotPool {
-    fn queues(&self) -> usize {
-        match self {
-            SlotPool::Shared { free, .. } => free.len(),
-            SlotPool::Reactors { free, .. } => free.len(),
+    fn new(
+        model: &CostModel,
+        sys: &SystemParams,
+        replicas: usize,
+        policy: PinningPolicy,
+        top_k: usize,
+    ) -> SlotPool {
+        let (queues_per_group, slots_per_queue) = match policy {
+            PinningPolicy::Shared => (1, model.serving_slots(sys)),
+            pinned => (model.reactor_count(pinned, sys), 1),
+        };
+        let queues = replicas * queues_per_group;
+        SlotPool {
+            free: vec![vec![std::cmp::Reverse(0u64); slots_per_queue].into(); queues],
+            waiting: vec![BinaryHeap::new(); queues],
+            queues_per_group,
+            scan: model.reactor_scan_penalties(policy, queues_per_group),
+            handoff: model.reactor_handoff_secs(policy, queues_per_group, top_k),
         }
     }
 
     fn group_of(&self, q: usize) -> usize {
-        match self {
-            SlotPool::Shared { .. } => q,
-            SlotPool::Reactors { reactors, .. } => q / reactors,
-        }
+        q / self.queues_per_group
     }
 
-    /// What [`ServingTrace::slots`] reports: slots per group.
-    fn trace_slots(&self) -> usize {
-        match self {
-            SlotPool::Shared { slots, .. } => *slots,
-            SlotPool::Reactors { reactors, .. } => *reactors,
-        }
+    /// What [`ServingTrace::slots`] reports: worker slots per group.
+    fn slots_per_group(&self) -> usize {
+        self.free[0].len() * self.queues_per_group
     }
 
-    /// Earliest-free time of queue `q`'s next slot (removed; pair with
-    /// [`SlotPool::push_slot`]).
-    fn pop_slot(&mut self, q: usize) -> f64 {
-        match self {
-            SlotPool::Shared { free, .. } => {
-                let std::cmp::Reverse(bits) = free[q].pop().expect("slots >= 1 by construction");
-                f64::from_bits(bits)
-            }
-            SlotPool::Reactors { free, .. } => f64::from_bits(free[q].0),
-        }
-    }
-
-    fn push_slot(&mut self, q: usize, busy_until: f64) {
-        match self {
-            SlotPool::Shared { free, .. } => free[q].push(std::cmp::Reverse(busy_until.to_bits())),
-            SlotPool::Reactors { free, .. } => free[q] = std::cmp::Reverse(busy_until.to_bits()),
-        }
-    }
-
-    /// Per-query service time on queue `q`: reactors pay their SMT scan
-    /// penalty and delegator handoff, the shared pool serves at base.
-    fn service_secs(&self, q: usize, base: f64) -> f64 {
-        match self {
-            SlotPool::Shared { .. } => base,
-            SlotPool::Reactors { reactors, scan, handoff, .. } => {
-                let r = q % reactors;
-                base * scan[r] + handoff[r]
+    /// Requests whose service has started by `now` have left their
+    /// scheduler queues — drain them all, so the router sees current depths.
+    fn drain_started(&mut self, now: f64) {
+        for queue in &mut self.waiting {
+            while queue.peek().is_some_and(|&std::cmp::Reverse(bits)| f64::from_bits(bits) <= now) {
+                queue.pop();
             }
         }
     }
-}
 
-/// Start query `i` on queue `q`: its consistency wait is over (`visible`
-/// is when the data it must see became visible on its group), so it takes
-/// a slot and completes.
-#[allow(clippy::too_many_arguments)]
-fn serve_query(
-    pool: &mut SlotPool,
-    waiting: &mut [BinaryHeap<std::cmp::Reverse<u64>>],
-    events: &mut [Option<QueryEvent>],
-    i: usize,
-    q: usize,
-    arrival_secs: f64,
-    visible_secs: f64,
-    base_service: f64,
-) {
-    let eligible = arrival_secs.max(visible_secs);
-    let service = pool.service_secs(q, base_service);
-    let start = eligible.max(pool.pop_slot(q));
-    let finish = start + service;
-    pool.push_slot(q, finish);
-    waiting[q].push(std::cmp::Reverse(start.to_bits()));
-    events[i] = Some(QueryEvent {
-        arrival_secs,
-        consistency_wait_secs: eligible - arrival_secs,
-        service_secs: service,
-        finish_secs: finish,
-        shed: false,
-        replica: pool.group_of(q),
-    });
+    /// Occupy queue `q`'s earliest-free slot for `secs`, no sooner than
+    /// `ready`; returns `(start, finish)`.
+    fn occupy(&mut self, q: usize, ready: f64, secs: f64) -> (f64, f64) {
+        let std::cmp::Reverse(free) = self.free[q].pop().expect("slots >= 1 by construction");
+        let start = ready.max(f64::from_bits(free));
+        let finish = start + secs;
+        self.free[q].push(std::cmp::Reverse(finish.to_bits()));
+        (start, finish)
+    }
+
+    /// Start a query on queue `q`: its consistency wait ended at
+    /// `eligible_secs`, so it takes a slot and completes.
+    fn serve(
+        &mut self,
+        q: usize,
+        arrival_secs: f64,
+        eligible_secs: f64,
+        consistency_wait_secs: f64,
+        base_service_secs: f64,
+    ) -> QueryEvent {
+        let r = q % self.queues_per_group;
+        let service_secs = base_service_secs * self.scan[r] + self.handoff[r];
+        let (start, finish_secs) = self.occupy(q, eligible_secs, service_secs);
+        self.waiting[q].push(std::cmp::Reverse(start.to_bits()));
+        QueryEvent {
+            arrival_secs,
+            consistency_wait_secs,
+            service_secs,
+            finish_secs,
+            shed: false,
+            replica: self.group_of(q),
+        }
+    }
 }
 
 /// Price and schedule a triggered group commit: it contends for a primary
 /// (queue 0) worker slot like any query, serializes after the previous
 /// commit to the same WAL, and its completion is a future event.
-#[allow(clippy::too_many_arguments)]
 fn schedule_commit(
     model: &CostModel,
     pool: &mut SlotPool,
     wal: &mut WalSim,
-    heap: &mut BinaryHeap<Scheduled>,
-    seq: &mut u64,
-    last_commit_finish: &mut f64,
+    agenda: &mut Agenda,
     job: FlushJob,
     trigger_secs: f64,
 ) {
-    let free = pool.pop_slot(0);
-    let start = trigger_secs.max(free).max(*last_commit_finish);
-    let finish = start + model.wal_flush_secs(job.rows);
-    pool.push_slot(0, finish);
-    *last_commit_finish = finish;
+    let after = wal.flushes().last().map_or(trigger_secs, |f| trigger_secs.max(f.finish_secs));
+    let (_, finish) = pool.occupy(0, after, model.wal_flush_secs(job.rows));
     wal.record_flush(job, trigger_secs, finish);
-    sched(heap, seq, finish, Ev::FlushDone(job.upto_lsn));
+    agenda.push(finish, Ev::FlushDone(job.upto_lsn));
 }
 
-/// The discrete-event core of the mixed read/write simulation: one heap
-/// orders query arrivals, insert arrivals, flush ticks, commit
-/// completions and deferred consistency retries by `(time, push order)`.
-/// The loop is serial (all draws are precomputed pure functions of their
-/// index), so the trace is bit-identical across thread counts, like the
-/// read-only loops it generalizes.
+/// Run the serving simulation — the one event loop every entry point and
+/// [`crate::ServingBackend`] drive. `base_service_secs` is the per-query
+/// service time the cost model derived for this configuration
+/// ([`vdms::CostModel::service_secs_from_qps_replicated`]); arrivals,
+/// replica routing, consistency waits, bounded queueing, slot scheduling
+/// and the write path happen here.
+///
+/// The deployment is `replicas` identical groups. `policy` selects each
+/// group's execution model: [`PinningPolicy::Shared`] is one bounded queue
+/// drained by [`vdms::CostModel::serving_slots`] worker slots; any other
+/// policy is [`vdms::CostModel::reactor_count`] single-owner reactors,
+/// each its own single-slot queue with no work stealing (the
+/// shared-nothing property), paying its SMT scan penalty
+/// ([`vdms::CostModel::reactor_scan_penalties`]) and delegator handoff
+/// ([`vdms::CostModel::reactor_handoff_secs`]). At every arrival the
+/// router ([`ServingSpec::routing`]) picks one queue across the fleet:
+/// join-shortest-queue reads the *real* depths (ties to the lowest index),
+/// random routing draws a queue from the seed.
+///
+/// **Events.** Query and insert arrival times are precomputed — parallel,
+/// order-stable draws (pure functions of the index), summed serially —
+/// and walked by two cursors; only the events a run schedules while it
+/// runs (flush ticks, commit completions, deferred retries) live in a
+/// heap. On a time tie a query fires before an insert before the heap,
+/// and the heap is FIFO. The loop itself is serial, so the same inputs
+/// give a bit-identical trace on any thread count.
+///
+/// **Visibility.** A query may start once the rows its `gracefulTime`
+/// asks for are visible on its group, by one of two rules:
+/// * no insert stream (`insert_fraction <= 0`): the analytic watermark —
+///   the wait is [`vdms::CostModel::consistency_wait_secs_replicated`],
+///   flush-cycle phase and slowest-replica lag included; no tick is ever
+///   scheduled, so a read-only run never touches the heap;
+/// * an insert stream: the WAL — inserts are offered to a [`WalSim`]
+///   running `knobs`, and the query waits for the commit that makes the
+///   last row admitted by `arrival - gracefulTime` durable (plus the
+///   replica lag off the primary group). When no triggered commit covers
+///   that row yet, the query retries right after the next tick, which
+///   triggers everything pending.
+///
+/// **Write work.** Group commits (a full batch, or the tick deadline),
+/// segment seals and compactions are priced by the cost model and occupy
+/// the primary queue's worker slots, commits serialized one after
+/// another. A full insert window parks arrivals (shedding past
+/// `queue_capacity`); parked inserts count against the primary queue in
+/// the router's eyes, steering JSQ away and shedding queries once the
+/// shared bound fills. The tick chain runs until every accepted insert
+/// is durable — backpressure delays, never drops.
 #[allow(clippy::too_many_arguments)]
-fn simulate_mixed(
+pub fn simulate(
     model: &CostModel,
     sys: &SystemParams,
     base_service_secs: f64,
     spec: &ServingSpec,
     seed: u64,
     replicas: usize,
-    mut pool: SlotPool,
+    policy: PinningPolicy,
+    top_k: usize,
     knobs: WriteKnobs,
 ) -> ServingTrace {
+    let replicas = replicas.max(1);
+    let mut pool = SlotPool::new(model, sys, replicas, policy, top_k);
+    let slots = pool.slots_per_group();
+    let queues = pool.free.len();
     let n = spec.requests;
-    let n_inserts = (n as f64 * spec.insert_fraction.max(0.0)).round() as usize;
-    let queues = pool.queues();
-    if (n == 0 && n_inserts == 0) || spec.arrival_qps <= 0.0 {
+    if n == 0 || spec.arrival_qps <= 0.0 {
         return ServingTrace {
             events: Vec::new(),
-            slots: pool.trace_slots(),
+            slots,
             replicas,
             max_queue_depth: 0,
             writes: WriteStats::default(),
         };
     }
+    let has_inserts = spec.insert_fraction > 0.0;
+    let n_inserts = (n as f64 * spec.insert_fraction.max(0.0)).round() as usize;
 
-    // Same parallel fan-out as the read-only loops: every draw is a pure
-    // function of its index, collected order-stably.
-    let qdraws: Vec<(f64, f64)> = (0..n)
+    // Parallel fan-out: each draw is a pure function of its index, and the
+    // shim's collect preserves input order, so this is thread-invariant.
+    // Pinning changes *scheduling*, never the offered workload.
+    let mut queries: Vec<(f64, f64)> = (0..n)
         .into_par_iter()
         .map(|i| {
             let i = i as u64;
-            (interarrival_secs(spec, seed, i), base_service_secs * service_jitter(seed, i))
+            (
+                interarrival_secs(spec.arrival_qps, spec.burstiness, STREAMS_QUERY, seed, i),
+                base_service_secs * service_jitter(seed, i),
+            )
         })
         .collect();
-    let igaps: Vec<f64> = (0..n_inserts)
+    accumulate(queries.iter_mut().map(|q| &mut q.0));
+    let insert_qps = spec.arrival_qps * spec.insert_fraction;
+    let mut inserts: Vec<f64> = (0..n_inserts)
         .into_par_iter()
-        .map(|j| insert_interarrival_secs(spec, seed, j as u64))
+        .map(|j| interarrival_secs(insert_qps, spec.burstiness, STREAMS_INSERT, seed, j as u64))
         .collect();
+    accumulate(inserts.iter_mut());
 
     // Backpressure and query queueing share the bound: the parking queue
-    // holds at most `queue_capacity` inserts, and parked inserts occupy
-    // the primary queue in the router's eyes.
+    // holds at most `queue_capacity` inserts.
     let mut wal = WalSim::new(knobs, spec.queue_capacity);
     let interval = wal.knobs().flush_interval_secs;
     let graceful_secs = sys.graceful_time_ms.max(0.0) / 1_000.0;
     let replica_lag_secs = CostModel::replica_lag_ms(replicas) / 1_000.0;
+    // WAL visibility: the rows became durable on the primary at
+    // `durable_secs`, and reach the other groups a replica lag later.
+    let serve_visible =
+        |pool: &mut SlotPool, i: usize, q: usize, arrival_secs: f64, durable_secs: f64| {
+            let visible =
+                if pool.group_of(q) == 0 { durable_secs } else { durable_secs + replica_lag_secs };
+            let eligible = arrival_secs.max(visible);
+            pool.serve(q, arrival_secs, eligible, eligible - arrival_secs, queries[i].1)
+        };
 
-    let mut heap: BinaryHeap<Scheduled> = BinaryHeap::new();
-    let mut seq = 0u64;
-    let mut clock = 0.0f64;
-    for (i, &(gap, _)) in qdraws.iter().enumerate() {
-        clock += gap;
-        sched(&mut heap, &mut seq, clock, Ev::Query(i));
-    }
-    let mut iclock = 0.0f64;
-    for &gap in &igaps {
-        iclock += gap;
-        sched(&mut heap, &mut seq, iclock, Ev::Insert);
-    }
+    let mut agenda = Agenda::default();
     let mut next_tick = interval;
-    sched(&mut heap, &mut seq, next_tick, Ev::Tick);
-
-    let mut waiting: Vec<BinaryHeap<std::cmp::Reverse<u64>>> =
-        (0..queues).map(|_| BinaryHeap::new()).collect();
+    if has_inserts {
+        agenda.push(next_tick, Ev::Tick);
+    }
     let mut events: Vec<Option<QueryEvent>> = vec![None; n];
     let mut max_queue_depth = 0usize;
-    let mut last_commit_finish = 0.0f64;
-
-    while let Some(Scheduled { time_bits, ev, .. }) = heap.pop() {
-        let now = f64::from_bits(time_bits);
-        match ev {
-            Ev::Query(i) => {
-                // Drain started requests so the router sees current depths.
-                for queue in waiting.iter_mut() {
-                    while let Some(&std::cmp::Reverse(bits)) = queue.peek() {
-                        if f64::from_bits(bits) <= now {
-                            queue.pop();
-                        } else {
-                            break;
-                        }
-                    }
+    let (mut qi, mut ii) = (0usize, 0usize);
+    loop {
+        let query_at = queries.get(qi).map_or(f64::INFINITY, |q| q.0);
+        let insert_at = inserts.get(ii).copied().unwrap_or(f64::INFINITY);
+        let agenda_at = agenda.heap.peek().map_or(f64::INFINITY, |s| f64::from_bits(s.time_bits));
+        if qi < n && query_at <= insert_at && query_at <= agenda_at {
+            let (i, now) = (qi, query_at);
+            qi += 1;
+            pool.drain_started(now);
+            // Backpressure is visible to reads: parked inserts occupy the
+            // primary queue.
+            let depth = |q: usize| pool.waiting[q].len() + if q == 0 { wal.parked() } else { 0 };
+            let q = match spec.routing {
+                RoutingPolicy::JoinShortestQueue => {
+                    (0..queues).min_by_key(|&q| (depth(q), q)).expect("queues >= 1 by construction")
                 }
-                // Backpressure is visible to reads: parked inserts occupy
-                // the primary queue, steering JSQ away and shedding
-                // queries once the shared bound fills.
-                let depth = |q: usize| waiting[q].len() + if q == 0 { wal.parked() } else { 0 };
-                let q = match spec.routing {
-                    RoutingPolicy::JoinShortestQueue => (0..queues)
-                        .min_by_key(|&q| (depth(q), q))
-                        .expect("queues >= 1 by construction"),
-                    RoutingPolicy::Random { seed: route_seed } => {
-                        (mix(route_seed, STREAM_ROUTE, i as u64) % queues as u64) as usize
-                    }
-                };
-                max_queue_depth = max_queue_depth.max((0..queues).map(&depth).max().unwrap_or(0));
-                if depth(q) >= spec.queue_capacity {
-                    events[i] = Some(QueryEvent {
-                        arrival_secs: now,
-                        consistency_wait_secs: 0.0,
-                        service_secs: 0.0,
-                        finish_secs: now,
-                        shed: true,
-                        replica: pool.group_of(q),
-                    });
-                    continue;
+                RoutingPolicy::Random { seed: route_seed } => {
+                    (mix(route_seed, STREAM_ROUTE, i as u64) % queues as u64) as usize
                 }
-                // Event-driven consistency: the query must see every row
-                // admitted at or before `arrival - gracefulTime` durable —
-                // resolved against the WAL's commit log, not the analytic
-                // quantized watermark.
+            };
+            max_queue_depth = max_queue_depth.max((0..queues).map(depth).max().unwrap_or(0));
+            events[i] = if depth(q) >= spec.queue_capacity {
+                Some(QueryEvent {
+                    arrival_secs: now,
+                    consistency_wait_secs: 0.0,
+                    service_secs: 0.0,
+                    finish_secs: now,
+                    shed: true,
+                    replica: pool.group_of(q),
+                })
+            } else if !has_inserts {
+                let wait = CostModel::consistency_wait_secs_replicated(sys, now, replicas);
+                Some(pool.serve(q, now, now + wait, wait, queries[i].1))
+            } else {
                 let lsn = wal.last_lsn_at_or_before(now - graceful_secs);
                 match wal.durable_time_of(lsn) {
-                    Some(durable) => {
-                        let visible = if pool.group_of(q) == 0 {
-                            durable
-                        } else {
-                            durable + replica_lag_secs
-                        };
-                        serve_query(
-                            &mut pool,
-                            &mut waiting,
-                            &mut events,
-                            i,
-                            q,
-                            now,
-                            visible,
-                            qdraws[i].1,
-                        );
+                    Some(durable) => Some(serve_visible(&mut pool, i, q, now, durable)),
+                    // The next tick triggers everything pending (and fires
+                    // before the retry — pushed earlier, same instant), so
+                    // one retry always resolves.
+                    None => {
+                        let retry = Ev::Retry { query: i, queue: q, arrival_secs: now, lsn };
+                        agenda.push(next_tick, retry);
+                        None
                     }
-                    // No triggered commit covers the cutoff yet. The next
-                    // tick triggers everything pending (and fires before
-                    // the retry — pushed earlier, same instant), so one
-                    // retry always resolves.
-                    None => sched(
-                        &mut heap,
-                        &mut seq,
-                        next_tick,
-                        Ev::Retry { query: i, queue: q, arrival_secs: now, lsn },
-                    ),
+                }
+            };
+        } else if ii < n_inserts && insert_at <= agenda_at {
+            ii += 1;
+            let _ = wal.offer_insert(insert_at);
+            while let Some(job) = wal.full_batch_job() {
+                schedule_commit(model, &mut pool, &mut wal, &mut agenda, job, insert_at);
+            }
+        } else if let Some(Scheduled { time_bits, ev, .. }) = agenda.heap.pop() {
+            let now = f64::from_bits(time_bits);
+            match ev {
+                Ev::Tick => {
+                    if let Some(job) = wal.tick_job() {
+                        schedule_commit(model, &mut pool, &mut wal, &mut agenda, job, now);
+                    }
+                    // Keep ticking while anything can still need a deadline
+                    // flush: events ahead, or un-drained write state. This
+                    // is the end-of-run drain.
+                    if qi < n || ii < n_inserts || !agenda.heap.is_empty() || !wal.drained() {
+                        next_tick = now + interval;
+                        agenda.push(next_tick, Ev::Tick);
+                    }
+                }
+                Ev::FlushDone(upto_lsn) => {
+                    let done = wal.flush_done(upto_lsn, now);
+                    // Seals and compactions occupy a primary worker slot too.
+                    let rebuild = model.segment_seal_secs(done.sealed_rows)
+                        + model.compaction_secs(done.compacted_rows);
+                    if rebuild > 0.0 {
+                        pool.occupy(0, now, rebuild);
+                    }
+                    // Un-parked admissions can fill whole batches at once.
+                    while let Some(job) = wal.full_batch_job() {
+                        schedule_commit(model, &mut pool, &mut wal, &mut agenda, job, now);
+                    }
+                }
+                Ev::Retry { query, queue, arrival_secs, lsn } => {
+                    let durable = wal
+                        .durable_time_of(lsn)
+                        .expect("the tick preceding a retry triggers every pending commit");
+                    events[query] =
+                        Some(serve_visible(&mut pool, query, queue, arrival_secs, durable));
                 }
             }
-            Ev::Insert => {
-                let _ = wal.offer_insert(now);
-                while let Some(job) = wal.full_batch_job() {
-                    schedule_commit(
-                        model,
-                        &mut pool,
-                        &mut wal,
-                        &mut heap,
-                        &mut seq,
-                        &mut last_commit_finish,
-                        job,
-                        now,
-                    );
-                }
-            }
-            Ev::Tick => {
-                if let Some(job) = wal.tick_job() {
-                    schedule_commit(
-                        model,
-                        &mut pool,
-                        &mut wal,
-                        &mut heap,
-                        &mut seq,
-                        &mut last_commit_finish,
-                        job,
-                        now,
-                    );
-                }
-                // Keep ticking while anything can still need a deadline
-                // flush: events ahead, or un-drained write state. This is
-                // the end-of-run drain — backpressure delays, never drops.
-                if !heap.is_empty() || !wal.drained() {
-                    next_tick = now + interval;
-                    sched(&mut heap, &mut seq, next_tick, Ev::Tick);
-                }
-            }
-            Ev::FlushDone(upto_lsn) => {
-                let done = wal.flush_done(upto_lsn, now);
-                // Seals and compactions occupy a primary worker slot too.
-                let rebuild = model.segment_seal_secs(done.sealed_rows)
-                    + model.compaction_secs(done.compacted_rows);
-                if rebuild > 0.0 {
-                    let start = now.max(pool.pop_slot(0));
-                    pool.push_slot(0, start + rebuild);
-                }
-                // Un-parked admissions can fill whole batches at once.
-                while let Some(job) = wal.full_batch_job() {
-                    schedule_commit(
-                        model,
-                        &mut pool,
-                        &mut wal,
-                        &mut heap,
-                        &mut seq,
-                        &mut last_commit_finish,
-                        job,
-                        now,
-                    );
-                }
-            }
-            Ev::Retry { query, queue, arrival_secs, lsn } => {
-                let durable = wal
-                    .durable_time_of(lsn)
-                    .expect("the tick preceding a retry triggers every pending commit");
-                let visible =
-                    if pool.group_of(queue) == 0 { durable } else { durable + replica_lag_secs };
-                serve_query(
-                    &mut pool,
-                    &mut waiting,
-                    &mut events,
-                    query,
-                    queue,
-                    arrival_secs,
-                    visible,
-                    qdraws[query].1,
-                );
-            }
+        } else {
+            break;
         }
     }
 
@@ -1017,48 +749,62 @@ fn simulate_mixed(
         .into_iter()
         .map(|e| e.expect("every query resolves by the end of the run"))
         .collect();
-    ServingTrace { events, slots: pool.trace_slots(), replicas, max_queue_depth, writes }
+    ServingTrace { events, slots, replicas, max_queue_depth, writes }
 }
 
-/// [`simulate_replicated`] under **mixed read/write traffic**: inserts
-/// arrive at `arrival_qps * insert_fraction` and flow through a
-/// [`WalSim`] write path with the candidate's [`WriteKnobs`] — group
-/// commits, seals and compactions compete with queries for the primary
-/// group's worker slots, and consistency waits resolve against real
-/// durability events.
-///
-/// `insert_fraction <= 0.0` delegates to [`simulate_replicated`], so the
-/// write-rate→0 contract is bitwise by construction.
-pub fn simulate_replicated_mixed(
+/// Read-only [`simulate`] over the shared slot pool: any insert fraction
+/// the spec carries is ignored. Kept, with [`simulate_pinned`] and
+/// [`simulate_pinned_mixed`], for the repo benchmark's serving probes.
+pub fn simulate_replicated(
     model: &CostModel,
     sys: &SystemParams,
     base_service_secs: f64,
     spec: &ServingSpec,
     seed: u64,
     replicas: usize,
-    knobs: WriteKnobs,
 ) -> ServingTrace {
-    if spec.insert_fraction <= 0.0 {
-        return simulate_replicated(model, sys, base_service_secs, spec, seed, replicas);
-    }
-    let replicas = replicas.max(1);
-    let slots = model.serving_slots(sys);
-    let pool = SlotPool::Shared {
-        free: (0..replicas)
-            .map(|_| (0..slots).map(|_| std::cmp::Reverse(0u64)).collect())
-            .collect(),
-        slots,
-    };
-    simulate_mixed(model, sys, base_service_secs, spec, seed, replicas, pool, knobs)
+    let spec = spec.with_inserts(0.0);
+    simulate(
+        model,
+        sys,
+        base_service_secs,
+        &spec,
+        seed,
+        replicas,
+        PinningPolicy::Shared,
+        0,
+        WriteKnobs::DEFAULT,
+    )
 }
 
-/// [`simulate_pinned`] under **mixed read/write traffic** — the reactor
-/// execution model with a [`WalSim`] write path on reactor 0 of group 0
-/// (the shard's primary reactor owns its WAL, the shared-nothing way).
-///
-/// Degenerate contracts, both bit-exact: [`PinningPolicy::Shared`]
-/// delegates to [`simulate_replicated_mixed`], and
-/// `insert_fraction <= 0.0` delegates to [`simulate_pinned`].
+/// Read-only [`simulate`] under `policy`: any insert fraction the spec
+/// carries is ignored.
+#[allow(clippy::too_many_arguments)]
+pub fn simulate_pinned(
+    model: &CostModel,
+    sys: &SystemParams,
+    base_service_secs: f64,
+    spec: &ServingSpec,
+    seed: u64,
+    replicas: usize,
+    policy: PinningPolicy,
+    top_k: usize,
+) -> ServingTrace {
+    let spec = spec.with_inserts(0.0);
+    simulate(
+        model,
+        sys,
+        base_service_secs,
+        &spec,
+        seed,
+        replicas,
+        policy,
+        top_k,
+        WriteKnobs::DEFAULT,
+    )
+}
+
+/// [`simulate`] under the name the repo benchmark imports.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_pinned_mixed(
     model: &CostModel,
@@ -1071,29 +817,7 @@ pub fn simulate_pinned_mixed(
     top_k: usize,
     knobs: WriteKnobs,
 ) -> ServingTrace {
-    if policy == PinningPolicy::Shared {
-        return simulate_replicated_mixed(
-            model,
-            sys,
-            base_service_secs,
-            spec,
-            seed,
-            replicas,
-            knobs,
-        );
-    }
-    if spec.insert_fraction <= 0.0 {
-        return simulate_pinned(model, sys, base_service_secs, spec, seed, replicas, policy, top_k);
-    }
-    let replicas = replicas.max(1);
-    let reactors = model.reactor_count(policy, sys);
-    let pool = SlotPool::Reactors {
-        free: vec![std::cmp::Reverse(0u64); replicas * reactors],
-        reactors,
-        scan: model.reactor_scan_penalties(policy, reactors),
-        handoff: model.reactor_handoff_secs(policy, reactors, top_k),
-    };
-    simulate_mixed(model, sys, base_service_secs, spec, seed, replicas, pool, knobs)
+    simulate(model, sys, base_service_secs, spec, seed, replicas, policy, top_k, knobs)
 }
 
 /// `sorted[q]`-style percentile over an ascending slice (nearest-rank);
@@ -1171,7 +895,7 @@ mod tests {
     fn sim(rate: f64, sys: &SystemParams) -> ServingStats {
         let model = CostModel::default();
         let s = spec(rate);
-        simulate(&model, sys, 0.004, &s, 7).stats(&s)
+        simulate_replicated(&model, sys, 0.004, &s, 7, 1).stats(&s)
     }
 
     #[test]
@@ -1197,7 +921,7 @@ mod tests {
             queue_capacity: 16,
             ..Default::default()
         };
-        let trace = simulate(&model, &sys, 0.010, &s, 3);
+        let trace = simulate_replicated(&model, &sys, 0.010, &s, 3, 1);
         let stats = trace.stats(&s);
         assert!(stats.shed > 0, "overload must shed");
         assert!(stats.max_queue_depth <= 16, "queue bound respected");
@@ -1209,10 +933,10 @@ mod tests {
         let sys = SystemParams::default();
         let model = CostModel::default();
         let s = spec(800.0);
-        let a = simulate(&model, &sys, 0.004, &s, 11);
-        let b = simulate(&model, &sys, 0.004, &s, 11);
+        let a = simulate_replicated(&model, &sys, 0.004, &s, 11, 1);
+        let b = simulate_replicated(&model, &sys, 0.004, &s, 11, 1);
         assert_eq!(a, b);
-        assert_ne!(a, simulate(&model, &sys, 0.004, &s, 12), "seed matters");
+        assert_ne!(a, simulate_replicated(&model, &sys, 0.004, &s, 12, 1), "seed matters");
     }
 
     #[test]
@@ -1271,8 +995,8 @@ mod tests {
             ..Default::default()
         };
         let bursty = ServingSpec { burstiness: 3.0, ..smooth };
-        let a = simulate(&model, &sys, 0.004, &smooth, 5).stats(&smooth);
-        let b = simulate(&model, &sys, 0.004, &bursty, 5).stats(&bursty);
+        let a = simulate_replicated(&model, &sys, 0.004, &smooth, 5, 1).stats(&smooth);
+        let b = simulate_replicated(&model, &sys, 0.004, &bursty, 5, 1).stats(&bursty);
         assert!(
             b.p99_latency_secs > a.p99_latency_secs,
             "bursts queue deeper: {} vs {}",
@@ -1286,7 +1010,7 @@ mod tests {
         let sys = SystemParams::default();
         let model = CostModel::default();
         let s = ServingSpec { requests: 0, ..Default::default() };
-        let stats = simulate(&model, &sys, 0.004, &s, 1).stats(&s);
+        let stats = simulate_replicated(&model, &sys, 0.004, &s, 1, 1).stats(&s);
         assert_eq!(stats.completed, 0);
         assert!(stats.p99_latency_secs.is_infinite(), "no completions can satisfy an SLO");
         assert!(stats.violates_slo(&s.with_slo(10.0)));
@@ -1303,7 +1027,7 @@ mod tests {
             queue_capacity: 10_000,
             ..Default::default()
         };
-        let stats = simulate(&model, &sys, 0.010, &s, 9).stats(&s);
+        let stats = simulate_replicated(&model, &sys, 0.010, &s, 9, 1).stats(&s);
         assert!(stats.timeouts > 0, "queueing at 4x capacity must blow a 20ms timeout");
         assert!(stats.timeouts <= stats.completed);
     }
@@ -1337,7 +1061,7 @@ mod tests {
             queue_capacity: 1,
             ..Default::default()
         };
-        let shed_trace = simulate(&model, &starved, 0.001, &shedding, 3);
+        let shed_trace = simulate_replicated(&model, &starved, 0.001, &shedding, 3, 1);
         let shed_stats = shed_trace.stats(&shedding);
         assert!(
             shed_stats.shed_fraction() > 0.3,
@@ -1348,7 +1072,8 @@ mod tests {
         // slots to serve the same load outright.
         let provisioned = SystemParams { max_read_concurrency: 16, ..Default::default() };
         let serving_spec = ServingSpec { queue_capacity: 10_000, ..shedding };
-        let ok_stats = simulate(&model, &provisioned, 0.005, &serving_spec, 3).stats(&serving_spec);
+        let ok_stats = simulate_replicated(&model, &provisioned, 0.005, &serving_spec, 3, 1)
+            .stats(&serving_spec);
         assert_eq!(ok_stats.shed, 0);
         assert_eq!(ok_stats.timeouts, 0, "the serving arm must be genuinely healthy");
         assert!(
@@ -1385,7 +1110,7 @@ mod tests {
             queue_capacity: 10_000,
             ..Default::default()
         };
-        let stats = simulate(&model, &sys, 0.010, &s, 9).stats(&s);
+        let stats = simulate_replicated(&model, &sys, 0.010, &s, 9, 1).stats(&s);
         assert!(stats.timeouts > 0 && stats.shed == 0);
         assert!(
             stats.goodput_qps < stats.achieved_qps,
@@ -1398,21 +1123,6 @@ mod tests {
         assert!(stats.timeout_fraction() > s.max_shed_fraction);
         // A sky-high p99 SLO alone would pass; the timeout fraction trips it.
         assert!(stats.violates_slo(&s.with_slo(f64::MAX)));
-    }
-
-    #[test]
-    fn one_replica_simulation_is_bitwise_the_unreplicated_one() {
-        let model = CostModel::default();
-        let sys = SystemParams::default();
-        for routing in [RoutingPolicy::JoinShortestQueue, RoutingPolicy::Random { seed: 4 }] {
-            let s =
-                ServingSpec { arrival_qps: 700.0, requests: 600, routing, ..Default::default() };
-            let a = simulate(&model, &sys, 0.004, &s, 11);
-            let b = simulate_replicated(&model, &sys, 0.004, &s, 11, 1);
-            assert_eq!(a, b);
-            assert_eq!(a.replicas, 1);
-            assert!(a.events.iter().all(|e| e.replica == 0));
-        }
     }
 
     #[test]
@@ -1478,19 +1188,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_pinning_is_bitwise_the_shared_pool() {
-        let model = CostModel::default();
-        let sys = SystemParams::default();
-        for replicas in [1, 3] {
-            let s = ServingSpec { arrival_qps: 700.0, requests: 600, ..Default::default() };
-            let pinned =
-                simulate_pinned(&model, &sys, 0.004, &s, 11, replicas, PinningPolicy::Shared, 10);
-            let pool = simulate_replicated(&model, &sys, 0.004, &s, 11, replicas);
-            assert_eq!(pinned, pool);
-        }
-    }
-
-    #[test]
     fn one_reactor_pinned_serving_is_bitwise_the_one_slot_pool() {
         // On a single-core host every policy degenerates to one reactor,
         // penalty 1.0, handoff 0.0 — the same schedule as a 1-slot pool.
@@ -1531,50 +1228,14 @@ mod tests {
     }
 
     #[test]
-    fn zero_insert_fraction_delegates_bitwise_to_the_read_only_simulators() {
-        let model = CostModel::default();
-        let sys = SystemParams::default();
-        let s = ServingSpec { arrival_qps: 700.0, requests: 600, ..Default::default() };
-        assert_eq!(s.insert_fraction, 0.0, "read-only is the default");
-        for replicas in [1, 2] {
-            let a = simulate_replicated(&model, &sys, 0.004, &s, 11, replicas);
-            let b = simulate_replicated_mixed(
-                &model,
-                &sys,
-                0.004,
-                &s,
-                11,
-                replicas,
-                WriteKnobs::DEFAULT,
-            );
-            assert_eq!(a, b, "write-rate 0 must be the read-only simulator, bit for bit");
-            assert_eq!(b.writes, WriteStats::default());
-            let c =
-                simulate_pinned(&model, &sys, 0.004, &s, 11, replicas, PinningPolicy::Compact, 10);
-            let d = simulate_pinned_mixed(
-                &model,
-                &sys,
-                0.004,
-                &s,
-                11,
-                replicas,
-                PinningPolicy::Compact,
-                10,
-                WriteKnobs::DEFAULT,
-            );
-            assert_eq!(c, d);
-        }
-    }
-
-    #[test]
     fn mixed_traffic_commits_seals_and_compacts_deterministically() {
         let model = CostModel::default();
         let sys = SystemParams::default();
         let s = ServingSpec { arrival_qps: 900.0, requests: 800, ..Default::default() }
             .with_inserts(0.5);
         let knobs = WriteKnobs { wal_batch_rows: 16, flush_interval_secs: 0.02, seal_rows: 32 };
-        let a = simulate_replicated_mixed(&model, &sys, 0.004, &s, 7, 1, knobs);
-        let b = simulate_replicated_mixed(&model, &sys, 0.004, &s, 7, 1, knobs);
+        let a = simulate(&model, &sys, 0.004, &s, 7, 1, PinningPolicy::Shared, 10, knobs);
+        let b = simulate(&model, &sys, 0.004, &s, 7, 1, PinningPolicy::Shared, 10, knobs);
         assert_eq!(a, b, "same seed, same mixed trace");
         let w = a.writes;
         assert_eq!(w.offered, 400);
@@ -1601,8 +1262,10 @@ mod tests {
             .with_inserts(1.0);
         let churny = WriteKnobs { wal_batch_rows: 1, flush_interval_secs: 0.05, seal_rows: 4096 };
         let amortized = WriteKnobs { wal_batch_rows: 256, ..churny };
-        let taxed = simulate_replicated_mixed(&model, &sys, 0.004, &s, 5, 1, churny).stats(&s);
-        let calm = simulate_replicated_mixed(&model, &sys, 0.004, &s, 5, 1, amortized).stats(&s);
+        let taxed =
+            simulate(&model, &sys, 0.004, &s, 5, 1, PinningPolicy::Shared, 10, churny).stats(&s);
+        let calm =
+            simulate(&model, &sys, 0.004, &s, 5, 1, PinningPolicy::Shared, 10, amortized).stats(&s);
         assert!(
             taxed.writes.flushes_full_batch > 10 * calm.writes.flushes_full_batch,
             "{} vs {}",
@@ -1625,8 +1288,8 @@ mod tests {
         let s = ServingSpec { arrival_qps: 600.0, requests: 800, ..Default::default() }
             .with_inserts(0.5);
         let knobs = WriteKnobs { wal_batch_rows: 64, flush_interval_secs: 0.04, seal_rows: 4096 };
-        let t = simulate_replicated_mixed(&model, &tight, 0.004, &s, 9, 1, knobs);
-        let c = simulate_replicated_mixed(&model, &covered, 0.004, &s, 9, 1, knobs);
+        let t = simulate(&model, &tight, 0.004, &s, 9, 1, PinningPolicy::Shared, 10, knobs);
+        let c = simulate(&model, &covered, 0.004, &s, 9, 1, PinningPolicy::Shared, 10, knobs);
         assert!(
             t.events.iter().any(|e| !e.shed && e.consistency_wait_secs > 0.0),
             "gracefulTime=0 must wait on commits that haven't finished yet"
@@ -1660,8 +1323,8 @@ mod tests {
         .with_inserts(1.0);
         let tiny = WriteKnobs { wal_batch_rows: 1, flush_interval_secs: 0.05, seal_rows: 4096 };
         let wide = WriteKnobs { wal_batch_rows: 256, ..tiny };
-        let cramped = simulate_replicated_mixed(&model, &sys, 0.004, &s, 13, 1, tiny);
-        let roomy = simulate_replicated_mixed(&model, &sys, 0.004, &s, 13, 1, wide);
+        let cramped = simulate(&model, &sys, 0.004, &s, 13, 1, PinningPolicy::Shared, 10, tiny);
+        let roomy = simulate(&model, &sys, 0.004, &s, 13, 1, PinningPolicy::Shared, 10, wide);
         assert!(cramped.writes.shed > 0, "the 4-row window must overflow at 2000 inserts/s");
         assert_eq!(roomy.writes.shed, 0, "a 1024-row window absorbs the burst");
         for trace in [&cramped, &roomy] {
@@ -1681,37 +1344,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_pinning_mixed_is_bitwise_the_shared_pool_mixed() {
-        let model = CostModel::default();
-        let sys = SystemParams::default();
-        let s = ServingSpec { arrival_qps: 700.0, requests: 600, ..Default::default() }
-            .with_inserts(0.3);
-        for replicas in [1, 3] {
-            let pinned = simulate_pinned_mixed(
-                &model,
-                &sys,
-                0.004,
-                &s,
-                11,
-                replicas,
-                PinningPolicy::Shared,
-                10,
-                WriteKnobs::DEFAULT,
-            );
-            let pool = simulate_replicated_mixed(
-                &model,
-                &sys,
-                0.004,
-                &s,
-                11,
-                replicas,
-                WriteKnobs::DEFAULT,
-            );
-            assert_eq!(pinned, pool);
-        }
-    }
-
-    #[test]
     fn reactor_mixed_serving_commits_on_the_primary_reactor() {
         let model = CostModel::default();
         let sys = SystemParams { max_read_concurrency: 8, ..Default::default() };
@@ -1720,17 +1352,7 @@ mod tests {
         // ~14 inserts arrive per 30ms tick: 8-row batches fill between
         // ticks, stragglers flush at the deadline — both reasons fire.
         let knobs = WriteKnobs { wal_batch_rows: 8, flush_interval_secs: 0.03, seal_rows: 128 };
-        let trace = simulate_pinned_mixed(
-            &model,
-            &sys,
-            0.004,
-            &s,
-            5,
-            1,
-            PinningPolicy::SmtAvoid,
-            10,
-            knobs,
-        );
+        let trace = simulate(&model, &sys, 0.004, &s, 5, 1, PinningPolicy::SmtAvoid, 10, knobs);
         let w = trace.writes;
         assert_eq!(w.offered, 600);
         assert_eq!(w.accepted + w.shed, w.offered);
@@ -1746,7 +1368,9 @@ mod tests {
     fn burstiness_mixture_preserves_the_mean_rate() {
         let s = ServingSpec { arrival_qps: 1_000.0, burstiness: 2.0, ..Default::default() };
         let n = 200_000u64;
-        let total: f64 = (0..n).map(|i| interarrival_secs(&s, 42, i)).sum();
+        let total: f64 = (0..n)
+            .map(|i| interarrival_secs(s.arrival_qps, s.burstiness, STREAMS_QUERY, 42, i))
+            .sum();
         let mean = total / n as f64;
         assert!((mean - 0.001).abs() < 5e-5, "mean gap {mean} should be ~1ms");
     }

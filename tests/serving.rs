@@ -14,7 +14,7 @@ use vdtuner::core::{TunerOptions, VdTuner};
 use vdtuner::prelude::*;
 use vdtuner::vdms::cost_model::CostModel;
 use vdtuner::vdms::system_params::SystemParams;
-use vdtuner::workload::serving::{simulate, simulate_replicated};
+use vdtuner::workload::serving::simulate_replicated;
 use vdtuner::workload::{Evaluator, ServingBackend, ServingSpec, SimBackend};
 
 fn tiny_workload() -> Workload {
@@ -75,11 +75,6 @@ proptest! {
             t.events.iter().map(|e| (e.latency_secs().to_bits(), e.replica)).collect()
         };
         prop_assert_eq!(bits(&serial), bits(&parallel));
-        // And the unreplicated entry point is the one-replica simulation.
-        if replicas == 1 {
-            let plain = with_threads(4, || simulate(&model, &sys, service, &spec, seed));
-            prop_assert_eq!(&serial, &plain);
-        }
     }
 
     /// The tuner-facing objectives of a served evaluation are the wrapped
@@ -119,7 +114,7 @@ fn graceful_time_moves_serving_p99() {
     let spec = ServingSpec { arrival_qps: 300.0, requests: 1_500, ..Default::default() };
     let p99_at = |graceful_ms: f64| {
         let sys = SystemParams { graceful_time_ms: graceful_ms, ..Default::default() };
-        simulate(&model, &sys, 0.004, &spec, 17).stats(&spec).p99_latency_secs
+        simulate_replicated(&model, &sys, 0.004, &spec, 17, 1).stats(&spec).p99_latency_secs
     };
     // Default buffer: ingestion lag ≈ 101 ms, flush interval ≈ 77 ms.
     let covered = p99_at(5_000.0); // watermark always old enough: no waits
@@ -187,7 +182,11 @@ fn shap_attributes_serving_p99_to_graceful_time() {
         5,
     );
     let serving_attr = shapley_attribution(
-        |c| simulate(&model, &c.system, 0.004, &spec, 17).stats(&spec).p99_latency_secs,
+        |c| {
+            simulate_replicated(&model, &c.system, 0.004, &spec, 17, 1)
+                .stats(&spec)
+                .p99_latency_secs
+        },
         &target,
         &baseline,
         2,

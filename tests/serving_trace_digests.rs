@@ -217,7 +217,7 @@ fn cluster_perf_matches_the_pre_collapse_laws_bitwise() {
             for shards in [1usize, 4] {
                 let mut h = Fnv::new();
                 for sys in [&sys, &tight] {
-                    let perf = model.pinned_cluster_perf(
+                    let perf = model.cluster_perf(
                         &costs[..shards],
                         &segments[..shards],
                         sys,
