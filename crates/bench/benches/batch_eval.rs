@@ -12,7 +12,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mobo::sampling::latin_hypercube;
 use vdms::VdmsConfig;
-use vdtuner_core::ConfigSpace;
+use vdtuner_core::SpaceSpec;
 use vecdata::{DatasetKind, DatasetSpec};
 use workload::{Evaluator, Workload};
 
@@ -20,7 +20,11 @@ const ITERATIONS: usize = 30;
 const BATCH_Q: usize = 4;
 
 fn fixed_candidates() -> Vec<VdmsConfig> {
-    latin_hypercube(ITERATIONS, 16, 0xBA7C).iter().map(|u| ConfigSpace.decode(u)).collect()
+    let space = SpaceSpec::legacy();
+    latin_hypercube(ITERATIONS, 16, 0xBA7C)
+        .iter()
+        .map(|u| space.decode(u).expect("16 coordinates"))
+        .collect()
 }
 
 fn run_serial(workload: &Workload, configs: &[VdmsConfig]) -> Vec<(u64, u64)> {

@@ -155,8 +155,8 @@ pub fn fig3(profile: &Profile) {
     let w = workload_for(DatasetKind::Glove);
     let samples = profile.iters.max(20);
     let per_type: Vec<(IndexType, Vec<f64>)> = run_parallel(IndexType::ALL.to_vec(), |&it| {
-        let space = vdtuner_core::ConfigSpace;
-        let free = vdtuner_core::ConfigSpace::free_dims(it);
+        let space = SpaceSpec::legacy();
+        let free = space.free_dims(it);
         let pts = mobo::sampling::latin_hypercube(
             samples,
             free.len(),
@@ -167,7 +167,7 @@ pub fn fig3(profile: &Profile) {
             .map(|p| {
                 let pairs: Vec<(usize, f64)> =
                     free.iter().copied().zip(p.iter().copied()).collect();
-                let cfg = space.decode(&space.embed(it, &pairs));
+                let cfg = space.decode(&space.embed(it, &pairs)).expect("embed spans the space");
                 let o = evaluate(&w, &cfg, profile.seed);
                 (o.qps, o.recall)
             })

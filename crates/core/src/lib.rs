@@ -33,5 +33,5 @@ pub mod space;
 pub mod tuner;
 
 pub use history::TuningOutcome;
-pub use space::{ConfigSpace, Dimension, DimensionKind, SpaceError, SpaceSpec};
+pub use space::{Dimension, DimensionKind, SpaceError, SpaceSpec};
 pub use tuner::{BudgetAllocation, SurrogateKind, TunerMode, TunerOptions, VdTuner};

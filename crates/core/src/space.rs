@@ -201,7 +201,7 @@ impl Dimension {
     /// Unit-cube coordinate of this dimension in `c`.
     fn read(&self, c: &VdmsConfig) -> f64 {
         match self.field {
-            FieldRef::IndexType => ConfigSpace::type_coord(c.index_type),
+            FieldRef::IndexType => SpaceSpec::type_coord(c.index_type),
             FieldRef::Nlist => self.range.normalize(c.index.nlist as f64),
             FieldRef::Nprobe => self.range.normalize(c.index.nprobe as f64),
             FieldRef::PqM => self.range.normalize(c.index.m as f64),
@@ -248,7 +248,7 @@ impl Dimension {
         let int_clamped = |r: &ParamRange| (int(r) as f64).clamp(r.lo, r.hi) as usize;
         let float_clamped = |r: &ParamRange| r.denormalize(v).clamp(r.lo, r.hi);
         match self.field {
-            FieldRef::IndexType => c.index_type = ConfigSpace::type_from_coord(v),
+            FieldRef::IndexType => c.index_type = SpaceSpec::type_from_coord(v),
             FieldRef::Nlist => c.index.nlist = int(&self.range),
             FieldRef::Nprobe => c.index.nprobe = int(&self.range),
             FieldRef::PqM => c.index.m = int(&self.range),
@@ -364,14 +364,13 @@ pub struct SpaceSpec {
 }
 
 impl SpaceSpec {
-    /// The paper's 16-dimensional space (§V-A). Bit-identical to the
-    /// original hard-coded `ConfigSpace` encoder/decoder.
+    /// The paper's 16-dimensional space (§V-A).
     pub fn legacy() -> SpaceSpec {
         SpaceSpec { dims: base_dimensions() }
     }
 
-    /// Shared instance of the legacy spec, for the fixed-space facades
-    /// ([`ConfigSpace`], the legacy SHAP/trace entry points).
+    /// Shared instance of the legacy spec, for the fixed-space SHAP/trace
+    /// entry points.
     pub fn legacy_ref() -> &'static SpaceSpec {
         static LEGACY: OnceLock<SpaceSpec> = OnceLock::new();
         LEGACY.get_or_init(SpaceSpec::legacy)
@@ -692,35 +691,6 @@ impl SpaceSpec {
             .collect()
     }
 
-    /// The frozen template for polling `t`: index type set to `t`, all
-    /// index parameters at their defaults (paper §IV-C: "sets the
-    /// parameters not belonging to this index type as their default
-    /// values"), system parameters at defaults, topology at the seed shape.
-    pub fn template_for(&self, t: IndexType) -> Vec<f64> {
-        let mut u = self.encode(&self.seed_config(t));
-        u[IDX_TYPE_DIM] = ConfigSpace::type_coord(t);
-        u
-    }
-
-    /// Embed free-dimension values into the template for `t`.
-    pub fn embed(&self, t: IndexType, free: &[(usize, f64)]) -> Vec<f64> {
-        let mut u = self.template_for(t);
-        for &(dim, v) in free {
-            debug_assert_ne!(dim, IDX_TYPE_DIM, "index type is never free");
-            u[dim] = v.clamp(0.0, 1.0);
-        }
-        u
-    }
-}
-
-/// The fixed 16-dimensional encoder/decoder of the paper — a zero-sized
-/// facade over [`SpaceSpec::legacy`], kept for call sites (baselines'
-/// default constructors, property tests, exploratory code) that work on
-/// the paper's space and want an infallible API.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ConfigSpace;
-
-impl ConfigSpace {
     /// Normalized coordinate of an index type.
     pub fn type_coord(t: IndexType) -> f64 {
         t.ordinal() as f64 / (IndexType::ALL.len() - 1) as f64
@@ -732,45 +702,24 @@ impl ConfigSpace {
         IndexType::from_ordinal(t)
     }
 
-    /// Encode a configuration into the 16-dimensional unit hypercube.
-    pub fn encode(&self, c: &VdmsConfig) -> Vec<f64> {
-        SpaceSpec::legacy_ref().encode(c)
-    }
-
-    /// Decode a unit-hypercube point into a configuration.
-    ///
-    /// Lenient by design where [`SpaceSpec::decode`] is typed: a point
-    /// with fewer than 16 coordinates decodes its prefix against the
-    /// default configuration's encoding instead of aborting (the original
-    /// implementation panicked here). Code that needs to *reject* short
-    /// points — the evaluator, anything ingesting external history — uses
-    /// the fallible [`SpaceSpec::decode`] and surfaces the error as a
-    /// failed observation.
-    pub fn decode(&self, u: &[f64]) -> VdmsConfig {
-        let spec = SpaceSpec::legacy_ref();
-        match spec.decode(u) {
-            Ok(c) => c,
-            Err(SpaceError::TooFewCoords { .. }) => {
-                let mut full = spec.encode(&VdmsConfig::default_config());
-                full[..u.len()].copy_from_slice(u);
-                spec.decode(&full).expect("padded point spans the full space")
-            }
-        }
-    }
-
-    /// Free dimensions when polling `t` in the 16-dimensional space.
-    pub fn free_dims(t: IndexType) -> Vec<usize> {
-        SpaceSpec::legacy_ref().free_dims(t)
-    }
-
-    /// Frozen polling template for `t` in the 16-dimensional space.
+    /// The frozen template for polling `t`: index type set to `t`, all
+    /// index parameters at their defaults (paper §IV-C: "sets the
+    /// parameters not belonging to this index type as their default
+    /// values"), system parameters at defaults, topology at the seed shape.
     pub fn template_for(&self, t: IndexType) -> Vec<f64> {
-        SpaceSpec::legacy_ref().template_for(t)
+        let mut u = self.encode(&self.seed_config(t));
+        u[IDX_TYPE_DIM] = SpaceSpec::type_coord(t);
+        u
     }
 
     /// Embed free-dimension values into the template for `t`.
     pub fn embed(&self, t: IndexType, free: &[(usize, f64)]) -> Vec<f64> {
-        SpaceSpec::legacy_ref().embed(t, free)
+        let mut u = self.template_for(t);
+        for &(dim, v) in free {
+            debug_assert_ne!(dim, IDX_TYPE_DIM, "index type is never free");
+            u[dim] = v.clamp(0.0, 1.0);
+        }
+        u
     }
 }
 
@@ -794,19 +743,19 @@ mod tests {
     #[test]
     fn type_coord_roundtrip() {
         for t in IndexType::ALL {
-            assert_eq!(ConfigSpace::type_from_coord(ConfigSpace::type_coord(t)), t);
+            assert_eq!(SpaceSpec::type_from_coord(SpaceSpec::type_coord(t)), t);
         }
     }
 
     #[test]
     fn encode_decode_roundtrip() {
-        let space = ConfigSpace;
+        let space = SpaceSpec::legacy();
         let mut c = VdmsConfig::default_for(IndexType::Scann);
         c.index.nlist = 300;
         c.index.nprobe = 37;
         c.index.reorder_k = 283;
         c.system.segment_seal_proportion = 0.77;
-        let back = space.decode(&space.encode(&c));
+        let back = space.decode(&space.encode(&c)).unwrap();
         assert_eq!(back.index_type, IndexType::Scann);
         assert!((back.index.nlist as f64 - 300.0).abs() <= 3.0);
         assert!((back.index.nprobe as f64 - 37.0).abs() <= 1.0);
@@ -816,7 +765,7 @@ mod tests {
 
     #[test]
     fn encoded_values_in_unit_cube() {
-        let space = ConfigSpace;
+        let space = SpaceSpec::legacy();
         for t in IndexType::ALL {
             let u = space.encode(&VdmsConfig::default_for(t));
             assert_eq!(u.len(), DIMS);
@@ -827,24 +776,24 @@ mod tests {
     #[test]
     fn free_dims_match_table_i() {
         // HNSW: M, efConstruction, ef + 7 system.
-        let dims = ConfigSpace::free_dims(IndexType::Hnsw);
+        let dims = SpaceSpec::legacy().free_dims(IndexType::Hnsw);
         assert_eq!(dims.len(), 3 + 7);
         assert!(dims.contains(&5) && dims.contains(&6) && dims.contains(&7));
         // FLAT/AUTOINDEX: only system parameters.
-        assert_eq!(ConfigSpace::free_dims(IndexType::Flat).len(), 7);
-        assert_eq!(ConfigSpace::free_dims(IndexType::AutoIndex).len(), 7);
+        assert_eq!(SpaceSpec::legacy().free_dims(IndexType::Flat).len(), 7);
+        assert_eq!(SpaceSpec::legacy().free_dims(IndexType::AutoIndex).len(), 7);
         // IVF_PQ: nlist, m, nbits, nprobe + 7.
-        assert_eq!(ConfigSpace::free_dims(IndexType::IvfPq).len(), 4 + 7);
+        assert_eq!(SpaceSpec::legacy().free_dims(IndexType::IvfPq).len(), 4 + 7);
         // SCANN: nlist, nprobe, reorder_k + 7.
-        assert_eq!(ConfigSpace::free_dims(IndexType::Scann).len(), 3 + 7);
+        assert_eq!(SpaceSpec::legacy().free_dims(IndexType::Scann).len(), 3 + 7);
     }
 
     #[test]
     fn embed_freezes_foreign_params() {
-        let space = ConfigSpace;
+        let space = SpaceSpec::legacy();
         // Vary HNSW's ef; nlist must stay at its default encoding.
         let u = space.embed(IndexType::Hnsw, &[(7, 0.9)]);
-        let c = space.decode(&u);
+        let c = space.decode(&u).unwrap();
         assert_eq!(c.index_type, IndexType::Hnsw);
         assert_eq!(c.index.nlist, IndexParams::default().nlist);
         assert!(u[7] == 0.9);
@@ -852,9 +801,9 @@ mod tests {
 
     #[test]
     fn template_decodes_to_defaults() {
-        let space = ConfigSpace;
+        let space = SpaceSpec::legacy();
         for t in IndexType::ALL {
-            let c = space.decode(&space.template_for(t));
+            let c = space.decode(&space.template_for(t)).unwrap();
             assert_eq!(c.index_type, t);
             // System params decode back to (approximately) the defaults.
             let d = SystemParams::default();
@@ -865,23 +814,11 @@ mod tests {
 
     #[test]
     fn short_point_is_typed_error_not_abort() {
-        // Satellite regression: the original decoder panicked on short
-        // points; the canonical API returns a typed error and the legacy
-        // facade pads against the default template instead of aborting.
+        // Regression: the original decoder panicked on short points; the
+        // API returns a typed error.
         let spec = SpaceSpec::legacy();
-        assert_eq!(
-            spec.decode(&[0.5, 0.5, 0.5]),
-            Err(SpaceError::TooFewCoords { expected: 16, got: 3 })
-        );
-        let lenient = ConfigSpace.decode(&[0.0, 0.5, 0.5]);
-        assert_eq!(lenient.index_type, IndexType::Flat, "provided prefix is honored");
-        let default_roundtrip =
-            ConfigSpace.decode(&ConfigSpace.encode(&VdmsConfig::default_config()));
-        assert_eq!(
-            lenient.system, default_roundtrip.system,
-            "missing coordinates fall back to the default encoding"
-        );
         let err = SpaceError::TooFewCoords { expected: 16, got: 3 };
+        assert_eq!(spec.decode(&[0.5, 0.5, 0.5]), Err(err));
         assert!(err.to_string().contains("3 coordinates"));
     }
 
@@ -937,25 +874,6 @@ mod tests {
         assert_eq!(u.len(), DIMS + 1);
         assert_eq!(u[DIMS].to_bits(), 0.0f64.to_bits());
         assert_eq!(spec.decode(&u).unwrap().shards, Some(1));
-    }
-
-    #[test]
-    fn legacy_spec_matches_config_space_bitwise() {
-        // The facade and the spec are the same encoder/decoder.
-        let spec = SpaceSpec::legacy();
-        let facade = ConfigSpace;
-        for (i, t) in IndexType::ALL.iter().enumerate() {
-            let u: Vec<f64> = (0..DIMS).map(|d| ((d * 7 + i * 3) % 11) as f64 / 10.0).collect();
-            let a = spec.decode(&u).unwrap();
-            let b = facade.decode(&u);
-            assert_eq!(a, b, "{t}");
-            let ea = spec.encode(&a);
-            let eb = facade.encode(&b);
-            assert_eq!(
-                ea.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                eb.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
-        }
     }
 
     #[test]

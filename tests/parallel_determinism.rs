@@ -4,7 +4,7 @@
 //! serial counterparts at q = 1.
 
 use proptest::prelude::*;
-use vdtuner::core::{ConfigSpace, TunerOptions, VdTuner};
+use vdtuner::core::{SpaceSpec, TunerOptions, VdTuner};
 use vdtuner::prelude::*;
 use vdtuner::workload::{Evaluator, ShardedSimBackend, SimBackend};
 
@@ -172,7 +172,7 @@ proptest! {
     fn observe_batch_q1_matches_observe(u in prop::collection::vec(0.0f64..=1.0, 16),
                                         seed in 0u64..32) {
         let w = tiny_workload();
-        let cfg = ConfigSpace.decode(&u);
+        let cfg = SpaceSpec::legacy().decode(&u).expect("16 coordinates");
         let mut a = Evaluator::new(&w, seed);
         let oa = a.observe(&cfg, 0.125);
         let mut b = Evaluator::new(&w, seed);
@@ -193,7 +193,9 @@ proptest! {
                                              prop::collection::vec(0.0f64..=1.0, 16), 2..5),
                                          threads in 1usize..5) {
         let w = tiny_workload();
-        let configs: Vec<VdmsConfig> = us.iter().map(|u| ConfigSpace.decode(u)).collect();
+        let space = SpaceSpec::legacy();
+        let configs: Vec<VdmsConfig> =
+            us.iter().map(|u| space.decode(u).expect("16 coordinates")).collect();
         let mut serial = Evaluator::new(&w, 9);
         for c in &configs {
             serial.observe(c, 0.0);

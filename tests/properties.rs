@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use vdtuner::core::npi::{balanced_base, max_base};
-use vdtuner::core::ConfigSpace;
+use vdtuner::core::SpaceSpec;
 use vdtuner::mobo::hypervolume::{hv2d, hv_improvement_2d};
 use vdtuner::mobo::pareto::{non_dominated_indices, pareto_ranks};
 use vdtuner::mobo::sampling::latin_hypercube;
@@ -101,13 +101,14 @@ proptest! {
     /// stable).
     #[test]
     fn config_space_projection(u in prop::collection::vec(0.0f64..=1.0, 16)) {
-        let space = ConfigSpace;
-        let cfg = space.decode(&u).sanitized(48, 10);
+        let space = SpaceSpec::legacy();
+        let decode = |u: &[f64]| space.decode(u).expect("16 coordinates").sanitized(48, 10);
+        let cfg = decode(&u);
         let enc = space.encode(&cfg);
         prop_assert!(enc.iter().all(|&x| (0.0..=1.0).contains(&x)));
-        let cfg2 = space.decode(&enc).sanitized(48, 10);
+        let cfg2 = decode(&enc);
         // The projection must be stable: a second round-trip is identical.
-        prop_assert_eq!(cfg2.summary(), space.decode(&space.encode(&cfg2)).sanitized(48, 10).summary());
+        prop_assert_eq!(cfg2.summary(), decode(&space.encode(&cfg2)).summary());
         prop_assert_eq!(cfg.index_type, cfg2.index_type);
     }
 
@@ -144,7 +145,10 @@ proptest! {
 
         let w = vdtuner::workload::Workload::prepare(
             DatasetSpec::tiny(DatasetKind::Glove), 10);
-        let cfg = ConfigSpace.decode(&u).sanitized(w.dataset.dim(), 10);
+        let cfg = SpaceSpec::legacy()
+            .decode(&u)
+            .expect("16 coordinates")
+            .sanitized(w.dataset.dim(), 10);
         let single = Collection::load(&w.dataset, &cfg, seed).expect("tiny configs fit");
         let sharded = ShardedCollection::load(&w.dataset, &cfg, seed, ClusterSpec::new(shards))
             .expect("even budget split fits the tiny workload");
@@ -169,9 +173,9 @@ proptest! {
     #[test]
     fn shapley_efficiency(ut in prop::collection::vec(0.0f64..=1.0, 16),
                           ub in prop::collection::vec(0.0f64..=1.0, 16)) {
-        let space = ConfigSpace;
-        let target = space.decode(&ut);
-        let baseline = space.decode(&ub);
+        let space = SpaceSpec::legacy();
+        let target = space.decode(&ut).expect("16 coordinates");
+        let baseline = space.decode(&ub).expect("16 coordinates");
         // A deterministic, fast synthetic objective over the config.
         let f = |c: &vdtuner::vdms::VdmsConfig| {
             c.system.segment_max_size_mb * 0.01
