@@ -49,16 +49,21 @@ impl Observation {
     }
 }
 
-/// Exact cache key for a configuration (16 base tunables + the topology,
-/// replication, and pinning requests). Float fields are encoded bit-exactly
-/// via [`f64::to_bits`]: quantizing them (as an earlier revision did) let
-/// distinct configurations alias to one cache entry and return stale
-/// measurements for a config that was never evaluated. The deployment
-/// slots are 0 for "no request" — distinct from every sanitized `Some(n)`
-/// (which is ≥ 1) and from every `Some(policy)` (encoded `ordinal + 1`) —
-/// so candidates differing only in shard count, replication factor, or
-/// pinning policy never alias.
-fn config_key(c: &VdmsConfig) -> [u64; 19] {
+/// Exact cache key for a configuration: one slot per tunable dimension
+/// (16 base tunables, then the topology, replication and pinning requests
+/// and the three write knobs).
+type ConfigKey = [u64; 22];
+
+/// The [`ConfigKey`] of a sanitized configuration. Float fields are encoded
+/// bit-exactly via [`f64::to_bits`]: quantizing them (as an earlier
+/// revision did) let distinct configurations alias to one cache entry and
+/// return stale measurements for a config that was never evaluated. The
+/// deployment slots are 0 for "no request" — distinct from every
+/// sanitized `Some(n)` (which is ≥ 1), from every `Some(policy)` (encoded
+/// `ordinal + 1`) and from every sanitized write knob (rows ≥ 1, a
+/// positive interval) — so candidates differing only in shard count,
+/// replication factor, pinning policy or write knobs never alias.
+fn config_key(c: &VdmsConfig) -> ConfigKey {
     [
         c.index_type.ordinal() as u64,
         c.index.nlist as u64,
@@ -79,6 +84,9 @@ fn config_key(c: &VdmsConfig) -> [u64; 19] {
         c.shards.map_or(0, |s| s as u64),
         c.replicas.map_or(0, |r| r as u64),
         c.pinning.map_or(0, |p| p.ordinal() as u64 + 1),
+        c.writepath.map_or(0, |k| k.wal_batch_rows as u64),
+        c.writepath.map_or(0, |k| k.flush_interval_secs.to_bits()),
+        c.writepath.map_or(0, |k| k.seal_rows as u64),
     ]
 }
 
@@ -114,7 +122,7 @@ pub struct Evaluator<B: EvalBackend> {
     info: BackendInfo,
     seed: u64,
     history: Vec<Observation>,
-    cache: BTreeMap<[u64; 19], Outcome>,
+    cache: BTreeMap<ConfigKey, Outcome>,
     /// Total simulated tuning seconds (replay side of Table VI).
     pub total_replay_secs: f64,
     /// Total wall-clock recommendation seconds (model side of Table VI).
@@ -197,7 +205,7 @@ impl<B: EvalBackend> Evaluator<B> {
     /// Fetch the outcome for a sanitized config, evaluating on a cache
     /// miss. Non-deterministic backends (live systems) bypass the cache:
     /// re-proposing a config re-measures it.
-    fn outcome_for(&mut self, cfg: &VdmsConfig, key: [u64; 19]) -> Outcome {
+    fn outcome_for(&mut self, cfg: &VdmsConfig, key: ConfigKey) -> Outcome {
         if !self.info.deterministic {
             return self.backend.evaluate(cfg, self.seed);
         }
@@ -270,7 +278,7 @@ impl<B: EvalBackend> Evaluator<B> {
         configs: &[VdmsConfig],
         recommend_secs: f64,
     ) -> Vec<Observation> {
-        let sanitized: Vec<(VdmsConfig, [u64; 19])> = configs
+        let sanitized: Vec<(VdmsConfig, ConfigKey)> = configs
             .iter()
             .map(|c| {
                 let cfg = c.sanitized(self.info.dim, self.info.top_k);
@@ -286,7 +294,7 @@ impl<B: EvalBackend> Evaluator<B> {
             // Unique uncached configs, first-occurrence order. Candidates
             // the space-mismatch gate rejects are never dispatched (their
             // failure outcome is synthesized during bookkeeping below).
-            let mut pending: Vec<(VdmsConfig, [u64; 19])> = Vec::new();
+            let mut pending: Vec<(VdmsConfig, ConfigKey)> = Vec::new();
             for &(cfg, key) in &sanitized {
                 if space_mismatch_outcome(&cfg, space_dims).is_none()
                     && !self.cache.contains_key(&key)

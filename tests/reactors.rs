@@ -14,7 +14,7 @@ use vdtuner::core::{SpaceSpec, TunerOptions, VdTuner};
 use vdtuner::prelude::*;
 use vdtuner::vdms::cluster::reactor_placement;
 use vdtuner::vdms::system_params::SystemParams;
-use vdtuner::vdms::{CostModel, HostTopology, PinningPolicy};
+use vdtuner::vdms::{CostModel, HostTopology, PinningPolicy, WriteKnobs};
 use vdtuner::workload::serving::{simulate_pinned, simulate_replicated};
 use vdtuner::workload::{
     evaluate_sharded, Evaluator, ServingBackend, ServingSpec, TopologyBackend,
@@ -273,5 +273,33 @@ fn pinning_request_is_part_of_the_cache_key() {
         avoided.qps.to_bits(),
         "reactors reshape the perf law, so the cache must not alias policies"
     );
+    assert_eq!(ev.len(), 2);
+}
+
+/// The evaluator cache keys the write path: two candidates differing only
+/// in their write knobs (dimensions 20–22) are distinct entries. Under
+/// insert traffic an eager and a lazy flusher commit differently, so an
+/// aliased entry would hand the second candidate the first's write ledger.
+#[test]
+fn write_knobs_are_part_of_the_cache_key() {
+    let w = multi_segment_workload();
+    let spec =
+        ServingSpec { arrival_qps: 300.0, requests: 600, ..Default::default() }.with_inserts(0.5);
+    let backend = ServingBackend::new(&w, TopologyBackend::with_writepath(&w, 2, 2), spec);
+    let mut ev = Evaluator::with_backend(backend, 1);
+    let mut cfg = multi_segment_config();
+    cfg.shards = Some(1);
+    cfg.replicas = Some(1);
+    cfg.pinning = Some(PinningPolicy::Shared);
+    let eager = WriteKnobs { wal_batch_rows: 4, flush_interval_secs: 0.01, seal_rows: 64 };
+    let lazy = WriteKnobs { wal_batch_rows: 512, flush_interval_secs: 0.2, seal_rows: 4096 };
+    cfg.writepath = Some(eager);
+    let a = ev.observe(&cfg, 0.0);
+    cfg.writepath = Some(lazy);
+    let b = ev.observe(&cfg, 0.0);
+    assert!(!a.failed && !b.failed);
+    let (wa, wb) = (a.serving.expect("served").writes, b.serving.expect("served").writes);
+    assert!(wa.offered > 0 && wa.offered == wb.offered, "same insert stream");
+    assert_ne!(wa, wb, "eager and lazy flushing commit differently, so the cache must not alias");
     assert_eq!(ev.len(), 2);
 }
