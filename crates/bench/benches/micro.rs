@@ -216,11 +216,11 @@ fn bench_replay(c: &mut Criterion) {
     });
 }
 
-/// The pinned shard-reactor replay path
-/// (`vdms::CostModel::pinned_cluster_perf`): one replicated cluster
-/// evaluated under each pinning policy. `shared` is the legacy slot-pool
-/// law the reactor paths must reproduce bitwise — its row is the baseline
-/// the per-reactor placement/penalty accounting is measured against.
+/// The replay path under each pinning policy
+/// (`vdms::CostModel::cluster_perf`): one replicated cluster evaluated
+/// per policy. `shared` is one penalty-free reactor — its row is the
+/// baseline the per-reactor placement/penalty accounting is measured
+/// against.
 fn bench_pinned_replay(c: &mut Criterion) {
     use vdms::PinningPolicy;
     use workload::{EvalBackend, TopologyBackend};

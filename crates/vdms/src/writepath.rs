@@ -3,7 +3,7 @@
 //!
 //! [`WalSim`] is a pure, deterministic state machine — no clocks, no RNG,
 //! no scheduling. The discrete-event serving loop
-//! (`workload::serving::simulate_mixed`) drives it: it *offers* arriving
+//! (`workload::serving::simulate`) drives it: it *offers* arriving
 //! inserts, asks for flush jobs at group-commit boundaries (a full batch
 //! accumulated, or an end-of-tick deadline), prices each job through
 //! [`CostModel`](crate::CostModel) against the same worker slots queries
