@@ -5,6 +5,7 @@ use crate::abandon::ScoreRow;
 use crate::npi::balanced_base;
 use crate::space::SpaceSpec;
 use mobo::pareto::{non_dominated_indices, pareto_ranks};
+use vdms::VdmsConfig;
 use workload::{EvalBackend, Evaluator, Observation};
 
 /// Everything a finished tuning run produced.
@@ -36,6 +37,24 @@ impl TuningOutcome {
             total_replay_secs: evaluator.total_replay_secs,
             total_recommend_secs: evaluator.total_recommend_secs,
         }
+    }
+
+    /// Bit-level fingerprint of the history: per observation, the summary
+    /// of `strip(config)` plus the exact feedback bits. Two runs are the
+    /// same tuning history iff their fingerprints are equal; `strip` clears
+    /// the request field that differs by construction (e.g. `replicas` when
+    /// holding a frozen 18-dim run against the 17-dim one), `|c| c` none.
+    pub fn fingerprint(
+        &self,
+        strip: impl Fn(VdmsConfig) -> VdmsConfig,
+    ) -> Vec<(String, u64, u64, u64, bool)> {
+        self.observations
+            .iter()
+            .map(|o| {
+                let base = strip(o.config).summary();
+                (base, o.qps.to_bits(), o.recall.to_bits(), o.memory_gib.to_bits(), o.failed)
+            })
+            .collect()
     }
 
     /// Indices of the non-dominated observations (speed × recall).
@@ -198,7 +217,6 @@ impl TuningOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vdms::VdmsConfig;
 
     fn obs(iter: usize, qps: f64, recall: f64) -> Observation {
         Observation {
@@ -241,6 +259,26 @@ mod tests {
             total_replay_secs: 0.0,
             total_recommend_secs: 0.0,
         }
+    }
+
+    #[test]
+    fn stripped_histories_compare_bitwise() {
+        let mut a = outcome(&[(100.0, 0.5), (80.0, 0.95)]);
+        let b = a.clone();
+        a.observations[1].config.replicas = Some(2);
+        // The differing request shows up unstripped and vanishes stripped.
+        assert_ne!(a.fingerprint(|c| c), b.fingerprint(|c| c));
+        let strip = |c| VdmsConfig { replicas: None, ..c };
+        assert_eq!(a.fingerprint(strip), b.fingerprint(strip));
+        // Feedback is compared by bits, not by value: -0.0 == 0.0 but differs.
+        a.observations[0].memory_gib = 0.0;
+        let mut c = a.clone();
+        c.observations[0].memory_gib = -0.0;
+        assert_ne!(a.fingerprint(strip), c.fingerprint(strip));
+        let print = a.fingerprint(strip);
+        assert_eq!(print.len(), 2);
+        assert_eq!(print[0].1, 100.0f64.to_bits());
+        assert!(!print[0].4);
     }
 
     #[test]

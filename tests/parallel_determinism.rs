@@ -29,28 +29,12 @@ fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     rayon::ThreadPoolBuilder::new().num_threads(n).build().unwrap().install(f)
 }
 
-/// Bit-level fingerprint of an observation history.
-fn fingerprint(out: &vdtuner::core::TuningOutcome) -> Vec<(String, u64, u64, u64, bool)> {
-    out.observations
-        .iter()
-        .map(|o| {
-            (
-                o.config.summary(),
-                o.qps.to_bits(),
-                o.recall.to_bits(),
-                o.memory_gib.to_bits(),
-                o.failed,
-            )
-        })
-        .collect()
-}
-
 #[test]
 fn vdtuner_run_is_thread_count_invariant() {
     let w = tiny_workload();
     let serial = with_threads(1, || VdTuner::new(small_options(), 42).run(&w, 10));
     let parallel = with_threads(4, || VdTuner::new(small_options(), 42).run(&w, 10));
-    assert_eq!(fingerprint(&serial), fingerprint(&parallel));
+    assert_eq!(serial.fingerprint(|c| c), parallel.fingerprint(|c| c));
 }
 
 #[test]
@@ -59,7 +43,7 @@ fn batched_run_is_thread_count_invariant() {
     let serial = with_threads(1, || VdTuner::new(small_options(), 7).run_batched(&w, 12, 4));
     let parallel = with_threads(4, || VdTuner::new(small_options(), 7).run_batched(&w, 12, 4));
     assert_eq!(serial.observations.len(), 12);
-    assert_eq!(fingerprint(&serial), fingerprint(&parallel));
+    assert_eq!(serial.fingerprint(|c| c), parallel.fingerprint(|c| c));
 }
 
 #[test]
@@ -70,7 +54,7 @@ fn sharded_backend_run_is_thread_count_invariant() {
             VdTuner::new(small_options(), 42).run_batched_on(ShardedSimBackend::new(&w, 3), 10, 2)
         })
     };
-    assert_eq!(fingerprint(&run(1)), fingerprint(&run(4)));
+    assert_eq!(run(1).fingerprint(|c| c), run(4).fingerprint(|c| c));
 }
 
 #[test]
@@ -98,7 +82,7 @@ fn replicated_serving_run_is_thread_count_invariant() {
         })
     };
     let (a, b) = (run(1), run(4));
-    assert_eq!(fingerprint(&a), fingerprint(&b));
+    assert_eq!(a.fingerprint(|c| c), b.fingerprint(|c| c));
     for (oa, ob) in a.observations.iter().zip(&b.observations) {
         match (oa.serving, ob.serving) {
             (Some(sa), Some(sb)) => {
@@ -137,7 +121,7 @@ fn sharded_backend_with_one_shard_matches_sim_backend_bitwise() {
 
     let a = VdTuner::new(small_options(), 17).run_on(SimBackend::new(&w), 9);
     let b = VdTuner::new(small_options(), 17).run_on(ShardedSimBackend::new(&w, 1), 9);
-    assert_eq!(fingerprint(&a), fingerprint(&b));
+    assert_eq!(a.fingerprint(|c| c), b.fingerprint(|c| c));
 }
 
 #[test]
@@ -224,5 +208,5 @@ fn tuning_run_is_thread_count_invariant_under_dispatched_kernel() {
     let w = tiny_workload();
     let serial = with_threads(1, || VdTuner::new(small_options(), 1234).run(&w, 10));
     let parallel = with_threads(4, || VdTuner::new(small_options(), 1234).run(&w, 10));
-    assert_eq!(fingerprint(&serial), fingerprint(&parallel));
+    assert_eq!(serial.fingerprint(|c| c), parallel.fingerprint(|c| c));
 }

@@ -118,16 +118,10 @@ proptest! {
     }
 }
 
-/// Bit-level fingerprint of a tuning history: the base configuration (the
-/// pinning request is compared separately) plus the exact feedback.
-fn fingerprint(out: &vdtuner::core::TuningOutcome) -> Vec<(String, u64, u64, u64, bool)> {
-    out.observations
-        .iter()
-        .map(|o| {
-            let base = VdmsConfig { pinning: None, ..o.config };
-            (base.summary(), o.qps.to_bits(), o.recall.to_bits(), o.memory_gib.to_bits(), o.failed)
-        })
-        .collect()
+/// What `TuningOutcome::fingerprint` strips here: the pinning request
+/// differs by construction and is compared separately.
+fn sans_pinning(c: VdmsConfig) -> VdmsConfig {
+    VdmsConfig { pinning: None, ..c }
 }
 
 /// Acceptance gate for the 19th dimension: tuning the 19-dimensional space
@@ -149,7 +143,7 @@ fn frozen_pinning_dimension_reproduces_replication_tuning_bitwise() {
     )
     .run_on(TopologyBackend::with_pinning(&w, 4, 2), 12);
 
-    assert_eq!(fingerprint(&narrow), fingerprint(&frozen));
+    assert_eq!(narrow.fingerprint(sans_pinning), frozen.fingerprint(sans_pinning));
     // The frozen run really did carry the 19th dimension end to end.
     for o in &frozen.observations {
         assert_eq!(o.config.pinning, Some(PinningPolicy::Shared));
@@ -183,7 +177,7 @@ fn frozen_pinning_reproduces_serving_tuning_bitwise() {
         10,
         3,
     );
-    assert_eq!(fingerprint(&narrow), fingerprint(&frozen));
+    assert_eq!(narrow.fingerprint(sans_pinning), frozen.fingerprint(sans_pinning));
     // Serving stats (p99 included) agree bitwise wherever both exist.
     for (a, b) in narrow.observations.iter().zip(&frozen.observations) {
         match (a.serving, b.serving) {

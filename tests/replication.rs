@@ -110,16 +110,10 @@ proptest! {
     }
 }
 
-/// Bit-level fingerprint of a tuning history: the base configuration (the
-/// deployment requests are compared separately) plus the exact feedback.
-fn fingerprint(out: &vdtuner::core::TuningOutcome) -> Vec<(String, u64, u64, u64, bool)> {
-    out.observations
-        .iter()
-        .map(|o| {
-            let base = VdmsConfig { replicas: None, ..o.config };
-            (base.summary(), o.qps.to_bits(), o.recall.to_bits(), o.memory_gib.to_bits(), o.failed)
-        })
-        .collect()
+/// What `TuningOutcome::fingerprint` strips here: the replication request
+/// differs by construction and is compared separately.
+fn sans_replicas(c: VdmsConfig) -> VdmsConfig {
+    VdmsConfig { replicas: None, ..c }
 }
 
 /// Acceptance gate for the 18th dimension: tuning the 18-dimensional space
@@ -137,7 +131,7 @@ fn frozen_replication_dimension_reproduces_topology_tuning_bitwise() {
         VdTuner::with_space(small_options(), SpaceSpec::with_topology(4).with_replication(1), 42)
             .run_on(TopologyBackend::with_replication(&w, 4, 1), 12);
 
-    assert_eq!(fingerprint(&narrow), fingerprint(&frozen));
+    assert_eq!(narrow.fingerprint(sans_replicas), frozen.fingerprint(sans_replicas));
     // The frozen run really did carry the 18th dimension end to end.
     for o in &frozen.observations {
         assert_eq!(o.config.replicas, Some(1));
@@ -163,7 +157,7 @@ fn frozen_replication_reproduces_serving_tuning_bitwise() {
                 10,
                 3,
             );
-    assert_eq!(fingerprint(&narrow), fingerprint(&frozen));
+    assert_eq!(narrow.fingerprint(sans_replicas), frozen.fingerprint(sans_replicas));
     // Serving stats (p99 included) agree bitwise wherever both exist.
     for (a, b) in narrow.observations.iter().zip(&frozen.observations) {
         match (a.serving, b.serving) {

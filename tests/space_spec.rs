@@ -131,16 +131,10 @@ proptest! {
     }
 }
 
-/// Bit-level fingerprint of a tuning history: the base configuration (the
-/// topology request is compared separately) plus the exact feedback.
-fn fingerprint(out: &vdtuner::core::TuningOutcome) -> Vec<(String, u64, u64, u64, bool)> {
-    out.observations
-        .iter()
-        .map(|o| {
-            let base = VdmsConfig { shards: None, ..o.config };
-            (base.summary(), o.qps.to_bits(), o.recall.to_bits(), o.memory_gib.to_bits(), o.failed)
-        })
-        .collect()
+/// What `TuningOutcome::fingerprint` strips here: the topology request
+/// differs by construction and is compared separately.
+fn sans_shards(c: VdmsConfig) -> VdmsConfig {
+    VdmsConfig { shards: None, ..c }
 }
 
 /// Acceptance gate for the spec refactor: tuning the 17-dimensional space
@@ -155,7 +149,7 @@ fn frozen_topology_dimension_reproduces_legacy_tuning_bitwise() {
     let mut topo_tuner = VdTuner::with_space(small_options(), SpaceSpec::with_topology(1), 42);
     let frozen = topo_tuner.run_on(TopologyBackend::new(&w, 1), 12);
 
-    assert_eq!(fingerprint(&legacy), fingerprint(&frozen));
+    assert_eq!(legacy.fingerprint(sans_shards), frozen.fingerprint(sans_shards));
     // The frozen run really did carry the 17th dimension end to end.
     for o in &frozen.observations {
         assert_eq!(o.config.shards, Some(1));
@@ -172,7 +166,7 @@ fn frozen_topology_dimension_reproduces_legacy_batched_tuning_bitwise() {
     let legacy = VdTuner::new(small_options(), 7).run_batched_on(SimBackend::new(&w), 12, 3);
     let frozen = VdTuner::with_space(small_options(), SpaceSpec::with_topology(1), 7)
         .run_batched_on(TopologyBackend::new(&w, 1), 12, 3);
-    assert_eq!(fingerprint(&legacy), fingerprint(&frozen));
+    assert_eq!(legacy.fingerprint(sans_shards), frozen.fingerprint(sans_shards));
 }
 
 /// Co-tuning end to end: with a real shard range the tuner proposes valid

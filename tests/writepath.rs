@@ -182,16 +182,10 @@ proptest! {
     }
 }
 
-/// Bit-level fingerprint of a tuning history: the base configuration (the
-/// write-path request is compared separately) plus the exact feedback.
-fn fingerprint(out: &vdtuner::core::TuningOutcome) -> Vec<(String, u64, u64, u64, bool)> {
-    out.observations
-        .iter()
-        .map(|o| {
-            let base = VdmsConfig { writepath: None, ..o.config };
-            (base.summary(), o.qps.to_bits(), o.recall.to_bits(), o.memory_gib.to_bits(), o.failed)
-        })
-        .collect()
+/// What `TuningOutcome::fingerprint` strips here: the write-path request
+/// differs by construction and is compared separately.
+fn sans_write_knobs(c: VdmsConfig) -> VdmsConfig {
+    VdmsConfig { writepath: None, ..c }
 }
 
 /// Acceptance gate for dimensions 20–22: tuning the 22-dimensional space
@@ -213,7 +207,7 @@ fn frozen_write_knobs_reproduce_pinning_tuning_bitwise() {
     )
     .run_on(TopologyBackend::with_writepath(&w, 4, 2), 12);
 
-    assert_eq!(fingerprint(&narrow), fingerprint(&frozen));
+    assert_eq!(narrow.fingerprint(sans_write_knobs), frozen.fingerprint(sans_write_knobs));
     // The frozen run really did carry the write dimensions end to end.
     for o in &frozen.observations {
         assert_eq!(o.config.writepath, Some(WriteKnobs::DEFAULT));
@@ -248,7 +242,7 @@ fn frozen_write_knobs_reproduce_mixed_serving_tuning_bitwise() {
         10,
         3,
     );
-    assert_eq!(fingerprint(&narrow), fingerprint(&frozen));
+    assert_eq!(narrow.fingerprint(sans_write_knobs), frozen.fingerprint(sans_write_knobs));
     // Serving stats (write ledger included) agree bitwise wherever both
     // exist — and the mixed phase really offered inserts.
     let mut saw_writes = false;
