@@ -7,17 +7,47 @@
 //! repro fig6 fig7              # a subset
 //! ```
 //!
-//! Experiments: fig1 fig2 fig3 table4 fig6 fig7 fig8 fig9 fig10 fig11
-//! fig12 fig13 table5 table6 scale sharding topology serving replication
-//! reactors writepath kernels. Output goes to stdout and to
-//! `results/*.csv` (plus `results/topology.json`, `results/serving.json`,
-//! `results/replication.json`, `results/reactors.json`,
-//! `results/writepath.json` and `results/kernels.json` machine-readable
-//! summaries).
+//! `repro --help` lists the experiments (the [`EXPERIMENTS`] table).
+//! Output goes to stdout and to `results/*.csv`, plus machine-readable
+//! `results/<experiment>.json` summaries for topology, serving,
+//! replication, reactors, writepath and kernels. Exits 2 on a bad command
+//! line (before running anything) and 1 when an artifact cannot be
+//! written.
 // Wall-clock progress reporting for the CLI; bench is the timing domain.
 #![allow(clippy::disallowed_methods)]
 
 use bench::{experiments, Profile};
+use std::io;
+
+/// An experiment: prints its tables, writes its artifacts.
+type Experiment = fn(&Profile) -> io::Result<()>;
+
+/// Every experiment, in `repro all` order: the one place a name is bound
+/// to its function.
+const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("fig1", experiments::fig1),
+    ("fig2", experiments::fig2),
+    ("fig3", experiments::fig3),
+    ("table4", experiments::table4),
+    ("fig6", experiments::fig6),
+    ("fig7", experiments::fig7),
+    ("fig8", experiments::fig8),
+    ("fig9", experiments::fig9),
+    ("fig10", experiments::fig10),
+    ("fig11", experiments::fig11),
+    ("fig12", experiments::fig12),
+    ("fig13", experiments::fig13),
+    ("table5", experiments::table5),
+    ("table6", experiments::table6),
+    ("scale", experiments::scale),
+    ("sharding", experiments::sharding),
+    ("topology", experiments::topology),
+    ("serving", experiments::serving),
+    ("replication", experiments::replication),
+    ("reactors", experiments::reactors),
+    ("writepath", experiments::writepath),
+    ("kernels", experiments::kernels),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -25,7 +55,7 @@ fn main() {
     if std::env::var("VDTUNER_REPRO_FULL").is_ok() {
         profile = Profile::full();
     }
-    let mut experiments_requested: Vec<String> = Vec::new();
+    let mut requested: Vec<&str> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -47,42 +77,28 @@ fn main() {
                     .unwrap_or_else(|| usage("--seed needs a number"));
             }
             "--help" | "-h" => usage(""),
-            other => experiments_requested.push(other.to_string()),
+            other => requested.push(other),
         }
         i += 1;
     }
-    if experiments_requested.is_empty() {
+    if requested.is_empty() {
         usage("no experiment given");
     }
 
-    let all = [
-        "fig1",
-        "fig2",
-        "fig3",
-        "table4",
-        "fig6",
-        "fig7",
-        "fig8",
-        "fig9",
-        "fig10",
-        "fig11",
-        "fig12",
-        "fig13",
-        "table5",
-        "table6",
-        "scale",
-        "sharding",
-        "topology",
-        "serving",
-        "replication",
-        "reactors",
-        "writepath",
-        "kernels",
-    ];
-    let list: Vec<&str> = if experiments_requested.iter().any(|e| e == "all") {
-        all.to_vec()
+    // Resolve every name before running anything: a typo must not cost a
+    // finished experiment.
+    let list: Vec<_> = if requested.contains(&"all") {
+        EXPERIMENTS.to_vec()
     } else {
-        experiments_requested.iter().map(String::as_str).collect()
+        requested
+            .iter()
+            .map(|name| {
+                *EXPERIMENTS
+                    .iter()
+                    .find(|(known, _)| known == name)
+                    .unwrap_or_else(|| usage(&format!("unknown experiment: {name}")))
+            })
+            .collect()
     };
 
     println!(
@@ -90,36 +106,12 @@ fn main() {
         profile.iters, profile.pref_iters, profile.scale_iters, profile.seed
     );
     let t0 = std::time::Instant::now();
-    for exp in list {
+    for (exp, run) in list {
         let te = std::time::Instant::now();
         println!("\n================ {exp} ================");
-        match exp {
-            "fig1" => experiments::fig1(&profile),
-            "fig2" => experiments::fig2(&profile),
-            "fig3" => experiments::fig3(&profile),
-            "table4" => experiments::table4(&profile),
-            "fig6" => experiments::fig6(&profile),
-            "fig7" => experiments::fig7(&profile),
-            "fig8" => experiments::fig8(&profile),
-            "fig9" => experiments::fig9(&profile),
-            "fig10" => experiments::fig10(&profile),
-            "fig11" => experiments::fig11(&profile),
-            "fig12" => experiments::fig12(&profile),
-            "fig13" => experiments::fig13(&profile),
-            "table5" => experiments::table5(&profile),
-            "table6" => experiments::table6(&profile),
-            "scale" => experiments::scale(&profile),
-            "sharding" => experiments::sharding(&profile),
-            "topology" => experiments::topology(&profile),
-            "serving" => experiments::serving(&profile),
-            "replication" => experiments::replication(&profile),
-            "reactors" => experiments::reactors(&profile),
-            "writepath" => experiments::writepath(&profile),
-            "kernels" => experiments::kernels(&profile),
-            other => {
-                eprintln!("unknown experiment: {other}");
-                std::process::exit(2);
-            }
+        if let Err(e) = run(&profile) {
+            eprintln!("error: {exp}: {e}");
+            std::process::exit(1);
         }
         println!("[{exp} took {:.1}s]", te.elapsed().as_secs_f64());
     }
@@ -130,9 +122,11 @@ fn usage(msg: &str) -> ! {
     if !msg.is_empty() {
         eprintln!("error: {msg}\n");
     }
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
     eprintln!(
         "usage: repro [--iters N] [--quick|--full] [--seed S] <experiment>...\n\
-         experiments: fig1 fig2 fig3 table4 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 table5 table6 scale sharding topology serving replication reactors writepath kernels all"
+         experiments: {} all",
+        names.join(" ")
     );
     std::process::exit(2);
 }

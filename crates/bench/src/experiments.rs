@@ -3,15 +3,21 @@
 //! Every function prints the same rows/series the paper reports and writes
 //! a CSV under `results/`. Absolute numbers come from the simulator's cost
 //! model; the claims under reproduction are the *shapes* — who wins, by
-//! roughly what factor, where crossovers fall (see EXPERIMENTS.md).
+//! roughly what factor, where crossovers fall (the README's per-feature
+//! sections quote the checked-in `results/`).
 
 use crate::affinity;
-use crate::report::{emit, emit_json, f1, f2, f3, pct, JsonValue, Table};
+use crate::cotuning::{
+    best_config, budget_table, ladder_table, measure_ladder, measured_json, CoTuning, FixedArm,
+    GOODPUT_AT_TOP, LATENCY_LADDER, P99_AT_TOP, RECALL_FLOOR, SERVING_SLO_P99_SECS,
+};
+use crate::report::{emit, emit_json, f1, f2, f3, ms, pct, JsonValue, Table};
 use crate::{
     recall_floor, run_method, run_method_on, run_parallel, run_vdtuner_variant,
     vdtuner_paper_options, Method, Profile, SACRIFICES,
 };
 use anns::params::IndexType;
+use std::io;
 use vdms::cluster::ClusterSpec;
 use vdms::memory::MemoryUsage;
 use vdms::system_params::SystemParams;
@@ -21,30 +27,48 @@ use vdtuner_core::space::DIM_NAMES;
 use vdtuner_core::{BudgetAllocation, SpaceSpec, SurrogateKind, TunerMode, TuningOutcome, VdTuner};
 use vecdata::{DatasetKind, DatasetSpec};
 use workload::{
-    evaluate, EvalBackend, Evaluator, ServingBackend, ServingSpec, ServingStats, ShardedSimBackend,
-    TopologyBackend, Workload, WriteStats,
+    evaluate, EvalBackend, Evaluator, Outcome, ServingBackend, ServingSpec, ServingStats,
+    ShardedSimBackend, TopologyBackend, Workload, WriteStats,
 };
 
 fn workload_for(kind: DatasetKind) -> Workload {
     Workload::paper_default(DatasetSpec::scaled(kind))
 }
 
+/// A table header: one leading column, then a computed series.
+fn header(first: &str, rest: impl IntoIterator<Item = String>) -> Vec<String> {
+    std::iter::once(first.to_string()).chain(rest).collect()
+}
+
+/// Population standard deviation (0 for an empty slice).
+fn std_dev(values: &[f64]) -> f64 {
+    let n = values.len().max(1) as f64;
+    let mean = values.iter().sum::<f64>() / n;
+    (values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n).sqrt()
+}
+
+/// Every tenth iteration of `n`, plus the last: where curves are sampled.
+fn checkpoints(n: usize) -> Vec<usize> {
+    (0..n).step_by((n / 10).max(1)).chain(std::iter::once(n - 1)).collect()
+}
+
+/// The shared third verdict: nothing the co-tuned arm found met the SLO.
+const NO_FEASIBLE_COTUNED: &str = "the co-tuned arm found no SLO-feasible config — reported as-is";
+
+/// A histogram as a JSON array.
+fn int_array(counts: &[usize]) -> JsonValue {
+    JsonValue::Arr(counts.iter().map(|&n| JsonValue::Int(n as i64)).collect())
+}
+
 /// Figure 1: search speed and recall over a (segment maxSize ×
 /// sealProportion) grid — the configuration-interdependence motivation.
-pub fn fig1(profile: &Profile) {
+pub fn fig1(profile: &Profile) -> io::Result<()> {
     let w = workload_for(DatasetKind::Glove);
     let max_sizes = [100.0, 200.0, 400.0, 700.0, 1000.0];
     let seals = [0.1, 0.3, 0.5, 0.7, 0.9, 1.0];
-    let mut qps_t = Table::new(
-        std::iter::once("maxSize\\seal".to_string())
-            .chain(seals.iter().map(|s| format!("{s:.1}")))
-            .collect::<Vec<String>>(),
-    );
-    let mut rec_t = Table::new(
-        std::iter::once("maxSize\\seal".to_string())
-            .chain(seals.iter().map(|s| format!("{s:.1}")))
-            .collect::<Vec<String>>(),
-    );
+    let head = header("maxSize\\seal", seals.iter().map(|s| format!("{s:.1}")));
+    let mut qps_t = Table::new(head.clone());
+    let mut rec_t = Table::new(head);
     let jobs: Vec<(f64, f64)> =
         max_sizes.iter().flat_map(|&m| seals.iter().map(move |&s| (m, s))).collect();
     let outs = run_parallel(jobs.clone(), |&(m, s)| {
@@ -64,12 +88,12 @@ pub fn fig1(profile: &Profile) {
         qps_t.row(qrow);
         rec_t.row(rrow);
     }
-    emit("fig1_speed", "Fig 1 (left): search speed vs (maxSize, sealProportion), GloVe", &qps_t);
-    emit("fig1_recall", "Fig 1 (right): recall vs (maxSize, sealProportion), GloVe", &rec_t);
+    emit("fig1_speed", "Fig 1 (left): search speed vs (maxSize, sealProportion), GloVe", &qps_t)?;
+    emit("fig1_recall", "Fig 1 (right): recall vs (maxSize, sealProportion), GloVe", &rec_t)
 }
 
 /// Figure 2: the best index type varies with the system configuration.
-pub fn fig2(profile: &Profile) {
+pub fn fig2(profile: &Profile) -> io::Result<()> {
     let w = workload_for(DatasetKind::Glove);
     let systems: Vec<(&str, SystemParams)> = vec![
         // Milvus defaults: moderate segments + a brute-force growing tail.
@@ -104,12 +128,10 @@ pub fn fig2(profile: &Profile) {
         ),
     ];
     let types = crate::motivation_types();
-    let mut t = Table::new(
-        std::iter::once("config".to_string())
-            .chain(types.iter().map(|t| t.name().to_string()))
-            .chain(std::iter::once("best".to_string()))
-            .collect::<Vec<String>>(),
-    );
+    let mut t = Table::new(header(
+        "config",
+        types.iter().map(|t| t.name().to_string()).chain(["best".to_string()]),
+    ));
     for (name, sys) in &systems {
         let outs = run_parallel(types.to_vec(), |&it| {
             let mut cfg = VdmsConfig::default_for(it);
@@ -127,12 +149,12 @@ pub fn fig2(profile: &Profile) {
         row.push(best.to_string());
         t.row(row);
     }
-    emit("fig2", "Fig 2: search speed of index types under 4 system configs (GloVe)", &t);
+    emit("fig2", "Fig 2: search speed of index types under 4 system configs (GloVe)", &t)
 }
 
 /// Figure 3a/3b: per-index speed and recall on two datasets (defaults);
 /// Figure 3c: per-index optimization curves under uniform sampling.
-pub fn fig3(profile: &Profile) {
+pub fn fig3(profile: &Profile) -> io::Result<()> {
     // (a, b) defaults per index type on two datasets.
     for (tag, kind) in [("a", DatasetKind::Glove), ("b", DatasetKind::KeywordMatch)] {
         let w = workload_for(kind);
@@ -147,7 +169,7 @@ pub fn fig3(profile: &Profile) {
             &format!("fig3{tag}"),
             &format!("Fig 3{tag}: conflicting objectives per index type ({})", kind.name()),
             &t,
-        );
+        )?;
     }
 
     // (c) optimization curves: uniform sampling of each index type's own
@@ -184,23 +206,18 @@ pub fn fig3(profile: &Profile) {
             .collect();
         (it, curve)
     });
-    let checkpoints: Vec<usize> =
-        (0..samples).step_by((samples / 10).max(1)).chain(std::iter::once(samples - 1)).collect();
-    let mut t = Table::new(
-        std::iter::once("index".to_string())
-            .chain(checkpoints.iter().map(|c| format!("@{}", c + 1)))
-            .collect::<Vec<String>>(),
-    );
+    let checkpoints = checkpoints(samples);
+    let mut t = Table::new(header("index", checkpoints.iter().map(|c| format!("@{}", c + 1))));
     for (it, curve) in &per_type {
         let mut row = vec![it.name().to_string()];
         row.extend(checkpoints.iter().map(|&c| f2(curve[c])));
         t.row(row);
     }
-    emit("fig3c", "Fig 3c: weighted-performance optimization curves per index type (GloVe)", &t);
+    emit("fig3c", "Fig 3c: weighted-performance optimization curves per index type (GloVe)", &t)
 }
 
 /// Table IV: performance improvement of VDTuner over the default config.
-pub fn table4(profile: &Profile) {
+pub fn table4(profile: &Profile) -> io::Result<()> {
     let kinds = DatasetKind::main_three();
     let rows = run_parallel(kinds.to_vec(), |&kind| {
         let w = workload_for(kind);
@@ -219,7 +236,7 @@ pub fn table4(profile: &Profile) {
     for (kind, dq, drc, ds, dr) in rows {
         t.row(vec![kind.name().to_string(), f1(dq), f3(drc), pct(ds), pct(dr)]);
     }
-    emit("table4", "Table IV: improvement by auto-configuration (VDTuner vs Default)", &t);
+    emit("table4", "Table IV: improvement by auto-configuration (VDTuner vs Default)", &t)
 }
 
 /// Run all five methods on one dataset.
@@ -229,7 +246,7 @@ fn run_all_methods(w: &Workload, profile: &Profile) -> Vec<(Method, TuningOutcom
 
 /// Figure 6: best search speed under recall sacrifices, 5 methods × 3
 /// datasets, plus the trade-off-ability metric (std-dev over floors).
-pub fn fig6(profile: &Profile) {
+pub fn fig6(profile: &Profile) -> io::Result<()> {
     let jobs: Vec<(DatasetKind, Method)> = DatasetKind::main_three()
         .into_iter()
         .flat_map(|k| Method::ALL.into_iter().map(move |m| (k, m)))
@@ -242,25 +259,16 @@ pub fn fig6(profile: &Profile) {
     });
 
     for kind in DatasetKind::main_three() {
-        let mut t = Table::new(
-            std::iter::once("method".to_string())
-                .chain(SACRIFICES.iter().map(|s| format!("sac {s}")))
-                .chain(std::iter::once("tradeoff σ".to_string()))
-                .collect::<Vec<String>>(),
-        );
+        let mut t = Table::new(header(
+            "method",
+            SACRIFICES.iter().map(|s| format!("sac {s}")).chain(["tradeoff σ".to_string()]),
+        ));
         for m in Method::ALL {
             let idx = jobs.iter().position(|&(k, mm)| k == kind && mm == m).expect("job");
             let out = &outs[idx];
             let best: Vec<Option<f64>> =
                 SACRIFICES.iter().map(|&s| out.best_qps_with_recall(recall_floor(s))).collect();
-            let found: Vec<f64> = best.iter().flatten().copied().collect();
-            let sigma = if found.len() > 1 {
-                let mean = found.iter().sum::<f64>() / found.len() as f64;
-                (found.iter().map(|q| (q - mean) * (q - mean)).sum::<f64>() / found.len() as f64)
-                    .sqrt()
-            } else {
-                0.0
-            };
+            let sigma = std_dev(&best.iter().flatten().copied().collect::<Vec<f64>>());
             let mut row = vec![m.name().to_string()];
             row.extend(best.iter().map(|b| b.map_or("-".to_string(), f1)));
             row.push(f1(sigma));
@@ -270,25 +278,21 @@ pub fn fig6(profile: &Profile) {
             &format!("fig6_{}", kind.name().to_lowercase().replace('-', "_")),
             &format!("Fig 6: best speed under recall sacrifice ({})", kind.name()),
             &t,
-        );
+        )?;
     }
+    Ok(())
 }
 
 /// Figure 7: optimization curves on GloVe and tuning-efficiency ratios.
-pub fn fig7(profile: &Profile) {
+pub fn fig7(profile: &Profile) -> io::Result<()> {
     let w = workload_for(DatasetKind::Glove);
     let outs = run_all_methods(&w, profile);
     let floors = [0.9, 0.925, 0.95, 0.975, 0.99];
 
     for &floor in &floors {
-        let step = (profile.iters / 10).max(1);
-        let checkpoints: Vec<usize> =
-            (0..profile.iters).step_by(step).chain(std::iter::once(profile.iters - 1)).collect();
-        let mut t = Table::new(
-            std::iter::once("method".to_string())
-                .chain(checkpoints.iter().map(|c| format!("it{}", c + 1)))
-                .collect::<Vec<String>>(),
-        );
+        let checkpoints = checkpoints(profile.iters);
+        let mut t =
+            Table::new(header("method", checkpoints.iter().map(|c| format!("it{}", c + 1))));
         for (m, out) in &outs {
             let curve = out.qps_curve(floor);
             let mut row = vec![m.name().to_string()];
@@ -299,7 +303,7 @@ pub fn fig7(profile: &Profile) {
             &format!("fig7_recall{}", (floor * 1000.0) as u32),
             &format!("Fig 7: best-so-far speed vs iteration (GloVe, recall > {floor})"),
             &t,
-        );
+        )?;
     }
 
     // Tuning-efficiency summary: samples/time for VDTuner to beat the most
@@ -335,12 +339,12 @@ pub fn fig7(profile: &Profile) {
             ratio.map_or("-".into(), pct),
         ]);
     }
-    emit("fig7_efficiency", "Fig 7 summary: VDTuner efficiency vs best baseline (GloVe)", &t);
+    emit("fig7_efficiency", "Fig 7 summary: VDTuner efficiency vs best baseline (GloVe)", &t)
 }
 
 /// Figure 8: ablations — (a) successive abandon vs round robin, (b) polling
 /// vs native surrogate.
-pub fn fig8(profile: &Profile) {
+pub fn fig8(profile: &Profile) -> io::Result<()> {
     let w = workload_for(DatasetKind::Glove);
     let variants: Vec<(&str, Option<BudgetAllocation>, SurrogateKind)> = vec![
         ("Successive Abandon + Polling", None, SurrogateKind::Polling),
@@ -355,11 +359,7 @@ pub fn fig8(profile: &Profile) {
             o.surrogate = *surrogate;
         })
     });
-    let mut t = Table::new(
-        std::iter::once("variant".to_string())
-            .chain(SACRIFICES.iter().map(|s| format!("sac {s}")))
-            .collect::<Vec<String>>(),
-    );
+    let mut t = Table::new(header("variant", SACRIFICES.iter().map(|s| format!("sac {s}"))));
     for ((name, _, _), out) in variants.iter().zip(&outs) {
         let mut row = vec![name.to_string()];
         row.extend(
@@ -369,19 +369,17 @@ pub fn fig8(profile: &Profile) {
         );
         t.row(row);
     }
-    emit("fig8", "Fig 8: budget-allocation and surrogate ablations (GloVe)", &t);
+    emit("fig8", "Fig 8: budget-allocation and surrogate ablations (GloVe)", &t)
 }
 
 /// Figure 9: dynamic index-type score weights during tuning.
-pub fn fig9(profile: &Profile) {
+pub fn fig9(profile: &Profile) -> io::Result<()> {
     let w = workload_for(DatasetKind::Glove);
     let out = run_vdtuner_variant(&w, profile.iters, profile.seed, |_| {});
-    let mut t = Table::new(
-        std::iter::once("iter".to_string())
-            .chain(IndexType::ALL.iter().map(|t| t.name().to_string()))
-            .chain(std::iter::once("leader".to_string()))
-            .collect::<Vec<String>>(),
-    );
+    let mut t = Table::new(header(
+        "iter",
+        IndexType::ALL.iter().map(|t| t.name().to_string()).chain(["leader".to_string()]),
+    ));
     let mut last_leader: Option<IndexType> = None;
     for (i, row) in out.score_trace.iter().enumerate() {
         let total: f64 = row.iter().map(|(_, s)| s.max(0.0)).sum();
@@ -404,11 +402,11 @@ pub fn fig9(profile: &Profile) {
         cells.push(marker);
         t.row(cells);
     }
-    emit("fig9", "Fig 9: index-type score weights vs iteration (GloVe; * = leader change)", &t);
+    emit("fig9", "Fig 9: index-type score weights vs iteration (GloVe; * = leader change)", &t)
 }
 
 /// Figure 10: sampling scatter of native vs polling surrogates.
-pub fn fig10(profile: &Profile) {
+pub fn fig10(profile: &Profile) -> io::Result<()> {
     let w = workload_for(DatasetKind::Glove);
     let variants: Vec<(&str, SurrogateKind)> =
         vec![("native", SurrogateKind::Native), ("polling", SurrogateKind::Polling)];
@@ -438,13 +436,10 @@ pub fn fig10(profile: &Profile) {
             &format!("fig10_{name}"),
             &format!("Fig 10: configurations sampled by the {name} surrogate (GloVe)"),
             &t,
-        );
+        )?;
 
         let recalls: Vec<f64> = out.observations.iter().map(|o| o.recall).collect();
-        let mean = recalls.iter().sum::<f64>() / recalls.len().max(1) as f64;
-        let sigma = (recalls.iter().map(|r| (r - mean) * (r - mean)).sum::<f64>()
-            / recalls.len().max(1) as f64)
-            .sqrt();
+        let sigma = std_dev(&recalls);
         let max_q = out.observations.iter().map(|o| o.qps).fold(0.0, f64::max);
         let max_r = recalls.iter().copied().fold(0.0, f64::max);
         // "Red rectangle": both objectives high simultaneously.
@@ -452,46 +447,37 @@ pub fn fig10(profile: &Profile) {
             out.observations.iter().filter(|o| o.qps >= 0.7 * max_q && o.recall >= 0.9).count();
         summary.row(vec![name.to_string(), f3(sigma), good.to_string(), f1(max_q), f3(max_r)]);
     }
-    emit("fig10_summary", "Fig 10 summary: polling explores wider and samples better", &summary);
+    emit("fig10_summary", "Fig 10 summary: polling explores wider and samples better", &summary)
 }
 
 /// Figure 11: parameter traces over iterations (Geo-radius).
-pub fn fig11(profile: &Profile) {
+pub fn fig11(profile: &Profile) -> io::Result<()> {
     let w = workload_for(DatasetKind::GeoRadius);
     let out = run_vdtuner_variant(&w, profile.iters, profile.seed, |_| {});
     let trace = out.param_trace();
     let tracked = ["nlist", "nprobe", "segment_sealProportion", "gracefulTime"];
     let dims: Vec<usize> =
         tracked.iter().map(|n| DIM_NAMES.iter().position(|d| d == n).expect("dim")).collect();
-    let mut t = Table::new(
-        std::iter::once("iter".to_string())
-            .chain(tracked.iter().map(|s| s.to_string()))
-            .collect::<Vec<String>>(),
-    );
+    let mut t = Table::new(header("iter", tracked.iter().map(|s| s.to_string())));
     for (i, row) in trace.iter().enumerate() {
         let mut cells = vec![(i + 1).to_string()];
         cells.extend(dims.iter().map(|&d| f2(row[d])));
         t.row(cells);
     }
-    emit("fig11", "Fig 11: normalized parameter values vs iteration (Geo-radius)", &t);
+    emit("fig11", "Fig 11: normalized parameter values vs iteration (Geo-radius)", &t)?;
 
     // Convergence summary: early vs late fluctuation.
     let mut s = Table::new(vec!["parameter", "early σ", "late σ"]);
     let half = trace.len() / 2;
     for (name, &d) in tracked.iter().zip(&dims) {
-        let std = |rows: &[Vec<f64>]| {
-            let vals: Vec<f64> = rows.iter().map(|r| r[d]).collect();
-            let mean = vals.iter().sum::<f64>() / vals.len().max(1) as f64;
-            (vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / vals.len().max(1) as f64)
-                .sqrt()
-        };
+        let std = |rows: &[Vec<f64>]| std_dev(&rows.iter().map(|r| r[d]).collect::<Vec<f64>>());
         s.row(vec![name.to_string(), f3(std(&trace[..half])), f3(std(&trace[half..]))]);
     }
-    emit("fig11_convergence", "Fig 11 summary: exploration → exploitation", &s);
+    emit("fig11_convergence", "Fig 11 summary: exploration → exploitation", &s)
 }
 
 /// Figure 12: user recall preference — constraint model and bootstrapping.
-pub fn fig12(profile: &Profile) {
+pub fn fig12(profile: &Profile) -> io::Result<()> {
     let w = workload_for(DatasetKind::Glove);
     let iters = profile.pref_iters;
     let seed = profile.seed;
@@ -537,11 +523,11 @@ pub fn fig12(profile: &Profile) {
             ]);
         }
     }
-    emit("fig12", "Fig 12: constraint model + bootstrapping under recall preferences (GloVe)", &t);
+    emit("fig12", "Fig 12: constraint model + bootstrapping under recall preferences (GloVe)", &t)
 }
 
 /// Figure 13: cost-effectiveness (QP$) optimization and SHAP attribution.
-pub fn fig13(profile: &Profile) {
+pub fn fig13(profile: &Profile) -> io::Result<()> {
     let w = workload_for(DatasetKind::GeoRadius);
     let modes: Vec<(&str, TunerMode)> =
         vec![("QPS", TunerMode::MultiObjective), ("QP$", TunerMode::CostEffective)];
@@ -580,14 +566,14 @@ pub fn fig13(profile: &Profile) {
             rel(q_a, q_b),
         ]);
     }
-    emit("fig13a", "Fig 13a: optimizing cost-effectiveness vs search speed (Geo-radius)", &t);
+    emit("fig13a", "Fig 13a: optimizing cost-effectiveness vs search speed (Geo-radius)", &t)?;
 
     let mut mem = Table::new(vec!["objective", "memory mean (GiB)", "memory σ"]);
     for ((name, _), out) in modes.iter().zip(&outs) {
         let (m, s) = out.memory_mean_std();
         mem.row(vec![name.to_string(), f2(m), f2(s)]);
     }
-    emit("fig13a_memory", "Fig 13a: sampled memory usage per objective", &mem);
+    emit("fig13a_memory", "Fig 13a: sampled memory usage per objective", &mem)?;
 
     // (b) SHAP attribution of parameters to memory usage and search speed,
     // using the simulator itself as the explained function.
@@ -595,20 +581,12 @@ pub fn fig13(profile: &Profile) {
         qps_run.best_balanced().map(|o| o.config).unwrap_or_else(VdmsConfig::default_config);
     let baseline = VdmsConfig::default_config();
     let perms = 4;
-    let attr_mem = shapley_attribution(
-        |c| evaluate(&w, c, profile.seed).memory_gib,
-        &target,
-        &baseline,
-        perms,
-        profile.seed,
-    );
-    let attr_qps = shapley_attribution(
-        |c| evaluate(&w, c, profile.seed).qps,
-        &target,
-        &baseline,
-        perms,
-        profile.seed + 1,
-    );
+    let attribute = |metric: fn(&Outcome) -> f64, seed: u64| {
+        let explained = |c: &VdmsConfig| metric(&evaluate(&w, c, profile.seed));
+        shapley_attribution(explained, &target, &baseline, perms, seed)
+    };
+    let attr_mem = attribute(|o| o.memory_gib, profile.seed);
+    let attr_qps = attribute(|o| o.qps, profile.seed + 1);
     let mut t = Table::new(vec!["parameter", "Δ memory (GiB)", "Δ search speed (QPS)"]);
     for (i, name) in DIM_NAMES.iter().enumerate() {
         t.row(vec![
@@ -617,11 +595,11 @@ pub fn fig13(profile: &Profile) {
             f1(attr_qps.contributions[i].1),
         ]);
     }
-    emit("fig13b", "Fig 13b: SHAP contribution of each parameter (Geo-radius)", &t);
+    emit("fig13b", "Fig 13b: SHAP contribution of each parameter (Geo-radius)", &t)
 }
 
 /// Table V: best index type and parameters per dataset.
-pub fn table5(profile: &Profile) {
+pub fn table5(profile: &Profile) -> io::Result<()> {
     let kinds = [DatasetKind::Glove, DatasetKind::ArxivTitles, DatasetKind::KeywordMatch];
     let rows = run_parallel(kinds.to_vec(), |&kind| {
         let w = workload_for(kind);
@@ -633,11 +611,11 @@ pub fn table5(profile: &Profile) {
     for (kind, cfg) in rows {
         t.row(vec![kind.name().to_string(), cfg]);
     }
-    emit("table5", "Table V: index/parameters of the best configuration per dataset", &t);
+    emit("table5", "Table V: index/parameters of the best configuration per dataset", &t)
 }
 
 /// Table VI: time breakdown (recommendation vs replay) per method.
-pub fn table6(profile: &Profile) {
+pub fn table6(profile: &Profile) -> io::Result<()> {
     let w = workload_for(DatasetKind::Glove);
     let outs = run_all_methods(&w, profile);
     let mut t = Table::new(vec![
@@ -664,13 +642,13 @@ pub fn table6(profile: &Profile) {
             profile.iters
         ),
         &t,
-    );
+    )
 }
 
 /// Sharded serving (beyond the paper): VDTuner tuning against the
 /// multi-node cluster backend across shard counts, plus a demonstration of
 /// per-shard memory-budget enforcement.
-pub fn sharding(profile: &Profile) {
+pub fn sharding(profile: &Profile) -> io::Result<()> {
     let w = workload_for(DatasetKind::Glove);
     let shard_counts = [1usize, 2, 4];
     let outs = run_parallel(shard_counts.to_vec(), |&s| {
@@ -703,7 +681,7 @@ pub fn sharding(profile: &Profile) {
             failed.to_string(),
         ]);
     }
-    emit("sharding", "Sharded serving: tuning against 1/2/4 query nodes (GloVe)", &t);
+    emit("sharding", "Sharded serving: tuning against 1/2/4 query nodes (GloVe)", &t)?;
 
     // Budget enforcement: shrink the per-node budget below the delegator's
     // fixed streaming state (insert buffer + growing tail + base overhead),
@@ -748,7 +726,7 @@ pub fn sharding(profile: &Profile) {
         "sharding_budget",
         "Per-shard budget enforcement: aggregate fits, no single node does (GloVe)",
         &t,
-    );
+    )
 }
 
 /// Topology-as-a-knob (beyond the paper): 17-dimensional co-tuning of the
@@ -756,11 +734,11 @@ pub fn sharding(profile: &Profile) {
 /// 16-dimensional tuning at every shard count — same evaluation budget per
 /// run. Emits a machine-readable `results/topology.json` so future PRs can
 /// track the co-tuning trajectory.
-pub fn topology(profile: &Profile) {
+pub fn topology(profile: &Profile) -> io::Result<()> {
     let w = workload_for(DatasetKind::Glove);
     let max_shards = 8usize;
     let fixed_counts = [1usize, 2, 4, 8];
-    let floor = 0.9;
+    let floor = RECALL_FLOOR;
 
     // Arm 1: the shard count as an experiment axis — one full 16-dim
     // tuning run per fixed cluster shape.
@@ -778,19 +756,23 @@ pub fn topology(profile: &Profile) {
 
     let mut t =
         Table::new(vec!["arm", "best QPS @0.9", "best QP$ @0.9", "mem mean (GiB)", "failed evals"]);
-    let mut fixed_rows = Vec::new();
-    for (&s, out) in fixed_counts.iter().zip(&fixed) {
+    // One table row per arm; the same readings lead its JSON object.
+    let mut arm = |label: String, out: &TuningOutcome| {
         let best_qps = out.best_qps_with_recall(floor);
         let best_qpd = out.best_qpd_with_recall(floor);
-        let (mem, _) = out.memory_mean_std();
         let failed = out.observations.iter().filter(|o| o.failed).count();
         t.row(vec![
-            format!("fixed {s}-shard (16-dim)"),
+            label,
             best_qps.map_or("-".into(), f1),
             best_qpd.map_or("-".into(), f1),
-            f2(mem),
+            f2(out.memory_mean_std().0),
             failed.to_string(),
         ]);
+        (best_qps, best_qpd, failed)
+    };
+    let mut fixed_rows = Vec::new();
+    for (&s, out) in fixed_counts.iter().zip(&fixed) {
+        let (best_qps, best_qpd, failed) = arm(format!("fixed {s}-shard (16-dim)"), out);
         fixed_rows.push(JsonValue::obj(vec![
             ("shards", JsonValue::Int(s as i64)),
             ("best_qps", JsonValue::opt_num(best_qps)),
@@ -798,17 +780,7 @@ pub fn topology(profile: &Profile) {
             ("failed", JsonValue::Int(failed as i64)),
         ]));
     }
-    let co_best = co.best_qps_with_recall(floor);
-    let co_qpd = co.best_qpd_with_recall(floor);
-    let (co_mem, _) = co.memory_mean_std();
-    let co_failed = co.observations.iter().filter(|o| o.failed).count();
-    t.row(vec![
-        format!("co-tuned 1..={max_shards} (17-dim)"),
-        co_best.map_or("-".into(), f1),
-        co_qpd.map_or("-".into(), f1),
-        f2(co_mem),
-        co_failed.to_string(),
-    ]);
+    let (co_best, co_qpd, co_failed) = arm(format!("co-tuned 1..={max_shards} (17-dim)"), &co);
     emit(
         "topology",
         &format!(
@@ -816,29 +788,18 @@ pub fn topology(profile: &Profile) {
             profile.iters
         ),
         &t,
-    );
+    )?;
 
     // Where did the co-tuner spend its budget, and what shape won?
-    let mut hist = vec![0usize; max_shards + 1];
-    for o in &co.observations {
-        hist[o.config.shards.unwrap_or(1).min(max_shards)] += 1;
-    }
-    let best_obs = co
-        .observations
-        .iter()
-        .filter(|o| !o.failed && o.recall >= floor)
-        .max_by(|a, b| a.qps.total_cmp(&b.qps));
-    let mut ht = Table::new(vec!["shards", "evals", "best QPS @0.9 at this shape"]);
-    for s in 1..=max_shards {
-        let best_at = co
-            .observations
-            .iter()
-            .filter(|o| !o.failed && o.recall >= floor && o.config.shards == Some(s))
-            .map(|o| o.qps)
-            .fold(None::<f64>, |acc, q| Some(acc.map_or(q, |a| a.max(q))));
-        ht.row(vec![s.to_string(), hist[s].to_string(), best_at.map_or("-".into(), f1)]);
-    }
-    emit("topology_budget", "Topology co-tuning: evaluation budget per cluster shape", &ht);
+    let (hist, ht) = budget_table(
+        &co,
+        "shards",
+        "shape",
+        (1..=max_shards).map(|s| s.to_string()).collect(),
+        |c| c.shards.unwrap_or(1).clamp(1, max_shards) - 1,
+    );
+    let best_shards = best_config(&co, floor).map(|c| c.shards.unwrap_or(1));
+    emit("topology_budget", "Topology co-tuning: evaluation budget per cluster shape", &ht)?;
 
     // Honest comparison: co-tuning must match the best fixed-shape run
     // given the same per-run budget — or the gap is reported as-is.
@@ -853,9 +814,7 @@ pub fn topology(profile: &Profile) {
             s.row(vec!["best fixed arm".into(), format!("{bs} shards @ {}", f1(bq))]);
             s.row(vec![
                 "co-tuned best shape".into(),
-                best_obs.map_or("-".into(), |o| {
-                    format!("{} shards @ {}", o.config.shards.unwrap_or(1), f1(o.qps))
-                }),
+                best_shards.map_or("-".into(), |n| format!("{n} shards @ {}", f1(cq))),
             ]);
             s.row(vec!["co-tuned / best fixed".into(), f2(cq / bq)]);
             s.row(vec![
@@ -874,7 +833,7 @@ pub fn topology(profile: &Profile) {
             ]);
         }
     }
-    emit("topology_verdict", "Topology co-tuning vs best fixed topology (same budget)", &s);
+    emit("topology_verdict", "Topology co-tuning vs best fixed topology (same budget)", &s)?;
 
     emit_json(
         "topology",
@@ -893,17 +852,10 @@ pub fn topology(profile: &Profile) {
                     ("best_qpd", JsonValue::opt_num(co_qpd)),
                     (
                         "best_shards",
-                        best_obs.map_or(JsonValue::Null, |o| {
-                            JsonValue::Int(o.config.shards.unwrap_or(1) as i64)
-                        }),
+                        best_shards.map_or(JsonValue::Null, |n| JsonValue::Int(n as i64)),
                     ),
                     ("failed", JsonValue::Int(co_failed as i64)),
-                    (
-                        "shard_histogram",
-                        JsonValue::Arr(
-                            (1..=max_shards).map(|s| JsonValue::Int(hist[s] as i64)).collect(),
-                        ),
-                    ),
+                    ("shard_histogram", int_array(&hist)),
                 ]),
             ),
             (
@@ -923,28 +875,12 @@ pub fn topology(profile: &Profile) {
                     ),
                     (
                         "cotuned_ge_fixed",
-                        match (co_best, best_fixed) {
-                            (Some(c), Some((_, b))) => JsonValue::Bool(c >= b),
-                            _ => JsonValue::Null,
-                        },
+                        JsonValue::opt_bool(co_best.zip(best_fixed).map(|(c, (_, b))| c >= b)),
                     ),
                 ]),
             ),
         ]),
-    );
-}
-
-/// p99 service-level objective (seconds) the serving-tuned arm enforces.
-pub const SERVING_SLO_P99_SECS: f64 = 0.025;
-
-/// The single configuration a tuning run would deploy: the best-QPS
-/// observation meeting the recall floor.
-fn best_config(out: &TuningOutcome, floor: f64) -> Option<VdmsConfig> {
-    out.observations
-        .iter()
-        .filter(|o| !o.failed && o.recall >= floor)
-        .max_by(|a, b| a.qps.total_cmp(&b.qps))
-        .map(|o| o.config)
+    )
 }
 
 /// Live serving (beyond the paper): offline-tuned vs serving-tuned configs
@@ -956,9 +892,9 @@ fn best_config(out: &TuningOutcome, floor: f64) -> Option<VdmsConfig> {
 /// the SLO. Both winners are then measured under three arrival rates;
 /// written to `results/serving.json` (schema: `bench::report::emit_json`
 /// rustdoc) + CSVs, and smoked by the CI `repro-smoke` job on every PR.
-pub fn serving(profile: &Profile) {
+pub fn serving(profile: &Profile) -> io::Result<()> {
     let w = workload_for(DatasetKind::Glove);
-    let floor = 0.9;
+    let floor = RECALL_FLOOR;
     let base_spec = ServingSpec::default();
 
     // Arm 1: offline-tuned (blind to queues, consistency tails and SLOs).
@@ -986,51 +922,26 @@ pub fn serving(profile: &Profile) {
 
     // Measure both winners under every arrival rate (no SLO here — the
     // point is to see the raw tails, including the offline winner's).
-    let measure = |cfg: &VdmsConfig, rate: f64| -> Option<ServingStats> {
-        ServingBackend::over_sim(&w, base_spec.at_rate(rate)).evaluate(cfg, profile.seed).serving
-    };
-    let arms: Vec<(&str, Option<VdmsConfig>)> =
-        vec![("offline-tuned", offline_cfg), ("serving-tuned", served_cfg)];
-    let mut t = Table::new(vec![
-        "arrival rate (req/s)",
-        "arm",
-        "p50 (ms)",
-        "p99 (ms)",
-        "achieved QPS",
-        "max queue",
-        "shed",
-        "timeouts",
-    ]);
-    let ms = |v: f64| if v.is_finite() { f1(v * 1_000.0) } else { "-".into() };
-    let mut measured: Vec<Vec<Option<ServingStats>>> = vec![Vec::new(), Vec::new()];
-    for &rate in &rates {
-        for (ai, (name, cfg)) in arms.iter().enumerate() {
-            let stats = cfg.as_ref().and_then(|c| measure(c, rate));
-            match &stats {
-                Some(s) => t.row(vec![
-                    f1(rate),
-                    name.to_string(),
-                    ms(s.p50_latency_secs),
-                    ms(s.p99_latency_secs),
-                    f1(s.achieved_qps),
-                    s.max_queue_depth.to_string(),
-                    s.shed.to_string(),
-                    s.timeouts.to_string(),
-                ]),
-                None => t.row(vec![
-                    f1(rate),
-                    name.to_string(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                ]),
-            };
-            measured[ai].push(stats);
-        }
-    }
+    let measured: Vec<Vec<Option<ServingStats>>> = [&offline_cfg, &served_cfg]
+        .iter()
+        .map(|cfg| {
+            measure_ladder(cfg.as_ref(), &rates, profile.seed, |rate| {
+                ServingBackend::over_sim(&w, base_spec.at_rate(rate))
+            })
+        })
+        .collect();
+    let t = ladder_table(
+        &rates,
+        &[("offline-tuned", &measured[0]), ("serving-tuned", &measured[1])],
+        &[
+            ("p50 (ms)", |s| ms(s.p50_latency_secs)),
+            ("p99 (ms)", |s| ms(s.p99_latency_secs)),
+            ("achieved QPS", |s| f1(s.achieved_qps)),
+            ("max queue", |s| s.max_queue_depth.to_string()),
+            ("shed", |s| s.shed.to_string()),
+            ("timeouts", |s| s.timeouts.to_string()),
+        ],
+    );
     emit(
         "serving",
         &format!(
@@ -1040,7 +951,7 @@ pub fn serving(profile: &Profile) {
             top_rate
         ),
         &t,
-    );
+    )?;
 
     // Verdict: the serving-tuned config must beat the offline winner on
     // p99 at the top rate while holding QPS@0.9 within 10% — or the gap is
@@ -1085,48 +996,30 @@ pub fn serving(profile: &Profile) {
         _ => "an arm found no config above the recall floor".to_string(),
     };
     s.row(vec!["verdict".into(), verdict]);
-    emit("serving_verdict", "Serving-tuned vs offline-tuned (same budget, same seed)", &s);
+    emit("serving_verdict", "Serving-tuned vs offline-tuned (same budget, same seed)", &s)?;
 
-    let arm_json = |out: &TuningOutcome,
-                    best_qps: Option<f64>,
-                    cfg: &Option<VdmsConfig>,
-                    stats: &[Option<ServingStats>],
-                    slo_rejections: Option<usize>| {
+    let arm_json = |out: &TuningOutcome, stats: &[Option<ServingStats>], slo_arm: bool| {
+        let cfg = best_config(out, floor);
         let mut pairs = vec![
-            ("best_qps", JsonValue::opt_num(best_qps)),
-            ("best_config", cfg.as_ref().map_or(JsonValue::Null, |c| JsonValue::Str(c.summary()))),
+            ("best_qps", JsonValue::opt_num(out.best_qps_with_recall(floor))),
+            ("best_config", cfg.map_or(JsonValue::Null, |c| JsonValue::Str(c.summary()))),
             ("failed", JsonValue::Int(out.observations.iter().filter(|o| o.failed).count() as i64)),
             (
                 "measured",
-                JsonValue::Arr(
-                    rates
-                        .iter()
-                        .zip(stats)
-                        .map(|(&rate, s)| {
-                            let s = *s;
-                            JsonValue::obj(vec![
-                                ("rate", JsonValue::Num(rate)),
-                                (
-                                    "p50_ms",
-                                    JsonValue::opt_finite(s.map(|s| s.p50_latency_secs * 1_000.0)),
-                                ),
-                                (
-                                    "p99_ms",
-                                    JsonValue::opt_finite(s.map(|s| s.p99_latency_secs * 1_000.0)),
-                                ),
-                                ("achieved_qps", JsonValue::opt_finite(s.map(|s| s.achieved_qps))),
-                                (
-                                    "shed",
-                                    s.map_or(JsonValue::Null, |s| JsonValue::Int(s.shed as i64)),
-                                ),
-                            ])
-                        })
-                        .collect(),
+                measured_json(
+                    &rates,
+                    stats,
+                    &[
+                        ("p50_ms", |s| JsonValue::opt_finite(Some(s.p50_latency_secs * 1_000.0))),
+                        ("p99_ms", |s| JsonValue::opt_finite(Some(s.p99_latency_secs * 1_000.0))),
+                        ("achieved_qps", |s| JsonValue::opt_finite(Some(s.achieved_qps))),
+                        ("shed", |s| JsonValue::Int(s.shed as i64)),
+                    ],
                 ),
             ),
         ];
-        if let Some(r) = slo_rejections {
-            pairs.push(("slo_rejections", JsonValue::Int(r as i64)));
+        if slo_arm {
+            pairs.push(("slo_rejections", JsonValue::Int(out.slo_rejections() as i64)));
         }
         JsonValue::obj(pairs)
     };
@@ -1140,48 +1033,19 @@ pub fn serving(profile: &Profile) {
             ("recall_floor", JsonValue::Num(floor)),
             ("slo_p99_ms", JsonValue::Num(SERVING_SLO_P99_SECS * 1_000.0)),
             ("rates", JsonValue::Arr(rates.iter().map(|&r| JsonValue::Num(r)).collect())),
-            ("offline", arm_json(&offline, offline_best_qps, &offline_cfg, &measured[0], None)),
-            (
-                "serving",
-                arm_json(
-                    &served,
-                    served_best_qps,
-                    &served_cfg,
-                    &measured[1],
-                    Some(served.slo_rejections()),
-                ),
-            ),
+            ("offline", arm_json(&offline, &measured[0], false)),
+            ("serving", arm_json(&served, &measured[1], true)),
             (
                 "comparison",
                 JsonValue::obj(vec![
                     ("p99_ratio_at_max_rate", JsonValue::opt_finite(p99_ratio)),
                     ("qps_ratio", JsonValue::opt_finite(qps_ratio)),
-                    (
-                        "serving_wins_p99",
-                        p99_ratio.map_or(JsonValue::Null, |p| JsonValue::Bool(p < 1.0)),
-                    ),
-                    (
-                        "qps_within_10pct",
-                        qps_ratio.map_or(JsonValue::Null, |q| JsonValue::Bool(q >= 0.9)),
-                    ),
+                    ("serving_wins_p99", JsonValue::opt_bool(p99_ratio.map(|p| p < 1.0))),
+                    ("qps_within_10pct", JsonValue::opt_bool(qps_ratio.map(|q| q >= 0.9))),
                 ]),
             ),
         ]),
-    );
-}
-
-/// Bit-level fingerprint of a tuning history for the frozen-at-1
-/// replication check: the base configuration + shard request (the
-/// replication request is what differs by construction) and the exact
-/// feedback.
-fn replication_fingerprint(out: &TuningOutcome) -> Vec<(String, u64, u64, u64, bool)> {
-    out.observations
-        .iter()
-        .map(|o| {
-            let base = VdmsConfig { replicas: None, ..o.config };
-            (base.summary(), o.qps.to_bits(), o.recall.to_bits(), o.memory_gib.to_bits(), o.failed)
-        })
-        .collect()
+    )
 }
 
 /// Replica placement + routing (beyond the paper): 18-dimensional
@@ -1198,219 +1062,84 @@ fn replication_fingerprint(out: &TuningOutcome) -> Vec<(String, u64, u64, u64, b
 /// topology tuning history bit for bit. Written to
 /// `results/replication.json` (schema: `bench::report::emit_json`
 /// rustdoc) + CSVs, and smoked by the CI `repro-smoke` job.
-pub fn replication(profile: &Profile) {
+pub fn replication(profile: &Profile) -> io::Result<()> {
     let w = workload_for(DatasetKind::Glove);
-    let floor = 0.9;
     let max_shards = 4usize;
     let max_replicas = 8usize;
-    let fixed_rs = [1usize, 2];
+    let space17 = || SpaceSpec::with_topology(max_shards);
 
-    // The arrival ladder is anchored on the default configuration's
-    // offline QPS; the top rate is ~18× it — past what one or two replica
-    // groups of even the best-known config sustain (tuned GloVe configs
-    // reach ~3–6× the default's throughput, and a group's serving
-    // capacity is ~1.6× its offline QPS at 16 slots, so two groups top
-    // out near ~12× even at the frontier). The per-replica scheduler
-    // queue is deliberately short (32): a group running hot sheds under
-    // the spec's bursts — and the shed-charged percentiles now surface
-    // that as the tail it is — so meeting the SLO at the top rate takes
-    // *headroom*, which is exactly what read replicas buy.
-    let anchor = evaluate(&w, &VdmsConfig::default_config(), profile.seed).qps;
-    let rates: Vec<f64> = [4.5, 9.0, 18.0].iter().map(|m| m * anchor).collect();
-    let top_rate = rates[rates.len() - 1];
-    let base_spec = ServingSpec { queue_capacity: 32, ..ServingSpec::default() };
-    let tune_spec = base_spec.at_rate(top_rate).with_slo(SERVING_SLO_P99_SECS);
-
-    let backend = || {
-        ServingBackend::new(
-            &w,
-            TopologyBackend::with_replication(&w, max_shards, max_replicas),
-            tune_spec,
-        )
-    };
-    let run_arm = |spec: SpaceSpec| {
-        VdTuner::with_space(vdtuner_paper_options(profile.iters), spec, profile.seed)
-            .run_on(backend(), profile.iters)
-    };
-
-    // All five runs in parallel: the fixed-replica arms, the 18-dim
-    // co-tuned arm, and the 17-dim reference the frozen arm must
-    // reproduce bitwise.
-    enum Arm {
-        Fixed(usize),
-        CoTuned,
-        Reference17,
-    }
-    let arms: Vec<Arm> =
-        fixed_rs.iter().map(|&r| Arm::Fixed(r)).chain([Arm::CoTuned, Arm::Reference17]).collect();
-    let runs = run_parallel(arms, |arm| match arm {
-        Arm::Fixed(r) => run_arm(SpaceSpec::with_topology(max_shards).with_pinned_replication(*r)),
-        Arm::CoTuned => {
-            run_arm(SpaceSpec::with_topology(max_shards).with_replication(max_replicas))
-        }
-        Arm::Reference17 => VdTuner::with_space(
-            vdtuner_paper_options(profile.iters),
-            SpaceSpec::with_topology(max_shards),
-            profile.seed,
-        )
-        .run_on(
-            ServingBackend::new(&w, TopologyBackend::new(&w, max_shards), tune_spec),
-            profile.iters,
+    let run = CoTuning {
+        workload: &w,
+        max_shards,
+        max_replicas,
+        // The arrival ladder is anchored on the default configuration's
+        // offline QPS; the top rate is ~18× it — past what one or two
+        // replica groups of even the best-known config sustain (tuned
+        // GloVe configs reach ~3–6× the default's throughput, and a
+        // group's serving capacity is ~1.6× its offline QPS at 16 slots,
+        // so two groups top out near ~12× even at the frontier). The
+        // per-replica scheduler queue is deliberately short (32): a group
+        // running hot sheds under the spec's bursts — and the shed-charged
+        // percentiles now surface that as the tail it is — so meeting the
+        // SLO at the top rate takes *headroom*, which is exactly what read
+        // replicas buy.
+        ladder: [4.5, 9.0, 18.0],
+        base_spec: ServingSpec { queue_capacity: 32, ..ServingSpec::default() },
+        backend: TopologyBackend::with_replication,
+        fixed: [1usize, 2]
+            .iter()
+            .map(|&r| FixedArm {
+                name: format!("fixed {r}-replica"),
+                pin: "pinned 18-dim".into(),
+                space: space17().with_pinned_replication(r),
+                json: vec![("replicas".into(), JsonValue::Int(r as i64))],
+            })
+            .collect(),
+        cotuned: (
+            format!("co-tuned 1..={max_replicas} (18-dim)"),
+            space17().with_replication(max_replicas),
         ),
-    });
-    let fixed = &runs[..fixed_rs.len()];
-    let co = &runs[fixed_rs.len()];
-    let reference17 = &runs[fixed_rs.len() + 1];
-
-    // Frozen-at-1 contract, checked in-run: the fixed-1 arm *is* the
-    // 18-dim spec with `replicas` frozen at one copy, and must reproduce
-    // the 17-dim topology history bit for bit.
-    let frozen_matches_17dim =
-        replication_fingerprint(&fixed[0]) == replication_fingerprint(reference17);
-
-    // Measure every arm's deployable winner (best QPS@floor under the
-    // SLO) across the ladder, without an SLO — the raw tails.
-    let measure_backend = |rate: f64| {
-        ServingBackend::new(
-            &w,
-            TopologyBackend::with_replication(&w, max_shards, max_replicas),
-            base_spec.at_rate(rate),
-        )
-    };
-    let arm_names: Vec<String> = fixed_rs
-        .iter()
-        .map(|r| format!("fixed {r}-replica (pinned 18-dim)"))
-        .chain(std::iter::once(format!("co-tuned 1..={max_replicas} (18-dim)")))
-        .collect();
-    let arm_runs: Vec<&TuningOutcome> = fixed.iter().chain(std::iter::once(co)).collect();
-    let winners: Vec<Option<VdmsConfig>> =
-        arm_runs.iter().map(|out| best_config(out, floor)).collect();
-    let measured: Vec<Vec<Option<ServingStats>>> = winners
-        .iter()
-        .map(|cfg| {
-            rates
-                .iter()
-                .map(|&rate| {
-                    cfg.as_ref()
-                        .and_then(|c| measure_backend(rate).evaluate(c, profile.seed).serving)
-                })
-                .collect()
-        })
-        .collect();
-
-    let ms = |v: f64| if v.is_finite() { f1(v * 1_000.0) } else { "-".into() };
-    let mut t = Table::new(vec![
-        "arm",
-        "best QPS @0.9 (SLO'd)",
-        "lowest p99 @0.9 (ms)",
-        "SLO rejections",
-        "winner",
-    ]);
-    for (name, out) in arm_names.iter().zip(&arm_runs) {
-        let cfg = best_config(out, floor);
-        t.row(vec![
-            name.clone(),
-            out.best_qps_with_recall(floor).map_or("-".into(), f1),
-            out.best_p99_with_recall(floor).map_or("-".into(), ms),
-            format!("{}/{}", out.slo_rejections(), out.observations.len()),
-            cfg.map_or("-".into(), |c| c.summary()),
-        ]);
+        // Frozen-at-1 contract: the fixed-1 arm *is* the 18-dim spec with
+        // `replicas` frozen at one copy, and must reproduce the 17-dim
+        // topology history bit for bit.
+        reference: (space17(), |w, shards, _| TopologyBackend::new(w, shards)),
+        frozen_arm: 0,
+        strip: |c| VdmsConfig { replicas: None, ..c },
+        metric: P99_AT_TOP,
     }
+    .run(profile);
+
     emit(
         "replication",
-        &format!(
-            "Replication co-tuning: replicas as the 18th dimension, {} evals/run \
-             (GloVe, SLO p99 <= {:.0} ms at {:.0} req/s)",
-            profile.iters,
-            SERVING_SLO_P99_SECS * 1_000.0,
-            top_rate
-        ),
-        &t,
-    );
-
-    let mut lt = Table::new(vec![
-        "arrival rate (req/s)",
-        "arm",
-        "p50 (ms)",
-        "p99 (ms)",
-        "goodput",
-        "shed",
-        "timeouts",
-    ]);
-    for (ri, &rate) in rates.iter().enumerate() {
-        for (ai, name) in arm_names.iter().enumerate() {
-            match &measured[ai][ri] {
-                Some(s) => lt.row(vec![
-                    f1(rate),
-                    name.clone(),
-                    ms(s.p50_latency_secs),
-                    ms(s.p99_latency_secs),
-                    f1(s.goodput_qps),
-                    s.shed.to_string(),
-                    s.timeouts.to_string(),
-                ]),
-                None => lt.row(vec![
-                    f1(rate),
-                    name.clone(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                ]),
-            };
-        }
-    }
-    emit("replication_ladder", "Replication arms measured across the arrival ladder", &lt);
+        &run.title("Replication co-tuning: replicas as the 18th dimension", ""),
+        &run.arm_table(),
+    )?;
+    emit(
+        "replication_ladder",
+        "Replication arms measured across the arrival ladder",
+        &run.ladder_table(&LATENCY_LADDER),
+    )?;
 
     // Where did the co-tuner spend its budget across replica factors?
-    let mut hist = vec![0usize; max_replicas + 1];
-    for o in &co.observations {
-        hist[o.config.replicas.unwrap_or(1).min(max_replicas)] += 1;
-    }
-    let mut ht = Table::new(vec!["replicas", "evals", "best QPS @0.9 at this factor"]);
-    for r in 1..=max_replicas {
-        let best_at = co
-            .observations
-            .iter()
-            .filter(|o| !o.failed && o.recall >= floor && o.config.replicas == Some(r))
-            .map(|o| o.qps)
-            .fold(None::<f64>, |acc, q| Some(acc.map_or(q, |a| a.max(q))));
-        ht.row(vec![r.to_string(), hist[r].to_string(), best_at.map_or("-".into(), f1)]);
-    }
-    emit("replication_budget", "Replication co-tuning: evaluation budget per factor", &ht);
+    let (hist, ht) = budget_table(
+        &run.cotuned().outcome,
+        "replicas",
+        "factor",
+        (1..=max_replicas).map(|r| r.to_string()).collect(),
+        |c| c.replicas.unwrap_or(1).clamp(1, max_replicas) - 1,
+    );
+    emit("replication_budget", "Replication co-tuning: evaluation budget per factor", &ht)?;
 
     // Verdict: the co-tuned winner's measured p99 at the top rate against
     // each fixed arm's (an arm with no SLO-feasible winner counts as
     // beaten — it has nothing to deploy).
-    let p99_at_top = |ai: usize| -> Option<f64> {
-        measured[ai].last().and_then(|s| s.as_ref()).map(|s| s.p99_latency_secs)
-    };
-    let co_p99 = p99_at_top(fixed_rs.len());
-    let fixed_p99: Vec<Option<f64>> = (0..fixed_rs.len()).map(p99_at_top).collect();
-    let beats_all = co_p99.map(|c| {
-        fixed_p99.iter().all(|f| match f {
-            Some(f) => c < *f,
-            None => true,
-        })
-    });
-    let best_fixed_p99 = fixed_p99
-        .iter()
-        .flatten()
-        .copied()
-        .fold(None::<f64>, |acc, p| Some(acc.map_or(p, |a| a.min(p))));
-    let mut s = Table::new(vec!["metric", "value"]);
-    for (ai, &r) in fixed_rs.iter().enumerate() {
-        s.row(vec![
-            format!("p99 @ top rate: fixed {r}-replica"),
-            fixed_p99[ai].map_or("-".into(), ms),
-        ]);
-    }
-    s.row(vec!["p99 @ top rate: co-tuned".into(), co_p99.map_or("-".into(), ms)]);
-    s.row(vec!["frozen-at-1 ≡ 17-dim (bitwise)".into(), frozen_matches_17dim.to_string()]);
+    let (co_p99, beats_all) = (run.cotuned().top, run.cotuned_beats_all());
+    let mut s = run.verdict_table();
+    s.row(vec!["frozen-at-1 ≡ 17-dim (bitwise)".into(), run.frozen_matches.to_string()]);
     let verdict = match (co_p99, beats_all) {
         (Some(c), Some(true)) => {
-            let chosen = best_config(co, floor)
+            let chosen = run
+                .winner()
                 .map(|cfg| {
                     format!(
                         "{} shards x {} replicas",
@@ -1422,122 +1151,18 @@ pub fn replication(profile: &Profile) {
             format!("co-tuned ({chosen}) beats every fixed arm on p99 at the top rate ({})", ms(c))
         }
         (Some(_), Some(false)) => "co-tuning does not beat every fixed arm — reported as-is".into(),
-        _ => "the co-tuned arm found no SLO-feasible config — reported as-is".into(),
+        _ => NO_FEASIBLE_COTUNED.into(),
     };
     s.row(vec!["verdict".into(), verdict]);
-    emit("replication_verdict", "Replication co-tuning vs fixed-replica arms (same budget)", &s);
+    emit("replication_verdict", "Replication co-tuning vs fixed-replica arms (same budget)", &s)?;
 
-    let arm_pairs = |out: &TuningOutcome,
-                     stats: &[Option<ServingStats>]|
-     -> Vec<(String, JsonValue)> {
-        vec![
-            ("best_qps".into(), JsonValue::opt_num(out.best_qps_with_recall(floor))),
-            (
-                "best_p99_ms".into(),
-                JsonValue::opt_finite(out.best_p99_with_recall(floor).map(|p| p * 1_000.0)),
-            ),
-            (
-                "best_config".into(),
-                best_config(out, floor).map_or(JsonValue::Null, |c| JsonValue::Str(c.summary())),
-            ),
-            ("slo_rejections".into(), JsonValue::Int(out.slo_rejections() as i64)),
-            (
-                "failed".into(),
-                JsonValue::Int(out.observations.iter().filter(|o| o.failed).count() as i64),
-            ),
-            (
-                "measured".into(),
-                JsonValue::Arr(
-                    rates
-                        .iter()
-                        .zip(stats)
-                        .map(|(&rate, s)| {
-                            let s = *s;
-                            JsonValue::obj(vec![
-                                ("rate", JsonValue::Num(rate)),
-                                (
-                                    "p99_ms",
-                                    JsonValue::opt_finite(s.map(|s| s.p99_latency_secs * 1_000.0)),
-                                ),
-                                ("goodput_qps", JsonValue::opt_finite(s.map(|s| s.goodput_qps))),
-                                (
-                                    "shed",
-                                    s.map_or(JsonValue::Null, |s| JsonValue::Int(s.shed as i64)),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]
-    };
-    emit_json(
-        "replication",
-        &JsonValue::obj(vec![
-            ("experiment", JsonValue::Str("replication".into())),
-            ("dataset", JsonValue::Str("GloVe".into())),
-            ("iters_per_run", JsonValue::Int(profile.iters as i64)),
-            ("seed", JsonValue::Int(profile.seed as i64)),
-            ("recall_floor", JsonValue::Num(floor)),
-            ("slo_p99_ms", JsonValue::Num(SERVING_SLO_P99_SECS * 1_000.0)),
-            ("max_shards", JsonValue::Int(max_shards as i64)),
-            ("max_replicas", JsonValue::Int(max_replicas as i64)),
-            ("rates", JsonValue::Arr(rates.iter().map(|&r| JsonValue::Num(r)).collect())),
-            (
-                "fixed",
-                JsonValue::Arr(
-                    fixed_rs
-                        .iter()
-                        .enumerate()
-                        .map(|(ai, &r)| {
-                            let mut pairs =
-                                vec![("replicas".to_string(), JsonValue::Int(r as i64))];
-                            pairs.extend(arm_pairs(&fixed[ai], &measured[ai]));
-                            JsonValue::obj(pairs)
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "cotuned",
-                JsonValue::obj({
-                    let mut pairs = arm_pairs(co, &measured[fixed_rs.len()]);
-                    pairs.push((
-                        "replica_histogram".into(),
-                        JsonValue::Arr(
-                            (1..=max_replicas).map(|r| JsonValue::Int(hist[r] as i64)).collect(),
-                        ),
-                    ));
-                    pairs
-                }),
-            ),
-            ("frozen_matches_17dim", JsonValue::Bool(frozen_matches_17dim)),
-            (
-                "comparison",
-                JsonValue::obj(vec![
-                    (
-                        "best_fixed_p99_ms_at_top",
-                        JsonValue::opt_finite(best_fixed_p99.map(|p| p * 1_000.0)),
-                    ),
-                    ("cotuned_p99_ms_at_top", JsonValue::opt_finite(co_p99.map(|p| p * 1_000.0))),
-                    ("cotuned_beats_all_fixed", beats_all.map_or(JsonValue::Null, JsonValue::Bool)),
-                ]),
-            ),
-        ]),
-    );
-}
-
-/// Bit-level fingerprint for the frozen-at-Shared pinning check: the base
-/// configuration + topology/replication requests (the pinning request is
-/// what differs by construction) and the exact feedback.
-fn pinning_fingerprint(out: &TuningOutcome) -> Vec<(String, u64, u64, u64, bool)> {
-    out.observations
-        .iter()
-        .map(|o| {
-            let base = VdmsConfig { pinning: None, ..o.config };
-            (base.summary(), o.qps.to_bits(), o.recall.to_bits(), o.memory_gib.to_bits(), o.failed)
-        })
-        .collect()
+    let mut doc = vec![("experiment".to_string(), JsonValue::Str("replication".into()))];
+    doc.extend(run.json_head());
+    doc.extend(run.json_arms("frozen_matches_17dim", ("replica_histogram", int_array(&hist)), &[]));
+    let mut comparison = run.json_top();
+    comparison.push(("cotuned_beats_all_fixed".into(), JsonValue::opt_bool(beats_all)));
+    doc.push(("comparison".into(), JsonValue::Obj(comparison)));
+    emit_json("replication", &JsonValue::Obj(doc))
 }
 
 /// Shard reactors + NUMA/affinity-aware pinning (beyond the paper):
@@ -1559,8 +1184,7 @@ fn pinning_fingerprint(out: &TuningOutcome) -> Vec<(String, u64, u64, u64, bool)
 /// history bit for bit. Written to `results/reactors.json` (schema:
 /// `bench::report::emit_json` rustdoc) + CSVs, and smoked by the CI
 /// `repro-smoke` job.
-pub fn reactors(profile: &Profile) {
-    let floor = 0.9;
+pub fn reactors(profile: &Profile) -> io::Result<()> {
     let max_shards = 4usize;
     let max_replicas = 2usize;
 
@@ -1603,280 +1227,135 @@ pub fn reactors(profile: &Profile) {
         if solo_mdps > 0.0 { f1(solo_mdps) } else { "-".into() },
         if solo_mdps > 0.0 { "measured".into() } else { "-".into() },
     ]);
-    for (name, v, s) in [
-        ("penalty: same-core SMT scan", penalties.same_core_smt, sources[0]),
-        ("penalty: same-socket handoff", penalties.same_socket, sources[1]),
-        ("penalty: cross-socket handoff", penalties.cross_socket, sources[2]),
-    ] {
+    let entries = [
+        ("same_core_smt", "penalty: same-core SMT scan", penalties.same_core_smt, sources[0]),
+        ("same_socket", "penalty: same-socket handoff", penalties.same_socket, sources[1]),
+        ("cross_socket", "penalty: cross-socket handoff", penalties.cross_socket, sources[2]),
+    ];
+    for (_, name, v, s) in entries {
         ct.row(vec![name.into(), f3(v), s.name().into()]);
     }
-    emit("reactors_calibration", "Pinned-replay calibration of the reactor penalty surface", &ct);
+    emit("reactors_calibration", "Pinned-replay calibration of the reactor penalty surface", &ct)?;
 
     // The calibration fragment is written *before* tuning so the
     // calibrated cost model below prices reactors with this host's
     // surface; the full document (same penalties) replaces it at the end.
-    let topology_json = || {
-        JsonValue::obj(vec![
-            ("sockets", JsonValue::Int(topology.sockets as i64)),
-            ("cores_per_socket", JsonValue::Int(topology.cores_per_socket as i64)),
-            ("smt", JsonValue::Int(topology.smt as i64)),
-        ])
-    };
-    let penalties_json = || {
-        JsonValue::obj(vec![
-            ("same_core_smt", JsonValue::Num(penalties.same_core_smt)),
-            ("same_socket", JsonValue::Num(penalties.same_socket)),
-            ("cross_socket", JsonValue::Num(penalties.cross_socket)),
-        ])
-    };
-    let sources_json = || {
-        JsonValue::obj(vec![
-            ("same_core_smt", JsonValue::Str(sources[0].name().into())),
-            ("same_socket", JsonValue::Str(sources[1].name().into())),
-            ("cross_socket", JsonValue::Str(sources[2].name().into())),
-        ])
-    };
-    let host_json = || {
-        JsonValue::obj(vec![
-            ("logical_cpus", JsonValue::Int(logical_cpus as i64)),
-            ("pinning_works", JsonValue::Bool(pinning_works)),
-            ("solo_scan_mdps", JsonValue::opt_finite((solo_mdps > 0.0).then_some(solo_mdps))),
-        ])
-    };
-    let calibration_pairs = || {
-        vec![
-            ("experiment".to_string(), JsonValue::Str("reactors".into())),
-            ("calibration_source".into(), JsonValue::Str(calibration_source.into())),
-            ("topology".into(), topology_json()),
-            ("penalties".into(), penalties_json()),
-            ("penalty_sources".into(), sources_json()),
-            ("host".into(), host_json()),
-        ]
-    };
-    emit_json("reactors", &JsonValue::obj(calibration_pairs()));
+    let calibration: Vec<(String, JsonValue)> = vec![
+        ("experiment".into(), JsonValue::Str("reactors".into())),
+        ("calibration_source".into(), JsonValue::Str(calibration_source.into())),
+        (
+            "topology".into(),
+            JsonValue::obj(vec![
+                ("sockets", JsonValue::Int(topology.sockets as i64)),
+                ("cores_per_socket", JsonValue::Int(topology.cores_per_socket as i64)),
+                ("smt", JsonValue::Int(topology.smt as i64)),
+            ]),
+        ),
+        (
+            "penalties".into(),
+            JsonValue::obj(entries.iter().map(|e| (e.0, JsonValue::Num(e.2))).collect()),
+        ),
+        (
+            "penalty_sources".into(),
+            JsonValue::obj(
+                entries.iter().map(|e| (e.0, JsonValue::Str(e.3.name().into()))).collect(),
+            ),
+        ),
+        (
+            "host".into(),
+            JsonValue::obj(vec![
+                ("logical_cpus", JsonValue::Int(logical_cpus as i64)),
+                ("pinning_works", JsonValue::Bool(pinning_works)),
+                ("solo_scan_mdps", JsonValue::opt_finite((solo_mdps > 0.0).then_some(solo_mdps))),
+            ]),
+        ),
+    ];
+    emit_json("reactors", &JsonValue::Obj(calibration.clone()))?;
 
     // --- Phase 2: co-tune the pinning policy with the calibrated model ----
     let mut w = workload_for(DatasetKind::Glove);
     w.cost_model = CostModel::calibrated();
+    let space18 = || SpaceSpec::with_topology(max_shards).with_replication(max_replicas);
 
-    // Same ladder construction as the replication experiment, but with the
-    // replication escape valve capped at 2 copies: at ~12× the default
-    // config's offline QPS the cluster runs hot enough that reactor
-    // placement — how many queues a node runs and which penalty every scan
-    // and handoff pays — decides whether the tail meets the SLO.
-    let anchor = evaluate(&w, &VdmsConfig::default_config(), profile.seed).qps;
-    let rates: Vec<f64> = [3.0, 6.0, 12.0].iter().map(|m| m * anchor).collect();
-    let top_rate = rates[rates.len() - 1];
-    let base_spec = ServingSpec { queue_capacity: 32, ..ServingSpec::default() };
-    let tune_spec = base_spec.at_rate(top_rate).with_slo(SERVING_SLO_P99_SECS);
-
-    let backend = || {
-        ServingBackend::new(
-            &w,
-            TopologyBackend::with_pinning(&w, max_shards, max_replicas),
-            tune_spec,
-        )
-    };
-    let run_arm = |spec: SpaceSpec| {
-        VdTuner::with_space(vdtuner_paper_options(profile.iters), spec, profile.seed)
-            .run_on(backend(), profile.iters)
-    };
-    let space = || SpaceSpec::with_topology(max_shards).with_replication(max_replicas);
-
-    // All six runs in parallel: the four fixed-policy arms, the 19-dim
-    // co-tuned arm, and the 18-dim reference the frozen arm must
-    // reproduce bitwise.
-    enum Arm {
-        Fixed(PinningPolicy),
-        CoTuned,
-        Reference18,
+    let run = CoTuning {
+        workload: &w,
+        max_shards,
+        max_replicas,
+        // Same ladder construction as the replication experiment, but with
+        // the replication escape valve capped at 2 copies: at ~12× the
+        // default config's offline QPS the cluster runs hot enough that
+        // reactor placement — how many queues a node runs and which
+        // penalty every scan and handoff pays — decides whether the tail
+        // meets the SLO.
+        ladder: [3.0, 6.0, 12.0],
+        base_spec: ServingSpec { queue_capacity: 32, ..ServingSpec::default() },
+        backend: TopologyBackend::with_pinning,
+        fixed: PinningPolicy::ALL
+            .iter()
+            .map(|&p| FixedArm {
+                name: format!("fixed {}", p.name()),
+                pin: "pinned 19-dim".into(),
+                space: space18().with_pinned_pinning(p),
+                json: vec![("policy".into(), JsonValue::Str(p.name().into()))],
+            })
+            .collect(),
+        cotuned: ("co-tuned policy (19-dim)".into(), space18().with_pinning()),
+        // Frozen-at-Shared contract: the fixed-shared arm *is* the 19-dim
+        // spec with `pinning` frozen at the legacy slot pool, and must
+        // reproduce the 18-dim replication history bit for bit.
+        reference: (space18(), TopologyBackend::with_replication),
+        frozen_arm: 0,
+        strip: |c| VdmsConfig { pinning: None, ..c },
+        metric: P99_AT_TOP,
     }
-    let arms: Vec<Arm> = PinningPolicy::ALL
-        .iter()
-        .map(|&p| Arm::Fixed(p))
-        .chain([Arm::CoTuned, Arm::Reference18])
-        .collect();
-    let runs = run_parallel(arms, |arm| match arm {
-        Arm::Fixed(p) => run_arm(space().with_pinned_pinning(*p)),
-        Arm::CoTuned => run_arm(space().with_pinning()),
-        Arm::Reference18 => {
-            VdTuner::with_space(vdtuner_paper_options(profile.iters), space(), profile.seed).run_on(
-                ServingBackend::new(
-                    &w,
-                    TopologyBackend::with_replication(&w, max_shards, max_replicas),
-                    tune_spec,
-                ),
-                profile.iters,
-            )
-        }
-    });
-    let fixed = &runs[..PinningPolicy::ALL.len()];
-    let co = &runs[PinningPolicy::ALL.len()];
-    let reference18 = &runs[PinningPolicy::ALL.len() + 1];
+    .run(profile);
 
-    // Frozen-at-Shared contract, checked in-run: the fixed-shared arm *is*
-    // the 19-dim spec with `pinning` frozen at the legacy slot pool, and
-    // must reproduce the 18-dim replication history bit for bit.
-    let frozen_matches_18dim = pinning_fingerprint(&fixed[0]) == pinning_fingerprint(reference18);
-
-    // Measure every arm's deployable winner (best QPS@floor under the
-    // SLO) across the ladder, without an SLO — the raw tails.
-    let measure_backend = |rate: f64| {
-        ServingBackend::new(
-            &w,
-            TopologyBackend::with_pinning(&w, max_shards, max_replicas),
-            base_spec.at_rate(rate),
-        )
-    };
-    let arm_names: Vec<String> = PinningPolicy::ALL
-        .iter()
-        .map(|p| format!("fixed {} (pinned 19-dim)", p.name()))
-        .chain(std::iter::once("co-tuned policy (19-dim)".to_string()))
-        .collect();
-    let arm_runs: Vec<&TuningOutcome> = fixed.iter().chain(std::iter::once(co)).collect();
-    let winners: Vec<Option<VdmsConfig>> =
-        arm_runs.iter().map(|out| best_config(out, floor)).collect();
-    let measured: Vec<Vec<Option<ServingStats>>> = winners
-        .iter()
-        .map(|cfg| {
-            rates
-                .iter()
-                .map(|&rate| {
-                    cfg.as_ref()
-                        .and_then(|c| measure_backend(rate).evaluate(c, profile.seed).serving)
-                })
-                .collect()
-        })
-        .collect();
-
-    let ms = |v: f64| if v.is_finite() { f1(v * 1_000.0) } else { "-".into() };
-    let mut t = Table::new(vec![
-        "arm",
-        "best QPS @0.9 (SLO'd)",
-        "lowest p99 @0.9 (ms)",
-        "SLO rejections",
-        "winner",
-    ]);
-    for (name, out) in arm_names.iter().zip(&arm_runs) {
-        let cfg = best_config(out, floor);
-        t.row(vec![
-            name.clone(),
-            out.best_qps_with_recall(floor).map_or("-".into(), f1),
-            out.best_p99_with_recall(floor).map_or("-".into(), ms),
-            format!("{}/{}", out.slo_rejections(), out.observations.len()),
-            cfg.map_or("-".into(), |c| c.summary()),
-        ]);
-    }
     emit(
         "reactors",
-        &format!(
-            "Reactor pinning co-tuning: policy as the 19th dimension, {} evals/run \
-             (GloVe, penalties {}, SLO p99 <= {:.0} ms at {:.0} req/s)",
-            profile.iters,
-            calibration_source,
-            SERVING_SLO_P99_SECS * 1_000.0,
-            top_rate
+        &run.title(
+            "Reactor pinning co-tuning: policy as the 19th dimension",
+            &format!("penalties {calibration_source}"),
         ),
-        &t,
-    );
-
-    let mut lt = Table::new(vec![
-        "arrival rate (req/s)",
-        "arm",
-        "p50 (ms)",
-        "p99 (ms)",
-        "goodput",
-        "shed",
-        "timeouts",
-    ]);
-    for (ri, &rate) in rates.iter().enumerate() {
-        for (ai, name) in arm_names.iter().enumerate() {
-            match &measured[ai][ri] {
-                Some(s) => lt.row(vec![
-                    f1(rate),
-                    name.clone(),
-                    ms(s.p50_latency_secs),
-                    ms(s.p99_latency_secs),
-                    f1(s.goodput_qps),
-                    s.shed.to_string(),
-                    s.timeouts.to_string(),
-                ]),
-                None => lt.row(vec![
-                    f1(rate),
-                    name.clone(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                ]),
-            };
-        }
-    }
-    emit("reactors_ladder", "Pinning arms measured across the arrival ladder", &lt);
+        &run.arm_table(),
+    )?;
+    emit(
+        "reactors_ladder",
+        "Pinning arms measured across the arrival ladder",
+        &run.ladder_table(&LATENCY_LADDER),
+    )?;
 
     // Where did the co-tuner spend its budget across policies?
-    let mut hist = [0usize; 4];
-    for o in &co.observations {
-        hist[o.config.pinning.unwrap_or_default().ordinal()] += 1;
-    }
-    let mut ht = Table::new(vec!["policy", "evals", "best QPS @0.9 at this policy"]);
-    for p in PinningPolicy::ALL {
-        let best_at = co
-            .observations
-            .iter()
-            .filter(|o| !o.failed && o.recall >= floor && o.config.pinning == Some(p))
-            .map(|o| o.qps)
-            .fold(None::<f64>, |acc, q| Some(acc.map_or(q, |a| a.max(q))));
-        ht.row(vec![
-            p.name().to_string(),
-            hist[p.ordinal()].to_string(),
-            best_at.map_or("-".into(), f1),
-        ]);
-    }
-    emit("reactors_budget", "Pinning co-tuning: evaluation budget per policy", &ht);
+    let (hist, ht) = budget_table(
+        &run.cotuned().outcome,
+        "policy",
+        "policy",
+        PinningPolicy::ALL.iter().map(|p| p.name().to_string()).collect(),
+        |c| c.pinning.unwrap_or_default().ordinal(),
+    );
+    emit("reactors_budget", "Pinning co-tuning: evaluation budget per policy", &ht)?;
 
     // Verdict against the *best* fixed arm, on either axis the issue cares
     // about: tuned QPS@0.9 under the SLO, or measured p99 at the top rate.
-    let p99_at_top = |ai: usize| -> Option<f64> {
-        measured[ai].last().and_then(|s| s.as_ref()).map(|s| s.p99_latency_secs)
-    };
-    let co_p99 = p99_at_top(PinningPolicy::ALL.len());
-    let fixed_p99: Vec<Option<f64>> = (0..PinningPolicy::ALL.len()).map(p99_at_top).collect();
-    let best_fixed_p99 = fixed_p99
+    let co_qps = run.cotuned().outcome.best_qps_with_recall(RECALL_FLOOR);
+    let best_fixed_qps = run
+        .fixed()
         .iter()
-        .flatten()
-        .copied()
-        .fold(None::<f64>, |acc, p| Some(acc.map_or(p, |a| a.min(p))));
-    let co_qps = co.best_qps_with_recall(floor);
-    let best_fixed_qps = fixed
-        .iter()
-        .filter_map(|out| out.best_qps_with_recall(floor))
-        .fold(None::<f64>, |acc, q| Some(acc.map_or(q, |a| a.max(q))));
+        .filter_map(|arm| arm.outcome.best_qps_with_recall(RECALL_FLOOR))
+        .reduce(f64::max);
     let beats_qps = match (co_qps, best_fixed_qps) {
         (Some(c), Some(f)) => Some(c > f),
         (Some(_), None) => Some(true),
         _ => None,
     };
-    let beats_p99 = match (co_p99, best_fixed_p99) {
-        (Some(c), Some(f)) => Some(c < f),
-        (Some(_), None) => Some(true),
-        _ => None,
-    };
-    let mut s = Table::new(vec!["metric", "value"]);
-    for (ai, p) in PinningPolicy::ALL.iter().enumerate() {
-        s.row(vec![
-            format!("p99 @ top rate: fixed {}", p.name()),
-            fixed_p99[ai].map_or("-".into(), ms),
-        ]);
-    }
-    s.row(vec!["p99 @ top rate: co-tuned".into(), co_p99.map_or("-".into(), ms)]);
+    let beats_p99 = run.cotuned_beats_all();
+    let mut s = run.verdict_table();
     s.row(vec!["best fixed QPS @0.9".into(), best_fixed_qps.map_or("-".into(), f1)]);
     s.row(vec!["co-tuned QPS @0.9".into(), co_qps.map_or("-".into(), f1)]);
-    s.row(vec!["frozen-at-shared ≡ 18-dim (bitwise)".into(), frozen_matches_18dim.to_string()]);
+    s.row(vec!["frozen-at-shared ≡ 18-dim (bitwise)".into(), run.frozen_matches.to_string()]);
     let verdict = match (beats_qps, beats_p99) {
         (Some(true), _) | (_, Some(true)) => {
-            let chosen = best_config(co, floor)
+            let chosen = run
+                .winner()
                 .map(|cfg| format!("pinning={}", cfg.pinning.unwrap_or_default().name()))
                 .unwrap_or_default();
             let axis = if beats_qps == Some(true) { "QPS@0.9" } else { "p99 at the top rate" };
@@ -1885,125 +1364,34 @@ pub fn reactors(profile: &Profile) {
         (Some(false), Some(false)) => {
             "co-tuning does not beat the best fixed arm — reported as-is".into()
         }
-        _ => "the co-tuned arm found no SLO-feasible config — reported as-is".into(),
+        _ => NO_FEASIBLE_COTUNED.into(),
     };
     s.row(vec!["verdict".into(), verdict]);
-    emit("reactors_verdict", "Pinning co-tuning vs fixed-policy arms (same budget)", &s);
+    emit("reactors_verdict", "Pinning co-tuning vs fixed-policy arms (same budget)", &s)?;
 
-    let arm_pairs = |out: &TuningOutcome,
-                     stats: &[Option<ServingStats>]|
-     -> Vec<(String, JsonValue)> {
-        vec![
-            ("best_qps".into(), JsonValue::opt_num(out.best_qps_with_recall(floor))),
-            (
-                "best_p99_ms".into(),
-                JsonValue::opt_finite(out.best_p99_with_recall(floor).map(|p| p * 1_000.0)),
-            ),
-            (
-                "best_config".into(),
-                best_config(out, floor).map_or(JsonValue::Null, |c| JsonValue::Str(c.summary())),
-            ),
-            ("slo_rejections".into(), JsonValue::Int(out.slo_rejections() as i64)),
-            (
-                "failed".into(),
-                JsonValue::Int(out.observations.iter().filter(|o| o.failed).count() as i64),
-            ),
-            (
-                "measured".into(),
-                JsonValue::Arr(
-                    rates
-                        .iter()
-                        .zip(stats)
-                        .map(|(&rate, s)| {
-                            let s = *s;
-                            JsonValue::obj(vec![
-                                ("rate", JsonValue::Num(rate)),
-                                (
-                                    "p99_ms",
-                                    JsonValue::opt_finite(s.map(|s| s.p99_latency_secs * 1_000.0)),
-                                ),
-                                ("goodput_qps", JsonValue::opt_finite(s.map(|s| s.goodput_qps))),
-                                (
-                                    "shed",
-                                    s.map_or(JsonValue::Null, |s| JsonValue::Int(s.shed as i64)),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]
-    };
-    let mut doc = calibration_pairs();
-    doc.extend([
-        // What the tuning phase actually priced with: `Measured` here
-        // means [`CostModel::calibrated`] read back the penalty surface
-        // this experiment's phase 1 wrote (per-entry provenance above).
-        (
-            "tuning_penalty_source".to_string(),
-            JsonValue::Str(w.cost_model.penalty_source.name().into()),
-        ),
-        ("dataset".into(), JsonValue::Str("GloVe".into())),
-        ("iters_per_run".into(), JsonValue::Int(profile.iters as i64)),
-        ("seed".into(), JsonValue::Int(profile.seed as i64)),
-        ("recall_floor".into(), JsonValue::Num(floor)),
-        ("slo_p99_ms".into(), JsonValue::Num(SERVING_SLO_P99_SECS * 1_000.0)),
-        ("max_shards".into(), JsonValue::Int(max_shards as i64)),
-        ("max_replicas".into(), JsonValue::Int(max_replicas as i64)),
-        ("rates".into(), JsonValue::Arr(rates.iter().map(|&r| JsonValue::Num(r)).collect())),
-        (
-            "fixed".into(),
-            JsonValue::Arr(
-                PinningPolicy::ALL
-                    .iter()
-                    .enumerate()
-                    .map(|(ai, p)| {
-                        let mut pairs =
-                            vec![("policy".to_string(), JsonValue::Str(p.name().into()))];
-                        pairs.extend(arm_pairs(&fixed[ai], &measured[ai]));
-                        JsonValue::obj(pairs)
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "cotuned".into(),
-            JsonValue::obj({
-                let mut pairs = arm_pairs(co, &measured[PinningPolicy::ALL.len()]);
-                pairs.push((
-                    "policy_histogram".into(),
-                    JsonValue::Arr(hist.iter().map(|&n| JsonValue::Int(n as i64)).collect()),
-                ));
-                pairs
-            }),
-        ),
-        ("frozen_matches_18dim".into(), JsonValue::Bool(frozen_matches_18dim)),
-        (
-            "comparison".into(),
-            JsonValue::obj(vec![
-                (
-                    "best_fixed_p99_ms_at_top",
-                    JsonValue::opt_finite(best_fixed_p99.map(|p| p * 1_000.0)),
-                ),
-                ("cotuned_p99_ms_at_top", JsonValue::opt_finite(co_p99.map(|p| p * 1_000.0))),
-                ("best_fixed_qps", JsonValue::opt_finite(best_fixed_qps)),
-                ("cotuned_qps", JsonValue::opt_finite(co_qps)),
-                (
-                    "cotuned_beats_best_fixed_qps",
-                    beats_qps.map_or(JsonValue::Null, JsonValue::Bool),
-                ),
-                (
-                    "cotuned_beats_best_fixed_p99",
-                    beats_p99.map_or(JsonValue::Null, JsonValue::Bool),
-                ),
-            ]),
-        ),
+    let mut doc = calibration;
+    // What the tuning phase actually priced with: `Measured` here means
+    // [`CostModel::calibrated`] read back the penalty surface this
+    // experiment's phase 1 wrote (per-entry provenance above).
+    doc.push((
+        "tuning_penalty_source".to_string(),
+        JsonValue::Str(w.cost_model.penalty_source.name().into()),
+    ));
+    doc.extend(run.json_head());
+    doc.extend(run.json_arms("frozen_matches_18dim", ("policy_histogram", int_array(&hist)), &[]));
+    let mut comparison = run.json_top();
+    comparison.extend([
+        ("best_fixed_qps".into(), JsonValue::opt_finite(best_fixed_qps)),
+        ("cotuned_qps".into(), JsonValue::opt_finite(co_qps)),
+        ("cotuned_beats_best_fixed_qps".into(), JsonValue::opt_bool(beats_qps)),
+        ("cotuned_beats_best_fixed_p99".into(), JsonValue::opt_bool(beats_p99)),
     ]);
-    emit_json("reactors", &JsonValue::obj(doc));
+    doc.push(("comparison".into(), JsonValue::Obj(comparison)));
+    emit_json("reactors", &JsonValue::Obj(doc))
 }
 
 /// §V-E scalability: deep-image (10× GloVe) — VDTuner vs qEHVI.
-pub fn scale(profile: &Profile) {
+pub fn scale(profile: &Profile) -> io::Result<()> {
     let w = workload_for(DatasetKind::DeepImage);
     let methods = vec![Method::VdTuner, Method::Qehvi];
     let outs =
@@ -2036,7 +1424,7 @@ pub fn scale(profile: &Profile) {
             vd_secs.map_or("-".into(), |s| format!("{:.1}x faster", qe_secs / s.max(1e-9))),
         ]);
     }
-    emit("scale", "Scalability (§V-E): deep-image, VDTuner vs qEHVI", &t);
+    emit("scale", "Scalability (§V-E): deep-image, VDTuner vs qEHVI", &t)
 }
 
 /// One timed kernel measurement: median-of-reps wall-clock throughput in
@@ -2069,7 +1457,7 @@ fn ns_per_dim(mdps: f64) -> f64 {
 /// `results/kernels.json` (schema: `bench::report::emit_json` rustdoc),
 /// which [`vdms::CostModel::calibrated`] reads back; smoked by the CI
 /// `repro-smoke` job on every PR.
-pub fn kernels(profile: &Profile) {
+pub fn kernels(profile: &Profile) -> io::Result<()> {
     use anns::ivf_pq::ProductQuantizer;
     use anns::ivf_sq8::ScalarQuantizer;
     use vecdata::ground_truth::{recall, TopK};
@@ -2085,6 +1473,11 @@ pub fn kernels(profile: &Profile) {
     let dims = [16usize, 48, 96, 128, 200];
     let metrics = ["l2", "dot", "angular"];
     let mut t = Table::new(vec!["metric", "dim", "scalar Mdim/s", "dispatched Mdim/s", "speedup"]);
+    // Every measurement row: what ran, its width, baseline and contender
+    // throughput, and the ratio with its context.
+    let mut row = |what: &str, width: usize, base: f64, new: f64, note: String| {
+        t.row(vec![what.to_string(), width.to_string(), f1(base), f1(new), note]);
+    };
     let mut f32_rows: Vec<JsonValue> = Vec::new();
     for (mi, &metric) in metrics.iter().enumerate() {
         for (di, &dim) in dims.iter().enumerate() {
@@ -2118,13 +1511,7 @@ pub fn kernels(profile: &Profile) {
             };
             let s = run(scalar);
             let d = run(dispatched);
-            t.row(vec![
-                metric.to_string(),
-                dim.to_string(),
-                f1(s),
-                f1(d),
-                format!("{:.2}x", d / s.max(1e-9)),
-            ]);
+            row(metric, dim, s, d, format!("{:.2}x", d / s.max(1e-9)));
             f32_rows.push(JsonValue::obj(vec![
                 ("metric", JsonValue::Str(metric.into())),
                 ("dim", JsonValue::Int(dim as i64)),
@@ -2173,13 +1560,8 @@ pub fn kernels(profile: &Profile) {
     let f32_mdps = f32_acc / n_queries as f64;
     let sq8_mdps = sq8_acc / n_queries as f64;
     let recall_sq8 = recall_acc / n_queries as f64;
-    t.row(vec![
-        "sq8 scan".to_string(),
-        dim.to_string(),
-        f1(f32_mdps),
-        f1(sq8_mdps),
-        format!("{:.2}x (recall {:.3})", sq8_mdps / f32_mdps.max(1e-9), recall_sq8),
-    ]);
+    let sq8_note = format!("{:.2}x (recall {:.3})", sq8_mdps / f32_mdps.max(1e-9), recall_sq8);
+    row("sq8 scan", dim, f32_mdps, sq8_mdps, sq8_note);
 
     // --- PQ ADC lookups (for the third calibration constant). ---
     let mut stats = anns::BuildStats::default();
@@ -2243,27 +1625,11 @@ pub fn kernels(profile: &Profile) {
     let fast_sym_mdps = fast_sym_acc / n_queries as f64;
     let recall_sym = recall_sym_acc / n_queries as f64;
     let sq8_fast_speedup = fast_sym_mdps / fast_f32_mdps.max(1e-9);
-    t.row(vec![
-        "fast f32 scan".to_string(),
-        dim.to_string(),
-        f1(f32_mdps),
-        f1(fast_f32_mdps),
-        format!("{:.2}x vs exact", fast_f32_mdps / f32_mdps.max(1e-9)),
-    ]);
-    t.row(vec![
-        "fast sq8 asym".to_string(),
-        dim.to_string(),
-        f1(sq8_mdps),
-        f1(fast_asym_mdps),
-        format!("{:.2}x vs exact", fast_asym_mdps / sq8_mdps.max(1e-9)),
-    ]);
-    t.row(vec![
-        "fast sq8 sym".to_string(),
-        dim.to_string(),
-        f1(fast_f32_mdps),
-        f1(fast_sym_mdps),
-        format!("{sq8_fast_speedup:.2}x vs fast f32 (recall {recall_sym:.3})"),
-    ]);
+    let vs_exact = |fast: f64, exact: f64| format!("{:.2}x vs exact", fast / exact.max(1e-9));
+    row("fast f32 scan", dim, f32_mdps, fast_f32_mdps, vs_exact(fast_f32_mdps, f32_mdps));
+    row("fast sq8 asym", dim, sq8_mdps, fast_asym_mdps, vs_exact(fast_asym_mdps, sq8_mdps));
+    let sym_note = format!("{sq8_fast_speedup:.2}x vs fast f32 (recall {recall_sym:.3})");
+    row("fast sq8 sym", dim, fast_f32_mdps, fast_sym_mdps, sym_note);
 
     // 8-bit ADC: SIMD gather block scoring vs the scalar per-byte loop,
     // in millions of table lookups per second on the same codes/table.
@@ -2307,27 +1673,10 @@ pub fn kernels(profile: &Profile) {
     let adc8_gather_speedup = adc8_gather_mlps / adc8_scalar_mlps.max(1e-9);
     let adc8_lut_speedup = adc8_lut_mlps / adc8_scalar_mlps.max(1e-9);
     let adc4_lut_speedup = adc4_lut_mlps / adc4_scalar_mlps.max(1e-9);
-    t.row(vec![
-        "adc8 gather".to_string(),
-        pq.m.to_string(),
-        f1(adc8_scalar_mlps),
-        f1(adc8_gather_mlps),
-        format!("{adc8_gather_speedup:.2}x vs scalar loop"),
-    ]);
-    t.row(vec![
-        "adc8 lut256".to_string(),
-        pq.m.to_string(),
-        f1(adc8_scalar_mlps),
-        f1(adc8_lut_mlps),
-        format!("{adc8_lut_speedup:.2}x vs scalar loop"),
-    ]);
-    t.row(vec![
-        "adc4 lut16".to_string(),
-        pq4.m.to_string(),
-        f1(adc4_scalar_mlps),
-        f1(adc4_lut_mlps),
-        format!("{adc4_lut_speedup:.2}x vs scalar loop"),
-    ]);
+    let vs_loop = |speedup: f64| format!("{speedup:.2}x vs scalar loop");
+    row("adc8 gather", pq.m, adc8_scalar_mlps, adc8_gather_mlps, vs_loop(adc8_gather_speedup));
+    row("adc8 lut256", pq.m, adc8_scalar_mlps, adc8_lut_mlps, vs_loop(adc8_lut_speedup));
+    row("adc4 lut16", pq4.m, adc4_scalar_mlps, adc4_lut_mlps, vs_loop(adc4_lut_speedup));
 
     // --- Derived cost-model calibration (ns per SearchCost unit). ---
     let cal_f32 = ns_per_dim(f32_mdps);
@@ -2352,7 +1701,7 @@ pub fn kernels(profile: &Profile) {
         format!("u8 {fcal_u8:.3}"),
         format!("pq {fcal_pq:.3}"),
     ]);
-    emit("kernels", "Distance kernels: scalar vs dispatched + fast tier + SQ8 scan", &t);
+    emit("kernels", "Distance kernels: scalar vs dispatched + fast tier + SQ8 scan", &t)?;
     println!(
         "  dispatched kernel: {} (forced scalar: {}); analytic fallback f32/u8/pq = {}/{}/{} ns",
         dispatched.name(),
@@ -2418,15 +1767,7 @@ pub fn kernels(profile: &Profile) {
                     ("adc4_lut_speedup", JsonValue::Num(adc4_lut_speedup)),
                 ]),
             ),
-            (
-                "calibration",
-                JsonValue::obj(vec![
-                    ("f32_dim_ns", JsonValue::Num(cal_f32)),
-                    ("u8_dim_ns", JsonValue::Num(cal_u8)),
-                    ("pq_lookup_ns", JsonValue::Num(cal_pq)),
-                    ("source", JsonValue::Str("measured".into())),
-                ]),
-            ),
+            ("calibration", tier_obj(cal_f32, cal_u8, cal_pq)),
             (
                 "tiers",
                 JsonValue::obj(vec![
@@ -2435,20 +1776,7 @@ pub fn kernels(profile: &Profile) {
                 ]),
             ),
         ]),
-    );
-}
-
-/// Bit-level fingerprint for the frozen-write-knobs check: the base
-/// configuration + topology/replication/pinning requests (the write-path
-/// request is what differs by construction) and the exact feedback.
-fn writepath_fingerprint(out: &TuningOutcome) -> Vec<(String, u64, u64, u64, bool)> {
-    out.observations
-        .iter()
-        .map(|o| {
-            let base = VdmsConfig { writepath: None, ..o.config };
-            (base.summary(), o.qps.to_bits(), o.recall.to_bits(), o.memory_gib.to_bits(), o.failed)
-        })
-        .collect()
+    )
 }
 
 /// Real write path (beyond the paper): WAL group commit + segment
@@ -2470,9 +1798,8 @@ fn writepath_fingerprint(out: &TuningOutcome) -> Vec<(String, u64, u64, u64, boo
 /// degrades the mixed simulator to the read-only one bit for bit. Written
 /// to `results/writepath.json` (schema: `bench::report::emit_json`
 /// rustdoc) + CSVs, and smoked by the CI `repro-smoke` job.
-pub fn writepath(profile: &Profile) {
+pub fn writepath(profile: &Profile) -> io::Result<()> {
     let w = workload_for(DatasetKind::Glove);
-    let floor = 0.9;
     let max_shards = 4usize;
     let max_replicas = 4usize;
     let insert_fraction = 0.5;
@@ -2495,74 +1822,61 @@ pub fn writepath(profile: &Profile) {
         ),
         ("default-flush", WriteKnobs::DEFAULT),
     ];
-
-    // The arrival ladder is anchored on the default configuration's
-    // offline QPS, topped well below the replication experiment's 18× —
-    // every arriving unit of work here is ~1.5 requests (each query
-    // brings `insert_fraction` inserts on top), and write durability
-    // competes for the same primary slots, so the same nominal rate runs
-    // much hotter.
-    let anchor = evaluate(&w, &VdmsConfig::default_config(), profile.seed).qps;
-    let rates: Vec<f64> = [2.0, 4.0, 8.0].iter().map(|m| m * anchor).collect();
-    let top_rate = rates[rates.len() - 1];
+    let knobs_json = |k: &WriteKnobs| {
+        vec![
+            ("wal_batch_rows".to_string(), JsonValue::Int(k.wal_batch_rows as i64)),
+            ("flush_interval_secs".to_string(), JsonValue::Num(k.flush_interval_secs)),
+            ("seal_rows".to_string(), JsonValue::Int(k.seal_rows as i64)),
+        ]
+    };
     let base_spec =
         ServingSpec { queue_capacity: 32, ..ServingSpec::default() }.with_inserts(insert_fraction);
-    let tune_spec = base_spec.at_rate(top_rate).with_slo(SERVING_SLO_P99_SECS);
-
-    let backend = || {
-        ServingBackend::new(
-            &w,
-            TopologyBackend::with_writepath(&w, max_shards, max_replicas),
-            tune_spec,
-        )
-    };
-    let run_arm = |spec: SpaceSpec| {
-        VdTuner::with_space(vdtuner_paper_options(profile.iters), spec, profile.seed)
-            .run_on(backend(), profile.iters)
-    };
     let space19 =
         || SpaceSpec::with_topology(max_shards).with_replication(max_replicas).with_pinning();
 
-    // All five runs in parallel: the fixed-flush arms, the 22-dim
-    // co-tuned arm, and the 19-dim reference the frozen arm must
-    // reproduce bitwise.
-    enum Arm {
-        Fixed(usize),
-        CoTuned,
-        Reference19,
+    let run = CoTuning {
+        workload: &w,
+        max_shards,
+        max_replicas,
+        // The arrival ladder is anchored on the default configuration's
+        // offline QPS, topped well below the replication experiment's 18×
+        // — every arriving unit of work here is ~1.5 requests (each query
+        // brings `insert_fraction` inserts on top), and write durability
+        // competes for the same primary slots, so the same nominal rate
+        // runs much hotter.
+        ladder: [2.0, 4.0, 8.0],
+        base_spec,
+        backend: TopologyBackend::with_writepath,
+        fixed: fixed_knobs
+            .iter()
+            .map(|(name, k)| FixedArm {
+                name: name.to_string(),
+                pin: format!(
+                    "pinned batch={} flush={}s seal={}",
+                    k.wal_batch_rows, k.flush_interval_secs, k.seal_rows
+                ),
+                space: space19().with_pinned_writepath(*k),
+                json: std::iter::once(("name".to_string(), JsonValue::Str((*name).into())))
+                    .chain(knobs_json(k))
+                    .collect(),
+            })
+            .collect(),
+        cotuned: ("co-tuned write knobs (22-dim)".into(), space19().with_writepath()),
+        // Frozen-knobs contract: the default-flush arm *is* the 22-dim
+        // spec with the write dimensions frozen at the defaults, and must
+        // reproduce the 19-dim pinning history bit for bit.
+        reference: (space19(), TopologyBackend::with_pinning),
+        frozen_arm: 2,
+        strip: |c| VdmsConfig { writepath: None, ..c },
+        metric: GOODPUT_AT_TOP,
     }
-    let arms: Vec<Arm> =
-        (0..fixed_knobs.len()).map(Arm::Fixed).chain([Arm::CoTuned, Arm::Reference19]).collect();
-    let runs = run_parallel(arms, |arm| match arm {
-        Arm::Fixed(i) => run_arm(space19().with_pinned_writepath(fixed_knobs[*i].1)),
-        Arm::CoTuned => run_arm(space19().with_writepath()),
-        Arm::Reference19 => {
-            VdTuner::with_space(vdtuner_paper_options(profile.iters), space19(), profile.seed)
-                .run_on(
-                    ServingBackend::new(
-                        &w,
-                        TopologyBackend::with_pinning(&w, max_shards, max_replicas),
-                        tune_spec,
-                    ),
-                    profile.iters,
-                )
-        }
-    });
-    let fixed = &runs[..fixed_knobs.len()];
-    let co = &runs[fixed_knobs.len()];
-    let reference19 = &runs[fixed_knobs.len() + 1];
-
-    // Frozen-knobs contract, checked in-run: the default-flush arm *is*
-    // the 22-dim spec with the write dimensions frozen at the defaults,
-    // and must reproduce the 19-dim pinning history bit for bit.
-    let frozen_matches_19dim =
-        writepath_fingerprint(&fixed[2]) == writepath_fingerprint(reference19);
+    .run(profile);
 
     // Write-rate→0 contract: with no inserts offered, the mixed
     // simulator (write-path request or not) is the read-only serving
     // backend bit for bit, down to a zeroed write ledger.
     let write_rate_zero_matches = {
-        let quiet_spec = base_spec.at_rate(rates[0]).with_inserts(0.0);
+        let quiet_spec = base_spec.at_rate(run.rates[0]).with_inserts(0.0);
         let eval = |wp: Option<WriteKnobs>| {
             let cfg = VdmsConfig { writepath: wp, ..VdmsConfig::default_config() };
             ServingBackend::new(
@@ -2578,142 +1892,40 @@ pub fn writepath(profile: &Profile) {
             && requested.serving.is_some_and(|s| s.writes == WriteStats::default())
     };
 
-    // Measure every arm's deployable winner (best QPS@floor under the
-    // SLO) across the ladder, without an SLO — the raw tails and the
-    // write ledger.
-    let measure_backend = |rate: f64| {
-        ServingBackend::new(
-            &w,
-            TopologyBackend::with_writepath(&w, max_shards, max_replicas),
-            base_spec.at_rate(rate),
-        )
-    };
-    let arm_names: Vec<String> = fixed_knobs
-        .iter()
-        .map(|(name, k)| {
-            format!(
-                "{name} (pinned batch={} flush={}s seal={})",
-                k.wal_batch_rows, k.flush_interval_secs, k.seal_rows
-            )
-        })
-        .chain(std::iter::once("co-tuned write knobs (22-dim)".into()))
-        .collect();
-    let arm_runs: Vec<&TuningOutcome> = fixed.iter().chain(std::iter::once(co)).collect();
-    let winners: Vec<Option<VdmsConfig>> =
-        arm_runs.iter().map(|out| best_config(out, floor)).collect();
-    let measured: Vec<Vec<Option<ServingStats>>> = winners
-        .iter()
-        .map(|cfg| {
-            rates
-                .iter()
-                .map(|&rate| {
-                    cfg.as_ref()
-                        .and_then(|c| measure_backend(rate).evaluate(c, profile.seed).serving)
-                })
-                .collect()
-        })
-        .collect();
-
-    let ms = |v: f64| if v.is_finite() { f1(v * 1_000.0) } else { "-".into() };
-    let mut t = Table::new(vec![
-        "arm",
-        "best QPS @0.9 (SLO'd)",
-        "lowest p99 @0.9 (ms)",
-        "SLO rejections",
-        "winner",
-    ]);
-    for (name, out) in arm_names.iter().zip(&arm_runs) {
-        let cfg = best_config(out, floor);
-        t.row(vec![
-            name.clone(),
-            out.best_qps_with_recall(floor).map_or("-".into(), f1),
-            out.best_p99_with_recall(floor).map_or("-".into(), ms),
-            format!("{}/{}", out.slo_rejections(), out.observations.len()),
-            cfg.map_or("-".into(), |c| c.summary()),
-        ]);
-    }
     emit(
         "writepath",
-        &format!(
-            "Write-path co-tuning: WAL/segment knobs as dimensions 20-22, {} evals/run \
-             (GloVe, {:.0}% inserts, SLO p99 <= {:.0} ms at {:.0} req/s)",
-            profile.iters,
-            insert_fraction * 100.0,
-            SERVING_SLO_P99_SECS * 1_000.0,
-            top_rate
+        &run.title(
+            "Write-path co-tuning: WAL/segment knobs as dimensions 20-22",
+            &format!("{:.0}% inserts", insert_fraction * 100.0),
         ),
-        &t,
-    );
-
-    let mut lt = Table::new(vec![
-        "arrival rate (req/s)",
-        "arm",
-        "p99 (ms)",
-        "goodput",
-        "shed",
-        "full-batch flushes",
-        "end-of-tick flushes",
-        "seals",
-        "compactions",
-    ]);
-    for (ri, &rate) in rates.iter().enumerate() {
-        for (ai, name) in arm_names.iter().enumerate() {
-            match &measured[ai][ri] {
-                Some(s) => lt.row(vec![
-                    f1(rate),
-                    name.clone(),
-                    ms(s.p99_latency_secs),
-                    f1(s.goodput_qps),
-                    s.shed.to_string(),
-                    s.writes.flushes_full_batch.to_string(),
-                    s.writes.flushes_end_of_tick.to_string(),
-                    s.writes.segments_sealed.to_string(),
-                    s.writes.compactions.to_string(),
-                ]),
-                None => lt.row(
-                    std::iter::once(f1(rate))
-                        .chain(std::iter::once(name.clone()))
-                        .chain(std::iter::repeat_n("-".into(), 7))
-                        .collect(),
-                ),
-            };
-        }
-    }
-    emit("writepath_ladder", "Write-path arms measured across the arrival ladder", &lt);
+        &run.arm_table(),
+    )?;
+    // The ladder reports the raw tails next to the write ledger.
+    emit(
+        "writepath_ladder",
+        "Write-path arms measured across the arrival ladder",
+        &run.ladder_table(&[
+            ("p99 (ms)", |s| ms(s.p99_latency_secs)),
+            ("goodput", |s| f1(s.goodput_qps)),
+            ("shed", |s| s.shed.to_string()),
+            ("full-batch flushes", |s| s.writes.flushes_full_batch.to_string()),
+            ("end-of-tick flushes", |s| s.writes.flushes_end_of_tick.to_string()),
+            ("seals", |s| s.writes.segments_sealed.to_string()),
+            ("compactions", |s| s.writes.compactions.to_string()),
+        ]),
+    )?;
 
     // Verdict: the co-tuned winner's measured goodput at the top rate
     // against each fixed-flush arm's (an arm with no SLO-feasible winner
     // counts as beaten — it has nothing to deploy).
-    let goodput_at_top = |ai: usize| -> Option<f64> {
-        measured[ai].last().and_then(|s| s.as_ref()).map(|s| s.goodput_qps)
-    };
-    let co_goodput = goodput_at_top(fixed_knobs.len());
-    let fixed_goodput: Vec<Option<f64>> = (0..fixed_knobs.len()).map(goodput_at_top).collect();
-    let beats_all = co_goodput.map(|c| {
-        fixed_goodput.iter().all(|f| match f {
-            Some(f) => c >= *f,
-            None => true,
-        })
-    });
-    let best_fixed_goodput = fixed_goodput
-        .iter()
-        .flatten()
-        .copied()
-        .fold(None::<f64>, |acc, g| Some(acc.map_or(g, |a| a.max(g))));
-    let mut s = Table::new(vec!["metric", "value"]);
-    for (ai, (name, _)) in fixed_knobs.iter().enumerate() {
-        s.row(vec![
-            format!("goodput @ top rate: {name}"),
-            fixed_goodput[ai].map_or("-".into(), f1),
-        ]);
-    }
-    s.row(vec!["goodput @ top rate: co-tuned".into(), co_goodput.map_or("-".into(), f1)]);
-    s.row(vec!["frozen write knobs ≡ 19-dim (bitwise)".into(), frozen_matches_19dim.to_string()]);
+    let (co_goodput, beats_all) = (run.cotuned().top, run.cotuned_beats_all());
+    let best_knobs = run.winner().and_then(|cfg| cfg.writepath);
+    let mut s = run.verdict_table();
+    s.row(vec!["frozen write knobs ≡ 19-dim (bitwise)".into(), run.frozen_matches.to_string()]);
     s.row(vec!["write rate 0 ≡ read-only (bitwise)".into(), write_rate_zero_matches.to_string()]);
     let verdict = match (co_goodput, beats_all) {
         (Some(c), Some(true)) => {
-            let chosen = best_config(co, floor)
-                .and_then(|cfg| cfg.writepath)
+            let chosen = best_knobs
                 .map(|k| {
                     format!(
                         "batch={} flush={:.3}s seal={}",
@@ -2730,153 +1942,29 @@ pub fn writepath(profile: &Profile) {
         (Some(_), Some(false)) => {
             "co-tuning does not beat every fixed-flush arm — reported as-is".into()
         }
-        _ => "the co-tuned arm found no SLO-feasible config — reported as-is".into(),
+        _ => NO_FEASIBLE_COTUNED.into(),
     };
     s.row(vec!["verdict".into(), verdict]);
-    emit("writepath_verdict", "Write-path co-tuning vs fixed-flush arms (same budget)", &s);
+    emit("writepath_verdict", "Write-path co-tuning vs fixed-flush arms (same budget)", &s)?;
 
-    let arm_pairs = |out: &TuningOutcome,
-                     stats: &[Option<ServingStats>]|
-     -> Vec<(String, JsonValue)> {
-        vec![
-            ("best_qps".into(), JsonValue::opt_num(out.best_qps_with_recall(floor))),
-            (
-                "best_p99_ms".into(),
-                JsonValue::opt_finite(out.best_p99_with_recall(floor).map(|p| p * 1_000.0)),
-            ),
-            (
-                "best_config".into(),
-                best_config(out, floor).map_or(JsonValue::Null, |c| JsonValue::Str(c.summary())),
-            ),
-            ("slo_rejections".into(), JsonValue::Int(out.slo_rejections() as i64)),
-            (
-                "failed".into(),
-                JsonValue::Int(out.observations.iter().filter(|o| o.failed).count() as i64),
-            ),
-            (
-                "measured".into(),
-                JsonValue::Arr(
-                    rates
-                        .iter()
-                        .zip(stats)
-                        .map(|(&rate, s)| {
-                            let s = *s;
-                            let writes = s.map(|s| s.writes);
-                            JsonValue::obj(vec![
-                                ("rate", JsonValue::Num(rate)),
-                                (
-                                    "p99_ms",
-                                    JsonValue::opt_finite(s.map(|s| s.p99_latency_secs * 1_000.0)),
-                                ),
-                                ("goodput_qps", JsonValue::opt_finite(s.map(|s| s.goodput_qps))),
-                                (
-                                    "shed",
-                                    s.map_or(JsonValue::Null, |s| JsonValue::Int(s.shed as i64)),
-                                ),
-                                (
-                                    "flushes_full_batch",
-                                    writes.map_or(JsonValue::Null, |w| {
-                                        JsonValue::Int(w.flushes_full_batch as i64)
-                                    }),
-                                ),
-                                (
-                                    "flushes_end_of_tick",
-                                    writes.map_or(JsonValue::Null, |w| {
-                                        JsonValue::Int(w.flushes_end_of_tick as i64)
-                                    }),
-                                ),
-                                (
-                                    "segments_sealed",
-                                    writes.map_or(JsonValue::Null, |w| {
-                                        JsonValue::Int(w.segments_sealed as i64)
-                                    }),
-                                ),
-                                (
-                                    "compactions",
-                                    writes.map_or(JsonValue::Null, |w| {
-                                        JsonValue::Int(w.compactions as i64)
-                                    }),
-                                ),
-                                (
-                                    "inserts_shed",
-                                    writes
-                                        .map_or(JsonValue::Null, |w| JsonValue::Int(w.shed as i64)),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]
-    };
-    emit_json(
-        "writepath",
-        &JsonValue::obj(vec![
-            ("experiment", JsonValue::Str("writepath".into())),
-            ("dataset", JsonValue::Str("GloVe".into())),
-            ("iters_per_run", JsonValue::Int(profile.iters as i64)),
-            ("seed", JsonValue::Int(profile.seed as i64)),
-            ("recall_floor", JsonValue::Num(floor)),
-            ("slo_p99_ms", JsonValue::Num(SERVING_SLO_P99_SECS * 1_000.0)),
-            ("insert_fraction", JsonValue::Num(insert_fraction)),
-            ("max_shards", JsonValue::Int(max_shards as i64)),
-            ("max_replicas", JsonValue::Int(max_replicas as i64)),
-            ("rates", JsonValue::Arr(rates.iter().map(|&r| JsonValue::Num(r)).collect())),
-            (
-                "fixed",
-                JsonValue::Arr(
-                    fixed_knobs
-                        .iter()
-                        .enumerate()
-                        .map(|(ai, (name, k))| {
-                            let mut pairs = vec![
-                                ("name".to_string(), JsonValue::Str((*name).into())),
-                                (
-                                    "wal_batch_rows".to_string(),
-                                    JsonValue::Int(k.wal_batch_rows as i64),
-                                ),
-                                (
-                                    "flush_interval_secs".to_string(),
-                                    JsonValue::Num(k.flush_interval_secs),
-                                ),
-                                ("seal_rows".to_string(), JsonValue::Int(k.seal_rows as i64)),
-                            ];
-                            pairs.extend(arm_pairs(&fixed[ai], &measured[ai]));
-                            JsonValue::obj(pairs)
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "cotuned",
-                JsonValue::obj({
-                    let mut pairs = arm_pairs(co, &measured[fixed_knobs.len()]);
-                    pairs.push((
-                        "best_knobs".into(),
-                        best_config(co, floor).and_then(|cfg| cfg.writepath).map_or(
-                            JsonValue::Null,
-                            |k| {
-                                JsonValue::obj(vec![
-                                    ("wal_batch_rows", JsonValue::Int(k.wal_batch_rows as i64)),
-                                    ("flush_interval_secs", JsonValue::Num(k.flush_interval_secs)),
-                                    ("seal_rows", JsonValue::Int(k.seal_rows as i64)),
-                                ])
-                            },
-                        ),
-                    ));
-                    pairs
-                }),
-            ),
-            ("frozen_matches_19dim", JsonValue::Bool(frozen_matches_19dim)),
-            ("write_rate_zero_matches", JsonValue::Bool(write_rate_zero_matches)),
-            (
-                "comparison",
-                JsonValue::obj(vec![
-                    ("best_fixed_goodput_at_top", JsonValue::opt_finite(best_fixed_goodput)),
-                    ("cotuned_goodput_at_top", JsonValue::opt_finite(co_goodput)),
-                    ("cotuned_beats_all_fixed", beats_all.map_or(JsonValue::Null, JsonValue::Bool)),
-                ]),
-            ),
-        ]),
-    );
+    let mut doc = vec![("experiment".to_string(), JsonValue::Str("writepath".into()))];
+    doc.extend(run.json_head());
+    doc.push(("insert_fraction".into(), JsonValue::Num(insert_fraction)));
+    doc.extend(run.json_arms(
+        "frozen_matches_19dim",
+        ("best_knobs", best_knobs.map_or(JsonValue::Null, |k| JsonValue::Obj(knobs_json(&k)))),
+        // Every measured row also carries the winner's write ledger.
+        &[
+            ("flushes_full_batch", |s| JsonValue::Int(s.writes.flushes_full_batch as i64)),
+            ("flushes_end_of_tick", |s| JsonValue::Int(s.writes.flushes_end_of_tick as i64)),
+            ("segments_sealed", |s| JsonValue::Int(s.writes.segments_sealed as i64)),
+            ("compactions", |s| JsonValue::Int(s.writes.compactions as i64)),
+            ("inserts_shed", |s| JsonValue::Int(s.writes.shed as i64)),
+        ],
+    ));
+    doc.push(("write_rate_zero_matches".into(), JsonValue::Bool(write_rate_zero_matches)));
+    let mut comparison = run.json_top();
+    comparison.push(("cotuned_beats_all_fixed".into(), JsonValue::opt_bool(beats_all)));
+    doc.push(("comparison".into(), JsonValue::Obj(comparison)));
+    emit_json("writepath", &JsonValue::Obj(doc))
 }

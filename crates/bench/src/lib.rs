@@ -1,11 +1,13 @@
 //! Experiment harness: regenerates every table and figure of the paper's
-//! evaluation (§V). See `src/bin/repro.rs` for the CLI and EXPERIMENTS.md
-//! for the paper-vs-measured record.
+//! evaluation (§V). See `src/bin/repro.rs` for the CLI; the README
+//! ("Building, testing, reproducing" and the per-feature sections) records
+//! what the checked-in `results/` show.
 // bench is the designated wall-clock domain (real timing, calibration) and
 // its affinity maps never reach tuning results — see clippy.toml / lint R2+R3.
 #![allow(clippy::disallowed_methods, clippy::disallowed_types)]
 
 pub mod affinity;
+pub mod cotuning;
 pub mod experiments;
 pub mod report;
 

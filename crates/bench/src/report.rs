@@ -2,6 +2,7 @@
 
 use std::fmt::Write as _;
 use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// A simple aligned text table.
@@ -76,26 +77,34 @@ pub fn results_dir() -> PathBuf {
     dir
 }
 
-/// Print a titled table and persist it as `results/<name>.csv`.
-pub fn emit(name: &str, title: &str, table: &Table) {
+/// Write one artifact, naming the path in the error.
+fn write_artifact(path: &Path, text: &str) -> io::Result<()> {
+    fs::write(path, text).map_err(|e| {
+        io::Error::new(e.kind(), format!("could not write {}: {e}", path.display()))
+    })?;
+    println!("[written {}]", path.display());
+    Ok(())
+}
+
+/// Print a titled table and persist it as `results/<name>.csv`. An I/O
+/// error is returned, not just logged: an experiment that cannot record
+/// its result has failed, and `repro` exits nonzero on it.
+pub fn emit(name: &str, title: &str, table: &Table) -> io::Result<()> {
     println!("\n### {title}\n");
     println!("{}", table.render());
-    let path = results_dir().join(format!("{name}.csv"));
-    if let Err(e) = fs::write(&path, table.to_csv()) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        println!("[written {}]", path.display());
-    }
+    write_artifact(&results_dir().join(format!("{name}.csv")), &table.to_csv())
 }
 
 /// Persist a machine-readable summary as `results/<name>.json`, so future
 /// sessions can track a metric across PRs without parsing tables.
 ///
 /// The document is **validated before serialization**: a `NaN` or infinite
-/// number anywhere in the tree makes the emitter refuse to write (with the
-/// offending path on stderr) instead of silently laundering the value into
-/// `null`. Optional metrics must be passed through [`JsonValue::opt_num`] /
-/// [`JsonValue::opt_finite`], which encode absence as an explicit `null`.
+/// number anywhere in the tree is an [`io::ErrorKind::InvalidData`] error
+/// naming the offending path, and nothing is written — the value is never
+/// silently laundered into `null`, and the previous artifact is never left
+/// to pass for this run's. Optional metrics must be passed through
+/// [`JsonValue::opt_num`] / [`JsonValue::opt_finite`], which encode absence
+/// as an explicit `null`.
 ///
 /// ## `results/serving.json` schema
 ///
@@ -319,18 +328,15 @@ pub fn emit(name: &str, title: &str, table: &Table) {
 ///   at least one `unsafe`): `sites` / `documented` (int). The pinned
 ///   regression test in `crates/lint/tests/workspace_pin.rs` freezes
 ///   these counts.
-pub fn emit_json(name: &str, json: &JsonValue) {
+pub fn emit_json(name: &str, json: &JsonValue) -> io::Result<()> {
     let path = results_dir().join(format!("{name}.json"));
-    if let Err(e) = json.validate() {
-        eprintln!("error: refusing to write {}: {e}", path.display());
-        return;
-    }
-    let text = format!("{}\n", json.render(0));
-    if let Err(e) = fs::write(&path, text) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        println!("[written {}]", path.display());
-    }
+    json.validate().map_err(|e| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("refusing to write {}: {e}", path.display()),
+        )
+    })?;
+    write_artifact(&path, &format!("{}\n", json.render(0)))
 }
 
 /// A minimal JSON document builder (the workspace is offline — no serde).
@@ -366,6 +372,11 @@ impl JsonValue {
             Some(x) if x.is_finite() => JsonValue::Num(x),
             _ => JsonValue::Null,
         }
+    }
+
+    /// `None` renders as `null`.
+    pub fn opt_bool(v: Option<bool>) -> JsonValue {
+        v.map_or(JsonValue::Null, JsonValue::Bool)
     }
 
     /// Reject non-finite numbers anywhere in the document, reporting the
@@ -476,6 +487,16 @@ pub fn pct(v: f64) -> String {
     format!("{:.2}%", v * 100.0)
 }
 
+/// Seconds as milliseconds with one decimal; `-` for a latency that does
+/// not exist (nothing completed).
+pub fn ms(secs: f64) -> String {
+    if secs.is_finite() {
+        f1(secs * 1_000.0)
+    } else {
+        "-".into()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -553,14 +574,23 @@ mod tests {
 
     #[test]
     fn emit_json_refuses_invalid_documents() {
-        // The emitter must not write a file for a document that fails
-        // validation; use a unique name so parallel tests don't collide.
+        // A NaN document is an error and writes no file; use a unique name
+        // so parallel tests don't collide.
         let name = "test_invalid_emit";
         let path = results_dir().join(format!("{name}.json"));
         let _ = fs::remove_file(&path);
-        emit_json(name, &JsonValue::obj(vec![("p99", JsonValue::Num(f64::NAN))]));
+        let err = emit_json(name, &JsonValue::obj(vec![("p99", JsonValue::Num(f64::NAN))]))
+            .expect_err("a NaN document must not be written");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("/p99"), "{err}");
         assert!(!path.exists(), "invalid document must not be written");
-        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn write_errors_are_returned_with_the_path() {
+        let missing = results_dir().join("no_such_dir").join("x.csv");
+        let err = write_artifact(&missing, "a\n").expect_err("the directory does not exist");
+        assert!(err.to_string().contains("no_such_dir"), "{err}");
     }
 
     #[test]
