@@ -391,11 +391,48 @@ impl WalSim {
     pub fn last_lsn_at_or_before(&self, cutoff: f64) -> u64 {
         self.admit_times.partition_point(|&t| t <= cutoff) as u64
     }
+
+    /// [`last_lsn_at_or_before`](Self::last_lsn_at_or_before) for askers
+    /// whose cutoffs never decrease: `prev` is the answer this machine gave
+    /// the same asker last time (0 at first), and the search walks forward
+    /// from it. Admissions only append, at non-decreasing times, so the
+    /// answer never moves backwards and a whole run costs one pass over
+    /// the admission log instead of a binary search per query.
+    pub fn last_lsn_at_or_before_hinted(&self, cutoff: f64, prev: u64) -> u64 {
+        let mut lsn = prev as usize;
+        while self.admit_times.get(lsn).is_some_and(|&t| t <= cutoff) {
+            lsn += 1;
+        }
+        debug_assert_eq!(
+            lsn as u64,
+            self.last_lsn_at_or_before(cutoff),
+            "cutoffs must not decrease"
+        );
+        lsn as u64
+    }
+
+    /// [`durable_time_of`](Self::durable_time_of) for askers whose LSNs
+    /// never decrease: `cursor` (0 at first) is left on the first recorded
+    /// commit covering `lsn`, or at the end of the log when none does yet —
+    /// where the next, higher, LSN resumes. Commits only append, in LSN
+    /// order, so everything before the cursor stays too low forever.
+    pub fn durable_time_of_hinted(&self, lsn: u64, cursor: &mut usize) -> Option<f64> {
+        if lsn == 0 {
+            return Some(0.0);
+        }
+        while self.flushes.get(*cursor).is_some_and(|f| f.upto_lsn < lsn) {
+            *cursor += 1;
+        }
+        let durable = self.flushes.get(*cursor).map(|f| f.finish_secs);
+        debug_assert_eq!(durable, self.durable_time_of(lsn), "LSNs must not decrease");
+        durable
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn knobs(batch: usize, flush: f64, seal: usize) -> WriteKnobs {
         WriteKnobs { wal_batch_rows: batch, flush_interval_secs: flush, seal_rows: seal }
@@ -524,6 +561,101 @@ mod tests {
         assert_eq!(done.sealed_rows, 8);
         assert_eq!(done.compactions, 1);
         assert_eq!(done.compacted_rows, 8);
+    }
+
+    #[test]
+    fn hinted_lookups_resume_where_the_last_answer_left_off() {
+        let mut wal = WalSim::new(knobs(2, 0.1, 16), 8);
+        let (mut lsn, mut cursor) = (0u64, 0usize);
+        assert_eq!(wal.last_lsn_at_or_before_hinted(1.0, lsn), 0, "empty log");
+        assert_eq!(wal.durable_time_of_hinted(0, &mut cursor), Some(0.0), "nothing to wait for");
+        for t in [0.01, 0.02, 0.02, 0.03] {
+            wal.offer_insert(t);
+        }
+        // A cutoff exactly on an admission time includes that row — and
+        // its same-instant twin.
+        lsn = wal.last_lsn_at_or_before_hinted(0.01, lsn);
+        assert_eq!(lsn, 1);
+        assert_eq!(wal.durable_time_of_hinted(lsn, &mut cursor), None, "no commit yet");
+        let first = wal.full_batch_job().unwrap();
+        wal.record_flush(first, 0.03, 0.05);
+        let second = wal.full_batch_job().unwrap();
+        wal.record_flush(second, 0.03, 0.07);
+        assert_eq!(wal.durable_time_of_hinted(lsn, &mut cursor), Some(0.05));
+        lsn = wal.last_lsn_at_or_before_hinted(0.02, lsn);
+        assert_eq!(lsn, 3);
+        // LSN 2 is the last row of the first commit: the cursor must stay
+        // on a commit that covers exactly, and move once it no longer does.
+        assert_eq!(wal.durable_time_of_hinted(2, &mut cursor), Some(0.05));
+        assert_eq!(cursor, 0);
+        assert_eq!(wal.durable_time_of_hinted(lsn, &mut cursor), Some(0.07));
+        assert_eq!(cursor, 1);
+        assert_eq!(wal.last_lsn_at_or_before_hinted(f64::INFINITY, lsn), 4);
+        assert_eq!(wal.durable_time_of_hinted(5, &mut cursor), None, "LSN 5 was never admitted");
+        assert_eq!(cursor, 2, "parked at the end of the log until a commit is recorded");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Drive the machine the way the serving loop does — in time order,
+        /// with repeated instants — while an in-order asker reads it through
+        /// the hinted lookups: every answer equals the binary search's.
+        #[test]
+        fn hinted_lookups_equal_the_binary_searches(
+            batch in 1usize..6,
+            park in 0usize..4,
+            graceful_pick in 0usize..3,
+            ops in prop::collection::vec((0usize..8, 0usize..4), 1..160),
+        ) {
+            let mut wal = WalSim::new(knobs(batch, 0.1, 4), park);
+            let graceful = [0.0, 0.004, 0.05][graceful_pick];
+            let mut now = 0.0f64;
+            // Recorded commits still in flight, oldest first; commits
+            // serialize, 3 ms each.
+            let mut in_flight: Vec<(u64, f64)> = Vec::new();
+            let (mut lsn, mut cursor) = (0u64, 0usize);
+            let record = |wal: &mut WalSim, in_flight: &mut Vec<(u64, f64)>, job: FlushJob, now| {
+                let finish = wal.flushes().last().map_or(now, |f| f.finish_secs.max(now)) + 0.003;
+                wal.record_flush(job, now, finish);
+                in_flight.push((job.upto_lsn, finish));
+            };
+            for (op, dt) in ops {
+                // Half the steps repeat the previous instant, so queries tie
+                // with admissions and with commit completions.
+                now += [0.0, 0.0, 0.001, 0.02][dt];
+                match op {
+                    0..=2 => {
+                        wal.offer_insert(now);
+                        while let Some(job) = wal.full_batch_job() {
+                            record(&mut wal, &mut in_flight, job, now);
+                        }
+                    }
+                    3 => {
+                        if let Some(job) = wal.tick_job() {
+                            record(&mut wal, &mut in_flight, job, now);
+                        }
+                    }
+                    4 => {
+                        if !in_flight.is_empty() {
+                            let (upto_lsn, finish) = in_flight.remove(0);
+                            now = now.max(finish);
+                            wal.flush_done(upto_lsn, now);
+                            while let Some(job) = wal.full_batch_job() {
+                                record(&mut wal, &mut in_flight, job, now);
+                            }
+                        }
+                    }
+                    _ => {
+                        let cutoff = now - graceful;
+                        lsn = wal.last_lsn_at_or_before_hinted(cutoff, lsn);
+                        prop_assert_eq!(lsn, wal.last_lsn_at_or_before(cutoff));
+                        let durable = wal.durable_time_of_hinted(lsn, &mut cursor);
+                        prop_assert_eq!(durable, wal.durable_time_of(lsn));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -27,8 +27,9 @@
 //! [`BackendInfo`] switches the evaluator's caching off.
 
 use crate::replay::{evaluate, evaluate_sharded, Outcome};
-use crate::serving::{simulate, ServingSpec};
+use crate::serving::{ArrivalPlan, Deployment, ServingSpec};
 use crate::Workload;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use vdms::cluster::ClusterSpec;
 use vdms::{PinningPolicy, VdmsConfig, VdmsError, WriteKnobs};
 use vecdata::rng::derive;
@@ -431,6 +432,41 @@ pub struct ServingBackend<'a, B: EvalBackend> {
     /// `dim`/`top_k` per candidate and must not rebuild the info (and its
     /// heap-allocated name) every time.
     inner_info: BackendInfo,
+    plans: PlanMemo,
+}
+
+/// The arrival plan of the seed a [`ServingBackend`] was last evaluated
+/// with. An evaluator hands every candidate of a tune the same seed, and
+/// the plan is a function of `(spec, seed)` alone, so one draw serves the
+/// whole tune. Purely a cache: another seed gets its own, correct plan (and
+/// takes the slot), so outcomes never depend on what was evaluated before.
+/// Empty until the first `evaluate` — construction stays free.
+#[derive(Debug, Default)]
+struct PlanMemo(Mutex<Option<Arc<ArrivalPlan>>>);
+
+impl PlanMemo {
+    /// The slot is only ever assigned a finished plan, and nothing that can
+    /// panic runs under the lock, so a poisoned slot is still valid.
+    fn slot(&self) -> MutexGuard<'_, Option<Arc<ArrivalPlan>>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn plan(&self, spec: &ServingSpec, seed: u64) -> Arc<ArrivalPlan> {
+        if let Some(plan) = self.slot().as_ref().filter(|plan| plan.seed() == seed) {
+            return Arc::clone(plan);
+        }
+        // Drawn outside the lock: concurrent first evaluations each draw
+        // the (identical) plan rather than wait on one another.
+        let plan = Arc::new(ArrivalPlan::new(spec, seed));
+        *self.slot() = Some(Arc::clone(&plan));
+        plan
+    }
+}
+
+impl Clone for PlanMemo {
+    fn clone(&self) -> PlanMemo {
+        PlanMemo(Mutex::new(self.slot().clone()))
+    }
 }
 
 impl<'a> ServingBackend<'a, SimBackend<'a>> {
@@ -446,7 +482,7 @@ impl<'a, B: EvalBackend> ServingBackend<'a, B> {
     /// turns the inner QPS back into per-query service times.
     pub fn new(workload: &'a Workload, inner: B, spec: ServingSpec) -> Self {
         let inner_info = inner.info();
-        ServingBackend { workload, inner, spec, inner_info }
+        ServingBackend { workload, inner, spec, inner_info, plans: PlanMemo::default() }
     }
 
     /// The wrapped offline backend.
@@ -493,18 +529,15 @@ impl<B: EvalBackend> EvalBackend for ServingBackend<'_, B> {
         // Absent a request the backend's fixed execution model and write
         // path apply — the shared pool and the default knobs — so
         // `Some(Shared)` and `Some(DEFAULT)` are the same call as `None`.
-        let trace = simulate(
+        let stats = self.plans.plan(&self.spec, derive(seed, 0x5E2B)).stats(&Deployment {
             model,
-            &sys,
-            service,
-            &self.spec,
-            derive(seed, 0x5E2B),
+            sys: &sys,
+            base_service_secs: service,
             replicas,
-            cfg.pinning.unwrap_or(PinningPolicy::Shared),
-            self.inner_info.top_k,
-            cfg.writepath.unwrap_or(WriteKnobs::DEFAULT),
-        );
-        let stats = trace.stats(&self.spec);
+            policy: cfg.pinning.unwrap_or(PinningPolicy::Shared),
+            top_k: self.inner_info.top_k,
+            knobs: cfg.writepath.unwrap_or(WriteKnobs::DEFAULT),
+        });
         if stats.violates_slo(&self.spec) {
             out.failure = Some(VdmsError::SloViolation {
                 p99_secs: stats.p99_latency_secs,
@@ -827,6 +860,57 @@ mod tests {
             defaulted.recall.to_bits(),
             "recall is write-path-invariant"
         );
+    }
+
+    #[test]
+    fn memoised_arrival_plan_never_changes_an_outcome() {
+        let w = make();
+        let spec = ServingSpec {
+            arrival_qps: 900.0,
+            requests: 300,
+            queue_capacity: 32,
+            ..Default::default()
+        }
+        .with_inserts(0.5);
+        let backend = || ServingBackend::new(&w, TopologyBackend::with_writepath(&w, 2, 3), spec);
+        let mut a = VdmsConfig::default_config();
+        a.shards = Some(1);
+        // B differs in everything a plan must not absorb: service time,
+        // replicas, pinning, write knobs, gracefulTime.
+        let mut b = VdmsConfig::default_for(anns::IndexType::IvfFlat);
+        b.shards = Some(2);
+        b.replicas = Some(3);
+        b.pinning = Some(PinningPolicy::Compact);
+        b.writepath =
+            Some(WriteKnobs { wal_batch_rows: 8, flush_interval_secs: 0.01, seal_rows: 64 });
+        b.system.graceful_time_ms = 0.0;
+        let shared = backend();
+        let empty_clone = shared.clone();
+        // Same config, two seeds, then the first seed again: the slot is
+        // taken over and taken back, and a stale plan would show.
+        for (cfg, seed) in [(&a, 5), (&b, 9), (&a, 5), (&b, 5), (&a, 9)] {
+            let fresh = backend().evaluate(cfg, seed);
+            assert!(fresh.serving.is_some(), "{:?}", fresh.failure);
+            assert_eq!(shared.evaluate(cfg, seed), fresh);
+            // A clone agrees with its original, whatever its slot holds.
+            assert_eq!(shared.clone().evaluate(cfg, seed), fresh);
+            assert_eq!(empty_clone.evaluate(cfg, seed), fresh);
+        }
+        assert_ne!(
+            shared.evaluate(&a, 5),
+            shared.evaluate(&a, 9),
+            "the seed reaches the trace, so a plan reused across seeds cannot hide"
+        );
+    }
+
+    #[test]
+    fn a_serving_backend_is_free_until_its_first_evaluation() {
+        let w = make();
+        let spec = ServingSpec { requests: usize::MAX, ..Default::default() }.with_inserts(1.0);
+        // This plan cannot be drawn (its vectors overflow `isize`);
+        // constructing, describing and cloning the backend must not try.
+        let b = ServingBackend::over_sim(&w, spec);
+        assert_eq!(b.clone().info().name, b.info().name);
     }
 
     #[test]

@@ -6,7 +6,14 @@
 //! never *exercised*, so tail latency (the metric production VDBMSs are
 //! provisioned for) is invisible to it. This module simulates the system
 //! serving an **open-loop** arrival process instead, in **one event loop**
-//! ([`simulate`]) whose variants are data:
+//! whose variants are data. A run has two halves. What is *offered* — the
+//! [`ArrivalPlan`] — depends on `(spec, seed)` only and is drawn once; how
+//! it is *served* — a [`Deployment`] — is the candidate, and is all the
+//! loop computes. [`simulate`] does both for one candidate and keeps the
+//! full [`ServingTrace`]; [`crate::ServingBackend`] keeps the plan of the
+//! seed it is evaluated with and asks each candidate only for its
+//! [`ServingStats`] ([`ArrivalPlan::stats`]), which the loop feeds event by
+//! event without ever materialising a trace.
 //!
 //! * **Arrivals.** A seeded process ([`ServingSpec::arrival_qps`],
 //!   hyperexponential burstiness via [`ServingSpec::burstiness`]) generates
@@ -15,6 +22,8 @@
 //!   generates insert arrivals. Both are time-sorted vectors walked by
 //!   cursors; only the events a run creates while it runs — flush ticks,
 //!   commit completions, deferred consistency retries — live in a heap.
+//!   Pinning, knobs and service time change *scheduling*, never the
+//!   offered workload.
 //! * **Slots.** Eligible requests queue (bounded — overflow is **shed**)
 //!   for a worker slot. The shared pool is one queue per replica group
 //!   over [`vdms::CostModel::serving_slots`] slots (`maxReadConcurrency`
@@ -25,8 +34,8 @@
 //! * **Service.** Per-query service times come from the cost model's
 //!   measured QPS ([`vdms::CostModel::service_secs_from_qps_replicated`] —
 //!   the straggler and proxy-merge terms of the cluster path are already
-//!   folded into a sharded backend's QPS) with deterministic per-query
-//!   jitter.
+//!   folded into a sharded backend's QPS) times a deterministic per-query
+//!   jitter factor from the plan.
 //! * **Visibility.** Arrivals wait for *consistency* — this is where
 //!   `gracefulTime` becomes load-bearing. Without an insert stream a query
 //!   may start once a flush has published a tsafe watermark covering
@@ -35,7 +44,8 @@
 //!   flush-cycle phase dependence is what creates its latency *tail*. With
 //!   one, inserts flow through a [`vdms::WalSim`] write path and the wait
 //!   resolves against the WAL's *actual* durability events
-//!   ([`vdms::WalSim::durable_time_of`]).
+//!   ([`vdms::WalSim::durable_time_of`]) — by cursors over the admission
+//!   and commit logs, since queries ask in arrival order.
 //! * **Write work.** WAL group commits (full-batch or end-of-tick),
 //!   segment seals and compactions are priced by the same cost model and
 //!   occupy the primary queue's worker slots — the ones queries contend
@@ -46,9 +56,10 @@
 //! `(seed, index)`, the parallel precomputation uses an order-stable
 //! collect, and the event loop itself is serial — so the same seed yields a
 //! bit-identical [`ServingTrace`] no matter how many rayon worker threads
-//! execute the simulation (`tests/serving.rs` proves 1 vs N thread
-//! invariance by property; `tests/serving_trace_digests.rs` pins traces
-//! captured before the loops were unified).
+//! execute the simulation, and whether its plan was just drawn or came out
+//! of a memo (`tests/serving.rs` proves 1 vs N thread invariance by
+//! property; `tests/serving_trace_digests.rs` pins traces captured before
+//! the loops were unified and holds the trace-free stats to them).
 
 use rayon::prelude::*;
 use std::collections::BinaryHeap;
@@ -343,6 +354,113 @@ fn service_jitter(seed: u64, i: u64) -> f64 {
     (0.25 * z).exp().clamp(0.5, 3.0)
 }
 
+/// The offered workload of one run — query arrival times with their
+/// service-jitter factors, and insert arrival times: every number a run
+/// draws from its seed. A plan is a pure function of `(spec, seed)`;
+/// nothing about the candidate being served (knobs, pinning, replicas,
+/// service time) reaches it, so every candidate a backend evaluates under
+/// one seed can share one plan and pay only for the event loop. The draws
+/// fan out over rayon — each is a pure function of its index and the
+/// collect is order-stable — and are summed serially.
+#[derive(Debug)]
+pub struct ArrivalPlan {
+    spec: ServingSpec,
+    seed: u64,
+    /// `(arrival time, service-jitter factor)` per query, in arrival order.
+    /// The factor multiplies the candidate's base service time at use.
+    queries: Vec<(f64, f64)>,
+    /// Insert arrival times, ascending.
+    inserts: Vec<f64>,
+}
+
+/// The candidate-dependent half of a run: the deployment serving a plan's
+/// traffic — everything [`simulate`] takes besides `(spec, seed)`.
+#[derive(Debug, Clone, Copy)]
+pub struct Deployment<'a> {
+    pub model: &'a CostModel,
+    pub sys: &'a SystemParams,
+    /// Per-query service time the cost model derived for the configuration
+    /// ([`vdms::CostModel::service_secs_from_qps_replicated`]).
+    pub base_service_secs: f64,
+    /// Identical replica groups (at least one is simulated).
+    pub replicas: usize,
+    /// Each group's execution model: the shared slot pool, or reactors.
+    pub policy: PinningPolicy,
+    pub top_k: usize,
+    /// The write path inserts run under (ignored without an insert stream).
+    pub knobs: WriteKnobs,
+}
+
+impl ArrivalPlan {
+    /// Draw the plan of `spec` under `seed`. A spec with no requests or a
+    /// non-positive rate offers nothing: the plan is empty and runs to an
+    /// empty trace.
+    pub fn new(spec: &ServingSpec, seed: u64) -> ArrivalPlan {
+        let n = if spec.arrival_qps <= 0.0 { 0 } else { spec.requests };
+        let n_inserts = (n as f64 * spec.insert_fraction.max(0.0)).round() as usize;
+        let mut queries: Vec<(f64, f64)> = (0..n)
+            .into_par_iter()
+            .map(|i| {
+                let i = i as u64;
+                (
+                    interarrival_secs(spec.arrival_qps, spec.burstiness, STREAMS_QUERY, seed, i),
+                    service_jitter(seed, i),
+                )
+            })
+            .collect();
+        accumulate(queries.iter_mut().map(|q| &mut q.0));
+        let insert_qps = spec.arrival_qps * spec.insert_fraction;
+        let mut inserts: Vec<f64> = (0..n_inserts)
+            .into_par_iter()
+            .map(|j| interarrival_secs(insert_qps, spec.burstiness, STREAMS_INSERT, seed, j as u64))
+            .collect();
+        accumulate(inserts.iter_mut());
+        ArrivalPlan { spec: *spec, seed, queries, inserts }
+    }
+
+    /// The seed this plan was drawn under.
+    pub fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    /// Serve the plan on `deployment` and keep every event: what
+    /// [`simulate`] returns.
+    pub fn trace(&self, deployment: &Deployment<'_>) -> ServingTrace {
+        // Deferred queries resolve out of arrival order, so events land by
+        // index over a placeholder; the count proves none is left.
+        let unresolved = QueryEvent {
+            arrival_secs: f64::NAN,
+            consistency_wait_secs: f64::NAN,
+            service_secs: f64::NAN,
+            finish_secs: f64::NAN,
+            shed: true,
+            replica: usize::MAX,
+        };
+        let mut events = vec![unresolved; self.queries.len()];
+        let mut resolved = 0usize;
+        let summary = run(self, deployment, |i, event| {
+            events[i] = event;
+            resolved += 1;
+        });
+        assert_eq!(
+            resolved,
+            events.len(),
+            "every query resolves exactly once by the end of the run"
+        );
+        ServingTrace { events, ..summary }
+    }
+
+    /// Serve the plan on `deployment` and keep only the aggregate:
+    /// bit-identical to `self.trace(deployment).stats(spec)` for the spec
+    /// the plan was drawn from, without materialising the trace — what
+    /// [`crate::ServingBackend`] pays per candidate.
+    pub fn stats(&self, deployment: &Deployment<'_>) -> ServingStats {
+        let mut acc = StatsAccumulator::new(&self.spec, self.queries.len());
+        let summary = run(self, deployment, |i, event| acc.record(i, &event));
+        acc.finish(summary.max_queue_depth, summary.writes)
+    }
+}
+
 /// One *dynamic* event of the loop — the ones a run schedules while it
 /// runs. Query and insert arrivals are known up front and never enter
 /// the heap.
@@ -426,6 +544,15 @@ struct SlotPool {
     handoff: Vec<f64>,
 }
 
+/// What the router read in one [`SlotPool::survey`].
+struct Depths {
+    /// The shortest queue (lowest index among equals) and its depth.
+    shortest_queue: usize,
+    shortest: usize,
+    /// The deepest queue's depth.
+    deepest: usize,
+}
+
 impl SlotPool {
     fn new(
         model: &CostModel,
@@ -457,14 +584,30 @@ impl SlotPool {
         self.free[0].len() * self.queues_per_group
     }
 
-    /// Requests whose service has started by `now` have left their
-    /// scheduler queues — drain them all, so the router sees current depths.
-    fn drain_started(&mut self, now: f64) {
-        for queue in &mut self.waiting {
+    /// Queue `q`'s depth in the router's eyes. Backpressure is visible to
+    /// reads: `parked` inserts occupy the primary queue.
+    fn depth(&self, q: usize, parked: usize) -> usize {
+        self.waiting[q].len() + if q == 0 { parked } else { 0 }
+    }
+
+    /// The one walk over the queues an arrival at `now` pays for: requests
+    /// whose service has started have left their scheduler queues, so drain
+    /// them; then read the current depths for the router (shortest queue,
+    /// ties to the lowest index) and for the trace's high-water mark.
+    fn survey(&mut self, now: f64, parked: usize) -> Depths {
+        let mut seen = Depths { shortest_queue: 0, shortest: usize::MAX, deepest: 0 };
+        for q in 0..self.waiting.len() {
+            let queue = &mut self.waiting[q];
             while queue.peek().is_some_and(|&std::cmp::Reverse(bits)| f64::from_bits(bits) <= now) {
                 queue.pop();
             }
+            let depth = self.depth(q, parked);
+            if depth < seen.shortest {
+                (seen.shortest_queue, seen.shortest) = (q, depth);
+            }
+            seen.deepest = seen.deepest.max(depth);
         }
+        seen
     }
 
     /// Occupy queue `q`'s earliest-free slot for `secs`, no sooner than
@@ -519,12 +662,13 @@ fn schedule_commit(
     agenda.push(finish, Ev::FlushDone(job.upto_lsn));
 }
 
-/// Run the serving simulation — the one event loop every entry point and
-/// [`crate::ServingBackend`] drive. `base_service_secs` is the per-query
-/// service time the cost model derived for this configuration
-/// ([`vdms::CostModel::service_secs_from_qps_replicated`]); arrivals,
-/// replica routing, consistency waits, bounded queueing, slot scheduling
-/// and the write path happen here.
+/// The serving simulation — the one event loop every entry point and
+/// [`crate::ServingBackend`] drive, reporting each query's
+/// [`QueryEvent`] to `resolved` (with its arrival index) the moment it
+/// is known, and returning everything else a [`ServingTrace`] holds —
+/// `events` is left empty for the caller that kept them. Arrivals, replica
+/// routing, consistency waits, bounded queueing, slot scheduling and the
+/// write path happen here.
 ///
 /// The deployment is `replicas` identical groups. `policy` selects each
 /// group's execution model: [`PinningPolicy::Shared`] is one bounded queue
@@ -538,9 +682,9 @@ fn schedule_commit(
 /// join-shortest-queue reads the *real* depths (ties to the lowest index),
 /// random routing draws a queue from the seed.
 ///
-/// **Events.** Query and insert arrival times are precomputed — parallel,
-/// order-stable draws (pure functions of the index), summed serially —
-/// and walked by two cursors; only the events a run schedules while it
+/// **Events.** Query and insert arrival times come from the plan — drawn
+/// before the loop, never by it — and are walked by two cursors; only the
+/// events a run schedules while it
 /// runs (flush ticks, commit completions, deferred retries) live in a
 /// heap. On a time tie a query fires before an insert before the heap,
 /// and the heap is FIFO. The loop itself is serial, so the same inputs
@@ -555,9 +699,10 @@ fn schedule_commit(
 /// * an insert stream: the WAL — inserts are offered to a [`WalSim`]
 ///   running `knobs`, and the query waits for the commit that makes the
 ///   last row admitted by `arrival - gracefulTime` durable (plus the
-///   replica lag off the primary group). When no triggered commit covers
-///   that row yet, the query retries right after the next tick, which
-///   triggers everything pending.
+///   replica lag off the primary group). Queries ask in arrival order,
+///   so both lookups advance cursors instead of searching. When no
+///   triggered commit covers that row yet, the query retries right
+///   after the next tick, which triggers everything pending.
 ///
 /// **Write work.** Group commits (a full batch, or the tick deadline),
 /// segment seals and compactions are priced by the cost model and occupy
@@ -567,55 +712,19 @@ fn schedule_commit(
 /// the router's eyes, steering JSQ away and shedding queries once the
 /// shared bound fills. The tick chain runs until every accepted insert
 /// is durable — backpressure delays, never drops.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate(
-    model: &CostModel,
-    sys: &SystemParams,
-    base_service_secs: f64,
-    spec: &ServingSpec,
-    seed: u64,
-    replicas: usize,
-    policy: PinningPolicy,
-    top_k: usize,
-    knobs: WriteKnobs,
+fn run(
+    plan: &ArrivalPlan,
+    deployment: &Deployment<'_>,
+    mut resolved: impl FnMut(usize, QueryEvent),
 ) -> ServingTrace {
+    let &Deployment { model, sys, base_service_secs, replicas, policy, top_k, knobs } = deployment;
+    let (spec, queries, inserts) = (&plan.spec, &plan.queries[..], &plan.inserts[..]);
     let replicas = replicas.max(1);
     let mut pool = SlotPool::new(model, sys, replicas, policy, top_k);
     let slots = pool.slots_per_group();
     let queues = pool.free.len();
-    let n = spec.requests;
-    if n == 0 || spec.arrival_qps <= 0.0 {
-        return ServingTrace {
-            events: Vec::new(),
-            slots,
-            replicas,
-            max_queue_depth: 0,
-            writes: WriteStats::default(),
-        };
-    }
+    let (n, n_inserts) = (queries.len(), inserts.len());
     let has_inserts = spec.insert_fraction > 0.0;
-    let n_inserts = (n as f64 * spec.insert_fraction.max(0.0)).round() as usize;
-
-    // Parallel fan-out: each draw is a pure function of its index, and the
-    // shim's collect preserves input order, so this is thread-invariant.
-    // Pinning changes *scheduling*, never the offered workload.
-    let mut queries: Vec<(f64, f64)> = (0..n)
-        .into_par_iter()
-        .map(|i| {
-            let i = i as u64;
-            (
-                interarrival_secs(spec.arrival_qps, spec.burstiness, STREAMS_QUERY, seed, i),
-                base_service_secs * service_jitter(seed, i),
-            )
-        })
-        .collect();
-    accumulate(queries.iter_mut().map(|q| &mut q.0));
-    let insert_qps = spec.arrival_qps * spec.insert_fraction;
-    let mut inserts: Vec<f64> = (0..n_inserts)
-        .into_par_iter()
-        .map(|j| interarrival_secs(insert_qps, spec.burstiness, STREAMS_INSERT, seed, j as u64))
-        .collect();
-    accumulate(inserts.iter_mut());
 
     // Backpressure and query queueing share the bound: the parking queue
     // holds at most `queue_capacity` inserts.
@@ -623,6 +732,8 @@ pub fn simulate(
     let interval = wal.knobs().flush_interval_secs;
     let graceful_secs = sys.graceful_time_ms.max(0.0) / 1_000.0;
     let replica_lag_secs = CostModel::replica_lag_ms(replicas) / 1_000.0;
+    // The jitter factor is the plan's; the product is the candidate's.
+    let service_secs = |i: usize| base_service_secs * queries[i].1;
     // WAL visibility: the rows became durable on the primary at
     // `durable_secs`, and reach the other groups a replica lag later.
     let serve_visible =
@@ -630,7 +741,7 @@ pub fn simulate(
             let visible =
                 if pool.group_of(q) == 0 { durable_secs } else { durable_secs + replica_lag_secs };
             let eligible = arrival_secs.max(visible);
-            pool.serve(q, arrival_secs, eligible, eligible - arrival_secs, queries[i].1)
+            pool.serve(q, arrival_secs, eligible, eligible - arrival_secs, service_secs(i))
         };
 
     let mut agenda = Agenda::default();
@@ -638,9 +749,10 @@ pub fn simulate(
     if has_inserts {
         agenda.push(next_tick, Ev::Tick);
     }
-    let mut events: Vec<Option<QueryEvent>> = vec![None; n];
     let mut max_queue_depth = 0usize;
     let (mut qi, mut ii) = (0usize, 0usize);
+    // Where the last in-order query left the admission and commit logs.
+    let (mut lsn_cursor, mut flush_cursor) = (0u64, 0usize);
     loop {
         let query_at = queries.get(qi).map_or(f64::INFINITY, |q| q.0);
         let insert_at = inserts.get(ii).copied().unwrap_or(f64::INFINITY);
@@ -648,45 +760,42 @@ pub fn simulate(
         if qi < n && query_at <= insert_at && query_at <= agenda_at {
             let (i, now) = (qi, query_at);
             qi += 1;
-            pool.drain_started(now);
-            // Backpressure is visible to reads: parked inserts occupy the
-            // primary queue.
-            let depth = |q: usize| pool.waiting[q].len() + if q == 0 { wal.parked() } else { 0 };
-            let q = match spec.routing {
-                RoutingPolicy::JoinShortestQueue => {
-                    (0..queues).min_by_key(|&q| (depth(q), q)).expect("queues >= 1 by construction")
-                }
+            let seen = pool.survey(now, wal.parked());
+            max_queue_depth = max_queue_depth.max(seen.deepest);
+            let (q, depth) = match spec.routing {
+                RoutingPolicy::JoinShortestQueue => (seen.shortest_queue, seen.shortest),
                 RoutingPolicy::Random { seed: route_seed } => {
-                    (mix(route_seed, STREAM_ROUTE, i as u64) % queues as u64) as usize
+                    let q = (mix(route_seed, STREAM_ROUTE, i as u64) % queues as u64) as usize;
+                    (q, pool.depth(q, wal.parked()))
                 }
             };
-            max_queue_depth = max_queue_depth.max((0..queues).map(depth).max().unwrap_or(0));
-            events[i] = if depth(q) >= spec.queue_capacity {
-                Some(QueryEvent {
+            if depth >= spec.queue_capacity {
+                let shed = QueryEvent {
                     arrival_secs: now,
                     consistency_wait_secs: 0.0,
                     service_secs: 0.0,
                     finish_secs: now,
                     shed: true,
                     replica: pool.group_of(q),
-                })
+                };
+                resolved(i, shed);
             } else if !has_inserts {
                 let wait = CostModel::consistency_wait_secs_replicated(sys, now, replicas);
-                Some(pool.serve(q, now, now + wait, wait, queries[i].1))
+                resolved(i, pool.serve(q, now, now + wait, wait, service_secs(i)));
             } else {
-                let lsn = wal.last_lsn_at_or_before(now - graceful_secs);
-                match wal.durable_time_of(lsn) {
-                    Some(durable) => Some(serve_visible(&mut pool, i, q, now, durable)),
+                let lsn = wal.last_lsn_at_or_before_hinted(now - graceful_secs, lsn_cursor);
+                lsn_cursor = lsn;
+                match wal.durable_time_of_hinted(lsn, &mut flush_cursor) {
+                    Some(durable) => resolved(i, serve_visible(&mut pool, i, q, now, durable)),
                     // The next tick triggers everything pending (and fires
                     // before the retry — pushed earlier, same instant), so
                     // one retry always resolves.
                     None => {
                         let retry = Ev::Retry { query: i, queue: q, arrival_secs: now, lsn };
                         agenda.push(next_tick, retry);
-                        None
                     }
                 }
-            };
+            }
         } else if ii < n_inserts && insert_at <= agenda_at {
             ii += 1;
             let _ = wal.offer_insert(insert_at);
@@ -721,12 +830,13 @@ pub fn simulate(
                         schedule_commit(model, &mut pool, &mut wal, &mut agenda, job, now);
                     }
                 }
+                // A retry fires out of arrival order, so it searches the
+                // commit log instead of moving the in-order cursor.
                 Ev::Retry { query, queue, arrival_secs, lsn } => {
                     let durable = wal
                         .durable_time_of(lsn)
                         .expect("the tick preceding a retry triggers every pending commit");
-                    events[query] =
-                        Some(serve_visible(&mut pool, query, queue, arrival_secs, durable));
+                    resolved(query, serve_visible(&mut pool, query, queue, arrival_secs, durable));
                 }
             }
         } else {
@@ -745,11 +855,35 @@ pub fn simulate(
         compactions: wal.compactions(),
         last_durable_lsn: wal.durable_lsn(),
     };
-    let events = events
-        .into_iter()
-        .map(|e| e.expect("every query resolves by the end of the run"))
-        .collect();
-    ServingTrace { events, slots, replicas, max_queue_depth, writes }
+    ServingTrace { events: Vec::new(), slots, replicas, max_queue_depth, writes }
+}
+
+/// Run the serving simulation: draw the [`ArrivalPlan`] of `(spec, seed)`
+/// and serve it on the given deployment ([`ArrivalPlan::trace`]).
+/// `base_service_secs` is the per-query service time the cost model derived
+/// for this configuration
+/// ([`vdms::CostModel::service_secs_from_qps_replicated`]).
+#[allow(clippy::too_many_arguments)]
+pub fn simulate(
+    model: &CostModel,
+    sys: &SystemParams,
+    base_service_secs: f64,
+    spec: &ServingSpec,
+    seed: u64,
+    replicas: usize,
+    policy: PinningPolicy,
+    top_k: usize,
+    knobs: WriteKnobs,
+) -> ServingTrace {
+    ArrivalPlan::new(spec, seed).trace(&Deployment {
+        model,
+        sys,
+        base_service_secs,
+        replicas,
+        policy,
+        top_k,
+        knobs,
+    })
 }
 
 /// Read-only [`simulate`] over the shared slot pool: any insert fraction
@@ -820,15 +954,103 @@ pub fn simulate_pinned_mixed(
     simulate(model, sys, base_service_secs, spec, seed, replicas, policy, top_k, knobs)
 }
 
-/// `sorted[q]`-style percentile over an ascending slice (nearest-rank);
-/// empty input yields `INFINITY` so an SLO can never be "satisfied" by a
-/// run that completed nothing.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
+/// The `i64` whose integer order is [`f64::total_cmp`]'s order of `x`:
+/// the sign bit stays, a negative value's other bits flip. Sorting keys is
+/// a plain integer sort. The map is its own inverse ([`latency_of`]).
+fn latency_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// The latency a [`latency_key`] stands for, bit for bit.
+fn latency_of(key: i64) -> f64 {
+    f64::from_bits((key ^ (((key >> 63) as u64) >> 1) as i64) as u64)
+}
+
+/// Nearest-rank percentile over ascending latency keys; empty input yields
+/// `INFINITY` so an SLO can never be "satisfied" by a run that completed
+/// nothing.
+fn percentile(sorted_keys: &[i64], q: f64) -> f64 {
+    if sorted_keys.is_empty() {
         return f64::INFINITY;
     }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
+    let rank = ((q * sorted_keys.len() as f64).ceil() as usize).clamp(1, sorted_keys.len());
+    latency_of(sorted_keys[rank - 1])
+}
+
+/// The one implementation of [`ServingStats`]: fed every [`QueryEvent`] of
+/// a run — by [`ServingTrace::stats`] from a kept trace, by
+/// [`ArrivalPlan::stats`] straight from the loop — in any order.
+struct StatsAccumulator {
+    spec: ServingSpec,
+    /// The shed-charged latency stream, as [`latency_key`]s.
+    keys: Vec<i64>,
+    completed: usize,
+    timeouts: usize,
+    first_arrival: f64,
+    last_finish: f64,
+}
+
+impl StatsAccumulator {
+    fn new(spec: &ServingSpec, requests: usize) -> StatsAccumulator {
+        StatsAccumulator {
+            spec: *spec,
+            keys: Vec::with_capacity(requests),
+            completed: 0,
+            timeouts: 0,
+            first_arrival: 0.0,
+            last_finish: 0.0,
+        }
+    }
+
+    /// Request `index` (in arrival order) resolved as `event`.
+    fn record(&mut self, index: usize, event: &QueryEvent) {
+        let latency = if event.shed {
+            self.spec.timeout_secs
+        } else {
+            self.completed += 1;
+            let latency = event.latency_secs();
+            if latency > self.spec.timeout_secs {
+                self.timeouts += 1;
+            }
+            latency
+        };
+        self.keys.push(latency_key(latency));
+        // The measurement window runs from the first arrival to the last
+        // completion, so a long idle lead-in (low rates, few requests)
+        // does not deflate the achieved throughput.
+        if index == 0 {
+            self.first_arrival = event.arrival_secs;
+        }
+        self.last_finish = self.last_finish.max(event.finish_secs);
+    }
+
+    fn finish(mut self, max_queue_depth: usize, writes: WriteStats) -> ServingStats {
+        self.keys.sort_unstable();
+        let (keys, completed, timeouts) = (&self.keys, self.completed, self.timeouts);
+        let makespan = (self.last_finish - self.first_arrival).max(0.0);
+        // Summed in ascending order: the mean's bits depend on it.
+        let mean = if keys.is_empty() {
+            f64::INFINITY
+        } else {
+            keys.iter().map(|&k| latency_of(k)).sum::<f64>() / keys.len() as f64
+        };
+        ServingStats {
+            offered_qps: self.spec.arrival_qps,
+            achieved_qps: completed as f64 / makespan.max(1e-9),
+            goodput_qps: (completed - timeouts) as f64 / makespan.max(1e-9),
+            mean_latency_secs: mean,
+            p50_latency_secs: percentile(keys, 0.50),
+            p95_latency_secs: percentile(keys, 0.95),
+            p99_latency_secs: percentile(keys, 0.99),
+            max_queue_depth,
+            completed,
+            shed: keys.len() - completed,
+            timeouts,
+            makespan_secs: makespan,
+            writes,
+        }
+    }
 }
 
 impl ServingTrace {
@@ -845,42 +1067,11 @@ impl ServingTrace {
     /// traffic could report a *better* p99 than one that served
     /// everything — overload tails were systematically understated.
     pub fn stats(&self, spec: &ServingSpec) -> ServingStats {
-        let mut latencies: Vec<f64> = self
-            .events
-            .iter()
-            .map(|e| if e.shed { spec.timeout_secs } else { e.latency_secs() })
-            .collect();
-        latencies.sort_by(f64::total_cmp);
-        let completed = self.events.iter().filter(|e| !e.shed).count();
-        let shed = self.events.len() - completed;
-        let timeouts =
-            self.events.iter().filter(|e| !e.shed && e.latency_secs() > spec.timeout_secs).count();
-        // The measurement window runs from the first arrival to the last
-        // completion, so a long idle lead-in (low rates, few requests)
-        // does not deflate the achieved throughput.
-        let first_arrival = self.events.first().map_or(0.0, |e| e.arrival_secs);
-        let last_finish = self.events.iter().map(|e| e.finish_secs).fold(0.0f64, f64::max);
-        let makespan = (last_finish - first_arrival).max(0.0);
-        let mean = if latencies.is_empty() {
-            f64::INFINITY
-        } else {
-            latencies.iter().sum::<f64>() / latencies.len() as f64
-        };
-        ServingStats {
-            offered_qps: spec.arrival_qps,
-            achieved_qps: completed as f64 / makespan.max(1e-9),
-            goodput_qps: (completed - timeouts) as f64 / makespan.max(1e-9),
-            mean_latency_secs: mean,
-            p50_latency_secs: percentile(&latencies, 0.50),
-            p95_latency_secs: percentile(&latencies, 0.95),
-            p99_latency_secs: percentile(&latencies, 0.99),
-            max_queue_depth: self.max_queue_depth,
-            completed,
-            shed,
-            timeouts,
-            makespan_secs: makespan,
-            writes: self.writes,
+        let mut acc = StatsAccumulator::new(spec, self.events.len());
+        for (i, event) in self.events.iter().enumerate() {
+            acc.record(i, event);
         }
+        acc.finish(self.max_queue_depth, self.writes)
     }
 }
 
@@ -1034,11 +1225,84 @@ mod tests {
 
     #[test]
     fn percentile_is_nearest_rank() {
-        let v = [1.0, 2.0, 3.0, 4.0];
+        let v = [1.0, 2.0, 3.0, 4.0].map(latency_key);
         assert_eq!(percentile(&v, 0.5), 2.0);
         assert_eq!(percentile(&v, 0.99), 4.0);
         assert_eq!(percentile(&v, 0.0), 1.0);
         assert!(percentile(&[], 0.5).is_infinite());
+    }
+
+    #[test]
+    fn latency_keys_sort_in_total_cmp_order() {
+        let tiny = f64::MIN_POSITIVE / 4.0; // subnormal
+        let samples = [
+            0.004,
+            0.0,
+            -0.0,
+            tiny,
+            -tiny,
+            5e-324,
+            0.004,
+            1.0,
+            -0.02, // a negative `timeout_secs` charged to a shed request
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            1.0,
+        ];
+        let mut by_total_cmp = samples;
+        by_total_cmp.sort_by(f64::total_cmp);
+        let mut keys = samples.map(latency_key);
+        keys.sort_unstable();
+        assert_eq!(keys.map(|k| latency_of(k).to_bits()), by_total_cmp.map(f64::to_bits));
+    }
+
+    /// The latency aggregates as they were computed before the keys: `f64`
+    /// latencies under `sort_by(total_cmp)`, summed ascending.
+    fn float_sorted_aggregates(trace: &ServingTrace, spec: &ServingSpec) -> [u64; 4] {
+        let mut latencies: Vec<f64> = trace
+            .events
+            .iter()
+            .map(|e| if e.shed { spec.timeout_secs } else { e.latency_secs() })
+            .collect();
+        latencies.sort_by(f64::total_cmp);
+        let rank = |q: f64| {
+            let rank = ((q * latencies.len() as f64).ceil() as usize).clamp(1, latencies.len());
+            latencies[rank - 1]
+        };
+        let mean = latencies.iter().sum::<f64>() / latencies.len() as f64;
+        [mean, rank(0.50), rank(0.95), rank(0.99)].map(f64::to_bits)
+    }
+
+    #[test]
+    fn key_sorted_mean_and_percentiles_equal_the_float_sorted_ones_bitwise() {
+        let model = CostModel::default();
+        let sys = SystemParams { max_read_concurrency: 1, ..Default::default() };
+        let overload = ServingSpec {
+            arrival_qps: 3_000.0,
+            requests: 1_500,
+            queue_capacity: 16,
+            ..Default::default()
+        };
+        // Sheds charged an ordinary, a negative and an infinite timeout.
+        for timeout_secs in [0.02, -0.02, f64::INFINITY] {
+            let s = ServingSpec { timeout_secs, ..overload };
+            let trace = simulate_replicated(&model, &sys, 0.002, &s, 3, 1);
+            let stats = trace.stats(&s);
+            assert!(stats.shed > 0 && stats.completed > 0);
+            let ours = [
+                stats.mean_latency_secs,
+                stats.p50_latency_secs,
+                stats.p95_latency_secs,
+                stats.p99_latency_secs,
+            ];
+            assert_eq!(
+                ours.map(f64::to_bits),
+                float_sorted_aggregates(&trace, &s),
+                "{timeout_secs}"
+            );
+        }
     }
 
     /// Regression (coordinated omission): an overloaded config that sheds
@@ -1085,9 +1349,13 @@ mod tests {
         // The pre-fix metric really would have reported the opposite —
         // completed-only percentiles of the shedding trace beat the
         // provisioned config's tail.
-        let mut served_only: Vec<f64> =
-            shed_trace.events.iter().filter(|e| !e.shed).map(|e| e.latency_secs()).collect();
-        served_only.sort_by(f64::total_cmp);
+        let mut served_only: Vec<i64> = shed_trace
+            .events
+            .iter()
+            .filter(|e| !e.shed)
+            .map(|e| latency_key(e.latency_secs()))
+            .collect();
+        served_only.sort_unstable();
         let uncorrected_p99 = percentile(&served_only, 0.99);
         assert!(
             uncorrected_p99 < ok_stats.p99_latency_secs,

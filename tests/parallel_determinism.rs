@@ -95,6 +95,50 @@ fn replicated_serving_run_is_thread_count_invariant() {
 }
 
 #[test]
+fn batch_on_a_shared_serving_backend_is_thread_count_invariant() {
+    // One `ServingBackend` — one arrival-plan memo — behind several
+    // evaluators: who fills the slot, finds it filled or evicts a foreign
+    // plan, on one thread or four at once, must not show in the history.
+    use vdtuner::core::TuningOutcome;
+    use vdtuner::vdms::{PinningPolicy, WriteKnobs};
+    use vdtuner::workload::{ServingBackend, ServingSpec, TopologyBackend};
+    let w = tiny_workload();
+    let spec =
+        ServingSpec { arrival_qps: 600.0, requests: 400, ..Default::default() }.with_inserts(0.5);
+    let backend = || ServingBackend::new(&w, TopologyBackend::with_writepath(&w, 2, 3), spec);
+    let configs: Vec<VdmsConfig> =
+        [IndexType::Flat, IndexType::IvfFlat, IndexType::Hnsw, IndexType::IvfSq8]
+            .into_iter()
+            .enumerate()
+            .map(|(i, t)| {
+                let mut cfg = VdmsConfig::default_for(t);
+                cfg.shards = Some(1 + i % 2);
+                cfg.replicas = Some(1 + i % 3);
+                cfg.pinning = Some(PinningPolicy::ALL[i]);
+                cfg.writepath = Some(WriteKnobs { wal_batch_rows: 4 << i, ..WriteKnobs::DEFAULT });
+                cfg
+            })
+            .collect();
+    let observe = |backend: &ServingBackend<'_, _>, threads: usize, seed: u64| {
+        let mut evaluator = Evaluator::with_backend(backend, seed);
+        let obs = with_threads(threads, || evaluator.observe_batch(&configs, 0.0));
+        assert!(obs.iter().all(|o| o.serving.is_some()), "every candidate must be served");
+        let p99: Vec<_> =
+            obs.iter().map(|o| o.serving.map(|s| s.p99_latency_secs.to_bits())).collect();
+        let outcome = TuningOutcome::from_evaluator("batch".into(), &evaluator, Vec::new());
+        (outcome.fingerprint(|c| c), p99)
+    };
+    let fresh = |seed: u64| observe(&backend(), 1, seed);
+    let shared = backend();
+    // Four threads fill the empty slot, four more evict it for another
+    // seed, and the first seed comes back to a foreign plan.
+    assert_eq!(observe(&shared, 4, 11), fresh(11));
+    assert_eq!(observe(&shared, 4, 12), fresh(12));
+    assert_eq!(observe(&shared, 1, 11), fresh(11));
+    assert_ne!(fresh(11), fresh(12), "the seed must reach the history for this to bite");
+}
+
+#[test]
 fn sharded_backend_with_one_shard_matches_sim_backend_bitwise() {
     // Acceptance gate for the backend refactor: the cluster path at
     // shards = 1 is the single-node path, bit for bit, through the whole

@@ -6,14 +6,21 @@
 //! of the loop (shared pool / reactors, analytic watermark / WAL
 //! visibility, both routers, query shedding, insert parking and shedding,
 //! the deferred-consistency retry, the empty run).
+//!
+//! The same panel, and a property over random deployments, also hold the
+//! trace-free path a `ServingBackend` takes ([`ArrivalPlan::stats`]) to the
+//! stats of the materialised trace, field by field.
 
+use proptest::prelude::*;
 use vdtuner::anns::SearchCost;
 use vdtuner::prelude::*;
 use vdtuner::vdms::system_params::SystemParams;
 use vdtuner::vdms::writepath::WriteKnobs;
 use vdtuner::vdms::{CostModel, PinningPolicy};
-use vdtuner::workload::serving::{simulate_pinned, simulate_pinned_mixed, simulate_replicated};
-use vdtuner::workload::ServingTrace;
+use vdtuner::workload::serving::{
+    simulate_pinned, simulate_pinned_mixed, simulate_replicated, ArrivalPlan, Deployment,
+};
+use vdtuner::workload::{ServingStats, ServingTrace, WriteStats};
 
 /// FNV-1a over a stream of 64-bit words, byte by byte.
 struct Fnv(u64);
@@ -58,6 +65,21 @@ fn trace_digest(t: &ServingTrace) -> u64 {
     h.0
 }
 
+/// Every field of the stats, floats by their bits.
+fn stats_bits(s: &ServingStats) -> ([u64; 8], [usize; 4], WriteStats) {
+    let floats = [
+        s.offered_qps,
+        s.achieved_qps,
+        s.goodput_qps,
+        s.mean_latency_secs,
+        s.p50_latency_secs,
+        s.p95_latency_secs,
+        s.p99_latency_secs,
+        s.makespan_secs,
+    ];
+    (floats.map(f64::to_bits), [s.max_queue_depth, s.completed, s.shed, s.timeouts], s.writes)
+}
+
 /// Compare the panel with its pinned table; on any difference print the
 /// whole actual table in a form that pastes back into the source.
 fn check(pinned: &[(&str, u64)], actual: &[(String, u64)]) {
@@ -93,6 +115,25 @@ const TRACES: &[(&str, u64)] = &[
     ("zero requests mixed", 0xde4dbfc88674e82f),
 ];
 
+/// The panel's deployments: everything at a 4 ms base service time.
+fn on<'a>(
+    model: &'a CostModel,
+    sys: &'a SystemParams,
+    replicas: usize,
+    policy: PinningPolicy,
+    top_k: usize,
+    knobs: WriteKnobs,
+) -> Deployment<'a> {
+    Deployment { model, sys, base_service_secs: 0.004, replicas, policy, top_k, knobs }
+}
+
+/// `trace`, once the same case run trace-free aggregates to its stats.
+fn sunk(trace: ServingTrace, spec: &ServingSpec, seed: u64, on: Deployment<'_>) -> ServingTrace {
+    let stats = ArrivalPlan::new(spec, seed).stats(&on);
+    assert_eq!(stats_bits(&stats), stats_bits(&trace.stats(spec)));
+    trace
+}
+
 #[test]
 fn serving_traces_match_the_pre_collapse_simulators_bitwise() {
     use PinningPolicy::{Compact, Scatter, Shared, SmtAvoid};
@@ -112,13 +153,19 @@ fn serving_traces_match_the_pre_collapse_simulators_bitwise() {
     let per_row = WriteKnobs { wal_batch_rows: 1, flush_interval_secs: 0.05, seal_rows: 4096 };
 
     let ro = |sys: &SystemParams, spec: &ServingSpec, seed, replicas| {
-        simulate_replicated(&model, sys, 0.004, spec, seed, replicas)
+        let trace = simulate_replicated(&model, sys, 0.004, spec, seed, replicas);
+        let reads = spec.with_inserts(0.0);
+        sunk(trace, &reads, seed, on(&model, sys, replicas, Shared, 0, WriteKnobs::DEFAULT))
     };
     let pin = |spec: &ServingSpec, seed, replicas, policy| {
-        simulate_pinned(&model, &sys, 0.004, spec, seed, replicas, policy, 10)
+        let trace = simulate_pinned(&model, &sys, 0.004, spec, seed, replicas, policy, 10);
+        let reads = spec.with_inserts(0.0);
+        sunk(trace, &reads, seed, on(&model, &sys, replicas, policy, 10, WriteKnobs::DEFAULT))
     };
     let mix = |sys: &SystemParams, spec: &ServingSpec, seed, replicas, policy, knobs| {
-        simulate_pinned_mixed(&model, sys, 0.004, spec, seed, replicas, policy, 10, knobs)
+        let trace =
+            simulate_pinned_mixed(&model, sys, 0.004, spec, seed, replicas, policy, 10, knobs);
+        sunk(trace, spec, seed, on(&model, sys, replicas, policy, 10, knobs))
     };
 
     let shed_queries = ro(&one_slot, &overload, 3, 1);
@@ -164,6 +211,69 @@ fn serving_traces_match_the_pre_collapse_simulators_bitwise() {
     let actual: Vec<(String, u64)> =
         panel.iter().map(|(name, trace)| (name.to_string(), trace_digest(trace))).collect();
     check(TRACES, &actual);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One plan serves any number of candidates: for two random deployments
+    /// sharing a `(spec, seed)`, the plan's trace is the fresh simulation's
+    /// and its trace-free stats are that trace's stats, bit for bit.
+    #[test]
+    fn one_plan_serves_every_candidate_and_stats_need_no_trace(
+        candidates in prop::collection::vec(
+            (
+                // Write knobs: batch rows, flush interval, seal rows.
+                (1usize..=96, 0.002f64..0.08, 1usize..=256),
+                // Pinning policy, replicas, maxReadConcurrency.
+                (0usize..4, 1usize..=4, 1usize..=12),
+                // gracefulTime pick, base service time.
+                (0usize..3, 0.0005f64..0.006),
+            ),
+            2,
+        ),
+        random_routing in 0usize..2,
+        capacity in 0usize..4,
+        inserts in 0usize..4,
+        arrival_qps in 300.0f64..4_000.0,
+        seed in 0u64..1_000_000,
+    ) {
+        let model = CostModel::default();
+        let spec = ServingSpec {
+            arrival_qps,
+            requests: 300,
+            queue_capacity: [0, 3, 32, 256][capacity],
+            routing: [RoutingPolicy::JoinShortestQueue, RoutingPolicy::Random { seed: 21 }]
+                [random_routing],
+            // None, one that rounds to zero inserts, and two real streams.
+            insert_fraction: [0.0, 0.001, 0.5, 1.0][inserts],
+            ..Default::default()
+        };
+        let plan = ArrivalPlan::new(&spec, seed);
+        for ((batch, flush, seal), (policy, replicas, slots), (graceful, service)) in candidates {
+            let sys = SystemParams {
+                max_read_concurrency: slots,
+                graceful_time_ms: [0.0, 15.0, 5_000.0][graceful],
+                ..Default::default()
+            };
+            let policy = PinningPolicy::ALL[policy];
+            let knobs =
+                WriteKnobs { wal_batch_rows: batch, flush_interval_secs: flush, seal_rows: seal };
+            let fresh =
+                simulate_pinned_mixed(&model, &sys, service, &spec, seed, replicas, policy, 10, knobs);
+            let deployment = Deployment {
+                model: &model,
+                sys: &sys,
+                base_service_secs: service,
+                replicas,
+                policy,
+                top_k: 10,
+                knobs,
+            };
+            prop_assert_eq!(trace_digest(&plan.trace(&deployment)), trace_digest(&fresh));
+            prop_assert_eq!(stats_bits(&plan.stats(&deployment)), stats_bits(&fresh.stats(&spec)));
+        }
+    }
 }
 
 const PERF: &[(&str, u64)] = &[
