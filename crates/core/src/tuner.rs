@@ -19,6 +19,7 @@ use crate::space::SpaceSpec;
 use anns::params::IndexType;
 use gp::{fit_gp_on, FitOptions, GaussianProcess, Matern52, TrainingInputs};
 use mobo::acquisition::constrained_ei;
+use mobo::hypervolume::FrontSweep;
 use mobo::optimize::{argmax_acquisition_par, candidate_pool, local_refine_par, CandidateOptions};
 use mobo::pareto::non_dominated_indices;
 use rand::Rng;
@@ -335,10 +336,11 @@ impl VdTuner {
             self.space.embed(t, &pairs)
         };
 
-        // Line 21: maximize the acquisition over X'.
-        let front: Vec<[f64; 2]> =
-            non_dominated_indices(&pairs).into_iter().map(|i| pairs[i]).collect();
+        // Line 21: maximize the acquisition over X'. The Pareto front is
+        // filtered, sorted and measured here, once; every Monte-Carlo
+        // sample of every candidate then sweeps it in place.
         let reference = self.reference_point(t, &normalizer, &pairs);
+        let sweep = FrontSweep::new(&pairs, &reference);
         let mut zrng = rng(derive(self.seed, 0xACC0 + self.iter as u64));
         let z_pairs: Vec<(f64, f64)> = (0..self.options.mc_samples)
             .map(|_| (standard_normal(&mut zrng), standard_normal(&mut zrng)))
@@ -358,7 +360,6 @@ impl VdTuner {
         let (gps, gpr) = (&gp_speed, &gp_recall);
         let acq: Acquisition<'_> = match self.options.mode {
             TunerMode::MultiObjective | TunerMode::CostEffective => {
-                let (front, reference, z_pairs) = (front, reference, z_pairs);
                 Box::new(move |c: &[f64]| {
                     // Log-normal MC for speed, ceiling-clipped normal for
                     // recall; hypervolume improvement in objective space.
@@ -372,7 +373,7 @@ impl VdTuner {
                     let (mr, sr) = (pr.mean, pr.std_dev());
                     mobo::acquisition::mc_mean(&z_pairs, |z1, z2| {
                         let y = [(ms + ss * z1).exp(), (mr + sr * z2).min(recall_ceiling)];
-                        mobo::hypervolume::hv_improvement_2d(&front, &reference, &y)
+                        sweep.improvement(&y)
                     })
                 })
             }

@@ -15,10 +15,17 @@
 //! evaluation. On the reference host (2.1 GHz Xeon) one fit on 22
 //! dimensions takes 3.7 / 16 / 73 ms at n = 50 / 100 / 200 (the
 //! benchmark's `gp.fit_ms.n*`; 8.9 / 40 / 231 ms before the hoisting and
-//! the row-blocked Cholesky). The cost is cubic in n, so late in a long
-//! run the two fits per proposal are still most of the recommendation time
-//! (the paper reports 438 s of recommendation time over 200 iterations,
-//! ~2 s per iteration, for its whole pipeline).
+//! the row-blocked Cholesky). The cost is cubic in n, and the two fits are
+//! the largest part of a proposal on every workload the benchmark has:
+//! nine tenths of the recommendation time over a 180-iteration run, three
+//! quarters over 76 iterations, 43–47 % over 40 (the rest is the
+//! acquisition search). Until the acquisition stopped re-preparing the
+//! Pareto front for every Monte-Carlo sample
+//! (`mobo::hypervolume::FrontSweep`) that was true of the long run only —
+//! at n ≤ 40 the fits were a tenth. The per-workload split is in
+//! ARCHITECTURE.md, "Where recommendation time goes". (The paper reports
+//! 438 s of recommendation time over 200 iterations, ~2 s per iteration,
+//! for its whole pipeline.)
 //!
 //! **Bitwise contract.** The search is deterministic and its arithmetic is
 //! that of the straightforward implementation (`reference.rs`, which

@@ -1,6 +1,6 @@
 //! Acquisition functions: EI, Monte-Carlo EHVI, and constrained EI (Eq. 7).
 
-use crate::hypervolume::hv_improvement_2d;
+use crate::hypervolume::FrontSweep;
 use crate::normal::{cdf, pdf};
 use gp::Posterior;
 use rayon::prelude::*;
@@ -36,10 +36,10 @@ pub fn ehvi_mc(
     }
     let (m1, s1) = (post_speed.mean, post_speed.std_dev());
     let (m2, s2) = (post_recall.mean, post_recall.std_dev());
+    let sweep = FrontSweep::new(front, reference);
     let mut acc = 0.0;
     for &(z1, z2) in z_pairs {
-        let y = [m1 + s1 * z1, m2 + s2 * z2];
-        acc += hv_improvement_2d(front, reference, &y);
+        acc += sweep.improvement(&[m1 + s1 * z1, m2 + s2 * z2]);
     }
     acc / z_pairs.len() as f64
 }
@@ -72,10 +72,8 @@ pub fn ehvi_mc_par(
 ) -> f64 {
     let (m1, s1) = (post_speed.mean, post_speed.std_dev());
     let (m2, s2) = (post_recall.mean, post_recall.std_dev());
-    mc_mean(z_pairs, |z1, z2| {
-        let y = [m1 + s1 * z1, m2 + s2 * z2];
-        hv_improvement_2d(front, reference, &y)
-    })
+    let sweep = FrontSweep::new(front, reference);
+    mc_mean(z_pairs, |z1, z2| sweep.improvement(&[m1 + s1 * z1, m2 + s2 * z2]))
 }
 
 /// **Exact** 2-D EHVI for independent Gaussian objectives (maximization).

@@ -3,43 +3,154 @@
 //! The paper's objective space — (search speed, recall rate) — is 2-D, so
 //! the hypervolume indicator used by the acquisition (Eq. 4) and the
 //! successive-abandon score (Eq. 5–6) reduces to an O(k log k) staircase
-//! sweep.
+//! sweep: [`hv2d`].
+//!
+//! The acquisition asks a narrower question tens of thousands of times per
+//! proposal — how much would *this* sample add to *the same* front — so the
+//! front is prepared once ([`FrontSweep::new`]: non-dominated filter, stable
+//! sort, `hv2d`) and each sample costs one O(k), allocation-free pass
+//! ([`FrontSweep::improvement`]). [`hv_improvement_2d`] is the one-shot form
+//! of the same pass.
+//!
+//! The pass reproduces, bit for bit, the literal
+//! `hv2d(points + [z]) − hv2d(points)` kept in `oracle.rs` (test-only) by
+//! walking the very front the literal would have built, in its order, and
+//! adding the same rectangles into the same accumulator. Three facts about
+//! the literal make that possible without building anything:
+//!
+//! 1. **Where `z` lands.** It is appended last and the sort is stable, so
+//!    it follows every front point whose first objective is `Equal` to its
+//!    own under `total_cmp`; the front points keep their relative order.
+//! 2. **Which points leave.** If a front point dominates `z` the augmented
+//!    front is the front and the difference is `+0.0` exactly. Otherwise
+//!    the points `z` dominates are filtered out. Those sorted after `z`
+//!    would add no rectangle anyway, but one that ties `z` in the first
+//!    objective sorts *before* it and would add its own first — the same
+//!    area split into two products, not the same bits. (And comparisons
+//!    and `total_cmp` disagree on `-0.0` vs `+0.0`, so a point can
+//!    dominate, or be dominated by, one on the "wrong" side of it.) So
+//!    dominance is tested per point, never inferred from position.
+//! 3. **Summation order.** Float addition is not associative: rectangles
+//!    go into one accumulator started at `0.0` in sweep order, and `base`
+//!    is subtracted from the finished sum, never folded into it.
 
-use crate::pareto::pareto_front_sorted;
+use crate::pareto::{dominates, pareto_front_sorted};
+
+#[cfg(test)]
+mod oracle;
 
 /// Hypervolume of the region dominated by `points` and above `reference`
 /// (both objectives maximized). Points not dominating the reference
 /// contribute nothing.
 pub fn hv2d(points: &[[f64; 2]], reference: &[f64; 2]) -> f64 {
-    let front = pareto_front_sorted(points);
-    let mut hv = 0.0;
-    // Sweep from the largest y1 down; each front point adds a rectangle
-    // [ref.x .. p.x] × [prev_y .. p.y] clipped at the reference.
-    let mut prev_y = reference[1];
-    for p in &front {
-        let w = p[0] - reference[0];
-        let h = p[1] - prev_y;
+    FrontSweep::new(points, reference).base
+}
+
+/// The running state of a sweep from the largest first objective down: each
+/// point adds a rectangle `[ref.x .. p.x] × [prev_y .. p.y]` clipped at the
+/// reference.
+struct Staircase {
+    ref_x: f64,
+    prev_y: f64,
+    hv: f64,
+}
+
+impl Staircase {
+    fn above(reference: &[f64; 2]) -> Staircase {
+        Staircase { ref_x: reference[0], prev_y: reference[1], hv: 0.0 }
+    }
+
+    #[inline]
+    fn add(&mut self, p: &[f64; 2]) {
+        let w = p[0] - self.ref_x;
+        let h = p[1] - self.prev_y;
         if w > 0.0 && h > 0.0 {
-            hv += w * h;
-            prev_y = p[1];
-        } else if w > 0.0 && p[1] > prev_y {
-            prev_y = p[1];
+            self.hv += w * h;
+            self.prev_y = p[1];
+        } else if w > 0.0 && p[1] > self.prev_y {
+            self.prev_y = p[1];
         }
     }
-    hv
+}
+
+/// A Pareto front prepared for repeated hypervolume-improvement queries
+/// against one reference point: the non-dominated subset of the points it
+/// was built from, in sweep order, and its hypervolume.
+///
+/// Build one per front — `improvement` answers for the points given to
+/// `new` and no others.
+#[derive(Debug, Clone)]
+pub struct FrontSweep {
+    /// Non-dominated points, stably sorted by descending first objective.
+    front: Vec<[f64; 2]>,
+    reference: [f64; 2],
+    /// Hypervolume of the front: what [`hv2d`] returns.
+    base: f64,
+}
+
+impl FrontSweep {
+    /// Filter, sort and measure `points` (any points — dominated ones and
+    /// duplicates are handled as [`hv2d`] handles them).
+    pub fn new(points: &[[f64; 2]], reference: &[f64; 2]) -> FrontSweep {
+        let front = pareto_front_sorted(points);
+        let mut stairs = Staircase::above(reference);
+        for p in &front {
+            stairs.add(p);
+        }
+        FrontSweep { front, reference: *reference, base: stairs.hv }
+    }
+
+    /// Hypervolume *improvement* of adding `z` to the prepared points:
+    /// `HV(points ∪ {z}) − HV(points)`, never negative.
+    pub fn improvement(&self, z: &[f64; 2]) -> f64 {
+        if z[0] <= self.reference[0] || z[1] <= self.reference[1] {
+            return 0.0;
+        }
+        let mut stairs = Staircase::above(&self.reference);
+        if !self.visit_augmented(z, |p| stairs.add(p)) {
+            // The augmented front is the front: the difference is +0.0.
+            return 0.0;
+        }
+        (stairs.hv - self.base).max(0.0)
+    }
+
+    /// Visit the non-dominated subset of `points + [z]` in the order the
+    /// stable sort would leave it in, without building it. Returns `false`
+    /// (after an arbitrary prefix of visits) when a front point dominates
+    /// `z`.
+    #[inline]
+    fn visit_augmented(&self, z: &[f64; 2], mut visit: impl FnMut(&[f64; 2])) -> bool {
+        let mut z_pending = true;
+        for p in &self.front {
+            if dominates(p, z) {
+                return false;
+            }
+            if dominates(z, p) {
+                continue;
+            }
+            if z_pending && p[0].total_cmp(&z[0]).is_lt() {
+                visit(z);
+                z_pending = false;
+            }
+            visit(p);
+        }
+        if z_pending {
+            visit(z);
+        }
+        true
+    }
 }
 
 /// Hypervolume *improvement* of adding `z` to `points`:
-/// `HV(points ∪ {z}) − HV(points)`.
+/// `HV(points ∪ {z}) − HV(points)` — [`FrontSweep::improvement`] for a
+/// front asked about once.
 pub fn hv_improvement_2d(points: &[[f64; 2]], reference: &[f64; 2], z: &[f64; 2]) -> f64 {
+    // `improvement` starts with the same test; here it saves the filter
+    // and sort for a sample that cannot improve anything.
     if z[0] <= reference[0] || z[1] <= reference[1] {
         return 0.0;
     }
-    let base = hv2d(points, reference);
-    let mut augmented: Vec<[f64; 2]> = Vec::with_capacity(points.len() + 1);
-    augmented.extend_from_slice(points);
-    augmented.push(*z);
-    (hv2d(&augmented, reference) - base).max(0.0)
+    FrontSweep::new(points, reference).improvement(z)
 }
 
 #[cfg(test)]

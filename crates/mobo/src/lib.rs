@@ -7,6 +7,7 @@
 //!   convention throughout: *larger is better* for every objective),
 //! * [`hypervolume`] — exact 2-D hypervolume (the speed × recall objective
 //!   space is 2-D) plus the hypervolume *improvement* of a candidate point,
+//!   one-shot or against a front prepared once ([`FrontSweep`]),
 //! * [`normal`] — standard-normal pdf/cdf via an erf approximation,
 //! * [`acquisition`] — analytic Expected Improvement, Monte-Carlo Expected
 //!   Hypervolume Improvement (the paper estimates Eq. 4 by MC integration,
@@ -25,6 +26,6 @@ pub mod sampling;
 pub use acquisition::{
     constrained_ei, ehvi_2d_exact, ehvi_mc, ehvi_mc_par, expected_improvement, mc_mean,
 };
-pub use hypervolume::{hv2d, hv_improvement_2d};
+pub use hypervolume::{hv2d, hv_improvement_2d, FrontSweep};
 pub use pareto::{non_dominated_indices, pareto_ranks};
 pub use sampling::{latin_hypercube, uniform_points};
