@@ -31,14 +31,23 @@ impl AutoIndexIndex {
         seed: u64,
         stats: &mut BuildStats,
     ) -> Result<AutoIndexIndex, BuildError> {
-        let n = vectors.len() / dim.max(1);
-        // nlist ≈ 4·√n (the rule of thumb in the Milvus/FAISS docs), probing
-        // a small fixed share of the lists.
-        let nlist = ((4.0 * (n as f64).sqrt()) as usize).clamp(16, 1024);
-        let nprobe = (nlist / 48).max(2);
+        let (nlist, nprobe) = Self::heuristic(vectors.len() / dim.max(1));
         let params = IndexParams { nlist, ..Default::default() };
         let inner = IvfSq8Index::build(vectors, dim, &params, seed, stats)?;
         Ok(AutoIndexIndex { inner, nprobe })
+    }
+
+    /// `(nlist, nprobe)` for `n` vectors: nlist ≈ 4·√n (the rule of thumb in
+    /// the Milvus/FAISS docs), probing a small fixed share of the lists.
+    pub(crate) fn heuristic(n: usize) -> (usize, usize) {
+        let nlist = ((4.0 * (n as f64).sqrt()) as usize).clamp(16, 1024);
+        (nlist, (nlist / 48).max(2))
+    }
+
+    /// The index over an already-built inner IVF_SQ8.
+    #[cfg(test)]
+    pub(crate) fn from_inner(inner: IvfSq8Index, nprobe: usize) -> AutoIndexIndex {
+        AutoIndexIndex { inner, nprobe }
     }
 }
 

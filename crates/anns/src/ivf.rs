@@ -2,7 +2,7 @@
 //! SCANN: coarse k-means quantizer plus per-centroid posting lists.
 
 use crate::cost::BuildStats;
-use crate::kmeans::KMeans;
+use crate::kmeans::{assign_nearest, KMeans};
 
 /// Coarse quantizer + inverted lists. Each list holds local row ids.
 #[derive(Debug, Clone)]
@@ -22,11 +22,11 @@ impl IvfLists {
     ) -> IvfLists {
         let n = vectors.len() / dim;
         let quantizer = KMeans::train(vectors, dim, nlist, seed, stats);
+        let mut nearest = vec![0u32; n];
+        assign_nearest(vectors, &quantizer.centroids, dim, &mut nearest);
         let mut lists: Vec<Vec<u32>> = vec![Vec::new(); quantizer.k];
-        for i in 0..n {
-            let v = &vectors[i * dim..(i + 1) * dim];
-            let c = quantizer.nearest(v);
-            lists[c].push(i as u32);
+        for (i, &c) in nearest.iter().enumerate() {
+            lists[c as usize].push(i as u32);
         }
         stats.train_dims += (n * quantizer.k * dim) as u64; // assignment pass
         IvfLists { quantizer, lists }

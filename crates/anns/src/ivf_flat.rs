@@ -32,10 +32,14 @@ impl IvfFlatIndex {
         if params.nlist == 0 {
             return Err(BuildError::InvalidParam("nlist"));
         }
-        let ivf = IvfLists::build(vectors, dim, params.nlist, seed, stats);
+        Ok(Self::from_ivf(vectors, dim, IvfLists::build(vectors, dim, params.nlist, seed, stats)))
+    }
+
+    /// The index over already-built lists.
+    pub(crate) fn from_ivf(vectors: &[f32], dim: usize, ivf: IvfLists) -> IvfFlatIndex {
         let groups = GroupedLists::from_lists(&ivf.lists);
         let list_data = groups.gather_f32(vectors, dim);
-        Ok(IvfFlatIndex { dim, quantizer: ivf.quantizer, groups, list_data })
+        IvfFlatIndex { dim, quantizer: ivf.quantizer, groups, list_data }
     }
 }
 

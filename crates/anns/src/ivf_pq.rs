@@ -4,7 +4,7 @@
 use crate::cost::{BuildStats, SearchCost};
 use crate::index::{BuildError, VectorIndex};
 use crate::ivf::{GroupedLists, IvfLists};
-use crate::kmeans::{argmin, KMeans};
+use crate::kmeans::{assign_nearest, KMeans};
 use crate::params::{IndexParams, SearchParams};
 use vecdata::ground_truth::TopK;
 use vecdata::kernel;
@@ -39,14 +39,10 @@ impl ProductQuantizer {
         }
         let dsub = dim / m;
         let ksub = 1usize << nbits;
-        let n = vectors.len() / dim;
         let mut codebooks = Vec::with_capacity(m);
-        let mut sub = vec![0.0f32; n * dsub];
+        let mut sub = Vec::new();
         for s in 0..m {
-            for i in 0..n {
-                let src = &vectors[i * dim + s * dsub..i * dim + (s + 1) * dsub];
-                sub[i * dsub..(i + 1) * dsub].copy_from_slice(src);
-            }
+            subvectors(vectors, dim, s * dsub, dsub, &mut sub);
             let km = KMeans::train(&sub, dsub, ksub, seed.wrapping_add(s as u64), stats);
             // Pad codebook to ksub rows if the data had fewer points.
             let mut cb = km.centroids;
@@ -56,18 +52,24 @@ impl ProductQuantizer {
         Ok(ProductQuantizer { dim, m, dsub, ksub, codebooks })
     }
 
-    /// Encode a vector into `m` code bytes (one codebook index per subspace).
+    /// Encode `vectors.len() / dim` row-major vectors into `m` code bytes
+    /// each (one codebook index per subspace; `codes` is row-major too).
     ///
-    /// Each codebook is a contiguous `ksub x dsub` block, so the argmin is
-    /// block-scored through the dispatched kernel; the strict-< tie rule
-    /// keeps codes identical to the old per-centroid loop.
-    pub fn encode(&self, v: &[f32], out: &mut [u8]) {
-        let kern = kernel::active();
-        let mut scores = Vec::with_capacity(self.ksub);
+    /// Per subspace, the sub-vectors are copied out contiguously and
+    /// assigned to their nearest codebook row in one block-wise pass; the
+    /// strict-< tie rule keeps codes identical to the per-vector,
+    /// per-centroid loop.
+    pub fn encode(&self, vectors: &[f32], codes: &mut [u8]) {
+        let n = vectors.len() / self.dim;
+        assert!(vectors.len() == n * self.dim && codes.len() == n * self.m);
+        let mut sub = Vec::new();
+        let mut nearest = vec![0u32; n];
         for s in 0..self.m {
-            let sub = &v[s * self.dsub..(s + 1) * self.dsub];
-            kern.l2_sq_block(sub, &self.codebooks[s], self.dsub, &mut scores);
-            out[s] = argmin(&scores) as u8;
+            subvectors(vectors, self.dim, s * self.dsub, self.dsub, &mut sub);
+            assign_nearest(&sub, &self.codebooks[s], self.dsub, &mut nearest);
+            for (code, &c) in codes.iter_mut().skip(s).step_by(self.m).zip(&nearest) {
+                *code = c as u8;
+            }
         }
     }
 
@@ -116,6 +118,15 @@ impl ProductQuantizer {
     /// Memory of the codebooks in bytes.
     pub fn memory_bytes(&self) -> u64 {
         (self.m * self.ksub * self.dsub * 4) as u64
+    }
+}
+
+/// Columns `from..from + width` of every `dim`-wide row of `vectors`, as
+/// contiguous `width`-wide rows in `out` (cleared first).
+fn subvectors(vectors: &[f32], dim: usize, from: usize, width: usize, out: &mut Vec<f32>) {
+    out.clear();
+    for row in vectors.chunks_exact(dim) {
+        out.extend_from_slice(&row[from..from + width]);
     }
 }
 
@@ -241,12 +252,17 @@ impl IvfPqIndex {
             ProductQuantizer::train(vectors, dim, params.m, params.nbits, seed ^ 0x9051, stats)?;
         let n = vectors.len() / dim;
         let mut codes = vec![0u8; n * pq.m];
-        for i in 0..n {
-            pq.encode(&vectors[i * dim..(i + 1) * dim], &mut codes[i * pq.m..(i + 1) * pq.m]);
-        }
+        pq.encode(vectors, &mut codes);
         stats.train_dims += (n * pq.m * pq.ksub * pq.dsub) as u64; // encode pass
+        Ok(Self::from_parts(ivf, pq, &codes))
+    }
+
+    /// The index over already-built lists, codebooks and per-vector codes
+    /// (`m` bytes each, in id order).
+    pub(crate) fn from_parts(ivf: IvfLists, pq: ProductQuantizer, codes: &[u8]) -> IvfPqIndex {
+        let n = codes.len() / pq.m;
         let groups = GroupedLists::from_lists(&ivf.lists);
-        let list_codes = groups.gather_u8(&codes, pq.m);
+        let list_codes = groups.gather_u8(codes, pq.m);
         let mut idx = IvfPqIndex {
             quantizer: ivf.quantizer,
             groups,
@@ -260,7 +276,7 @@ impl IvfPqIndex {
         if kernel::active_policy() == kernel::KernelPolicy::Fast {
             idx.set_fast_tier(true);
         }
-        Ok(idx)
+        idx
     }
 
     /// Toggle the fast-tier scoring path (on by default when the process

@@ -114,6 +114,17 @@ impl IvfSq8Index {
             return Err(BuildError::InvalidParam("nlist"));
         }
         let ivf = IvfLists::build(vectors, dim, params.nlist, seed, stats);
+        Ok(Self::from_ivf(vectors, dim, ivf, stats))
+    }
+
+    /// The index over already-built lists: trains the scalar quantizer and
+    /// encodes every vector.
+    pub(crate) fn from_ivf(
+        vectors: &[f32],
+        dim: usize,
+        ivf: IvfLists,
+        stats: &mut BuildStats,
+    ) -> IvfSq8Index {
         let sq = ScalarQuantizer::train(vectors, dim);
         let n = vectors.len() / dim;
         let mut codes = vec![0u8; n * dim];
@@ -135,7 +146,7 @@ impl IvfSq8Index {
         if kernel::active_policy() == kernel::KernelPolicy::Fast {
             idx.set_fast_tier(true);
         }
-        Ok(idx)
+        idx
     }
 
     /// Toggle the fast-tier symmetric scan (on by default when the process

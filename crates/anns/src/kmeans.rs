@@ -3,12 +3,31 @@
 //! Training runs on a bounded sample (like FAISS/Milvus, which cap training
 //! points per centroid) so index build time stays proportional to `nlist`
 //! rather than the segment size.
+//!
+//! # Blocks, not points
+//!
+//! Every distance here goes through [`Kernel::l2_sq_block`] with a
+//! *centroid* as the query and a contiguous run of *points* as the block —
+//! the kernel scores eight rows per pass, so a call is worth making only
+//! over many rows. `l2_sq` is bitwise symmetric (`(a − b)²` and `(b − a)²`
+//! are the same float), so swapping the roles moves no bit. The training
+//! sample is gathered once into a contiguous buffer for that purpose, and
+//! [`assign_nearest`] is the one nearest-centroid pass of the crate: Lloyd
+//! assignment, IVF list assignment and PQ encoding all run it. Centroids,
+//! lists, codes, `BuildStats` and RNG draws are those of the per-point loops
+//! kept in `oracle.rs` (test-only), bit for bit.
+//!
+//! [`Kernel::l2_sq_block`]: vecdata::kernel::Kernel::l2_sq_block
 
 use crate::cost::BuildStats;
+use rand::rngs::StdRng;
 use rand::Rng;
-use vecdata::distance::l2_sq;
+use std::borrow::Cow;
 use vecdata::kernel;
 use vecdata::rng::rng;
+
+#[cfg(test)]
+mod oracle;
 
 /// Result of k-means training: `k` centroids in a flat row-major buffer.
 #[derive(Debug, Clone)]
@@ -23,12 +42,27 @@ pub struct KMeans {
 const TRAIN_POINTS_PER_CENTROID: usize = 64;
 /// Lloyd iterations; IVF quality saturates quickly on our data sizes.
 const LLOYD_ITERS: usize = 6;
+/// Floats of points per [`assign_nearest`] tile: 16 KiB, so a tile stays in
+/// L1 while every centroid is scored against it.
+const TILE_FLOATS: usize = 4096;
 
 impl KMeans {
     /// Train on (a sample of) `data`. `data.len()` must be a multiple of `dim`.
     ///
     /// `k` is clamped to the number of points. Deterministic given `seed`.
     pub fn train(data: &[f32], dim: usize, k: usize, seed: u64, stats: &mut BuildStats) -> KMeans {
+        Self::train_with(&mut rng(seed), data, dim, k, stats)
+    }
+
+    /// [`KMeans::train`] drawing from `r` (split out so that the oracle
+    /// panel can also compare where the two sides leave the generator).
+    fn train_with(
+        r: &mut StdRng,
+        data: &[f32],
+        dim: usize,
+        k: usize,
+        stats: &mut BuildStats,
+    ) -> KMeans {
         assert!(dim > 0 && data.len().is_multiple_of(dim));
         let n = data.len() / dim;
         let k = k.max(1).min(n.max(1));
@@ -36,37 +70,38 @@ impl KMeans {
             return KMeans { k: 0, dim, centroids: Vec::new() };
         }
 
-        let mut r = rng(seed);
-        // Bounded training sample.
-        let sample_target = (k * TRAIN_POINTS_PER_CENTROID).min(n);
-        let sample: Vec<usize> = if sample_target == n {
-            (0..n).collect()
+        // Bounded training sample, contiguous: the whole segment borrowed,
+        // or `s` picked rows gathered once.
+        let s = (k * TRAIN_POINTS_PER_CENTROID).min(n);
+        let sample: Cow<[f32]> = if s == n {
+            Cow::Borrowed(data)
         } else {
             // Floyd's sampling would be fancier; a simple stride+jitter pick
             // is deterministic and spreads across the segment.
-            let stride = n as f64 / sample_target as f64;
-            (0..sample_target)
-                .map(|i| {
-                    let base = (i as f64 * stride) as usize;
-                    (base + r.gen_range(0..stride.max(1.0) as usize + 1)).min(n - 1)
-                })
-                .collect()
+            let stride = n as f64 / s as f64;
+            let mut rows = Vec::with_capacity(s * dim);
+            for j in 0..s {
+                let base = (j as f64 * stride) as usize;
+                let i = (base + r.gen_range(0..stride.max(1.0) as usize + 1)).min(n - 1);
+                rows.extend_from_slice(&data[i * dim..(i + 1) * dim]);
+            }
+            Cow::Owned(rows)
         };
-        let s = sample.len();
+        let point = |j: usize| &sample[j * dim..(j + 1) * dim];
 
-        // k-means++ seeding on the sample.
+        // k-means++ seeding on the sample: each new centroid is scored
+        // against the whole sample in one block call.
+        let kern = kernel::active();
         let mut centroids = vec![0.0f32; k * dim];
-        let first = sample[r.gen_range(0..s)];
-        centroids[..dim].copy_from_slice(&data[first * dim..(first + 1) * dim]);
-        let mut min_d2: Vec<f32> = sample
-            .iter()
-            .map(|&i| l2_sq(&data[i * dim..(i + 1) * dim], &centroids[..dim]))
-            .collect();
+        centroids[..dim].copy_from_slice(point(r.gen_range(0..s)));
+        let mut min_d2 = Vec::with_capacity(s);
+        kern.l2_sq_block(&centroids[..dim], &sample, dim, &mut min_d2);
         stats.train_dims += (s * dim) as u64;
+        let mut scores = Vec::with_capacity(s);
         for c in 1..k {
             let total: f64 = min_d2.iter().map(|&d| d as f64).sum();
             let chosen = if total <= 0.0 {
-                sample[r.gen_range(0..s)]
+                r.gen_range(0..s)
             } else {
                 let mut target = r.gen::<f64>() * total;
                 let mut pick = s - 1;
@@ -77,43 +112,33 @@ impl KMeans {
                         break;
                     }
                 }
-                sample[pick]
+                pick
             };
-            let dst = &mut centroids[c * dim..(c + 1) * dim];
-            dst.copy_from_slice(&data[chosen * dim..(chosen + 1) * dim]);
+            let centroid = &mut centroids[c * dim..(c + 1) * dim];
+            centroid.copy_from_slice(point(chosen));
             // Update min distances.
-            let dst = &centroids[c * dim..(c + 1) * dim];
-            for (j, &i) in sample.iter().enumerate() {
-                let d = l2_sq(&data[i * dim..(i + 1) * dim], dst);
-                if d < min_d2[j] {
-                    min_d2[j] = d;
+            kern.l2_sq_block(centroid, &sample, dim, &mut scores);
+            for (min, &d) in min_d2.iter_mut().zip(&scores) {
+                if d < *min {
+                    *min = d;
                 }
             }
             stats.train_dims += (s * dim) as u64;
         }
 
-        // Lloyd iterations on the sample. Assignment scores each point
-        // against the contiguous centroid block through the dispatched
-        // kernel; the strict-< argmin over identical distances keeps
-        // assignments bit-identical to the old per-centroid loop.
-        let mut assign = vec![0usize; s];
+        // Lloyd iterations on the sample.
+        let mut assign = vec![0u32; s];
         let mut counts = vec![0usize; k];
         let mut sums = vec![0.0f32; k * dim];
-        let kern = kernel::active();
-        let mut scores = Vec::with_capacity(k);
         for _ in 0..LLOYD_ITERS {
-            for (j, &i) in sample.iter().enumerate() {
-                let v = &data[i * dim..(i + 1) * dim];
-                kern.l2_sq_block(v, &centroids, dim, &mut scores);
-                assign[j] = argmin(&scores);
-            }
+            assign_nearest(&sample, &centroids, dim, &mut assign);
             stats.train_dims += (s * k * dim) as u64;
             counts.iter_mut().for_each(|c| *c = 0);
             sums.iter_mut().for_each(|x| *x = 0.0);
-            for (j, &i) in sample.iter().enumerate() {
-                let c = assign[j];
+            for (j, &c) in assign.iter().enumerate() {
+                let c = c as usize;
                 counts[c] += 1;
-                let v = &data[i * dim..(i + 1) * dim];
+                let v = point(j);
                 let dst = &mut sums[c * dim..(c + 1) * dim];
                 for d in 0..dim {
                     dst[d] += v[d];
@@ -129,9 +154,7 @@ impl KMeans {
                 } else {
                     // Re-seed an empty cluster at a random sample point to
                     // keep all `k` partitions useful.
-                    let i = sample[r.gen_range(0..s)];
-                    centroids[c * dim..(c + 1) * dim]
-                        .copy_from_slice(&data[i * dim..(i + 1) * dim]);
+                    centroids[c * dim..(c + 1) * dim].copy_from_slice(point(r.gen_range(0..s)));
                 }
             }
         }
@@ -143,15 +166,6 @@ impl KMeans {
     #[inline]
     pub fn centroid(&self, c: usize) -> &[f32] {
         &self.centroids[c * self.dim..(c + 1) * self.dim]
-    }
-
-    /// Index of the nearest centroid to `v` (block-scored through the
-    /// dispatched kernel; 0 when `k == 0`, like the old loop).
-    #[inline]
-    pub fn nearest(&self, v: &[f32]) -> usize {
-        let mut scores = Vec::with_capacity(self.k);
-        kernel::active().l2_sq_block(v, &self.centroids, self.dim, &mut scores);
-        argmin(&scores)
     }
 
     /// Indices of the `p` nearest centroids (sorted by ascending distance),
@@ -169,24 +183,42 @@ impl KMeans {
     }
 }
 
-/// First index of the smallest score (strict `<`, so ties keep the earliest
-/// index — same as the argmin loops this replaced). Returns 0 when empty.
-#[inline]
-pub(crate) fn argmin(scores: &[f32]) -> usize {
-    let mut best = 0usize;
-    let mut best_d = f32::INFINITY;
-    for (c, &d) in scores.iter().enumerate() {
-        if d < best_d {
-            best_d = d;
-            best = c;
+/// For each `dim`-wide row of `points`, the index of its nearest row of
+/// `centroids` into `out`: the first index of the smallest distance (strict
+/// `<` from `+∞`, so ties keep the earliest centroid and a row no centroid
+/// is nearer to than `+∞` — all-NaN, or no centroids at all — gets 0).
+///
+/// Points are taken a tile at a time; every centroid, in ascending order, is
+/// scored against the tile in one block call and merged into the tile's
+/// running minimum. Ascending order plus strict `<` is what makes the result
+/// the per-point argmin loop's.
+pub fn assign_nearest(points: &[f32], centroids: &[f32], dim: usize, out: &mut [u32]) {
+    assert!(dim > 0 && points.len() == out.len() * dim && centroids.len().is_multiple_of(dim));
+    let kern = kernel::active();
+    // A multiple of 8 rows, so only the last tile has leftover rows.
+    let tile_rows = (TILE_FLOATS / dim).max(8) / 8 * 8;
+    let mut scores = Vec::with_capacity(tile_rows);
+    let mut min_d2 = vec![f32::INFINITY; tile_rows];
+    for (tile, nearest) in points.chunks(tile_rows * dim).zip(out.chunks_mut(tile_rows)) {
+        let min_d2 = &mut min_d2[..nearest.len()];
+        min_d2.fill(f32::INFINITY);
+        nearest.fill(0);
+        for (c, centroid) in centroids.chunks_exact(dim).enumerate() {
+            kern.l2_sq_block(centroid, tile, dim, &mut scores);
+            for ((min, near), &d) in min_d2.iter_mut().zip(nearest.iter_mut()).zip(&scores) {
+                // Selects, not a branch: early centroids win often and
+                // unpredictably, and this form vectorises.
+                *near = if d < *min { c as u32 } else { *near };
+                *min = min.min(d);
+            }
         }
     }
-    best
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vecdata::distance::l2_sq;
 
     fn toy_data() -> (Vec<f32>, usize) {
         // Three well-separated 2-D blobs.
@@ -242,10 +274,12 @@ mod tests {
         let (data, dim) = toy_data();
         let mut stats = BuildStats::default();
         let km = KMeans::train(&data, dim, 3, 7, &mut stats);
-        let q = [10.1f32, 9.9];
-        let c = km.nearest(&q);
-        let cen = km.centroid(c);
-        assert!((cen[0] - 10.0).abs() < 2.0 && (cen[1] - 10.0).abs() < 2.0);
+        let mut nearest = [u32::MAX; 2];
+        assign_nearest(&[10.1, 9.9, -9.9, 10.2], &km.centroids, dim, &mut nearest);
+        for (c, blob) in nearest.into_iter().zip([(10.0f32, 10.0f32), (-10.0, 10.0)]) {
+            let cen = km.centroid(c as usize);
+            assert!((cen[0] - blob.0).abs() < 2.0 && (cen[1] - blob.1).abs() < 2.0);
+        }
     }
 
     #[test]

@@ -60,12 +60,22 @@ impl ScannIndex {
         let pq = ProductQuantizer::train(vectors, dim, m, 4, seed ^ 0x5CA1, stats)?;
         let n = vectors.len() / dim;
         let mut codes = vec![0u8; n * pq.m];
-        for i in 0..n {
-            pq.encode(&vectors[i * dim..(i + 1) * dim], &mut codes[i * pq.m..(i + 1) * pq.m]);
-        }
+        pq.encode(vectors, &mut codes);
         stats.train_dims += (n * pq.m * pq.ksub * pq.dsub) as u64;
+        Ok(Self::from_parts(vectors, dim, ivf, pq, &codes))
+    }
+
+    /// The index over already-built lists, codebooks and per-vector codes
+    /// (`m` bytes each, in id order).
+    pub(crate) fn from_parts(
+        vectors: &[f32],
+        dim: usize,
+        ivf: IvfLists,
+        pq: ProductQuantizer,
+        codes: &[u8],
+    ) -> ScannIndex {
         let groups = GroupedLists::from_lists(&ivf.lists);
-        let list_codes = groups.gather_u8(&codes, pq.m);
+        let list_codes = groups.gather_u8(codes, pq.m);
         let mut idx = ScannIndex {
             dim,
             quantizer: ivf.quantizer,
@@ -79,7 +89,7 @@ impl ScannIndex {
         if kernel::active_policy() == kernel::KernelPolicy::Fast {
             idx.set_fast_tier(true);
         }
-        Ok(idx)
+        idx
     }
 
     /// Toggle the fast-tier stage-1 scoring path (on by default when the

@@ -1568,9 +1568,7 @@ pub fn kernels(profile: &Profile) -> io::Result<()> {
     let pq = ProductQuantizer::train(ds.raw(), dim, 8, 8, profile.seed ^ 0xADC, &mut stats)
         .expect("48 % 8 == 0");
     let mut pq_codes = vec![0u8; n * pq.m];
-    for i in 0..n {
-        pq.encode(ds.vector(i), &mut pq_codes[i * pq.m..(i + 1) * pq.m]);
-    }
+    pq.encode(ds.raw(), &mut pq_codes);
     let mut cost = anns::SearchCost::default();
     let table = pq.adc_table(ds.query(0), &mut cost);
     let pq_mlps = measure_mdps(n * pq.m, reps, || {
@@ -1643,9 +1641,7 @@ pub fn kernels(profile: &Profile) -> io::Result<()> {
     let pq4 = ProductQuantizer::train(ds.raw(), dim, 8, 4, profile.seed ^ 0xADC4, &mut stats)
         .expect("48 % 8 == 0");
     let mut pq4_codes = vec![0u8; n * pq4.m];
-    for i in 0..n {
-        pq4.encode(ds.vector(i), &mut pq4_codes[i * pq4.m..(i + 1) * pq4.m]);
-    }
+    pq4.encode(ds.raw(), &mut pq4_codes);
     let table4 = pq4.adc_table(ds.query(0), &mut cost);
     let adc4_scalar_mlps = measure_mdps(n * pq4.m, reps, || {
         let mut acc = 0.0f32;

@@ -9,7 +9,9 @@
 //!
 //! # Determinism contract
 //!
-//! All kernels are **bit-identical** to the scalar reference for every input:
+//! All kernels are **bit-identical** to the scalar reference for every input
+//! (a NaN result is NaN on every kernel; which payload survives `NaN + NaN`
+//! follows operand order, which no compiler promises, and nothing reads it):
 //!
 //! * f32 reductions ([`Kernel::dot`], [`Kernel::l2_sq`], [`Kernel::dot3`])
 //!   use the workspace's fixed 8-lane reduction order — per chunk of 8 the
@@ -19,13 +21,25 @@
 //!   kernel maps each lane accumulator onto one vector lane
 //!   (`_mm256_mul_ps` + `_mm256_add_ps`, no `fmadd`), so its per-lane add
 //!   order is exactly the scalar loop's.
+//! * The f32 block forms ([`Kernel::l2_sq_block`], [`Kernel::dot_block`])
+//!   return, per row, exactly the pairwise result. The AVX2 kernel scores
+//!   **eight rows per pass**: each row keeps its own lane accumulator, one
+//!   8×8 register transpose turns the eight accumulators into eight lane
+//!   vectors, and the left-to-right lane fold runs as eight vector adds —
+//!   lane `j` of add `i` is row `j`'s `((0 + a0) + a1) + …`. The `dim % 8`
+//!   tails of the eight rows are transposed the same way and added in index
+//!   order after the fold; the `rows % 8` leftover rows take the pairwise
+//!   body. A block call is therefore worth making over many rows — the
+//!   k-means family passes a centroid as the query and points as the block
+//!   (`l2_sq` is bitwise symmetric).
 //! * The SQ8 asymmetric distance ([`Kernel::sq8_l2`]) replicates the legacy
 //!   *single sequential accumulator*: the SIMD variant vectorizes the
 //!   elementwise dequantize/diff/square work but folds the squared terms
 //!   into one accumulator in index order.
 //! * The AVX-512 variant keeps the same single 8-lane accumulator chain
 //!   (512-bit loads are split into two sequential 256-bit halves), which is
-//!   why it is only a modest win and is gated off by default.
+//!   why it is only a modest win and is gated off by default. Its block
+//!   forms are the AVX2 eight-row bodies.
 //!
 //! This is what lets dispatched SIMD, forced-scalar, and the pre-kernel
 //! legacy loops produce byte-identical tuning histories (see
@@ -745,21 +759,107 @@ mod avx2 {
         sum
     }
 
-    /// # Safety
-    /// Requires avx2; reached only through the detection-gated dispatch.
+    /// Transpose an 8×8 tile: lane `j` of output `i` is lane `i` of input `j`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn l2_sq_block(query: &[f32], block: &[f32], dim: usize, out: &mut Vec<f32>) {
-        for row in block.chunks_exact(dim) {
-            out.push(l2_sq(query, row));
+    fn transpose8(r: [__m256; 8]) -> [__m256; 8] {
+        let a0 = _mm256_unpacklo_ps(r[0], r[1]);
+        let a1 = _mm256_unpackhi_ps(r[0], r[1]);
+        let a2 = _mm256_unpacklo_ps(r[2], r[3]);
+        let a3 = _mm256_unpackhi_ps(r[2], r[3]);
+        let a4 = _mm256_unpacklo_ps(r[4], r[5]);
+        let a5 = _mm256_unpackhi_ps(r[4], r[5]);
+        let a6 = _mm256_unpacklo_ps(r[6], r[7]);
+        let a7 = _mm256_unpackhi_ps(r[6], r[7]);
+        let b0 = _mm256_shuffle_ps::<0x44>(a0, a2);
+        let b1 = _mm256_shuffle_ps::<0xEE>(a0, a2);
+        let b2 = _mm256_shuffle_ps::<0x44>(a1, a3);
+        let b3 = _mm256_shuffle_ps::<0xEE>(a1, a3);
+        let b4 = _mm256_shuffle_ps::<0x44>(a4, a6);
+        let b5 = _mm256_shuffle_ps::<0xEE>(a4, a6);
+        let b6 = _mm256_shuffle_ps::<0x44>(a5, a7);
+        let b7 = _mm256_shuffle_ps::<0xEE>(a5, a7);
+        [
+            _mm256_permute2f128_ps::<0x20>(b0, b4),
+            _mm256_permute2f128_ps::<0x20>(b1, b5),
+            _mm256_permute2f128_ps::<0x20>(b2, b6),
+            _mm256_permute2f128_ps::<0x20>(b3, b7),
+            _mm256_permute2f128_ps::<0x31>(b0, b4),
+            _mm256_permute2f128_ps::<0x31>(b1, b5),
+            _mm256_permute2f128_ps::<0x31>(b2, b6),
+            _mm256_permute2f128_ps::<0x31>(b3, b7),
+        ]
+    }
+
+    /// One term of the reduction, eight rows wide: `(q − x)²` or `q · x`,
+    /// multiply then add like the scalar loop (never FMA).
+    #[target_feature(enable = "avx2")]
+    fn term<const L2: bool>(q: __m256, x: __m256) -> __m256 {
+        if L2 {
+            let d = _mm256_sub_ps(q, x);
+            _mm256_mul_ps(d, d)
+        } else {
+            _mm256_mul_ps(q, x)
         }
     }
 
+    /// Block scoring, eight rows per pass (`L2`: squared L2, else dot).
+    /// Each row keeps its own 8-lane accumulator over the full chunks; one
+    /// transpose turns the eight accumulators into eight lane vectors, whose
+    /// left-to-right sum holds, in lane `j`, row `j`'s `((0 + a0) + a1) + …`
+    /// — the scalar fold. The `dim % 8` tail is transposed the same way
+    /// (masked loads never touch memory past a row's end) and added in index
+    /// order after the fold. The `rows % 8` leftover rows go through the
+    /// per-row bodies.
+    ///
     /// # Safety
     /// Requires avx2; reached only through the detection-gated dispatch.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn dot_block(query: &[f32], block: &[f32], dim: usize, out: &mut Vec<f32>) {
-        for row in block.chunks_exact(dim) {
-            out.push(dot(query, row));
+    pub unsafe fn score_block<const L2: bool>(
+        query: &[f32],
+        block: &[f32],
+        dim: usize,
+        out: &mut Vec<f32>,
+    ) {
+        let chunks = dim / 8;
+        // Every pointer read below stays inside `query[..dim]` or one
+        // `8 * dim` group, whatever lengths the caller passed.
+        let (q_chunks, q_tail) = query[..dim].split_at(chunks * 8);
+        let tail_mask = _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(q_tail.len() as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        );
+        let mut groups = block.chunks_exact(8 * dim);
+        for group in &mut groups {
+            let rows = group.as_ptr();
+            let mut sums = _mm256_setzero_ps();
+            if chunks > 0 {
+                let mut acc = [_mm256_setzero_ps(); 8];
+                for c in 0..chunks {
+                    let q = _mm256_loadu_ps(q_chunks.as_ptr().add(c * 8));
+                    for (r, a) in acc.iter_mut().enumerate() {
+                        let x = _mm256_loadu_ps(rows.add(r * dim + c * 8));
+                        *a = _mm256_add_ps(*a, term::<L2>(q, x));
+                    }
+                }
+                for lane in transpose8(acc) {
+                    sums = _mm256_add_ps(sums, lane);
+                }
+            }
+            if !q_tail.is_empty() {
+                let mut tails = [_mm256_setzero_ps(); 8];
+                for (r, t) in tails.iter_mut().enumerate() {
+                    *t = _mm256_maskload_ps(rows.add(r * dim + chunks * 8), tail_mask);
+                }
+                for (&q, col) in q_tail.iter().zip(transpose8(tails)) {
+                    sums = _mm256_add_ps(sums, term::<L2>(_mm256_set1_ps(q), col));
+                }
+            }
+            let mut scores = [0.0f32; 8];
+            _mm256_storeu_ps(scores.as_mut_ptr(), sums);
+            out.extend_from_slice(&scores);
+        }
+        for row in groups.remainder().chunks_exact(dim) {
+            out.push(if L2 { l2_sq(query, row) } else { dot(query, row) });
         }
     }
 
@@ -829,12 +929,12 @@ impl Kernel for Avx2Kernel {
 
     fn l2_sq_block_raw(&self, query: &[f32], block: &[f32], dim: usize, out: &mut Vec<f32>) {
         // SAFETY: construction verified AVX2 support.
-        unsafe { avx2::l2_sq_block(query, block, dim, out) }
+        unsafe { avx2::score_block::<true>(query, block, dim, out) }
     }
 
     fn dot_block_raw(&self, query: &[f32], block: &[f32], dim: usize, out: &mut Vec<f32>) {
         // SAFETY: construction verified AVX2 support.
-        unsafe { avx2::dot_block(query, block, dim, out) }
+        unsafe { avx2::score_block::<false>(query, block, dim, out) }
     }
 
     fn sq8_l2_block_raw(
@@ -1562,24 +1662,6 @@ mod avx512 {
         }
         sum
     }
-
-    /// # Safety
-    /// Requires avx512f,avx512dq,avx2; reached only through the detection-gated dispatch.
-    #[target_feature(enable = "avx512f,avx512dq,avx2")]
-    pub unsafe fn l2_sq_block(query: &[f32], block: &[f32], dim: usize, out: &mut Vec<f32>) {
-        for row in block.chunks_exact(dim) {
-            out.push(l2_sq(query, row));
-        }
-    }
-
-    /// # Safety
-    /// Requires avx512f,avx512dq,avx2; reached only through the detection-gated dispatch.
-    #[target_feature(enable = "avx512f,avx512dq,avx2")]
-    pub unsafe fn dot_block(query: &[f32], block: &[f32], dim: usize, out: &mut Vec<f32>) {
-        for row in block.chunks_exact(dim) {
-            out.push(dot(query, row));
-        }
-    }
 }
 
 /// AVX-512 kernel (feature-gated): wide loads for `dot`/`l2_sq`, AVX2 bodies
@@ -1633,13 +1715,13 @@ impl Kernel for Avx512Kernel {
     }
 
     fn l2_sq_block_raw(&self, query: &[f32], block: &[f32], dim: usize, out: &mut Vec<f32>) {
-        // SAFETY: construction verified avx512f/avx512dq/avx2 support.
-        unsafe { avx512::l2_sq_block(query, block, dim, out) }
+        // SAFETY: construction verified AVX2 support.
+        unsafe { avx2::score_block::<true>(query, block, dim, out) }
     }
 
     fn dot_block_raw(&self, query: &[f32], block: &[f32], dim: usize, out: &mut Vec<f32>) {
-        // SAFETY: construction verified avx512f/avx512dq/avx2 support.
-        unsafe { avx512::dot_block(query, block, dim, out) }
+        // SAFETY: construction verified AVX2 support.
+        unsafe { avx2::score_block::<false>(query, block, dim, out) }
     }
 
     fn sq8_l2_block_raw(

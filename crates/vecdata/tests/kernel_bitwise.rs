@@ -2,7 +2,9 @@
 //! kernel implementation (scalar, runtime-dispatched, AVX2 when the host
 //! has it) is bit-identical to the legacy reference loops across dims
 //! 1..=200 — odd remainders, unaligned slice offsets, zero vectors — and
-//! SQ8 encode/decode roundtrips within one quantization step.
+//! SQ8 encode/decode roundtrips within one quantization step. The block
+//! forms, which score eight rows per pass on AVX2, are swept exhaustively
+//! over every (row count, dim, offset) shape that pass can meet.
 
 use proptest::prelude::*;
 use vecdata::kernel::{self, Kernel, SCALAR};
@@ -191,6 +193,79 @@ proptest! {
                 prop_assert!(scores[i].to_bits()
                     == ref_sq8(query, code, &mins, &scales).to_bits(),
                     "sq8 block row {i} {name}");
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The eight-row block pass, exhaustively
+// ---------------------------------------------------------------------------
+
+/// Decimal constants: none is a short binary fraction, so every product and
+/// almost every sum below rounds — a wrong association shows in the bits.
+const POOL: [f32; 16] = [
+    0.1, -0.7, 1.3, 3.3, -2.9, 0.333, 7.77, -0.013, 0.001, 123.456, -45.6, 0.9, 2.2, -6.1, 0.57,
+    11.1,
+];
+const SPECIALS: [f32; 5] = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+
+/// Element `i` of stream `salt`: a pool constant times 1..=7, or (one in
+/// sixteen, when `specials`) a zero, an infinity or a NaN.
+fn value(i: usize, salt: usize, specials: bool) -> f32 {
+    let h = (i.wrapping_mul(0x9E37_79B9).wrapping_add(salt.wrapping_mul(0x85EB_CA6B))) >> 7;
+    if specials && h.is_multiple_of(16) {
+        SPECIALS[(h / 16) % SPECIALS.len()]
+    } else {
+        POOL[h % POOL.len()] * (1 + (h / 256) % 7) as f32
+    }
+}
+
+/// Same bits — or both NaN: which payload survives `NaN + NaN` depends on
+/// operand order, which the compiler may swap in any of the loops compared.
+fn same(a: f32, b: f32) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+/// `l2_sq_block` / `dot_block` against the legacy loops for every row count
+/// 0..=41 (no group of eight up to five, every leftover 0..=7), every dim
+/// 1..=67 (no chunk up to eight, every tail 0..=7) and every slice offset
+/// 0..8. Each block is the tail of a boxed slice, so its last row ends
+/// exactly where the allocation does: the masked tail load of that row has
+/// nothing behind it to read.
+#[test]
+fn blocks_match_legacy_loops_on_every_shape() {
+    let kernels = kernels_under_test();
+    let mut scores = Vec::new();
+    for specials in [false, true] {
+        for rows in 0..=41usize {
+            for dim in 1..=67usize {
+                for off in 0..8usize {
+                    let salt = rows * 1000 + dim * 10 + off;
+                    let buf: Box<[f32]> =
+                        (0..off + rows * dim).map(|i| value(i, salt, specials)).collect();
+                    let block = &buf[off..];
+                    let qbuf: Box<[f32]> =
+                        (0..off + dim).map(|i| value(i, salt + 5, specials)).collect();
+                    let query = &qbuf[off..];
+                    let want_l2: Vec<f32> =
+                        block.chunks_exact(dim).map(|row| ref_l2(query, row)).collect();
+                    let want_dot: Vec<f32> =
+                        block.chunks_exact(dim).map(|row| ref_dot(query, row)).collect();
+                    for (name, kern) in &kernels {
+                        let tag = format!("{name} rows {rows} dim {dim} off {off}");
+                        kern.l2_sq_block(query, block, dim, &mut scores);
+                        assert_eq!(scores.len(), rows, "l2 {tag}");
+                        for (j, (&got, &want)) in scores.iter().zip(&want_l2).enumerate() {
+                            assert!(same(got, want), "l2 {tag} row {j}: {got} vs {want}");
+                        }
+                        kern.dot_block(query, block, dim, &mut scores);
+                        assert_eq!(scores.len(), rows, "dot {tag}");
+                        for (j, (&got, &want)) in scores.iter().zip(&want_dot).enumerate() {
+                            assert!(same(got, want), "dot {tag} row {j}: {got} vs {want}");
+                        }
+                    }
+                }
             }
         }
     }
