@@ -3,9 +3,16 @@
 use crate::cost::{BuildStats, SearchCost};
 use crate::index::VectorIndex;
 use crate::params::SearchParams;
-use vecdata::ground_truth::{TopK, SCAN_BLOCK_ROWS};
+use std::cell::RefCell;
+use vecdata::ground_truth::top_k_of_scan;
 use vecdata::kernel;
 use vecdata::Neighbor;
+
+thread_local! {
+    /// Scores of one segment scan; grows to the largest segment the thread
+    /// has searched (four bytes a row) and is reused.
+    static SCORES: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Brute-force index: stores the raw vectors and scans all of them.
 #[derive(Debug, Clone)]
@@ -24,23 +31,19 @@ impl FlatIndex {
 
 impl VectorIndex for FlatIndex {
     fn search(&self, query: &[f32], sp: &SearchParams, cost: &mut SearchCost) -> Vec<Neighbor> {
-        // Exhaustive block scan through the dispatched kernel: same
-        // distances and push order as the old per-row loop, so results are
-        // bit-identical; the bulk cost below equals the per-row charges.
-        let mut top = TopK::new(sp.top_k);
-        let kern = kernel::active();
-        let mut scores = Vec::with_capacity(SCAN_BLOCK_ROWS);
-        let mut base = 0usize;
-        for block in self.data.chunks(SCAN_BLOCK_ROWS * self.dim) {
-            kern.l2_sq_block(query, block, self.dim, &mut scores);
-            for (j, &d) in scores.iter().enumerate() {
-                top.push((base + j) as u32, d);
-            }
-            base += block.len() / self.dim;
+        // Rows are scored in id order, so the whole segment is scored first
+        // and `top_k_of_scan` selects (ARCHITECTURE.md, "What `TopK`
+        // keeps"); the bulk cost equals one charge per row.
+        if self.data.is_empty() {
+            return Vec::new();
         }
         cost.f32_dims += (self.len() * self.dim) as u64;
         cost.heap_pushes += self.len() as u64;
-        top.into_sorted()
+        SCORES.with(|scores| {
+            let mut scores = scores.borrow_mut();
+            kernel::active().l2_sq_block(query, &self.data, self.dim, &mut scores);
+            top_k_of_scan(0, &scores, sp.top_k)
+        })
     }
 
     fn memory_bytes(&self) -> u64 {
@@ -69,6 +72,20 @@ mod tests {
         assert_eq!(res[0].id, 3);
         assert_eq!(res[1].id, 4);
         assert_eq!(cost.f32_dims, 10);
+    }
+
+    #[test]
+    fn zero_rows_return_nothing_without_scoring() {
+        // `dim` 0 would divide by zero in `len()` and fail the block
+        // kernel's shape check: neither is reached.
+        let mut stats = BuildStats::default();
+        let sp = SearchParams::from_params(&IndexParams::default(), 3);
+        for dim in [0, 4] {
+            let idx = FlatIndex::build(&[], dim, &mut stats);
+            let mut cost = SearchCost::default();
+            assert!(idx.search(&[0.0; 4][..dim], &sp, &mut cost).is_empty());
+            assert!(cost.is_zero());
+        }
     }
 
     #[test]

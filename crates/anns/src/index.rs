@@ -50,6 +50,9 @@ impl std::error::Error for BuildError {}
 pub trait VectorIndex {
     /// Top-k search. Returned ids are *local* to the indexed slice
     /// (0-based row numbers); the VDMS collection maps them to global ids.
+    /// Hits are returned in ascending [`Neighbor`] order (`Neighbor::cmp`:
+    /// distance, then id, NaNs last): the collection's merge stops reading
+    /// a segment's hits at the first one it rejects.
     fn search(&self, query: &[f32], sp: &SearchParams, cost: &mut SearchCost) -> Vec<Neighbor>;
 
     /// Resident memory of the index structure, in bytes.
@@ -201,6 +204,25 @@ mod tests {
             assert!(recall > 0.3, "{kind} recall too low: {recall}");
             if kind == IndexType::Flat {
                 assert!(recall > 0.999, "FLAT must be exact, got {recall}");
+            }
+        }
+    }
+
+    /// The order contract of [`VectorIndex::search`], on rows that each
+    /// occur twice so that equal distances are ordered by id.
+    #[test]
+    fn every_type_returns_hits_in_ascending_neighbor_order() {
+        let ds = DatasetSpec::tiny(DatasetKind::Glove).generate();
+        let half = &ds.raw()[..200 * ds.dim()];
+        let rows = [half, half].concat();
+        let params = IndexParams::default().sanitized(ds.dim(), 25);
+        let sp = SearchParams::from_params(&params, 25);
+        for kind in IndexType::ALL {
+            let (idx, _) = AnnIndex::build(kind, &rows, ds.dim(), &params, 7).unwrap();
+            for qi in 0..8 {
+                let hits = idx.search(ds.query(qi), &sp, &mut SearchCost::default());
+                assert!(hits.len() > 1, "{kind}");
+                assert!(hits.windows(2).all(|w| w[0] < w[1]), "{kind} query {qi}: {hits:?}");
             }
         }
     }

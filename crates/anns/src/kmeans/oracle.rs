@@ -24,6 +24,7 @@ use crate::ivf_pq::{IvfPqIndex, ProductQuantizer};
 use crate::ivf_sq8::IvfSq8Index;
 use crate::params::{nearest_divisor, IndexParams, IndexType, SearchParams};
 use crate::scann::ScannIndex;
+use proptest::panel::bits_f32 as bits;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -306,10 +307,6 @@ fn rows(kind: Rows, n: usize, dim: usize, seed: u64) -> Vec<f32> {
         }
     }
     v
-}
-
-fn bits(v: &[f32]) -> Vec<u32> {
-    v.iter().map(|x| x.to_bits()).collect()
 }
 
 /// Training, list assignment and (when `dim` splits) PQ train + encode of

@@ -14,6 +14,7 @@ use crate::linalg::{dot, log_det_half, NotPositiveDefinite};
 use crate::mle::{clamp_params, FitOptions, LOG_LS_RANGE};
 use crate::opt::{nelder_mead, NelderMeadOptions};
 use crate::{linalg, GaussianProcess, TrainingInputs};
+use proptest::panel::bits_f64 as bits;
 use proptest::prelude::*;
 use proptest::TestRng;
 
@@ -176,10 +177,6 @@ fn fit_gp(x: &[Vec<f64>], y: &[f64], opts: &FitOptions) -> RefGp {
 // ---------------------------------------------------------------------------
 // Bit-identity of the production path
 // ---------------------------------------------------------------------------
-
-fn bits(v: &[f64]) -> Vec<u64> {
-    v.iter().map(|x| x.to_bits()).collect()
-}
 
 /// A random SPD matrix `M Mᵀ + n·I` with entries on no special grid.
 fn random_spd(n: usize, rng: &mut TestRng) -> Vec<f64> {

@@ -48,7 +48,6 @@ fn suppression_set_is_pinned() {
     let got: Vec<(&str, &str)> =
         report.suppressions.iter().map(|s| (s.rule.key(), s.file.as_str())).collect();
     let want = [
-        ("r2_hash_collection", "crates/vecdata/src/ground_truth.rs"),
         ("r3_wall_clock", "crates/workload/src/tuner.rs"),
         ("r3_wall_clock", "crates/workload/src/tuner.rs"),
     ];

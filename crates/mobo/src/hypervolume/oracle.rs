@@ -9,6 +9,7 @@ use super::FrontSweep;
 use crate::acquisition::{ehvi_mc, ehvi_mc_par, mc_mean};
 use crate::pareto::non_dominated_indices;
 use gp::Posterior;
+use proptest::panel::SPECIAL_F64 as SPECIAL;
 use proptest::prelude::*;
 use proptest::TestRng;
 
@@ -127,8 +128,6 @@ struct Coordinates {
     /// Out of 16: how often a coordinate is one of [`SPECIAL`].
     special_16ths: u64,
 }
-
-const SPECIAL: [f64; 6] = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -f64::NAN];
 
 impl Coordinates {
     fn draw(pool_size: usize, special_16ths: u64, rng: &mut TestRng) -> Coordinates {

@@ -50,7 +50,7 @@
 //! and one replica all of it reduces bit-exactly to the single-node
 //! collection.
 
-use crate::collection::{Collection, MEMORY_BUDGET_GIB};
+use crate::collection::{merge_hits, Collection, MEMORY_BUDGET_GIB};
 use crate::config::VdmsConfig;
 use crate::cost_model::CostModel;
 use crate::error::VdmsError;
@@ -327,9 +327,7 @@ impl<'a> ShardedCollection<'a> {
         let mut merged = TopK::new(top_k);
         for (si, (hits, seg_cost)) in per_segment.into_iter().enumerate() {
             let start = self.collection.layout().sealed[si].0;
-            for n in hits {
-                merged.push(n.id + start as u32, n.distance);
-            }
+            merge_hits(&mut merged, start, &hits);
             shard_costs[self.assignment[si]].add(&seg_cost);
         }
         // Streaming data is served by the group's shard delegator (its

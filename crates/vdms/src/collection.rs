@@ -11,7 +11,7 @@ use anns::cost::{BuildStats, SearchCost};
 use anns::index::{AnnIndex, VectorIndex};
 use anns::params::SearchParams;
 use rayon::prelude::*;
-use vecdata::ground_truth::{TopK, SCAN_BLOCK_ROWS};
+use vecdata::ground_truth::TopK;
 use vecdata::kernel;
 use vecdata::{Dataset, Neighbor};
 
@@ -27,6 +27,25 @@ pub(crate) struct SealedSegment {
     pub(crate) start: usize,
     pub(crate) index: AnnIndex,
     pub(crate) stats: BuildStats,
+}
+
+/// Rows scored per kernel block call in [`Collection::scan_growing`]: bounds
+/// the temporary score buffer while keeping each call large enough to
+/// amortize dispatch.
+const SCAN_BLOCK_ROWS: usize = 1024;
+
+/// Feed one sealed segment's hits (segment-relative ids, in the
+/// ascending order [`VectorIndex::search`] promises) into the merge
+/// selector under their global ids, stopping at the first one it
+/// rejects: the selector's threshold never rises and the hits only get
+/// worse, so every later one would be rejected too. Not for unsorted
+/// candidates — [`Collection::scan_growing`] pushes every row.
+pub(crate) fn merge_hits(merged: &mut TopK, start: usize, hits: &[Neighbor]) {
+    for n in hits {
+        if !merged.push(n.id + start as u32, n.distance) {
+            break;
+        }
+    }
 }
 
 /// A collection loaded under a specific [`VdmsConfig`].
@@ -152,12 +171,13 @@ impl<'a> Collection<'a> {
 
     /// Brute-force scan of the growing tail (exactly like Milvus'
     /// growing-segment scan), pushing candidates into the caller's merge
-    /// heap and charging `cost`. No-op when nothing is growing.
+    /// selector and charging `cost`. No-op when nothing is growing.
     ///
     /// The tail rows are contiguous in the dataset's raw storage, so the
     /// scan block-scores [`SCAN_BLOCK_ROWS`] rows at a time through the
-    /// dispatched kernel; push order (ascending id) and cost totals are
-    /// identical to the old per-row loop.
+    /// dispatched kernel. Every row is pushed, in id order: the selector
+    /// already holds the sealed segments' hits, and the rows are not sorted
+    /// by distance, so neither score-then-select nor an early exit applies.
     pub(crate) fn scan_growing(&self, query: &[f32], merged: &mut TopK, cost: &mut SearchCost) {
         let rows = self.layout.growing_rows();
         if rows == 0 {
@@ -198,12 +218,10 @@ impl<'a> Collection<'a> {
             .into_par_iter()
             .map(|si| self.search_sealed(si, query, &sp))
             .collect();
-        // Gather: merge in segment order, so the heap sees pushes in the
-        // same sequence as the serial path (bit-identical results).
+        // Gather: merge in segment order, so the selector sees pushes in
+        // the same sequence as the serial path (bit-identical results).
         for (seg, (hits, seg_cost)) in self.sealed.iter().zip(per_segment) {
-            for n in hits {
-                merged.push(n.id + seg.start as u32, n.distance);
-            }
+            merge_hits(&mut merged, seg.start, &hits);
             cost.add(&seg_cost);
         }
         self.scan_growing(query, &mut merged, cost);
@@ -247,6 +265,7 @@ mod tests {
     use super::*;
     use crate::system_params::SystemParams;
     use anns::params::IndexType;
+    use vecdata::ground_truth::top_k_of_scan;
     use vecdata::{DatasetKind, DatasetSpec};
 
     fn tiny_with(sys: SystemParams, index_type: IndexType) -> VdmsConfig {
@@ -294,6 +313,56 @@ mod tests {
         assert_eq!(res[0].id, 42);
         assert_eq!(cost.segments, 1);
         assert!(cost.graph_hops == 0, "no index should be consulted");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(
+            if cfg!(debug_assertions) { 256 } else { 2048 }
+        ))]
+
+        /// `merge_hits` against pushing every hit: tied and special
+        /// distances, a segment whose hits are all NaN, `top_k` below, at
+        /// and above the number of rows, then an unsorted growing tail.
+        #[test]
+        fn stopping_at_the_first_rejected_hit_changes_no_merge(
+            seed in 0u64..u64::MAX,
+            segments in 1usize..8,
+            top_k in 1usize..60,
+            special_16ths in 0u64..6,
+        ) {
+            use proptest::panel::SPECIAL_F32;
+            let mut rng = proptest::TestRng::from_seed(seed);
+            let pool: Vec<f32> = (0..4).map(|_| (rng.unit_f64() * 3.0 - 1.0) as f32).collect();
+            let mut scores = |rows: usize, nan: bool| -> Vec<f32> {
+                (0..rows)
+                    .map(|_| match rng.below(16) {
+                        _ if nan => f32::NAN,
+                        r if r < special_16ths => SPECIAL_F32[rng.below(6) as usize],
+                        _ => pool[rng.below(4) as usize],
+                    })
+                    .collect()
+            };
+            let (mut early, mut every) = (TopK::new(top_k), TopK::new(top_k));
+            let mut start = 0usize;
+            for s in 0..segments {
+                let rows = scores(1 + (s * 5 + seed as usize % 11) % 17, s == 2);
+                let hits = top_k_of_scan(0, &rows, top_k);
+                merge_hits(&mut early, start, &hits);
+                for n in &hits {
+                    every.push(n.id + start as u32, n.distance);
+                }
+                start += rows.len();
+            }
+            for (j, d) in scores(5, false).into_iter().enumerate() {
+                early.push((start + j) as u32, d);
+                every.push((start + j) as u32, d);
+            }
+            let bits = |top: TopK| -> Vec<(u32, u32)> {
+                top.into_sorted().iter().map(|n| (n.id, n.distance.to_bits())).collect()
+            };
+            proptest::prop_assert_eq!(early.threshold().to_bits(), every.threshold().to_bits());
+            proptest::prop_assert_eq!(bits(early), bits(every));
+        }
     }
 
     #[test]

@@ -4,10 +4,36 @@
 //! to the total actual similar vectors" for top-100 queries; we compute the
 //! exact neighbor sets once per dataset and reuse them across thousands of
 //! tuner evaluations.
+//!
+//! # What [`TopK`] keeps
+//!
+//! Everything until `k` candidates are held; after that a candidate is
+//! admitted only when `distance < worst.distance` (a float test, strict),
+//! and it evicts the held neighbor that is largest under [`Neighbor::cmp`]
+//! — largest `(distance, id)`, `-0.0` and `+0.0` being one distance and
+//! every NaN sorting after `+∞`. A NaN admitted while filling is therefore
+//! the worst neighbor from then on, and since nothing is `< NaN` the
+//! selector is frozen: it keeps what it holds. The threshold never rises.
+//!
+//! # When selection may replace the pushes
+//!
+//! [`top_k_of_scan`] scores first and selects afterwards. It is only legal
+//! where candidates arrive **by ascending id**. Sketch: with no NaN among
+//! the first `k` scores the worst held distance is never NaN, so later NaNs
+//! are rejected; a later real candidate has a larger id than everything
+//! held, so "`d < worst.distance`" admits it exactly when its
+//! `(distance, id)` key is below the worst key (an equal distance would
+//! need a smaller id). Each admission evicts the largest key, so the kept
+//! set is the `k` smallest keys of the scan — which a partial sort finds
+//! without a heap. With ids out of order (IVF lists, SCANN's first stage)
+//! a later equal-distance, smaller-id candidate is rejected by the pushes
+//! but would win a selection; those callers keep pushing, and a
+//! lazy-threshold reservoir would have the same flaw.
 
 use crate::dataset::Dataset;
 use crate::distance::{norm, Metric};
 use crate::kernel;
+use std::cell::RefCell;
 use std::cmp::Ordering;
 
 /// One exact nearest neighbor: id plus distance under the dataset metric.
@@ -44,117 +70,199 @@ impl PartialOrd for Neighbor {
     }
 }
 
-/// A bounded max-heap that keeps the `k` smallest-distance neighbors seen.
+/// The integer image of [`Neighbor::cmp`]: `key(a) < key(b)` exactly when
+/// `a < b`, for every `f32`. The high word ranks the distance (negative
+/// floats order backwards by their bits, so they are flipped whole and
+/// everything else gets the sign bit; `-0.0` ranks as `+0.0`; every NaN
+/// ranks above `+∞`), the low word is the id.
+#[inline]
+fn key(id: u32, distance: f32) -> u64 {
+    let rank = if distance.is_nan() {
+        u32::MAX
+    } else {
+        let bits = if distance == 0.0 { 0 } else { distance.to_bits() };
+        if bits >> 31 == 1 {
+            !bits
+        } else {
+            bits | 0x8000_0000
+        }
+    };
+    u64::from(rank) << 32 | u64::from(id)
+}
+
+/// A held candidate: its key, and the distance exactly as offered (the key
+/// folds signed zeros and NaN payloads, the output must not).
+#[derive(Debug, Clone, Copy)]
+struct Held {
+    key: u64,
+    distance: f32,
+}
+
+/// Restore the max-heap property below `at`, whose own entry may be too
+/// small for its place.
+#[inline]
+fn sift_down(held: &mut [Held], mut at: usize) {
+    let moving = held[at];
+    loop {
+        let mut child = 2 * at + 1;
+        if child >= held.len() {
+            break;
+        }
+        if child + 1 < held.len() && held[child + 1].key > held[child].key {
+            child += 1;
+        }
+        if held[child].key <= moving.key {
+            break;
+        }
+        held[at] = held[child];
+        at = child;
+    }
+    held[at] = moving;
+}
+
+/// A bounded selector that keeps the `k` smallest neighbors seen (see the
+/// module doc for exactly which).
 ///
 /// This is the k-NN selection primitive shared by the ground-truth scan and
 /// every index implementation in the `anns` crate.
 #[derive(Debug, Clone)]
 pub struct TopK {
     k: usize,
-    // Max-heap on distance: the root is the *worst* of the current top-k.
-    heap: std::collections::BinaryHeap<Neighbor>,
+    // Unordered while filling; from the moment `k` are held, a max-heap on
+    // `key`, so the root is the *worst* of the current top-k.
+    held: Vec<Held>,
 }
 
 impl TopK {
     /// Create a selector for the `k` nearest neighbors (`k >= 1`).
     pub fn new(k: usize) -> Self {
-        TopK { k: k.max(1), heap: std::collections::BinaryHeap::with_capacity(k + 1) }
+        let k = k.max(1);
+        TopK { k, held: Vec::with_capacity(k) }
     }
 
-    /// Offer a candidate; keeps only the k smallest distances.
+    /// Offer a candidate; keeps only the k smallest distances. Returns
+    /// whether the candidate was kept (it may still be evicted later).
     #[inline]
-    pub fn push(&mut self, id: u32, distance: f32) {
-        if self.heap.len() < self.k {
-            self.heap.push(Neighbor { id, distance });
-        } else if let Some(worst) = self.heap.peek() {
-            if distance < worst.distance {
-                self.heap.pop();
-                self.heap.push(Neighbor { id, distance });
+    pub fn push(&mut self, id: u32, distance: f32) -> bool {
+        let candidate = Held { key: key(id, distance), distance };
+        if self.held.len() < self.k {
+            self.held.push(candidate);
+            if self.held.len() == self.k {
+                for at in (0..self.k / 2).rev() {
+                    sift_down(&mut self.held, at);
+                }
             }
+            true
+        } else if distance < self.held[0].distance {
+            self.held[0] = candidate;
+            sift_down(&mut self.held, 0);
+            true
+        } else {
+            false
         }
     }
 
     /// Current worst distance among the kept neighbors (∞ until full).
     #[inline]
     pub fn threshold(&self) -> f32 {
-        if self.heap.len() < self.k {
+        if self.held.len() < self.k {
             f32::INFINITY
         } else {
-            self.heap.peek().map_or(f32::INFINITY, |n| n.distance)
+            self.held[0].distance
         }
     }
 
     /// Number of neighbors currently held.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.held.len()
     }
 
     /// True when no candidate has been offered yet.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.held.is_empty()
     }
 
-    /// Extract neighbors sorted by ascending distance.
+    /// Extract neighbors in ascending [`Neighbor::cmp`] order.
     pub fn into_sorted(self) -> Vec<Neighbor> {
-        let mut v = self.heap.into_vec();
-        v.sort_unstable();
-        v
+        let mut held = self.held;
+        held.sort_unstable_by_key(|h| h.key);
+        held.into_iter().map(|h| Neighbor { id: h.key as u32, distance: h.distance }).collect()
     }
+}
+
+thread_local! {
+    /// Keys of one scan in [`top_k_of_scan`]; grows to the longest scan the
+    /// thread has selected from (eight bytes a row) and is reused.
+    static KEYS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    /// Scores of one whole-dataset scan in [`exact_top_k`].
+    static SCORES: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// What pushing `scores[j]` as id `base_id + j`, for `j = 0, 1, …`, into a
+/// fresh [`TopK::new`]`(k)` and sorting keeps — ids, distance bits and
+/// order — found by selection where that is legal (module doc): more rows
+/// than `k` and no NaN among the first `k` scores. Otherwise it is that
+/// loop.
+pub fn top_k_of_scan(base_id: u32, scores: &[f32], k: usize) -> Vec<Neighbor> {
+    let k = k.max(1);
+    if scores.len() <= k || scores[..k].iter().any(|d| d.is_nan()) {
+        let mut top = TopK::new(k);
+        for (j, &d) in scores.iter().enumerate() {
+            top.push(base_id + j as u32, d);
+        }
+        return top.into_sorted();
+    }
+    KEYS.with(|keys| {
+        let mut keys = keys.borrow_mut();
+        keys.clear();
+        keys.extend(scores.iter().enumerate().map(|(j, &d)| key(base_id + j as u32, d)));
+        keys.select_nth_unstable(k - 1);
+        keys[..k].sort_unstable();
+        keys[..k]
+            .iter()
+            .map(|&key| {
+                let id = key as u32;
+                Neighbor { id, distance: scores[(id - base_id) as usize] }
+            })
+            .collect()
+    })
 }
 
 /// Exact top-k neighbors of `query` among all base vectors.
 ///
-/// Scans the contiguous row-major base data through the dispatched kernel's
-/// block API in chunks of [`SCAN_BLOCK_ROWS`] rows; for norm-consuming
-/// metrics the stored per-vector norms are reused and the query norm is
-/// computed once. Distances (and therefore results) are bit-identical to
-/// the per-vector `metric.distance(query, v)` loop this replaces.
+/// Scores the contiguous row-major base data in one call of the dispatched
+/// kernel's block API into a buffer the thread reuses, then selects with
+/// [`top_k_of_scan`]; for norm-consuming metrics the stored per-vector
+/// norms are reused and the query norm is computed once. Distances (and
+/// therefore results) are bit-identical to pushing `metric.distance(query,
+/// v)` row by row.
 pub fn exact_top_k(dataset: &Dataset, query: &[f32], k: usize) -> Vec<Neighbor> {
-    let mut top = TopK::new(k);
-    let dim = dataset.dim();
     if dataset.is_empty() {
-        return top.into_sorted();
+        return Vec::new();
     }
-    let kern = kernel::active();
-    let raw = dataset.raw();
-    let mut scores = Vec::with_capacity(SCAN_BLOCK_ROWS);
-    let nq = match dataset.metric {
-        Metric::Angular => norm(query),
-        _ => 0.0,
-    };
-    let mut base = 0usize;
-    for block in raw.chunks(SCAN_BLOCK_ROWS * dim) {
+    SCORES.with(|scores| {
+        let mut scores = scores.borrow_mut();
+        let kern = kernel::active();
         match dataset.metric {
-            Metric::L2 => {
-                kern.l2_sq_block(query, block, dim, &mut scores);
-                for (j, &d) in scores.iter().enumerate() {
-                    top.push((base + j) as u32, d);
-                }
-            }
+            Metric::L2 => kern.l2_sq_block(query, dataset.raw(), dataset.dim(), &mut scores),
             Metric::InnerProduct => {
-                kern.dot_block(query, block, dim, &mut scores);
-                for (j, &d) in scores.iter().enumerate() {
-                    top.push((base + j) as u32, -d);
+                kern.dot_block(query, dataset.raw(), dataset.dim(), &mut scores);
+                for d in scores.iter_mut() {
+                    *d = -*d;
                 }
             }
             Metric::Angular => {
-                kern.dot_block(query, block, dim, &mut scores);
-                for (j, &d) in scores.iter().enumerate() {
-                    let nv = dataset.stored_norm(base + j);
-                    let dist = if nq == 0.0 || nv == 0.0 { 1.0 } else { 1.0 - d / (nq * nv) };
-                    top.push((base + j) as u32, dist);
+                kern.dot_block(query, dataset.raw(), dataset.dim(), &mut scores);
+                let nq = norm(query);
+                for (j, d) in scores.iter_mut().enumerate() {
+                    let nv = dataset.stored_norm(j);
+                    *d = if nq == 0.0 || nv == 0.0 { 1.0 } else { 1.0 - *d / (nq * nv) };
                 }
             }
         }
-        base += block.len() / dim;
-    }
-    top.into_sorted()
+        top_k_of_scan(0, &scores, k)
+    })
 }
-
-/// Rows scored per kernel block call in [`exact_top_k`]: bounds the
-/// temporary score buffer while keeping each call large enough to amortize
-/// dispatch.
-pub const SCAN_BLOCK_ROWS: usize = 1024;
 
 /// Exact top-k neighbor ids for every query in the dataset.
 ///
@@ -170,13 +278,14 @@ pub fn recall(retrieved: &[u32], exact: &[u32]) -> f64 {
     if exact.is_empty() {
         return 1.0;
     }
-    // lint:allow(hash-collection): membership-only probe set; nothing ever
-    // iterates it, so hash order cannot reach the recall value.
-    #[allow(clippy::disallowed_types)]
-    let set: std::collections::HashSet<u32> = exact.iter().copied().collect();
-    let hits = retrieved.iter().filter(|id| set.contains(id)).count();
+    let mut sorted = exact.to_vec();
+    sorted.sort_unstable();
+    let hits = retrieved.iter().filter(|id| sorted.binary_search(id).is_ok()).count();
     hits as f64 / exact.len() as f64
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -226,6 +335,24 @@ mod tests {
     }
 
     #[test]
+    fn topk_of_zero_behaves_as_one() {
+        let mut t = TopK::new(0);
+        assert!(t.push(4, 2.0));
+        assert_eq!(t.threshold(), 2.0);
+        assert!(!t.push(5, 2.0));
+        assert!(t.push(6, 1.0));
+        assert_eq!(t.into_sorted(), vec![Neighbor { id: 6, distance: 1.0 }]);
+        assert_eq!(top_k_of_scan(4, &[2.0, 2.0, 1.0], 0), vec![Neighbor { id: 6, distance: 1.0 }]);
+    }
+
+    #[test]
+    fn an_empty_scan_selects_nothing() {
+        assert!(top_k_of_scan(0, &[], 10).is_empty());
+        assert!(top_k_of_scan(9, &[], 0).is_empty());
+        KEYS.with(|keys| assert_eq!(keys.borrow().capacity(), 0, "no buffer was touched"));
+    }
+
+    #[test]
     fn ground_truth_self_query_finds_itself() {
         // A query equal to a base vector must have that vector as NN.
         let ds = DatasetSpec::tiny(DatasetKind::Glove).generate();
@@ -250,6 +377,9 @@ mod tests {
         assert_eq!(recall(&[4, 5, 6], &[1, 2, 3]), 0.0);
         assert!((recall(&[1, 9], &[1, 2]) - 0.5).abs() < 1e-12);
         assert_eq!(recall(&[], &[]), 1.0);
+        // A retrieved duplicate counts each time; the exact list is a set.
+        assert_eq!(recall(&[2, 2, 7], &[1, 2]), 1.0);
+        assert_eq!(recall(&[2], &[2, 2]), 0.5);
     }
 
     #[test]
