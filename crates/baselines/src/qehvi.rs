@@ -69,8 +69,10 @@ impl Tuner for QehviTuner {
         let y_speed: Vec<f64> = history.iter().map(|o| o.qps / max_qps).collect();
         let y_recall: Vec<f64> = history.iter().map(|o| o.recall).collect();
         let inputs = TrainingInputs::new(&x);
-        let gp_speed = fit_gp_on(&inputs, &y_speed, &self.fit);
-        let gp_recall = fit_gp_on(&inputs, &y_recall, &self.fit);
+        let fits = fit_gp_on(&inputs, &[&y_speed, &y_recall], &self.fit);
+        let Ok([gp_speed, gp_recall]) = <[_; 2]>::try_from(fits) else {
+            unreachable!("one model per target")
+        };
 
         let pairs: Vec<[f64; 2]> = y_speed.iter().zip(&y_recall).map(|(&s, &r)| [s, r]).collect();
         // "The reference point of qEHVI is set to zero for each objective by

@@ -68,7 +68,7 @@ impl Profile {
         Profile { iters: 200, pref_iters: 200, scale_iters: 60, ..Default::default() }
     }
 
-    /// A smoke-test profile for CI and criterion benches.
+    /// A smoke-test profile for CI.
     pub fn quick() -> Profile {
         Profile { iters: 14, pref_iters: 10, scale_iters: 8, ..Default::default() }
     }

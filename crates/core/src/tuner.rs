@@ -219,10 +219,12 @@ impl VdTuner {
             pairs.push(target);
         }
         // Both surrogates train on the same inputs: one distance matrix
-        // serves the two fits and all their likelihood evaluations.
+        // serves the two fits, whose searches share factorizations.
         let inputs = TrainingInputs::new(&x);
-        let gp_speed = fit_gp_on(&inputs, &y_log_speed, &self.options.fit);
-        let gp_recall = fit_gp_on(&inputs, &y_recall, &self.options.fit);
+        let fits = fit_gp_on(&inputs, &[&y_log_speed, &y_recall], &self.options.fit);
+        let Ok([gp_speed, gp_recall]) = <[_; 2]>::try_from(fits) else {
+            unreachable!("one model per target")
+        };
         Some((gp_speed, gp_recall, pairs))
     }
 

@@ -3,7 +3,7 @@
 use crate::inputs::TrainingInputs;
 use crate::kernel::{distance, Kernel};
 use crate::linalg::{
-    cholesky_jittered, dot, log_det_half, solve_cholesky_in_place, solve_lower_in_place,
+    cholesky_jittered, dot, log_det_half, panel_len, solve_cholesky_in_place, solve_lower_in_place,
     NotPositiveDefinite,
 };
 
@@ -24,17 +24,18 @@ impl Posterior {
 /// A fitted GP: training inputs, Cholesky factor of `K + σₙ²I`, and the
 /// precomputed `α = (K + σₙ²I)⁻¹ y`.
 ///
-/// The struct doubles as the workspace of the hyperparameter search
-/// ([`crate::fit_gp`]): the crate-private `refit` re-conditions it in
-/// place on new hyperparameters, reusing the `n × n` factor buffer and the
-/// two `n`-vectors, so a likelihood evaluation allocates nothing and the
-/// model the search returns *is* its last evaluation.
+/// The struct doubles as one target's workspace in the hyperparameter
+/// search ([`crate::fit_gp_on`]): `likelihood` solves its targets against
+/// a factor the search shares between targets, and the crate-private
+/// `refit` re-conditions it in place, reusing its buffers, so a likelihood
+/// evaluation allocates nothing.
 pub struct GaussianProcess<K: Kernel> {
     kernel: K,
     noise_variance: f64,
     dim: usize,
     /// Training rows, flattened row-major.
     x: Vec<f64>,
+    /// Panel-major (`crate::linalg`); allocated by the first conditioning.
     chol: Vec<f64>,
     alpha: Vec<f64>,
     /// Standardized targets.
@@ -73,8 +74,10 @@ impl<K: Kernel> GaussianProcess<K> {
         Ok(gp)
     }
 
-    /// Standardize `y` and allocate the buffers of a fit on `inputs`. The
-    /// result must not predict before [`GaussianProcess::condition`]
+    /// Standardize `y` and allocate the `n`-vectors of a fit on `inputs`;
+    /// the factor is allocated by the first conditioning, so a search that
+    /// factors into a shared buffer holds one factor, not one per target.
+    /// The result must not predict before [`GaussianProcess::condition`]
     /// succeeds on it.
     pub(crate) fn unfitted(inputs: &TrainingInputs, y: &[f64], kernel: K) -> GaussianProcess<K> {
         assert_eq!(inputs.len(), y.len(), "x/y length mismatch");
@@ -91,7 +94,7 @@ impl<K: Kernel> GaussianProcess<K> {
             noise_variance: f64::NAN,
             dim: inputs.dim(),
             x: inputs.flat().to_vec(),
-            chol: vec![0.0; n * n],
+            chol: Vec::new(),
             alpha: vec![0.0; n],
             yn,
             y_mean,
@@ -109,19 +112,20 @@ impl<K: Kernel> GaussianProcess<K> {
         inputs: &TrainingInputs,
         noise_variance: f64,
     ) -> Result<f64, NotPositiveDefinite> {
-        let n = self.alpha.len();
-        debug_assert_eq!(inputs.len(), n);
+        debug_assert_eq!(inputs.len(), self.alpha.len());
         self.noise_variance = noise_variance.max(1e-8);
-        let (kernel, noise) = (&self.kernel, self.noise_variance);
-        cholesky_jittered(&mut self.chol, n, |a| inputs.kernel_matrix_into(kernel, noise, a))?;
-        self.alpha.copy_from_slice(&self.yn);
-        solve_cholesky_in_place(&self.chol, n, &mut self.alpha);
-
-        // Log marginal likelihood of the standardized targets.
-        self.lml = -0.5 * dot(&self.yn, &self.alpha)
-            - log_det_half(&self.chol, n)
-            - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
+        self.chol.resize(panel_len(inputs.len()), 0.0);
+        let log_det_half = factor(inputs, &self.kernel, self.noise_variance, &mut self.chol)?;
+        self.lml = log_likelihood(&self.chol, log_det_half, &self.yn, &mut self.alpha);
         Ok(self.lml)
+    }
+
+    /// The log marginal likelihood of this model's targets under a factor
+    /// from [`factor`] (and its half log-determinant), leaving `α` in the
+    /// model. Only the search calls this; the model cannot predict until a
+    /// later [`GaussianProcess::condition`] succeeds.
+    pub(crate) fn likelihood(&mut self, chol: &[f64], log_det_half: f64) -> f64 {
+        log_likelihood(chol, log_det_half, &self.yn, &mut self.alpha)
     }
 
     /// [`GaussianProcess::condition`] under a new kernel.
@@ -179,6 +183,29 @@ impl<K: Kernel> GaussianProcess<K> {
         let p = self.predict(q);
         p.mean + p.std_dev() * z
     }
+}
+
+/// Fill `K + noise·I` into the panel-major `chol` and factor it, with
+/// jitter if needed; returns half its log-determinant. Everything a
+/// likelihood evaluation does that does not depend on the targets.
+pub(crate) fn factor<K: Kernel>(
+    inputs: &TrainingInputs,
+    kernel: &K,
+    noise: f64,
+    chol: &mut [f64],
+) -> Result<f64, NotPositiveDefinite> {
+    let n = inputs.len();
+    cholesky_jittered(chol, n, |a| inputs.kernel_matrix_into(kernel, noise, a))?;
+    Ok(log_det_half(chol, n))
+}
+
+/// `α = (K + σₙ²I)⁻¹ yn` into `alpha`, and the log marginal likelihood of
+/// the standardized targets `yn`.
+fn log_likelihood(chol: &[f64], log_det_half: f64, yn: &[f64], alpha: &mut [f64]) -> f64 {
+    let n = yn.len();
+    alpha.copy_from_slice(yn);
+    solve_cholesky_in_place(chol, n, alpha);
+    -0.5 * dot(yn, alpha) - log_det_half - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln()
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@
 //! maps them through the kernel's radial profile.
 
 use crate::kernel::{distance, Kernel};
+use crate::linalg::{at, panel_len};
 
 /// The rows of a training set (flattened row-major) and their pairwise
 /// distances as a packed lower triangle, diagonal included: row `i` holds
@@ -59,20 +60,20 @@ impl TrainingInputs {
         &self.x
     }
 
-    /// Write the lower triangle of `K + noise·I` into the row-major
-    /// `n × n` buffer `a`, `K[i][j] = kernel(r(i, j))`. The strict upper
-    /// triangle is not touched (nothing in [`crate::linalg`] reads it).
+    /// Write the lower triangle of `K + noise·I` into the panel-major
+    /// buffer `a` (see [`crate::linalg`]), `K[i][j] = kernel(r(i, j))`.
+    /// Nothing else is touched (nothing in [`crate::linalg`] reads it).
     pub(crate) fn kernel_matrix_into<K: Kernel>(&self, kernel: &K, noise: f64, a: &mut [f64]) {
         let n = self.n;
-        debug_assert_eq!(a.len(), n * n);
+        debug_assert_eq!(a.len(), panel_len(n));
         let mut r = self.r.as_slice();
-        for (i, row) in a.chunks_exact_mut(n).enumerate() {
+        for i in 0..n {
             let (ri, rest) = r.split_at(i + 1);
             r = rest;
-            for (k, &rij) in row.iter_mut().zip(ri) {
-                *k = kernel.eval_dist(rij);
+            for (k, &rik) in ri.iter().enumerate() {
+                a[at(n, i, k)] = kernel.eval_dist(rik);
             }
-            row[i] += noise;
+            a[at(n, i, i)] += noise;
         }
     }
 }
@@ -94,15 +95,19 @@ mod tests {
     fn kernel_matrix_is_the_pointwise_kernel_plus_noise() {
         let x = vec![vec![0.1, 0.9], vec![0.4, 0.2], vec![0.8, 0.5]];
         let k = Matern52 { lengthscale: 0.4, signal_variance: 1.7 };
-        let mut a = vec![f64::NAN; 9];
+        let mut a = vec![f64::NAN; panel_len(3)];
         TrainingInputs::new(&x).kernel_matrix_into(&k, 0.25, &mut a);
+        let mut written = vec![false; a.len()];
         for i in 0..3 {
             for j in 0..=i {
                 let want = k.eval(&x[i], &x[j]) + if i == j { 0.25 } else { 0.0 };
-                assert_eq!(a[i * 3 + j].to_bits(), want.to_bits(), "({i},{j})");
+                assert_eq!(a[at(3, i, j)].to_bits(), want.to_bits(), "({i},{j})");
+                written[at(3, i, j)] = true;
             }
-            assert!(a[i * 3 + i + 1..(i + 1) * 3].iter().all(|v| v.is_nan()), "upper untouched");
         }
+        let untouched = a.iter().zip(&written).filter(|(_, &w)| !w);
+        assert!(untouched.clone().all(|(v, _)| v.is_nan()), "upper triangle and padding untouched");
+        assert_eq!(untouched.count(), 12 - 6);
     }
 
     #[test]

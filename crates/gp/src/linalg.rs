@@ -1,30 +1,45 @@
 //! Minimal dense symmetric linear algebra for GP regression.
 //!
-//! Matrices are row-major `[f64]` of size `n * n`; only the lower triangle
-//! (diagonal included) is ever read or written, so callers need not fill
-//! the upper one.
+//! **Panel-major storage.** Inside the crate a kernel matrix and its
+//! Cholesky factor live in 4-row panels: row `i`, column `k` of an
+//! `n × n` matrix sits at `at(n, i, k) = ((i / 4)·n + k)·4 + i % 4`.
+//! Panel `p` holds rows `4p..4p + 4` as `n` columns of four adjacent lanes,
+//! and a buffer holds `n.div_ceil(4)` panels (`panel_len`). The lanes past
+//! row `n − 1` in a partial last panel are padding. No result depends on
+//! anything but the lower triangle (diagonal included): a panel's chains
+//! also run in its lanes above the diagonal and in its padding, and those
+//! are never written back above the diagonal. The one public
+//! routine, [`cholesky_in_place`], takes the usual row-major matrix and
+//! packs it into panels around the same factorization.
 //!
 //! **Bitwise contract.** Every routine here produces, element for element,
 //! the IEEE-754 result of the textbook scalar loop: each output is one
 //! subtraction chain `v -= a[i][k] * b[k]` taken in ascending `k`, then one
-//! division. Nothing is reassociated, fused (`mul_add`) or approximated,
-//! so tuning histories are constants of the source, not of the schedule.
-//! `reference.rs` keeps the scalar loops as test oracles and the property
-//! tests there compare `to_bits()`.
+//! division or square root. Nothing is reassociated, fused (`mul_add`) or
+//! approximated, so tuning histories are constants of the source, not of
+//! the schedule. `reference.rs` keeps the scalar loops as test oracles,
+//! reads the factor through `at`, and compares `to_bits()`.
 //!
-//! **Row blocking.** One such chain is latency-bound: each subtraction
-//! waits ~4 cycles for the previous one. Different output elements are
-//! independent, so the factorization and the forward substitution compute
-//! four rows per pass (`sub_dot4`): four chains against one shared
-//! vector, each still in ascending `k`, which the core overlaps. Rows left
-//! over (`n mod 4`) take the one-chain loop. The backward substitution
-//! stays scalar — there each chain *starts* with the element the previous
-//! chain finishes, so they cannot overlap without reordering.
+//! **Why panels.** One chain is latency-bound: each subtraction waits ~4
+//! cycles for the previous one. Different output elements are
+//! independent, so the left-looking factorization computes column `j` of
+//! four panels — sixteen rows — per pass against row `j`. Each step of the
+//! pass loads one element of row `j` and one 4-lane column per panel and
+//! does sixteen multiply-subtracts, where a row-major layout loaded an
+//! operand for every one; each panel's lanes are four chains in ascending
+//! `k`, which the compiler keeps in SSE2 registers. The one to three
+//! panels left over take one pass of their own width. The forward
+//! substitution runs the same chains one panel at a time (a panel needs
+//! the solution of every panel before it). The backward substitution stays
+//! scalar: there each chain *starts* with the element the previous chain
+//! finishes.
 //!
-//! Measured on the reference host (2.1 GHz Xeon, the benchmark's
-//! `gp.cholesky_ms.n200`): 0.93 ms for the scalar loop, 0.31 ms
-//! row-blocked — about half a cycle per multiply-subtract, which is the
-//! rate at which one operand per term can be loaded.
+//! Measured on the reference host (2.1 GHz Xeon, one thread, 22-dimension
+//! Matérn kernels): 0.15 ms at n = 180 against 0.27–0.31 ms for four
+//! row-major rows per pass and 0.93 ms (n = 200) for the scalar loop;
+//! 13 µs against 21–33 µs at n = 76; level from n = 16 to 30; about 50 ns
+//! slower at n ≤ 12 (0.17 against 0.12 µs at n = 8), where a column's
+//! fixed cost outweighs its few chain steps.
 
 /// Error raised when a matrix is not (numerically) positive definite even
 /// after the maximum jitter.
@@ -39,144 +54,222 @@ impl std::fmt::Display for NotPositiveDefinite {
 
 impl std::error::Error for NotPositiveDefinite {}
 
-/// `v − Σₖ row[k]·s[k]`, subtracted one term at a time in ascending `k`.
+/// Rows per panel.
+const LANES: usize = 4;
+
+/// Position of row `i`, column `k` in an `n × n` panel-major buffer.
 #[inline]
-fn sub_dot(mut v: f64, row: &[f64], s: &[f64]) -> f64 {
-    for (&a, &b) in row.iter().zip(s) {
-        v -= a * b;
+pub(crate) fn at(n: usize, i: usize, k: usize) -> usize {
+    ((i / LANES) * n + k) * LANES + i % LANES
+}
+
+/// Length of an `n × n` panel-major buffer.
+pub(crate) fn panel_len(n: usize) -> usize {
+    n.div_ceil(LANES) * LANES * n
+}
+
+/// `v[p][t] − Σₖ panels[p][k][t] · b(k)` over `k < len` for `P` panels:
+/// `4·P` independent chains, each subtracting one term at a time in
+/// ascending `k`.
+#[inline(always)]
+fn sub_chains<const P: usize>(
+    mut v: [[f64; LANES]; P],
+    panels: [&[[f64; LANES]]; P],
+    len: usize,
+    b: impl Fn(usize) -> f64,
+) -> [[f64; LANES]; P] {
+    let panels = panels.map(|panel| &panel[..len]);
+    for k in 0..len {
+        let bk = b(k);
+        for (vp, panel) in v.iter_mut().zip(&panels) {
+            for (v, a) in vp.iter_mut().zip(panel[k]) {
+                *v -= a * bk;
+            }
+        }
     }
     v
 }
 
-/// [`sub_dot`] for four rows against the same `s`: four independent chains
-/// advanced together, each seeing exactly the scalar loop's arithmetic.
-#[inline]
-fn sub_dot4(mut v: [f64; 4], rows: [&[f64]; 4], s: &[f64]) -> [f64; 4] {
-    let [r0, r1, r2, r3] = rows;
-    for ((((&b, &a0), &a1), &a2), &a3) in s.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
-        v[0] -= a0 * b;
-        v[1] -= a1 * b;
-        v[2] -= a2 * b;
-        v[3] -= a3 * b;
+/// Column `j` of the `P` panels in `group` against row `j` (`row`: the
+/// first `j` columns of row `j`'s panel), divided by the diagonal.
+#[inline(always)]
+fn column_pass<const P: usize>(
+    group: &mut [[f64; LANES]],
+    n: usize,
+    j: usize,
+    row: &[[f64; LANES]],
+    diag: f64,
+) {
+    let lane = j % LANES;
+    let mut panels = group.chunks_exact_mut(n);
+    let mut panels: [&mut [[f64; LANES]]; P] =
+        std::array::from_fn(|_| panels.next().expect("the group holds P panels"));
+    let v = sub_chains(
+        panels.each_ref().map(|panel| panel[j]),
+        panels.each_ref().map(|panel| &**panel),
+        j,
+        |k| row[k][lane],
+    );
+    for (panel, v) in panels.iter_mut().zip(v) {
+        panel[j] = v.map(|v| v / diag);
     }
-    v
 }
 
-/// In-place Cholesky factorization `A = L Lᵀ` (lower triangle of `a` is
-/// replaced by `L`; the strict upper triangle is left untouched). On
-/// failure the columns before the offending one hold their part of `L`.
-pub fn cholesky_in_place(a: &mut [f64], n: usize) -> Result<(), NotPositiveDefinite> {
-    debug_assert_eq!(a.len(), n * n);
+/// In-place left-looking Cholesky factorization `A = L Lᵀ` of a
+/// panel-major buffer: the lower triangle is replaced by `L`. On failure
+/// the columns before the offending one hold their part of `L` and the
+/// rest are untouched.
+pub(crate) fn cholesky_panels(a: &mut [f64], n: usize) -> Result<(), NotPositiveDefinite> {
+    debug_assert_eq!(a.len(), panel_len(n));
+    let (columns, _) = a.as_chunks_mut::<LANES>();
     for j in 0..n {
-        let (upto_j, below) = a.split_at_mut((j + 1) * n);
-        let (lj, rest) = upto_j[j * n..].split_at_mut(j);
-        let diag = sub_dot(rest[0], lj, lj);
+        let lane = j % LANES;
+        let (upto, below) = columns.split_at_mut((j / LANES + 1) * n);
+        let own = &mut upto[(j / LANES) * n..];
+        // Row j's own panel: its lane is the diagonal's chain, the lanes
+        // after it are the rows below j in the panel.
+        let [v] = sub_chains([own[j]], [&*own], j, |k| own[k][lane]);
+        let diag = v[lane];
         if diag <= 0.0 || !diag.is_finite() {
             return Err(NotPositiveDefinite);
         }
         let diag = diag.sqrt();
-        rest[0] = diag;
-
-        let mut blocks = below.chunks_exact_mut(4 * n);
-        for block in &mut blocks {
-            let v = sub_dot4(
-                [block[j], block[n + j], block[2 * n + j], block[3 * n + j]],
-                [&block[..j], &block[n..n + j], &block[2 * n..2 * n + j], &block[3 * n..3 * n + j]],
-                lj,
-            );
-            for (t, vt) in v.into_iter().enumerate() {
-                block[t * n + j] = vt / diag;
-            }
+        own[j][lane] = diag;
+        for t in lane + 1..LANES {
+            own[j][t] = v[t] / diag;
         }
-        for row in blocks.into_remainder().chunks_exact_mut(n) {
-            row[j] = sub_dot(row[j], &row[..j], lj) / diag;
+
+        let row = &own[..j];
+        for group in below.chunks_mut(LANES * n) {
+            match group.len() / n {
+                4 => column_pass::<4>(group, n, j, row, diag),
+                3 => column_pass::<3>(group, n, j, row, diag),
+                2 => column_pass::<2>(group, n, j, row, diag),
+                _ => column_pass::<1>(group, n, j, row, diag),
+            }
         }
     }
     Ok(())
 }
 
+/// In-place Cholesky factorization `A = L Lᵀ` of a row-major `n × n`
+/// matrix: the lower triangle of `a` is replaced by `L` and the strict
+/// upper triangle is left untouched. On failure the columns before the
+/// offending one hold their part of `L`. Packs the lower triangle into
+/// panels, runs the crate's one factorization and unpacks it.
+pub fn cholesky_in_place(a: &mut [f64], n: usize) -> Result<(), NotPositiveDefinite> {
+    assert_eq!(a.len(), n * n, "not an {n} × {n} matrix");
+    let lower = || (0..n).flat_map(|i| (0..=i).map(move |k| (i, k)));
+    let mut panels = vec![0.0; panel_len(n)];
+    for (i, k) in lower() {
+        panels[at(n, i, k)] = a[i * n + k];
+    }
+    let result = cholesky_panels(&mut panels, n);
+    for (i, k) in lower() {
+        a[i * n + k] = panels[at(n, i, k)];
+    }
+    result
+}
+
 /// Cholesky with escalating diagonal jitter. `fill` writes the matrix
-/// (lower triangle) into `a`; it is factorized in place, and when that
-/// fails `fill` is called again and `A + jitter·I` tried, with jitter
-/// growing from `1e-10` to `1e-3` relative to the mean diagonal. Refilling
-/// instead of keeping a pristine copy holds one `n × n` buffer, not two;
-/// retries are rare (duplicate rows at near-zero noise). Returns the
-/// jitter actually used.
-pub fn cholesky_jittered(
+/// (lower triangle, panel-major) into `a`; it is factorized in place, and
+/// when that fails `fill` is called again and `A + jitter·I` tried, with
+/// jitter growing from `1e-10` to `1e-3` relative to the mean diagonal.
+/// Refilling instead of keeping a pristine copy holds one `n × n` buffer,
+/// not two; retries are rare (duplicate rows at near-zero noise). Returns
+/// the jitter actually used.
+pub(crate) fn cholesky_jittered(
     a: &mut [f64],
     n: usize,
     mut fill: impl FnMut(&mut [f64]),
 ) -> Result<f64, NotPositiveDefinite> {
     fill(a);
-    let mean_diag = (0..n).map(|i| a[i * n + i]).sum::<f64>().max(1e-300) / n.max(1) as f64;
+    let mean_diag = (0..n).map(|i| a[at(n, i, i)]).sum::<f64>().max(1e-300) / n.max(1) as f64;
     let mut jitter = 0.0f64;
     for attempt in 0..9 {
         if attempt > 0 {
             fill(a);
             jitter = mean_diag * 1e-10 * 10f64.powi(attempt - 1);
             for i in 0..n {
-                a[i * n + i] += jitter;
+                a[at(n, i, i)] += jitter;
             }
         }
-        if cholesky_in_place(a, n).is_ok() {
+        if cholesky_panels(a, n).is_ok() {
             return Ok(jitter);
         }
     }
     Err(NotPositiveDefinite)
 }
 
-/// Solve `L x = b` in place for lower-triangular `L` (forward
-/// substitution): `x` holds `b` on entry and the solution on return.
-pub fn solve_lower_in_place(l: &[f64], n: usize, x: &mut [f64]) {
+/// Solve `L x = b` in place for a panel-major lower-triangular `L`
+/// (forward substitution): `x` holds `b` on entry and the solution on
+/// return.
+pub(crate) fn solve_lower_in_place(l: &[f64], n: usize, x: &mut [f64]) {
     debug_assert_eq!(x.len(), n);
-    let row = |i: usize| &l[i * n..i * n + i + 1];
-    let mut i = 0;
-    while i + 4 <= n {
-        let (solved, block) = x.split_at_mut(i);
-        let rows = [row(i), row(i + 1), row(i + 2), row(i + 3)];
-        let mut v = sub_dot4(
-            [block[0], block[1], block[2], block[3]],
-            [&rows[0][..i], &rows[1][..i], &rows[2][..i], &rows[3][..i]],
-            solved,
-        );
-        // The block's own 4 × 4 triangle, in the scalar loop's order.
-        for t in 0..4 {
-            v[t] = sub_dot(v[t], &rows[t][i..i + t], &v[..t]) / rows[t][i + t];
+    let (columns, _) = l.as_chunks::<LANES>();
+    for (p, panel) in columns.chunks_exact(n).enumerate() {
+        let first = p * LANES;
+        let (solved, rest) = x.split_at_mut(first);
+        let rows = rest.len().min(LANES);
+        // Lane by lane in and out: a copy of `rows` elements compiles to a
+        // `memcpy` call, which is most of a small panel's time.
+        let v = std::array::from_fn(|t| rest.get(t).copied().unwrap_or(0.0));
+        let [mut v] = sub_chains([v], [panel], first, |k| solved[k]);
+        // The panel's own triangle, continuing each chain in ascending k.
+        let triangle = &panel[first..first + rows];
+        for t in 0..rows {
+            for s in 0..t {
+                v[t] -= triangle[s][t] * v[s];
+            }
+            v[t] /= triangle[t][t];
         }
-        block[..4].copy_from_slice(&v);
-        i += 4;
-    }
-    for i in i..n {
-        x[i] = sub_dot(x[i], &row(i)[..i], &x[..i]) / l[i * n + i];
+        for (t, v) in v.into_iter().enumerate() {
+            if let Some(x) = rest.get_mut(t) {
+                *x = v;
+            }
+        }
     }
 }
 
-/// Solve `Lᵀ x = b` in place for lower-triangular `L` (backward
-/// substitution).
-pub fn solve_lower_transpose_in_place(l: &[f64], n: usize, x: &mut [f64]) {
+/// Solve `Lᵀ x = b` in place for a panel-major lower-triangular `L`
+/// (backward substitution). Element `i` subtracts column `i` below the
+/// diagonal in ascending row order: the rest of its own panel's column,
+/// then one 4-lane column per panel below.
+pub(crate) fn solve_lower_transpose_in_place(l: &[f64], n: usize, x: &mut [f64]) {
     debug_assert_eq!(x.len(), n);
+    let (columns, _) = l.as_chunks::<LANES>();
     for i in (0..n).rev() {
+        let next = (i / LANES + 1) * LANES;
+        let own = columns[at(n, i, i) / LANES];
         let mut v = x[i];
-        for k in (i + 1)..n {
-            v -= l[k * n + i] * x[k];
+        for k in i + 1..next.min(n) {
+            v -= own[k % LANES] * x[k];
         }
-        x[i] = v / l[i * n + i];
+        let below = columns.get(at(n, next, i) / LANES..).unwrap_or_default().iter().step_by(n);
+        for (column, xs) in below.zip(x.get(next..).unwrap_or_default().chunks(LANES)) {
+            for (a, xk) in column.iter().zip(xs) {
+                v -= a * xk;
+            }
+        }
+        x[i] = v / own[i % LANES];
     }
 }
 
-/// Solve `A x = b` in place given the Cholesky factor `L` of `A`.
-pub fn solve_cholesky_in_place(l: &[f64], n: usize, x: &mut [f64]) {
+/// Solve `A x = b` in place given the panel-major Cholesky factor `L` of
+/// `A`.
+pub(crate) fn solve_cholesky_in_place(l: &[f64], n: usize, x: &mut [f64]) {
     solve_lower_in_place(l, n, x);
     solve_lower_transpose_in_place(l, n, x);
 }
 
-/// `Σ log L[i][i]` — half the log-determinant of `A = L Lᵀ`.
-pub fn log_det_half(l: &[f64], n: usize) -> f64 {
-    (0..n).map(|i| l[i * n + i].ln()).sum()
+/// `Σ log L[i][i]` — half the log-determinant of `A = L Lᵀ`, for a
+/// panel-major `L`.
+pub(crate) fn log_det_half(l: &[f64], n: usize) -> f64 {
+    (0..n).map(|i| l[at(n, i, i)].ln()).sum()
 }
 
 /// Dot product.
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
@@ -199,10 +292,18 @@ mod tests {
         (a, n)
     }
 
-    /// Factor a copy of `a`, returning the factor and the jitter used.
+    /// Factor the row-major `a` in panels, returning the factor and the
+    /// jitter used.
     fn factor(a: &[f64], n: usize) -> Result<(Vec<f64>, f64), NotPositiveDefinite> {
-        let mut l = vec![0.0; n * n];
-        let jitter = cholesky_jittered(&mut l, n, |w| w.copy_from_slice(a))?;
+        let mut l = vec![0.0; panel_len(n)];
+        let fill = |w: &mut [f64]| {
+            for i in 0..n {
+                for k in 0..=i {
+                    w[at(n, i, k)] = a[i * n + k];
+                }
+            }
+        };
+        let jitter = cholesky_jittered(&mut l, n, fill)?;
         Ok((l, jitter))
     }
 
@@ -215,7 +316,7 @@ mod tests {
             for j in 0..n {
                 let mut v = 0.0;
                 for k in 0..=j.min(i) {
-                    v += l[i * n + k] * l[j * n + k];
+                    v += l[at(n, i, k)] * l[at(n, j, k)];
                 }
                 assert!((v - a[i * n + j]).abs() < 1e-10, "({i},{j})");
             }
@@ -250,7 +351,7 @@ mod tests {
         let a = vec![1.0; 9];
         let (l, jitter) = factor(&a, 3).unwrap();
         assert!(jitter > 0.0);
-        assert!(l[0] > 0.0);
+        assert!(l[at(3, 0, 0)] > 0.0);
     }
 
     #[test]
@@ -262,13 +363,15 @@ mod tests {
 
     #[test]
     fn triangular_solves_roundtrip() {
-        let l = [2.0, 0.0, 1.0, 3.0];
+        let n = 2;
+        let mut l = vec![0.0; panel_len(n)];
+        (l[at(n, 0, 0)], l[at(n, 1, 0)], l[at(n, 1, 1)]) = (2.0, 1.0, 3.0);
         let mut y = [4.0, 10.0];
-        solve_lower_in_place(&l, 2, &mut y);
+        solve_lower_in_place(&l, n, &mut y);
         assert!((y[0] - 2.0).abs() < 1e-12);
         assert!((y[1] - (10.0 - 2.0) / 3.0).abs() < 1e-12);
         let mut z = y;
-        solve_lower_transpose_in_place(&l, 2, &mut z);
+        solve_lower_transpose_in_place(&l, n, &mut z);
         // Verify LᵀLᵀ⁻¹ y = y.
         assert!((2.0 * z[0] + 1.0 * z[1] - y[0]).abs() < 1e-12);
     }

@@ -2,42 +2,47 @@
 //!
 //! Optimizes (log-lengthscale, log-signal-variance, log-noise) by
 //! multi-start Nelder–Mead on the negative log marginal likelihood —
-//! ~150 likelihood evaluations per fit with the default options, and the
-//! tuner fits two surrogates per proposal.
+//! ~150 likelihood evaluations per target with the default options, and
+//! the tuner fits two targets (speed, recall) per proposal.
 //!
 //! **Cost.** An evaluation is a kernel matrix, a Cholesky factorization
 //! and two triangular solves. Everything that does not depend on the
 //! hyperparameters is hoisted out of the search: the pairwise distances
-//! live in [`TrainingInputs`] (shared by all evaluations, and by both
-//! surrogates through [`fit_gp_on`]), the targets are standardized once,
-//! and every evaluation re-conditions one [`GaussianProcess`] in place, so
-//! it allocates nothing and the model returned is the search's last
-//! evaluation. On the reference host (2.1 GHz Xeon) one fit on 22
-//! dimensions takes 3.7 / 16 / 73 ms at n = 50 / 100 / 200 (the
-//! benchmark's `gp.fit_ms.n*`; 8.9 / 40 / 231 ms before the hoisting and
-//! the row-blocked Cholesky). The cost is cubic in n, and the two fits are
-//! the largest part of a proposal on every workload the benchmark has:
-//! nine tenths of the recommendation time over a 180-iteration run, three
-//! quarters over 76 iterations, 43–47 % over 40 (the rest is the
-//! acquisition search). Until the acquisition stopped re-preparing the
-//! Pareto front for every Monte-Carlo sample
-//! (`mobo::hypervolume::FrontSweep`) that was true of the long run only —
-//! at n ≤ 40 the fits were a tenth. The per-workload split is in
-//! ARCHITECTURE.md, "Where recommendation time goes". (The paper reports
-//! 438 s of recommendation time over 200 iterations, ~2 s per iteration,
-//! for its whole pipeline.)
+//! live in [`TrainingInputs`], the targets are standardized once, and the
+//! evaluations reuse one factor buffer and each target's `α`, so they
+//! allocate nothing. At n = 180 on the reference host (2.1 GHz Xeon) one
+//! evaluation is ≈ 0.26 ms: the factorization 0.15, the kernel matrix
+//! 0.09 (one `exp` per pair of points), the two solves 0.02. The fits are
+//! the largest part of a proposal on every benchmark workload; the split
+//! is in ARCHITECTURE.md, "Where recommendation time goes". (The paper
+//! reports 438 s of recommendation time over 200 iterations, ~2 s per
+//! iteration, for its whole pipeline.)
+//!
+//! **Lockstep.** The likelihood depends on the hyperparameters only
+//! through `clamp_params`, and only the two solves depend on the target.
+//! [`fit_gp_on`] therefore runs restart r of every target's search
+//! together: each round takes each unfinished search's pending point,
+//! groups the points by the bits of their clamped triple (a linear scan),
+//! fills and factors once per group, and solves `α` and the likelihood
+//! per target. The speed and recall searches start from the same simplex
+//! and agree until their first differing comparison, so a sibling's
+//! factor serves 11.4 % of all evaluations over a `surrogate-22d` run
+//! (5 885 of 51 598), and 8.0–10.6 % on the other benchmark workloads.
+//! Restart r + 1 starts only when every target has finished restart r, so
+//! the searches of one restart always start together.
 //!
 //! **Bitwise contract.** The search is deterministic and its arithmetic is
-//! that of the straightforward implementation (`reference.rs`, which
-//! refits from scratch per evaluation): same operations in the same order
-//! for every element, so hyperparameters, likelihoods and predictions are
-//! equal in `to_bits()`, and tuning histories do not move when this code
-//! gets faster.
+//! that of the straightforward implementation (`reference.rs`, which fits
+//! each target alone and refits from scratch per evaluation): same
+//! operations in the same order for every element, so hyperparameters,
+//! likelihoods and predictions are equal in `to_bits()`, and tuning
+//! histories do not move when this code gets faster.
 
-use crate::gp::GaussianProcess;
+use crate::gp::{factor, GaussianProcess};
 use crate::inputs::TrainingInputs;
 use crate::kernel::Matern52;
-use crate::opt::{nelder_mead, NelderMeadOptions};
+use crate::linalg::panel_len;
+use crate::opt::{NelderMead, NelderMeadOptions};
 
 /// Controls for the MLE search.
 #[derive(Debug, Clone, Copy)]
@@ -55,7 +60,9 @@ impl Default for FitOptions {
 }
 
 /// Hyperparameter bounds in log10 space, loose enough for unit-cube inputs
-/// and standardized targets.
+/// and standardized targets. The noise bound is above the 1e-8 floor of
+/// `GaussianProcess::condition`, so the search factors exactly the matrix
+/// a refit at the same point does.
 pub(crate) const LOG_LS_RANGE: (f64, f64) = (-2.0, 1.0);
 const LOG_SV_RANGE: (f64, f64) = (-2.0, 1.5);
 const LOG_NOISE_RANGE: (f64, f64) = (-6.0, 0.0);
@@ -67,59 +74,135 @@ pub(crate) fn clamp_params(p: &[f64]) -> (f64, f64, f64) {
     (ls, sv, noise)
 }
 
-/// Fit a Matérn 5/2 GP with ML-II hyperparameters.
-///
-/// Falls back to the default kernel when every optimization start fails
-/// (e.g. a numerically degenerate sample set) — the tuner must never panic
-/// mid-run because of a bad iteration.
-pub fn fit_gp(x: &[Vec<f64>], y: &[f64], opts: &FitOptions) -> GaussianProcess<Matern52> {
-    fit_gp_on(&TrainingInputs::new(x), y, opts)
-}
-
-/// [`fit_gp`] on inputs whose distances are already computed — for fitting
-/// several targets on the same `x`.
-pub fn fit_gp_on(
-    inputs: &TrainingInputs,
-    y: &[f64],
-    opts: &FitOptions,
-) -> GaussianProcess<Matern52> {
-    let mut gp = GaussianProcess::unfitted(inputs, y, Matern52::default());
-    let mut nll = |p: &[f64]| -> f64 {
-        let (ls, sv, noise) = clamp_params(p);
-        let kernel = Matern52 { lengthscale: ls, signal_variance: sv };
-        match gp.refit(inputs, kernel, noise) {
-            Ok(lml) => -lml,
-            Err(_) => f64::INFINITY,
-        }
-    };
-
-    // Deterministic multi-starts spread over the lengthscale range.
-    let starts: Vec<[f64; 3]> = (0..opts.restarts.max(1))
+/// Deterministic multi-starts spread over the lengthscale range.
+fn starts(restarts: usize) -> Vec<[f64; 3]> {
+    (0..restarts.max(1))
         .map(|i| {
-            let t = i as f64 / opts.restarts.max(2).saturating_sub(1).max(1) as f64;
+            let t = i as f64 / restarts.max(2).saturating_sub(1).max(1) as f64;
             [LOG_LS_RANGE.0 + 0.3 + t * (LOG_LS_RANGE.1 - LOG_LS_RANGE.0 - 0.8), 0.0, -3.0]
         })
-        .collect();
+        .collect()
+}
 
-    let nm_opts = NelderMeadOptions { max_iters: opts.max_iters, ..Default::default() };
-    let mut best: Option<(Vec<f64>, f64)> = None;
-    for s in &starts {
-        let (p, fp) = nelder_mead(&mut nll, s, &nm_opts);
-        if fp.is_finite() && best.as_ref().is_none_or(|(_, b)| fp < *b) {
-            best = Some((p, fp));
+/// Fit a Matérn 5/2 GP with ML-II hyperparameters: [`fit_gp_on`] for one
+/// target.
+pub fn fit_gp(x: &[Vec<f64>], y: &[f64], opts: &FitOptions) -> GaussianProcess<Matern52> {
+    let mut models = fit_gp_on(&TrainingInputs::new(x), &[y], opts);
+    models.pop().expect("one model per target")
+}
+
+/// Fit one Matérn 5/2 GP with ML-II hyperparameters per target in `ys`, all
+/// on `inputs`, searching the targets in lockstep (module docs). Each model
+/// is bit-identical to a fit of its target alone.
+///
+/// A target falls back to the default kernel when every optimization start
+/// fails (e.g. a numerically degenerate sample set) — the tuner must never
+/// panic mid-run because of a bad iteration.
+pub fn fit_gp_on(
+    inputs: &TrainingInputs,
+    ys: &[&[f64]],
+    opts: &FitOptions,
+) -> Vec<GaussianProcess<Matern52>> {
+    Lockstep::new(inputs, ys).fit(opts)
+}
+
+/// One fit's targets, each a model that doubles as its search workspace.
+pub(crate) struct Lockstep<'a> {
+    inputs: &'a TrainingInputs,
+    models: Vec<GaussianProcess<Matern52>>,
+    /// Kernel matrices filled and factored (jitter retries included in
+    /// one), and likelihoods evaluated, by the searches.
+    #[cfg(test)]
+    pub(crate) factorizations: usize,
+    #[cfg(test)]
+    pub(crate) evaluations: usize,
+}
+
+impl<'a> Lockstep<'a> {
+    pub(crate) fn new(inputs: &'a TrainingInputs, ys: &[&[f64]]) -> Lockstep<'a> {
+        Lockstep {
+            inputs,
+            models: ys
+                .iter()
+                .map(|y| GaussianProcess::unfitted(inputs, y, Matern52::default()))
+                .collect(),
+            #[cfg(test)]
+            factorizations: 0,
+            #[cfg(test)]
+            evaluations: 0,
         }
     }
 
-    let (ls, sv, noise) = match &best {
-        Some((p, _)) => clamp_params(p),
-        None => (0.3, 1.0, 1e-4),
-    };
-    let kernel = Matern52 { lengthscale: ls, signal_variance: sv };
-    if gp.refit(inputs, kernel, noise).is_err() {
-        gp.refit(inputs, Matern52::default(), 1e-2)
-            .expect("default kernel with large noise must factorize");
+    pub(crate) fn fit(&mut self, opts: &FitOptions) -> Vec<GaussianProcess<Matern52>> {
+        let nm_opts = NelderMeadOptions { max_iters: opts.max_iters, ..Default::default() };
+        let mut chol = vec![0.0; panel_len(self.inputs.len())];
+        let mut best: Vec<Option<(Vec<f64>, f64)>> = vec![None; self.models.len()];
+        for s in &starts(opts.restarts) {
+            let mut searches = vec![NelderMead::new(s, &nm_opts); self.models.len()];
+            self.search(&mut searches, &mut chol);
+            for (best, search) in best.iter_mut().zip(searches) {
+                let (p, fp) = search.into_best();
+                if fp.is_finite() && best.as_ref().is_none_or(|(_, b)| fp < *b) {
+                    *best = Some((p, fp));
+                }
+            }
+        }
+        // The models allocate their own factors; the search's goes first.
+        drop(chol);
+
+        for (gp, best) in self.models.iter_mut().zip(best) {
+            let (ls, sv, noise) = match &best {
+                Some((p, _)) => clamp_params(p),
+                None => (0.3, 1.0, 1e-4),
+            };
+            let kernel = Matern52 { lengthscale: ls, signal_variance: sv };
+            if gp.refit(self.inputs, kernel, noise).is_err() {
+                gp.refit(self.inputs, Matern52::default(), 1e-2)
+                    .expect("default kernel with large noise must factorize");
+            }
+        }
+        std::mem::take(&mut self.models)
     }
-    gp
+
+    /// Drive `searches` (one per model) to their ends in rounds. A round
+    /// evaluates every unfinished search's pending point; the points with
+    /// equal clamped hyperparameters share one factorization in `chol`.
+    pub(crate) fn search(&mut self, searches: &mut [NelderMead], chol: &mut [f64]) {
+        let bits = |(ls, sv, noise): (f64, f64, f64)| [ls.to_bits(), sv.to_bits(), noise.to_bits()];
+        let mut pending = Vec::with_capacity(searches.len());
+        loop {
+            pending.clear();
+            pending.extend(searches.iter().map(|s| s.ask().map(clamp_params)));
+            if pending.iter().all(Option::is_none) {
+                return;
+            }
+            for lead in 0..searches.len() {
+                let Some(params) = pending[lead] else { continue };
+                let (ls, sv, noise) = params;
+                let kernel = Matern52 { lengthscale: ls, signal_variance: sv };
+                let factored = factor(self.inputs, &kernel, noise, chol);
+                #[cfg(test)]
+                {
+                    self.factorizations += 1;
+                }
+                for i in lead..searches.len() {
+                    if pending[i].map(bits) != Some(bits(params)) {
+                        continue;
+                    }
+                    pending[i] = None;
+                    let nll = match factored {
+                        Ok(log_det_half) => -self.models[i].likelihood(chol, log_det_half),
+                        Err(_) => f64::INFINITY,
+                    };
+                    searches[i].tell(nll);
+                    #[cfg(test)]
+                    {
+                        self.evaluations += 1;
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

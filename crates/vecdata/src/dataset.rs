@@ -117,7 +117,7 @@ impl DatasetSpec {
         }
     }
 
-    /// A tiny profile for unit tests and criterion micro-benches.
+    /// A tiny profile for unit tests and short benchmark runs.
     pub fn tiny(kind: DatasetKind) -> Self {
         Self { kind, n: 600, dim: 16, n_queries: 20, seed: 0x3001 }
     }
