@@ -120,44 +120,19 @@ impl ScanUnitCosts {
         })
     }
 
-    /// Parse the legacy top-level `calibration` object of a
-    /// `results/kernels.json` document (see the schema rustdoc on
-    /// `bench::report::emit_json`). This block always holds the *exact*
-    /// tier's constants.
+    /// Parse the top-level `calibration` object of a `results/kernels.json`
+    /// document (see the schema rustdoc on `bench::report::emit_json`).
+    /// Any other block of the document is ignored.
     pub fn from_kernels_json(text: &str) -> Option<ScanUnitCosts> {
         ScanUnitCosts::parse_unit_costs(&text[text.find("\"calibration\"")?..])
     }
 
-    /// Parse one entry of the per-tier `tiers` object (`"exact"` or
-    /// `"fast"`) of a `results/kernels.json` document.
-    pub fn from_kernels_json_tier(text: &str, tier: &str) -> Option<ScanUnitCosts> {
-        let tiers = &text[text.find("\"tiers\"")?..];
-        ScanUnitCosts::parse_unit_costs(&tiers[tiers.find(&format!("\"{tier}\""))?..])
-    }
-
-    /// Load calibrated constants from a `kernels.json` file, falling back
-    /// to [`ScanUnitCosts::ANALYTIC`] when the file is missing or invalid.
-    pub fn load_or_analytic(path: &std::path::Path) -> ScanUnitCosts {
-        ScanUnitCosts::load_tier_or_analytic(path, "exact")
-    }
-
-    /// Load one tier's calibrated constants from a `kernels.json` file.
-    /// Falls back to the legacy top-level `calibration` block (exact-tier
-    /// measurements from files predating the tiered schema), then to
-    /// [`ScanUnitCosts::ANALYTIC`].
-    pub fn load_tier_or_analytic(path: &std::path::Path, tier: &str) -> ScanUnitCosts {
-        ScanUnitCosts::load_tier(path, tier).unwrap_or(ScanUnitCosts::ANALYTIC)
-    }
-
-    /// Like [`ScanUnitCosts::load_tier_or_analytic`], but `None` when no
-    /// measurement exists — callers that must *report* whether they run
-    /// calibrated (rather than silently substituting the analytic
-    /// constants) branch on this instead.
-    pub fn load_tier(path: &std::path::Path, tier: &str) -> Option<ScanUnitCosts> {
-        std::fs::read_to_string(path).ok().and_then(|text| {
-            ScanUnitCosts::from_kernels_json_tier(&text, tier)
-                .or_else(|| ScanUnitCosts::from_kernels_json(&text))
-        })
+    /// Calibrated constants from a `kernels.json` file, or `None` when the
+    /// file is missing or invalid — callers that must *report* whether they
+    /// run calibrated (rather than silently substituting
+    /// [`ScanUnitCosts::ANALYTIC`]) branch on this.
+    pub fn load(path: &std::path::Path) -> Option<ScanUnitCosts> {
+        std::fs::read_to_string(path).ok().and_then(|text| ScanUnitCosts::from_kernels_json(&text))
     }
 }
 
@@ -243,52 +218,53 @@ mod tests {
         assert!(ScanUnitCosts::from_kernels_json(negative).is_none());
     }
 
+    /// A `kernels.json` written before the single-tier schema: besides
+    /// `calibration` it carries `fast` and per-tier `tiers` blocks.
+    const TIERED_KERNELS_JSON: &str = r#"{
+      "experiment": "kernels",
+      "dispatched_kernel": "avx2",
+      "fast_kernel": "avx2-fast",
+      "fast": { "kernel": "avx2-fast", "f32_scan_mdps": 9413.0, "adc4_lut_mlps": 24270.0 },
+      "calibration": {
+        "f32_dim_ns": 1.25, "u8_dim_ns": 0.5, "pq_lookup_ns": 2.0, "source": "measured"
+      },
+      "tiers": {
+        "exact": { "f32_dim_ns": 3.0, "u8_dim_ns": 4.0, "pq_lookup_ns": 5.0 },
+        "fast": { "f32_dim_ns": 0.25, "u8_dim_ns": 0.125, "pq_lookup_ns": 0.0625 }
+      }
+    }"#;
+
     #[test]
     fn scan_unit_costs_parse_per_tier() {
-        let text = r#"{
-          "experiment": "kernels",
-          "calibration": {
-            "f32_dim_ns": 1.25, "u8_dim_ns": 0.5, "pq_lookup_ns": 2.0
-          },
-          "tiers": {
-            "exact": { "f32_dim_ns": 1.25, "u8_dim_ns": 0.5, "pq_lookup_ns": 2.0 },
-            "fast": { "f32_dim_ns": 0.25, "u8_dim_ns": 0.125, "pq_lookup_ns": 0.0625 }
-          }
-        }"#;
-        let exact = ScanUnitCosts::from_kernels_json_tier(text, "exact").unwrap();
-        assert_eq!(exact.f32_dim_ns, 1.25);
-        assert_eq!(exact.pq_lookup_ns, 2.0);
-        let fast = ScanUnitCosts::from_kernels_json_tier(text, "fast").unwrap();
-        assert_eq!(fast.f32_dim_ns, 0.25);
-        assert_eq!(fast.u8_dim_ns, 0.125);
-        assert_eq!(fast.pq_lookup_ns, 0.0625);
-        // Legacy parser still sees the top-level block.
-        assert_eq!(ScanUnitCosts::from_kernels_json(text).unwrap(), exact);
+        // The per-tier blocks of an older file are ignored: the parser reads
+        // the top-level `calibration` object and nothing else.
+        let want = ScanUnitCosts { f32_dim_ns: 1.25, u8_dim_ns: 0.5, pq_lookup_ns: 2.0 };
+        assert_eq!(ScanUnitCosts::from_kernels_json(TIERED_KERNELS_JSON), Some(want));
+        let tiers_only = &TIERED_KERNELS_JSON[TIERED_KERNELS_JSON.find("\"tiers\"").unwrap()..];
+        assert!(ScanUnitCosts::from_kernels_json(tiers_only).is_none());
     }
 
     #[test]
     fn tier_load_falls_back_to_legacy_calibration_block() {
-        // Files predating the tiered schema have only `calibration`; both
-        // tiers then resolve to it rather than the analytic constants.
-        let text = r#"{"calibration": {"f32_dim_ns": 1.0, "u8_dim_ns": 2.0, "pq_lookup_ns": 3.0}}"#;
-        assert!(ScanUnitCosts::from_kernels_json_tier(text, "fast").is_none());
-        let dir = std::env::temp_dir().join("vdtuner_cost_tier_test");
+        // Both a calibration-only file and a tiered one load to the
+        // `calibration` block rather than to the analytic constants.
+        let dir = std::env::temp_dir().join(format!("vdtuner_cost_load_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("kernels.json");
-        std::fs::write(&path, text).unwrap();
-        let fast = ScanUnitCosts::load_tier_or_analytic(&path, "fast");
-        assert_eq!(fast.u8_dim_ns, 2.0);
-        std::fs::remove_file(&path).ok();
+        let legacy =
+            r#"{"calibration": {"f32_dim_ns": 1.0, "u8_dim_ns": 2.0, "pq_lookup_ns": 3.0}}"#;
+        std::fs::write(&path, legacy).unwrap();
+        let want = ScanUnitCosts { f32_dim_ns: 1.0, u8_dim_ns: 2.0, pq_lookup_ns: 3.0 };
+        assert_eq!(ScanUnitCosts::load(&path), Some(want));
+        std::fs::write(&path, TIERED_KERNELS_JSON).unwrap();
+        let want = ScanUnitCosts { f32_dim_ns: 1.25, u8_dim_ns: 0.5, pq_lookup_ns: 2.0 };
+        assert_eq!(ScanUnitCosts::load(&path), Some(want));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn scan_unit_costs_fall_back_to_analytic() {
-        let c = ScanUnitCosts::load_or_analytic(std::path::Path::new("/nonexistent/kernels.json"));
-        assert_eq!(c, ScanUnitCosts::ANALYTIC);
+        assert!(ScanUnitCosts::load(std::path::Path::new("/nonexistent/kernels.json")).is_none());
         assert_eq!(ScanUnitCosts::default(), ScanUnitCosts::ANALYTIC);
-        // The source-reporting variant distinguishes the fallback instead
-        // of silently substituting it.
-        assert!(ScanUnitCosts::load_tier(std::path::Path::new("/nonexistent/k.json"), "exact")
-            .is_none());
     }
 }

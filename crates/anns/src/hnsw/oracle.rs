@@ -3,6 +3,11 @@
 //! verbatim (fresh `vec![false; n]` + `BinaryHeap<Neighbor>`s per search,
 //! every prune rescoring and re-deciding its whole list), and the panel
 //! that holds the two to the same graph, counters and results bit for bit.
+//!
+//! It may be retired the day a history-changing change to HNSW (another
+//! prune rule, level draw, beam order or tie rule) is accepted and the
+//! pinned digests move with it, since this transcription then pins nothing
+//! any more.
 
 use super::{key, HnswIndex, Node, SearchScratch};
 use crate::cost::{BuildStats, SearchCost};

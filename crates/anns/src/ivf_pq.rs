@@ -130,78 +130,13 @@ fn subvectors(vectors: &[f32], dim: usize, from: usize, width: usize, out: &mut 
     }
 }
 
-/// Quantize a 4-bit ADC table (`m × 16` f32 entries) into the `u8` LUT
-/// layout the fast tier's `adc4_lut16_block` kernel consumes. Entries are
-/// offset by their subspace minimum and scaled by one shared step, so a
-/// scored sum reconstructs as `bias + delta · sum`. Returns `(bias, delta)`;
-/// `luts` is resized to `m * 16`.
-pub fn quantize_adc4_table(table: &[f32], m: usize, luts: &mut Vec<u8>) -> (f32, f32) {
-    assert_eq!(table.len(), m * 16, "quantize_adc4_table: table is not m x 16");
-    luts.clear();
-    luts.resize(m * 16, 0);
-    let mut bias = 0.0f32;
-    let mut span_max = 0.0f32;
-    for s in 0..m {
-        let row = &table[s * 16..s * 16 + 16];
-        let lo = row.iter().copied().fold(f32::INFINITY, f32::min);
-        let hi = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        bias += lo;
-        span_max = span_max.max(hi - lo);
-    }
-    let delta = (span_max / 255.0).max(1e-20);
-    for s in 0..m {
-        let row = &table[s * 16..s * 16 + 16];
-        let lo = row.iter().copied().fold(f32::INFINITY, f32::min);
-        for c in 0..16 {
-            luts[s * 16 + c] = (((row[c] - lo) / delta).round()).clamp(0.0, 255.0) as u8;
-        }
-    }
-    (bias, delta)
-}
-
-/// Quantize an 8-bit ADC table (`m × 256` f32 entries) into the two-plane
-/// `u8` LUT layout the fast tier's `adc8_lut256_block` kernel consumes:
-/// entries are offset by their subspace minimum and scaled by one shared
-/// step into `u16`, stored per subspace as 256 low bytes then 256 high
-/// bytes, so a scored sum reconstructs as `bias + delta · sum`. The `u16`
-/// range gives 256× finer steps than the 4-bit path's `u8` quantization —
-/// that is what makes quantizing a full 256-entry table viable. Returns
-/// `(bias, delta)`; `luts` is resized to `m * 512`.
-pub fn quantize_adc8_table(table: &[f32], m: usize, luts: &mut Vec<u8>) -> (f32, f32) {
-    assert_eq!(table.len(), m * 256, "quantize_adc8_table: table is not m x 256");
-    luts.clear();
-    luts.resize(m * 512, 0);
-    let mut bias = 0.0f32;
-    let mut span_max = 0.0f32;
-    for s in 0..m {
-        let row = &table[s * 256..s * 256 + 256];
-        let lo = row.iter().copied().fold(f32::INFINITY, f32::min);
-        let hi = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        bias += lo;
-        span_max = span_max.max(hi - lo);
-    }
-    let delta = (span_max / 65535.0).max(1e-20);
-    for s in 0..m {
-        let row = &table[s * 256..s * 256 + 256];
-        let lo = row.iter().copied().fold(f32::INFINITY, f32::min);
-        for c in 0..256 {
-            let q = (((row[c] - lo) / delta).round()).clamp(0.0, 65535.0) as u16;
-            luts[s * 512 + c] = (q & 0xFF) as u8;
-            luts[s * 512 + 256 + c] = (q >> 8) as u8;
-        }
-    }
-    (bias, delta)
-}
-
-/// Reusable per-thread scratch for PQ search: the ADC table, kernel score
-/// buffers, and the fast tier's quantized LUT / integer-sum buffers. Batched
-/// search does zero per-query allocations once these are warm.
+/// Reusable per-thread scratch for PQ search: the ADC table and the kernel
+/// score buffer. Batched search does zero per-query allocations once these
+/// are warm.
 #[derive(Debug, Default)]
 pub struct PqScratch {
     pub table: Vec<f32>,
     pub scores: Vec<f32>,
-    pub luts: Vec<u8>,
-    pub sums: Vec<u32>,
 }
 
 thread_local! {
@@ -224,16 +159,6 @@ pub struct IvfPqIndex {
     /// holds the code of `groups.ids[j]`.
     list_codes: Vec<u8>,
     n: usize,
-    /// Fast tier ([`kernel::KernelPolicy::Fast`]): score probed lists with
-    /// the SIMD ADC kernels instead of the scalar per-byte loop.
-    fast: bool,
-    /// Per-list 4-bit codes in the fast tier's packed batch-of-32 layout
-    /// (built only when `fast` and `ksub == 16`).
-    packed4: Option<Vec<Vec<u8>>>,
-    /// Per-list 8-bit codes in the fast tier's batch-of-32 subspace-major
-    /// layout for the two-level `vpshufb` scorer (built only when `fast`,
-    /// `ksub == 256` and `m <= 256` — the kernel's accumulator cap).
-    packed8: Option<Vec<Vec<u8>>>,
 }
 
 impl IvfPqIndex {
@@ -263,52 +188,7 @@ impl IvfPqIndex {
         let n = codes.len() / pq.m;
         let groups = GroupedLists::from_lists(&ivf.lists);
         let list_codes = groups.gather_u8(codes, pq.m);
-        let mut idx = IvfPqIndex {
-            quantizer: ivf.quantizer,
-            groups,
-            pq,
-            list_codes,
-            n,
-            fast: false,
-            packed4: None,
-            packed8: None,
-        };
-        if kernel::active_policy() == kernel::KernelPolicy::Fast {
-            idx.set_fast_tier(true);
-        }
-        idx
-    }
-
-    /// Toggle the fast-tier scoring path (on by default when the process
-    /// policy is `VDTUNER_KERNEL=fast`; exposed so tests and benches can
-    /// exercise both tiers in one process). Turning it on packs 4-bit codes
-    /// into the SIMD LUT layout (or 8-bit codes into the two-level shuffle
-    /// layout); turning it off drops them.
-    pub fn set_fast_tier(&mut self, on: bool) {
-        self.fast = on;
-        let m = self.pq.m;
-        if on && self.pq.ksub == 16 && self.packed4.is_none() {
-            let packed = (0..self.groups.n_lists())
-                .map(|c| {
-                    let r = self.groups.range(c);
-                    kernel::pack_codes4(&self.list_codes[r.start * m..r.end * m], m)
-                })
-                .collect();
-            self.packed4 = Some(packed);
-        }
-        if on && self.pq.ksub == 256 && m <= 256 && self.packed8.is_none() {
-            let packed = (0..self.groups.n_lists())
-                .map(|c| {
-                    let r = self.groups.range(c);
-                    kernel::pack_codes8(&self.list_codes[r.start * m..r.end * m], m)
-                })
-                .collect();
-            self.packed8 = Some(packed);
-        }
-        if !on {
-            self.packed4 = None;
-            self.packed8 = None;
-        }
+        IvfPqIndex { quantizer: ivf.quantizer, groups, pq, list_codes, n }
     }
 }
 
@@ -319,20 +199,6 @@ impl VectorIndex for IvfPqIndex {
         let m = self.pq.m;
         with_pq_scratch(|scratch| {
             self.pq.adc_table_into(query, &mut scratch.table, &mut scratch.scores, cost);
-            // Fast tier with 4-bit codes: one shared quantized LUT per query.
-            let lut4 = if self.fast && self.pq.ksub == 16 && self.packed4.is_some() {
-                Some(quantize_adc4_table(&scratch.table, m, &mut scratch.luts))
-            } else {
-                None
-            };
-            // Fast tier with 8-bit codes: one shared two-plane u16 LUT per
-            // query, scored gather-free by the two-level shuffle kernel.
-            let lut8 = if self.fast && self.pq.ksub == 256 && self.packed8.is_some() {
-                Some(quantize_adc8_table(&scratch.table, m, &mut scratch.luts))
-            } else {
-                None
-            };
-            let kern = if self.fast { kernel::fast() } else { kernel::active() };
             for c in probes {
                 cost.lists_probed += 1;
                 let r = self.groups.range(c);
@@ -340,27 +206,8 @@ impl VectorIndex for IvfPqIndex {
                 let codes = &self.list_codes[r.start * m..r.end * m];
                 cost.pq_lookups += (ids.len() * m) as u64;
                 cost.heap_pushes += ids.len() as u64;
-                if let Some((bias, delta)) = lut4 {
-                    let packed = &self.packed4.as_ref().unwrap()[c];
-                    kern.adc4_lut16_block(&scratch.luts, packed, m, ids.len(), &mut scratch.sums);
-                    for (j, &s) in scratch.sums.iter().enumerate() {
-                        top.push(ids[j], bias + delta * s as f32);
-                    }
-                } else if let Some((bias, delta)) = lut8 {
-                    let packed = &self.packed8.as_ref().unwrap()[c];
-                    kern.adc8_lut256_block(&scratch.luts, packed, m, ids.len(), &mut scratch.sums);
-                    for (j, &s) in scratch.sums.iter().enumerate() {
-                        top.push(ids[j], bias + delta * s as f32);
-                    }
-                } else if self.fast {
-                    kern.adc_block(&scratch.table, self.pq.ksub, codes, m, &mut scratch.scores);
-                    for (j, &d) in scratch.scores.iter().enumerate() {
-                        top.push(ids[j], d);
-                    }
-                } else {
-                    for (j, code) in codes.chunks_exact(m).enumerate() {
-                        top.push(ids[j], self.pq.adc_distance(&scratch.table, code));
-                    }
+                for (j, code) in codes.chunks_exact(m).enumerate() {
+                    top.push(ids[j], self.pq.adc_distance(&scratch.table, code));
                 }
             }
         });
@@ -368,15 +215,10 @@ impl VectorIndex for IvfPqIndex {
     }
 
     fn memory_bytes(&self) -> u64 {
-        let sum_lists = |p: &Option<Vec<Vec<u8>>>| -> u64 {
-            p.as_ref().map(|p| p.iter().map(|l| l.len() as u64).sum()).unwrap_or(0)
-        };
-        let packed: u64 = sum_lists(&self.packed4) + sum_lists(&self.packed8);
         self.groups.memory_bytes()
             + (self.quantizer.centroids.len() * 4) as u64
             + self.list_codes.len() as u64
             + self.pq.memory_bytes()
-            + packed
     }
 
     fn len(&self) -> usize {
@@ -469,107 +311,6 @@ mod tests {
             }
             assert_eq!(c1.f32_dims, c2.f32_dims);
         }
-    }
-
-    #[test]
-    fn quantized_adc4_lut_reconstructs_table_sums() {
-        let m = 6usize;
-        let table: Vec<f32> = (0..m * 16).map(|i| ((i as f32) * 0.91).sin().abs() * 2.0).collect();
-        let mut luts = Vec::new();
-        let (bias, delta) = quantize_adc4_table(&table, m, &mut luts);
-        // Any code row's quantized sum must land within m quantization steps
-        // of the exact table sum.
-        for trial in 0..32u32 {
-            let code: Vec<u8> = (0..m).map(|s| ((trial as usize * 5 + s * 3) % 16) as u8).collect();
-            let exact: f32 = (0..m).map(|s| table[s * 16 + code[s] as usize]).sum();
-            let sum: u32 = (0..m).map(|s| luts[s * 16 + code[s] as usize] as u32).sum();
-            let approx = bias + delta * sum as f32;
-            assert!(
-                (approx - exact).abs() <= delta * m as f32 + 1e-5,
-                "exact {exact} approx {approx} delta {delta}"
-            );
-        }
-    }
-
-    #[test]
-    fn quantized_adc8_lut_reconstructs_table_sums() {
-        let m = 6usize;
-        let table: Vec<f32> = (0..m * 256).map(|i| ((i as f32) * 0.91).sin().abs() * 2.0).collect();
-        let mut luts = Vec::new();
-        let (bias, delta) = quantize_adc8_table(&table, m, &mut luts);
-        assert_eq!(luts.len(), m * 512);
-        // Any code row's quantized sum must land within m quantization steps
-        // of the exact table sum — and the u16 steps are tiny.
-        for trial in 0..32u32 {
-            let code: Vec<u8> =
-                (0..m).map(|s| ((trial as usize * 37 + s * 11) % 256) as u8).collect();
-            let exact: f32 = (0..m).map(|s| table[s * 256 + code[s] as usize]).sum();
-            let sum: u32 = (0..m)
-                .map(|s| {
-                    let c = code[s] as usize;
-                    luts[s * 512 + c] as u32 + 256 * luts[s * 512 + 256 + c] as u32
-                })
-                .sum();
-            let approx = bias + delta * sum as f32;
-            assert!(
-                (approx - exact).abs() <= delta * m as f32 + 1e-5,
-                "exact {exact} approx {approx} delta {delta}"
-            );
-        }
-    }
-
-    #[test]
-    fn fast_tier_8bit_search_matches_exact_ids_closely() {
-        let ds = DatasetSpec::tiny(DatasetKind::Glove).generate();
-        let params =
-            IndexParams { nlist: 8, m: 8, nbits: 8, ..Default::default() }.sanitized(ds.dim(), 10);
-        let mut stats = BuildStats::default();
-        let mut idx = IvfPqIndex::build(ds.raw(), ds.dim(), &params, 1, &mut stats).unwrap();
-        let sp = SearchParams { nprobe: 8, ef: 0, reorder_k: 0, top_k: 10 };
-        let mut overlap = 0usize;
-        let mut total = 0usize;
-        for qi in 0..ds.n_queries() {
-            let mut cost = SearchCost::default();
-            idx.set_fast_tier(false);
-            let exact: Vec<u32> =
-                idx.search(ds.query(qi), &sp, &mut cost).iter().map(|n| n.id).collect();
-            idx.set_fast_tier(true);
-            assert!(idx.packed8.is_some(), "8-bit codes must pack for the fast tier");
-            let fast: Vec<u32> =
-                idx.search(ds.query(qi), &sp, &mut cost).iter().map(|n| n.id).collect();
-            total += exact.len();
-            overlap += fast.iter().filter(|id| exact.contains(id)).count();
-        }
-        // u16 quantization perturbs distances by ≤ m steps of a 1/65535
-        // span; top-10 membership stays essentially intact.
-        assert!(overlap as f64 >= 0.9 * total as f64, "fast/exact top-k overlap {overlap}/{total}");
-    }
-
-    #[test]
-    fn fast_tier_search_matches_exact_ids_closely() {
-        let ds = DatasetSpec::tiny(DatasetKind::Glove).generate();
-        let params =
-            IndexParams { nlist: 8, m: 8, nbits: 4, ..Default::default() }.sanitized(ds.dim(), 10);
-        let mut stats = BuildStats::default();
-        let mut idx = IvfPqIndex::build(ds.raw(), ds.dim(), &params, 1, &mut stats).unwrap();
-        let sp = SearchParams { nprobe: 8, ef: 0, reorder_k: 0, top_k: 10 };
-        let mut overlap = 0usize;
-        let mut total = 0usize;
-        for qi in 0..ds.n_queries() {
-            let mut cost = SearchCost::default();
-            idx.set_fast_tier(false);
-            let exact: Vec<u32> =
-                idx.search(ds.query(qi), &sp, &mut cost).iter().map(|n| n.id).collect();
-            idx.set_fast_tier(true);
-            assert!(idx.packed4.is_some(), "4-bit codes must pack for the fast tier");
-            let fast: Vec<u32> =
-                idx.search(ds.query(qi), &sp, &mut cost).iter().map(|n| n.id).collect();
-            total += exact.len();
-            overlap += fast.iter().filter(|id| exact.contains(id)).count();
-        }
-        // The quantized LUT only perturbs distances by ≤ m quantization
-        // steps; top-10 membership stays essentially intact.
-        assert!(overlap as f64 >= 0.9 * total as f64, "fast/exact top-k overlap {overlap}/{total}");
     }
 
     #[test]

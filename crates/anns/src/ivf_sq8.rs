@@ -54,26 +54,6 @@ impl ScalarQuantizer {
     pub fn asymmetric_l2(&self, query: &[f32], code: &[u8]) -> f32 {
         kernel::active().sq8_l2(query, code, &self.mins, &self.scales)
     }
-
-    /// The shared quantization step of the symmetric fast-tier scan: the
-    /// largest per-dimension step. Per-dimension mins cancel in code
-    /// *differences*, so re-encoding every dimension with one shared step
-    /// makes the integer sum of squared code deltas reconstruct plain L2 as
-    /// `sum · step²` — per-dimension steps would mis-weight dimensions.
-    pub fn sym_scale(&self) -> f32 {
-        self.scales.iter().copied().fold(1e-12f32, f32::max)
-    }
-
-    /// Quantize one vector with per-dimension mins but the shared
-    /// [`ScalarQuantizer::sym_scale`] step (the symmetric-scan encoding).
-    #[inline]
-    pub fn encode_sym(&self, v: &[f32], out: &mut [u8]) {
-        let s = self.sym_scale();
-        for d in 0..v.len() {
-            let q = ((v[d] - self.mins[d]) / s).round();
-            out[d] = q.clamp(0.0, 255.0) as u8;
-        }
-    }
 }
 
 /// IVF over SQ8 codes, stored contiguously per posting list so probed lists
@@ -87,19 +67,6 @@ pub struct IvfSq8Index {
     /// Codes gathered into list-grouped contiguous rows: row `j` holds the
     /// code of `groups.ids[j]`.
     list_codes: Vec<u8>,
-    /// Fast tier ([`kernel::KernelPolicy::Fast`]): quantize the query too
-    /// and scan symmetrically in pure integer arithmetic over `sym_codes`,
-    /// rescaling integer sums by the shared squared step.
-    fast: bool,
-    /// List-grouped codes re-encoded with the shared symmetric step
-    /// ([`ScalarQuantizer::sym_scale`]); present only while `fast` is on.
-    sym_codes: Option<Vec<u8>>,
-}
-
-thread_local! {
-    /// Per-thread query-code + integer-sum scratch for the symmetric scan.
-    static SQ8_SCRATCH: std::cell::RefCell<(Vec<u8>, Vec<u32>)> =
-        const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
 }
 
 impl IvfSq8Index {
@@ -134,44 +101,7 @@ impl IvfSq8Index {
         stats.train_dims += vectors.len() as u64; // encode pass
         let groups = GroupedLists::from_lists(&ivf.lists);
         let list_codes = groups.gather_u8(&codes, dim);
-        let mut idx = IvfSq8Index {
-            dim,
-            quantizer: ivf.quantizer,
-            groups,
-            sq,
-            list_codes,
-            fast: false,
-            sym_codes: None,
-        };
-        if kernel::active_policy() == kernel::KernelPolicy::Fast {
-            idx.set_fast_tier(true);
-        }
-        idx
-    }
-
-    /// Toggle the fast-tier symmetric scan (on by default when the process
-    /// policy is `VDTUNER_KERNEL=fast`; exposed so tests and benches can
-    /// exercise both tiers in one process). Turning it on transcodes the
-    /// stored codes to the shared symmetric step (`c · scale_d / sym_scale`,
-    /// one extra rounding of at most half a step); turning it off drops them.
-    pub fn set_fast_tier(&mut self, on: bool) {
-        self.fast = on;
-        if on && self.sym_codes.is_none() {
-            let s = self.sq.sym_scale();
-            let sym = self
-                .list_codes
-                .iter()
-                .enumerate()
-                .map(|(i, &c)| {
-                    let scale = self.sq.scales[i % self.dim];
-                    (c as f32 * scale / s).round().clamp(0.0, 255.0) as u8
-                })
-                .collect();
-            self.sym_codes = Some(sym);
-        }
-        if !on {
-            self.sym_codes = None;
-        }
+        IvfSq8Index { dim, quantizer: ivf.quantizer, groups, sq, list_codes }
     }
 }
 
@@ -179,32 +109,6 @@ impl VectorIndex for IvfSq8Index {
     fn search(&self, query: &[f32], sp: &SearchParams, cost: &mut SearchCost) -> Vec<Neighbor> {
         let probes = self.quantizer.nearest_n(query, sp.nprobe, &mut cost.f32_dims);
         let mut top = TopK::new(sp.top_k);
-        if let (true, Some(sym_codes)) = (self.fast, self.sym_codes.as_ref()) {
-            // Symmetric scan: quantize the query once, then the whole probe
-            // loop is integer arithmetic. With the shared step, per-dim mins
-            // cancel and the integer sum rescales to L2 as `sum · step²`.
-            let kern = kernel::fast();
-            let step = self.sq.sym_scale();
-            let weight = step * step;
-            SQ8_SCRATCH.with(|s| {
-                let (qcode, sums) = &mut *s.borrow_mut();
-                qcode.resize(self.dim, 0);
-                self.sq.encode_sym(query, qcode);
-                for c in probes {
-                    cost.lists_probed += 1;
-                    let r = self.groups.range(c);
-                    let ids = &self.groups.ids[r.clone()];
-                    let codes = &sym_codes[r.start * self.dim..r.end * self.dim];
-                    kern.sq8_sym_l2_block(qcode, codes, self.dim, sums);
-                    cost.u8_dims += (ids.len() * self.dim) as u64;
-                    cost.heap_pushes += ids.len() as u64;
-                    for (j, &s) in sums.iter().enumerate() {
-                        top.push(ids[j], s as f32 * weight);
-                    }
-                }
-            });
-            return top.into_sorted();
-        }
         let kern = kernel::active();
         let mut scores = Vec::new();
         for c in probes {
@@ -226,7 +130,6 @@ impl VectorIndex for IvfSq8Index {
         self.groups.memory_bytes()
             + (self.quantizer.centroids.len() * 4) as u64
             + self.list_codes.len() as u64
-            + self.sym_codes.as_ref().map_or(0, |s| s.len() as u64)
             + (self.sq.mins.len() * 8) as u64
     }
 
@@ -281,36 +184,7 @@ mod tests {
             let diff = q[d] - x;
             legacy += diff * diff;
         }
-        let got = sq.asymmetric_l2(&q, &code);
-        // Bit-identity is the *exact* tier's contract; the fast tier only
-        // promises the bounded error checked in `tests/fast_tier_bounds.rs`.
-        match kernel::active_policy() {
-            kernel::KernelPolicy::Exact => assert_eq!(got.to_bits(), legacy.to_bits()),
-            kernel::KernelPolicy::Fast => {
-                assert!((got - legacy).abs() <= 1e-4 * legacy.max(1.0))
-            }
-        }
-    }
-
-    #[test]
-    fn fast_symmetric_scan_keeps_recall() {
-        let ds = DatasetSpec::tiny(DatasetKind::Glove).generate();
-        let params = IndexParams { nlist: 16, ..Default::default() }.sanitized(ds.dim(), 10);
-        let mut stats = BuildStats::default();
-        let mut idx = IvfSq8Index::build(ds.raw(), ds.dim(), &params, 1, &mut stats).unwrap();
-        idx.set_fast_tier(true);
-        let gt = ground_truth(&ds, 10);
-        let sp = SearchParams { nprobe: 16, ef: 0, reorder_k: 0, top_k: 10 };
-        let mut acc = 0.0;
-        for qi in 0..ds.n_queries() {
-            let mut cost = SearchCost::default();
-            let ids: Vec<u32> =
-                idx.search(ds.query(qi), &sp, &mut cost).iter().map(|n| n.id).collect();
-            assert!(cost.u8_dims > 0);
-            acc += vecdata::ground_truth::recall(&ids, &gt[qi]);
-        }
-        let recall = acc / ds.n_queries() as f64;
-        assert!(recall > 0.8, "SQ8 symmetric exhaustive recall {recall}");
+        assert_eq!(sq.asymmetric_l2(&q, &code).to_bits(), legacy.to_bits());
     }
 
     #[test]

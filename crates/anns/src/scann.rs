@@ -11,12 +11,11 @@
 use crate::cost::{BuildStats, SearchCost};
 use crate::index::{BuildError, VectorIndex};
 use crate::ivf::{GroupedLists, IvfLists};
-use crate::ivf_pq::{quantize_adc4_table, with_pq_scratch, ProductQuantizer};
+use crate::ivf_pq::{with_pq_scratch, ProductQuantizer};
 use crate::kmeans::KMeans;
 use crate::params::{nearest_divisor, IndexParams, SearchParams};
 use vecdata::distance::l2_sq;
 use vecdata::ground_truth::TopK;
-use vecdata::kernel;
 use vecdata::Neighbor;
 
 /// SCANN-like two-stage index. Stage-1 PQ codes are stored contiguously per
@@ -34,13 +33,6 @@ pub struct ScannIndex {
     /// Full-precision vectors kept for the re-ranking stage, in original
     /// id order (re-ranking indexes by candidate id, not list position).
     data: Vec<f32>,
-    /// Fast tier ([`kernel::KernelPolicy::Fast`]): score stage 1 through the
-    /// SIMD 4-bit LUT kernel over `packed4` instead of the scalar ADC loop.
-    /// Re-ranking stays exact either way.
-    fast: bool,
-    /// Per-list 4-bit codes in the packed batch-of-32 layout (SCANN codes
-    /// are always 4-bit, so this exists whenever `fast` is on).
-    packed4: Option<Vec<Vec<u8>>>,
 }
 
 impl ScannIndex {
@@ -76,40 +68,7 @@ impl ScannIndex {
     ) -> ScannIndex {
         let groups = GroupedLists::from_lists(&ivf.lists);
         let list_codes = groups.gather_u8(codes, pq.m);
-        let mut idx = ScannIndex {
-            dim,
-            quantizer: ivf.quantizer,
-            groups,
-            pq,
-            list_codes,
-            data: vectors.to_vec(),
-            fast: false,
-            packed4: None,
-        };
-        if kernel::active_policy() == kernel::KernelPolicy::Fast {
-            idx.set_fast_tier(true);
-        }
-        idx
-    }
-
-    /// Toggle the fast-tier stage-1 scoring path (on by default when the
-    /// process policy is `VDTUNER_KERNEL=fast`; exposed so tests and benches
-    /// can exercise both tiers in one process).
-    pub fn set_fast_tier(&mut self, on: bool) {
-        self.fast = on;
-        if on && self.packed4.is_none() {
-            let m = self.pq.m;
-            let packed = (0..self.groups.n_lists())
-                .map(|c| {
-                    let r = self.groups.range(c);
-                    kernel::pack_codes4(&self.list_codes[r.start * m..r.end * m], m)
-                })
-                .collect();
-            self.packed4 = Some(packed);
-        }
-        if !on {
-            self.packed4 = None;
-        }
+        ScannIndex { dim, quantizer: ivf.quantizer, groups, pq, list_codes, data: vectors.to_vec() }
     }
 }
 
@@ -122,12 +81,6 @@ impl VectorIndex for ScannIndex {
         let mut stage1 = TopK::new(reorder_k);
         with_pq_scratch(|scratch| {
             self.pq.adc_table_into(query, &mut scratch.table, &mut scratch.scores, cost);
-            let lut4 = if self.fast && self.packed4.is_some() {
-                Some(quantize_adc4_table(&scratch.table, m, &mut scratch.luts))
-            } else {
-                None
-            };
-            let kern = kernel::fast();
             for c in probes {
                 cost.lists_probed += 1;
                 let r = self.groups.range(c);
@@ -135,16 +88,8 @@ impl VectorIndex for ScannIndex {
                 let codes = &self.list_codes[r.start * m..r.end * m];
                 cost.pq_lookups += (ids.len() * m) as u64;
                 cost.heap_pushes += ids.len() as u64;
-                if let Some((bias, delta)) = lut4 {
-                    let packed = &self.packed4.as_ref().unwrap()[c];
-                    kern.adc4_lut16_block(&scratch.luts, packed, m, ids.len(), &mut scratch.sums);
-                    for (j, &s) in scratch.sums.iter().enumerate() {
-                        stage1.push(ids[j], bias + delta * s as f32);
-                    }
-                } else {
-                    for (j, code) in codes.chunks_exact(m).enumerate() {
-                        stage1.push(ids[j], self.pq.adc_distance(&scratch.table, code));
-                    }
+                for (j, code) in codes.chunks_exact(m).enumerate() {
+                    stage1.push(ids[j], self.pq.adc_distance(&scratch.table, code));
                 }
             }
         });
@@ -159,14 +104,11 @@ impl VectorIndex for ScannIndex {
     }
 
     fn memory_bytes(&self) -> u64 {
-        let packed: u64 =
-            self.packed4.as_ref().map(|p| p.iter().map(|l| l.len() as u64).sum()).unwrap_or(0);
         self.groups.memory_bytes()
             + (self.quantizer.centroids.len() * 4) as u64
             + self.list_codes.len() as u64
             + self.pq.memory_bytes()
             + (self.data.len() * 4) as u64
-            + packed
     }
 
     fn len(&self) -> usize {
@@ -212,18 +154,6 @@ mod tests {
         let large = recall_with(&ds, &idx, 16, 200);
         assert!(large >= small, "reorder_k must not hurt recall: {small} -> {large}");
         assert!(large > 0.9, "SCANN with big reorder should be accurate, got {large}");
-    }
-
-    #[test]
-    fn fast_tier_stage1_keeps_reranked_recall() {
-        let (ds, mut idx) = setup();
-        let exact = recall_with(&ds, &idx, 16, 200);
-        idx.set_fast_tier(true);
-        assert!(idx.packed4.is_some());
-        let fast = recall_with(&ds, &idx, 16, 200);
-        // Stage 1 only selects re-rank candidates; with a generous
-        // reorder_k the LUT quantization noise must not cost recall.
-        assert!(fast >= exact - 0.02, "fast stage-1 recall {fast} vs exact {exact}");
     }
 
     #[test]

@@ -52,9 +52,6 @@ const EXPERIMENTS: &[(&str, Experiment)] = &[
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut profile = Profile::default();
-    if std::env::var("VDTUNER_REPRO_FULL").is_ok() {
-        profile = Profile::full();
-    }
     let mut requested: Vec<&str> = Vec::new();
     let mut i = 0;
     while i < args.len() {

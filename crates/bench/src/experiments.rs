@@ -1579,110 +1579,10 @@ pub fn kernels(profile: &Profile) -> io::Result<()> {
         acc
     });
 
-    // --- Fast tier: relaxed-order f32/SQ8 scans + SIMD ADC scoring. ---
-    let fast = kernel::fast();
-    // Symmetric codes use the shared step (per-dim mins cancel in code
-    // differences), matching the IvfSq8 fast path.
-    let mut sym_codes = vec![0u8; n * dim];
-    for i in 0..n {
-        sq.encode_sym(ds.vector(i), &mut sym_codes[i * dim..(i + 1) * dim]);
-    }
-    let mut sums: Vec<u32> = Vec::with_capacity(n);
-    let mut qcode = vec![0u8; dim];
-    let mut fast_f32_acc = 0.0f64;
-    let mut fast_asym_acc = 0.0f64;
-    let mut fast_sym_acc = 0.0f64;
-    let mut recall_sym_acc = 0.0f64;
-    for qi in 0..n_queries {
-        let q = ds.query(qi);
-        fast_f32_acc += measure_mdps(n * dim, reps, || {
-            fast.l2_sq_block(q, ds.raw(), dim, &mut scores);
-            scores[n - 1]
-        });
-        fast_asym_acc += measure_mdps(n * dim, reps, || {
-            fast.sq8_l2_block(q, &codes, &sq.mins, &sq.scales, dim, &mut scores);
-            scores[n - 1]
-        });
-        sq.encode_sym(q, &mut qcode);
-        fast_sym_acc += measure_mdps(n * dim, reps, || {
-            fast.sq8_sym_l2_block(&qcode, &sym_codes, dim, &mut sums);
-            sums[n - 1] as f32
-        });
-        // Recall of the symmetric integer scan (ranking is invariant to the
-        // sym-weight rescaling, so the raw sums rank identically).
-        fast.sq8_sym_l2_block(&qcode, &sym_codes, dim, &mut sums);
-        let mut top = TopK::new(top_k);
-        for (i, &s) in sums.iter().enumerate() {
-            top.push(i as u32, s as f32);
-        }
-        let ids: Vec<u32> = top.into_sorted().iter().map(|nb| nb.id).collect();
-        recall_sym_acc += recall(&ids, &gt[qi]);
-    }
-    let fast_f32_mdps = fast_f32_acc / n_queries as f64;
-    let fast_asym_mdps = fast_asym_acc / n_queries as f64;
-    let fast_sym_mdps = fast_sym_acc / n_queries as f64;
-    let recall_sym = recall_sym_acc / n_queries as f64;
-    let sq8_fast_speedup = fast_sym_mdps / fast_f32_mdps.max(1e-9);
-    let vs_exact = |fast: f64, exact: f64| format!("{:.2}x vs exact", fast / exact.max(1e-9));
-    row("fast f32 scan", dim, f32_mdps, fast_f32_mdps, vs_exact(fast_f32_mdps, f32_mdps));
-    row("fast sq8 asym", dim, sq8_mdps, fast_asym_mdps, vs_exact(fast_asym_mdps, sq8_mdps));
-    let sym_note = format!("{sq8_fast_speedup:.2}x vs fast f32 (recall {recall_sym:.3})");
-    row("fast sq8 sym", dim, fast_f32_mdps, fast_sym_mdps, sym_note);
-
-    // 8-bit ADC: SIMD gather block scoring vs the scalar per-byte loop,
-    // in millions of table lookups per second on the same codes/table.
-    let adc8_scalar_mlps = pq_mlps;
-    let adc8_gather_mlps = measure_mdps(n * pq.m, reps, || {
-        fast.adc_block(&table, pq.ksub, &pq_codes, pq.m, &mut scores);
-        scores[n - 1]
-    });
-    // 4-bit ADC: shuffle-LUT block scoring vs the scalar per-byte loop on a
-    // 4-bit PQ of the same data (the SCANN stage-1 configuration).
-    let pq4 = ProductQuantizer::train(ds.raw(), dim, 8, 4, profile.seed ^ 0xADC4, &mut stats)
-        .expect("48 % 8 == 0");
-    let mut pq4_codes = vec![0u8; n * pq4.m];
-    pq4.encode(ds.raw(), &mut pq4_codes);
-    let table4 = pq4.adc_table(ds.query(0), &mut cost);
-    let adc4_scalar_mlps = measure_mdps(n * pq4.m, reps, || {
-        let mut acc = 0.0f32;
-        for code in pq4_codes.chunks_exact(pq4.m) {
-            acc += pq4.adc_distance(&table4, code);
-        }
-        acc
-    });
-    let packed4 = kernel::pack_codes4(&pq4_codes, pq4.m);
-    let mut luts = Vec::new();
-    anns::ivf_pq::quantize_adc4_table(&table4, pq4.m, &mut luts);
-    let adc4_lut_mlps = measure_mdps(n * pq4.m, reps, || {
-        fast.adc4_lut16_block(&luts, &packed4, pq4.m, n, &mut sums);
-        sums[n - 1] as f32
-    });
-    // 8-bit ADC, gather-free: the two-level u16-quantized vpshufb scorer on
-    // the same 8-bit codes/table the gather path scored.
-    let packed8 = kernel::pack_codes8(&pq_codes, pq.m);
-    let mut luts8 = Vec::new();
-    anns::ivf_pq::quantize_adc8_table(&table, pq.m, &mut luts8);
-    let adc8_lut_mlps = measure_mdps(n * pq.m, reps, || {
-        fast.adc8_lut256_block(&luts8, &packed8, pq.m, n, &mut sums);
-        sums[n - 1] as f32
-    });
-    let adc8_gather_speedup = adc8_gather_mlps / adc8_scalar_mlps.max(1e-9);
-    let adc8_lut_speedup = adc8_lut_mlps / adc8_scalar_mlps.max(1e-9);
-    let adc4_lut_speedup = adc4_lut_mlps / adc4_scalar_mlps.max(1e-9);
-    let vs_loop = |speedup: f64| format!("{speedup:.2}x vs scalar loop");
-    row("adc8 gather", pq.m, adc8_scalar_mlps, adc8_gather_mlps, vs_loop(adc8_gather_speedup));
-    row("adc8 lut256", pq.m, adc8_scalar_mlps, adc8_lut_mlps, vs_loop(adc8_lut_speedup));
-    row("adc4 lut16", pq4.m, adc4_scalar_mlps, adc4_lut_mlps, vs_loop(adc4_lut_speedup));
-
     // --- Derived cost-model calibration (ns per SearchCost unit). ---
     let cal_f32 = ns_per_dim(f32_mdps);
     let cal_u8 = ns_per_dim(sq8_mdps);
     let cal_pq = ns_per_dim(pq_mlps);
-    // Fast tier: the symmetric scan prices u8 dims, the LUT path prices PQ
-    // lookups — the paths the fast-tier indexes actually run.
-    let fcal_f32 = ns_per_dim(fast_f32_mdps);
-    let fcal_u8 = ns_per_dim(fast_sym_mdps);
-    let fcal_pq = ns_per_dim(adc4_lut_mlps);
     t.row(vec![
         "calibration (ns/unit)".to_string(),
         "-".to_string(),
@@ -1690,14 +1590,7 @@ pub fn kernels(profile: &Profile) -> io::Result<()> {
         format!("u8 {cal_u8:.3}"),
         format!("pq {cal_pq:.3}"),
     ]);
-    t.row(vec![
-        "fast calibration".to_string(),
-        "-".to_string(),
-        format!("f32 {fcal_f32:.3}"),
-        format!("u8 {fcal_u8:.3}"),
-        format!("pq {fcal_pq:.3}"),
-    ]);
-    emit("kernels", "Distance kernels: scalar vs dispatched + fast tier + SQ8 scan", &t)?;
+    emit("kernels", "Distance kernels: scalar vs dispatched + SQ8 scan", &t)?;
     println!(
         "  dispatched kernel: {} (forced scalar: {}); analytic fallback f32/u8/pq = {}/{}/{} ns",
         dispatched.name(),
@@ -1706,30 +1599,12 @@ pub fn kernels(profile: &Profile) -> io::Result<()> {
         vdms::cost_model::unit_costs::U8_DIM_NS,
         vdms::cost_model::unit_costs::PQ_LOOKUP_NS,
     );
-    println!(
-        "  fast kernel: {}; sq8 sym {:.2}x vs fast f32 (target >= 1.5); adc4 lut {:.2}x, adc8 gather {:.2}x, adc8 lut {:.2}x vs scalar loop (target >= 3)",
-        fast.name(),
-        sq8_fast_speedup,
-        adc4_lut_speedup,
-        adc8_gather_speedup,
-        adc8_lut_speedup,
-    );
-
-    let tier_obj = |f32_ns: f64, u8_ns: f64, pq_ns: f64| {
-        JsonValue::obj(vec![
-            ("f32_dim_ns", JsonValue::Num(f32_ns)),
-            ("u8_dim_ns", JsonValue::Num(u8_ns)),
-            ("pq_lookup_ns", JsonValue::Num(pq_ns)),
-            ("source", JsonValue::Str("measured".into())),
-        ])
-    };
     emit_json(
         "kernels",
         &JsonValue::obj(vec![
             ("experiment", JsonValue::Str("kernels".into())),
             ("seed", JsonValue::Int(profile.seed as i64)),
             ("dispatched_kernel", JsonValue::Str(dispatched.name().into())),
-            ("fast_kernel", JsonValue::Str(fast.name().into())),
             ("forced_scalar", JsonValue::Bool(kernel::force_scalar_requested())),
             ("f32", JsonValue::Arr(f32_rows)),
             (
@@ -1744,31 +1619,12 @@ pub fn kernels(profile: &Profile) -> io::Result<()> {
                 ]),
             ),
             (
-                "fast",
+                "calibration",
                 JsonValue::obj(vec![
-                    ("kernel", JsonValue::Str(fast.name().into())),
-                    ("f32_scan_mdps", JsonValue::Num(fast_f32_mdps)),
-                    ("sq8_asym_scan_mdps", JsonValue::Num(fast_asym_mdps)),
-                    ("sq8_sym_scan_mdps", JsonValue::Num(fast_sym_mdps)),
-                    ("sq8_speedup_vs_f32", JsonValue::Num(sq8_fast_speedup)),
-                    ("recall_sq8_sym", JsonValue::Num(recall_sym)),
-                    ("recall_delta_sym", JsonValue::Num(1.0 - recall_sym)),
-                    ("adc8_scalar_mlps", JsonValue::Num(adc8_scalar_mlps)),
-                    ("adc8_gather_mlps", JsonValue::Num(adc8_gather_mlps)),
-                    ("adc8_gather_speedup", JsonValue::Num(adc8_gather_speedup)),
-                    ("adc8_lut_mlps", JsonValue::Num(adc8_lut_mlps)),
-                    ("adc8_lut_speedup", JsonValue::Num(adc8_lut_speedup)),
-                    ("adc4_scalar_mlps", JsonValue::Num(adc4_scalar_mlps)),
-                    ("adc4_lut_mlps", JsonValue::Num(adc4_lut_mlps)),
-                    ("adc4_lut_speedup", JsonValue::Num(adc4_lut_speedup)),
-                ]),
-            ),
-            ("calibration", tier_obj(cal_f32, cal_u8, cal_pq)),
-            (
-                "tiers",
-                JsonValue::obj(vec![
-                    ("exact", tier_obj(cal_f32, cal_u8, cal_pq)),
-                    ("fast", tier_obj(fcal_f32, fcal_u8, fcal_pq)),
+                    ("f32_dim_ns", JsonValue::Num(cal_f32)),
+                    ("u8_dim_ns", JsonValue::Num(cal_u8)),
+                    ("pq_lookup_ns", JsonValue::Num(cal_pq)),
+                    ("source", JsonValue::Str("measured".into())),
                 ]),
             ),
         ]),

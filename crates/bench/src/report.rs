@@ -261,11 +261,9 @@ pub fn emit(name: &str, title: &str, table: &Table) -> io::Result<()> {
 /// required):
 ///
 /// * `experiment` (str, `"kernels"`), `seed` (int);
-/// * `dispatched_kernel` (str) — the exact-tier kernel runtime dispatch
-///   selected on this host (`"scalar"`, `"avx2"`, or `"avx512"`);
-///   `forced_scalar` (bool) — whether `VDTUNER_FORCE_SCALAR` pinned
-///   dispatch to scalar; `fast_kernel` (str) — the fast-tier dispatch
-///   (`"scalar"`, `"avx2-fast"`, or `"avx512-fast"`);
+/// * `dispatched_kernel` (str) — the kernel runtime dispatch selected on
+///   this host (`"scalar"` or `"avx2"`); `forced_scalar` (bool) — whether
+///   `VDTUNER_FORCE_SCALAR` pinned dispatch to scalar;
 /// * `f32` (array of obj, one per metric × dim point) — each: `metric`
 ///   (str, `"l2"` | `"dot"` | `"angular"`), `dim` (int), `scalar_mdps` /
 ///   `dispatched_mdps` (num, millions of dimension units per second),
@@ -275,34 +273,15 @@ pub fn emit(name: &str, title: &str, table: &Table) -> io::Result<()> {
 ///   throughput through the dispatched kernel), `speedup` (num, sq8 /
 ///   f32), `recall_sq8` (num, top-10 recall of the quantized scan against
 ///   exact ground truth), `recall_delta` (num, `1 - recall_sq8`);
-/// * `fast` (obj) — the opt-in fast tier's measurements through the
-///   fast-dispatched kernel: `kernel` (str), `f32_scan_mdps` /
-///   `sq8_asym_scan_mdps` / `sq8_sym_scan_mdps` (num, relaxed-order FMA
-///   scan throughputs), `sq8_speedup_vs_f32` (num, symmetric int8 scan
-///   vs the fast f32 scan — the ≥1.5x target), `recall_sq8_sym` /
-///   `recall_delta_sym` (num, top-10 recall of the shared-scale
-///   symmetric scan and its delta vs exact), `adc8_scalar_mlps` /
-///   `adc8_gather_mlps` / `adc8_gather_speedup` (num, 8-bit PQ ADC
-///   scoring: scalar lookup loop vs AVX2 gather), `adc8_lut_mlps` /
-///   `adc8_lut_speedup` (num, the u16-quantized two-level vpshufb scorer
-///   for 256-entry tables vs the same scalar loop), `adc4_scalar_mlps` /
-///   `adc4_lut_mlps` / `adc4_lut_speedup` (num, 4-bit PQ ADC: scalar
-///   loop vs the vpshufb 16-entry-LUT block scorer — the ≥3x target);
 /// * `calibration` (obj) — ns per [`anns::cost::SearchCost`] unit derived
-///   from the exact-tier measurements: `f32_dim_ns`, `u8_dim_ns`,
+///   from the measurements above: `f32_dim_ns`, `u8_dim_ns`,
 ///   `pq_lookup_ns` (num, all finite and positive — the parser in
 ///   `ScanUnitCosts::from_kernels_json` rejects the document otherwise
 ///   and the cost model falls back to its analytic constants), `source`
-///   (str, `"measured"`);
-/// * `tiers` (obj) — per-tier calibration blocks keyed `"exact"` and
-///   `"fast"`, each with the same `f32_dim_ns` / `u8_dim_ns` /
-///   `pq_lookup_ns` / `source` keys as `calibration`.
-///   [`anns::cost::ScanUnitCosts::load_tier_or_analytic`] reads the block
-///   matching the active kernel policy (so `vdms::CostModel::calibrated`
-///   prices scans with the tier that will actually execute them) and
-///   falls back to the legacy `calibration` block, then to the analytic
-///   constants. `calibration` stays equal to `tiers.exact` for older
-///   readers.
+///   (str, `"measured"`). [`anns::cost::ScanUnitCosts::load`] reads this
+///   block alone, so files that still carry the `fast_kernel`, `fast` and
+///   `tiers` keys of the retired second kernel tier calibrate to the same
+///   numbers.
 ///
 /// ## `results/lint.json` schema
 ///

@@ -11,6 +11,11 @@
 //! production code (a panel-major factor, read here through
 //! `linalg::at`, and an ask/tell simplex run in lockstep over targets) is
 //! allowed neither to reassociate, fuse nor approximate its way off them.
+//!
+//! They may be retired the day a history-changing change to the fit (another
+//! factorization order, jitter rule, likelihood or optimizer) is accepted
+//! and the pinned surrogate digests move with it, since these loops then pin
+//! nothing any more.
 
 use crate::kernel::{Kernel, Matern52};
 use crate::linalg::{at, dot, panel_len, NotPositiveDefinite};

@@ -23,7 +23,7 @@ fn unsafe_inventory_is_pinned() {
 
     // The audited unsafe surface: SIMD kernels behind the OnceLock dispatch
     // and the three affinity syscall wrappers. Every site documented.
-    let expect = [("crates/bench/src/affinity.rs", 3usize), ("crates/vecdata/src/kernel.rs", 59)];
+    let expect = [("crates/bench/src/affinity.rs", 3usize), ("crates/vecdata/src/kernel.rs", 14)];
     for (file, sites) in expect {
         let inv = report
             .unsafe_inventory
@@ -38,8 +38,8 @@ fn unsafe_inventory_is_pinned() {
         "unsafe appeared outside the audited files: {:?}",
         report.unsafe_inventory.keys().collect::<Vec<_>>()
     );
-    assert_eq!(report.unsafe_sites(), 62);
-    assert_eq!(report.unsafe_documented(), 62);
+    assert_eq!(report.unsafe_sites(), 17);
+    assert_eq!(report.unsafe_documented(), 17);
 }
 
 #[test]
@@ -65,9 +65,9 @@ fn json_report_round_trips_key_fields() {
         "\"r2_hash_collection\"",
         "\"r3_wall_clock\"",
         "\"r4_par_float_fold\"",
-        "\"total_sites\": 62",
-        "\"total_documented\": 62",
-        "\"crates/vecdata/src/kernel.rs\": {\"sites\": 59, \"documented\": 59}",
+        "\"total_sites\": 17",
+        "\"total_documented\": 17",
+        "\"crates/vecdata/src/kernel.rs\": {\"sites\": 14, \"documented\": 14}",
     ] {
         assert!(json.contains(needle), "lint.json missing {needle}:\n{json}");
     }

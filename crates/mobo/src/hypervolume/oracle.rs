@@ -4,6 +4,11 @@
 //! verbatim together with the Monte-Carlo loops that called it once per
 //! sample, and the panel that holds the production code to them bit for
 //! bit.
+//!
+//! It may be retired the day a history-changing change to the acquisition
+//! (another hypervolume reference, sample count or summation order) is
+//! accepted and the pinned digests move with it, since these loops then pin
+//! nothing any more.
 
 use super::FrontSweep;
 use crate::acquisition::{ehvi_mc, ehvi_mc_par, mc_mean};

@@ -226,21 +226,13 @@ impl CostModel {
     /// [`CostModel::scan_source`] / [`CostModel::penalty_source`] say
     /// whether each surface is [`CalibrationSource::Measured`], and
     /// experiments surface that in their JSON so a run can't masquerade as
-    /// calibrated. The calibration tier follows the process kernel policy:
-    /// under `VDTUNER_KERNEL=fast` the model prices scans with the
-    /// fast-tier measurements, so the tuner's latency surface matches the
-    /// kernels the indexes actually run.
+    /// calibrated.
     pub fn calibrated() -> CostModel {
-        let tier = match vecdata::kernel::active_policy() {
-            vecdata::kernel::KernelPolicy::Exact => "exact",
-            vecdata::kernel::KernelPolicy::Fast => "fast",
-        };
         let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-        let (scan, scan_source) =
-            match ScanUnitCosts::load_tier(&results.join("kernels.json"), tier) {
-                Some(scan) => (scan, CalibrationSource::Measured),
-                None => (ScanUnitCosts::ANALYTIC, CalibrationSource::Analytic),
-            };
+        let (scan, scan_source) = match ScanUnitCosts::load(&results.join("kernels.json")) {
+            Some(scan) => (scan, CalibrationSource::Measured),
+            None => (ScanUnitCosts::ANALYTIC, CalibrationSource::Analytic),
+        };
         let (penalties, penalty_source) =
             PenaltyMatrix::load_with_source(&results.join("reactors.json"));
         CostModel { scan, scan_source, penalties, penalty_source, ..Default::default() }

@@ -6,7 +6,7 @@
 //! by the index implementations.
 //!
 //! These free functions are thin wrappers over the process-wide dispatched
-//! [`crate::kernel`] (scalar / AVX2 / optional AVX-512), all of which are
+//! [`crate::kernel`] (scalar / AVX2), both of which are
 //! bit-identical to the original scalar loops. Mismatched slice lengths are
 //! a hard assert in release builds too — the old behavior of silently
 //! truncating to the shorter slice masked dimension bugs.

@@ -2,8 +2,8 @@
 //!
 //! This crate provides everything "below" the ANNS indexes:
 //!
-//! * [`kernel`] — runtime-dispatched SIMD distance kernels (scalar / AVX2 /
-//!   optional AVX-512) that are bit-identical to the scalar reference,
+//! * [`kernel`] — runtime-dispatched distance kernels (scalar / AVX2) that
+//!   are bit-identical to the scalar reference,
 //! * [`distance`] — distance metrics (L2, inner product, angular/cosine)
 //!   with the flat-slice layout used across the workspace, routed through
 //!   the active kernel,

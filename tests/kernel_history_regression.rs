@@ -50,8 +50,7 @@ fn small_options() -> TunerOptions {
     }
 }
 
-/// Seed-42, 10-iteration tuning-history digest under the ambient kernel
-/// policy.
+/// Seed-42, 10-iteration tuning-history digest.
 fn tuning_digest() -> u64 {
     let w = tiny_workload();
     let out = VdTuner::new(small_options(), 42).run(&w, 10);
@@ -73,31 +72,6 @@ fn tuning_history_matches_pre_kernel_baseline_bitwise() {
         TUNING_DIGEST,
         "tuning history diverged from the pre-kernel baseline — a kernel, \
          storage, or cost change broke bit-identity"
-    );
-}
-
-#[test]
-fn exact_history_is_immune_to_a_live_fast_tier() {
-    // Guardrail for the opt-in fast tier: merely compiling it in — and even
-    // *running* its kernels in the same process — must not perturb a single
-    // bit of the Exact-policy tuning history. Warm the fast dispatch and
-    // exercise a relaxed-order kernel first, then replay the seed-42 run.
-    use vdtuner::vecdata::kernel;
-    let fast = kernel::select_policy(false, kernel::KernelPolicy::Fast);
-    let a: Vec<f32> = (0..96).map(|i| (0.37 * i as f32).sin()).collect();
-    let b: Vec<f32> = (0..96).map(|i| (0.11 * i as f32).cos()).collect();
-    assert!(fast.dot(&a, &b).is_finite() && fast.l2_sq(&a, &b).is_finite());
-
-    if kernel::active_policy() != kernel::KernelPolicy::Exact {
-        // Under VDTUNER_KERNEL=fast the history is intentionally different;
-        // this guardrail is about the default Exact policy only.
-        eprintln!("skipping: ambient policy is not Exact");
-        return;
-    }
-    assert_eq!(
-        tuning_digest(),
-        TUNING_DIGEST,
-        "a live fast tier leaked into the Exact-policy tuning history"
     );
 }
 

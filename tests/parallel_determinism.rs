@@ -242,8 +242,8 @@ proptest! {
 #[test]
 fn tuning_run_is_thread_count_invariant_under_dispatched_kernel() {
     // The SIMD kernel layer must not reintroduce thread sensitivity: with
-    // whatever kernel runtime dispatch selected on this host (AVX2/AVX-512
-    // where available), a full tuning run is still bit-identical on 1 vs 4
+    // whatever kernel runtime dispatch selected on this host (AVX2 where
+    // available), a full tuning run is still bit-identical on 1 vs 4
     // rayon threads. Together with the forced-scalar CI arm this pins
     // dispatched == scalar == legacy across the whole stack.
     // Under VDTUNER_FORCE_SCALAR the same test checks the scalar
