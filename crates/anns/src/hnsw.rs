@@ -7,7 +7,7 @@
 //!
 //! The graph, `BuildStats::train_dims` and every query-time `SearchCost`
 //! are those of the literal transcription kept in `oracle.rs` (test-only),
-//! bit for bit; the host does less arithmetic to get there. Three things
+//! bit for bit; the host does less arithmetic to get there. Four things
 //! carry that equivalence:
 //!
 //! * **Link order is semantic.** Beam search visits a node's links in
@@ -19,8 +19,18 @@
 //!   list after one new link replays the previous pass from a per-link memo
 //!   (`Builder::prune`) and adds the dims of every comparison the literal
 //!   pass would have made, whether or not the host recomputed it.
+//! * **A re-selection replays what the previous pass compared.** When the
+//!   new link is diverse, the links after it are decided again, but each
+//!   one's memo says which of the old diverse links it was compared with
+//!   and how that came out (`Pick::recall`); only the comparisons that
+//!   pass never made are computed.
 //! * **Heaps and sorts run on `key`**, a `u64` whose integer order is
 //!   `Neighbor::cmp` for every distance `l2_sq` returns.
+//!
+//! Layout: while the graph is built, each layer is one fixed-stride slab
+//! (`Slab`) with the list lengths and the memo beside it; the built index
+//! keeps each layer in CSR form (`Layer`). Layer 0 holds every node at its
+//! own id; an upper layer holds about 1/M of them and maps node to slot.
 
 use crate::cost::{BuildStats, SearchCost};
 use crate::index::{BuildError, VectorIndex};
@@ -37,21 +47,75 @@ use vecdata::rng::rng;
 #[cfg(test)]
 mod oracle;
 
-/// One graph node: neighbor lists per layer (layer 0 first).
-#[derive(Debug, Clone, PartialEq)]
-struct Node {
-    /// `links[l]` = neighbor ids on layer `l`.
-    links: Vec<Vec<u32>>,
-}
-
 /// An HNSW graph over a copied vector buffer.
 #[derive(Debug, Clone)]
 pub struct HnswIndex {
     dim: usize,
     data: Vec<f32>,
-    nodes: Vec<Node>,
+    /// `layers[l]` holds the lists of the nodes drawn at level `l` or above.
+    layers: Vec<Layer>,
     entry: u32,
-    max_layer: usize,
+}
+
+/// Node → slot on one layer. Layer 0 holds every node at its own id and
+/// keeps no map; an upper layer holds the nodes drawn that high, in id
+/// order, and maps every other node to `ABSENT`.
+#[derive(Debug, Clone)]
+struct Slots(Vec<u32>);
+
+const ABSENT: u32 = u32::MAX;
+
+impl Slots {
+    /// The slots of layer `layer` for nodes drawn at `levels`, and how many
+    /// there are.
+    fn new(levels: &[usize], layer: usize) -> (Slots, usize) {
+        if layer == 0 {
+            return (Slots(Vec::new()), levels.len());
+        }
+        let mut count = 0;
+        let map = levels
+            .iter()
+            .map(|&level| {
+                if level < layer {
+                    return ABSENT;
+                }
+                count += 1;
+                count as u32 - 1
+            })
+            .collect();
+        (Slots(map), count)
+    }
+
+    #[inline]
+    fn of(&self, node: u32) -> usize {
+        if self.0.is_empty() {
+            node as usize
+        } else {
+            self.0[node as usize] as usize
+        }
+    }
+}
+
+/// One layer's neighbor lists, however they are stored.
+trait Lists {
+    fn links(&self, node: u32) -> &[u32];
+}
+
+/// One layer of a built index, in CSR form.
+#[derive(Debug, Clone)]
+struct Layer {
+    slots: Slots,
+    /// Slot `s`'s links are `ids[offsets[s]..offsets[s + 1]]`.
+    offsets: Vec<usize>,
+    ids: Vec<u32>,
+}
+
+impl Lists for Layer {
+    #[inline]
+    fn links(&self, node: u32) -> &[u32] {
+        let s = self.slots.of(node);
+        &self.ids[self.offsets[s]..self.offsets[s + 1]]
+    }
 }
 
 /// The one NaN pattern [`key`] uses (the quiet NaN `l2_sq` propagates from
@@ -79,6 +143,13 @@ fn key_id(key: u64) -> u32 {
     key as u32
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Distances computed on this thread by [`Vectors::dist`], build and
+    /// search alike.
+    static HOST_DISTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// The vectors a graph is over, with the distance kernel resolved once per
 /// build or search instead of once per pair.
 #[derive(Clone, Copy)]
@@ -100,6 +171,8 @@ impl<'a> Vectors<'a> {
     #[inline]
     fn dist(&self, a: &[f32], id: u32, dims: &mut u64) -> f32 {
         *dims += self.dim as u64;
+        #[cfg(test)]
+        HOST_DISTS.with(|n| n.set(n.get() + 1));
         self.kern.l2_sq(a, self.at(id))
     }
 }
@@ -145,12 +218,14 @@ thread_local! {
 }
 
 /// The traversable graph: what construction and queries both search.
-struct Graph<'a> {
+struct Graph<'a, L> {
     vecs: Vectors<'a>,
-    nodes: &'a [Node],
+    layers: &'a [L],
+    /// Node ids the visited set must cover.
+    nodes: usize,
 }
 
-impl Graph<'_> {
+impl<L: Lists> Graph<'_, L> {
     /// Greedy search on one layer starting from `entry`, returning the
     /// closest node found (used for descending the upper layers).
     fn greedy_closest(
@@ -160,11 +235,12 @@ impl Graph<'_> {
         layer: usize,
         cost: &mut SearchCost,
     ) -> u32 {
+        let lists = &self.layers[layer];
         let mut cur = entry;
         let mut cur_d = self.vecs.dist(query, cur, &mut cost.graph_dims);
         loop {
             let mut improved = false;
-            for &nb in &self.nodes[cur as usize].links[layer] {
+            for &nb in lists.links(cur) {
                 cost.graph_hops += 1;
                 let d = self.vecs.dist(query, nb, &mut cost.graph_dims);
                 if d < cur_d {
@@ -194,8 +270,9 @@ impl Graph<'_> {
         cost: &mut SearchCost,
         scratch: &mut SearchScratch,
     ) {
+        let lists = &self.layers[layer];
         let ef = ef.max(1);
-        let epoch = scratch.begin(self.nodes.len());
+        let epoch = scratch.begin(self.nodes);
         let SearchScratch { visited, candidates, results, found, .. } = scratch;
         visited[entry as usize] = epoch;
         let k0 = key(self.vecs.dist(query, entry, &mut cost.graph_dims), entry);
@@ -207,7 +284,7 @@ impl Graph<'_> {
             if key_distance(cand) > bound {
                 break;
             }
-            for &nb in &self.nodes[key_id(cand) as usize].links[layer] {
+            for &nb in lists.links(key_id(cand)) {
                 let stamp = &mut visited[nb as usize];
                 if *stamp == epoch {
                     continue;
@@ -244,7 +321,7 @@ fn threshold(results: &BinaryHeap<u64>, ef: usize) -> f32 {
     }
 }
 
-/// Build-only memo of one link, parallel to its id in `Node::links`.
+/// Build-only memo of one link, parallel to its id in the slab.
 #[derive(Clone, Copy)]
 struct LinkMemo {
     /// Distance to the list's owner. Known when the link is made (`l2_sq`
@@ -255,22 +332,125 @@ struct LinkMemo {
     cmps: u32,
 }
 
-/// Build-only memo of one neighbor list.
-#[derive(Clone, Default)]
-struct ListMemo {
-    links: Vec<LinkMemo>,
-    /// Nonzero once the list is full and in heuristic order: its first
-    /// `diverse` links are the diverse ones, the rest the non-diverse fill,
-    /// each run ascending by key, and every `cmps` is current. A full list
-    /// stays that way because each further link is pruned away at once.
-    diverse: u32,
+/// One layer's lists while the graph is built: slot `s` owns `stride`
+/// consecutive entries of `ids` and of `memo`, the first `lens[s]` in use.
+/// The stride is one more than the longest list the layer can hold, so a
+/// full list has room for the link its next prune removes.
+struct Slab {
+    slots: Slots,
+    /// The most links a list keeps.
+    cap: usize,
+    stride: usize,
+    ids: Vec<u32>,
+    memo: Vec<LinkMemo>,
+    lens: Vec<u32>,
+    /// Per slot: nonzero once the list is full and in heuristic order. Its
+    /// first `diverse` links are the diverse ones, the rest the non-diverse
+    /// fill, each run ascending by key, and every `cmps` is current. A full
+    /// list stays that way because each further link is pruned away at once.
+    diverse: Vec<u32>,
 }
 
-/// A candidate the diversity pass has decided on.
+impl Slab {
+    /// The slab of layer `layer`, whose lists hold at most `cap` links.
+    fn new(levels: &[usize], layer: usize, cap: usize) -> Slab {
+        let (slots, count) = Slots::new(levels, layer);
+        // A list only ever links other nodes of its layer.
+        let stride = cap.min(count - 1) + 1;
+        Slab {
+            slots,
+            cap,
+            stride,
+            ids: vec![0; count * stride],
+            memo: vec![LinkMemo { dist: 0.0, cmps: 0 }; count * stride],
+            lens: vec![0; count],
+            diverse: vec![0; count],
+        }
+    }
+
+    /// Where slot `s`'s links are in `ids` and `memo`.
+    #[inline]
+    fn list(&self, s: usize) -> Range<usize> {
+        let start = s * self.stride;
+        start..start + self.lens[s] as usize
+    }
+
+    /// Append a link to slot `s`'s list; returns the new length.
+    fn push(&mut self, s: usize, id: u32, dist: f32) -> usize {
+        let at = self.list(s).end;
+        self.ids[at] = id;
+        self.memo[at] = LinkMemo { dist, cmps: 0 };
+        self.lens[s] += 1;
+        self.lens[s] as usize
+    }
+
+    /// Store `selected` then `pruned`, cut to the cap, as slot `s`'s list.
+    fn write(&mut self, s: usize, selected: &[Pick], pruned: &[Pick]) {
+        let start = s * self.stride;
+        let mut len = 0;
+        for pick in selected.iter().chain(pruned).take(self.cap) {
+            self.ids[start + len] = key_id(pick.key);
+            self.memo[start + len] = LinkMemo { dist: key_distance(pick.key), cmps: pick.cmps };
+            len += 1;
+        }
+        self.lens[s] = len as u32;
+        self.diverse[s] = if len == self.cap { selected.len() as u32 } else { 0 };
+    }
+
+    /// Drop the memo and close the gaps between the lists.
+    fn into_layer(self) -> Layer {
+        let Slab { slots, stride, mut ids, memo, lens, .. } = self;
+        drop(memo);
+        let mut offsets = Vec::with_capacity(lens.len() + 1);
+        offsets.push(0);
+        let mut end = 0;
+        for (s, &len) in lens.iter().enumerate() {
+            ids.copy_within(s * stride..s * stride + len as usize, end);
+            end += len as usize;
+            offsets.push(end);
+        }
+        ids.truncate(end);
+        ids.shrink_to_fit();
+        Layer { slots, offsets, ids }
+    }
+}
+
+impl Lists for Slab {
+    #[inline]
+    fn links(&self, node: u32) -> &[u32] {
+        &self.ids[self.list(self.slots.of(node))]
+    }
+}
+
+/// [`Pick::old`] of a link that was not in the old diverse run.
+const NEW: u32 = u32::MAX;
+
+/// A candidate the diversity pass has decided on, or is about to.
 #[derive(Clone, Copy)]
 struct Pick {
     key: u64,
+    /// Comparisons a pass spent on it: the current pass once decided, the
+    /// previous pass over the same list before that (0 if there was none).
     cmps: u32,
+    /// Its index in the previous pass's diverse run, or [`NEW`].
+    old: u32,
+}
+
+impl Pick {
+    fn fresh(key: u64) -> Pick {
+        Pick { key, cmps: 0, old: NEW }
+    }
+
+    /// What the previous pass found comparing this candidate with entry
+    /// `old` of its diverse run — whether the candidate passed — or `None`
+    /// if it never made that comparison. A diverse candidate was compared
+    /// with every diverse link before it and passed; any other was
+    /// compared with the first `cmps`, passed all but the last, and was
+    /// rejected there.
+    #[inline]
+    fn recall(self, old: u32) -> Option<bool> {
+        (old < self.cmps).then(|| self.old != NEW || old + 1 < self.cmps)
+    }
 }
 
 /// The paper's neighbor-selection heuristic (Algorithm 4 in Malkov &
@@ -281,26 +461,35 @@ struct Pick {
 /// connectivity on clustered data.
 ///
 /// Continues from whatever `selected` and `pruned` already hold, over
-/// `cands` in ascending key order, until `cap` are selected.
+/// `cands` in ascending key order, until `cap` are selected. A comparison
+/// the candidate's record answers ([`Pick::recall`]) is charged, not
+/// computed; a fresh candidate's record answers none.
 fn select_neighbors(
     vecs: Vectors<'_>,
-    cands: &[u64],
+    cands: impl IntoIterator<Item = Pick>,
     cap: usize,
     selected: &mut Vec<Pick>,
     pruned: &mut Vec<Pick>,
     dims: &mut u64,
 ) {
-    for &cand in cands {
+    for cand in cands {
         if selected.len() >= cap {
             break;
         }
-        let cand_vec = vecs.at(key_id(cand));
+        let cand_vec = vecs.at(key_id(cand.key));
+        let cand_dist = key_distance(cand.key);
         let mut cmps = 0;
         let diverse = selected.iter().all(|s| {
             cmps += 1;
-            vecs.dist(cand_vec, key_id(s.key), dims) >= key_distance(cand)
+            match cand.recall(s.old) {
+                Some(passed) => {
+                    *dims += vecs.dim as u64;
+                    passed
+                }
+                None => vecs.dist(cand_vec, key_id(s.key), dims) >= cand_dist,
+            }
         });
-        let pick = Pick { key: cand, cmps };
+        let pick = Pick { cmps, ..cand };
         if diverse {
             selected.push(pick);
         } else {
@@ -328,33 +517,47 @@ fn lower_bound(links: &[u32], memo: &[LinkMemo], range: Range<usize>, k: u64) ->
 /// needs, all of it dropped before the index is returned.
 struct Builder<'a> {
     vecs: Vectors<'a>,
-    m: usize,
-    nodes: Vec<Node>,
-    /// `memo[node][layer]` mirrors `nodes[node].links[layer]`.
-    memo: Vec<Vec<ListMemo>>,
+    layers: Vec<Slab>,
     entry: u32,
     max_layer: usize,
     cost: SearchCost,
     scratch: SearchScratch,
-    order: Vec<u64>,
+    order: Vec<Pick>,
     selected: Vec<Pick>,
     pruned: Vec<Pick>,
 }
 
-impl Builder<'_> {
-    fn max_links(&self, layer: usize) -> usize {
-        if layer == 0 {
-            self.m * 2
-        } else {
-            self.m
+/// Each node's top layer, drawn in id order from the build's seed.
+fn draw_levels(n: usize, m: usize, seed: u64) -> Vec<usize> {
+    let level_mult = 1.0 / (m as f64).ln();
+    let mut r = rng(seed);
+    (0..n).map(|_| (-(r.gen::<f64>().max(1e-12)).ln() * level_mult).floor() as usize).collect()
+}
+
+impl<'a> Builder<'a> {
+    fn new(vecs: Vectors<'a>, m: usize, levels: &[usize]) -> Builder<'a> {
+        // 2·M links on layer 0, M above.
+        let cap = |l: usize| if l == 0 { m * 2 } else { m };
+        let layers = match levels.iter().max() {
+            Some(&top) => (0..=top).map(|l| Slab::new(levels, l, cap(l))).collect(),
+            None => Vec::new(),
+        };
+        Builder {
+            vecs,
+            layers,
+            entry: 0,
+            max_layer: 0,
+            cost: SearchCost::default(),
+            scratch: SearchScratch::default(),
+            order: Vec::new(),
+            selected: Vec::new(),
+            pruned: Vec::new(),
         }
     }
 
-    /// Insert node `id` with top layer `level`.
+    /// Insert node `id` with top layer `level`; nodes arrive in id order.
     fn insert(&mut self, id: u32, level: usize, ef_c: usize) {
-        self.nodes.push(Node { links: vec![Vec::new(); level + 1] });
-        self.memo.push(vec![ListMemo::default(); level + 1]);
-        if self.nodes.len() == 1 {
+        if id == 0 {
             self.entry = id;
             self.max_layer = level;
             return;
@@ -362,42 +565,45 @@ impl Builder<'_> {
 
         let query = self.vecs.at(id);
         let top = self.max_layer;
+        let nodes = self.layers[0].lens.len();
         let mut cur = self.entry;
 
         // Descend greedily through layers above `level`.
         for layer in (level + 1..=top).rev() {
-            let graph = Graph { vecs: self.vecs, nodes: &self.nodes };
+            let graph = Graph { vecs: self.vecs, layers: &self.layers, nodes };
             cur = graph.greedy_closest(query, cur, layer, &mut self.cost);
         }
 
         // Connect on each layer from min(level, top) down to 0.
         for l in (0..=level.min(top)).rev() {
-            let graph = Graph { vecs: self.vecs, nodes: &self.nodes };
+            let graph = Graph { vecs: self.vecs, layers: &self.layers, nodes };
             graph.search_layer(query, cur, ef_c, l, &mut self.cost, &mut self.scratch);
-            let cap = self.max_links(l);
+            let cap = self.layers[l].cap;
             self.selected.clear();
             self.pruned.clear();
             select_neighbors(
                 self.vecs,
-                &self.scratch.found,
+                self.scratch.found.iter().map(|&k| Pick::fresh(k)),
                 cap,
                 &mut self.selected,
                 &mut self.pruned,
                 &mut self.cost.graph_dims,
             );
-            self.write_list(id, l, cap);
-            for k in 0..self.nodes[id as usize].links[l].len() {
-                let nb = self.nodes[id as usize].links[l][k];
-                let dist = self.memo[id as usize][l].links[k].dist;
-                self.nodes[nb as usize].links[l].push(id);
-                self.memo[nb as usize][l].links.push(LinkMemo { dist, cmps: 0 });
+            let slab = &mut self.layers[l];
+            let own = slab.slots.of(id);
+            slab.write(own, &self.selected, &self.pruned);
+            let list = slab.list(own);
+            for k in list.clone() {
+                let slab = &mut self.layers[l];
+                let (nb, dist) = (slab.ids[k], slab.memo[k].dist);
+                let s = slab.slots.of(nb);
                 // Prune the neighbor if it exceeded its budget.
-                if self.nodes[nb as usize].links[l].len() > cap {
-                    self.prune(nb, l, cap);
+                if slab.push(s, id, dist) > cap {
+                    self.prune(l, s);
                 }
             }
-            if let Some(&first) = self.nodes[id as usize].links[l].first() {
-                cur = first;
+            if !list.is_empty() {
+                cur = self.layers[l].ids[list.start];
             }
         }
 
@@ -407,57 +613,50 @@ impl Builder<'_> {
         }
     }
 
-    /// Store `selected` then `pruned`, cut to `cap`, as `id`'s list.
-    fn write_list(&mut self, id: u32, layer: usize, cap: usize) {
-        let links = &mut self.nodes[id as usize].links[layer];
-        let memo = &mut self.memo[id as usize][layer];
-        links.clear();
-        memo.links.clear();
-        for pick in self.selected.iter().chain(&self.pruned).take(cap) {
-            links.push(key_id(pick.key));
-            memo.links.push(LinkMemo { dist: key_distance(pick.key), cmps: pick.cmps });
-        }
-        memo.diverse = if links.len() == cap { self.selected.len() as u32 } else { 0 };
-    }
-
-    /// Re-prune `id`'s list, one link over its budget, with the same
-    /// diversity heuristic used at insertion time.
+    /// Re-prune slot `s`'s list on `layer`, one link over its cap, with
+    /// the same diversity heuristic used at insertion time.
     ///
-    /// The literal pass scores all `cap + 1` links against `id`, sorts them
-    /// and runs [`select_neighbors`]; exactly one link is dropped, and it is
-    /// never a selected one, so the decisions the pass made about the links
-    /// it kept are the decisions a pass over just those links would make.
-    /// With that memo in hand only the new link `x` needs work: the links
-    /// sorted before `x` replay, `x` is compared against the diverse ones
-    /// among them, and the links after `x` replay too unless `x` turns out
-    /// diverse, in which case they are decided again. Replayed comparisons
-    /// are charged to `graph_dims` like computed ones.
-    fn prune(&mut self, id: u32, layer: usize, cap: usize) {
-        let vecs = self.vecs;
-        let dims = &mut self.cost.graph_dims;
-        let links = &mut self.nodes[id as usize].links[layer];
-        let memo = &mut self.memo[id as usize][layer];
+    /// The literal pass scores all `cap + 1` links against the owner, sorts
+    /// them and runs [`select_neighbors`]; exactly one link is dropped, and
+    /// it is never a selected one, so the decisions the pass made about the
+    /// links it kept are the decisions a pass over just those links would
+    /// make. With that memo in hand only the new link `x` needs work: the
+    /// links sorted before `x` replay, `x` is compared against the diverse
+    /// ones among them, and the links after `x` replay too unless `x` turns
+    /// out diverse. Then they are decided again, and each comparison the
+    /// previous pass already made replays from the memo. Replayed
+    /// comparisons are charged to `graph_dims` like computed ones.
+    fn prune(&mut self, layer: usize, s: usize) {
+        let Builder { vecs, layers, cost, order, selected, pruned, .. } = self;
+        let vecs = *vecs;
+        let dims = &mut cost.graph_dims;
+        let slab = &mut layers[layer];
+        let cap = slab.cap;
+        let list = slab.list(s);
+        let links = &mut slab.ids[list.clone()];
+        let memo = &mut slab.memo[list];
         // The owner distances: charged, not computed.
         *dims += (links.len() * vecs.dim) as u64;
         let replay =
             |run: &[LinkMemo]| run.iter().map(|l| u64::from(l.cmps)).sum::<u64>() * vecs.dim as u64;
 
-        self.selected.clear();
-        self.pruned.clear();
-        self.order.clear();
-        let diverse = memo.diverse as usize;
+        selected.clear();
+        pruned.clear();
+        order.clear();
+        let diverse = slab.diverse[s] as usize;
         if diverse == 0 {
             // First prune of a list that filled up link by link.
-            self.order.extend(links.iter().zip(&memo.links).map(|(&nb, l)| key(l.dist, nb)));
-            self.order.sort_unstable();
+            order
+                .extend(links.iter().zip(memo.iter()).map(|(&nb, l)| Pick::fresh(key(l.dist, nb))));
+            order.sort_unstable_by_key(|p| p.key);
         } else {
             let x = links[cap];
-            let x_dist = memo.links[cap].dist;
+            let x_dist = memo[cap].dist;
             let x_key = key(x_dist, x);
             // `x` sorts after `diverse_before` diverse links and, within the
             // non-diverse run, at index `fill_at`.
-            let diverse_before = lower_bound(links, &memo.links, 0..diverse, x_key);
-            let fill_at = lower_bound(links, &memo.links, diverse..cap, x_key);
+            let diverse_before = lower_bound(links, memo, 0..diverse, x_key);
+            let fill_at = lower_bound(links, memo, diverse..cap, x_key);
 
             let x_vec = vecs.at(x);
             let mut x_cmps = 0;
@@ -470,49 +669,46 @@ impl Builder<'_> {
             if !x_diverse {
                 // Nothing after `x` changes; the farthest non-diverse link
                 // goes, which is `x` itself when it sorts last.
-                *dims += replay(&memo.links[..cap]);
+                *dims += replay(&memo[..cap]);
                 if fill_at < cap {
-                    memo.links[cap].cmps = x_cmps;
+                    memo[cap].cmps = x_cmps;
                     links[fill_at..].rotate_right(1);
-                    memo.links[fill_at..].rotate_right(1);
+                    memo[fill_at..].rotate_right(1);
                 }
-                links.pop();
-                memo.links.pop();
+                slab.lens[s] = cap as u32;
                 return;
             }
 
-            *dims += replay(&memo.links[..diverse_before]) + replay(&memo.links[diverse..fill_at]);
+            *dims += replay(&memo[..diverse_before]) + replay(&memo[diverse..fill_at]);
+            // Link `i` with the record the previous pass left; the diverse
+            // run's entries are tagged with their index in it.
             let pick = |i: usize| Pick {
-                key: key(memo.links[i].dist, links[i]),
-                cmps: memo.links[i].cmps,
+                key: key(memo[i].dist, links[i]),
+                cmps: memo[i].cmps,
+                old: if i < diverse { i as u32 } else { NEW },
             };
-            self.selected.extend((0..diverse_before).map(pick));
-            self.selected.push(Pick { key: x_key, cmps: x_cmps });
-            self.pruned.extend((diverse..fill_at).map(pick));
+            selected.extend((0..diverse_before).map(pick));
+            selected.push(Pick { key: x_key, cmps: x_cmps, old: NEW });
+            pruned.extend((diverse..fill_at).map(pick));
             // The links after `x`, merged from the two runs.
             let (mut i, mut j) = (diverse_before, fill_at);
             while i < diverse || j < cap {
                 let from_diverse = j == cap || (i < diverse && pick(i).key < pick(j).key);
                 let next = if from_diverse { &mut i } else { &mut j };
-                self.order.push(pick(*next).key);
+                order.push(pick(*next));
                 *next += 1;
             }
         }
-        select_neighbors(vecs, &self.order, cap, &mut self.selected, &mut self.pruned, dims);
-        self.write_list(id, layer, cap);
+        select_neighbors(vecs, order.iter().copied(), cap, selected, pruned, dims);
+        slab.write(s, selected, pruned);
     }
 
     fn finish(self) -> HnswIndex {
-        let Builder { vecs, mut nodes, memo, entry, max_layer, .. } = self;
-        // Before the vectors are copied, so the two never coexist.
-        drop(memo);
-        // Lists were grown and pruned in place; give back the slack.
-        for node in &mut nodes {
-            for links in &mut node.links {
-                links.shrink_to_fit();
-            }
-        }
-        HnswIndex { dim: vecs.dim, data: vecs.data.to_vec(), nodes, entry, max_layer }
+        let Builder { vecs, layers, entry, .. } = self;
+        // Each layer drops its memo before it is compacted, all before the
+        // vectors are copied: the copy never coexists with a memo.
+        let layers = layers.into_iter().map(Slab::into_layer).collect();
+        HnswIndex { dim: vecs.dim, data: vecs.data.to_vec(), layers, entry }
     }
 }
 
@@ -533,46 +729,40 @@ impl HnswIndex {
         let n = vectors.len() / dim;
         let m = params.hnsw_m;
         let ef_c = params.ef_construction.max(m);
-        let level_mult = 1.0 / (m as f64).ln();
-        let mut r = rng(seed);
-
-        let mut builder = Builder {
-            vecs: Vectors { dim, data: vectors, kern: kernel::active() },
-            m,
-            nodes: Vec::with_capacity(n),
-            memo: Vec::with_capacity(n),
-            entry: 0,
-            max_layer: 0,
-            cost: SearchCost::default(),
-            scratch: SearchScratch::default(),
-            order: Vec::new(),
-            selected: Vec::new(),
-            pruned: Vec::new(),
-        };
-        for i in 0..n {
-            let level = (-(r.gen::<f64>().max(1e-12)).ln() * level_mult).floor() as usize;
+        let levels = draw_levels(n, m, seed);
+        let vecs = Vectors { dim, data: vectors, kern: kernel::active() };
+        let mut builder = Builder::new(vecs, m, &levels);
+        for (i, &level) in levels.iter().enumerate() {
             builder.insert(i as u32, level, ef_c);
         }
         stats.train_dims += builder.cost.graph_dims;
         Ok(builder.finish())
     }
 
-    fn graph(&self) -> Graph<'_> {
+    fn graph(&self) -> Graph<'_, Layer> {
         Graph {
             vecs: Vectors { dim: self.dim, data: &self.data, kern: kernel::active() },
-            nodes: &self.nodes,
+            layers: &self.layers,
+            nodes: self.len(),
         }
+    }
+
+    /// Node `node`'s lists, layer 0 first, up to its top layer.
+    #[cfg(test)]
+    fn lists_of(&self, node: u32) -> Vec<&[u32]> {
+        let holds = |l: &&Layer| l.slots.0.is_empty() || l.slots.0[node as usize] != ABSENT;
+        self.layers.iter().take_while(holds).map(|l| l.links(node)).collect()
     }
 }
 
 impl VectorIndex for HnswIndex {
     fn search(&self, query: &[f32], sp: &SearchParams, cost: &mut SearchCost) -> Vec<Neighbor> {
-        if self.nodes.is_empty() {
+        if self.layers.is_empty() {
             return Vec::new();
         }
         let graph = self.graph();
         let mut cur = self.entry;
-        for layer in (1..=self.max_layer).rev() {
+        for layer in (1..self.layers.len()).rev() {
             cur = graph.greedy_closest(query, cur, layer, cost);
         }
         let ef = sp.ef.max(sp.top_k);
@@ -583,17 +773,19 @@ impl VectorIndex for HnswIndex {
         })
     }
 
+    /// The vectors plus 4 bytes per link and 24 per list (a `Vec<u32>`
+    /// header), as if every node kept one `Vec` per layer. That per-list
+    /// size is a model, not what this layout allocates: it feeds
+    /// `MemoryUsage`, hence the OOM and cost decisions, and the pinned
+    /// tuning histories fix it.
     fn memory_bytes(&self) -> u64 {
-        let links: usize = self
-            .nodes
-            .iter()
-            .map(|n| n.links.iter().map(|l| l.len() * 4 + 24).sum::<usize>())
-            .sum();
+        let links: usize =
+            self.layers.iter().map(|l| l.ids.len() * 4 + (l.offsets.len() - 1) * 24).sum();
         (self.data.len() * 4 + links) as u64
     }
 
     fn len(&self) -> usize {
-        self.nodes.len()
+        self.layers.first().map_or(0, |l| l.offsets.len() - 1)
     }
 }
 
@@ -661,8 +853,8 @@ mod tests {
     #[test]
     fn degree_bounded() {
         let (_, idx) = build_tiny(8, 64);
-        for (i, node) in idx.nodes.iter().enumerate() {
-            for (l, links) in node.links.iter().enumerate() {
+        for i in 0..idx.len() as u32 {
+            for (l, links) in idx.lists_of(i).iter().enumerate() {
                 let cap = if l == 0 { 16 } else { 8 };
                 assert!(links.len() <= cap, "node {i} layer {l} degree {}", links.len());
             }
@@ -674,13 +866,13 @@ mod tests {
         // Graph connectivity: from the entry point, a BFS on layer 0 should
         // reach nearly every node (HNSW guarantees connectivity in practice).
         let (_, idx) = build_tiny(12, 128);
-        let n = idx.nodes.len();
+        let n = idx.len();
         let mut seen = vec![false; n];
         let mut queue = vec![idx.entry];
         seen[idx.entry as usize] = true;
         let mut reached = 1;
         while let Some(u) = queue.pop() {
-            for &v in &idx.nodes[u as usize].links[0] {
+            for &v in idx.layers[0].links(u) {
                 if !seen[v as usize] {
                     seen[v as usize] = true;
                     reached += 1;

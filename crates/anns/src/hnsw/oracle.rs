@@ -9,7 +9,7 @@
 //! pinned digests move with it, since this transcription then pins nothing
 //! any more.
 
-use super::{key, HnswIndex, Node, SearchScratch};
+use super::{draw_levels, key, Builder, HnswIndex, SearchScratch, Vectors, HOST_DISTS};
 use crate::cost::{BuildStats, SearchCost};
 use crate::index::{BuildError, VectorIndex};
 use crate::params::{IndexParams, SearchParams};
@@ -19,7 +19,15 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use vecdata::distance::l2_sq;
 use vecdata::ground_truth::{Neighbor, TopK};
+use vecdata::kernel;
 use vecdata::rng::rng;
+
+/// One graph node: neighbor lists per layer (layer 0 first).
+#[derive(Debug, Clone, PartialEq)]
+struct Node {
+    /// `links[l]` = neighbor ids on layer `l`.
+    links: Vec<Vec<u32>>,
+}
 
 /// The literal HNSW graph.
 #[derive(Debug, Clone)]
@@ -349,8 +357,13 @@ fn assert_equivalent(
     queries: usize,
     tag: &str,
 ) {
-    assert_eq!(fast.nodes, slow.nodes, "{tag}: links");
-    assert_eq!((fast.entry, fast.max_layer), (slow.entry, slow.max_layer), "{tag}: entry");
+    let fast_nodes: Vec<Node> = (0..fast.len() as u32)
+        .map(|i| Node { links: fast.lists_of(i).into_iter().map(<[u32]>::to_vec).collect() })
+        .collect();
+    assert_eq!(fast_nodes, slow.nodes, "{tag}: links");
+    assert_eq!(fast.entry, slow.entry, "{tag}: entry");
+    let slow_layers = if slow.nodes.is_empty() { 0 } else { slow.max_layer + 1 };
+    assert_eq!(fast.layers.len(), slow_layers, "{tag}: layers");
     assert_eq!(fast.memory_bytes(), slow.memory_bytes(), "{tag}: memory_bytes");
     assert_eq!(fast.len(), slow.len());
     let dim = fast.dim;
@@ -393,9 +406,50 @@ fn graph_counters_and_results_equal_the_literal_build() {
         let data = rows(n, dim, dup, seed);
         let (fast, slow) = build_both(&data, dim, m, ef_c, seed);
         if m == 2 {
-            assert!(fast.max_layer >= 4, "M = 2 should stack layers, got {}", fast.max_layer);
+            assert!(fast.layers.len() > 4, "M = 2 should stack layers, got {}", fast.layers.len());
         }
         assert_equivalent(&fast, &slow, &data, 20, &format!("n={n} M={m} efC={ef_c} dup={dup}"));
+    }
+}
+
+/// The benchmark's segment shape: 2048 rows of 48 dims, at the default
+/// (M, efC) and two that keep most layer-0 lists full. Release builds only;
+/// the literal build takes seconds here.
+#[cfg(not(debug_assertions))]
+#[test]
+fn benchmark_segment_shape_equals_the_literal_build() {
+    for (m, ef_c, seed) in [(16, 200, 51), (51, 512, 52), (61, 297, 53)] {
+        let data = rows(2048, 48, 0, seed);
+        let (fast, slow) = build_both(&data, 48, m, ef_c, seed);
+        assert_equivalent(&fast, &slow, &data, 5, &format!("n=2048 dim=48 M={m} efC={ef_c}"));
+    }
+}
+
+fn host_dists() -> u64 {
+    HOST_DISTS.with(|n| n.get())
+}
+
+#[test]
+fn replayed_prunes_compute_fewer_distances_than_the_literal_build() {
+    // The panel rows where nearly every link made is a prune. Every
+    // comparison the literal build charges it also computes; the builder
+    // charges the same ones (`train_dims`) and computes fewer. The exact
+    // counts are this implementation's: a change that only moves host work
+    // still has to update them.
+    for ((n, dim, m, ef_c, seed), want) in
+        [((250, 8, 51, 512, 4), 172_925), ((270, 8, 64, 200, 5), 209_392)]
+    {
+        let data = rows(n, dim, 0, seed);
+        let params = IndexParams { hnsw_m: m, ef_construction: ef_c, ..Default::default() };
+        let (mut fast_stats, mut slow_stats) = (BuildStats::default(), BuildStats::default());
+        let before = host_dists();
+        HnswIndex::build(&data, dim, &params, seed, &mut fast_stats).unwrap();
+        let host = host_dists() - before;
+        OracleIndex::build(&data, dim, &params, seed, &mut slow_stats).unwrap();
+        assert_eq!(fast_stats.train_dims, slow_stats.train_dims, "M = {m}");
+        let literal = slow_stats.train_dims / dim as u64;
+        assert!(host < literal, "M = {m}: {host} host distances, literal {literal}");
+        assert_eq!(host, want, "M = {m}: host distances (literal {literal})");
     }
 }
 
@@ -422,13 +476,25 @@ fn nan_component_builds_the_same_graph() {
 #[test]
 fn built_index_carries_no_slack() {
     let data = rows(400, 8, 0, 31);
-    let (fast, _) = build_both(&data, 8, 8, 64, 31);
-    for node in &fast.nodes {
-        for links in &node.links {
-            assert_eq!(links.capacity(), links.len());
-        }
+    let (fast, slow) = build_both(&data, 8, 8, 64, 31);
+    for (l, layer) in fast.layers.iter().enumerate() {
+        let lists: Vec<usize> =
+            slow.nodes.iter().filter_map(|node| node.links.get(l).map(Vec::len)).collect();
+        let links: usize = lists.iter().sum();
+        assert_eq!(layer.offsets.len(), lists.len() + 1, "layer {l}: offsets");
+        assert_eq!((layer.ids.len(), layer.ids.capacity()), (links, links), "layer {l}: ids");
     }
     assert_eq!(fast.data.capacity(), fast.data.len());
+
+    // An unsanitized M: the build's slots are bounded by the rows, not
+    // by 2·M + 1.
+    let (n, dim, m) = (120, 8, 70_000);
+    let data = rows(n, dim, 0, 9);
+    let vecs = Vectors { dim, data: &data, kern: kernel::active() };
+    let builder = Builder::new(vecs, m, &draw_levels(n, m, 9));
+    for (l, slab) in builder.layers.iter().enumerate() {
+        assert!(slab.stride <= n, "layer {l}: stride {}", slab.stride);
+    }
 }
 
 #[test]

@@ -49,38 +49,50 @@ const EXPERIMENTS: &[(&str, Experiment)] = &[
     ("kernels", experiments::kernels),
 ];
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// The profile and experiment names a command line asks for, or the
+/// message to print with the usage (empty for `--help`). `--quick` and
+/// `--full` pick the base profile (the last one given wins); `--iters` and
+/// `--seed` then override it wherever they stand.
+fn parse_args(args: &[String]) -> Result<(Profile, Vec<&str>), String> {
     let mut profile = Profile::default();
+    let (mut iters, mut seed) = (None, None);
     let mut requested: Vec<&str> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = args.iter().map(String::as_str);
+    while let Some(arg) = args.next() {
+        match arg {
             "--quick" => profile = Profile::quick(),
             "--full" => profile = Profile::full(),
             "--iters" => {
-                i += 1;
-                profile.iters = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--iters needs a number"));
-                profile.pref_iters = profile.iters;
+                let n = args.next().and_then(|v| v.parse().ok());
+                iters = Some(n.ok_or("--iters needs a number")?);
             }
             "--seed" => {
-                i += 1;
-                profile.seed = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--seed needs a number"));
+                let s = args.next().and_then(|v| v.parse().ok());
+                seed = Some(s.ok_or("--seed needs a number")?);
             }
-            "--help" | "-h" => usage(""),
+            "--help" | "-h" => return Err(String::new()),
             other => requested.push(other),
         }
-        i += 1;
+    }
+    if let Some(iters) = iters {
+        if iters == 0 {
+            return Err("--iters must be at least 1".into());
+        }
+        profile.iters = iters;
+        profile.pref_iters = iters;
+    }
+    if let Some(seed) = seed {
+        profile.seed = seed;
     }
     if requested.is_empty() {
-        usage("no experiment given");
+        return Err("no experiment given".into());
     }
+    Ok((profile, requested))
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (profile, requested) = parse_args(&args).unwrap_or_else(|msg| usage(&msg));
 
     // Resolve every name before running anything: a typo must not cost a
     // finished experiment.
@@ -126,4 +138,37 @@ fn usage(msg: &str) -> ! {
         names.join(" ")
     );
     std::process::exit(2);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<(Profile, Vec<String>), String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&args).map(|(p, names)| (p, names.into_iter().map(String::from).collect()))
+    }
+
+    #[test]
+    fn overrides_apply_whatever_the_flag_order() {
+        let want = Profile { iters: 3, pref_iters: 3, seed: 7, ..Profile::quick() };
+        for line in ["--iters 3 --seed 7 --quick fig6", "--quick fig6 --seed 7 --iters 3"] {
+            assert_eq!(parse(line), Ok((want, vec!["fig6".to_string()])), "{line}");
+        }
+        let (full, _) = parse("--seed 9 --full table4").unwrap();
+        assert_eq!(full, Profile { seed: 9, ..Profile::full() });
+        let (plain, _) = parse("fig6").unwrap();
+        assert_eq!(plain, Profile::default());
+    }
+
+    #[test]
+    fn refuses_empty_runs_and_malformed_numbers() {
+        for line in ["--iters 0 fig6", "--iters 0 --seed 7 --quick fig6"] {
+            assert_eq!(parse(line), Err("--iters must be at least 1".to_string()), "{line}");
+        }
+        assert!(parse("--iters x fig6").is_err());
+        assert!(parse("--seed").is_err());
+        assert_eq!(parse("--iters 2"), Err("no experiment given".to_string()));
+        assert_eq!(parse("--help fig6"), Err(String::new()));
+    }
 }

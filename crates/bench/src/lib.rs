@@ -44,7 +44,7 @@ impl Method {
 
 /// Experiment sizing. The default profile finishes the full suite in
 /// minutes; `--full` restores the paper's 200-iteration budget.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Profile {
     /// Evaluations per tuning run (the paper uses 200).
     pub iters: usize,
