@@ -5,7 +5,10 @@
 //! field of every event, bit for bit, over a panel that reaches each arm
 //! of the loop (shared pool / reactors, analytic watermark / WAL
 //! visibility, both routers, query shedding, insert parking and shedding,
-//! the deferred-consistency retry, the empty run).
+//! the deferred-consistency retry, the empty run). The two four-group
+//! reactor fleets (64 queues each) joined later; their digests were
+//! captured on the commit before the router's per-queue waiting heaps
+//! became one heap and a depth counter per queue.
 //!
 //! The same panel, and a property over random deployments, also hold the
 //! trace-free path a `ServingBackend` takes ([`ArrivalPlan::stats`]) to the
@@ -96,6 +99,7 @@ const TRACES: &[(&str, u64)] = &[
     ("readonly shared r3 random tight", 0x44135103cd76d54e),
     ("readonly compact r1", 0x9553a0065f6473a5),
     ("readonly smt-avoid r2", 0xb36e6d0f7d1d6960),
+    ("readonly smt-avoid r4", 0xeb2915aef69802a3),
     ("readonly scatter r2 random", 0xd28dfe94ab627246),
     ("readonly overload sheds queries", 0xd3aee671e1439b32),
     ("readonly wrappers ignore inserts", 0x14a26b2f5ef6754b),
@@ -103,6 +107,7 @@ const TRACES: &[(&str, u64)] = &[
     ("mixed shared r1", 0x31b48280d9cfa5e6),
     ("mixed shared r3 random", 0x7931e148e1d71a32),
     ("mixed scatter r2", 0xb3f5d0365de94e64),
+    ("mixed scatter r4 random", 0xdd965a4616d86606),
     ("mixed compact r2 random", 0xc3d6321d0eb01503),
     ("mixed parks and sheds inserts", 0xfafab1e784d01169),
     ("mixed retry shared r2", 0xd6ee104b1c9b1ac1),
@@ -141,8 +146,14 @@ fn serving_traces_match_the_pre_collapse_simulators_bitwise() {
     let sys = SystemParams { max_read_concurrency: 8, ..Default::default() };
     let tight = SystemParams { graceful_time_ms: 0.0, ..sys };
     let one_slot = SystemParams { max_read_concurrency: 1, ..Default::default() };
+    // Four groups of sixteen reactors (64 queues) offered a quarter more
+    // than they serve: the router's widest fleet, as the benchmark's
+    // slowest evaluations run it, with every queue backed up.
+    let wide = SystemParams { max_read_concurrency: 16, ..sys };
     let base = ServingSpec { arrival_qps: 1_200.0, requests: 900, ..Default::default() };
+    let fleet = ServingSpec { arrival_qps: 20_000.0, requests: 2_000, ..base };
     let random = base.with_routing(RoutingPolicy::Random { seed: 21 });
+    let fleet_random = fleet.with_routing(RoutingPolicy::Random { seed: 21 });
     let mixed = base.with_inserts(0.5);
     let overload =
         ServingSpec { arrival_qps: 5_000.0, requests: 1_500, queue_capacity: 16, ..base };
@@ -157,10 +168,10 @@ fn serving_traces_match_the_pre_collapse_simulators_bitwise() {
         let reads = spec.with_inserts(0.0);
         sunk(trace, &reads, seed, on(&model, sys, replicas, Shared, 0, WriteKnobs::DEFAULT))
     };
-    let pin = |spec: &ServingSpec, seed, replicas, policy| {
-        let trace = simulate_pinned(&model, &sys, 0.004, spec, seed, replicas, policy, 10);
+    let pin = |sys: &SystemParams, spec: &ServingSpec, seed, replicas, policy| {
+        let trace = simulate_pinned(&model, sys, 0.004, spec, seed, replicas, policy, 10);
         let reads = spec.with_inserts(0.0);
-        sunk(trace, &reads, seed, on(&model, &sys, replicas, policy, 10, WriteKnobs::DEFAULT))
+        sunk(trace, &reads, seed, on(&model, sys, replicas, policy, 10, WriteKnobs::DEFAULT))
     };
     let mix = |sys: &SystemParams, spec: &ServingSpec, seed, replicas, policy, knobs| {
         let trace =
@@ -180,20 +191,29 @@ fn serving_traces_match_the_pre_collapse_simulators_bitwise() {
     // the WAL visibility arm and runs the tick chain.
     let rounds_to_none = mix(&tight, &base.with_inserts(0.0004), 9, 2, Compact, lazy);
     assert_eq!(rounds_to_none.writes.offered, 0);
+    // The fleets really are 64 single-slot queues, and they really queue.
+    let fleet_jsq = pin(&wide, &fleet, 7, 4, SmtAvoid);
+    let fleet_mixed = mix(&wide, &fleet_random.with_inserts(0.5), 5, 4, Scatter, knobs);
+    for fleet in [&fleet_jsq, &fleet_mixed] {
+        assert_eq!((fleet.replicas, fleet.slots), (4, 16));
+        assert!(fleet.max_queue_depth > 1, "{}", fleet.max_queue_depth);
+    }
 
     let panel = [
         ("readonly shared r1", ro(&sys, &base, 11, 1)),
         ("readonly shared r3", ro(&sys, &base, 11, 3)),
         ("readonly shared r3 random tight", ro(&tight, &random, 5, 3)),
-        ("readonly compact r1", pin(&base, 11, 1, Compact)),
-        ("readonly smt-avoid r2", pin(&base, 7, 2, SmtAvoid)),
-        ("readonly scatter r2 random", pin(&random, 7, 2, Scatter)),
+        ("readonly compact r1", pin(&sys, &base, 11, 1, Compact)),
+        ("readonly smt-avoid r2", pin(&sys, &base, 7, 2, SmtAvoid)),
+        ("readonly smt-avoid r4", fleet_jsq),
+        ("readonly scatter r2 random", pin(&sys, &random, 7, 2, Scatter)),
         ("readonly overload sheds queries", shed_queries),
         ("readonly wrappers ignore inserts", ro(&sys, &mixed, 11, 2)),
-        ("readonly pinned wrapper ignores inserts", pin(&mixed, 11, 2, Compact)),
+        ("readonly pinned wrapper ignores inserts", pin(&sys, &mixed, 11, 2, Compact)),
         ("mixed shared r1", mix(&sys, &mixed, 7, 1, Shared, knobs)),
         ("mixed shared r3 random", mix(&sys, &random.with_inserts(0.5), 7, 3, Shared, knobs)),
         ("mixed scatter r2", mix(&sys, &mixed, 5, 2, Scatter, knobs)),
+        ("mixed scatter r4 random", fleet_mixed),
         ("mixed compact r2 random", mix(&sys, &random.with_inserts(0.5), 5, 2, Compact, lazy)),
         ("mixed parks and sheds inserts", parked),
         ("mixed retry shared r2", retried),
@@ -205,7 +225,7 @@ fn serving_traces_match_the_pre_collapse_simulators_bitwise() {
         ("mixed fraction rounds to zero inserts", rounds_to_none),
         ("zero insert fraction through the mixed entry", mix(&tight, &base, 9, 2, Scatter, lazy)),
         ("zero requests shared", ro(&sys, &empty, 1, 2)),
-        ("zero requests compact", pin(&empty, 1, 3, Compact)),
+        ("zero requests compact", pin(&sys, &empty, 1, 3, Compact)),
         ("zero requests mixed", mix(&sys, &empty.with_inserts(0.5), 1, 2, Scatter, knobs)),
     ];
     let actual: Vec<(String, u64)> =
