@@ -237,7 +237,6 @@ mod tests {
             offered_qps: 100.0,
             achieved_qps: 100.0,
             goodput_qps: 100.0,
-            mean_latency_secs: p99 / 2.0,
             p50_latency_secs: p99 / 2.0,
             p95_latency_secs: p99 * 0.9,
             p99_latency_secs: p99,

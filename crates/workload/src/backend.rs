@@ -417,8 +417,8 @@ impl EvalBackend for TopologyBackend<'_> {
 /// `maxReadConcurrency` worker slots.
 ///
 /// The outcome keeps the inner backend's `qps`/`recall`/`memory_gib`
-/// (tuners still optimize QPS@recall; with `arrival_qps <= 0` the backend
-/// degrades to the offline semantics bit-for-bit) and attaches
+/// (tuners still optimize QPS@recall; with `arrival_qps <= 0` or NaN the
+/// backend degrades to the offline semantics bit-for-bit) and attaches
 /// [`crate::serving::ServingStats`]. When the spec carries a p99 SLO,
 /// violating configs come back *failed*
 /// ([`VdmsError::SloViolation`]) — the tuner optimizes QPS@recall
@@ -507,9 +507,9 @@ impl<B: EvalBackend> EvalBackend for ServingBackend<'_, B> {
     fn evaluate(&self, config: &VdmsConfig, seed: u64) -> Outcome {
         let mut out = self.inner.evaluate(config, seed);
         // Offline failures (crash/OOM/timeout/space) propagate untouched;
-        // a zero arrival rate means "no serving phase" and degrades to the
-        // inner backend bit-for-bit.
-        if !out.is_ok() || self.spec.arrival_qps <= 0.0 {
+        // a zero or NaN arrival rate means "no serving phase" and degrades
+        // to the inner backend bit-for-bit.
+        if !out.is_ok() || !self.spec.has_serving_phase() {
             return out;
         }
         let cfg = config.sanitized(self.inner_info.dim, self.inner_info.top_k);
@@ -1015,6 +1015,21 @@ mod tests {
         let a = b.evaluate(&VdmsConfig::default_config(), 9);
         let o = SimBackend::new(&w).evaluate(&VdmsConfig::default_config(), 9);
         assert_eq!(a, o, "rate 0 degrades to the offline backend");
+        assert!(a.serving.is_none());
+    }
+
+    /// Regression: a NaN rate passed the `<= 0` test, and its gaps were
+    /// drawn at a rate of 1e-9 — 50 of 50 requests "completed" over a
+    /// 45-billion-second makespan that no SLO check flagged. NaN is no
+    /// serving phase, like zero.
+    #[test]
+    fn serving_backend_at_a_nan_rate_is_bitwise_offline() {
+        let w = make();
+        let spec = ServingSpec { requests: 50, ..Default::default() }.at_rate(f64::NAN);
+        let b = ServingBackend::over_sim(&w, spec.with_slo(0.025));
+        let a = b.evaluate(&VdmsConfig::default_config(), 9);
+        let o = SimBackend::new(&w).evaluate(&VdmsConfig::default_config(), 9);
+        assert_eq!(a, o, "a NaN rate degrades to the offline backend");
         assert!(a.serving.is_none());
     }
 

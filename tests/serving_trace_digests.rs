@@ -69,12 +69,11 @@ fn trace_digest(t: &ServingTrace) -> u64 {
 }
 
 /// Every field of the stats, floats by their bits.
-fn stats_bits(s: &ServingStats) -> ([u64; 8], [usize; 4], WriteStats) {
+fn stats_bits(s: &ServingStats) -> ([u64; 7], [usize; 4], WriteStats) {
     let floats = [
         s.offered_qps,
         s.achieved_qps,
         s.goodput_qps,
-        s.mean_latency_secs,
         s.p50_latency_secs,
         s.p95_latency_secs,
         s.p99_latency_secs,
