@@ -16,11 +16,13 @@
 // Wall-clock progress reporting for the CLI; bench is the timing domain.
 #![allow(clippy::disallowed_methods)]
 
-use bench::{experiments, Profile};
+use bench::{experiments, Profile, Runs};
 use std::io;
+use vecdata::DatasetSpec;
 
-/// An experiment: prints its tables, writes its artifacts.
-type Experiment = fn(&Profile) -> io::Result<()>;
+/// An experiment: prints its tables, writes its artifacts. Its offline
+/// tuning runs come from the invocation's one [`Runs`] memo.
+type Experiment = fn(&Profile, &Runs) -> io::Result<()>;
 
 /// Every experiment, in `repro all` order: the one place a name is bound
 /// to its function.
@@ -114,17 +116,24 @@ fn main() {
         "VDTuner reproduction | iters={} pref_iters={} scale_iters={} seed={}",
         profile.iters, profile.pref_iters, profile.scale_iters, profile.seed
     );
+    let runs = Runs::new(DatasetSpec::scaled);
     let t0 = std::time::Instant::now();
     for (exp, run) in list {
-        let te = std::time::Instant::now();
+        let (te, before) = (std::time::Instant::now(), (runs.started(), runs.reused()));
         println!("\n================ {exp} ================");
-        if let Err(e) = run(&profile) {
+        if let Err(e) = run(&profile, &runs) {
             eprintln!("error: {exp}: {e}");
             std::process::exit(1);
         }
-        println!("[{exp} took {:.1}s]", te.elapsed().as_secs_f64());
+        println!("[{exp} took {:.1}s | {}]", te.elapsed().as_secs_f64(), tally(&runs, before));
     }
-    println!("\nAll requested experiments done in {:.1}s.", t0.elapsed().as_secs_f64());
+    let total = tally(&runs, (0, 0));
+    println!("\nAll requested experiments done in {:.1}s | {total}.", t0.elapsed().as_secs_f64());
+}
+
+/// Tuning runs started and served from the memo since `before`.
+fn tally(runs: &Runs, (started, reused): (usize, usize)) -> String {
+    format!("tuning runs: {} started, {} reused", runs.started() - started, runs.reused() - reused)
 }
 
 fn usage(msg: &str) -> ! {

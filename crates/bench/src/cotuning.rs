@@ -7,7 +7,8 @@
 //! 1. build an arrival-rate ladder anchored on the default configuration's
 //!    offline QPS (the top rung is the tuning/SLO rate);
 //! 2. run every fixed arm, the co-tuned arm and the narrower-space
-//!    reference in parallel — same tuner, budget, seed and control plane;
+//!    reference in parallel through [`Runs::tune`] — same tuner, budget,
+//!    seed and control plane;
 //! 3. check the frozen-dimension contract: the designated fixed arm must
 //!    reproduce the reference history bit for bit
 //!    ([`TuningOutcome::fingerprint`]);
@@ -20,9 +21,9 @@
 //! helpers are free functions so `serving` and `topology` share them.
 
 use crate::report::{f1, ms, JsonValue, Table};
-use crate::{run_parallel, vdtuner_paper_options, Profile};
+use crate::{run_parallel, Method, Profile, Runs};
 use vdms::VdmsConfig;
-use vdtuner_core::{SpaceSpec, TuningOutcome, VdTuner};
+use vdtuner_core::{SpaceSpec, TuningOutcome};
 use workload::{
     evaluate, EvalBackend, ServingBackend, ServingSpec, ServingStats, TopologyBackend, Workload,
 };
@@ -249,7 +250,7 @@ pub struct CoTuningRun {
 }
 
 impl<'w> CoTuning<'w> {
-    pub fn run(self, profile: &Profile) -> CoTuningRun {
+    pub fn run(self, profile: &Profile, runs: &Runs) -> CoTuningRun {
         let CoTuning { workload: w, max_shards, max_replicas, base_spec, backend, metric, .. } =
             self;
         let anchor = evaluate(w, &VdmsConfig::default_config(), profile.seed).qps;
@@ -266,8 +267,8 @@ impl<'w> CoTuning<'w> {
             .chain([(&self.cotuned.1, backend), (&self.reference.0, self.reference.1)])
             .collect();
         let mut outcomes = run_parallel(jobs, |&(space, plane)| {
-            VdTuner::with_space(vdtuner_paper_options(profile.iters), space.clone(), profile.seed)
-                .run_on(serve(plane, tune_spec), profile.iters)
+            let arm = Method::VdTuner.arm(profile.iters);
+            runs.tune(arm, space.clone(), serve(plane, tune_spec), profile.iters, profile.seed)
         });
         let reference = outcomes.pop().expect("the reference run is the last job");
         let frozen_matches =

@@ -13,8 +13,7 @@ use crate::cotuning::{
 };
 use crate::report::{emit, emit_json, f1, f2, f3, ms, pct, JsonValue, Table};
 use crate::{
-    recall_floor, run_method, run_method_on, run_parallel, run_vdtuner_variant,
-    vdtuner_paper_options, Method, Profile, SACRIFICES,
+    recall_floor, run_parallel, vdtuner_paper_options, Arm, Method, Profile, Runs, SACRIFICES,
 };
 use anns::params::IndexType;
 use std::io;
@@ -24,16 +23,12 @@ use vdms::system_params::SystemParams;
 use vdms::{CostModel, PinningPolicy, SegmentLayout, VdmsConfig, WriteKnobs};
 use vdtuner_core::shap::shapley_attribution;
 use vdtuner_core::space::DIM_NAMES;
-use vdtuner_core::{BudgetAllocation, SpaceSpec, SurrogateKind, TunerMode, TuningOutcome, VdTuner};
+use vdtuner_core::{SpaceSpec, TunerMode, TuningOutcome};
 use vecdata::{DatasetKind, DatasetSpec};
 use workload::{
     evaluate, EvalBackend, Evaluator, Outcome, ServingBackend, ServingSpec, ServingStats,
-    ShardedSimBackend, TopologyBackend, Workload, WriteStats,
+    ShardedSimBackend, SimBackend, TopologyBackend, Workload, WriteStats,
 };
-
-fn workload_for(kind: DatasetKind) -> Workload {
-    Workload::paper_default(DatasetSpec::scaled(kind))
-}
 
 /// A table header: one leading column, then a computed series.
 fn header(first: &str, rest: impl IntoIterator<Item = String>) -> Vec<String> {
@@ -62,8 +57,8 @@ fn int_array(counts: &[usize]) -> JsonValue {
 
 /// Figure 1: search speed and recall over a (segment maxSize ×
 /// sealProportion) grid — the configuration-interdependence motivation.
-pub fn fig1(profile: &Profile) -> io::Result<()> {
-    let w = workload_for(DatasetKind::Glove);
+pub fn fig1(profile: &Profile, runs: &Runs) -> io::Result<()> {
+    let w = runs.workload(DatasetKind::Glove);
     let max_sizes = [100.0, 200.0, 400.0, 700.0, 1000.0];
     let seals = [0.1, 0.3, 0.5, 0.7, 0.9, 1.0];
     let head = header("maxSize\\seal", seals.iter().map(|s| format!("{s:.1}")));
@@ -75,7 +70,7 @@ pub fn fig1(profile: &Profile) -> io::Result<()> {
         let mut cfg = VdmsConfig::default_config();
         cfg.system.segment_max_size_mb = m;
         cfg.system.segment_seal_proportion = s;
-        evaluate(&w, &cfg, profile.seed)
+        evaluate(w, &cfg, profile.seed)
     });
     for (mi, &m) in max_sizes.iter().enumerate() {
         let mut qrow = vec![format!("{m:.0}MB")];
@@ -93,8 +88,8 @@ pub fn fig1(profile: &Profile) -> io::Result<()> {
 }
 
 /// Figure 2: the best index type varies with the system configuration.
-pub fn fig2(profile: &Profile) -> io::Result<()> {
-    let w = workload_for(DatasetKind::Glove);
+pub fn fig2(profile: &Profile, runs: &Runs) -> io::Result<()> {
+    let w = runs.workload(DatasetKind::Glove);
     let systems: Vec<(&str, SystemParams)> = vec![
         // Milvus defaults: moderate segments + a brute-force growing tail.
         ("System-Config 1", SystemParams::default()),
@@ -136,7 +131,7 @@ pub fn fig2(profile: &Profile) -> io::Result<()> {
         let outs = run_parallel(types.to_vec(), |&it| {
             let mut cfg = VdmsConfig::default_for(it);
             cfg.system = *sys;
-            evaluate(&w, &cfg, profile.seed)
+            evaluate(w, &cfg, profile.seed)
         });
         let best = types
             .iter()
@@ -154,13 +149,13 @@ pub fn fig2(profile: &Profile) -> io::Result<()> {
 
 /// Figure 3a/3b: per-index speed and recall on two datasets (defaults);
 /// Figure 3c: per-index optimization curves under uniform sampling.
-pub fn fig3(profile: &Profile) -> io::Result<()> {
+pub fn fig3(profile: &Profile, runs: &Runs) -> io::Result<()> {
     // (a, b) defaults per index type on two datasets.
     for (tag, kind) in [("a", DatasetKind::Glove), ("b", DatasetKind::KeywordMatch)] {
-        let w = workload_for(kind);
+        let w = runs.workload(kind);
         let mut t = Table::new(vec!["index", "search speed", "recall"]);
         let outs = run_parallel(IndexType::ALL.to_vec(), |&it| {
-            evaluate(&w, &VdmsConfig::default_for(it), profile.seed)
+            evaluate(w, &VdmsConfig::default_for(it), profile.seed)
         });
         for (it, o) in IndexType::ALL.iter().zip(&outs) {
             t.row(vec![it.name().to_string(), f1(o.qps), f3(o.recall)]);
@@ -174,7 +169,7 @@ pub fn fig3(profile: &Profile) -> io::Result<()> {
 
     // (c) optimization curves: uniform sampling of each index type's own
     // parameters; weighted performance best-so-far.
-    let w = workload_for(DatasetKind::Glove);
+    let w = runs.workload(DatasetKind::Glove);
     let samples = profile.iters.max(20);
     let per_type: Vec<(IndexType, Vec<f64>)> = run_parallel(IndexType::ALL.to_vec(), |&it| {
         let space = SpaceSpec::legacy();
@@ -190,7 +185,7 @@ pub fn fig3(profile: &Profile) -> io::Result<()> {
                 let pairs: Vec<(usize, f64)> =
                     free.iter().copied().zip(p.iter().copied()).collect();
                 let cfg = space.decode(&space.embed(it, &pairs)).expect("embed spans the space");
-                let o = evaluate(&w, &cfg, profile.seed);
+                let o = evaluate(w, &cfg, profile.seed);
                 (o.qps, o.recall)
             })
             .collect();
@@ -217,15 +212,9 @@ pub fn fig3(profile: &Profile) -> io::Result<()> {
 }
 
 /// Table IV: performance improvement of VDTuner over the default config.
-pub fn table4(profile: &Profile) -> io::Result<()> {
+pub fn table4(profile: &Profile, runs: &Runs) -> io::Result<()> {
     let kinds = DatasetKind::main_three();
-    let rows = run_parallel(kinds.to_vec(), |&kind| {
-        let w = workload_for(kind);
-        let default = evaluate(&w, &VdmsConfig::default_config(), profile.seed);
-        let out = run_method(Method::VdTuner, &w, profile.iters, profile.seed);
-        let (ds, dr) = out.improvement_over_default(default.qps, default.recall);
-        (kind, default.qps, default.recall, ds, dr)
-    });
+    let outs = runs.outcomes(profile, &kinds.map(|k| (Method::VdTuner, k)));
     let mut t = Table::new(vec![
         "dataset",
         "default QPS",
@@ -233,39 +222,27 @@ pub fn table4(profile: &Profile) -> io::Result<()> {
         "speed improvement",
         "recall improvement",
     ]);
-    for (kind, dq, drc, ds, dr) in rows {
-        t.row(vec![kind.name().to_string(), f1(dq), f3(drc), pct(ds), pct(dr)]);
+    for (kind, out) in kinds.iter().zip(&outs) {
+        let default = evaluate(runs.workload(*kind), &VdmsConfig::default_config(), profile.seed);
+        let (ds, dr) = out.improvement_over_default(default.qps, default.recall);
+        t.row(vec![kind.name().to_string(), f1(default.qps), f3(default.recall), pct(ds), pct(dr)]);
     }
     emit("table4", "Table IV: improvement by auto-configuration (VDTuner vs Default)", &t)
 }
 
-/// Run all five methods on one dataset.
-fn run_all_methods(w: &Workload, profile: &Profile) -> Vec<(Method, TuningOutcome)> {
-    run_parallel(Method::ALL.to_vec(), |&m| (m, run_method(m, w, profile.iters, profile.seed)))
-}
-
 /// Figure 6: best search speed under recall sacrifices, 5 methods × 3
 /// datasets, plus the trade-off-ability metric (std-dev over floors).
-pub fn fig6(profile: &Profile) -> io::Result<()> {
-    let jobs: Vec<(DatasetKind, Method)> = DatasetKind::main_three()
-        .into_iter()
-        .flat_map(|k| Method::ALL.into_iter().map(move |m| (k, m)))
-        .collect();
-    let workloads: Vec<(DatasetKind, Workload)> =
-        DatasetKind::main_three().into_iter().map(|k| (k, workload_for(k))).collect();
-    let outs = run_parallel(jobs.clone(), |&(k, m)| {
-        let w = &workloads.iter().find(|(wk, _)| *wk == k).expect("workload").1;
-        run_method(m, w, profile.iters, profile.seed)
-    });
+pub fn fig6(profile: &Profile, runs: &Runs) -> io::Result<()> {
+    let kinds = DatasetKind::main_three();
+    let arms: Vec<_> = kinds.iter().flat_map(|&k| Method::ALL.map(|m| (m, k))).collect();
+    let outs = runs.outcomes(profile, &arms);
 
-    for kind in DatasetKind::main_three() {
+    for (kind, outs) in kinds.iter().zip(outs.chunks(Method::ALL.len())) {
         let mut t = Table::new(header(
             "method",
             SACRIFICES.iter().map(|s| format!("sac {s}")).chain(["tradeoff σ".to_string()]),
         ));
-        for m in Method::ALL {
-            let idx = jobs.iter().position(|&(k, mm)| k == kind && mm == m).expect("job");
-            let out = &outs[idx];
+        for (m, out) in Method::ALL.iter().zip(outs) {
             let best: Vec<Option<f64>> =
                 SACRIFICES.iter().map(|&s| out.best_qps_with_recall(recall_floor(s))).collect();
             let sigma = std_dev(&best.iter().flatten().copied().collect::<Vec<f64>>());
@@ -284,16 +261,15 @@ pub fn fig6(profile: &Profile) -> io::Result<()> {
 }
 
 /// Figure 7: optimization curves on GloVe and tuning-efficiency ratios.
-pub fn fig7(profile: &Profile) -> io::Result<()> {
-    let w = workload_for(DatasetKind::Glove);
-    let outs = run_all_methods(&w, profile);
+pub fn fig7(profile: &Profile, runs: &Runs) -> io::Result<()> {
+    let outs = runs.outcomes(profile, &Method::ALL.map(|m| (m, DatasetKind::Glove)));
     let floors = [0.9, 0.925, 0.95, 0.975, 0.99];
 
     for &floor in &floors {
         let checkpoints = checkpoints(profile.iters);
         let mut t =
             Table::new(header("method", checkpoints.iter().map(|c| format!("it{}", c + 1))));
-        for (m, out) in &outs {
+        for (m, out) in Method::ALL.iter().zip(&outs) {
             let curve = out.qps_curve(floor);
             let mut row = vec![m.name().to_string()];
             row.extend(checkpoints.iter().map(|&c| f1(curve[c.min(curve.len() - 1)])));
@@ -313,14 +289,15 @@ pub fn fig7(profile: &Profile) -> io::Result<()> {
         "best baseline",
         "baseline QPS",
         "VDTuner iters to beat",
-        "VDTuner sim-secs to beat",
+        "VDTuner tuning seconds to beat (simulated replay + wall-clock recommendation)",
         "sample ratio",
     ]);
-    let vd = &outs.iter().find(|(m, _)| *m == Method::VdTuner).expect("vdtuner").1;
+    // Method::ALL leads with VDTuner; the baselines follow.
+    let vd = &outs[0];
     for &floor in &floors {
-        let best_baseline = outs
+        let best_baseline = Method::ALL[1..]
             .iter()
-            .filter(|(m, _)| *m != Method::VdTuner)
+            .zip(&outs[1..])
             .filter_map(|(m, o)| o.best_qps_with_recall(floor).map(|q| (m, q)))
             .max_by(|a, b| a.1.total_cmp(&b.1));
         let Some((bm, bq)) = best_baseline else {
@@ -344,23 +321,15 @@ pub fn fig7(profile: &Profile) -> io::Result<()> {
 
 /// Figure 8: ablations — (a) successive abandon vs round robin, (b) polling
 /// vs native surrogate.
-pub fn fig8(profile: &Profile) -> io::Result<()> {
-    let w = workload_for(DatasetKind::Glove);
-    let variants: Vec<(&str, Option<BudgetAllocation>, SurrogateKind)> = vec![
-        ("Successive Abandon + Polling", None, SurrogateKind::Polling),
-        ("Round Robin + Polling", Some(BudgetAllocation::RoundRobin), SurrogateKind::Polling),
-        ("Successive Abandon + Native", None, SurrogateKind::Native),
+pub fn fig8(profile: &Profile, runs: &Runs) -> io::Result<()> {
+    let variants = [
+        ("Successive Abandon + Polling", Method::VdTuner),
+        ("Round Robin + Polling", Method::RoundRobin),
+        ("Successive Abandon + Native", Method::Native),
     ];
-    let outs = run_parallel(variants.clone(), |(_, budget, surrogate)| {
-        run_vdtuner_variant(&w, profile.iters, profile.seed, |o| {
-            if let Some(b) = budget {
-                o.budget = *b;
-            }
-            o.surrogate = *surrogate;
-        })
-    });
+    let outs = runs.outcomes(profile, &variants.map(|(_, m)| (m, DatasetKind::Glove)));
     let mut t = Table::new(header("variant", SACRIFICES.iter().map(|s| format!("sac {s}"))));
-    for ((name, _, _), out) in variants.iter().zip(&outs) {
+    for ((name, _), out) in variants.iter().zip(&outs) {
         let mut row = vec![name.to_string()];
         row.extend(
             SACRIFICES
@@ -373,9 +342,9 @@ pub fn fig8(profile: &Profile) -> io::Result<()> {
 }
 
 /// Figure 9: dynamic index-type score weights during tuning.
-pub fn fig9(profile: &Profile) -> io::Result<()> {
-    let w = workload_for(DatasetKind::Glove);
-    let out = run_vdtuner_variant(&w, profile.iters, profile.seed, |_| {});
+pub fn fig9(profile: &Profile, runs: &Runs) -> io::Result<()> {
+    let outs = runs.outcomes(profile, &[(Method::VdTuner, DatasetKind::Glove)]);
+    let out = &outs[0];
     let mut t = Table::new(header(
         "iter",
         IndexType::ALL.iter().map(|t| t.name().to_string()).chain(["leader".to_string()]),
@@ -406,13 +375,9 @@ pub fn fig9(profile: &Profile) -> io::Result<()> {
 }
 
 /// Figure 10: sampling scatter of native vs polling surrogates.
-pub fn fig10(profile: &Profile) -> io::Result<()> {
-    let w = workload_for(DatasetKind::Glove);
-    let variants: Vec<(&str, SurrogateKind)> =
-        vec![("native", SurrogateKind::Native), ("polling", SurrogateKind::Polling)];
-    let outs = run_parallel(variants.clone(), |(_, s)| {
-        run_vdtuner_variant(&w, profile.iters, profile.seed, |o| o.surrogate = *s)
-    });
+pub fn fig10(profile: &Profile, runs: &Runs) -> io::Result<()> {
+    let variants = [("native", Method::Native), ("polling", Method::VdTuner)];
+    let outs = runs.outcomes(profile, &variants.map(|(_, m)| (m, DatasetKind::Glove)));
     let mut summary = Table::new(vec![
         "surrogate",
         "recall σ (exploration width)",
@@ -451,9 +416,9 @@ pub fn fig10(profile: &Profile) -> io::Result<()> {
 }
 
 /// Figure 11: parameter traces over iterations (Geo-radius).
-pub fn fig11(profile: &Profile) -> io::Result<()> {
-    let w = workload_for(DatasetKind::GeoRadius);
-    let out = run_vdtuner_variant(&w, profile.iters, profile.seed, |_| {});
+pub fn fig11(profile: &Profile, runs: &Runs) -> io::Result<()> {
+    let outs = runs.outcomes(profile, &[(Method::VdTuner, DatasetKind::GeoRadius)]);
+    let out = &outs[0];
     let trace = out.param_trace();
     let tracked = ["nlist", "nprobe", "segment_sealProportion", "gracefulTime"];
     let dims: Vec<usize> =
@@ -477,8 +442,8 @@ pub fn fig11(profile: &Profile) -> io::Result<()> {
 }
 
 /// Figure 12: user recall preference — constraint model and bootstrapping.
-pub fn fig12(profile: &Profile) -> io::Result<()> {
-    let w = workload_for(DatasetKind::Glove);
+pub fn fig12(profile: &Profile, runs: &Runs) -> io::Result<()> {
+    let w = runs.workload(DatasetKind::Glove);
     let iters = profile.pref_iters;
     let seed = profile.seed;
 
@@ -487,18 +452,21 @@ pub fn fig12(profile: &Profile) -> io::Result<()> {
     // Variant C: constraint model + phase-2 bootstrapped with phase-1 data.
     let phases = [0.85, 0.9];
     let variants = ["no constraint + no bootstrap", "constraint only", "constraint + bootstrap"];
-    let runs = run_parallel(vec![0usize, 1, 2], |&v| {
+    // Each phase bootstraps from the one before it, so these runs chain
+    // and never come from the memo.
+    let arms = run_parallel(vec![0usize, 1, 2], |&v| {
         let mut per_phase: Vec<TuningOutcome> = Vec::new();
         for (pi, &lim) in phases.iter().enumerate() {
-            let boot =
-                if v == 2 && pi > 0 { per_phase[pi - 1].observations.clone() } else { Vec::new() };
-            let out = run_vdtuner_variant(&w, iters, seed ^ (pi as u64) << 8, |o| {
-                if v >= 1 {
-                    o.mode = TunerMode::Constrained { recall_limit: lim };
-                }
-                o.bootstrap = boot.clone();
-            });
-            per_phase.push(out);
+            let mut options = vdtuner_paper_options(iters);
+            if v >= 1 {
+                options.mode = TunerMode::Constrained { recall_limit: lim };
+            }
+            if v == 2 && pi > 0 {
+                options.bootstrap = per_phase[pi - 1].observations.clone();
+            }
+            let (arm, backend) = (Arm::VdTuner(options), SimBackend::new(w));
+            let phase_seed = seed ^ (pi as u64) << 8;
+            per_phase.push(runs.tune(arm, SpaceSpec::legacy(), backend, iters, phase_seed));
         }
         per_phase
     });
@@ -510,9 +478,9 @@ pub fn fig12(profile: &Profile) -> io::Result<()> {
         "iters to best-A parity",
     ]);
     for (pi, &lim) in phases.iter().enumerate() {
-        let a_final = runs[0][pi].best_qps_with_recall(lim).unwrap_or(0.0);
+        let a_final = arms[0][pi].best_qps_with_recall(lim).unwrap_or(0.0);
         for (v, name) in variants.iter().enumerate() {
-            let out = &runs[v][pi];
+            let out = &arms[v][pi];
             let best = out.best_qps_with_recall(lim);
             let parity = out.iterations_to_reach(a_final, lim);
             t.row(vec![
@@ -527,13 +495,10 @@ pub fn fig12(profile: &Profile) -> io::Result<()> {
 }
 
 /// Figure 13: cost-effectiveness (QP$) optimization and SHAP attribution.
-pub fn fig13(profile: &Profile) -> io::Result<()> {
-    let w = workload_for(DatasetKind::GeoRadius);
-    let modes: Vec<(&str, TunerMode)> =
-        vec![("QPS", TunerMode::MultiObjective), ("QP$", TunerMode::CostEffective)];
-    let outs = run_parallel(modes.clone(), |(_, mode)| {
-        run_vdtuner_variant(&w, profile.iters, profile.seed, |o| o.mode = *mode)
-    });
+pub fn fig13(profile: &Profile, runs: &Runs) -> io::Result<()> {
+    let w = runs.workload(DatasetKind::GeoRadius);
+    let modes = [("QPS", Method::VdTuner), ("QP$", Method::CostEffective)];
+    let outs = runs.outcomes(profile, &modes.map(|(_, m)| (m, DatasetKind::GeoRadius)));
     let (qps_run, qpd_run) = (&outs[0], &outs[1]);
 
     // (a) relative performance of optimizing QP$ vs QPS.
@@ -582,7 +547,7 @@ pub fn fig13(profile: &Profile) -> io::Result<()> {
     let baseline = VdmsConfig::default_config();
     let perms = 4;
     let attribute = |metric: fn(&Outcome) -> f64, seed: u64| {
-        let explained = |c: &VdmsConfig| metric(&evaluate(&w, c, profile.seed));
+        let explained = |c: &VdmsConfig| metric(&evaluate(w, c, profile.seed));
         shapley_attribution(explained, &target, &baseline, perms, seed)
     };
     let attr_mem = attribute(|o| o.memory_gib, profile.seed);
@@ -599,25 +564,20 @@ pub fn fig13(profile: &Profile) -> io::Result<()> {
 }
 
 /// Table V: best index type and parameters per dataset.
-pub fn table5(profile: &Profile) -> io::Result<()> {
+pub fn table5(profile: &Profile, runs: &Runs) -> io::Result<()> {
     let kinds = [DatasetKind::Glove, DatasetKind::ArxivTitles, DatasetKind::KeywordMatch];
-    let rows = run_parallel(kinds.to_vec(), |&kind| {
-        let w = workload_for(kind);
-        let out = run_method(Method::VdTuner, &w, profile.iters, profile.seed);
-        let best = out.best_balanced().map(|o| o.config.summary()).unwrap_or_default();
-        (kind, best)
-    });
+    let outs = runs.outcomes(profile, &kinds.map(|k| (Method::VdTuner, k)));
     let mut t = Table::new(vec!["dataset", "best configuration (index + active params)"]);
-    for (kind, cfg) in rows {
-        t.row(vec![kind.name().to_string(), cfg]);
+    for (kind, out) in kinds.iter().zip(&outs) {
+        let best = out.best_balanced().map(|o| o.config.summary()).unwrap_or_default();
+        t.row(vec![kind.name().to_string(), best]);
     }
     emit("table5", "Table V: index/parameters of the best configuration per dataset", &t)
 }
 
 /// Table VI: time breakdown (recommendation vs replay) per method.
-pub fn table6(profile: &Profile) -> io::Result<()> {
-    let w = workload_for(DatasetKind::Glove);
-    let outs = run_all_methods(&w, profile);
+pub fn table6(profile: &Profile, runs: &Runs) -> io::Result<()> {
+    let outs = runs.outcomes(profile, &Method::ALL.map(|m| (m, DatasetKind::Glove)));
     let mut t = Table::new(vec![
         "method",
         "recommendation (wall s)",
@@ -625,7 +585,7 @@ pub fn table6(profile: &Profile) -> io::Result<()> {
         "replay (simulated s)",
         "total (s)",
     ]);
-    for (m, out) in &outs {
+    for (m, out) in Method::ALL.iter().zip(&outs) {
         let total = out.total_recommend_secs + out.total_replay_secs;
         t.row(vec![
             m.name().to_string(),
@@ -648,13 +608,14 @@ pub fn table6(profile: &Profile) -> io::Result<()> {
 /// Sharded serving (beyond the paper): VDTuner tuning against the
 /// multi-node cluster backend across shard counts, plus a demonstration of
 /// per-shard memory-budget enforcement.
-pub fn sharding(profile: &Profile) -> io::Result<()> {
-    let w = workload_for(DatasetKind::Glove);
+pub fn sharding(profile: &Profile, runs: &Runs) -> io::Result<()> {
+    let w = runs.workload(DatasetKind::Glove);
     let shard_counts = [1usize, 2, 4];
+    let paper = || Method::VdTuner.arm(profile.iters);
     let outs = run_parallel(shard_counts.to_vec(), |&s| {
-        let backend = ShardedSimBackend::new(&w, s);
+        let backend = ShardedSimBackend::new(w, s);
         let default = backend.evaluate(&VdmsConfig::default_config(), profile.seed);
-        let tuned = run_method_on(Method::VdTuner, backend, profile.iters, profile.seed);
+        let tuned = runs.tune(paper(), SpaceSpec::legacy(), backend, profile.iters, profile.seed);
         (default, tuned)
     });
     let mut t = Table::new(vec![
@@ -689,7 +650,7 @@ pub fn sharding(profile: &Profile) -> io::Result<()> {
     // footprint. Placement cannot succeed — the tuner sees a failed
     // observation, exactly like a crash on the real system.
     let cfg = VdmsConfig::default_config().sanitized(w.dataset.dim(), w.top_k);
-    let single = evaluate(&w, &cfg, profile.seed);
+    let single = evaluate(w, &cfg, profile.seed);
     let layout = SegmentLayout::plan(w.dataset.len(), &cfg.system);
     let fixed = MemoryUsage::account_query_node(
         &layout,
@@ -703,7 +664,7 @@ pub fn sharding(profile: &Profile) -> io::Result<()> {
     let budget = fixed * 0.95;
     let shards = (single.memory_gib / budget).ceil() as usize + 1;
     let spec = ClusterSpec::with_budget(shards, budget);
-    let mut ev = Evaluator::with_backend(ShardedSimBackend::with_spec(&w, spec), profile.seed);
+    let mut ev = Evaluator::with_backend(ShardedSimBackend::with_spec(w, spec), profile.seed);
     let obs = ev.observe(&cfg, 0.0);
     let mut t = Table::new(vec!["cluster", "budget/node (GiB)", "aggregate (GiB)", "outcome"]);
     t.row(vec![
@@ -734,25 +695,24 @@ pub fn sharding(profile: &Profile) -> io::Result<()> {
 /// 16-dimensional tuning at every shard count — same evaluation budget per
 /// run. Emits a machine-readable `results/topology.json` so future PRs can
 /// track the co-tuning trajectory.
-pub fn topology(profile: &Profile) -> io::Result<()> {
-    let w = workload_for(DatasetKind::Glove);
+pub fn topology(profile: &Profile, runs: &Runs) -> io::Result<()> {
+    let w = runs.workload(DatasetKind::Glove);
     let max_shards = 8usize;
     let fixed_counts = [1usize, 2, 4, 8];
     let floor = RECALL_FLOOR;
 
     // Arm 1: the shard count as an experiment axis — one full 16-dim
     // tuning run per fixed cluster shape.
+    let paper = || Method::VdTuner.arm(profile.iters);
     let fixed = run_parallel(fixed_counts.to_vec(), |&s| {
-        run_method_on(Method::VdTuner, ShardedSimBackend::new(&w, s), profile.iters, profile.seed)
+        let backend = ShardedSimBackend::new(w, s);
+        runs.tune(paper(), SpaceSpec::legacy(), backend, profile.iters, profile.seed)
     });
     // Arm 2: the shard count as the 17th dimension — one tuning run whose
     // candidates each deploy their own cluster.
-    let mut co_tuner = VdTuner::with_space(
-        vdtuner_paper_options(profile.iters),
-        SpaceSpec::with_topology(max_shards),
-        profile.seed,
-    );
-    let co = co_tuner.run_on(TopologyBackend::new(&w, max_shards), profile.iters);
+    let (space, backend) =
+        (SpaceSpec::with_topology(max_shards), TopologyBackend::new(w, max_shards));
+    let co = runs.tune(paper(), space, backend, profile.iters, profile.seed);
 
     let mut t =
         Table::new(vec!["arm", "best QPS @0.9", "best QP$ @0.9", "mem mean (GiB)", "failed evals"]);
@@ -892,15 +852,16 @@ pub fn topology(profile: &Profile) -> io::Result<()> {
 /// the SLO. Both winners are then measured under three arrival rates;
 /// written to `results/serving.json` (schema: `bench::report::emit_json`
 /// rustdoc) + CSVs, and smoked by the CI `repro-smoke` job on every PR.
-pub fn serving(profile: &Profile) -> io::Result<()> {
-    let w = workload_for(DatasetKind::Glove);
+pub fn serving(profile: &Profile, runs: &Runs) -> io::Result<()> {
+    let w = runs.workload(DatasetKind::Glove);
     let floor = RECALL_FLOOR;
     let base_spec = ServingSpec::default();
 
     // Arm 1: offline-tuned (blind to queues, consistency tails and SLOs).
-    let offline = run_method(Method::VdTuner, &w, profile.iters, profile.seed);
+    let outs = runs.outcomes(profile, &[(Method::VdTuner, DatasetKind::Glove)]);
+    let offline = &outs[0];
     let offline_best_qps = offline.best_qps_with_recall(floor);
-    let offline_cfg = best_config(&offline, floor);
+    let offline_cfg = best_config(offline, floor);
 
     // The arrival ladder is anchored on the throughput the offline winner
     // *claims* to sustain: light load, moderate load, and just past its
@@ -908,15 +869,16 @@ pub fn serving(profile: &Profile) -> io::Result<()> {
     // serving capacity, so 1.1× is a genuine overload of the offline
     // winner — exactly the regime where tail latency is provisioned for).
     let anchor = offline_best_qps
-        .unwrap_or_else(|| evaluate(&w, &VdmsConfig::default_config(), profile.seed).qps);
+        .unwrap_or_else(|| evaluate(w, &VdmsConfig::default_config(), profile.seed).qps);
     let rates: Vec<f64> = [0.3, 0.7, 1.1].iter().map(|m| m * anchor).collect();
     let top_rate = rates[rates.len() - 1];
 
     // Arm 2: serving-tuned — same tuner, budget and seed, but every
     // candidate is exercised at the top arrival rate under the p99 SLO.
     let tuned_backend =
-        ServingBackend::over_sim(&w, base_spec.at_rate(top_rate).with_slo(SERVING_SLO_P99_SECS));
-    let served = run_method_on(Method::VdTuner, tuned_backend, profile.iters, profile.seed);
+        ServingBackend::over_sim(w, base_spec.at_rate(top_rate).with_slo(SERVING_SLO_P99_SECS));
+    let arm = Method::VdTuner.arm(profile.iters);
+    let served = runs.tune(arm, SpaceSpec::legacy(), tuned_backend, profile.iters, profile.seed);
     let served_best_qps = served.best_qps_with_recall(floor);
     let served_cfg = best_config(&served, floor);
 
@@ -926,7 +888,7 @@ pub fn serving(profile: &Profile) -> io::Result<()> {
         .iter()
         .map(|cfg| {
             measure_ladder(cfg.as_ref(), &rates, profile.seed, |rate| {
-                ServingBackend::over_sim(&w, base_spec.at_rate(rate))
+                ServingBackend::over_sim(w, base_spec.at_rate(rate))
             })
         })
         .collect();
@@ -1033,7 +995,7 @@ pub fn serving(profile: &Profile) -> io::Result<()> {
             ("recall_floor", JsonValue::Num(floor)),
             ("slo_p99_ms", JsonValue::Num(SERVING_SLO_P99_SECS * 1_000.0)),
             ("rates", JsonValue::Arr(rates.iter().map(|&r| JsonValue::Num(r)).collect())),
-            ("offline", arm_json(&offline, &measured[0], false)),
+            ("offline", arm_json(offline, &measured[0], false)),
             ("serving", arm_json(&served, &measured[1], true)),
             (
                 "comparison",
@@ -1062,14 +1024,14 @@ pub fn serving(profile: &Profile) -> io::Result<()> {
 /// topology tuning history bit for bit. Written to
 /// `results/replication.json` (schema: `bench::report::emit_json`
 /// rustdoc) + CSVs, and smoked by the CI `repro-smoke` job.
-pub fn replication(profile: &Profile) -> io::Result<()> {
-    let w = workload_for(DatasetKind::Glove);
+pub fn replication(profile: &Profile, runs: &Runs) -> io::Result<()> {
+    let w = runs.workload(DatasetKind::Glove);
     let max_shards = 4usize;
     let max_replicas = 8usize;
     let space17 = || SpaceSpec::with_topology(max_shards);
 
     let run = CoTuning {
-        workload: &w,
+        workload: w,
         max_shards,
         max_replicas,
         // The arrival ladder is anchored on the default configuration's
@@ -1107,7 +1069,7 @@ pub fn replication(profile: &Profile) -> io::Result<()> {
         strip: |c| VdmsConfig { replicas: None, ..c },
         metric: P99_AT_TOP,
     }
-    .run(profile);
+    .run(profile, runs);
 
     emit(
         "replication",
@@ -1184,7 +1146,7 @@ pub fn replication(profile: &Profile) -> io::Result<()> {
 /// history bit for bit. Written to `results/reactors.json` (schema:
 /// `bench::report::emit_json` rustdoc) + CSVs, and smoked by the CI
 /// `repro-smoke` job.
-pub fn reactors(profile: &Profile) -> io::Result<()> {
+pub fn reactors(profile: &Profile, runs: &Runs) -> io::Result<()> {
     let max_shards = 4usize;
     let max_replicas = 2usize;
 
@@ -1273,7 +1235,9 @@ pub fn reactors(profile: &Profile) -> io::Result<()> {
     emit_json("reactors", &JsonValue::Obj(calibration.clone()))?;
 
     // --- Phase 2: co-tune the pinning policy with the calibrated model ----
-    let mut w = workload_for(DatasetKind::Glove);
+    // Its own workload: the calibrated cost model must not reach the
+    // memo's, which every other experiment prices with the analytic one.
+    let mut w = Workload::paper_default(DatasetSpec::scaled(DatasetKind::Glove));
     w.cost_model = CostModel::calibrated();
     let space18 = || SpaceSpec::with_topology(max_shards).with_replication(max_replicas);
 
@@ -1308,7 +1272,7 @@ pub fn reactors(profile: &Profile) -> io::Result<()> {
         strip: |c| VdmsConfig { pinning: None, ..c },
         metric: P99_AT_TOP,
     }
-    .run(profile);
+    .run(profile, runs);
 
     emit(
         "reactors",
@@ -1391,11 +1355,10 @@ pub fn reactors(profile: &Profile) -> io::Result<()> {
 }
 
 /// §V-E scalability: deep-image (10× GloVe) — VDTuner vs qEHVI.
-pub fn scale(profile: &Profile) -> io::Result<()> {
-    let w = workload_for(DatasetKind::DeepImage);
-    let methods = vec![Method::VdTuner, Method::Qehvi];
-    let outs =
-        run_parallel(methods.clone(), |&m| run_method(m, &w, profile.scale_iters, profile.seed));
+pub fn scale(profile: &Profile, runs: &Runs) -> io::Result<()> {
+    let methods = [Method::VdTuner, Method::Qehvi];
+    let at_scale = Profile { iters: profile.scale_iters, ..*profile };
+    let outs = runs.outcomes(&at_scale, &methods.map(|m| (m, DatasetKind::DeepImage)));
     let mut t = Table::new(vec![
         "method",
         "best QPS @ recall>0.9",
@@ -1457,7 +1420,7 @@ fn ns_per_dim(mdps: f64) -> f64 {
 /// `results/kernels.json` (schema: `bench::report::emit_json` rustdoc),
 /// which [`vdms::CostModel::calibrated`] reads back; smoked by the CI
 /// `repro-smoke` job on every PR.
-pub fn kernels(profile: &Profile) -> io::Result<()> {
+pub fn kernels(profile: &Profile, _runs: &Runs) -> io::Result<()> {
     use anns::ivf_pq::ProductQuantizer;
     use anns::ivf_sq8::ScalarQuantizer;
     use vecdata::ground_truth::{recall, TopK};
@@ -1650,8 +1613,8 @@ pub fn kernels(profile: &Profile) -> io::Result<()> {
 /// degrades the mixed simulator to the read-only one bit for bit. Written
 /// to `results/writepath.json` (schema: `bench::report::emit_json`
 /// rustdoc) + CSVs, and smoked by the CI `repro-smoke` job.
-pub fn writepath(profile: &Profile) -> io::Result<()> {
-    let w = workload_for(DatasetKind::Glove);
+pub fn writepath(profile: &Profile, runs: &Runs) -> io::Result<()> {
+    let w = runs.workload(DatasetKind::Glove);
     let max_shards = 4usize;
     let max_replicas = 4usize;
     let insert_fraction = 0.5;
@@ -1687,7 +1650,7 @@ pub fn writepath(profile: &Profile) -> io::Result<()> {
         || SpaceSpec::with_topology(max_shards).with_replication(max_replicas).with_pinning();
 
     let run = CoTuning {
-        workload: &w,
+        workload: w,
         max_shards,
         max_replicas,
         // The arrival ladder is anchored on the default configuration's
@@ -1722,7 +1685,7 @@ pub fn writepath(profile: &Profile) -> io::Result<()> {
         strip: |c| VdmsConfig { writepath: None, ..c },
         metric: GOODPUT_AT_TOP,
     }
-    .run(profile);
+    .run(profile, runs);
 
     // Write-rate→0 contract: with no inserts offered, the mixed
     // simulator (write-path request or not) is the read-only serving
@@ -1732,8 +1695,8 @@ pub fn writepath(profile: &Profile) -> io::Result<()> {
         let eval = |wp: Option<WriteKnobs>| {
             let cfg = VdmsConfig { writepath: wp, ..VdmsConfig::default_config() };
             ServingBackend::new(
-                &w,
-                TopologyBackend::with_writepath(&w, max_shards, max_replicas),
+                w,
+                TopologyBackend::with_writepath(w, max_shards, max_replicas),
                 quiet_spec,
             )
             .evaluate(&cfg, profile.seed)

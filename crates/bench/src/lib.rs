@@ -2,6 +2,11 @@
 //! evaluation (§V). See `src/bin/repro.rs` for the CLI; the README
 //! ("Building, testing, reproducing" and the per-feature sections) records
 //! what the checked-in `results/` show.
+//!
+//! Every tuning run starts in [`Runs::tune`]. The offline runs the paper's
+//! figures share go through [`Runs::outcomes`], a memo over one `repro`
+//! invocation, so each (method, dataset, budget, seed) tunes once however
+//! many experiments report on it.
 // bench is the designated wall-clock domain (real timing, calibration) and
 // its affinity maps never reach tuning results — see clippy.toml / lint R2+R3.
 #![allow(clippy::disallowed_methods, clippy::disallowed_types)]
@@ -13,18 +18,30 @@ pub mod report;
 
 use anns::params::IndexType;
 use baselines::{OpenTunerStyle, OtterTuneStyle, QehviTuner, RandomLhs};
-use vdtuner_core::{TunerOptions, TuningOutcome, VdTuner};
-use vecdata::DatasetSpec;
-use workload::{run_tuner, EvalBackend, Evaluator, SimBackend, Workload};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use vdtuner_core::{
+    BudgetAllocation, SpaceSpec, SurrogateKind, TunerMode, TunerOptions, TuningOutcome, VdTuner,
+};
+use vecdata::{DatasetKind, DatasetSpec};
+use workload::{run_tuner, EvalBackend, Evaluator, SimBackend, Tuner, Workload};
 
-/// The five tuning methods of §V-A.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The five tuning methods of §V-A, then the VDTuner ablations of Figs. 8,
+/// 10 and 13: every arm the [`Runs`] memo serves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Method {
     VdTuner,
     Random,
     OpenTuner,
     OtterTune,
     Qehvi,
+    /// Round-robin budget allocation instead of successive abandon.
+    RoundRobin,
+    /// One native surrogate instead of polling.
+    Native,
+    /// Cost-effectiveness (QP$) instead of search speed.
+    CostEffective,
 }
 
 impl Method {
@@ -33,13 +50,39 @@ impl Method {
 
     pub fn name(&self) -> &'static str {
         match self {
-            Method::VdTuner => "VDTuner",
             Method::Random => "Random",
             Method::OpenTuner => "OpenTuner",
             Method::OtterTune => "OtterTune",
             Method::Qehvi => "qEHVI",
+            _ => "VDTuner",
         }
     }
+
+    /// The tuner this method starts for a run of `iters` evaluations.
+    pub fn arm(self, iters: usize) -> Arm {
+        let mut options = vdtuner_paper_options(iters);
+        match self {
+            Method::Random => return Arm::Random,
+            Method::OpenTuner => return Arm::OpenTuner,
+            Method::OtterTune => return Arm::OtterTune,
+            Method::Qehvi => return Arm::Qehvi,
+            Method::VdTuner => {}
+            Method::RoundRobin => options.budget = BudgetAllocation::RoundRobin,
+            Method::Native => options.surrogate = SurrogateKind::Native,
+            Method::CostEffective => options.mode = TunerMode::CostEffective,
+        }
+        Arm::VdTuner(options)
+    }
+}
+
+/// What [`Runs::tune`] starts: VDTuner under some options, or a baseline of §V-A
+/// (OtterTune and qEHVI with 10 LHS initial samples).
+pub enum Arm {
+    VdTuner(TunerOptions),
+    Random,
+    OpenTuner,
+    OtterTune,
+    Qehvi,
 }
 
 /// Experiment sizing. The default profile finishes the full suite in
@@ -82,76 +125,102 @@ impl Profile {
 /// actually fire.
 pub fn vdtuner_paper_options(iters: usize) -> TunerOptions {
     let window = (iters / 20).clamp(3, 10);
-    TunerOptions {
-        budget: vdtuner_core::BudgetAllocation::SuccessiveAbandon { window },
-        ..Default::default()
+    TunerOptions { budget: BudgetAllocation::SuccessiveAbandon { window }, ..Default::default() }
+}
+
+/// One offline ([`SimBackend`]) tuning run over the paper's 16-dim space:
+/// `(method, dataset, iters, seed)`. Plain data, so it keys the memo.
+type Key = (Method, DatasetKind, usize, u64);
+
+/// The tuning runs of one `repro` invocation: each offline (method,
+/// dataset, iters, seed) tunes once however many experiments ask for it,
+/// and each dataset's [`Workload`] is prepared once.
+pub struct Runs {
+    spec: fn(DatasetKind) -> DatasetSpec,
+    /// One slot per [`DatasetKind`], indexed by `kind as usize`.
+    workloads: [OnceLock<Workload>; 5],
+    outcomes: Mutex<HashMap<Key, Arc<TuningOutcome>>>,
+    started: AtomicUsize,
+    reused: AtomicUsize,
+}
+
+impl Runs {
+    /// A memo over the datasets `spec` describes (`DatasetSpec::scaled` for
+    /// the paper's), top-100 as in §V-A.
+    pub fn new(spec: fn(DatasetKind) -> DatasetSpec) -> Runs {
+        let (workloads, outcomes, started, reused) = Default::default();
+        Runs { spec, workloads, outcomes, started, reused }
     }
-}
 
-/// Run one method against a prepared workload (single-node simulator).
-pub fn run_method(method: Method, workload: &Workload, iters: usize, seed: u64) -> TuningOutcome {
-    run_method_on(method, SimBackend::new(workload), iters, seed)
-}
-
-/// Run one method against an arbitrary evaluation backend (sharded
-/// cluster, live system, ...). [`run_method`] is this over [`SimBackend`].
-pub fn run_method_on<B: EvalBackend>(
-    method: Method,
-    backend: B,
-    iters: usize,
-    seed: u64,
-) -> TuningOutcome {
-    match method {
-        Method::VdTuner => {
-            let mut t = VdTuner::new(vdtuner_paper_options(iters), seed);
-            t.run_on(backend, iters)
-        }
-        Method::Random => {
-            let mut t = RandomLhs::new(seed);
-            let mut ev = Evaluator::with_backend(backend, seed);
-            run_tuner(&mut t, &mut ev, iters);
-            TuningOutcome::from_evaluator(t_name(&t), &ev, Vec::new())
-        }
-        Method::OpenTuner => {
-            let mut t = OpenTunerStyle::new(seed);
-            let mut ev = Evaluator::with_backend(backend, seed);
-            run_tuner(&mut t, &mut ev, iters);
-            TuningOutcome::from_evaluator(t_name(&t), &ev, Vec::new())
-        }
-        Method::OtterTune => {
-            // 10 LHS initial samples, as in §V-A.
-            let mut t = OtterTuneStyle::new(seed, 10);
-            let mut ev = Evaluator::with_backend(backend, seed);
-            run_tuner(&mut t, &mut ev, iters);
-            TuningOutcome::from_evaluator(t_name(&t), &ev, Vec::new())
-        }
-        Method::Qehvi => {
-            let mut t = QehviTuner::new(seed, 10);
-            let mut ev = Evaluator::with_backend(backend, seed);
-            run_tuner(&mut t, &mut ev, iters);
-            TuningOutcome::from_evaluator(t_name(&t), &ev, Vec::new())
-        }
+    /// Run `arm` over `space` against `backend` for `iters` evaluations:
+    /// the one place a tuner is built and driven. VDTuner evaluates under
+    /// its own derived seed ([`VdTuner::run_on`]); a baseline under `seed`.
+    pub fn tune<B: EvalBackend>(
+        &self,
+        arm: Arm,
+        space: SpaceSpec,
+        backend: B,
+        iters: usize,
+        seed: u64,
+    ) -> TuningOutcome {
+        self.started.fetch_add(1, Ordering::Relaxed);
+        let mut tuner: Box<dyn Tuner> = match arm {
+            Arm::VdTuner(options) => {
+                return VdTuner::with_space(options, space, seed).run_on(backend, iters)
+            }
+            Arm::Random => Box::new(RandomLhs::with_space(space, seed)),
+            Arm::OpenTuner => Box::new(OpenTunerStyle::with_space(space, seed)),
+            Arm::OtterTune => Box::new(OtterTuneStyle::with_space(space, seed, 10)),
+            Arm::Qehvi => Box::new(QehviTuner::with_space(space, seed, 10)),
+        };
+        let mut ev = Evaluator::with_backend(backend, seed);
+        run_tuner(tuner.as_mut(), &mut ev, iters);
+        TuningOutcome::from_evaluator(tuner.name().to_string(), &ev, Vec::new())
     }
-}
 
-fn t_name<T: workload::Tuner>(t: &T) -> String {
-    t.name().to_string()
-}
+    /// The prepared workload of `kind`.
+    pub fn workload(&self, kind: DatasetKind) -> &Workload {
+        self.workloads[kind as usize].get_or_init(|| Workload::paper_default((self.spec)(kind)))
+    }
 
-/// Run a VDTuner variant (for the Figure 8 ablations and Figure 12/13
-/// modes).
-pub fn run_vdtuner_variant(
-    workload: &Workload,
-    iters: usize,
-    seed: u64,
-    mutate: impl FnOnce(&mut TunerOptions),
-) -> TuningOutcome {
-    let mut opts = vdtuner_paper_options(iters);
-    mutate(&mut opts);
-    let mut t = VdTuner::new(opts, seed);
-    let mut out = t.run(workload, iters);
-    out.score_trace = t.score_trace().to_vec();
-    out
+    fn memo(&self) -> MutexGuard<'_, HashMap<Key, Arc<TuningOutcome>>> {
+        self.outcomes.lock().expect("no thread panics while holding the memo")
+    }
+
+    /// The outcomes of `(method, dataset)` arms at `profile`'s budget and
+    /// seed, in order; the ones not yet run tune in parallel first.
+    pub fn outcomes(
+        &self,
+        profile: &Profile,
+        arms: &[(Method, DatasetKind)],
+    ) -> Vec<Arc<TuningOutcome>> {
+        let keys: Vec<Key> =
+            arms.iter().map(|&(m, d)| (m, d, profile.iters, profile.seed)).collect();
+        let mut missing: Vec<Key> = Vec::new();
+        for key in &keys {
+            if !self.memo().contains_key(key) && !missing.contains(key) {
+                missing.push(*key);
+            }
+        }
+        let fresh = run_parallel(missing.clone(), |&(method, dataset, iters, seed)| {
+            let backend = SimBackend::new(self.workload(dataset));
+            self.tune(method.arm(iters), SpaceSpec::legacy(), backend, iters, seed)
+        });
+        self.reused.fetch_add(keys.len() - missing.len(), Ordering::Relaxed);
+        let mut memo = self.memo();
+        memo.extend(missing.into_iter().zip(fresh.into_iter().map(Arc::new)));
+        keys.iter().map(|key| Arc::clone(&memo[key])).collect()
+    }
+
+    /// Tuning runs started: memo misses and direct [`Runs::tune`] calls.
+    pub fn started(&self) -> usize {
+        self.started.load(Ordering::Relaxed)
+    }
+
+    /// Requests this memo served without tuning.
+    pub fn reused(&self) -> usize {
+        self.reused.load(Ordering::Relaxed)
+    }
 }
 
 /// Run several independent tuning jobs in parallel (one thread each; the
@@ -174,15 +243,6 @@ where
     })
 }
 
-/// Prepared workloads for the main three datasets (Table III), top-100 as
-/// in §V-A.
-pub fn main_workloads() -> Vec<Workload> {
-    vecdata::DatasetKind::main_three()
-        .into_iter()
-        .map(|k| Workload::paper_default(DatasetSpec::scaled(k)))
-        .collect()
-}
-
 /// Recall "sacrifice" grid of Figures 6/8/13: floors 0.85 … 0.99.
 pub const SACRIFICES: [f64; 7] = [0.15, 0.125, 0.1, 0.075, 0.05, 0.025, 0.01];
 
@@ -199,34 +259,65 @@ pub fn motivation_types() -> [IndexType; 3] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vecdata::DatasetKind;
+    use DatasetKind::Glove;
+
+    /// A profile of `iters` evaluations per run under `seed`.
+    fn at(iters: usize, seed: u64) -> Profile {
+        Profile { iters, seed, ..Profile::quick() }
+    }
 
     #[test]
-    fn run_method_produces_history() {
-        let w = Workload::prepare(DatasetSpec::tiny(DatasetKind::Glove), 10);
+    fn tune_produces_history() {
+        let runs = Runs::new(DatasetSpec::tiny);
+        let w = Workload::prepare(DatasetSpec::tiny(Glove), 10);
         for m in [Method::Random, Method::VdTuner] {
-            let out = run_method(m, &w, 8, 1);
+            let out = runs.tune(m.arm(8), SpaceSpec::legacy(), SimBackend::new(&w), 8, 1);
             assert_eq!(out.observations.len(), 8, "{}", m.name());
         }
     }
 
     #[test]
-    fn run_method_on_sharded_backend_produces_history() {
-        let w = Workload::prepare(DatasetSpec::tiny(DatasetKind::Glove), 10);
-        let out = run_method_on(Method::Random, workload::ShardedSimBackend::new(&w, 2), 6, 1);
+    fn tune_on_sharded_backend_produces_history() {
+        let w = Workload::prepare(DatasetSpec::tiny(Glove), 10);
+        let backend = workload::ShardedSimBackend::new(&w, 2);
+        let out =
+            Runs::new(DatasetSpec::tiny).tune(Arm::Random, SpaceSpec::legacy(), backend, 6, 1);
         assert_eq!(out.observations.len(), 6);
         assert!(out.observations.iter().any(|o| !o.failed));
     }
 
     #[test]
     fn parallel_matches_serial() {
-        let w = Workload::prepare(DatasetSpec::tiny(DatasetKind::Glove), 10);
-        let serial = run_method(Method::Random, &w, 6, 2);
-        let par = run_parallel(vec![Method::Random], |m| run_method(*m, &w, 6, 2));
-        assert_eq!(
-            serial.observations.last().unwrap().config.summary(),
-            par[0].observations.last().unwrap().config.summary()
-        );
+        let runs = Runs::new(DatasetSpec::tiny);
+        let w = runs.workload(Glove);
+        let serial = runs.tune(Arm::Random, SpaceSpec::legacy(), SimBackend::new(w), 6, 2);
+        let par = runs.outcomes(&at(6, 2), &[(Method::Random, Glove), (Method::Qehvi, Glove)]);
+        assert_eq!(serial.fingerprint(|c| c), par[0].fingerprint(|c| c));
+    }
+
+    #[test]
+    fn the_memo_never_changes_a_result() {
+        let runs = Runs::new(DatasetSpec::tiny);
+        runs.outcomes(&at(8, 5), &[(Method::Random, Glove)]);
+        runs.outcomes(&at(8, 6), &[(Method::VdTuner, Glove)]);
+        let memo = runs.outcomes(&at(8, 5), &[(Method::Qehvi, Glove), (Method::VdTuner, Glove)]);
+        let w = runs.workload(Glove);
+        let direct =
+            runs.tune(Method::VdTuner.arm(8), SpaceSpec::legacy(), SimBackend::new(w), 8, 5);
+        assert_eq!(memo[1].fingerprint(|c| c), direct.fingerprint(|c| c));
+        // Served again, the memo hands back the same run.
+        assert!(Arc::ptr_eq(&memo[1], &runs.outcomes(&at(8, 5), &[(Method::VdTuner, Glove)])[0]));
+    }
+
+    #[test]
+    fn a_key_two_experiments_request_starts_once() {
+        let runs = Runs::new(DatasetSpec::tiny);
+        let (random, open) = ((Method::Random, Glove), (Method::OpenTuner, Glove));
+        runs.outcomes(&at(4, 7), &[random, open]);
+        assert_eq!((runs.started(), runs.reused()), (2, 0));
+        runs.outcomes(&at(4, 7), &[random]);
+        runs.outcomes(&at(4, 8), &[random, open]);
+        assert_eq!((runs.started(), runs.reused()), (4, 1));
     }
 
     #[test]

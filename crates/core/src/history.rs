@@ -197,7 +197,8 @@ impl TuningOutcome {
         curve.iter().position(|&q| q >= target_qps).map(|i| i + 1)
     }
 
-    /// Simulated tuning seconds until `target_qps` is first reached.
+    /// Tuning seconds (simulated replay + wall-clock recommendation) until
+    /// `target_qps` is first reached.
     pub fn secs_to_reach(&self, target_qps: f64, min_recall: f64) -> Option<f64> {
         let mut best = 0.0f64;
         let mut elapsed = 0.0;

@@ -21,10 +21,8 @@
 //!   evenly across the requested nodes — so the tuner feels the real
 //!   capacity trade-off of fanning out.
 //!
-//! A future backend against a real VDMS (Milvus/qdrant over HTTP) drops in
-//! behind the same `observe`/`observe_batch` API by implementing
-//! [`EvalBackend`] — declaring `deterministic: false` in its
-//! [`BackendInfo`] switches the evaluator's caching off.
+//! Every backend is a pure function of `(config, seed)`: the evaluator
+//! caches outcomes by configuration.
 
 use crate::replay::{evaluate, evaluate_sharded, Outcome};
 use crate::serving::{ArrivalPlan, Deployment, ServingSpec};
@@ -52,9 +50,6 @@ pub struct BackendInfo {
     /// single-copy backends and for topology backends (whose candidates
     /// carry their own per-candidate request, which takes precedence).
     pub replicas: usize,
-    /// Whether `(config, seed)` fully determines the outcome. Enables the
-    /// evaluator's result cache; a live-system backend reports `false`.
-    pub deterministic: bool,
     /// Dimensionality of the tuning space this backend realizes: the 16
     /// base tunables, plus one per deployment knob (shard count) it lets
     /// candidates choose. The evaluator rejects candidates whose encoded
@@ -113,7 +108,6 @@ impl EvalBackend for SimBackend<'_> {
             top_k: self.workload.top_k,
             shards: 1,
             replicas: 1,
-            deterministic: true,
             space_dims: VdmsConfig::BASE_TUNABLES,
         }
     }
@@ -170,7 +164,6 @@ impl EvalBackend for ShardedSimBackend<'_> {
             top_k: self.workload.top_k,
             shards: self.spec.shards,
             replicas: self.spec.replicas,
-            deterministic: true,
             // The cluster shape is fixed per backend; candidates tune the
             // 16 base knobs only.
             space_dims: VdmsConfig::BASE_TUNABLES,
@@ -379,7 +372,6 @@ impl EvalBackend for TopologyBackend<'_> {
             // Candidates carry their own replication request; one without
             // a request deploys a single copy.
             replicas: 1,
-            deterministic: true,
             // 16 base knobs + the shard-count deployment knob (+ the
             // replication, pinning, and three write-path knobs when
             // enabled).
@@ -576,7 +568,6 @@ mod tests {
         assert_eq!(info.dim, w.dataset.dim());
         assert_eq!(info.top_k, 10);
         assert_eq!(info.shards, 1);
-        assert!(info.deterministic);
     }
 
     #[test]
@@ -621,7 +612,6 @@ mod tests {
         assert_eq!(info.space_dims, VdmsConfig::BASE_TUNABLES + 1);
         assert_eq!(info.shards, 8);
         assert_eq!(info.name, "topology(1..=8)");
-        assert!(info.deterministic);
         // Fixed-shape backends keep the paper's 16-dimensional space.
         assert_eq!(SimBackend::new(&w).info().space_dims, VdmsConfig::BASE_TUNABLES);
         assert_eq!(ShardedSimBackend::new(&w, 4).info().space_dims, VdmsConfig::BASE_TUNABLES);

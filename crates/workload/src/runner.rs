@@ -113,8 +113,8 @@ fn space_mismatch_outcome(cfg: &VdmsConfig, backend_dims: usize) -> Option<Outco
 /// Evaluates configurations against a backend with tuner-facing semantics.
 ///
 /// The evaluator owns the bookkeeping every tuner needs — observation
-/// history, worst-in-history substitution for failures, result caching
-/// (when the backend is deterministic), timing totals — and delegates the
+/// history, worst-in-history substitution for failures, result caching,
+/// timing totals — and delegates the
 /// measurement itself to an [`EvalBackend`].
 pub struct Evaluator<B: EvalBackend> {
     backend: B,
@@ -203,12 +203,8 @@ impl<B: EvalBackend> Evaluator<B> {
     }
 
     /// Fetch the outcome for a sanitized config, evaluating on a cache
-    /// miss. Non-deterministic backends (live systems) bypass the cache:
-    /// re-proposing a config re-measures it.
+    /// miss.
     fn outcome_for(&mut self, cfg: &VdmsConfig, key: ConfigKey) -> Outcome {
-        if !self.info.deterministic {
-            return self.backend.evaluate(cfg, self.seed);
-        }
         if let Some(cached) = self.cache.get(&key) {
             cached.clone()
         } else {
@@ -290,60 +286,38 @@ impl<B: EvalBackend> Evaluator<B> {
         let backend = &self.backend;
         let seed = self.seed;
         let space_dims = self.info.space_dims;
-        if self.info.deterministic {
-            // Unique uncached configs, first-occurrence order. Candidates
-            // the space-mismatch gate rejects are never dispatched (their
-            // failure outcome is synthesized during bookkeeping below).
-            let mut pending: Vec<(VdmsConfig, ConfigKey)> = Vec::new();
-            for &(cfg, key) in &sanitized {
-                if space_mismatch_outcome(&cfg, space_dims).is_none()
-                    && !self.cache.contains_key(&key)
-                    && pending.iter().all(|&(_, k)| k != key)
-                {
-                    pending.push((cfg, key));
-                }
+        // Unique uncached configs, first-occurrence order. Candidates
+        // the space-mismatch gate rejects are never dispatched (their
+        // failure outcome is synthesized during bookkeeping below).
+        let mut pending: Vec<(VdmsConfig, ConfigKey)> = Vec::new();
+        for &(cfg, key) in &sanitized {
+            if space_mismatch_outcome(&cfg, space_dims).is_none()
+                && !self.cache.contains_key(&key)
+                && pending.iter().all(|&(_, k)| k != key)
+            {
+                pending.push((cfg, key));
             }
-
-            // The parallel fan-out: replay every missing config concurrently.
-            let outcomes: Vec<Outcome> =
-                pending.par_iter().map(|(cfg, _)| backend.evaluate(cfg, seed)).collect();
-            for ((_, key), out) in pending.into_iter().zip(outcomes) {
-                self.cache.insert(key, out);
-            }
-
-            // Serial bookkeeping in candidate order — every lookup now hits
-            // the cache, so this is pure (deterministic) state threading.
-            sanitized
-                .into_iter()
-                .enumerate()
-                .map(|(i, (cfg, key))| {
-                    let outcome = space_mismatch_outcome(&cfg, space_dims)
-                        .unwrap_or_else(|| self.outcome_for(&cfg, key));
-                    let rs = if i == 0 { recommend_secs } else { 0.0 };
-                    self.record(cfg, outcome, rs)
-                })
-                .collect()
-        } else {
-            // Non-deterministic backend: no cache to share, so every
-            // candidate — duplicates included — is measured independently
-            // (still in parallel), then recorded in candidate order.
-            let outcomes: Vec<Outcome> = sanitized
-                .par_iter()
-                .map(|(cfg, _)| {
-                    space_mismatch_outcome(cfg, space_dims)
-                        .unwrap_or_else(|| backend.evaluate(cfg, seed))
-                })
-                .collect();
-            sanitized
-                .into_iter()
-                .zip(outcomes)
-                .enumerate()
-                .map(|(i, ((cfg, _), outcome))| {
-                    let rs = if i == 0 { recommend_secs } else { 0.0 };
-                    self.record(cfg, outcome, rs)
-                })
-                .collect()
         }
+
+        // The parallel fan-out: replay every missing config concurrently.
+        let outcomes: Vec<Outcome> =
+            pending.par_iter().map(|(cfg, _)| backend.evaluate(cfg, seed)).collect();
+        for ((_, key), out) in pending.into_iter().zip(outcomes) {
+            self.cache.insert(key, out);
+        }
+
+        // Serial bookkeeping in candidate order — every lookup now hits
+        // the cache, so this is pure (deterministic) state threading.
+        sanitized
+            .into_iter()
+            .enumerate()
+            .map(|(i, (cfg, key))| {
+                let outcome = space_mismatch_outcome(&cfg, space_dims)
+                    .unwrap_or_else(|| self.outcome_for(&cfg, key));
+                let rs = if i == 0 { recommend_secs } else { 0.0 };
+                self.record(cfg, outcome, rs)
+            })
+            .collect()
     }
 
     /// Best observed QPS among configurations with `recall >= min_recall`
