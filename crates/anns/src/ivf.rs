@@ -2,7 +2,8 @@
 //! SCANN: coarse k-means quantizer plus per-centroid posting lists.
 
 use crate::cost::BuildStats;
-use crate::kmeans::{assign_nearest, KMeans};
+use crate::kmeans::{assign_nearest, assign_pruned, KMeans};
+use vecdata::rng::rng;
 
 /// Coarse quantizer + inverted lists. Each list holds local row ids.
 #[derive(Debug, Clone)]
@@ -21,9 +22,20 @@ impl IvfLists {
         stats: &mut BuildStats,
     ) -> IvfLists {
         let n = vectors.len() / dim;
-        let quantizer = KMeans::train(vectors, dim, nlist, seed, stats);
-        let mut nearest = vec![0u32; n];
-        assign_nearest(vectors, &quantizer.centroids, dim, &mut nearest);
+        let (quantizer, last) = KMeans::train_with(&mut rng(seed), vectors, dim, nlist, stats);
+        // A sample that was the whole segment leaves every row's previous
+        // centroid, so the list pass is a pruned one.
+        let nearest = match last {
+            Some(mut assign) => {
+                assign_pruned(vectors, &quantizer.centroids, dim, &mut assign);
+                assign
+            }
+            None => {
+                let mut nearest = vec![0u32; n];
+                assign_nearest(vectors, &quantizer.centroids, dim, &mut nearest);
+                nearest
+            }
+        };
         let mut lists: Vec<Vec<u32>> = vec![Vec::new(); quantizer.k];
         for (i, &c) in nearest.iter().enumerate() {
             lists[c as usize].push(i as u32);

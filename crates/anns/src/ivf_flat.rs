@@ -81,6 +81,17 @@ mod tests {
     use vecdata::{ground_truth, DatasetKind, DatasetSpec};
 
     #[test]
+    fn empty_build_searches_to_no_hits() {
+        let params = IndexParams { nlist: 4, ..Default::default() };
+        let mut stats = BuildStats::default();
+        let idx = IvfFlatIndex::build(&[], 4, &params, 0, &mut stats).unwrap();
+        let mut cost = SearchCost::default();
+        let sp = SearchParams { nprobe: 4, ef: 16, reorder_k: 16, top_k: 10 };
+        assert!(idx.search(&[0.5; 4], &sp, &mut cost).is_empty());
+        assert_eq!(cost, SearchCost::default(), "no probe, no scan");
+    }
+
+    #[test]
     fn more_probes_more_recall() {
         let ds = DatasetSpec::tiny(DatasetKind::Glove).generate();
         let params = IndexParams { nlist: 32, ..Default::default() }.sanitized(ds.dim(), 10);

@@ -195,6 +195,10 @@ impl IvfPqIndex {
 impl VectorIndex for IvfPqIndex {
     fn search(&self, query: &[f32], sp: &SearchParams, cost: &mut SearchCost) -> Vec<Neighbor> {
         let probes = self.quantizer.nearest_n(query, sp.nprobe, &mut cost.f32_dims);
+        if probes.is_empty() {
+            // An empty segment's quantizer: no list to scan, no table to build.
+            return Vec::new();
+        }
         let mut top = TopK::new(sp.top_k);
         let m = self.pq.m;
         with_pq_scratch(|scratch| {
@@ -230,6 +234,17 @@ impl VectorIndex for IvfPqIndex {
 mod tests {
     use super::*;
     use vecdata::{ground_truth, DatasetKind, DatasetSpec};
+
+    #[test]
+    fn empty_build_searches_to_no_hits() {
+        let params = IndexParams { nlist: 4, m: 2, nbits: 4, ..Default::default() };
+        let mut stats = BuildStats::default();
+        let idx = IvfPqIndex::build(&[], 4, &params, 0, &mut stats).unwrap();
+        let mut cost = SearchCost::default();
+        let sp = SearchParams { nprobe: 4, ef: 16, reorder_k: 16, top_k: 10 };
+        assert!(idx.search(&[0.5; 4], &sp, &mut cost).is_empty());
+        assert_eq!(cost, SearchCost::default(), "no probe, no scan");
+    }
 
     #[test]
     fn pq_rejects_bad_m() {

@@ -144,6 +144,17 @@ mod tests {
     use vecdata::{ground_truth, DatasetKind, DatasetSpec};
 
     #[test]
+    fn empty_build_searches_to_no_hits() {
+        let params = IndexParams { nlist: 4, ..Default::default() };
+        let mut stats = BuildStats::default();
+        let idx = IvfSq8Index::build(&[], 4, &params, 0, &mut stats).unwrap();
+        let mut cost = SearchCost::default();
+        let sp = SearchParams { nprobe: 4, ef: 16, reorder_k: 16, top_k: 10 };
+        assert!(idx.search(&[0.5; 4], &sp, &mut cost).is_empty());
+        assert_eq!(cost, SearchCost::default(), "no probe, no scan");
+    }
+
+    #[test]
     fn quantizer_roundtrip_error_bounded() {
         let data: Vec<f32> = (0..64).map(|i| (i as f32).sin()).collect();
         let sq = ScalarQuantizer::train(&data, 8);

@@ -10,14 +10,47 @@
 //! *centroid* as the query and a contiguous run of *points* as the block —
 //! the kernel scores eight rows per pass, so a call is worth making only
 //! over many rows. `l2_sq` is bitwise symmetric (`(a − b)²` and `(b − a)²`
-//! are the same float), so swapping the roles moves no bit. The training
-//! sample is gathered once into a contiguous buffer for that purpose, and
-//! [`assign_nearest`] is the one nearest-centroid pass of the crate: Lloyd
-//! assignment, IVF list assignment and PQ encoding all run it. Centroids,
-//! lists, codes, `BuildStats` and RNG draws are those of the per-point loops
-//! kept in `oracle.rs` (test-only), bit for bit.
+//! are the same float), so swapping the roles moves no bit, and a pairwise
+//! [`Kernel::l2_sq`] is bitwise the block's row. The training sample is
+//! gathered once into a contiguous buffer for that purpose, and
+//! [`assign_nearest`] is the one full nearest-centroid pass of the crate.
+//! Centroids, lists, codes, `BuildStats` and RNG draws are those of the
+//! per-point loops kept in `oracle.rs` (test-only), bit for bit.
+//!
+//! # Pruned assignment
+//!
+//! Only the first Lloyd pass needs every (row, centroid) distance. Seeding
+//! already scores each new centroid against the whole sample in ascending
+//! order with a strict `<`, so its running argmin *is* pass 1 — unless a
+//! distance to the first centroid is NaN: seeding's minimum then stays NaN
+//! where [`assign_nearest`]'s skips it, and pass 1 runs the full pass.
+//!
+//! Passes 2–6, and the list pass of a segment whose sample was the whole
+//! segment, know each row's previous centroid `a`. By the triangle
+//! inequality (Elkan 2003, Lemma 1) a centroid `j` can tie or beat `a` for
+//! row `x` only if `d(c_a, c_j) ≤ 2·d(x, c_a)`, i.e. `P ≤ 4R` in squared
+//! distances. `assign_pruned` computes `R` for every row, keeps per
+//! centroid a list of the others within its farthest row's reach (built
+//! from the upper triangle of centroid pairs, one block call per row; no
+//! `k × k` buffer), scores for each row only the listed centroids inside
+//! the row's own reach, and takes the winner by `(distance, index)` — the
+//! first strict minimum, which is what [`assign_nearest`] returns.
+//!
+//! The lemma holds for real distances; the kernel's carry the rounding of
+//! a difference, a square and up to `dim − 1` additions per term, at most
+//! `(dim + 2)·2⁻²⁴` relative to first order. So every comparison shrinks
+//! the pair side by, and grows the reach side by, `η = 4(dim + 2)·2⁻²⁴`,
+//! which guarantees that a centroid left out has a *computed* distance
+//! above the row's computed `R` — the distances `assign_nearest` compares.
+//! Relative slack does not bound underflow, whose error is absolute (up to
+//! `dim·2⁻¹⁵⁰`): a row nearer its centroid than `TINY` makes the pass fall
+//! back, except a row equal to its centroid (`R = 0` exactly), whose
+//! distance to any other centroid is that pair's own distance. The pass
+//! also falls back to [`assign_nearest`] when a row's `R` is not finite.
+//! `BuildStats::train_dims` stays the `s·k·dim` formula per pass.
 //!
 //! [`Kernel::l2_sq_block`]: vecdata::kernel::Kernel::l2_sq_block
+//! [`Kernel::l2_sq`]: vecdata::kernel::Kernel::l2_sq
 
 use crate::cost::BuildStats;
 use rand::rngs::StdRng;
@@ -45,29 +78,50 @@ const LLOYD_ITERS: usize = 6;
 /// Floats of points per [`assign_nearest`] tile: 16 KiB, so a tile stays in
 /// L1 while every centroid is scored against it.
 const TILE_FLOATS: usize = 4096;
+/// Squared distances below this may carry an underflow error the relative
+/// slack of [`assign_pruned`] does not bound (`dim·2⁻¹⁵⁰` is a negligible
+/// fraction of it at any width), so a row this close to its centroid, and
+/// not equal to it, makes the pass fall back.
+const TINY: f32 = 1e-30;
+
+#[cfg(test)]
+thread_local! {
+    /// Centroid rows scored on this thread by the assignment passes
+    /// ([`assign_nearest`] and [`assign_pruned`]; seeding is not counted).
+    static ROWS_SCORED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+#[inline]
+fn count_rows(_rows: usize) {
+    #[cfg(test)]
+    ROWS_SCORED.with(|n| n.set(n.get() + _rows as u64));
+}
 
 impl KMeans {
     /// Train on (a sample of) `data`. `data.len()` must be a multiple of `dim`.
     ///
     /// `k` is clamped to the number of points. Deterministic given `seed`.
     pub fn train(data: &[f32], dim: usize, k: usize, seed: u64, stats: &mut BuildStats) -> KMeans {
-        Self::train_with(&mut rng(seed), data, dim, k, stats)
+        Self::train_with(&mut rng(seed), data, dim, k, stats).0
     }
 
-    /// [`KMeans::train`] drawing from `r` (split out so that the oracle
-    /// panel can also compare where the two sides leave the generator).
-    fn train_with(
+    /// [`KMeans::train`] drawing from `r`, plus the last Lloyd assignment
+    /// (each row's centroid before the final update) when the sample was
+    /// the whole of `data` — the previous assignment [`assign_pruned`]
+    /// needs for the list pass. Taking `r` lets the oracle panel also
+    /// compare where the two sides leave the generator.
+    pub(crate) fn train_with(
         r: &mut StdRng,
         data: &[f32],
         dim: usize,
         k: usize,
         stats: &mut BuildStats,
-    ) -> KMeans {
+    ) -> (KMeans, Option<Vec<u32>>) {
         assert!(dim > 0 && data.len().is_multiple_of(dim));
         let n = data.len() / dim;
         let k = k.max(1).min(n.max(1));
         if n == 0 {
-            return KMeans { k: 0, dim, centroids: Vec::new() };
+            return (KMeans { k: 0, dim, centroids: Vec::new() }, None);
         }
 
         // Bounded training sample, contiguous: the whole segment borrowed,
@@ -90,13 +144,16 @@ impl KMeans {
         let point = |j: usize| &sample[j * dim..(j + 1) * dim];
 
         // k-means++ seeding on the sample: each new centroid is scored
-        // against the whole sample in one block call.
+        // against the whole sample in one block call. The running argmin
+        // is the first Lloyd assignment, unless a first distance is NaN.
         let kern = kernel::active();
         let mut centroids = vec![0.0f32; k * dim];
         centroids[..dim].copy_from_slice(point(r.gen_range(0..s)));
         let mut min_d2 = Vec::with_capacity(s);
         kern.l2_sq_block(&centroids[..dim], &sample, dim, &mut min_d2);
         stats.train_dims += (s * dim) as u64;
+        let seeded_argmin = !min_d2.iter().any(|d| d.is_nan());
+        let mut assign = vec![0u32; s];
         let mut scores = Vec::with_capacity(s);
         for c in 1..k {
             let total: f64 = min_d2.iter().map(|&d| d as f64).sum();
@@ -118,20 +175,25 @@ impl KMeans {
             centroid.copy_from_slice(point(chosen));
             // Update min distances.
             kern.l2_sq_block(centroid, &sample, dim, &mut scores);
-            for (min, &d) in min_d2.iter_mut().zip(&scores) {
+            for ((min, near), &d) in min_d2.iter_mut().zip(&mut assign).zip(&scores) {
                 if d < *min {
                     *min = d;
+                    *near = c as u32;
                 }
             }
             stats.train_dims += (s * dim) as u64;
         }
 
-        // Lloyd iterations on the sample.
-        let mut assign = vec![0u32; s];
+        // Lloyd iterations on the sample: the first assignment is
+        // seeding's, every later one is pruned from the one before it.
         let mut counts = vec![0usize; k];
         let mut sums = vec![0.0f32; k * dim];
-        for _ in 0..LLOYD_ITERS {
-            assign_nearest(&sample, &centroids, dim, &mut assign);
+        for iter in 0..LLOYD_ITERS {
+            if iter > 0 {
+                assign_pruned(&sample, &centroids, dim, &mut assign);
+            } else if !seeded_argmin {
+                assign_nearest(&sample, &centroids, dim, &mut assign);
+            }
             stats.train_dims += (s * k * dim) as u64;
             counts.iter_mut().for_each(|c| *c = 0);
             sums.iter_mut().for_each(|x| *x = 0.0);
@@ -159,7 +221,8 @@ impl KMeans {
             }
         }
 
-        KMeans { k, dim, centroids }
+        let whole = matches!(sample, Cow::Borrowed(_));
+        (KMeans { k, dim, centroids }, whole.then_some(assign))
     }
 
     /// Centroid `c` as a slice.
@@ -169,8 +232,12 @@ impl KMeans {
     }
 
     /// Indices of the `p` nearest centroids (sorted by ascending distance),
-    /// recording the scan cost.
+    /// recording the scan cost. No probes, and no cost, when there is no
+    /// centroid (an empty segment's quantizer) or `p == 0`.
     pub fn nearest_n(&self, v: &[f32], p: usize, cost_dims: &mut u64) -> Vec<usize> {
+        if self.k == 0 || p == 0 {
+            return Vec::new();
+        }
         let mut scores = Vec::with_capacity(self.k);
         kernel::active().l2_sq_block(v, &self.centroids, self.dim, &mut scores);
         let mut ds: Vec<(f32, usize)> = scores.into_iter().zip(0..self.k).collect();
@@ -194,6 +261,7 @@ impl KMeans {
 /// the per-point argmin loop's.
 pub fn assign_nearest(points: &[f32], centroids: &[f32], dim: usize, out: &mut [u32]) {
     assert!(dim > 0 && points.len() == out.len() * dim && centroids.len().is_multiple_of(dim));
+    count_rows(out.len() * (centroids.len() / dim));
     let kern = kernel::active();
     // A multiple of 8 rows, so only the last tile has leftover rows.
     let tile_rows = (TILE_FLOATS / dim).max(8) / 8 * 8;
@@ -213,6 +281,82 @@ pub fn assign_nearest(points: &[f32], centroids: &[f32], dim: usize, out: &mut [
             }
         }
     }
+}
+
+/// Relative slack `η = 4(dim + 2)·2⁻²⁴` of every pruning comparison: four
+/// times the first-order bound on the rounding of one `l2_sq` over `dim`
+/// floats (a difference, a square and at most `dim − 1` additions per
+/// term). The lemma's test `P ≤ 4R` needs `η` above `1.5` such bounds plus
+/// the few roundings of the comparison itself.
+fn slack(dim: usize) -> f32 {
+    4.0 * (dim + 2) as f32 * (f32::EPSILON / 2.0)
+}
+
+/// [`assign_nearest`] given, in `assign`, each row's previous centroid:
+/// the same output bit for bit, scoring only the centroids the triangle
+/// inequality cannot rule out (see the module docs). Runs the full pass
+/// instead when a row's distance to its previous centroid is not finite,
+/// or is below `TINY` without the row being the centroid.
+pub(crate) fn assign_pruned(points: &[f32], centroids: &[f32], dim: usize, assign: &mut [u32]) {
+    let kern = kernel::active();
+    let k = centroids.len() / dim;
+    let centroid = |c: usize| &centroids[c * dim..(c + 1) * dim];
+    let eta = slack(dim);
+    let (lo, hi) = (1.0 - eta, 4.0 * (1.0 + eta));
+
+    // Each row's squared distance to its previous centroid, and each
+    // centroid's reach: the largest `4(1 + η)·own` of its rows.
+    let mut own = Vec::with_capacity(assign.len());
+    let mut reach = vec![f32::NEG_INFINITY; k];
+    for (x, &a) in points.chunks_exact(dim).zip(assign.iter()) {
+        let c = centroid(a as usize);
+        let d = kern.l2_sq(x, c);
+        if !d.is_finite() || (d < TINY && x != c) {
+            return assign_nearest(points, centroids, dim, assign);
+        }
+        own.push(d);
+        reach[a as usize] = reach[a as usize].max(d * hi);
+    }
+    count_rows(assign.len());
+
+    // Per centroid `a`, `(j, (1 − η)·l2_sq(c_a, c_j))` for every other
+    // centroid within its reach, from the upper triangle of pairs. A NaN
+    // pair (a NaN centroid, whose distances never win) is never listed;
+    // an overflowed one is above any finite reach.
+    let mut lists: Vec<Vec<(u32, f32)>> = vec![Vec::new(); k];
+    let mut scores = Vec::with_capacity(k);
+    for a in 0..k {
+        kern.l2_sq_block(centroid(a), &centroids[(a + 1) * dim..], dim, &mut scores);
+        for (j, &d) in (a + 1..).zip(&scores) {
+            let pair = d * lo;
+            if pair <= reach[a] {
+                lists[a].push((j as u32, pair));
+            }
+            if pair <= reach[j] {
+                lists[j].push((a as u32, pair));
+            }
+        }
+    }
+    count_rows(k * (k - 1) / 2);
+
+    // Each row: the listed centroids inside its own reach.
+    let mut scored = 0;
+    for ((x, near), &r) in points.chunks_exact(dim).zip(assign.iter_mut()).zip(&own) {
+        let row_reach = r * hi;
+        let (mut best_d, mut best) = (r, *near);
+        for &(j, pair) in &lists[*near as usize] {
+            if pair > row_reach {
+                continue;
+            }
+            scored += 1;
+            let d = kern.l2_sq(x, centroid(j as usize));
+            if d < best_d || (d == best_d && j < best) {
+                (best_d, best) = (d, j);
+            }
+        }
+        *near = best;
+    }
+    count_rows(scored);
 }
 
 #[cfg(test)]

@@ -14,7 +14,10 @@
 //! every change to `kmeans.rs`, `IvfLists::build` or the PQ encoder is
 //! checked against them.
 
-use super::{assign_nearest, KMeans, LLOYD_ITERS, TRAIN_POINTS_PER_CENTROID};
+use super::{
+    assign_nearest, assign_pruned, KMeans, LLOYD_ITERS, ROWS_SCORED, TINY,
+    TRAIN_POINTS_PER_CENTROID,
+};
 use crate::autoindex::AutoIndexIndex;
 use crate::cost::{BuildStats, SearchCost};
 use crate::index::{AnnIndex, BuildError, VectorIndex};
@@ -286,6 +289,9 @@ enum Rows {
     /// One row `n` times: every distance 0, seeding falls back to uniform
     /// picks and every Lloyd iteration reseeds `k − 1` clusters.
     Constant,
+    /// Clustered rows scaled into the subnormal range: squares underflow,
+    /// so the pruned passes must fall back.
+    Subnormal,
 }
 
 fn rows(kind: Rows, n: usize, dim: usize, seed: u64) -> Vec<f32> {
@@ -302,6 +308,10 @@ fn rows(kind: Rows, n: usize, dim: usize, seed: u64) -> Vec<f32> {
                 let c = r.gen_range(0..8usize);
                 v.extend((0..dim).map(|j| centres[c * dim + j] + r.gen::<f32>()));
             }
+            Rows::Subnormal => {
+                let c = r.gen_range(0..8usize);
+                v.extend((0..dim).map(|j| (centres[c * dim + j] + r.gen::<f32>()) * 1e-39));
+            }
             Rows::Grid => v.extend((0..dim).map(|_| r.gen_range(0..3u32) as f32)),
             Rows::Constant => v.extend((0..dim).map(|j| 0.37 * (j + 1) as f32)),
         }
@@ -315,7 +325,7 @@ fn rows(kind: Rows, n: usize, dim: usize, seed: u64) -> Vec<f32> {
 fn assert_pipeline_equivalent(data: &[f32], dim: usize, k: usize, seed: u64, tag: &str) {
     let (mut r_new, mut r_old) = (rng(seed), rng(seed));
     let (mut s_new, mut s_old) = (BuildStats::default(), BuildStats::default());
-    let new = KMeans::train_with(&mut r_new, data, dim, k, &mut s_new);
+    let (new, _) = KMeans::train_with(&mut r_new, data, dim, k, &mut s_new);
     let old = train_with(&mut r_old, data, dim, k, &mut s_old);
     assert_eq!((new.k, new.dim), (old.k, old.dim), "{tag}: k");
     assert_eq!(bits(&new.centroids), bits(&old.centroids), "{tag}: centroids");
@@ -390,6 +400,17 @@ fn sample_boundaries_and_large_k() {
     // boundaries of `assign_nearest` (2 048 rows a tile at dim 2, 80 at
     // dim 48 and 50) with duplicates on both sides of them.
     let panel = [
+        // Pruned passes with most clusters of one or two rows (`2k > n`),
+        // with many rows per cluster (`2k ≤ n`), with exact ties and
+        // reseeds (grid, duplicates) among them, and where underflow makes
+        // them fall back (subnormal).
+        (Rows::Grid, 300, 2, 200),
+        (Rows::Clustered, 665, 48, 16),
+        (Rows::Clustered, 665, 48, 71),
+        (Rows::Grid, 600, 2, 64),
+        (Rows::Grid, 2_048, 3, 128),
+        (Rows::Duplicated(3), 1_100, 4, 256),
+        (Rows::Subnormal, 600, 3, 64),
         (Rows::Clustered, 127, 3, 2),
         (Rows::Clustered, 128, 3, 2),
         (Rows::Clustered, 129, 3, 2),
@@ -405,8 +426,20 @@ fn sample_boundaries_and_large_k() {
         (Rows::Duplicated(5), 600, 48, 16),
         (Rows::Clustered, 170, 50, 1_024),
     ];
-    // The largest shape a tune builds, where the literal loops are affordable.
-    let optimised = [(Rows::Clustered, 8_000, 48, 1_024)];
+    // Where the literal loops are affordable: pruned passes on whole
+    // segments at the benchmark's width, and the largest shape a tune
+    // builds.
+    let optimised = [
+        (Rows::Clustered, 665, 48, 128),
+        (Rows::Clustered, 665, 48, 512),
+        (Rows::Clustered, 2_048, 48, 16),
+        (Rows::Clustered, 2_048, 48, 71),
+        (Rows::Clustered, 2_048, 48, 128),
+        (Rows::Grid, 665, 48, 71),
+        (Rows::Duplicated(2), 665, 48, 128),
+        (Rows::Subnormal, 665, 48, 71),
+        (Rows::Clustered, 8_000, 48, 1_024),
+    ];
     let optimised = optimised.into_iter().filter(|_| !cfg!(debug_assertions));
     for (i, (kind, n, dim, k)) in panel.into_iter().chain(optimised).enumerate() {
         let data = rows(kind, n, dim, i as u64);
@@ -452,6 +485,100 @@ fn assign_nearest_is_the_first_strict_minimum() {
     assign_nearest(&points, &[], dim, &mut got);
     assert!(got.iter().all(|&c| c == 0), "no centroids: 0");
     assign_nearest(&[], &centroids, dim, &mut []);
+}
+
+/// `assign_pruned` from `prev` equals `assign_nearest`, returning the
+/// assignment.
+fn assert_pruned_is_nearest(
+    points: &[f32],
+    centroids: &[f32],
+    dim: usize,
+    prev: &[u32],
+) -> Vec<u32> {
+    let mut want = vec![u32::MAX; prev.len()];
+    assign_nearest(points, centroids, dim, &mut want);
+    let mut got = prev.to_vec();
+    assign_pruned(points, centroids, dim, &mut got);
+    assert_eq!(got, want, "pruned from {prev:?}");
+    want
+}
+
+#[test]
+fn pruned_assignment_keeps_constructed_ties() {
+    // Four copies of `x`, all previously at centroid 1 (`a`); centroid 0
+    // (`j < a`) is the one the lemma must not rule out.
+    let dim = 48;
+    let mut r = rng(9);
+    let prev = [1u32; 4];
+    let run = |x: &[f32], c_j: &[f32], c_a: &[f32]| {
+        let points = x.repeat(4);
+        let centroids = [c_j, c_a].concat();
+        assert_pruned_is_nearest(&points, &centroids, x.len(), &prev)
+    };
+
+    // Collinear: c_a = x + v, c_j = x − v exactly, so d(c_a, c_j) is
+    // 2·d(x, c_a) and the two tie; the earlier centroid wins.
+    let x: Vec<f32> = (0..dim).map(|_| r.gen_range(0..8u32) as f32).collect();
+    let v: Vec<f32> = (0..dim).map(|_| r.gen_range(0..5u32) as f32 - 2.0).collect();
+    let c_a: Vec<f32> = x.iter().zip(&v).map(|(x, v)| x + v).collect();
+    let c_j: Vec<f32> = x.iter().zip(&v).map(|(x, v)| x - v).collect();
+    assert_eq!(l2_sq(&c_a, &c_j), 4.0 * l2_sq(&x, &c_a));
+    assert_eq!(run(&x, &c_j, &c_a), [0; 4], "exact collinear tie");
+
+    // A duplicate of the previous centroid, which the row equals: every
+    // distance is 0, both reaches are 0, and the earlier centroid wins.
+    assert_eq!(run(&c_a, &c_a, &c_a), [0; 4], "duplicate centroid");
+
+    // Rounded collinear triples where the computed pair distance exceeds
+    // 4× the computed reach although `j` still ties or beats `a`: only the
+    // slack keeps `j` listed.
+    let mut inverted = 0;
+    for _ in 0..2_000 {
+        let x: Vec<f32> = (0..dim).map(|_| r.gen::<f32>() * 4.0).collect();
+        let v: Vec<f32> = (0..dim).map(|_| r.gen::<f32>() - 0.5).collect();
+        let c_a: Vec<f32> = x.iter().zip(&v).map(|(x, v)| x + v).collect();
+        let c_j: Vec<f32> = x.iter().zip(&v).map(|(x, v)| x - v).collect();
+        let (own, other) = (l2_sq(&x, &c_a), l2_sq(&x, &c_j));
+        if l2_sq(&c_a, &c_j) > 4.0 * own && other <= own {
+            inverted += 1;
+            assert_eq!(run(&x, &c_j, &c_a), [0; 4], "rounded collinear tie");
+        }
+    }
+    assert!(inverted > 0, "no rounding-inverted triple found");
+
+    // Underflow: x is within 2⁻⁷⁵ of both centroids, so both squared
+    // distances round to 0 (a tie), while the pair distance does not.
+    let s = 0.9 * 2f32.powi(-75);
+    let (x, c_a, c_j) = ([0.0f32], [s], [-s]);
+    assert_eq!((l2_sq(&x, &c_a), l2_sq(&x, &c_j)), (0.0, 0.0));
+    assert!(l2_sq(&c_a, &c_j) > 0.0 && l2_sq(&c_a, &c_j) < TINY);
+    assert_eq!(run(&x, &c_j, &c_a), [0; 4], "underflowed tie");
+
+    // A NaN row kept at `a` by an earlier pass: no distance is below `+∞`,
+    // so it belongs to centroid 0.
+    assert_eq!(run(&[f32::NAN], &c_j, &c_a), [0; 4], "NaN row");
+}
+
+#[test]
+fn pruned_passes_score_a_fraction_of_the_rows() {
+    // The benchmark's shape: a segment sampled whole, so passes 2–6 and
+    // the list pass are pruned. Seeding is not counted, and pass 1 is
+    // seeding's argmin, so every counted row belongs to those passes.
+    let (n, dim, k) = (2_048, 48, 128);
+    let data = rows(Rows::Clustered, n, dim, 3);
+    let scored = || ROWS_SCORED.with(|c| c.get());
+    let mut stats = BuildStats::default();
+    let before = scored();
+    KMeans::train(&data, dim, k, 11, &mut stats);
+    let lloyd = scored() - before;
+    let literal = (LLOYD_ITERS - 1) * n * k;
+    assert!(lloyd > 0 && lloyd * 4 < literal as u64, "passes 2–6 scored {lloyd} of {literal}");
+    assert_eq!(stats.train_dims, ((1 + LLOYD_ITERS) * n * k * dim) as u64, "train_dims formula");
+
+    let before = scored();
+    IvfLists::build(&data, dim, k, 11, &mut BuildStats::default());
+    let list = scored() - before - lloyd;
+    assert!(list > 0 && list * 4 < (n * k) as u64, "list pass scored {list} of {}", n * k);
 }
 
 #[test]

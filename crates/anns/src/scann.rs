@@ -75,6 +75,10 @@ impl ScannIndex {
 impl VectorIndex for ScannIndex {
     fn search(&self, query: &[f32], sp: &SearchParams, cost: &mut SearchCost) -> Vec<Neighbor> {
         let probes = self.quantizer.nearest_n(query, sp.nprobe, &mut cost.f32_dims);
+        if probes.is_empty() {
+            // An empty segment's quantizer: no list to scan, no table to build.
+            return Vec::new();
+        }
         // First pass: collect reorder_k candidates by ADC distance.
         let reorder_k = sp.reorder_k.max(sp.top_k);
         let m = self.pq.m;
@@ -120,6 +124,17 @@ impl VectorIndex for ScannIndex {
 mod tests {
     use super::*;
     use vecdata::{ground_truth, DatasetKind, DatasetSpec};
+
+    #[test]
+    fn empty_build_searches_to_no_hits() {
+        let params = IndexParams { nlist: 4, ..Default::default() };
+        let mut stats = BuildStats::default();
+        let idx = ScannIndex::build(&[], 4, &params, 0, &mut stats).unwrap();
+        let mut cost = SearchCost::default();
+        let sp = SearchParams { nprobe: 4, ef: 16, reorder_k: 16, top_k: 10 };
+        assert!(idx.search(&[0.5; 4], &sp, &mut cost).is_empty());
+        assert_eq!(cost, SearchCost::default(), "no probe, no scan");
+    }
 
     fn setup() -> (vecdata::Dataset, ScannIndex) {
         let ds = DatasetSpec::tiny(DatasetKind::Glove).generate();
