@@ -42,8 +42,9 @@ pub fn weighted_reward(history: &[Observation], qps: f64, recall: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vdms::cluster::ClusterSpec;
     use vecdata::{DatasetKind, DatasetSpec};
-    use workload::{run_tuner, Evaluator, ShardedSimBackend, Tuner, Workload};
+    use workload::{run_tuner, Evaluator, SimBackend, Tuner, Workload};
 
     #[test]
     fn weighted_reward_balances_objectives() {
@@ -63,7 +64,7 @@ mod tests {
             Box::new(QehviTuner::new(5, 2)),
         ];
         for mut t in tuners {
-            let mut ev = Evaluator::with_backend(ShardedSimBackend::new(&w, 2), 5);
+            let mut ev = Evaluator::with_backend(SimBackend::with_spec(&w, ClusterSpec::new(2)), 5);
             run_tuner(t.as_mut(), &mut ev, 4);
             assert_eq!(ev.len(), 4, "{}", t.name());
             assert!(ev.history().iter().any(|o| !o.failed), "{}", t.name());

@@ -13,7 +13,8 @@ use crate::cotuning::{
 };
 use crate::report::{emit, emit_json, f1, f2, f3, ms, pct, JsonValue, Table};
 use crate::{
-    recall_floor, run_parallel, vdtuner_paper_options, Arm, Method, Profile, Runs, SACRIFICES,
+    recall_floor, run_parallel, vdtuner_paper_options, Arm, Method, Profile, Request, Runs,
+    SACRIFICES,
 };
 use anns::params::IndexType;
 use std::io;
@@ -27,7 +28,7 @@ use vdtuner_core::{SpaceSpec, TunerMode, TuningOutcome};
 use vecdata::{DatasetKind, DatasetSpec};
 use workload::{
     evaluate, EvalBackend, Evaluator, Outcome, ServingBackend, ServingSpec, ServingStats,
-    ShardedSimBackend, SimBackend, TopologyBackend, Workload, WriteStats,
+    SimBackend, TopologyBackend, Workload, WriteStats,
 };
 
 /// A table header: one leading column, then a computed series.
@@ -605,18 +606,22 @@ pub fn table6(profile: &Profile, runs: &Runs) -> io::Result<()> {
     )
 }
 
+/// The paper's VDTuner arm on GloVe, served by a fixed `shards`-node
+/// cluster.
+fn paper_on_glove(shards: usize) -> Request {
+    Request { method: Method::VdTuner, dataset: DatasetKind::Glove, shards }
+}
+
 /// Sharded serving (beyond the paper): VDTuner tuning against the
 /// multi-node cluster backend across shard counts, plus a demonstration of
 /// per-shard memory-budget enforcement.
 pub fn sharding(profile: &Profile, runs: &Runs) -> io::Result<()> {
     let w = runs.workload(DatasetKind::Glove);
     let shard_counts = [1usize, 2, 4];
-    let paper = || Method::VdTuner.arm(profile.iters);
-    let outs = run_parallel(shard_counts.to_vec(), |&s| {
-        let backend = ShardedSimBackend::new(w, s);
-        let default = backend.evaluate(&VdmsConfig::default_config(), profile.seed);
-        let tuned = runs.tune(paper(), SpaceSpec::legacy(), backend, profile.iters, profile.seed);
-        (default, tuned)
+    let tuned = runs.outcomes(profile, &shard_counts.map(paper_on_glove));
+    let defaults = shard_counts.map(|s| {
+        let backend = SimBackend::with_spec(w, ClusterSpec::new(s));
+        backend.evaluate(&VdmsConfig::default_config(), profile.seed)
     });
     let mut t = Table::new(vec![
         "shards",
@@ -628,7 +633,7 @@ pub fn sharding(profile: &Profile, runs: &Runs) -> io::Result<()> {
         "sampled mem mean (GiB)",
         "failed evals",
     ]);
-    for (&s, (default, tuned)) in shard_counts.iter().zip(&outs) {
+    for ((&s, default), tuned) in shard_counts.iter().zip(&defaults).zip(&tuned) {
         let (mem, _) = tuned.memory_mean_std();
         let failed = tuned.observations.iter().filter(|o| o.failed).count();
         t.row(vec![
@@ -664,7 +669,7 @@ pub fn sharding(profile: &Profile, runs: &Runs) -> io::Result<()> {
     let budget = fixed * 0.95;
     let shards = (single.memory_gib / budget).ceil() as usize + 1;
     let spec = ClusterSpec::with_budget(shards, budget);
-    let mut ev = Evaluator::with_backend(ShardedSimBackend::with_spec(w, spec), profile.seed);
+    let mut ev = Evaluator::with_backend(SimBackend::with_spec(w, spec), profile.seed);
     let obs = ev.observe(&cfg, 0.0);
     let mut t = Table::new(vec!["cluster", "budget/node (GiB)", "aggregate (GiB)", "outcome"]);
     t.row(vec![
@@ -702,17 +707,14 @@ pub fn topology(profile: &Profile, runs: &Runs) -> io::Result<()> {
     let floor = RECALL_FLOOR;
 
     // Arm 1: the shard count as an experiment axis — one full 16-dim
-    // tuning run per fixed cluster shape.
-    let paper = || Method::VdTuner.arm(profile.iters);
-    let fixed = run_parallel(fixed_counts.to_vec(), |&s| {
-        let backend = ShardedSimBackend::new(w, s);
-        runs.tune(paper(), SpaceSpec::legacy(), backend, profile.iters, profile.seed)
-    });
+    // tuning run per fixed cluster shape (the 1-shard one is the paper's).
+    let fixed = runs.outcomes(profile, &fixed_counts.map(paper_on_glove));
     // Arm 2: the shard count as the 17th dimension — one tuning run whose
     // candidates each deploy their own cluster.
     let (space, backend) =
         (SpaceSpec::with_topology(max_shards), TopologyBackend::new(w, max_shards));
-    let co = runs.tune(paper(), space, backend, profile.iters, profile.seed);
+    let co =
+        runs.tune(Method::VdTuner.arm(profile.iters), space, backend, profile.iters, profile.seed);
 
     let mut t =
         Table::new(vec!["arm", "best QPS @0.9", "best QP$ @0.9", "mem mean (GiB)", "failed evals"]);

@@ -5,8 +5,8 @@
 //!
 //! Every tuning run starts in [`Runs::tune`]. The offline runs the paper's
 //! figures share go through [`Runs::outcomes`], a memo over one `repro`
-//! invocation, so each (method, dataset, budget, seed) tunes once however
-//! many experiments report on it.
+//! invocation, so each (method, dataset, shard count, budget, seed) tunes
+//! once however many experiments report on it.
 // bench is the designated wall-clock domain (real timing, calibration) and
 // its affinity maps never reach tuning results — see clippy.toml / lint R2+R3.
 #![allow(clippy::disallowed_methods, clippy::disallowed_types)]
@@ -21,6 +21,7 @@ use baselines::{OpenTunerStyle, OtterTuneStyle, QehviTuner, RandomLhs};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use vdms::cluster::ClusterSpec;
 use vdtuner_core::{
     BudgetAllocation, SpaceSpec, SurrogateKind, TunerMode, TunerOptions, TuningOutcome, VdTuner,
 };
@@ -128,13 +129,30 @@ pub fn vdtuner_paper_options(iters: usize) -> TunerOptions {
     TunerOptions { budget: BudgetAllocation::SuccessiveAbandon { window }, ..Default::default() }
 }
 
-/// One offline ([`SimBackend`]) tuning run over the paper's 16-dim space:
-/// `(method, dataset, iters, seed)`. Plain data, so it keys the memo.
-type Key = (Method, DatasetKind, usize, u64);
+/// What an experiment asks [`Runs::outcomes`] for: `method` tuning the
+/// paper's 16-dim space on `dataset`, served by a fixed cluster of
+/// `shards` query nodes ([`ClusterSpec::new`]). One shard is the paper's
+/// single node, and `(method, dataset)` requests exactly that.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Request {
+    pub method: Method,
+    pub dataset: DatasetKind,
+    pub shards: usize,
+}
+
+impl From<(Method, DatasetKind)> for Request {
+    fn from((method, dataset): (Method, DatasetKind)) -> Request {
+        Request { method, dataset, shards: 1 }
+    }
+}
+
+/// One offline ([`SimBackend`]) tuning run: a [`Request`] at a budget and
+/// seed, `(request, iters, seed)`. Plain data, so it keys the memo.
+type Key = (Request, usize, u64);
 
 /// The tuning runs of one `repro` invocation: each offline (method,
-/// dataset, iters, seed) tunes once however many experiments ask for it,
-/// and each dataset's [`Workload`] is prepared once.
+/// dataset, shards, iters, seed) tunes once however many experiments ask
+/// for it, and each dataset's [`Workload`] is prepared once.
 pub struct Runs {
     spec: fn(DatasetKind) -> DatasetSpec,
     /// One slot per [`DatasetKind`], indexed by `kind as usize`.
@@ -187,24 +205,26 @@ impl Runs {
         self.outcomes.lock().expect("no thread panics while holding the memo")
     }
 
-    /// The outcomes of `(method, dataset)` arms at `profile`'s budget and
-    /// seed, in order; the ones not yet run tune in parallel first.
-    pub fn outcomes(
+    /// The outcomes of `arms` — [`Request`]s, or `(method, dataset)` pairs
+    /// on the single node — at `profile`'s budget and seed, in order; the
+    /// ones not yet run tune in parallel first.
+    pub fn outcomes<A: Copy + Into<Request>>(
         &self,
         profile: &Profile,
-        arms: &[(Method, DatasetKind)],
+        arms: &[A],
     ) -> Vec<Arc<TuningOutcome>> {
         let keys: Vec<Key> =
-            arms.iter().map(|&(m, d)| (m, d, profile.iters, profile.seed)).collect();
+            arms.iter().map(|&a| (a.into(), profile.iters, profile.seed)).collect();
         let mut missing: Vec<Key> = Vec::new();
         for key in &keys {
             if !self.memo().contains_key(key) && !missing.contains(key) {
                 missing.push(*key);
             }
         }
-        let fresh = run_parallel(missing.clone(), |&(method, dataset, iters, seed)| {
-            let backend = SimBackend::new(self.workload(dataset));
-            self.tune(method.arm(iters), SpaceSpec::legacy(), backend, iters, seed)
+        let fresh = run_parallel(missing.clone(), |&(request, iters, seed)| {
+            let spec = ClusterSpec::new(request.shards);
+            let backend = SimBackend::with_spec(self.workload(request.dataset), spec);
+            self.tune(request.method.arm(iters), SpaceSpec::legacy(), backend, iters, seed)
         });
         self.reused.fetch_add(keys.len() - missing.len(), Ordering::Relaxed);
         let mut memo = self.memo();
@@ -277,13 +297,22 @@ mod tests {
     }
 
     #[test]
-    fn tune_on_sharded_backend_produces_history() {
-        let w = Workload::prepare(DatasetSpec::tiny(Glove), 10);
-        let backend = workload::ShardedSimBackend::new(&w, 2);
-        let out =
-            Runs::new(DatasetSpec::tiny).tune(Arm::Random, SpaceSpec::legacy(), backend, 6, 1);
-        assert_eq!(out.observations.len(), 6);
-        assert!(out.observations.iter().any(|o| !o.failed));
+    fn a_one_shard_request_is_the_single_node_run() {
+        let runs = Runs::new(DatasetSpec::tiny);
+        let request = |shards| Request { method: Method::Random, dataset: Glove, shards };
+        let single = runs.outcomes(&at(6, 1), &[(Method::Random, Glove)]);
+        let one = runs.outcomes(&at(6, 1), &[request(1)]);
+        assert!(Arc::ptr_eq(&single[0], &one[0]));
+        assert_eq!((runs.started(), runs.reused()), (1, 1));
+        let two = runs.outcomes(&at(6, 1), &[request(2)]);
+        let again = runs.outcomes(&at(6, 1), &[request(2)]);
+        assert!(Arc::ptr_eq(&two[0], &again[0]));
+        assert_eq!((runs.started(), runs.reused()), (2, 2));
+        let w = runs.workload(Glove);
+        let backend = SimBackend::with_spec(w, ClusterSpec::new(2));
+        let direct = runs.tune(Arm::Random, SpaceSpec::legacy(), backend, 6, 1);
+        assert_eq!(two[0].fingerprint(|c| c), direct.fingerprint(|c| c));
+        assert!(two[0].observations.iter().any(|o| !o.failed));
     }
 
     #[test]

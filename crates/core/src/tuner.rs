@@ -750,7 +750,7 @@ mod tests {
     #[test]
     fn tuning_runs_against_sharded_backend() {
         let w = tiny_workload();
-        let backend = workload::ShardedSimBackend::new(&w, 2);
+        let backend = workload::SimBackend::with_spec(&w, vdms::cluster::ClusterSpec::new(2));
         let out = VdTuner::new(small_options(), 5).run_batched_on(backend, 10, 2);
         assert_eq!(out.observations.len(), 10);
         assert!(out.observations.iter().any(|o| !o.failed));

@@ -50,15 +50,13 @@
 //! and one replica all of it reduces bit-exactly to the single-node
 //! collection.
 
-use crate::collection::{merge_hits, Collection, MEMORY_BUDGET_GIB};
+use crate::collection::{Collection, MEMORY_BUDGET_GIB};
 use crate::config::VdmsConfig;
 use crate::cost_model::CostModel;
 use crate::error::VdmsError;
 use crate::memory::MemoryUsage;
 use anns::cost::SearchCost;
 use anns::index::VectorIndex;
-use rayon::prelude::*;
-use vecdata::ground_truth::TopK;
 use vecdata::{Dataset, Neighbor};
 
 /// How the proxy picks the replica group that serves a query. Load-aware
@@ -114,24 +112,17 @@ pub struct ClusterSpec {
 
 impl ClusterSpec {
     /// An unreplicated cluster of `shards` nodes splitting the testbed
-    /// budget evenly: aggregate capacity stays at [`MEMORY_BUDGET_GIB`],
-    /// so one node of a 1-shard cluster is exactly the paper's single-node
-    /// testbed.
+    /// budget evenly ([`ClusterSpec::replicated`] with one copy):
+    /// aggregate capacity stays at [`MEMORY_BUDGET_GIB`], so one node of a
+    /// 1-shard cluster is exactly the paper's single-node testbed.
     pub fn new(shards: usize) -> ClusterSpec {
-        let shards = shards.max(1);
-        ClusterSpec {
-            shards,
-            replicas: 1,
-            shard_budget_gib: MEMORY_BUDGET_GIB / shards as f64,
-            routing: RoutingPolicy::default(),
-        }
+        ClusterSpec::replicated(shards, 1)
     }
 
     /// A replicated cluster of `replicas` groups × `shards` nodes splitting
     /// the testbed budget across **all** `shards · replicas` nodes — so
     /// replication honestly eats capacity: every copy of the collection
-    /// must fit into `1/replicas` of the testbed. With `replicas == 1`
-    /// this is exactly [`ClusterSpec::new`].
+    /// must fit into `1/replicas` of the testbed.
     pub fn replicated(shards: usize, replicas: usize) -> ClusterSpec {
         let shards = shards.max(1);
         let replicas = replicas.max(1);
@@ -146,12 +137,7 @@ impl ClusterSpec {
     /// An unreplicated cluster with an explicit per-node budget (for
     /// tight-memory experiments where the even split would never bind).
     pub fn with_budget(shards: usize, shard_budget_gib: f64) -> ClusterSpec {
-        ClusterSpec {
-            shards: shards.max(1),
-            replicas: 1,
-            shard_budget_gib,
-            routing: RoutingPolicy::default(),
-        }
+        ClusterSpec { shard_budget_gib, ..ClusterSpec::new(shards) }
     }
 
     /// This spec with a different routing policy.
@@ -319,54 +305,17 @@ impl<'a> ShardedCollection<'a> {
         shard_costs: &mut [SearchCost],
     ) -> Vec<Neighbor> {
         assert_eq!(shard_costs.len(), self.spec.shards, "one cost slot per local shard");
-        let sp = self.collection.search_params(top_k);
-        let per_segment: Vec<(Vec<Neighbor>, SearchCost)> = (0..self.assignment.len())
-            .into_par_iter()
-            .map(|si| self.collection.search_sealed(si, query, &sp))
-            .collect();
-        let mut merged = TopK::new(top_k);
-        for (si, (hits, seg_cost)) in per_segment.into_iter().enumerate() {
-            let start = self.collection.layout().sealed[si].0;
-            merge_hits(&mut merged, start, &hits);
-            shard_costs[self.assignment[si]].add(&seg_cost);
-        }
-        // Streaming data is served by the group's shard delegator (its
-        // local node 0).
-        self.collection.scan_growing(query, &mut merged, &mut shard_costs[0]);
-        merged.into_sorted()
+        self.collection.scatter_gather(query, top_k, shard_costs, |si| self.assignment[si])
     }
 
     /// Run every query once, routing each to a replica group per
     /// `spec.routing`; returns accumulated per-**node** costs (all
     /// [`ShardedCollection::nodes`] of them, group-major) plus the
-    /// per-query result id lists. Queries execute in parallel; the route
-    /// is a pure function of the query index, and costs and results are
-    /// folded in query order, so the output is identical for any thread
-    /// count. With one replica the node costs are exactly the per-shard
-    /// costs of the unreplicated cluster.
+    /// per-query result id lists, identical for any thread count. With one
+    /// replica the node costs are exactly the per-shard costs of the
+    /// unreplicated cluster.
     pub fn run_queries(&self, top_k: usize) -> (Vec<SearchCost>, Vec<Vec<u32>>) {
-        let shards = self.spec.shards;
-        let replicas = self.spec.replicas;
-        let routing = self.spec.routing;
-        let dataset = self.collection.dataset;
-        let per_query: Vec<(usize, Vec<SearchCost>, Vec<u32>)> = (0..dataset.n_queries())
-            .into_par_iter()
-            .map(|qi| {
-                let group = routing.route_batch(qi as u64, replicas);
-                let mut costs = vec![SearchCost::default(); shards];
-                let res = self.search(dataset.query(qi), top_k, &mut costs);
-                (group, costs, res.into_iter().map(|n| n.id).collect())
-            })
-            .collect();
-        let mut totals = vec![SearchCost::default(); self.spec.nodes()];
-        let mut results = Vec::with_capacity(per_query.len());
-        for (group, costs, res) in per_query {
-            for (j, c) in costs.iter().enumerate() {
-                totals[group * shards + j].add(c);
-            }
-            results.push(res);
-        }
-        (totals, results)
+        self.collection.replay(top_k, &self.spec, |si| self.assignment[si])
     }
 
     /// Simulated seconds to build and load the cluster: all nodes of all
@@ -641,20 +590,9 @@ mod tests {
     }
 
     #[test]
-    fn one_replica_cluster_is_bitwise_the_unreplicated_one() {
-        let (ds, cfg) = multi_segment_setup();
-        for shards in [1usize, 2, 3] {
-            let plain = ShardedCollection::load(&ds, &cfg, 5, ClusterSpec::new(shards)).unwrap();
-            let replicated =
-                ShardedCollection::load(&ds, &cfg, 5, ClusterSpec::replicated(shards, 1)).unwrap();
-            assert_eq!(replicated.nodes(), shards);
-            assert_eq!(replicated.assignment(), plain.assignment());
-            assert_eq!(replicated.shard_memory(), plain.shard_memory());
-            assert_eq!(replicated.total_memory_gib().to_bits(), plain.total_memory_gib().to_bits());
-            let (rc, rr) = replicated.run_queries(10);
-            let (pc, pr) = plain.run_queries(10);
-            assert_eq!(rr, pr);
-            assert_eq!(rc, pc);
+    fn new_is_the_one_replica_spec() {
+        for shards in 0..=8 {
+            assert_eq!(ClusterSpec::new(shards), ClusterSpec::replicated(shards, 1), "{shards}");
         }
     }
 

@@ -2,6 +2,7 @@
 //! scatter-gather top-k search — the simulator's equivalent of a Milvus
 //! collection served by query nodes.
 
+use crate::cluster::ClusterSpec;
 use crate::config::VdmsConfig;
 use crate::cost_model::CostModel;
 use crate::error::VdmsError;
@@ -40,7 +41,7 @@ const SCAN_BLOCK_ROWS: usize = 1024;
 /// rejects: the selector's threshold never rises and the hits only get
 /// worse, so every later one would be rejected too. Not for unsorted
 /// candidates — [`Collection::scan_growing`] pushes every row.
-pub(crate) fn merge_hits(merged: &mut TopK, start: usize, hits: &[Neighbor]) {
+fn merge_hits(merged: &mut TopK, start: usize, hits: &[Neighbor]) {
     for n in hits {
         if !merged.push(n.id + start as u32, n.distance) {
             break;
@@ -148,7 +149,7 @@ impl<'a> Collection<'a> {
     /// work. The scaled count is *rounded*, not truncated: truncation
     /// dropped up to a full unit of graph_dims per segment, silently
     /// under-charging graph traversal on many-segment layouts.
-    pub(crate) fn search_sealed(
+    fn search_sealed(
         &self,
         si: usize,
         query: &[f32],
@@ -178,7 +179,7 @@ impl<'a> Collection<'a> {
     /// dispatched kernel. Every row is pushed, in id order: the selector
     /// already holds the sealed segments' hits, and the rows are not sorted
     /// by distance, so neither score-then-select nor an early exit applies.
-    pub(crate) fn scan_growing(&self, query: &[f32], merged: &mut TopK, cost: &mut SearchCost) {
+    fn scan_growing(&self, query: &[f32], merged: &mut TopK, cost: &mut SearchCost) {
         let rows = self.layout.growing_rows();
         if rows == 0 {
             return;
@@ -200,57 +201,80 @@ impl<'a> Collection<'a> {
         }
     }
 
-    /// Search parameters for this collection's index configuration.
-    pub(crate) fn search_params(&self, top_k: usize) -> SearchParams {
-        SearchParams::from_params(&self.config.index, top_k)
-    }
-
     /// Scatter-gather top-k search: query every sealed segment's index plus
     /// the growing tail (brute force, exactly like Milvus' growing-segment
     /// scan), then merge by reported distance.
     pub fn search(&self, query: &[f32], top_k: usize, cost: &mut SearchCost) -> Vec<Neighbor> {
-        let sp = self.search_params(top_k);
-        let mut merged = TopK::new(top_k);
-        // Scatter: probe every sealed segment concurrently (this is the
-        // query-node fan-out of a real VDMS). Each task returns its local
-        // hits plus its cost record.
+        self.scatter_gather(query, top_k, std::slice::from_mut(cost), |_| 0)
+    }
+
+    /// The one scatter-gather of the simulator, for a single node and for
+    /// one replica group of a cluster alike: probe every sealed segment
+    /// concurrently (the query-node fan-out of a real VDMS), charging
+    /// segment `i`'s work to `costs[shard_of(i)]`, merge the partials in
+    /// global segment order — the same push sequence as a serial probe, so
+    /// the results never depend on placement or thread count — then scan
+    /// the growing tail on the delegator, `costs[0]`.
+    pub(crate) fn scatter_gather(
+        &self,
+        query: &[f32],
+        top_k: usize,
+        costs: &mut [SearchCost],
+        shard_of: impl Fn(usize) -> usize,
+    ) -> Vec<Neighbor> {
+        let sp = SearchParams::from_params(&self.config.index, top_k);
         let per_segment: Vec<(Vec<Neighbor>, SearchCost)> = (0..self.sealed.len())
             .into_par_iter()
             .map(|si| self.search_sealed(si, query, &sp))
             .collect();
-        // Gather: merge in segment order, so the selector sees pushes in
-        // the same sequence as the serial path (bit-identical results).
-        for (seg, (hits, seg_cost)) in self.sealed.iter().zip(per_segment) {
-            merge_hits(&mut merged, seg.start, &hits);
-            cost.add(&seg_cost);
+        let mut merged = TopK::new(top_k);
+        for (si, (hits, seg_cost)) in per_segment.into_iter().enumerate() {
+            merge_hits(&mut merged, self.sealed[si].start, &hits);
+            costs[shard_of(si)].add(&seg_cost);
         }
-        self.scan_growing(query, &mut merged, cost);
+        self.scan_growing(query, &mut merged, &mut costs[0]);
         merged.into_sorted()
     }
 
-    /// Run every query in the dataset once; returns mean per-query cost and
-    /// the per-query result id lists (for recall measurement).
-    ///
-    /// Queries are independent, so they execute in parallel; results are
-    /// collected in query order and costs (integer op counts) are summed in
-    /// query order, making the output identical to a serial run for any
-    /// thread count.
+    /// Run every query in the dataset once; returns the summed per-query
+    /// cost and the per-query result id lists (for recall measurement).
     pub fn run_queries(&self, top_k: usize) -> (SearchCost, Vec<Vec<u32>>) {
-        let per_query: Vec<(SearchCost, Vec<u32>)> = (0..self.dataset.n_queries())
+        let (totals, results) = self.replay(top_k, &ClusterSpec::new(1), |_| 0);
+        (totals[0], results)
+    }
+
+    /// The one per-query loop: run every query once against `spec`'s
+    /// replica groups, routing query `qi` to group
+    /// `spec.routing.route_batch(qi, ..)` and charging sealed segment `i`
+    /// to that group's local shard `shard_of(i)`. Returns the accumulated
+    /// per-**node** costs (`spec.nodes()` of them, group-major) and the
+    /// per-query result ids. Queries execute in parallel; the route is a
+    /// pure function of the query index, and costs and results are folded
+    /// in query order, so the output is identical for any thread count.
+    pub(crate) fn replay(
+        &self,
+        top_k: usize,
+        spec: &ClusterSpec,
+        shard_of: impl Fn(usize) -> usize + Sync,
+    ) -> (Vec<SearchCost>, Vec<Vec<u32>>) {
+        let per_query: Vec<(usize, Vec<SearchCost>, Vec<u32>)> = (0..self.dataset.n_queries())
             .into_par_iter()
             .map(|qi| {
-                let mut cost = SearchCost::default();
-                let res = self.search(self.dataset.query(qi), top_k, &mut cost);
-                (cost, res.into_iter().map(|n| n.id).collect())
+                let group = spec.routing.route_batch(qi as u64, spec.replicas);
+                let mut costs = vec![SearchCost::default(); spec.shards];
+                let res = self.scatter_gather(self.dataset.query(qi), top_k, &mut costs, &shard_of);
+                (group, costs, res.into_iter().map(|n| n.id).collect())
             })
             .collect();
-        let mut total = SearchCost::default();
+        let mut totals = vec![SearchCost::default(); spec.nodes()];
         let mut results = Vec::with_capacity(per_query.len());
-        for (cost, res) in per_query {
-            total.add(&cost);
+        for (group, costs, res) in per_query {
+            for (j, c) in costs.iter().enumerate() {
+                totals[group * spec.shards + j].add(c);
+            }
             results.push(res);
         }
-        (total, results)
+        (totals, results)
     }
 
     /// Simulated seconds spent loading + building this collection.

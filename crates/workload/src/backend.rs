@@ -6,25 +6,26 @@
 //! [`Evaluator`](crate::Evaluator) owns the tuner-facing bookkeeping
 //! (caching, worst-in-history substitution for failures, timing) and is
 //! generic over a backend that turns a configuration into an
-//! [`Outcome`]. Two backends ship in-tree:
+//! [`Outcome`]. Three backends ship in-tree:
 //!
-//! * [`SimBackend`] — the single-node simulator replay
-//!   ([`crate::replay::evaluate`]), bit-identical to the pre-trait
-//!   evaluation path for a fixed seed;
-//! * [`ShardedSimBackend`] — the same workload served by a
-//!   [`vdms::cluster::ShardedCollection`]: segments partitioned across N
-//!   simulated query nodes with per-shard memory budgets behind a
-//!   scatter-gather proxy;
+//! * [`SimBackend`] — the simulator replay
+//!   ([`crate::replay::evaluate_sharded`]) against a fixed
+//!   [`vdms::cluster::ClusterSpec`]: the paper's single node by default
+//!   ([`SimBackend::new`]), or N query nodes with per-shard memory budgets
+//!   behind a scatter-gather proxy ([`SimBackend::with_spec`]);
 //! * [`TopologyBackend`] — the topology-as-a-knob backend: each candidate
 //!   carries its own requested shard count ([`VdmsConfig::shards`]) and is
 //!   served by the matching cluster, with the testbed memory budget split
 //!   evenly across the requested nodes — so the tuner feels the real
-//!   capacity trade-off of fanning out.
+//!   capacity trade-off of fanning out;
+//! * [`ServingBackend`] — any of the above, with every successful candidate
+//!   then exercised by the discrete-event serving simulator under an
+//!   open-loop arrival process (and an optional p99 SLO).
 //!
 //! Every backend is a pure function of `(config, seed)`: the evaluator
 //! caches outcomes by configuration.
 
-use crate::replay::{evaluate, evaluate_sharded, Outcome};
+use crate::replay::{evaluate_sharded, Outcome};
 use crate::serving::{ArrivalPlan, Deployment, ServingSpec};
 use crate::Workload;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -36,7 +37,7 @@ use vecdata::rng::derive;
 /// evaluator at construction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BackendInfo {
-    /// Display name for reports ("sim", "sharded-sim(4)", ...).
+    /// Display name for reports ("sim", "sim(4)", "sim(2x3)", ...).
     pub name: String,
     /// Dataset dimensionality, for configuration sanitization.
     pub dim: usize,
@@ -83,15 +84,25 @@ impl<B: EvalBackend + ?Sized> EvalBackend for &B {
     }
 }
 
-/// The single-node simulator backend: today's replay path, unchanged.
+/// The simulator backend: the workload served by a fixed cluster shape —
+/// by default the paper's single node, the one-shard, one-replica cluster.
 #[derive(Debug, Clone, Copy)]
 pub struct SimBackend<'a> {
     workload: &'a Workload,
+    spec: ClusterSpec,
 }
 
 impl<'a> SimBackend<'a> {
+    /// The single-node testbed ([`ClusterSpec::new`]`(1)`).
     pub fn new(workload: &'a Workload) -> SimBackend<'a> {
-        SimBackend { workload }
+        SimBackend::with_spec(workload, ClusterSpec::new(1))
+    }
+
+    /// A fixed cluster shape (shard count, replicas, per-node budgets). A
+    /// directly constructed spec with `shards: 0` is clamped to one node,
+    /// matching what the cluster layer would serve.
+    pub fn with_spec(workload: &'a Workload, spec: ClusterSpec) -> SimBackend<'a> {
+        SimBackend { workload, spec: spec.normalized() }
     }
 
     /// The workload this backend replays.
@@ -102,61 +113,10 @@ impl<'a> SimBackend<'a> {
 
 impl EvalBackend for SimBackend<'_> {
     fn info(&self) -> BackendInfo {
-        BackendInfo {
-            name: "sim".to_string(),
-            dim: self.workload.dataset.dim(),
-            top_k: self.workload.top_k,
-            shards: 1,
-            replicas: 1,
-            space_dims: VdmsConfig::BASE_TUNABLES,
-        }
-    }
-
-    fn evaluate(&self, config: &VdmsConfig, seed: u64) -> Outcome {
-        evaluate(self.workload, config, seed)
-    }
-}
-
-/// The sharded-cluster simulator backend: the workload served by N query
-/// nodes with per-shard memory budgets. With one shard it produces
-/// outcomes bit-identical to [`SimBackend`].
-#[derive(Debug, Clone, Copy)]
-pub struct ShardedSimBackend<'a> {
-    workload: &'a Workload,
-    spec: ClusterSpec,
-}
-
-impl<'a> ShardedSimBackend<'a> {
-    /// A cluster of `shards` nodes splitting the testbed memory budget
-    /// evenly.
-    pub fn new(workload: &'a Workload, shards: usize) -> ShardedSimBackend<'a> {
-        ShardedSimBackend { workload, spec: ClusterSpec::new(shards) }
-    }
-
-    /// A cluster with an explicit [`ClusterSpec`] (custom per-shard
-    /// budgets). A directly constructed spec with `shards: 0` is clamped
-    /// to one node, matching what the cluster layer would serve.
-    pub fn with_spec(workload: &'a Workload, spec: ClusterSpec) -> ShardedSimBackend<'a> {
-        ShardedSimBackend { workload, spec: spec.normalized() }
-    }
-
-    /// The workload this backend replays.
-    pub fn workload(&self) -> &Workload {
-        self.workload
-    }
-
-    /// The cluster shape evaluations run against.
-    pub fn spec(&self) -> &ClusterSpec {
-        &self.spec
-    }
-}
-
-impl EvalBackend for ShardedSimBackend<'_> {
-    fn info(&self) -> BackendInfo {
-        let name = if self.spec.replicas > 1 {
-            format!("sharded-sim({}x{})", self.spec.shards, self.spec.replicas)
-        } else {
-            format!("sharded-sim({})", self.spec.shards)
+        let name = match (self.spec.shards, self.spec.replicas) {
+            (1, 1) => "sim".to_string(),
+            (s, 1) => format!("sim({s})"),
+            (s, r) => format!("sim({s}x{r})"),
         };
         BackendInfo {
             name,
@@ -509,7 +469,7 @@ impl<B: EvalBackend> EvalBackend for ServingBackend<'_, B> {
         // The replication the inner backend deployed for this candidate —
         // the candidate's own request when it carries one (topology
         // co-tuning), the inner backend's fixed deployment otherwise
-        // (e.g. a `ShardedSimBackend` pinned to a replicated spec). Each
+        // (e.g. a `SimBackend` fixed to a replicated spec). Each
         // replica group gets its own queue and worker slots, and the
         // router picks one per arrival.
         let replicas = cfg.replicas.unwrap_or(self.inner_info.replicas);
@@ -573,9 +533,12 @@ mod tests {
     #[test]
     fn sharded_backend_reports_shards() {
         let w = make();
-        let info = ShardedSimBackend::new(&w, 4).info();
+        let info = SimBackend::with_spec(&w, ClusterSpec::new(4)).info();
         assert_eq!(info.shards, 4);
-        assert_eq!(info.name, "sharded-sim(4)");
+        assert_eq!(info.name, "sim(4)");
+        let info = SimBackend::with_spec(&w, ClusterSpec::replicated(2, 3)).info();
+        assert_eq!((info.shards, info.replicas), (2, 3));
+        assert_eq!(info.name, "sim(2x3)");
     }
 
     #[test]
@@ -590,19 +553,21 @@ mod tests {
     }
 
     #[test]
-    fn one_shard_outcome_is_bitwise_single_node() {
+    fn the_single_node_is_the_one_shard_spec() {
         let w = make();
         let single = SimBackend::new(&w);
-        let sharded = ShardedSimBackend::new(&w, 1);
-        for seed in [0u64, 7, 131] {
-            let a = single.evaluate(&VdmsConfig::default_config(), seed);
-            let b = sharded.evaluate(&VdmsConfig::default_config(), seed);
-            assert_eq!(a.qps.to_bits(), b.qps.to_bits());
-            assert_eq!(a.recall.to_bits(), b.recall.to_bits());
-            assert_eq!(a.memory_gib.to_bits(), b.memory_gib.to_bits());
-            assert_eq!(a.simulated_secs.to_bits(), b.simulated_secs.to_bits());
-            assert_eq!(a.failure, b.failure);
+        let one = SimBackend::with_spec(&w, ClusterSpec::new(1));
+        assert_eq!(single.info(), one.info());
+        assert_eq!(single.info().name, "sim");
+        for seed in [0u64, 7] {
+            assert_eq!(
+                single.evaluate(&VdmsConfig::default_config(), seed),
+                one.evaluate(&VdmsConfig::default_config(), seed)
+            );
         }
+        // A hand-built zero-node spec is served, and reported, as one node.
+        let zero = ClusterSpec { shards: 0, replicas: 0, ..ClusterSpec::new(1) };
+        assert_eq!(SimBackend::with_spec(&w, zero).info(), single.info());
     }
 
     #[test]
@@ -614,7 +579,10 @@ mod tests {
         assert_eq!(info.name, "topology(1..=8)");
         // Fixed-shape backends keep the paper's 16-dimensional space.
         assert_eq!(SimBackend::new(&w).info().space_dims, VdmsConfig::BASE_TUNABLES);
-        assert_eq!(ShardedSimBackend::new(&w, 4).info().space_dims, VdmsConfig::BASE_TUNABLES);
+        assert_eq!(
+            SimBackend::with_spec(&w, ClusterSpec::new(4)).info().space_dims,
+            VdmsConfig::BASE_TUNABLES
+        );
     }
 
     #[test]
@@ -628,7 +596,7 @@ mod tests {
         for shards in [1usize, 2, 4] {
             cfg.shards = Some(shards);
             let via_topology = b.evaluate(&cfg, 5);
-            let via_fixed = ShardedSimBackend::new(&w, shards).evaluate(&cfg, 5);
+            let via_fixed = SimBackend::with_spec(&w, ClusterSpec::new(shards)).evaluate(&cfg, 5);
             assert_eq!(via_topology.qps.to_bits(), via_fixed.qps.to_bits(), "{shards}");
             assert_eq!(via_topology.memory_gib.to_bits(), via_fixed.memory_gib.to_bits());
         }
@@ -934,7 +902,7 @@ mod tests {
         let w = make();
         let spec = ServingSpec { arrival_qps: 120.0, requests: 300, ..Default::default() };
         let cluster = ClusterSpec { shard_budget_gib: 125.0, ..ClusterSpec::replicated(1, 3) };
-        let inner = ShardedSimBackend::with_spec(&w, cluster);
+        let inner = SimBackend::with_spec(&w, cluster);
         assert_eq!(inner.info().replicas, 3);
         let b = ServingBackend::new(&w, inner, spec);
         let cfg = VdmsConfig::default_config();
@@ -973,8 +941,8 @@ mod tests {
         let mut cfg = VdmsConfig::default_config();
         cfg.system.segment_max_size_mb = 64.0;
         cfg.system.segment_seal_proportion = 0.5;
-        let one = ShardedSimBackend::new(&w, 1).evaluate(&cfg, 5);
-        let four = ShardedSimBackend::new(&w, 4).evaluate(&cfg, 5);
+        let one = SimBackend::with_spec(&w, ClusterSpec::new(1)).evaluate(&cfg, 5);
+        let four = SimBackend::with_spec(&w, ClusterSpec::new(4)).evaluate(&cfg, 5);
         assert!(one.is_ok() && four.is_ok());
         assert_eq!(one.recall.to_bits(), four.recall.to_bits(), "recall is placement-invariant");
         assert!(four.memory_gib > one.memory_gib, "per-node overhead accumulates");
@@ -1059,7 +1027,7 @@ mod tests {
     fn serving_backend_composes_over_sharded_and_topology_backends() {
         let w = make();
         let spec = ServingSpec { arrival_qps: 40.0, requests: 200, ..Default::default() };
-        let sharded = ServingBackend::new(&w, ShardedSimBackend::new(&w, 2), spec);
+        let sharded = ServingBackend::new(&w, SimBackend::with_spec(&w, ClusterSpec::new(2)), spec);
         let out = sharded.evaluate(&VdmsConfig::default_config(), 5);
         assert!(out.is_ok() && out.serving.is_some());
         let topo = ServingBackend::new(&w, TopologyBackend::new(&w, 4), spec);

@@ -3,8 +3,9 @@
 //!
 //! A [`Workload`] owns a generated dataset, its exact ground truth (top-100
 //! by default, as in the paper) and the cost model (10 concurrent clients).
-//! [`replay::evaluate`] measures one [`vdms::VdmsConfig`]: it loads a
-//! collection, replays every query, and reports QPS (modeled), recall
+//! [`replay::evaluate`] measures one [`vdms::VdmsConfig`] on the paper's
+//! single node — the one-shard case of [`replay::evaluate_sharded`]: it
+//! loads a collection, replays every query, and reports QPS (modeled), recall
 //! (measured), memory (accounted) and the simulated replay seconds —
 //! enforcing the paper's 15-minute cap.
 //!
@@ -15,8 +16,8 @@
 //!
 //! The evaluator is generic over an [`backend::EvalBackend`] — the thing
 //! that actually measures a configuration. [`backend::SimBackend`] is the
-//! single-node simulator; [`backend::ShardedSimBackend`] serves the same
-//! workload from a sharded multi-node cluster (`vdms::cluster`);
+//! simulator on a fixed cluster shape (`vdms::cluster`) — the single node
+//! by default, or a sharded multi-node cluster;
 //! [`backend::TopologyBackend`] deploys whatever cluster shape each
 //! candidate requests, for topology-as-a-knob tuning;
 //! [`backend::ServingBackend`] composes over any of them and additionally
@@ -34,9 +35,7 @@ pub mod tuner;
 #[cfg(test)]
 mod noise_tests;
 
-pub use backend::{
-    BackendInfo, EvalBackend, ServingBackend, ShardedSimBackend, SimBackend, TopologyBackend,
-};
+pub use backend::{BackendInfo, EvalBackend, ServingBackend, SimBackend, TopologyBackend};
 pub use replay::{evaluate, evaluate_sharded, Outcome};
 pub use runner::{Evaluator, Observation};
 pub use serving::{ServingSpec, ServingStats, ServingTrace, WriteStats};

@@ -1,11 +1,11 @@
-//! Evaluate one configuration: load, replay, measure — against the
-//! single-node collection ([`evaluate`]) or a sharded cluster
-//! ([`evaluate_sharded`]).
+//! Evaluate one configuration: load, replay, measure — against a sharded,
+//! replicated cluster ([`evaluate_sharded`]), of which the paper's single
+//! node ([`evaluate`]) is the one-shard case.
 
 use crate::Workload;
 use vdms::cluster::{ClusterSpec, ShardedCollection};
 use vdms::cost_model::{REPLAY_REQUESTS, REPLAY_TIME_CAP_SECS};
-use vdms::{Collection, PinningPolicy, VdmsConfig, VdmsError};
+use vdms::{PinningPolicy, VdmsConfig, VdmsError};
 
 /// Relative σ of throughput measurement noise. Real VDMS benchmarks show
 /// 5–15% run-to-run variance (scheduling, cache state, compaction); a
@@ -75,48 +75,28 @@ impl Outcome {
     }
 }
 
-/// Replay the workload under `config`.
+/// Replay the workload under `config` on the paper's testbed: the
+/// one-shard, one-replica cluster ([`ClusterSpec::new`]`(1)`).
 ///
 /// The configuration is sanitized exactly as a driver would sanitize it
 /// before handing it to Milvus — except that *unsanitizable* combinations
 /// (caught inside the collection build) surface as failures, matching the
 /// paper's treatment of crashing configs.
 pub fn evaluate(workload: &Workload, config: &VdmsConfig, seed: u64) -> Outcome {
-    let cfg = config.sanitized(workload.dataset.dim(), workload.top_k);
-    let collection = match Collection::load(&workload.dataset, &cfg, seed) {
-        Ok(c) => c,
-        Err(e) => return load_failure_outcome(e),
-    };
-
-    let (total_cost, results) = collection.run_queries(workload.top_k);
-    // Mean per-query cost drives the latency model.
-    let nq = workload.dataset.n_queries().max(1) as u64;
-    let perf = workload.cost_model.query_perf(&mean_cost(&total_cost, nq), &cfg.system);
-    finish(
-        workload,
-        &cfg,
-        seed,
-        perf,
-        &results,
-        collection.build_and_load_secs(&workload.cost_model),
-        collection.memory.total_gib(),
-    )
+    evaluate_sharded(workload, config, seed, ClusterSpec::new(1))
 }
 
 /// Replay the workload under `config` on a sharded (and possibly
 /// replicated) cluster.
 ///
-/// Same semantics as [`evaluate`], with the collection served by
-/// `spec.replicas` groups of `spec.shards` query nodes: per-shard
-/// placement failures ([`VdmsError::ShardOutOfMemory`]) surface as failed
-/// outcomes exactly like single-node OOMs, the latency model pays the
-/// straggler of the *routed* group plus the proxy merge and the
-/// slowest-replica consistency staleness
-/// ([`vdms::CostModel::cluster_perf`]), builds and loads
-/// proceed per node in parallel, and memory is the cluster aggregate —
-/// every copy accounted. With `spec.shards == 1`, one replica and the
-/// default budget, every field of the outcome is bit-identical to
-/// [`evaluate`].
+/// The collection is served by `spec.replicas` groups of `spec.shards`
+/// query nodes: load failures — bad index parameters, OOM, per-shard
+/// placement ([`VdmsError::ShardOutOfMemory`]) — surface as failed
+/// outcomes, the latency model pays the straggler of the *routed* group
+/// plus the proxy merge and the slowest-replica consistency staleness
+/// ([`vdms::CostModel::cluster_perf`]), builds and loads proceed per node
+/// in parallel, and memory is the cluster aggregate — every copy
+/// accounted.
 pub fn evaluate_sharded(
     workload: &Workload,
     config: &VdmsConfig,
@@ -126,7 +106,18 @@ pub fn evaluate_sharded(
     let cfg = config.sanitized(workload.dataset.dim(), workload.top_k);
     let cluster = match ShardedCollection::load(&workload.dataset, &cfg, seed, spec) {
         Ok(c) => c,
-        Err(e) => return load_failure_outcome(e),
+        // A failed load still burns tuning time before the failure is
+        // noticed; charge a fixed fraction of the cap.
+        Err(e) => {
+            return Outcome {
+                qps: 0.0,
+                recall: 0.0,
+                memory_gib: 0.0,
+                simulated_secs: REPLAY_TIME_CAP_SECS * 0.25,
+                failure: Some(e),
+                serving: None,
+            }
+        }
     };
 
     let (node_totals, results) = cluster.run_queries(workload.top_k);
@@ -145,7 +136,7 @@ pub fn evaluate_sharded(
         shard_totals.iter().map(|c| mean_cost(c, nq)).collect();
     // No pinning request means the shared slot pool, so a frozen pinning
     // dimension reproduces unpinned replays bit for bit.
-    let perf = workload.cost_model.cluster_perf(
+    let mut perf = workload.cost_model.cluster_perf(
         &shard_means,
         &cluster.shard_segment_counts(),
         &cfg.system,
@@ -153,29 +144,20 @@ pub fn evaluate_sharded(
         cluster.replicas(),
         cfg.pinning.unwrap_or(PinningPolicy::Shared),
     );
-    finish(
-        workload,
-        &cfg,
-        seed,
-        perf,
-        &results,
-        cluster.build_and_load_secs(&workload.cost_model),
-        cluster.total_memory_gib(),
-    )
-}
+    perf.qps *= qps_noise_factor(&cfg, seed);
+    let recall = workload.mean_recall(&results);
+    let simulated_secs = cluster.build_and_load_secs(&workload.cost_model)
+        + workload.cost_model.replay_secs(perf.qps);
+    let failure = (simulated_secs > REPLAY_TIME_CAP_SECS)
+        .then_some(VdmsError::ReplayTimeout { simulated_seconds: simulated_secs });
 
-/// Outcome of an evaluation that failed before any query ran (build
-/// error, OOM, shard placement). Shared by every backend path so the
-/// failure feedback — including the bit-identical shards=1 contract —
-/// cannot drift between them. A failed load still burns tuning time
-/// before the failure is noticed; charge a fixed fraction of the cap.
-fn load_failure_outcome(e: VdmsError) -> Outcome {
     Outcome {
-        qps: 0.0,
-        recall: 0.0,
-        memory_gib: 0.0,
-        simulated_secs: REPLAY_TIME_CAP_SECS * 0.25,
-        failure: Some(e),
+        qps: perf.qps,
+        recall,
+        memory_gib: cluster.total_memory_gib(),
+        // A timed-out run is cut off at the cap (the client kills it).
+        simulated_secs: simulated_secs.min(REPLAY_TIME_CAP_SECS),
+        failure,
         serving: None,
     }
 }
@@ -191,38 +173,6 @@ fn mean_cost(total: &anns::SearchCost, nq: u64) -> anns::SearchCost {
         lists_probed: total.lists_probed / nq,
         heap_pushes: total.heap_pushes / nq,
         segments: total.segments / nq,
-    }
-}
-
-/// Shared tail of an evaluation: noise, recall, timing cap, packaging.
-fn finish(
-    workload: &Workload,
-    cfg: &VdmsConfig,
-    seed: u64,
-    mut perf: vdms::QueryPerf,
-    results: &[Vec<u32>],
-    build_load: f64,
-    memory_gib: f64,
-) -> Outcome {
-    perf.qps *= qps_noise_factor(cfg, seed);
-    let recall = workload.mean_recall(results);
-    let replay = workload.cost_model.replay_secs(perf.qps);
-    let simulated_secs = build_load + replay;
-
-    let failure = if simulated_secs > REPLAY_TIME_CAP_SECS {
-        Some(VdmsError::ReplayTimeout { simulated_seconds: simulated_secs })
-    } else {
-        None
-    };
-
-    Outcome {
-        qps: perf.qps,
-        recall,
-        memory_gib,
-        // A timed-out run is cut off at the cap (the driver kills it).
-        simulated_secs: simulated_secs.min(REPLAY_TIME_CAP_SECS),
-        failure,
-        serving: None,
     }
 }
 

@@ -539,7 +539,7 @@ mod tests {
         // 0 GiB (load/placement failures never measure memory).
         let w = make();
         let spec = vdms::cluster::ClusterSpec::with_budget(4, 0.5);
-        let backend = crate::backend::ShardedSimBackend::with_spec(&w, spec);
+        let backend = crate::backend::SimBackend::with_spec(&w, spec);
         let raw = backend.evaluate(&VdmsConfig::default_config().sanitized(w.dataset.dim(), 10), 1);
         assert!(!raw.is_ok());
         assert_eq!(raw.memory_gib, 0.0, "placement failure accounts no memory");
@@ -656,7 +656,7 @@ mod tests {
     #[test]
     fn evaluator_works_against_sharded_backend() {
         let w = make();
-        let backend = crate::backend::ShardedSimBackend::new(&w, 2);
+        let backend = crate::backend::SimBackend::with_spec(&w, vdms::cluster::ClusterSpec::new(2));
         let mut ev = Evaluator::with_backend(backend, 1);
         assert_eq!(ev.info().shards, 2);
         let obs = ev.observe(&VdmsConfig::default_config(), 0.0);

