@@ -97,22 +97,10 @@ impl ScanUnitCosts {
     pub const ANALYTIC: ScanUnitCosts =
         ScanUnitCosts { f32_dim_ns: 60.0, u8_dim_ns: 20.0, pq_lookup_ns: 25.0 };
 
-    /// Parse the three unit-cost keys from a JSON object slice. Hand-rolled
-    /// number extraction — this workspace has no JSON dependency — returning
-    /// `None` unless all three keys parse to finite positive numbers.
+    /// Parse the three unit-cost keys from a JSON object slice, returning
+    /// `None` unless all three are finite positive numbers.
     fn parse_unit_costs(obj: &str) -> Option<ScanUnitCosts> {
-        let get = |key: &str| -> Option<f64> {
-            let at = obj.find(&format!("\"{key}\""))?;
-            let rest = &obj[at + key.len() + 2..];
-            let colon = rest.find(':')?;
-            let num: String = rest[colon + 1..]
-                .trim_start()
-                .chars()
-                .take_while(|c| c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E'))
-                .collect();
-            let v: f64 = num.parse().ok()?;
-            (v.is_finite() && v > 0.0).then_some(v)
-        };
+        let get = |key: &str| json_number(obj, key).filter(|&v| v > 0.0);
         Some(ScanUnitCosts {
             f32_dim_ns: get("f32_dim_ns")?,
             u8_dim_ns: get("u8_dim_ns")?,
@@ -140,6 +128,21 @@ impl Default for ScanUnitCosts {
     fn default() -> Self {
         ScanUnitCosts::ANALYTIC
     }
+}
+
+/// The finite number after the first `"key":` in `obj`, or `None`. The
+/// calibration readers' hand-rolled number extraction (this workspace has
+/// no JSON dependency); each reader applies its own bound.
+pub fn json_number(obj: &str, key: &str) -> Option<f64> {
+    let at = obj.find(&format!("\"{key}\""))?;
+    let rest = &obj[at + key.len() + 2..];
+    let colon = rest.find(':')?;
+    let num: String = rest[colon + 1..]
+        .trim_start()
+        .chars()
+        .take_while(|c| c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E'))
+        .collect();
+    num.parse().ok().filter(|v: &f64| v.is_finite())
 }
 
 /// Work performed (and memory consumed) while building an index.

@@ -156,7 +156,7 @@ thread_local! {
 struct Vectors<'a> {
     dim: usize,
     data: &'a [f32],
-    kern: &'a dyn Kernel,
+    kern: Kernel,
 }
 
 impl<'a> Vectors<'a> {

@@ -453,24 +453,30 @@ pub fn fig12(profile: &Profile, runs: &Runs) -> io::Result<()> {
     // Variant C: constraint model + phase-2 bootstrapped with phase-1 data.
     let phases = [0.85, 0.9];
     let variants = ["no constraint + no bootstrap", "constraint only", "constraint + bootstrap"];
-    // Each phase bootstraps from the one before it, so these runs chain
-    // and never come from the memo.
-    let arms = run_parallel(vec![0usize, 1, 2], |&v| {
-        let mut per_phase: Vec<TuningOutcome> = Vec::new();
-        for (pi, &lim) in phases.iter().enumerate() {
-            let mut options = vdtuner_paper_options(iters);
-            if v >= 1 {
-                options.mode = TunerMode::Constrained { recall_limit: lim };
-            }
-            if v == 2 && pi > 0 {
-                options.bootstrap = per_phase[pi - 1].observations.clone();
-            }
-            let (arm, backend) = (Arm::VdTuner(options), SimBackend::new(w));
-            let phase_seed = seed ^ (pi as u64) << 8;
-            per_phase.push(runs.tune(arm, SpaceSpec::legacy(), backend, iters, phase_seed));
+    // One phase of one variant, optionally bootstrapped from an earlier
+    // outcome; these runs chain and never come from the memo.
+    let phase = |v: usize, pi: usize, bootstrap: Option<&TuningOutcome>| {
+        let mut options = vdtuner_paper_options(iters);
+        if v >= 1 {
+            options.mode = TunerMode::Constrained { recall_limit: phases[pi] };
         }
-        per_phase
+        if let Some(prev) = bootstrap {
+            options.bootstrap = prev.observations.clone();
+        }
+        let (arm, backend) = (Arm::VdTuner(options), SimBackend::new(w));
+        runs.tune(arm, SpaceSpec::legacy(), backend, iters, seed ^ (pi as u64) << 8)
+    };
+    // C's phase 1 is B's exactly (same options, same seed), so the B job
+    // also runs C's phase 2, bootstrapped from that one outcome.
+    let jobs = run_parallel(vec![0usize, 1], |&v| {
+        let first = phase(v, 0, None);
+        let second = phase(v, 1, None);
+        let bootstrapped = (v == 1).then(|| phase(2, 1, Some(&first)));
+        (first, second, bootstrapped)
     });
+    let (a, b) = (&jobs[0], &jobs[1]);
+    let c_second = b.2.as_ref().expect("the B job runs C's second phase");
+    let arms = [[&a.0, &a.1], [&b.0, &b.1], [&b.0, c_second]];
 
     let mut t = Table::new(vec![
         "variant",
@@ -481,7 +487,7 @@ pub fn fig12(profile: &Profile, runs: &Runs) -> io::Result<()> {
     for (pi, &lim) in phases.iter().enumerate() {
         let a_final = arms[0][pi].best_qps_with_recall(lim).unwrap_or(0.0);
         for (v, name) in variants.iter().enumerate() {
-            let out = &arms[v][pi];
+            let out = arms[v][pi];
             let best = out.best_qps_with_recall(lim);
             let parity = out.iterations_to_reach(a_final, lim);
             t.row(vec![
@@ -1451,7 +1457,7 @@ pub fn kernels(profile: &Profile, _runs: &Runs) -> io::Result<()> {
             let mut block = vec![0.0f32; rows * dim];
             fill_gaussian(&mut r, &mut query, 0.0, 1.0);
             fill_gaussian(&mut r, &mut block, 0.0, 1.0);
-            let run = |kern: &'static dyn kernel::Kernel| -> f64 {
+            let run = |kern: kernel::Kernel| -> f64 {
                 let mut scores = Vec::with_capacity(rows);
                 match metric {
                     "l2" => measure_mdps(rows * dim, reps, || {

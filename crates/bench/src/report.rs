@@ -282,31 +282,6 @@ pub fn emit(name: &str, title: &str, table: &Table) -> io::Result<()> {
 ///   block alone, so files that still carry the `fast_kernel`, `fast` and
 ///   `tiers` keys of the retired second kernel tier calibrate to the same
 ///   numbers.
-///
-/// ## `results/lint.json` schema
-///
-/// Written by `cargo run -p lint` (the `vdtuner-lint` workspace auditor,
-/// not this emitter — documented here so all artifact schemas live in one
-/// place) and validated by the CI `lint-analysis` job. Top-level keys
-/// (all required):
-///
-/// * `schema` (str, `"vdtuner-lint-v1"`), `clean` (bool — true iff every
-///   rule's `findings` list is empty; the process exit code mirrors it),
-///   `files_scanned` (int);
-/// * `rules` (obj) — keyed `r1_unsafe_safety`, `r2_hash_collection`,
-///   `r3_wall_clock`, `r4_par_float_fold`; each value: `description`
-///   (str) and `findings` (array of obj: `file` (str, workspace-relative),
-///   `line` (int, 1-based), `message` (str));
-/// * `suppressions` (array of obj) — every `lint:allow(<rule>): <why>`
-///   tag that actually suppressed a finding: `rule` (str, one of the rule
-///   keys above), `file` (str), `line` (int, the suppressed trigger's
-///   line), `reason` (str, never empty — a tag without a justification
-///   does not suppress);
-/// * `unsafe_inventory` (obj) — `total_sites` / `total_documented` (int)
-///   and `files` (obj keyed by workspace-relative path, only files with
-///   at least one `unsafe`): `sites` / `documented` (int). The pinned
-///   regression test in `crates/lint/tests/workspace_pin.rs` freezes
-///   these counts.
 pub fn emit_json(name: &str, json: &JsonValue) -> io::Result<()> {
     let path = results_dir().join(format!("{name}.json"));
     json.validate().map_err(|e| {

@@ -10,8 +10,8 @@
 //! 2. **wall-clock-free simulation** — sim time flows from the event clock,
 //!    never from `Instant::now`;
 //! 3. **runtime-guarded SIMD `unsafe`** — every `#[target_feature]` kernel
-//!    is reached only through the `OnceLock` dispatch in `vecdata::kernel`
-//!    after CPUID detection, and every `unsafe` site carries a written
+//!    is reached only through a `vecdata::kernel::Kernel` value that exists
+//!    only after CPUID detection, and every `unsafe` site carries a written
 //!    justification.
 //!
 //! [`rules`] encodes them as four rules (R1–R4) over a hand-rolled token
@@ -19,7 +19,7 @@
 //! vendored-only). [`scan_workspace`] walks every `crates/*/{src,tests,
 //! benches}` and root `src`/`tests`/`examples` Rust file, and the
 //! `vdtuner-lint` binary emits `results/lint.json` and exits nonzero on any
-//! unsuppressed finding. See `crates/bench/src/report.rs` for the JSON
+//! unsuppressed finding. See [`WorkspaceReport::to_json`] for the JSON
 //! schema, and ARCHITECTURE.md ("Determinism contracts, enforced") for the
 //! invariant-to-rule map.
 
@@ -76,8 +76,30 @@ impl WorkspaceReport {
         }
     }
 
-    /// Render the report as the `results/lint.json` document (schema
-    /// documented in `crates/bench/src/report.rs`).
+    /// Render the report as the `results/lint.json` document.
+    ///
+    /// Top-level keys (all required):
+    ///
+    /// * `schema` (str, `"vdtuner-lint-v1"`), `clean` (bool — true iff every
+    ///   rule's `findings` list is empty; the process exit code mirrors it),
+    ///   `files_scanned` (int);
+    /// * `rules` (obj) — keyed `r1_unsafe_safety`, `r2_hash_collection`,
+    ///   `r3_wall_clock`, `r4_par_float_fold`; each value: `description`
+    ///   (str) and `findings` (array of obj: `file` (str, workspace-relative),
+    ///   `line` (int, 1-based), `message` (str));
+    /// * `suppressions` (array of obj) — every `lint:allow(<rule>): <why>`
+    ///   tag that actually suppressed a finding: `rule` (str, one of the rule
+    ///   keys above), `file` (str), `line` (int, the suppressed trigger's
+    ///   line), `reason` (str, never empty — a tag without a justification
+    ///   does not suppress);
+    /// * `unsafe_inventory` (obj) — `total_sites` / `total_documented` (int)
+    ///   and `files` (obj keyed by workspace-relative path, only files with
+    ///   at least one `unsafe`): `sites` / `documented` (int).
+    ///
+    /// `clean`, the inventory totals and the finding fields hold by
+    /// construction here; `crates/lint/tests/workspace_pin.rs` pins the
+    /// schema string, the rule keys, a clean workspace, the inventory counts
+    /// and the suppression set.
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n  \"schema\": \"vdtuner-lint-v1\",\n");
         push_kv(&mut s, 1, "clean", &self.clean().to_string());

@@ -61,14 +61,18 @@ fn json_report_round_trips_key_fields() {
     for needle in [
         "\"schema\": \"vdtuner-lint-v1\"",
         "\"clean\": true",
-        "\"r1_unsafe_safety\"",
-        "\"r2_hash_collection\"",
-        "\"r3_wall_clock\"",
-        "\"r4_par_float_fold\"",
         "\"total_sites\": 17",
         "\"total_documented\": 17",
         "\"crates/vecdata/src/kernel.rs\": {\"sites\": 14, \"documented\": 14}",
     ] {
         assert!(json.contains(needle), "lint.json missing {needle}:\n{json}");
     }
+    // The `rules` object is keyed by exactly the four rules, in order.
+    let rules = &json[json.find("\"rules\": {").unwrap()..json.find("\"suppressions\"").unwrap()];
+    let keys: Vec<&str> =
+        rules.lines().filter_map(|l| l.strip_prefix("    \"")?.strip_suffix("\": {")).collect();
+    assert_eq!(
+        keys,
+        ["r1_unsafe_safety", "r2_hash_collection", "r3_wall_clock", "r4_par_float_fold"]
+    );
 }

@@ -258,24 +258,12 @@ impl PenaltyMatrix {
         }
     }
 
-    /// Parse the three penalty keys from a JSON object slice. Hand-rolled
-    /// (the workspace has no JSON dependency), mirroring
-    /// `anns::cost::ScanUnitCosts`: `None` unless all keys parse to finite
+    /// Parse the three penalty keys from a JSON object slice
+    /// ([`anns::cost::json_number`]): `None` unless all keys are finite
     /// values ≥ 1.0 — a penalty below 1.0 would mean contention *speeds
     /// up* work, which is a measurement artifact, not a model input.
     fn parse_penalties(obj: &str) -> Option<PenaltyMatrix> {
-        let get = |key: &str| -> Option<f64> {
-            let at = obj.find(&format!("\"{key}\""))?;
-            let rest = &obj[at + key.len() + 2..];
-            let colon = rest.find(':')?;
-            let num: String = rest[colon + 1..]
-                .trim_start()
-                .chars()
-                .take_while(|c| c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E'))
-                .collect();
-            let v: f64 = num.parse().ok()?;
-            (v.is_finite() && v >= 1.0).then_some(v)
-        };
+        let get = |key: &str| anns::cost::json_number(obj, key).filter(|&v| v >= 1.0);
         Some(PenaltyMatrix {
             same_core_smt: get("same_core_smt")?,
             same_socket: get("same_socket")?,

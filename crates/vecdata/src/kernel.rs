@@ -1,10 +1,10 @@
 //! Runtime-dispatched distance kernels.
 //!
-//! Every distance in the workspace is computed by a [`Kernel`]: a portable
-//! scalar implementation and an AVX2 implementation selected at runtime via
-//! `is_x86_feature_detected!`. [`active`] picks the best kernel the host
-//! supports once per process; setting the `VDTUNER_FORCE_SCALAR` environment
-//! variable to anything but `0`/empty pins the scalar path for A/B testing.
+//! Every distance in the workspace is computed by a [`Kernel`]: a `Copy`
+//! value naming one of two implementations, the portable scalar loops or
+//! the AVX2 bodies. [`active`] picks the best one the host supports once per
+//! process; setting the `VDTUNER_FORCE_SCALAR` environment variable to
+//! anything but `0`/empty pins the scalar path for A/B testing.
 //!
 //! # Determinism contract
 //!
@@ -40,95 +40,135 @@
 //! legacy loops produce byte-identical tuning histories (see
 //! `tests/kernel_history_regression.rs` at the workspace root).
 //!
-//! Slice-length mismatches are a **hard assert** at this boundary (release
-//! builds included): the legacy free functions silently truncated to the
-//! shorter slice, masking dimension bugs.
+//! # Soundness
+//!
+//! [`Kernel`]'s implementation tag is private, and [`Kernel::avx2`] is the
+//! only way to make the AVX2 value: it checks `is_x86_feature_detected!`
+//! first. Each entry point asserts slice lengths once (release builds too;
+//! the legacy free functions silently truncated to the shorter slice), then
+//! matches on the tag. Its AVX2 arm is the one `unsafe` call into the
+//! `#[target_feature(enable = "avx2")]` bodies, sound because the tag
+//! exists only on a host that has the feature.
 
 use std::sync::OnceLock;
 
-/// A distance-kernel implementation.
+/// A distance kernel: the scalar reference or, on hosts that have it, AVX2.
 ///
-/// The checked entry points (`dot`, `l2_sq`, …) validate slice lengths and
-/// forward to the `*_raw` hooks; implementors only provide the raw hooks.
 /// Block methods score one query against a contiguous row-major block of
 /// `block.len() / dim` vectors, appending one score per row to `out` (which
 /// is cleared first) in row order.
-pub trait Kernel: Send + Sync {
-    /// Implementation name (`"scalar"` or `"avx2"`).
-    fn name(&self) -> &'static str;
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Kernel(Imp);
 
-    /// Raw dot product; lengths already validated equal.
-    fn dot_raw(&self, a: &[f32], b: &[f32]) -> f32;
-    /// Raw squared L2 distance; lengths already validated equal.
-    fn l2_sq_raw(&self, a: &[f32], b: &[f32]) -> f32;
-    /// Raw fused one-pass `[a·a, b·b, a·b]`; lengths already validated.
-    fn dot3_raw(&self, a: &[f32], b: &[f32]) -> [f32; 3];
-    /// Raw SQ8 asymmetric squared L2 (f32 query vs u8 code with per-dim
-    /// affine dequantization); lengths already validated.
-    fn sq8_l2_raw(&self, query: &[f32], code: &[u8], mins: &[f32], scales: &[f32]) -> f32;
-    /// Raw block scoring: squared L2 of `query` vs each row of `block`.
-    fn l2_sq_block_raw(&self, query: &[f32], block: &[f32], dim: usize, out: &mut Vec<f32>);
-    /// Raw block scoring: dot product of `query` vs each row of `block`.
-    fn dot_block_raw(&self, query: &[f32], block: &[f32], dim: usize, out: &mut Vec<f32>);
-    /// Raw block scoring: SQ8 asymmetric squared L2 of `query` vs each
-    /// `dim`-byte code row of `codes`.
-    fn sq8_l2_block_raw(
-        &self,
-        query: &[f32],
-        codes: &[u8],
-        mins: &[f32],
-        scales: &[f32],
-        dim: usize,
-        out: &mut Vec<f32>,
-    );
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Imp {
+    Scalar,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+/// The portable scalar kernel: the bit-exact reference every SIMD kernel
+/// must reproduce, with the workspace's original fixed-order loops.
+pub const SCALAR: Kernel = Kernel(Imp::Scalar);
+
+impl Kernel {
+    /// The AVX2 kernel, or `None` when the CPU lacks AVX2 (or is not x86_64).
+    /// The only way to obtain it.
+    pub fn avx2() -> Option<Kernel> {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            return Some(Kernel(Imp::Avx2));
+        }
+        None
+    }
+
+    /// Implementation name (`"scalar"` or `"avx2"`).
+    pub fn name(self) -> &'static str {
+        match self.0 {
+            Imp::Scalar => "scalar",
+            #[cfg(target_arch = "x86_64")]
+            Imp::Avx2 => "avx2",
+        }
+    }
 
     /// Dot product of two equally sized slices.
-    fn dot(&self, a: &[f32], b: &[f32]) -> f32 {
+    #[inline]
+    pub fn dot(self, a: &[f32], b: &[f32]) -> f32 {
         check_pair("dot", a.len(), b.len());
-        self.dot_raw(a, b)
+        match self.0 {
+            Imp::Scalar => scalar::dot(a, b),
+            // SAFETY: `Imp::Avx2` is only built by `avx2()`, after detection.
+            #[cfg(target_arch = "x86_64")]
+            Imp::Avx2 => unsafe { avx2::dot(a, b) },
+        }
     }
 
     /// Squared L2 distance of two equally sized slices.
-    fn l2_sq(&self, a: &[f32], b: &[f32]) -> f32 {
+    #[inline]
+    pub fn l2_sq(self, a: &[f32], b: &[f32]) -> f32 {
         check_pair("l2_sq", a.len(), b.len());
-        self.l2_sq_raw(a, b)
+        match self.0 {
+            Imp::Scalar => scalar::l2_sq(a, b),
+            // SAFETY: `Imp::Avx2` is only built by `avx2()`, after detection.
+            #[cfg(target_arch = "x86_64")]
+            Imp::Avx2 => unsafe { avx2::l2_sq(a, b) },
+        }
     }
 
     /// Fused one-pass `[a·a, b·b, a·b]`, each sum bit-identical to the
     /// corresponding [`Kernel::dot`] call.
-    fn dot3(&self, a: &[f32], b: &[f32]) -> [f32; 3] {
+    #[inline]
+    pub fn dot3(self, a: &[f32], b: &[f32]) -> [f32; 3] {
         check_pair("dot3", a.len(), b.len());
-        self.dot3_raw(a, b)
+        match self.0 {
+            Imp::Scalar => scalar::dot3(a, b),
+            // SAFETY: `Imp::Avx2` is only built by `avx2()`, after detection.
+            #[cfg(target_arch = "x86_64")]
+            Imp::Avx2 => unsafe { avx2::dot3(a, b) },
+        }
     }
 
-    /// SQ8 asymmetric squared L2 between a raw query and a quantized code.
-    fn sq8_l2(&self, query: &[f32], code: &[u8], mins: &[f32], scales: &[f32]) -> f32 {
+    /// SQ8 asymmetric squared L2 between a raw query and a quantized code
+    /// (per-dim affine dequantization `mins[d] + code[d] * scales[d]`).
+    #[inline]
+    pub fn sq8_l2(self, query: &[f32], code: &[u8], mins: &[f32], scales: &[f32]) -> f32 {
         check_sq8("sq8_l2", query.len(), code.len(), mins.len(), scales.len());
-        self.sq8_l2_raw(query, code, mins, scales)
+        match self.0 {
+            Imp::Scalar => scalar::sq8_l2(query, code, mins, scales),
+            // SAFETY: `Imp::Avx2` is only built by `avx2()`, after detection.
+            #[cfg(target_arch = "x86_64")]
+            Imp::Avx2 => unsafe { avx2::sq8_l2(query, code, mins, scales) },
+        }
     }
 
     /// Squared L2 of `query` vs every `dim`-dim row of the contiguous
     /// row-major `block`, one score per row appended to `out` in row order.
-    fn l2_sq_block(&self, query: &[f32], block: &[f32], dim: usize, out: &mut Vec<f32>) {
-        check_block("l2_sq_block", query.len(), block.len(), dim);
-        out.clear();
-        out.reserve(block.len() / dim);
-        self.l2_sq_block_raw(query, block, dim, out);
+    pub fn l2_sq_block(self, query: &[f32], block: &[f32], dim: usize, out: &mut Vec<f32>) {
+        start_block("l2_sq_block", query.len(), block.len(), dim, out);
+        match self.0 {
+            Imp::Scalar => out.extend(block.chunks_exact(dim).map(|r| scalar::l2_sq(query, r))),
+            // SAFETY: `Imp::Avx2` is only built by `avx2()`, after detection.
+            #[cfg(target_arch = "x86_64")]
+            Imp::Avx2 => unsafe { avx2::score_block::<true>(query, block, dim, out) },
+        }
     }
 
     /// Dot product of `query` vs every row of `block` (see
     /// [`Kernel::l2_sq_block`]).
-    fn dot_block(&self, query: &[f32], block: &[f32], dim: usize, out: &mut Vec<f32>) {
-        check_block("dot_block", query.len(), block.len(), dim);
-        out.clear();
-        out.reserve(block.len() / dim);
-        self.dot_block_raw(query, block, dim, out);
+    pub fn dot_block(self, query: &[f32], block: &[f32], dim: usize, out: &mut Vec<f32>) {
+        start_block("dot_block", query.len(), block.len(), dim, out);
+        match self.0 {
+            Imp::Scalar => out.extend(block.chunks_exact(dim).map(|r| scalar::dot(query, r))),
+            // SAFETY: `Imp::Avx2` is only built by `avx2()`, after detection.
+            #[cfg(target_arch = "x86_64")]
+            Imp::Avx2 => unsafe { avx2::score_block::<false>(query, block, dim, out) },
+        }
     }
 
     /// SQ8 asymmetric squared L2 of `query` vs every `dim`-byte code row of
     /// `codes` (see [`Kernel::l2_sq_block`]).
-    fn sq8_l2_block(
-        &self,
+    pub fn sq8_l2_block(
+        self,
         query: &[f32],
         codes: &[u8],
         mins: &[f32],
@@ -136,16 +176,16 @@ pub trait Kernel: Send + Sync {
         dim: usize,
         out: &mut Vec<f32>,
     ) {
-        assert!(dim > 0, "kernel sq8_l2_block: dim must be positive");
+        start_block("sq8_l2_block", query.len(), codes.len(), dim, out);
         check_sq8("sq8_l2_block", query.len(), dim, mins.len(), scales.len());
-        assert!(
-            codes.len().is_multiple_of(dim),
-            "kernel sq8_l2_block: codes length {} is not a multiple of dim {dim}",
-            codes.len()
-        );
-        out.clear();
-        out.reserve(codes.len() / dim);
-        self.sq8_l2_block_raw(query, codes, mins, scales, dim, out);
+        match self.0 {
+            Imp::Scalar => {
+                out.extend(codes.chunks_exact(dim).map(|r| scalar::sq8_l2(query, r, mins, scales)))
+            }
+            // SAFETY: `Imp::Avx2` is only built by `avx2()`, after detection.
+            #[cfg(target_arch = "x86_64")]
+            Imp::Avx2 => unsafe { avx2::sq8_l2_block(query, codes, mins, scales, dim, out) },
+        }
     }
 }
 
@@ -163,29 +203,21 @@ fn check_sq8(op: &str, query: usize, code: usize, mins: usize, scales: usize) {
     );
 }
 
+/// Validate a block call's shape, then clear `out` and reserve one slot per row.
 #[inline]
-fn check_block(op: &str, query: usize, block: usize, dim: usize) {
+fn start_block(op: &str, query: usize, block: usize, dim: usize, out: &mut Vec<f32>) {
     assert!(dim > 0, "kernel {op}: dim must be positive");
     assert!(query == dim, "kernel {op}: query length {query} != dim {dim}");
     assert!(
         block.is_multiple_of(dim),
         "kernel {op}: block length {block} is not a multiple of dim {dim}"
     );
+    out.clear();
+    out.reserve(block / dim);
 }
 
-// ---------------------------------------------------------------------------
-// Scalar reference kernel
-// ---------------------------------------------------------------------------
-
-/// Portable scalar kernel: the bit-exact reference every SIMD kernel must
-/// reproduce. Its loops are the workspace's original fixed-order reductions.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ScalarKernel;
-
-/// The scalar kernel as a static, usable as a `&'static dyn Kernel`.
-pub static SCALAR: ScalarKernel = ScalarKernel;
-
-pub(crate) mod scalar {
+/// The scalar reference bodies.
+mod scalar {
     pub fn dot(a: &[f32], b: &[f32]) -> f32 {
         let n = a.len();
         let mut acc = [0.0f32; 8];
@@ -263,63 +295,15 @@ pub(crate) mod scalar {
     }
 }
 
-impl Kernel for ScalarKernel {
-    fn name(&self) -> &'static str {
-        "scalar"
-    }
-
-    fn dot_raw(&self, a: &[f32], b: &[f32]) -> f32 {
-        scalar::dot(a, b)
-    }
-
-    fn l2_sq_raw(&self, a: &[f32], b: &[f32]) -> f32 {
-        scalar::l2_sq(a, b)
-    }
-
-    fn dot3_raw(&self, a: &[f32], b: &[f32]) -> [f32; 3] {
-        scalar::dot3(a, b)
-    }
-
-    fn sq8_l2_raw(&self, query: &[f32], code: &[u8], mins: &[f32], scales: &[f32]) -> f32 {
-        scalar::sq8_l2(query, code, mins, scales)
-    }
-
-    fn l2_sq_block_raw(&self, query: &[f32], block: &[f32], dim: usize, out: &mut Vec<f32>) {
-        for row in block.chunks_exact(dim) {
-            out.push(scalar::l2_sq(query, row));
-        }
-    }
-
-    fn dot_block_raw(&self, query: &[f32], block: &[f32], dim: usize, out: &mut Vec<f32>) {
-        for row in block.chunks_exact(dim) {
-            out.push(scalar::dot(query, row));
-        }
-    }
-
-    fn sq8_l2_block_raw(
-        &self,
-        query: &[f32],
-        codes: &[u8],
-        mins: &[f32],
-        scales: &[f32],
-        dim: usize,
-        out: &mut Vec<f32>,
-    ) {
-        for row in codes.chunks_exact(dim) {
-            out.push(scalar::sq8_l2(query, row, mins, scales));
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// AVX2 kernel (x86_64, runtime-detected)
+// AVX2 bodies (x86_64, runtime-detected)
 // ---------------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     //! AVX2 bodies. Every function requires the `avx2` target feature; the
-    //! only safe entry is through [`super::Avx2Kernel`], whose constructor
-    //! verifies detection.
+    //! only safe entry is through a [`super::Kernel`] made by
+    //! [`super::Kernel::avx2`], which verifies detection.
     use std::arch::x86_64::*;
 
     /// Fold a 256-bit lane accumulator exactly like `acc.iter().sum()` over
@@ -563,77 +547,6 @@ mod avx2 {
     }
 }
 
-/// AVX2 kernel. Only constructible (via [`Avx2Kernel::new`]) on hosts where
-/// `is_x86_feature_detected!("avx2")` holds, which is what makes calling the
-/// `#[target_feature(enable = "avx2")]` bodies sound.
-#[cfg(target_arch = "x86_64")]
-#[derive(Debug, Clone, Copy)]
-pub struct Avx2Kernel {
-    _guard: (),
-}
-
-#[cfg(target_arch = "x86_64")]
-impl Avx2Kernel {
-    /// The AVX2 kernel, or `None` when the CPU lacks AVX2.
-    pub fn new() -> Option<Avx2Kernel> {
-        if is_x86_feature_detected!("avx2") {
-            Some(Avx2Kernel { _guard: () })
-        } else {
-            None
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-impl Kernel for Avx2Kernel {
-    fn name(&self) -> &'static str {
-        "avx2"
-    }
-
-    fn dot_raw(&self, a: &[f32], b: &[f32]) -> f32 {
-        // SAFETY: construction verified AVX2 support.
-        unsafe { avx2::dot(a, b) }
-    }
-
-    fn l2_sq_raw(&self, a: &[f32], b: &[f32]) -> f32 {
-        // SAFETY: construction verified AVX2 support.
-        unsafe { avx2::l2_sq(a, b) }
-    }
-
-    fn dot3_raw(&self, a: &[f32], b: &[f32]) -> [f32; 3] {
-        // SAFETY: construction verified AVX2 support.
-        unsafe { avx2::dot3(a, b) }
-    }
-
-    fn sq8_l2_raw(&self, query: &[f32], code: &[u8], mins: &[f32], scales: &[f32]) -> f32 {
-        // SAFETY: construction verified AVX2 support.
-        unsafe { avx2::sq8_l2(query, code, mins, scales) }
-    }
-
-    fn l2_sq_block_raw(&self, query: &[f32], block: &[f32], dim: usize, out: &mut Vec<f32>) {
-        // SAFETY: construction verified AVX2 support.
-        unsafe { avx2::score_block::<true>(query, block, dim, out) }
-    }
-
-    fn dot_block_raw(&self, query: &[f32], block: &[f32], dim: usize, out: &mut Vec<f32>) {
-        // SAFETY: construction verified AVX2 support.
-        unsafe { avx2::score_block::<false>(query, block, dim, out) }
-    }
-
-    fn sq8_l2_block_raw(
-        &self,
-        query: &[f32],
-        codes: &[u8],
-        mins: &[f32],
-        scales: &[f32],
-        dim: usize,
-        out: &mut Vec<f32>,
-    ) {
-        // SAFETY: construction verified AVX2 support.
-        unsafe { avx2::sq8_l2_block(query, codes, mins, scales, dim, out) }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Runtime dispatch
 // ---------------------------------------------------------------------------
@@ -655,7 +568,7 @@ pub fn active_policy() -> KernelPolicy {
     KernelPolicy::Exact
 }
 
-static ACTIVE: OnceLock<&'static dyn Kernel> = OnceLock::new();
+static ACTIVE: OnceLock<Kernel> = OnceLock::new();
 
 /// True when `VDTUNER_FORCE_SCALAR` is set to anything but `0` / empty.
 pub fn force_scalar_requested() -> bool {
@@ -665,28 +578,21 @@ pub fn force_scalar_requested() -> bool {
     }
 }
 
-/// Pick the kernel for this host: [`ScalarKernel`] when `force_scalar`,
-/// else the widest SIMD implementation the CPU supports. Pure function of
-/// its argument and the CPU's detected features; [`active`] caches the
+/// Pick the kernel for this host: [`SCALAR`] when `force_scalar`, else the
+/// widest SIMD implementation the CPU supports. Pure function of its
+/// argument and the CPU's detected features; [`active`] caches the
 /// env-driven call.
-pub fn select(force_scalar: bool) -> &'static dyn Kernel {
+pub fn select(force_scalar: bool) -> Kernel {
     if force_scalar {
-        return &SCALAR;
+        return SCALAR;
     }
-    #[cfg(target_arch = "x86_64")]
-    {
-        if Avx2Kernel::new().is_some() {
-            static AVX2: Avx2Kernel = Avx2Kernel { _guard: () };
-            return &AVX2;
-        }
-    }
-    &SCALAR
+    Kernel::avx2().unwrap_or(SCALAR)
 }
 
 /// The process-wide dispatched kernel: the widest SIMD implementation the
-/// host supports, or [`ScalarKernel`] under `VDTUNER_FORCE_SCALAR`.
-/// Selected once per process (first call) and cached.
-pub fn active() -> &'static dyn Kernel {
+/// host supports, or [`SCALAR`] under `VDTUNER_FORCE_SCALAR`. Selected once
+/// per process (first call) and cached.
+pub fn active() -> Kernel {
     *ACTIVE.get_or_init(|| select(force_scalar_requested()))
 }
 
@@ -702,14 +608,24 @@ mod tests {
 
     #[test]
     fn forced_scalar_selects_scalar() {
+        assert_eq!(select(true), SCALAR);
         assert_eq!(select(true).name(), "scalar");
     }
 
+    /// Dispatch picks AVX2 exactly when the CPU has it: a `select` that
+    /// always fell back to scalar would keep every bitwise test green while
+    /// slowing every workload.
     #[test]
-    fn active_is_a_fixed_point() {
-        let a = active().name();
-        assert_eq!(a, active().name());
-        assert!(["scalar", "avx2"].contains(&a));
+    fn dispatch_picks_avx2_exactly_when_the_cpu_has_it() {
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(Kernel::avx2().is_some(), is_x86_feature_detected!("avx2"));
+        #[cfg(not(target_arch = "x86_64"))]
+        assert_eq!(Kernel::avx2(), None);
+        assert_eq!(select(false), Kernel::avx2().unwrap_or(SCALAR));
+        assert_eq!(active(), select(force_scalar_requested()));
+        if let Some(k) = Kernel::avx2() {
+            assert_eq!(k.name(), "avx2");
+        }
     }
 
     #[test]
@@ -729,7 +645,7 @@ mod tests {
     #[test]
     fn dot3_components_match_dot() {
         let (a, b) = vecs(37, 9);
-        for k in [select(false), &SCALAR as &dyn Kernel] {
+        for k in [select(false), SCALAR] {
             let [aa, bb, ab] = k.dot3(&a, &b);
             assert_eq!(aa.to_bits(), k.dot(&a, &a).to_bits());
             assert_eq!(bb.to_bits(), k.dot(&b, &b).to_bits());
@@ -743,7 +659,7 @@ mod tests {
         let rows = 9;
         let (q, _) = vecs(dim, 1);
         let (block, _) = vecs(dim * rows, 5);
-        for k in [select(false), &SCALAR as &dyn Kernel] {
+        for k in [select(false), SCALAR] {
             let mut l2 = Vec::new();
             let mut dp = Vec::new();
             k.l2_sq_block(&q, &block, dim, &mut l2);
@@ -802,10 +718,9 @@ mod tests {
         SCALAR.sq8_l2(&[1.0, 2.0], &[0u8; 2], &[0.0; 1], &[1.0; 2]);
     }
 
-    #[cfg(target_arch = "x86_64")]
     #[test]
     fn avx2_kernel_if_present_is_bit_identical_on_awkward_shapes() {
-        let Some(k) = Avx2Kernel::new() else { return };
+        let Some(k) = Kernel::avx2() else { return };
         // Odd remainders and unaligned starting offsets.
         let (base_a, base_b) = vecs(256, 11);
         for off in 0..8 {

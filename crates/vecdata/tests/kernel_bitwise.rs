@@ -61,16 +61,11 @@ fn ref_sq8(query: &[f32], code: &[u8], mins: &[f32], scales: &[f32]) -> f32 {
 }
 
 /// Every kernel that must agree bitwise: the scalar reference, whatever
-/// runtime dispatch picked, and (on hosts that have it) the AVX2 kernel
-/// directly — so the SIMD path is exercised even if dispatch selected a
-/// wider one.
-fn kernels_under_test() -> Vec<(&'static str, &'static dyn Kernel)> {
-    let mut v: Vec<(&'static str, &'static dyn Kernel)> =
-        vec![("scalar", &SCALAR), ("dispatched", kernel::select(false))];
-    #[cfg(target_arch = "x86_64")]
-    if let Some(k) = kernel::Avx2Kernel::new() {
-        v.push(("avx2", Box::leak(Box::new(k))));
-    }
+/// runtime dispatch picked, and (on hosts that have it) the AVX2 kernel by
+/// name.
+fn kernels_under_test() -> Vec<(&'static str, Kernel)> {
+    let mut v = vec![("scalar", SCALAR), ("dispatched", kernel::select(false))];
+    v.extend(Kernel::avx2().map(|k| ("avx2", k)));
     v
 }
 
