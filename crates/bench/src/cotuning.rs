@@ -15,11 +15,19 @@
 //! 4. measure every arm's deployable winner across the ladder without an
 //!    SLO — the raw tails.
 //!
-//! The [`CoTuningRun`] it returns renders the shared arm / ladder / verdict
-//! tables and JSON sections; an experiment adds only its titles, its
-//! verdict rule and its extra keys. The ladder, measured-row and budget
-//! helpers are free functions so `serving` and `topology` share them.
+//! The ladder is a held-out measurement: `VdTuner::run_on` observes under
+//! `derive(seed, 0xEBA1)`, [`measure_ladder`] at `profile.seed`. So a
+//! winner that met the SLO in tuning can miss it at the top rate (a 1-CPU
+//! `reactors` run measured its winner at the 1,000 ms timeout ceiling),
+//! and [`at_top`] reads a winner only where it meets the tuning SLO.
+//!
+//! The [`CoTuningRun`] it returns renders the shared arm / ladder tables
+//! and JSON sections and builds each verdict [`Comparison`]; an experiment
+//! adds only its titles, comparisons, contract rows and extra keys. The
+//! ladder, measured-row, per-arm JSON and budget helpers are free
+//! functions so `serving` and `topology` share them.
 
+use crate::comparison::{Better, Comparison};
 use crate::report::{f1, ms, JsonValue, Table};
 use crate::{run_parallel, Method, Profile, Runs};
 use vdms::VdmsConfig;
@@ -33,6 +41,10 @@ pub const SERVING_SLO_P99_SECS: f64 = 0.025;
 
 /// Recall floor a configuration must meet to count as deployable.
 pub const RECALL_FLOOR: f64 = 0.9;
+
+/// Verdict metrics more than one experiment compares on.
+pub const BEST_QPS: &str = "best QPS @0.9";
+pub const TOP_P99_MS: &str = "p99 @ top rate (ms)";
 
 /// Builds the control plane that realises a candidate's deployment
 /// requests, from `(workload, max_shards, max_replicas)`.
@@ -56,7 +68,7 @@ pub const LATENCY_LADDER: [LadderColumn; 5] = [
 
 /// The `measured` keys every co-tuning arm reports per rate.
 const MEASURED_FIELDS: [MeasuredField; 3] = [
-    ("p99_ms", |s| JsonValue::opt_finite(Some(s.p99_latency_secs * 1_000.0))),
+    ("p99_ms", |s| JsonValue::opt_finite(Some(p99_ms(s)))),
     ("goodput_qps", |s| JsonValue::opt_finite(Some(s.goodput_qps))),
     ("shed", |s| JsonValue::Int(s.shed as i64)),
 ];
@@ -83,6 +95,22 @@ pub fn measure_ladder<B: EvalBackend>(
         .iter()
         .map(|&rate| winner.and_then(|c| backend_at(rate).evaluate(c, seed).serving))
         .collect()
+}
+
+/// p99 latency in the reported unit, ms.
+pub fn p99_ms(s: &ServingStats) -> f64 {
+    s.p99_latency_secs * 1_000.0
+}
+
+/// A winner's stats at the top (last) rate of its ladder: `None` when it
+/// has no measurement there or that measurement violates `spec`'s SLO
+/// ([`ServingStats::violates_slo`]) — a winner is feasible at the rate it
+/// is judged at, or it has no reading.
+pub fn at_top<'a>(
+    measured: &'a [Option<ServingStats>],
+    spec: &ServingSpec,
+) -> Option<&'a ServingStats> {
+    measured.last()?.as_ref().filter(|s| !s.violates_slo(spec))
 }
 
 /// The ladder table: one row per (rate, arm), rate-major, `-` cells for an
@@ -120,6 +148,29 @@ pub fn measured_json(
     JsonValue::Arr(rates.iter().zip(measured).map(row).collect())
 }
 
+/// One arm's JSON keys: what its tuning run found under the recall floor,
+/// and its winner measured across the ladder.
+pub fn arm_json(
+    out: &TuningOutcome,
+    rates: &[f64],
+    measured: &[Option<ServingStats>],
+    fields: &[MeasuredField],
+) -> Vec<(String, JsonValue)> {
+    let best_p99 = out.best_p99_with_recall(RECALL_FLOOR).map(|p| p * 1_000.0);
+    let failed = out.observations.iter().filter(|o| o.failed).count();
+    vec![
+        ("best_qps".into(), JsonValue::opt_num(out.best_qps_with_recall(RECALL_FLOOR))),
+        ("best_p99_ms".into(), JsonValue::opt_finite(best_p99)),
+        (
+            "best_config".into(),
+            best_config(out, RECALL_FLOOR).map_or(JsonValue::Null, |c| JsonValue::Str(c.summary())),
+        ),
+        ("slo_rejections".into(), JsonValue::Int(out.slo_rejections() as i64)),
+        ("failed".into(), JsonValue::Int(failed as i64)),
+        ("measured".into(), measured_json(rates, measured, fields)),
+    ]
+}
+
 /// Where a co-tuned run spent its budget along the free dimension:
 /// evaluations per bucket (`bucket` maps a configuration to an index into
 /// `labels`) and the best feasible QPS found there.
@@ -147,43 +198,6 @@ pub fn budget_table(
     }
     (hist, t)
 }
-
-/// What the verdict compares: a reading of each arm's winner at the top
-/// rate of the ladder.
-#[derive(Clone, Copy)]
-pub struct TopRateMetric {
-    /// Verdict-row prefix (`"p99"` gives `p99 @ top rate: <arm>`).
-    pub name: &'static str,
-    pub of: fn(&ServingStats) -> f64,
-    pub show: fn(f64) -> String,
-    /// JSON spelling: the key infix (`best_fixed_<infix>_at_top`) and the
-    /// factor from the reading to the reported unit.
-    pub json: (&'static str, f64),
-    /// The better of two readings.
-    pub best: fn(f64, f64) -> f64,
-    /// Whether the co-tuned reading (first) beats a fixed arm's (second).
-    pub beats: fn(f64, f64) -> bool,
-}
-
-/// Measured p99 latency: lower wins, strictly.
-pub const P99_AT_TOP: TopRateMetric = TopRateMetric {
-    name: "p99",
-    of: |s| s.p99_latency_secs,
-    show: ms,
-    json: ("p99_ms", 1_000.0),
-    best: f64::min,
-    beats: |c, f| c < f,
-};
-
-/// Measured goodput: higher wins, a tie counts.
-pub const GOODPUT_AT_TOP: TopRateMetric = TopRateMetric {
-    name: "goodput",
-    of: |s| s.goodput_qps,
-    show: f1,
-    json: ("goodput", 1.0),
-    best: f64::max,
-    beats: |c, f| c >= f,
-};
 
 /// An arm with the free dimension pinned.
 pub struct FixedArm {
@@ -220,7 +234,6 @@ pub struct CoTuning<'w> {
     /// Clears the free dimension's request, which differs between the
     /// frozen arm and the reference by construction.
     pub strip: fn(VdmsConfig) -> VdmsConfig,
-    pub metric: TopRateMetric,
 }
 
 /// One arm's tuning run and its winner's ladder measurements.
@@ -231,8 +244,6 @@ pub struct ArmRun {
     pub outcome: TuningOutcome,
     /// The deployable winner at each ladder rate (`None`: no winner).
     pub measured: Vec<Option<ServingStats>>,
-    /// The verdict metric of the winner at the top rate.
-    pub top: Option<f64>,
 }
 
 /// Everything a co-tuning experiment produced.
@@ -242,7 +253,8 @@ pub struct CoTuningRun {
     pub arms: Vec<ArmRun>,
     /// Whether the frozen arm reproduced the reference history bitwise.
     pub frozen_matches: bool,
-    metric: TopRateMetric,
+    /// The spec every arm was tuned under: the top rate and the SLO.
+    tune_spec: ServingSpec,
     dataset: &'static str,
     profile: Profile,
     max_shards: usize,
@@ -251,8 +263,7 @@ pub struct CoTuningRun {
 
 impl<'w> CoTuning<'w> {
     pub fn run(self, profile: &Profile, runs: &Runs) -> CoTuningRun {
-        let CoTuning { workload: w, max_shards, max_replicas, base_spec, backend, metric, .. } =
-            self;
+        let CoTuning { workload: w, max_shards, max_replicas, base_spec, backend, .. } = self;
         let anchor = evaluate(w, &VdmsConfig::default_config(), profile.seed).qps;
         let rates: Vec<f64> = self.ladder.iter().map(|m| m * anchor).collect();
         let tune_spec = base_spec.at_rate(rates[rates.len() - 1]).with_slo(SERVING_SLO_P99_SECS);
@@ -285,15 +296,14 @@ impl<'w> CoTuning<'w> {
                 let measured = measure_ladder(winner.as_ref(), &rates, profile.seed, |rate| {
                     serve(backend, base_spec.at_rate(rate))
                 });
-                let top = measured.last().and_then(|s| s.as_ref()).map(metric.of);
-                ArmRun { name, label, json, outcome, measured, top }
+                ArmRun { name, label, json, outcome, measured }
             })
             .collect();
         CoTuningRun {
             rates,
             arms,
             frozen_matches,
-            metric,
+            tune_spec,
             dataset: w.dataset.spec.kind.name(),
             profile: *profile,
             max_shards,
@@ -311,23 +321,20 @@ impl CoTuningRun {
         &self.arms[..self.arms.len() - 1]
     }
 
-    /// The configuration the co-tuned arm would deploy.
-    pub fn winner(&self) -> Option<VdmsConfig> {
-        best_config(&self.cotuned().outcome, RECALL_FLOOR)
-    }
-
-    /// The best fixed arm's verdict metric at the top rate.
-    pub fn best_fixed_top(&self) -> Option<f64> {
-        self.fixed().iter().filter_map(|arm| arm.top).reduce(self.metric.best)
-    }
-
-    /// Whether the co-tuned winner beats every fixed arm's at the top rate
-    /// (an arm with no deployable winner counts as beaten — it has nothing
-    /// to deploy); `None` when the co-tuned arm has no winner itself.
-    pub fn cotuned_beats_all(&self) -> Option<bool> {
-        let beats =
-            |c| self.fixed().iter().filter_map(|arm| arm.top).all(|f| (self.metric.beats)(c, f));
-        self.cotuned().top.map(beats)
+    /// The co-tuned arm against every fixed arm on one reading per arm:
+    /// `read` gets the arm's tuning outcome and its winner's stats
+    /// [`at_top`] under the tuning spec.
+    pub fn compare(
+        &self,
+        metric: &'static str,
+        better: Better,
+        read: impl Fn(&TuningOutcome, Option<&ServingStats>) -> Option<f64>,
+    ) -> Comparison {
+        let reading = |arm: &ArmRun| {
+            (arm.name.clone(), read(&arm.outcome, at_top(&arm.measured, &self.tune_spec)))
+        };
+        let rivals = self.fixed().iter().map(reading).collect();
+        Comparison { metric, better, subject: reading(self.cotuned()), rivals }
     }
 
     /// The arm table's title: `<headline>, N evals/run (<dataset>,
@@ -371,19 +378,6 @@ impl CoTuningRun {
         ladder_table(&self.rates, &arms, columns)
     }
 
-    /// The verdict table's shared head: the verdict metric at the top rate,
-    /// one row per arm.
-    pub fn verdict_table(&self) -> Table {
-        let mut t = Table::new(vec!["metric", "value"]);
-        for arm in &self.arms {
-            t.row(vec![
-                format!("{} @ top rate: {}", self.metric.name, arm.name),
-                arm.top.map_or("-".into(), self.metric.show),
-            ]);
-        }
-        t
-    }
-
     /// JSON section: what was run.
     pub fn json_head(&self) -> Vec<(String, JsonValue)> {
         vec![
@@ -392,17 +386,6 @@ impl CoTuningRun {
             ("seed".into(), JsonValue::Int(self.profile.seed as i64)),
             ("recall_floor".into(), JsonValue::Num(RECALL_FLOOR)),
             ("slo_p99_ms".into(), JsonValue::Num(SERVING_SLO_P99_SECS * 1_000.0)),
-        ]
-    }
-
-    /// JSON pairs opening `comparison`: the verdict metric at the top rate,
-    /// best fixed arm vs co-tuned.
-    pub fn json_top(&self) -> Vec<(String, JsonValue)> {
-        let (key, scale) = self.metric.json;
-        let num = |v: Option<f64>| JsonValue::opt_finite(v.map(|x| x * scale));
-        vec![
-            (format!("best_fixed_{key}_at_top"), num(self.best_fixed_top())),
-            (format!("cotuned_{key}_at_top"), num(self.cotuned().top)),
         ]
     }
 
@@ -417,30 +400,12 @@ impl CoTuningRun {
         extra_measured: &[MeasuredField],
     ) -> Vec<(String, JsonValue)> {
         let fields = [&MEASURED_FIELDS[..], extra_measured].concat();
-        let arm_json = |arm: &ArmRun| {
-            let out = &arm.outcome;
-            let failed = out.observations.iter().filter(|o| o.failed).count();
+        let keys = |arm: &ArmRun| {
             let mut pairs = arm.json.clone();
-            pairs.extend([
-                ("best_qps".into(), JsonValue::opt_num(out.best_qps_with_recall(RECALL_FLOOR))),
-                (
-                    "best_p99_ms".into(),
-                    JsonValue::opt_finite(
-                        out.best_p99_with_recall(RECALL_FLOOR).map(|p| p * 1_000.0),
-                    ),
-                ),
-                (
-                    "best_config".into(),
-                    best_config(out, RECALL_FLOOR)
-                        .map_or(JsonValue::Null, |c| JsonValue::Str(c.summary())),
-                ),
-                ("slo_rejections".into(), JsonValue::Int(out.slo_rejections() as i64)),
-                ("failed".into(), JsonValue::Int(failed as i64)),
-                ("measured".into(), measured_json(&self.rates, &arm.measured, &fields)),
-            ]);
+            pairs.extend(arm_json(&arm.outcome, &self.rates, &arm.measured, &fields));
             pairs
         };
-        let mut cotuned = arm_json(self.cotuned());
+        let mut cotuned = keys(self.cotuned());
         cotuned.push((cotuned_extra.0.into(), cotuned_extra.1));
         vec![
             ("max_shards".into(), JsonValue::Int(self.max_shards as i64)),
@@ -451,7 +416,7 @@ impl CoTuningRun {
             ),
             (
                 "fixed".into(),
-                JsonValue::Arr(self.fixed().iter().map(|a| JsonValue::Obj(arm_json(a))).collect()),
+                JsonValue::Arr(self.fixed().iter().map(|a| JsonValue::Obj(keys(a))).collect()),
             ),
             ("cotuned".into(), JsonValue::Obj(cotuned)),
             (frozen_key.into(), JsonValue::Bool(self.frozen_matches)),

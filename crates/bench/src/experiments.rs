@@ -7,9 +7,11 @@
 //! sections quote the checked-in `results/`).
 
 use crate::affinity;
+use crate::comparison::{Better, Comparison};
 use crate::cotuning::{
-    best_config, budget_table, ladder_table, measure_ladder, measured_json, CoTuning, FixedArm,
-    GOODPUT_AT_TOP, LATENCY_LADDER, P99_AT_TOP, RECALL_FLOOR, SERVING_SLO_P99_SECS,
+    arm_json, at_top, best_config, budget_table, ladder_table, measure_ladder, p99_ms, CoTuning,
+    FixedArm, MeasuredField, BEST_QPS, LATENCY_LADDER, RECALL_FLOOR, SERVING_SLO_P99_SECS,
+    TOP_P99_MS,
 };
 use crate::report::{emit, emit_json, f1, f2, f3, ms, pct, JsonValue, Table};
 use crate::{
@@ -47,9 +49,6 @@ fn std_dev(values: &[f64]) -> f64 {
 fn checkpoints(n: usize) -> Vec<usize> {
     (0..n).step_by((n / 10).max(1)).chain(std::iter::once(n - 1)).collect()
 }
-
-/// The shared third verdict: nothing the co-tuned arm found met the SLO.
-const NO_FEASIBLE_COTUNED: &str = "the co-tuned arm found no SLO-feasible config — reported as-is";
 
 /// A histogram as a JSON array.
 fn int_array(counts: &[usize]) -> JsonValue {
@@ -738,9 +737,10 @@ pub fn topology(profile: &Profile, runs: &Runs) -> io::Result<()> {
         ]);
         (best_qps, best_qpd, failed)
     };
-    let mut fixed_rows = Vec::new();
+    let (mut fixed_rows, mut rivals) = (Vec::new(), Vec::new());
     for (&s, out) in fixed_counts.iter().zip(&fixed) {
         let (best_qps, best_qpd, failed) = arm(format!("fixed {s}-shard (16-dim)"), out);
+        rivals.push((format!("fixed {s}-shard"), best_qps));
         fixed_rows.push(JsonValue::obj(vec![
             ("shards", JsonValue::Int(s as i64)),
             ("best_qps", JsonValue::opt_num(best_qps)),
@@ -769,39 +769,19 @@ pub fn topology(profile: &Profile, runs: &Runs) -> io::Result<()> {
     let best_shards = best_config(&co, floor).map(|c| c.shards.unwrap_or(1));
     emit("topology_budget", "Topology co-tuning: evaluation budget per cluster shape", &ht)?;
 
-    // Honest comparison: co-tuning must match the best fixed-shape run
-    // given the same per-run budget — or the gap is reported as-is.
-    let best_fixed = fixed_counts
-        .iter()
-        .zip(&fixed)
-        .filter_map(|(&s, out)| out.best_qps_with_recall(floor).map(|q| (s, q)))
-        .max_by(|a, b| a.1.total_cmp(&b.1));
-    let mut s = Table::new(vec!["metric", "value"]);
-    match (best_fixed, co_best) {
-        (Some((bs, bq)), Some(cq)) => {
-            s.row(vec!["best fixed arm".into(), format!("{bs} shards @ {}", f1(bq))]);
-            s.row(vec![
-                "co-tuned best shape".into(),
-                best_shards.map_or("-".into(), |n| format!("{n} shards @ {}", f1(cq))),
-            ]);
-            s.row(vec!["co-tuned / best fixed".into(), f2(cq / bq)]);
-            s.row(vec![
-                "verdict".into(),
-                if cq >= bq {
-                    "co-tuning matches or beats the best fixed topology".into()
-                } else {
-                    format!("co-tuning trails the best fixed topology by {}", pct(1.0 - cq / bq))
-                },
-            ]);
-        }
-        _ => {
-            s.row(vec![
-                "verdict".to_string(),
-                "a run found no config above the recall floor".to_string(),
-            ]);
-        }
-    }
-    emit("topology_verdict", "Topology co-tuning vs best fixed topology (same budget)", &s)?;
+    // Honest comparison: co-tuning against the best fixed-shape run given
+    // the same per-run budget — or the gap is reported as-is.
+    let cmp = [Comparison {
+        metric: BEST_QPS,
+        better: Better::Higher,
+        subject: ("co-tuned".into(), co_best),
+        rivals,
+    }];
+    emit(
+        "topology_verdict",
+        "Topology co-tuning vs best fixed topology (same budget)",
+        &Comparison::table(&cmp, &[]),
+    )?;
 
     emit_json(
         "topology",
@@ -826,27 +806,7 @@ pub fn topology(profile: &Profile, runs: &Runs) -> io::Result<()> {
                     ("shard_histogram", int_array(&hist)),
                 ]),
             ),
-            (
-                "comparison",
-                JsonValue::obj(vec![
-                    (
-                        "best_fixed_shards",
-                        best_fixed.map_or(JsonValue::Null, |(s, _)| JsonValue::Int(s as i64)),
-                    ),
-                    ("best_fixed_qps", JsonValue::opt_num(best_fixed.map(|(_, q)| q))),
-                    (
-                        "cotuned_over_fixed",
-                        JsonValue::opt_num(match (co_best, best_fixed) {
-                            (Some(c), Some((_, b))) if b > 0.0 => Some(c / b),
-                            _ => None,
-                        }),
-                    ),
-                    (
-                        "cotuned_ge_fixed",
-                        JsonValue::opt_bool(co_best.zip(best_fixed).map(|(c, (_, b))| c >= b)),
-                    ),
-                ]),
-            ),
+            ("comparison", Comparison::json(&cmp)),
         ]),
     )
 }
@@ -869,7 +829,6 @@ pub fn serving(profile: &Profile, runs: &Runs) -> io::Result<()> {
     let outs = runs.outcomes(profile, &[(Method::VdTuner, DatasetKind::Glove)]);
     let offline = &outs[0];
     let offline_best_qps = offline.best_qps_with_recall(floor);
-    let offline_cfg = best_config(offline, floor);
 
     // The arrival ladder is anchored on the throughput the offline winner
     // *claims* to sustain: light load, moderate load, and just past its
@@ -883,19 +842,18 @@ pub fn serving(profile: &Profile, runs: &Runs) -> io::Result<()> {
 
     // Arm 2: serving-tuned — same tuner, budget and seed, but every
     // candidate is exercised at the top arrival rate under the p99 SLO.
-    let tuned_backend =
-        ServingBackend::over_sim(w, base_spec.at_rate(top_rate).with_slo(SERVING_SLO_P99_SECS));
+    let tune_spec = base_spec.at_rate(top_rate).with_slo(SERVING_SLO_P99_SECS);
     let arm = Method::VdTuner.arm(profile.iters);
+    let tuned_backend = ServingBackend::over_sim(w, tune_spec);
     let served = runs.tune(arm, SpaceSpec::legacy(), tuned_backend, profile.iters, profile.seed);
-    let served_best_qps = served.best_qps_with_recall(floor);
-    let served_cfg = best_config(&served, floor);
+    let arms = [offline, &served];
 
     // Measure both winners under every arrival rate (no SLO here — the
     // point is to see the raw tails, including the offline winner's).
-    let measured: Vec<Vec<Option<ServingStats>>> = [&offline_cfg, &served_cfg]
+    let measured: Vec<Vec<Option<ServingStats>>> = arms
         .iter()
-        .map(|cfg| {
-            measure_ladder(cfg.as_ref(), &rates, profile.seed, |rate| {
+        .map(|out| {
+            measure_ladder(best_config(out, floor).as_ref(), &rates, profile.seed, |rate| {
                 ServingBackend::over_sim(w, base_spec.at_rate(rate))
             })
         })
@@ -923,76 +881,32 @@ pub fn serving(profile: &Profile, runs: &Runs) -> io::Result<()> {
         &t,
     )?;
 
-    // Verdict: the serving-tuned config must beat the offline winner on
-    // p99 at the top rate while holding QPS@0.9 within 10% — or the gap is
-    // reported as-is.
-    let p99_at_top = |ai: usize| -> Option<f64> {
-        measured[ai].last().and_then(|s| s.as_ref()).map(|s| s.p99_latency_secs)
+    // Verdict: the serving-tuned winner against the offline one on p99 at
+    // the top rate (each read only where it meets the SLO there), then on
+    // best QPS @0.9 — or the gap is reported as-is.
+    let vs_offline = |metric, better, read: &dyn Fn(usize) -> Option<f64>| Comparison {
+        metric,
+        better,
+        subject: ("serving-tuned".into(), read(1)),
+        rivals: vec![("offline-tuned".into(), read(0))],
     };
-    let (off_p99, srv_p99) = (p99_at_top(0), p99_at_top(1));
-    let p99_ratio = match (srv_p99, off_p99) {
-        (Some(s), Some(o)) if o > 0.0 && s.is_finite() && o.is_finite() => Some(s / o),
-        _ => None,
-    };
-    let qps_ratio = match (served_best_qps, offline_best_qps) {
-        (Some(s), Some(o)) if o > 0.0 => Some(s / o),
-        _ => None,
-    };
-    let mut s = Table::new(vec!["metric", "value"]);
-    s.row(vec!["offline-tuned best QPS @0.9".into(), offline_best_qps.map_or("-".into(), f1)]);
-    s.row(vec!["serving-tuned best QPS @0.9".into(), served_best_qps.map_or("-".into(), f1)]);
-    s.row(vec!["QPS ratio (serving/offline)".into(), qps_ratio.map_or("-".into(), f2)]);
-    s.row(vec![
-        format!("p99 @ {:.0} req/s: offline-tuned", top_rate),
-        off_p99.map_or("-".into(), ms),
-    ]);
-    s.row(vec![
-        format!("p99 @ {:.0} req/s: serving-tuned", top_rate),
-        srv_p99.map_or("-".into(), ms),
-    ]);
-    s.row(vec![
-        "serving-arm SLO rejections".into(),
-        format!("{}/{}", served.slo_rejections(), served.observations.len()),
-    ]);
-    let verdict = match (p99_ratio, qps_ratio) {
-        (Some(p), Some(q)) if p < 1.0 && q >= 0.9 => format!(
-            "serving-tuned wins the tail ({} of offline p99) at {} of offline QPS",
-            f2(p),
-            pct(q)
-        ),
-        (Some(p), Some(q)) => {
-            format!("p99 ratio {} / QPS ratio {} — claim not met, reported as-is", f2(p), f2(q))
-        }
-        _ => "an arm found no config above the recall floor".to_string(),
-    };
-    s.row(vec!["verdict".into(), verdict]);
-    emit("serving_verdict", "Serving-tuned vs offline-tuned (same budget, same seed)", &s)?;
+    let cmp = [
+        vs_offline(TOP_P99_MS, Better::Lower, &|i| at_top(&measured[i], &tune_spec).map(p99_ms)),
+        vs_offline(BEST_QPS, Better::Higher, &|i| arms[i].best_qps_with_recall(floor)),
+    ];
+    emit(
+        "serving_verdict",
+        "Serving-tuned vs offline-tuned (same budget, same seed)",
+        &Comparison::table(&cmp, &[]),
+    )?;
 
-    let arm_json = |out: &TuningOutcome, stats: &[Option<ServingStats>], slo_arm: bool| {
-        let cfg = best_config(out, floor);
-        let mut pairs = vec![
-            ("best_qps", JsonValue::opt_num(out.best_qps_with_recall(floor))),
-            ("best_config", cfg.map_or(JsonValue::Null, |c| JsonValue::Str(c.summary()))),
-            ("failed", JsonValue::Int(out.observations.iter().filter(|o| o.failed).count() as i64)),
-            (
-                "measured",
-                measured_json(
-                    &rates,
-                    stats,
-                    &[
-                        ("p50_ms", |s| JsonValue::opt_finite(Some(s.p50_latency_secs * 1_000.0))),
-                        ("p99_ms", |s| JsonValue::opt_finite(Some(s.p99_latency_secs * 1_000.0))),
-                        ("achieved_qps", |s| JsonValue::opt_finite(Some(s.achieved_qps))),
-                        ("shed", |s| JsonValue::Int(s.shed as i64)),
-                    ],
-                ),
-            ),
-        ];
-        if slo_arm {
-            pairs.push(("slo_rejections", JsonValue::Int(out.slo_rejections() as i64)));
-        }
-        JsonValue::obj(pairs)
-    };
+    let fields: [MeasuredField; 4] = [
+        ("p50_ms", |s| JsonValue::opt_finite(Some(s.p50_latency_secs * 1_000.0))),
+        ("p99_ms", |s| JsonValue::opt_finite(Some(p99_ms(s)))),
+        ("achieved_qps", |s| JsonValue::opt_finite(Some(s.achieved_qps))),
+        ("shed", |s| JsonValue::Int(s.shed as i64)),
+    ];
+    let arm_obj = |i: usize| JsonValue::Obj(arm_json(arms[i], &rates, &measured[i], &fields));
     emit_json(
         "serving",
         &JsonValue::obj(vec![
@@ -1003,17 +917,9 @@ pub fn serving(profile: &Profile, runs: &Runs) -> io::Result<()> {
             ("recall_floor", JsonValue::Num(floor)),
             ("slo_p99_ms", JsonValue::Num(SERVING_SLO_P99_SECS * 1_000.0)),
             ("rates", JsonValue::Arr(rates.iter().map(|&r| JsonValue::Num(r)).collect())),
-            ("offline", arm_json(offline, &measured[0], false)),
-            ("serving", arm_json(&served, &measured[1], true)),
-            (
-                "comparison",
-                JsonValue::obj(vec![
-                    ("p99_ratio_at_max_rate", JsonValue::opt_finite(p99_ratio)),
-                    ("qps_ratio", JsonValue::opt_finite(qps_ratio)),
-                    ("serving_wins_p99", JsonValue::opt_bool(p99_ratio.map(|p| p < 1.0))),
-                    ("qps_within_10pct", JsonValue::opt_bool(qps_ratio.map(|q| q >= 0.9))),
-                ]),
-            ),
+            ("offline", arm_obj(0)),
+            ("serving", arm_obj(1)),
+            ("comparison", Comparison::json(&cmp)),
         ]),
     )
 }
@@ -1075,7 +981,6 @@ pub fn replication(profile: &Profile, runs: &Runs) -> io::Result<()> {
         reference: (space17(), |w, shards, _| TopologyBackend::new(w, shards)),
         frozen_arm: 0,
         strip: |c| VdmsConfig { replicas: None, ..c },
-        metric: P99_AT_TOP,
     }
     .run(profile, runs);
 
@@ -1101,37 +1006,19 @@ pub fn replication(profile: &Profile, runs: &Runs) -> io::Result<()> {
     emit("replication_budget", "Replication co-tuning: evaluation budget per factor", &ht)?;
 
     // Verdict: the co-tuned winner's measured p99 at the top rate against
-    // each fixed arm's (an arm with no SLO-feasible winner counts as
-    // beaten — it has nothing to deploy).
-    let (co_p99, beats_all) = (run.cotuned().top, run.cotuned_beats_all());
-    let mut s = run.verdict_table();
-    s.row(vec!["frozen-at-1 ≡ 17-dim (bitwise)".into(), run.frozen_matches.to_string()]);
-    let verdict = match (co_p99, beats_all) {
-        (Some(c), Some(true)) => {
-            let chosen = run
-                .winner()
-                .map(|cfg| {
-                    format!(
-                        "{} shards x {} replicas",
-                        cfg.shards.unwrap_or(1),
-                        cfg.replicas.unwrap_or(1)
-                    )
-                })
-                .unwrap_or_default();
-            format!("co-tuned ({chosen}) beats every fixed arm on p99 at the top rate ({})", ms(c))
-        }
-        (Some(_), Some(false)) => "co-tuning does not beat every fixed arm — reported as-is".into(),
-        _ => NO_FEASIBLE_COTUNED.into(),
-    };
-    s.row(vec!["verdict".into(), verdict]);
-    emit("replication_verdict", "Replication co-tuning vs fixed-replica arms (same budget)", &s)?;
+    // the best fixed arm's that meets the SLO there.
+    let cmp = [run.compare(TOP_P99_MS, Better::Lower, |_, top| top.map(p99_ms))];
+    let contracts = [("frozen-at-1 ≡ 17-dim (bitwise)", run.frozen_matches)];
+    emit(
+        "replication_verdict",
+        "Replication co-tuning vs fixed-replica arms (same budget)",
+        &Comparison::table(&cmp, &contracts),
+    )?;
 
     let mut doc = vec![("experiment".to_string(), JsonValue::Str("replication".into()))];
     doc.extend(run.json_head());
     doc.extend(run.json_arms("frozen_matches_17dim", ("replica_histogram", int_array(&hist)), &[]));
-    let mut comparison = run.json_top();
-    comparison.push(("cotuned_beats_all_fixed".into(), JsonValue::opt_bool(beats_all)));
-    doc.push(("comparison".into(), JsonValue::Obj(comparison)));
+    doc.push(("comparison".into(), Comparison::json(&cmp)));
     emit_json("replication", &JsonValue::Obj(doc))
 }
 
@@ -1278,7 +1165,6 @@ pub fn reactors(profile: &Profile, runs: &Runs) -> io::Result<()> {
         reference: (space18(), TopologyBackend::with_replication),
         frozen_arm: 0,
         strip: |c| VdmsConfig { pinning: None, ..c },
-        metric: P99_AT_TOP,
     }
     .run(profile, runs);
 
@@ -1306,40 +1192,18 @@ pub fn reactors(profile: &Profile, runs: &Runs) -> io::Result<()> {
     );
     emit("reactors_budget", "Pinning co-tuning: evaluation budget per policy", &ht)?;
 
-    // Verdict against the *best* fixed arm, on either axis the issue cares
-    // about: tuned QPS@0.9 under the SLO, or measured p99 at the top rate.
-    let co_qps = run.cotuned().outcome.best_qps_with_recall(RECALL_FLOOR);
-    let best_fixed_qps = run
-        .fixed()
-        .iter()
-        .filter_map(|arm| arm.outcome.best_qps_with_recall(RECALL_FLOOR))
-        .reduce(f64::max);
-    let beats_qps = match (co_qps, best_fixed_qps) {
-        (Some(c), Some(f)) => Some(c > f),
-        (Some(_), None) => Some(true),
-        _ => None,
-    };
-    let beats_p99 = run.cotuned_beats_all();
-    let mut s = run.verdict_table();
-    s.row(vec!["best fixed QPS @0.9".into(), best_fixed_qps.map_or("-".into(), f1)]);
-    s.row(vec!["co-tuned QPS @0.9".into(), co_qps.map_or("-".into(), f1)]);
-    s.row(vec!["frozen-at-shared ≡ 18-dim (bitwise)".into(), run.frozen_matches.to_string()]);
-    let verdict = match (beats_qps, beats_p99) {
-        (Some(true), _) | (_, Some(true)) => {
-            let chosen = run
-                .winner()
-                .map(|cfg| format!("pinning={}", cfg.pinning.unwrap_or_default().name()))
-                .unwrap_or_default();
-            let axis = if beats_qps == Some(true) { "QPS@0.9" } else { "p99 at the top rate" };
-            format!("co-tuned ({chosen}) beats the best fixed arm on {axis}")
-        }
-        (Some(false), Some(false)) => {
-            "co-tuning does not beat the best fixed arm — reported as-is".into()
-        }
-        _ => NO_FEASIBLE_COTUNED.into(),
-    };
-    s.row(vec!["verdict".into(), verdict]);
-    emit("reactors_verdict", "Pinning co-tuning vs fixed-policy arms (same budget)", &s)?;
+    // Verdict against the best fixed arm, one comparison per axis: tuned
+    // QPS@0.9 under the SLO, then measured p99 at the top rate.
+    let cmp = [
+        run.compare(BEST_QPS, Better::Higher, |out, _| out.best_qps_with_recall(RECALL_FLOOR)),
+        run.compare(TOP_P99_MS, Better::Lower, |_, top| top.map(p99_ms)),
+    ];
+    let contracts = [("frozen-at-shared ≡ 18-dim (bitwise)", run.frozen_matches)];
+    emit(
+        "reactors_verdict",
+        "Pinning co-tuning vs fixed-policy arms (same budget)",
+        &Comparison::table(&cmp, &contracts),
+    )?;
 
     let mut doc = calibration;
     // What the tuning phase actually priced with: `Measured` here means
@@ -1351,14 +1215,7 @@ pub fn reactors(profile: &Profile, runs: &Runs) -> io::Result<()> {
     ));
     doc.extend(run.json_head());
     doc.extend(run.json_arms("frozen_matches_18dim", ("policy_histogram", int_array(&hist)), &[]));
-    let mut comparison = run.json_top();
-    comparison.extend([
-        ("best_fixed_qps".into(), JsonValue::opt_finite(best_fixed_qps)),
-        ("cotuned_qps".into(), JsonValue::opt_finite(co_qps)),
-        ("cotuned_beats_best_fixed_qps".into(), JsonValue::opt_bool(beats_qps)),
-        ("cotuned_beats_best_fixed_p99".into(), JsonValue::opt_bool(beats_p99)),
-    ]);
-    doc.push(("comparison".into(), JsonValue::Obj(comparison)));
+    doc.push(("comparison".into(), Comparison::json(&cmp)));
     emit_json("reactors", &JsonValue::Obj(doc))
 }
 
@@ -1691,7 +1548,6 @@ pub fn writepath(profile: &Profile, runs: &Runs) -> io::Result<()> {
         reference: (space19(), TopologyBackend::with_pinning),
         frozen_arm: 2,
         strip: |c| VdmsConfig { writepath: None, ..c },
-        metric: GOODPUT_AT_TOP,
     }
     .run(profile, runs);
 
@@ -1739,37 +1595,20 @@ pub fn writepath(profile: &Profile, runs: &Runs) -> io::Result<()> {
     )?;
 
     // Verdict: the co-tuned winner's measured goodput at the top rate
-    // against each fixed-flush arm's (an arm with no SLO-feasible winner
-    // counts as beaten — it has nothing to deploy).
-    let (co_goodput, beats_all) = (run.cotuned().top, run.cotuned_beats_all());
-    let best_knobs = run.winner().and_then(|cfg| cfg.writepath);
-    let mut s = run.verdict_table();
-    s.row(vec!["frozen write knobs ≡ 19-dim (bitwise)".into(), run.frozen_matches.to_string()]);
-    s.row(vec!["write rate 0 ≡ read-only (bitwise)".into(), write_rate_zero_matches.to_string()]);
-    let verdict = match (co_goodput, beats_all) {
-        (Some(c), Some(true)) => {
-            let chosen = best_knobs
-                .map(|k| {
-                    format!(
-                        "batch={} flush={:.3}s seal={}",
-                        k.wal_batch_rows, k.flush_interval_secs, k.seal_rows
-                    )
-                })
-                .unwrap_or_default();
-            format!(
-                "co-tuned ({chosen}) matches or beats every fixed-flush arm on goodput at the \
-                 top rate ({})",
-                f1(c)
-            )
-        }
-        (Some(_), Some(false)) => {
-            "co-tuning does not beat every fixed-flush arm — reported as-is".into()
-        }
-        _ => NO_FEASIBLE_COTUNED.into(),
-    };
-    s.row(vec!["verdict".into(), verdict]);
-    emit("writepath_verdict", "Write-path co-tuning vs fixed-flush arms (same budget)", &s)?;
+    // against the best fixed-flush arm's that meets the SLO there.
+    let cmp =
+        [run.compare("goodput @ top rate", Better::Higher, |_, top| top.map(|s| s.goodput_qps))];
+    let contracts = [
+        ("frozen write knobs ≡ 19-dim (bitwise)", run.frozen_matches),
+        ("write rate 0 ≡ read-only (bitwise)", write_rate_zero_matches),
+    ];
+    emit(
+        "writepath_verdict",
+        "Write-path co-tuning vs fixed-flush arms (same budget)",
+        &Comparison::table(&cmp, &contracts),
+    )?;
 
+    let best_knobs = best_config(&run.cotuned().outcome, RECALL_FLOOR).and_then(|c| c.writepath);
     let mut doc = vec![("experiment".to_string(), JsonValue::Str("writepath".into()))];
     doc.extend(run.json_head());
     doc.push(("insert_fraction".into(), JsonValue::Num(insert_fraction)));
@@ -1786,8 +1625,6 @@ pub fn writepath(profile: &Profile, runs: &Runs) -> io::Result<()> {
         ],
     ));
     doc.push(("write_rate_zero_matches".into(), JsonValue::Bool(write_rate_zero_matches)));
-    let mut comparison = run.json_top();
-    comparison.push(("cotuned_beats_all_fixed".into(), JsonValue::opt_bool(beats_all)));
-    doc.push(("comparison".into(), JsonValue::Obj(comparison)));
+    doc.push(("comparison".into(), Comparison::json(&cmp)));
     emit_json("writepath", &JsonValue::Obj(doc))
 }

@@ -12,6 +12,7 @@
 #![allow(clippy::disallowed_methods, clippy::disallowed_types)]
 
 pub mod affinity;
+pub mod comparison;
 pub mod cotuning;
 pub mod experiments;
 pub mod report;

@@ -106,6 +106,29 @@ pub fn emit(name: &str, title: &str, table: &Table) -> io::Result<()> {
 /// [`JsonValue::opt_num`] / [`JsonValue::opt_finite`], which encode absence
 /// as an explicit `null`.
 ///
+/// ## The `comparison` array
+///
+/// `serving`, `topology`, `replication`, `reactors` and `writepath` each
+/// carry a `comparison` key: a non-empty array, one object per
+/// [`Comparison`](crate::comparison::Comparison) the experiment's verdict
+/// CSV renders, in the same order. Each object:
+///
+/// * `metric` (str) — what is compared, in its reported unit (e.g.
+///   `"p99 @ top rate (ms)"`, `"best QPS @0.9"`);
+/// * `better` (str) — `"higher"` or `"lower"`;
+/// * `subject` (obj) — the arm judged: `arm` (str), `value` (num|null —
+///   null when it has no feasible reading);
+/// * `rivals` (array of obj) — every arm it is judged against, same keys;
+/// * `verdict` (str) — exactly one of `"no feasible point"` (the subject
+///   has no reading), `"no feasible rival"` (no rival has one — such a
+///   rival is never counted as beaten), `"beats"`, `"indistinguishable"`,
+///   `"loses"` (the subject strictly better than, equal to, or strictly
+///   worse than the best rival with a reading).
+///
+/// A top-rate reading exists only where the arm's winner, measured at the
+/// top rate, meets the SLO it was tuned under
+/// ([`at_top`](crate::cotuning::at_top)).
+///
 /// ## `results/serving.json` schema
 ///
 /// Written by `repro serving` and consumed by the CI `repro-smoke` job.
@@ -115,20 +138,17 @@ pub fn emit(name: &str, title: &str, table: &Table) -> io::Result<()> {
 ///   `iters_per_run` (int), `recall_floor` (num);
 /// * `slo_p99_ms` (num) — the p99 SLO the serving-tuned run enforced;
 /// * `rates` (array of num) — offered arrival rates (requests/s), ascending;
-/// * `offline` / `serving` (obj) — one per tuning arm:
-///   `best_qps` (num|null, best QPS@recall of the tuning run),
-///   `best_config` (str|null — null when the arm found no config above
-///   the recall floor), `slo_rejections` (int, serving arm only),
-///   `measured` (array, one obj per rate: `rate`, `p50_ms`, `p99_ms`,
-///   `achieved_qps`, `shed` — latencies null when nothing completed);
-/// * `comparison` (obj): `p99_ratio_at_max_rate` (num|null,
-///   serving-tuned p99 / offline-tuned p99 at the highest rate — `< 1`
-///   means the serving-tuned config wins), `qps_ratio` (num|null,
-///   serving-tuned best QPS@recall / offline-tuned), `serving_wins_p99`
-///   (bool|null), `qps_within_10pct` (bool|null).
+/// * `offline` / `serving` (obj) — one per tuning arm, the per-arm keys
+///   of `replication.json`'s `fixed` entries (`best_qps`, `best_p99_ms`,
+///   `best_config`, `slo_rejections`, `failed`, `measured`), with
+///   `measured` rows of `rate`, `p50_ms`, `p99_ms`, `achieved_qps`,
+///   `shed` (latencies null when nothing completed);
+/// * `comparison` — serving-tuned vs offline-tuned: p99 at the top rate
+///   (lower), then best QPS @0.9 (higher).
 ///
-/// `results/topology.json` (written by `repro topology`) keeps its
-/// PR 3 schema: `experiment`, `dataset`, `fixed`, `cotuned`, `comparison`.
+/// `results/topology.json` (written by `repro topology`): `experiment`,
+/// `dataset`, `fixed`, `cotuned`, and a `comparison` of the co-tuned arm
+/// against every fixed shape on best QPS @0.9 (higher).
 ///
 /// ## `results/replication.json` schema
 ///
@@ -154,11 +174,8 @@ pub fn emit(name: &str, title: &str, table: &Table) -> io::Result<()> {
 /// * `frozen_matches_17dim` (bool) — whether the pinned-at-1 arm
 ///   reproduced the 17-dim topology tuning history bit for bit (the
 ///   frozen-dimension contract, checked in-run);
-/// * `comparison` (obj): `best_fixed_p99_ms_at_top` (num|null),
-///   `cotuned_p99_ms_at_top` (num|null), `cotuned_beats_all_fixed`
-///   (bool|null — `true` means the co-tuned winner's measured p99 at the
-///   top rate beats every fixed arm's, arms with no deployable winner
-///   counting as beaten).
+/// * `comparison` — the co-tuned arm against every fixed arm on p99 at
+///   the top rate (lower).
 ///
 /// ## `results/reactors.json` schema
 ///
@@ -204,10 +221,8 @@ pub fn emit(name: &str, title: &str, table: &Table) -> io::Result<()> {
 /// * `frozen_matches_18dim` (bool) — whether the pinned-at-`shared` arm
 ///   reproduced the 18-dim replication tuning history bit for bit (the
 ///   frozen-dimension contract, checked in-run);
-/// * `comparison` (obj): `best_fixed_p99_ms_at_top` /
-///   `cotuned_p99_ms_at_top` / `best_fixed_qps` / `cotuned_qps`
-///   (num|null), `cotuned_beats_best_fixed_qps` /
-///   `cotuned_beats_best_fixed_p99` (bool|null).
+/// * `comparison` — the co-tuned arm against every fixed arm on best
+///   QPS @0.9 (higher), then on p99 at the top rate (lower).
 ///
 /// ## `results/writepath.json` schema
 ///
@@ -245,12 +260,8 @@ pub fn emit(name: &str, title: &str, table: &Table) -> io::Result<()> {
 ///   fraction, the mixed simulator with and without a write-path request
 ///   produced bit-identical outcomes with a zeroed write ledger (the
 ///   write-rate→0 contract, checked in-run);
-/// * `comparison` (obj): `best_fixed_goodput_at_top` /
-///   `cotuned_goodput_at_top` (num|null, measured goodput at the top
-///   rate), `cotuned_beats_all_fixed` (bool|null — `true` means the
-///   co-tuned winner's goodput at the top rate matches or beats every
-///   fixed-flush arm's, arms with no deployable winner counting as
-///   beaten).
+/// * `comparison` — the co-tuned arm against every fixed-flush arm on
+///   goodput at the top rate (higher).
 ///
 /// ## `results/kernels.json` schema
 ///
@@ -326,11 +337,6 @@ impl JsonValue {
             Some(x) if x.is_finite() => JsonValue::Num(x),
             _ => JsonValue::Null,
         }
-    }
-
-    /// `None` renders as `null`.
-    pub fn opt_bool(v: Option<bool>) -> JsonValue {
-        v.map_or(JsonValue::Null, JsonValue::Bool)
     }
 
     /// Reject non-finite numbers anywhere in the document, reporting the
