@@ -13,7 +13,7 @@ use crate::cotuning::{
     FixedArm, MeasuredField, BEST_QPS, LATENCY_LADDER, RECALL_FLOOR, SERVING_SLO_P99_SECS,
     TOP_P99_MS,
 };
-use crate::report::{emit, emit_json, f1, f2, f3, ms, pct, JsonValue, Table};
+use crate::report::{emit, emit_json, f1, f2, f3, ms, pct, results_dir, JsonValue, Table};
 use crate::{
     recall_floor, run_parallel, vdtuner_paper_options, Arm, Method, Profile, Request, Runs,
     SACRIFICES,
@@ -1133,7 +1133,7 @@ pub fn reactors(profile: &Profile, runs: &Runs) -> io::Result<()> {
     // Its own workload: the calibrated cost model must not reach the
     // memo's, which every other experiment prices with the analytic one.
     let mut w = Workload::paper_default(DatasetSpec::scaled(DatasetKind::Glove));
-    w.cost_model = CostModel::calibrated();
+    w.cost_model = CostModel::calibrated(&results_dir());
     let space18 = || SpaceSpec::with_topology(max_shards).with_replication(max_replicas);
 
     let run = CoTuning {

@@ -70,11 +70,20 @@ impl Table {
     }
 }
 
-/// Directory where repro runs drop their CSVs.
+/// Directory where repro runs drop their artifacts and read their
+/// calibrations: `results/` under the working directory, wherever the
+/// binary was built.
 pub fn results_dir() -> PathBuf {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    let _ = fs::create_dir_all(&dir);
-    dir
+    PathBuf::from("results")
+}
+
+/// Create [`results_dir`] and return the path of the artifact `file` in it.
+fn artifact_path(file: &str) -> io::Result<PathBuf> {
+    let dir = results_dir();
+    fs::create_dir_all(&dir).map_err(|e| {
+        io::Error::new(e.kind(), format!("could not create {}: {e}", dir.display()))
+    })?;
+    Ok(dir.join(file))
 }
 
 /// Write one artifact, naming the path in the error.
@@ -92,7 +101,7 @@ fn write_artifact(path: &Path, text: &str) -> io::Result<()> {
 pub fn emit(name: &str, title: &str, table: &Table) -> io::Result<()> {
     println!("\n### {title}\n");
     println!("{}", table.render());
-    write_artifact(&results_dir().join(format!("{name}.csv")), &table.to_csv())
+    write_artifact(&artifact_path(&format!("{name}.csv"))?, &table.to_csv())
 }
 
 /// Persist a machine-readable summary as `results/<name>.json`, so future
@@ -294,14 +303,14 @@ pub fn emit(name: &str, title: &str, table: &Table) -> io::Result<()> {
 ///   `tiers` keys of the retired second kernel tier calibrate to the same
 ///   numbers.
 pub fn emit_json(name: &str, json: &JsonValue) -> io::Result<()> {
-    let path = results_dir().join(format!("{name}.json"));
+    let file = format!("{name}.json");
     json.validate().map_err(|e| {
         io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("refusing to write {}: {e}", path.display()),
+            format!("refusing to write {}: {e}", results_dir().join(&file).display()),
         )
     })?;
-    write_artifact(&path, &format!("{}\n", json.render(0)))
+    write_artifact(&artifact_path(&file)?, &format!("{}\n", json.render(0)))
 }
 
 /// A minimal JSON document builder (the workspace is offline — no serde).

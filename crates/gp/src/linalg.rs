@@ -22,24 +22,41 @@
 //!
 //! **Why panels.** One chain is latency-bound: each subtraction waits ~4
 //! cycles for the previous one. Different output elements are
-//! independent, so the left-looking factorization computes column `j` of
-//! four panels — sixteen rows — per pass against row `j`. Each step of the
-//! pass loads one element of row `j` and one 4-lane column per panel and
-//! does sixteen multiply-subtracts, where a row-major layout loaded an
-//! operand for every one; each panel's lanes are four chains in ascending
-//! `k`, which the compiler keeps in SSE2 registers. The one to three
-//! panels left over take one pass of their own width. The forward
-//! substitution runs the same chains one panel at a time (a panel needs
-//! the solution of every panel before it). The backward substitution stays
-//! scalar: there each chain *starts* with the element the previous chain
-//! finishes.
+//! independent, so the left-looking factorization runs many chains per
+//! pass. It walks the diagonal one panel (four columns) at a time. The
+//! panel's own columns are factored one by one, each chain in the panel's
+//! lanes. Then all four columns of the panels below are computed in one
+//! pass per pair of panels: each step loads one 4-lane column of each
+//! panel and row `k` of the diagonal panel, and does 32 multiply-subtracts
+//! in eight 4-lane chains, each loaded column feeding four of them. After
+//! the `k < j` terms each chain subtracts its in-block couplings
+//! `L[i][j + c′] · L[j + c][j + c′]` in ascending `c′` and divides, which
+//! is the scalar loop's chain continued in ascending `k`. When a column of
+//! the diagonal panel is not positive definite, its earlier columns are
+//! finished below one column at a time before the error returns, so the
+//! partial factor is the scalar loop's.
+//! The forward substitution runs the same chains one panel at a time (a
+//! panel needs the solution of every panel before it). The backward
+//! substitution stays scalar: there each chain *starts* with the element
+//! the previous chain finishes.
+//!
+//! **Instruction set.** The factorization runs through
+//! `vecdata::kernel::Kernel::run`: on an AVX2 host the same source is
+//! compiled for 256-bit registers, where the eight chains of a pass fit in
+//! 16 registers; otherwise it is compiled for SSE2. Neither enables `fma`,
+//! and Rust never contracts `a * b - c`, so both run the same IEEE
+//! operations and return the same bits. This crate has no `unsafe`.
 //!
 //! Measured on the reference host (2.1 GHz Xeon, one thread, 22-dimension
-//! Matérn kernels): 0.15 ms at n = 180 against 0.27–0.31 ms for four
-//! row-major rows per pass and 0.93 ms (n = 200) for the scalar loop;
-//! 13 µs against 21–33 µs at n = 76; level from n = 16 to 30; about 50 ns
-//! slower at n ≤ 12 (0.17 against 0.12 µs at n = 8), where a column's
-//! fixed cost outweighs its few chain steps.
+//! Matérn kernels, minimum of 301 alternating rounds) against the previous
+//! loop, which computed one column of four panels per pass: 93 against
+//! 175 µs at n = 180, 32 against 55 µs at n = 120, 9.8 against 16.2 µs at
+//! n = 76, 2.0 against 2.9 µs at n = 40, level at n = 20, and 20–40 ns
+//! slower at n ≤ 12 (0.32 against 0.28 µs at n = 12). Compiled for SSE2
+//! the same loop is level from n = 76 up, 0.92× at n = 40 and 1.07–1.20×
+//! at n ≤ 20: its eight 4-lane chains do not fit in sixteen 128-bit
+//! registers. The previous loop compiled for AVX2 takes 0.75× its SSE2
+//! time at n = 180; each of its loaded panel columns feeds one chain.
 
 /// Error raised when a matrix is not (numerically) positive definite even
 /// after the maximum jitter.
@@ -90,62 +107,119 @@ fn sub_chains<const P: usize>(
     v
 }
 
-/// Column `j` of the `P` panels in `group` against row `j` (`row`: the
-/// first `j` columns of row `j`'s panel), divided by the diagonal.
+/// Column `j` of row `j`'s own panel: the diagonal's chain in its lane,
+/// the rows below `j` of the panel in the lanes after it.
 #[inline(always)]
-fn column_pass<const P: usize>(
+fn diagonal_step(own: &mut [[f64; LANES]], j: usize) -> Result<(), NotPositiveDefinite> {
+    let lane = j % LANES;
+    let [v] = sub_chains([own[j]], [&*own], j, |k| own[k][lane]);
+    let diag = v[lane];
+    if diag <= 0.0 || !diag.is_finite() {
+        return Err(NotPositiveDefinite);
+    }
+    let diag = diag.sqrt();
+    own[j][lane] = diag;
+    for t in lane + 1..LANES {
+        own[j][t] = v[t] / diag;
+    }
+    Ok(())
+}
+
+/// Columns `j..j + 4` (`j ≡ 0 mod 4`) of the `P` panels in `group`, given
+/// the factored diagonal block in `own` (row `j`'s panel). Each element
+/// runs the scalar loop's chain: the `k < j` terms, with each loaded
+/// column of a panel feeding its four column chains, then the in-block
+/// couplings `L[i][j + c′] · L[j + c][j + c′]` in ascending `c′`, then the
+/// division.
+#[inline(always)]
+fn block_pass<const P: usize>(
     group: &mut [[f64; LANES]],
     n: usize,
     j: usize,
-    row: &[[f64; LANES]],
-    diag: f64,
+    own: &[[f64; LANES]],
 ) {
-    let lane = j % LANES;
     let mut panels = group.chunks_exact_mut(n);
     let mut panels: [&mut [[f64; LANES]]; P] =
         std::array::from_fn(|_| panels.next().expect("the group holds P panels"));
-    let v = sub_chains(
-        panels.each_ref().map(|panel| panel[j]),
-        panels.each_ref().map(|panel| &**panel),
-        j,
-        |k| row[k][lane],
-    );
-    for (panel, v) in panels.iter_mut().zip(v) {
-        panel[j] = v.map(|v| v / diag);
+    let mut v: [[[f64; LANES]; LANES]; P] =
+        std::array::from_fn(|p| std::array::from_fn(|c| panels[p][j + c]));
+    // Indexed loops with constant bounds, `c` outside `p`: the compiler
+    // unrolls them and keeps all 4·P column chains in registers. In the
+    // SSE2 compilation, iterator zips stored the chains to the stack on
+    // every step, and `p` outside `c` was 5–10 % slower.
+    let (row, block) = (&own[..j], &own[j..j + LANES]);
+    let columns = panels.each_ref().map(|panel| &panel[..j]);
+    for k in 0..j {
+        for c in 0..LANES {
+            for p in 0..P {
+                for t in 0..LANES {
+                    v[p][c][t] -= columns[p][k][t] * row[k][c];
+                }
+            }
+        }
+    }
+    for vp in &mut v {
+        for c in 0..LANES {
+            for c2 in 0..LANES {
+                if c2 < c {
+                    for t in 0..LANES {
+                        vp[c][t] -= vp[c2][t] * block[c2][c];
+                    }
+                }
+            }
+            for t in 0..LANES {
+                vp[c][t] /= block[c][c];
+            }
+        }
+    }
+    for (panel, vp) in panels.iter_mut().zip(v) {
+        panel[j..j + LANES].copy_from_slice(&vp);
     }
 }
 
 /// In-place left-looking Cholesky factorization `A = L Lᵀ` of a
 /// panel-major buffer: the lower triangle is replaced by `L`. On failure
 /// the columns before the offending one hold their part of `L` and the
-/// rest are untouched.
+/// rest are untouched. Compiled for the dispatched kernel's instruction
+/// set (`Kernel::run`); every tier returns the same bits.
 pub(crate) fn cholesky_panels(a: &mut [f64], n: usize) -> Result<(), NotPositiveDefinite> {
+    vecdata::kernel::active().run(
+        #[inline(always)]
+        || cholesky_blocked(a, n),
+    )
+}
+
+/// The factorization one diagonal panel at a time: the panel's own
+/// columns (its diagonal block) first, then all four columns of the
+/// panels below it in one pass per pair of panels.
+#[inline(always)]
+pub(crate) fn cholesky_blocked(a: &mut [f64], n: usize) -> Result<(), NotPositiveDefinite> {
     debug_assert_eq!(a.len(), panel_len(n));
     let (columns, _) = a.as_chunks_mut::<LANES>();
-    for j in 0..n {
-        let lane = j % LANES;
+    for j in (0..n).step_by(LANES) {
         let (upto, below) = columns.split_at_mut((j / LANES + 1) * n);
         let own = &mut upto[(j / LANES) * n..];
-        // Row j's own panel: its lane is the diagonal's chain, the lanes
-        // after it are the rows below j in the panel.
-        let [v] = sub_chains([own[j]], [&*own], j, |k| own[k][lane]);
-        let diag = v[lane];
-        if diag <= 0.0 || !diag.is_finite() {
-            return Err(NotPositiveDefinite);
+        for c in 0..(n - j).min(LANES) {
+            if let Err(e) = diagonal_step(own, j + c) {
+                // Finish the block's earlier columns below, one column of
+                // one panel at a time, so that every column before the
+                // offending one holds its part of `L`.
+                for jc in j..j + c {
+                    let lane = jc % LANES;
+                    for panel in below.chunks_exact_mut(n) {
+                        let [v] = sub_chains([panel[jc]], [&*panel], jc, |k| own[k][lane]);
+                        panel[jc] = v.map(|v| v / own[jc][lane]);
+                    }
+                }
+                return Err(e);
+            }
         }
-        let diag = diag.sqrt();
-        own[j][lane] = diag;
-        for t in lane + 1..LANES {
-            own[j][t] = v[t] / diag;
-        }
-
-        let row = &own[..j];
-        for group in below.chunks_mut(LANES * n) {
-            match group.len() / n {
-                4 => column_pass::<4>(group, n, j, row, diag),
-                3 => column_pass::<3>(group, n, j, row, diag),
-                2 => column_pass::<2>(group, n, j, row, diag),
-                _ => column_pass::<1>(group, n, j, row, diag),
+        // A partial last panel has no panels below it.
+        for group in below.chunks_mut(2 * n) {
+            if group.len() == 2 * n {
+                block_pass::<2>(group, n, j, own);
+            } else {
+                block_pass::<1>(group, n, j, own);
             }
         }
     }

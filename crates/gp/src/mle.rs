@@ -10,9 +10,10 @@
 //! hyperparameters is hoisted out of the search: the pairwise distances
 //! live in [`TrainingInputs`], the targets are standardized once, and the
 //! evaluations reuse one factor buffer and each target's `α`, so they
-//! allocate nothing. At n = 180 on the reference host (2.1 GHz Xeon) one
-//! evaluation is ≈ 0.26 ms: the factorization 0.15, the kernel matrix
-//! 0.09 (one `exp` per pair of points), the two solves 0.02. The fits are
+//! allocate nothing. At n = 180 on the reference host (2.1 GHz Xeon, AVX2)
+//! one evaluation is ≈ 0.20 ms: the factorization 0.09 (0.15 before it
+//! was compiled for AVX2 through `Kernel::run`), the kernel matrix 0.09
+//! (one `exp` per pair of points), the two solves 0.02. The fits are
 //! the largest part of a proposal on every benchmark workload; the split
 //! is in ARCHITECTURE.md, "Where recommendation time goes". (The paper
 //! reports 438 s of recommendation time over 200 iterations, ~2 s per

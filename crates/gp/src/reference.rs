@@ -25,6 +25,7 @@ use crate::{linalg, GaussianProcess, TrainingInputs};
 use proptest::panel::bits_f64 as bits;
 use proptest::prelude::*;
 use proptest::TestRng;
+use vecdata::kernel::{Kernel as Tier, SCALAR};
 
 // ---------------------------------------------------------------------------
 // Oracles
@@ -342,11 +343,53 @@ fn row_blocked_cholesky_equals_the_scalar_loop_for_every_size() {
     }
 }
 
+/// Every compilation of the factorization this host can run, whatever
+/// `VDTUNER_FORCE_SCALAR` says: the scalar tier, and AVX2 when the CPU has
+/// it.
+fn tiers() -> Vec<Tier> {
+    std::iter::once(SCALAR).chain(Tier::avx2()).collect()
+}
+
+/// The factorization compiled for `tier`: the `inline(always)` closure
+/// puts the loop inside the tier's trampoline.
+fn factor_on(tier: Tier, panels: &mut [f64], n: usize) -> Result<(), NotPositiveDefinite> {
+    tier.run(
+        #[inline(always)]
+        || linalg::cholesky_blocked(panels, n),
+    )
+}
+
+#[test]
+fn every_tier_factors_like_the_scalar_loop() {
+    // Every n mod 4, partial last panels, and two- and one-panel groups
+    // below a four-column block.
+    let mut rng = proptest::test_rng("cholesky-tiers");
+    for n in (1..=12).chain(63..=67).chain([180, 181]) {
+        let a = random_spd(n, &mut rng);
+        let mut slow = a.clone();
+        cholesky_in_place(&mut slow, n).unwrap();
+        for tier in tiers() {
+            let mut panels = to_panels(&a, n);
+            factor_on(tier, &mut panels, n).unwrap();
+            let name = tier.name();
+            assert_eq!(panel_lower_bits(&panels, n), lower_bits(&slow, n), "{name}, n = {n}");
+        }
+    }
+}
+
 #[test]
 fn cholesky_fails_at_the_same_column_with_the_same_partial_factor() {
     let mut rng = proptest::test_rng("cholesky-failure");
     for n in 1..=MAX_N {
-        let mut bad_columns = vec![0, n / 2, n - 1];
+        // The first, middle and last column, every offset of the
+        // four-column block around the middle (the blocked pass finishes
+        // the block's earlier columns before it fails), and the first
+        // column of a partial last panel.
+        let block = n / 2 / 4 * 4;
+        let mut bad_columns = vec![0, n / 2, n - 1, n / 4 * 4];
+        bad_columns.extend(block..block + 4);
+        bad_columns.retain(|&c| c < n);
+        bad_columns.sort_unstable();
         bad_columns.dedup();
         for bad in bad_columns {
             // Column `bad` loses positive-definiteness; the columns before
@@ -355,6 +398,13 @@ fn cholesky_fails_at_the_same_column_with_the_same_partial_factor() {
             a[bad * n + bad] = -1.0;
             let mut slow = a.clone();
             assert!(cholesky_in_place(&mut slow, n).is_err());
+            for tier in tiers() {
+                let mut panels = to_panels(&a, n);
+                assert!(factor_on(tier, &mut panels, n).is_err());
+                let name = tier.name();
+                let got = panel_lower_bits(&panels, n);
+                assert_eq!(got, lower_bits(&slow, n), "{name}, n = {n}, column {bad}");
+            }
             let mut panels = to_panels(&a, n);
             assert!(linalg::cholesky_panels(&mut panels, n).is_err());
             assert_eq!(panel_lower_bits(&panels, n), lower_bits(&slow, n), "n = {n}, column {bad}");

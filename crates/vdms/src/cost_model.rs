@@ -221,14 +221,14 @@ impl CostModel {
     /// throughputs in `results/kernels.json` (written by `repro kernels`)
     /// and whose NUMA/SMT penalty surface comes from the pinned-replay
     /// measurements in `results/reactors.json` (written by
-    /// `repro reactors`), falling back to the analytic constants when no
-    /// measurement exists. The fallback is **recorded**, not silent:
+    /// `repro reactors`), both read from the `results` directory given,
+    /// falling back to the analytic constants when no measurement exists.
+    /// The fallback is **recorded**, not silent:
     /// [`CostModel::scan_source`] / [`CostModel::penalty_source`] say
     /// whether each surface is [`CalibrationSource::Measured`], and
     /// experiments surface that in their JSON so a run can't masquerade as
     /// calibrated.
-    pub fn calibrated() -> CostModel {
-        let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    pub fn calibrated(results: &std::path::Path) -> CostModel {
         let (scan, scan_source) = match ScanUnitCosts::load(&results.join("kernels.json")) {
             Some(scan) => (scan, CalibrationSource::Measured),
             None => (ScanUnitCosts::ANALYTIC, CalibrationSource::Analytic),
@@ -546,11 +546,39 @@ mod tests {
         let b = base.query_perf(&flat_cost(), &sys);
         let f = fast.query_perf(&flat_cost(), &sys);
         assert!(f.qps > b.qps, "measured (faster) constants must raise modelled qps");
-        // calibrated() must always produce a usable model, whether or not a
-        // kernels.json exists in this checkout.
-        let cal = CostModel::calibrated();
-        assert!(cal.scan.f32_dim_ns > 0.0 && cal.scan.f32_dim_ns.is_finite());
-        assert!(cal.scan.u8_dim_ns > 0.0 && cal.scan.pq_lookup_ns > 0.0);
+    }
+
+    #[test]
+    fn calibrated_without_the_files_is_analytic() {
+        let cal = CostModel::calibrated(std::path::Path::new("/nonexistent/results"));
+        assert_eq!(cal.scan, ScanUnitCosts::ANALYTIC);
+        assert_eq!(cal.scan_source, CalibrationSource::Analytic);
+        assert_eq!(cal.penalties, PenaltyMatrix::ANALYTIC);
+        assert_eq!(cal.penalty_source, CalibrationSource::Analytic);
+    }
+
+    #[test]
+    fn calibrated_with_the_files_is_measured() {
+        let dir = std::env::temp_dir().join("vdtuner_cost_model_calibrated_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(
+            dir.join("kernels.json"),
+            r#"{"calibration": {"f32_dim_ns": 0.11, "u8_dim_ns": 0.05, "pq_lookup_ns": 0.7, "source": "measured"}}"#,
+        )
+        .unwrap();
+        std::fs::write(
+            dir.join("reactors.json"),
+            r#"{"penalties": {"same_core_smt": 1.5, "same_socket": 1.2, "cross_socket": 1.9}}"#,
+        )
+        .unwrap();
+        let cal = CostModel::calibrated(&dir);
+        assert_eq!(
+            cal.scan,
+            ScanUnitCosts { f32_dim_ns: 0.11, u8_dim_ns: 0.05, pq_lookup_ns: 0.7 }
+        );
+        assert_eq!(cal.scan_source, CalibrationSource::Measured);
+        assert_eq!(cal.penalty_source, CalibrationSource::Measured);
+        assert_ne!(cal.penalties, PenaltyMatrix::ANALYTIC);
     }
 
     #[test]

@@ -40,6 +40,18 @@
 //! legacy loops produce byte-identical tuning histories (see
 //! `tests/kernel_history_regression.rs` at the workspace root).
 //!
+//! # Compiling other crates' exact loops: [`Kernel::run`]
+//!
+//! `kernel.run(f)` calls `f` compiled for the kernel's instruction set: the
+//! AVX2 kernel calls it inside a `#[target_feature(enable = "avx2")]`
+//! trampoline, so a loop inlined into `f` (mark the closure
+//! `#[inline(always)]`) gets 256-bit registers without a `#[target_feature]`
+//! outside this module. The GP's Cholesky factorization runs this way. Only
+//! `avx2` is ever enabled, never `fma`: Rust does not contract `a * b - c`
+//! into a fused multiply-add, and without the feature LLVM cannot either,
+//! so both compilations of an exact loop run the same IEEE operations in
+//! the same order and return the same bits.
+//!
 //! # Soundness
 //!
 //! [`Kernel`]'s implementation tag is private, and [`Kernel::avx2`] is the
@@ -47,8 +59,9 @@
 //! first. Each entry point asserts slice lengths once (release builds too;
 //! the legacy free functions silently truncated to the shorter slice), then
 //! matches on the tag. Its AVX2 arm is the one `unsafe` call into the
-//! `#[target_feature(enable = "avx2")]` bodies, sound because the tag
-//! exists only on a host that has the feature.
+//! `#[target_feature(enable = "avx2")]` bodies (or, for [`Kernel::run`],
+//! the trampoline), sound because the tag exists only on a host that has
+//! the feature.
 
 use std::sync::OnceLock;
 
@@ -80,6 +93,21 @@ impl Kernel {
             return Some(Kernel(Imp::Avx2));
         }
         None
+    }
+
+    /// Run `f` compiled for this kernel's instruction set: [`SCALAR`] calls
+    /// it as is; the AVX2 kernel calls it inside an `avx2` trampoline, so an
+    /// exact loop inlined into `f` is vectorized with 256-bit registers.
+    /// `fma` is never enabled and Rust never contracts `a * b - c`, so both
+    /// compilations run the same IEEE operations and return the same bits.
+    #[inline]
+    pub fn run<R>(self, f: impl FnOnce() -> R) -> R {
+        match self.0 {
+            Imp::Scalar => f(),
+            // SAFETY: `Imp::Avx2` is only built by `avx2()`, after detection.
+            #[cfg(target_arch = "x86_64")]
+            Imp::Avx2 => unsafe { avx2::run(f) },
+        }
     }
 
     /// Implementation name (`"scalar"` or `"avx2"`).
@@ -305,6 +333,12 @@ mod avx2 {
     //! only safe entry is through a [`super::Kernel`] made by
     //! [`super::Kernel::avx2`], which verifies detection.
     use std::arch::x86_64::*;
+
+    /// Call `f` with `avx2` enabled for whatever LLVM inlines into it.
+    #[target_feature(enable = "avx2")]
+    pub fn run<R>(f: impl FnOnce() -> R) -> R {
+        f()
+    }
 
     /// Fold a 256-bit lane accumulator exactly like `acc.iter().sum()` over
     /// the scalar `[f32; 8]`: left-to-right, starting from 0.0.
@@ -625,6 +659,19 @@ mod tests {
         assert_eq!(active(), select(force_scalar_requested()));
         if let Some(k) = Kernel::avx2() {
             assert_eq!(k.name(), "avx2");
+        }
+    }
+
+    #[test]
+    fn run_calls_the_closure_once_and_returns_its_value() {
+        for k in std::iter::once(SCALAR).chain(Kernel::avx2()) {
+            let mut calls = 0;
+            let got = k.run(|| {
+                calls += 1;
+                (0..100).map(|i| i as f64 * 0.1).sum::<f64>()
+            });
+            assert_eq!(calls, 1, "{}", k.name());
+            assert_eq!(got.to_bits(), (0..100).map(|i| i as f64 * 0.1).sum::<f64>().to_bits());
         }
     }
 
