@@ -160,8 +160,11 @@ impl<K: Kernel> GaussianProcess<K> {
     }
 
     /// Posterior mean and variance at `q`, on the original target scale.
+    ///
+    /// # Panics
+    /// When `q` does not have the training rows' dimension.
     pub fn predict(&self, q: &[f64]) -> Posterior {
-        debug_assert_eq!(q.len(), self.dim, "query has the wrong dimension");
+        assert_eq!(q.len(), self.dim, "query has the wrong dimension");
         let n = self.alpha.len();
         // k* first, then forward-substituted in place into v = L⁻¹ k*.
         let mut v: Vec<f64> = (0..n)
@@ -293,7 +296,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
     #[should_panic(expected = "query has the wrong dimension")]
     fn short_query_is_caught_not_truncated() {
         let x = vec![vec![0.1, 0.2], vec![0.7, 0.4]];

@@ -8,7 +8,11 @@
 //! maps them through the kernel's radial profile.
 
 use crate::kernel::{distance, Kernel};
-use crate::linalg::{at, panel_len};
+use crate::linalg::{at, panel_len, LANES};
+
+/// Packed distances per pass of the kernel-matrix fill (two 2 KiB stack
+/// buffers).
+const CHUNK: usize = 256;
 
 /// The rows of a training set (flattened row-major) and their pairwise
 /// distances as a packed lower triangle, diagonal included: row `i` holds
@@ -63,25 +67,60 @@ impl TrainingInputs {
     /// Write the lower triangle of `K + noise·I` into the panel-major
     /// buffer `a` (see [`crate::linalg`]), `K[i][j] = kernel(r(i, j))`.
     /// Nothing else is touched (nothing in [`crate::linalg`] reads it).
+    ///
+    /// Every element is bit-identical to [`Kernel::eval_dist`]. The packed
+    /// distances run through [`CHUNK`]-element stack buffers in three
+    /// passes: [`Kernel::exponent`], the dispatched `vecdata` kernel's `exp`
+    /// (four lanes of glibc's algorithm on AVX2 + FMA, `f64::exp`
+    /// otherwise) and [`Kernel::finish`]; each chunk is then copied into
+    /// its rows. A fill allocates nothing, and all of it runs inside
+    /// `Kernel::run`, so the passes' divisions are 4-wide on AVX2.
     pub(crate) fn kernel_matrix_into<K: Kernel>(&self, kernel: &K, noise: f64, a: &mut [f64]) {
         let n = self.n;
         debug_assert_eq!(a.len(), panel_len(n));
-        let mut r = self.r.as_slice();
-        for i in 0..n {
-            let (ri, rest) = r.split_at(i + 1);
-            r = rest;
-            for (k, &rik) in ri.iter().enumerate() {
-                a[at(n, i, k)] = kernel.eval_dist(rik);
-            }
-            a[at(n, i, i)] += noise;
-        }
+        let simd = vecdata::kernel::active();
+        let (mut xs, mut es) = ([0.0; CHUNK], [0.0; CHUNK]);
+        simd.run(
+            #[inline(always)]
+            || {
+                // The packed position of the next element: row `i`, column `k`.
+                let (mut i, mut k) = (0, 0);
+                for rc in self.r.chunks(CHUNK) {
+                    let (xs, es) = (&mut xs[..rc.len()], &mut es[..rc.len()]);
+                    for (x, &r) in xs.iter_mut().zip(rc) {
+                        *x = kernel.exponent(r);
+                    }
+                    es.copy_from_slice(xs);
+                    simd.exp(es);
+                    for (e, &x) in es.iter_mut().zip(&*xs) {
+                        *e = kernel.finish(x, *e);
+                    }
+                    let mut src = &es[..];
+                    while !src.is_empty() {
+                        // Row `i`'s columns are `LANES` apart in its panel.
+                        let m = (i + 1 - k).min(src.len());
+                        let start = at(n, i, k);
+                        let dst = &mut a[start..=start + LANES * (m - 1)];
+                        for (c, &e) in src[..m].iter().enumerate() {
+                            dst[LANES * c] = e;
+                        }
+                        src = &src[m..];
+                        k += m;
+                        if k == i + 1 {
+                            a[at(n, i, i)] += noise;
+                            (i, k) = (i + 1, 0);
+                        }
+                    }
+                }
+            },
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::Matern52;
+    use crate::kernel::{Matern52, Rbf};
 
     #[test]
     fn distances_are_packed_by_row() {
@@ -91,23 +130,43 @@ mod tests {
         assert_eq!(t.flat(), [0.0, 0.0, 3.0, 4.0, 3.0, 0.0]);
     }
 
+    /// The fill against `eval` element by element, in `to_bits()`, for
+    /// every row length up to 9 (the `exp` tails), rows across a chunk
+    /// boundary (n = 23) and longer than a chunk (n = 257), and
+    /// lengthscales down to 0.01, where many lanes leave the four-lane
+    /// `exp`'s range (points in `[0, 3)⁴`, so distances reach past
+    /// `512 ℓ/√5`).
+    fn assert_fill_is_pointwise<K: Kernel>(k: &K, what: &str) {
+        for n in (1..=9).chain([23, 257]) {
+            let x: Vec<Vec<f64>> = (0..n)
+                .map(|i| (0..4).map(|d| 3.0 * ((i * 4 + d) as f64 * 0.618).fract()).collect())
+                .collect();
+            let mut a = vec![f64::NAN; panel_len(n)];
+            TrainingInputs::new(&x).kernel_matrix_into(k, 0.25, &mut a);
+            let mut written = vec![false; a.len()];
+            for i in 0..n {
+                for j in 0..=i {
+                    let want = k.eval(&x[i], &x[j]) + if i == j { 0.25 } else { 0.0 };
+                    assert_eq!(a[at(n, i, j)].to_bits(), want.to_bits(), "{what} n={n} ({i},{j})");
+                    written[at(n, i, j)] = true;
+                }
+            }
+            let untouched = a.iter().zip(&written).filter(|(_, &w)| !w);
+            assert!(untouched.clone().all(|(v, _)| v.is_nan()), "upper triangle and padding");
+            assert_eq!(untouched.count(), a.len() - n * (n + 1) / 2);
+        }
+    }
+
     #[test]
     fn kernel_matrix_is_the_pointwise_kernel_plus_noise() {
-        let x = vec![vec![0.1, 0.9], vec![0.4, 0.2], vec![0.8, 0.5]];
-        let k = Matern52 { lengthscale: 0.4, signal_variance: 1.7 };
-        let mut a = vec![f64::NAN; panel_len(3)];
-        TrainingInputs::new(&x).kernel_matrix_into(&k, 0.25, &mut a);
-        let mut written = vec![false; a.len()];
-        for i in 0..3 {
-            for j in 0..=i {
-                let want = k.eval(&x[i], &x[j]) + if i == j { 0.25 } else { 0.0 };
-                assert_eq!(a[at(3, i, j)].to_bits(), want.to_bits(), "({i},{j})");
-                written[at(3, i, j)] = true;
+        for lengthscale in [0.01, 0.05, 0.4, 3.0] {
+            for signal_variance in [0.01, 1.7, 31.6] {
+                let m = Matern52 { lengthscale, signal_variance };
+                assert_fill_is_pointwise(&m, &format!("{m:?}"));
+                let r = Rbf { lengthscale, signal_variance };
+                assert_fill_is_pointwise(&r, &format!("{r:?}"));
             }
         }
-        let untouched = a.iter().zip(&written).filter(|(_, &w)| !w);
-        assert!(untouched.clone().all(|(v, _)| v.is_nan()), "upper triangle and padding untouched");
-        assert_eq!(untouched.count(), 12 - 6);
     }
 
     #[test]

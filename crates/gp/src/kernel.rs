@@ -8,12 +8,32 @@
 //! Isotropic means the covariance depends on the two points only through
 //! their Euclidean distance, which does not depend on the hyperparameters:
 //! a fit computes the distances once ([`crate::TrainingInputs`]) and every
-//! likelihood evaluation maps them through [`Kernel::eval_dist`].
+//! likelihood evaluation maps them through the kernel's radial profile.
+//!
+//! Both profiles are a polynomial times one exponential, so a kernel is
+//! written as two steps around that `exp`: [`Kernel::exponent`] and
+//! [`Kernel::finish`]. [`Kernel::eval_dist`] composes them with
+//! `f64::exp`; the kernel-matrix fill runs each step over a buffer of
+//! distances, and the `exp` between them through
+//! `vecdata::kernel::Kernel::exp`, which returns the same bits four lanes
+//! at a time.
 
 /// A positive-definite, stationary and isotropic covariance function.
 pub trait Kernel: Send + Sync {
-    /// Covariance of two points at Euclidean distance `r`.
-    fn eval_dist(&self, r: f64) -> f64;
+    /// The argument of the kernel's exponential at Euclidean distance `r`.
+    fn exponent(&self, r: f64) -> f64;
+
+    /// The covariance, given the exponent `x = exponent(r)` and
+    /// `e = x.exp()`.
+    fn finish(&self, x: f64, e: f64) -> f64;
+
+    /// Covariance of two points at Euclidean distance `r`: the one
+    /// definition every other path must reproduce bit for bit.
+    #[inline]
+    fn eval_dist(&self, r: f64) -> f64 {
+        let x = self.exponent(r);
+        self.finish(x, x.exp())
+    }
 
     /// Covariance between two input points (of equal dimension).
     fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
@@ -47,9 +67,17 @@ impl Default for Matern52 {
 }
 
 impl Kernel for Matern52 {
-    fn eval_dist(&self, r: f64) -> f64 {
-        let s = 5f64.sqrt() * r / self.lengthscale.max(1e-9);
-        self.signal_variance * (1.0 + s + s * s / 3.0) * (-s).exp()
+    /// `−s`, with `s = √5 r/ℓ`.
+    #[inline]
+    fn exponent(&self, r: f64) -> f64 {
+        -(5f64.sqrt() * r / self.lengthscale.max(1e-9))
+    }
+
+    /// `σ² (1 + s + s²/3) e`; negating the exponent gives `s` back exactly.
+    #[inline]
+    fn finish(&self, x: f64, e: f64) -> f64 {
+        let s = -x;
+        self.signal_variance * (1.0 + s + s * s / 3.0) * e
     }
 
     fn diag(&self) -> f64 {
@@ -72,10 +100,15 @@ impl Default for Rbf {
 }
 
 impl Kernel for Rbf {
-    fn eval_dist(&self, r: f64) -> f64 {
-        let d2 = r * r;
+    #[inline]
+    fn exponent(&self, r: f64) -> f64 {
         let l2 = self.lengthscale * self.lengthscale;
-        self.signal_variance * (-0.5 * d2 / l2.max(1e-18)).exp()
+        -0.5 * (r * r) / l2.max(1e-18)
+    }
+
+    #[inline]
+    fn finish(&self, _x: f64, e: f64) -> f64 {
+        self.signal_variance * e
     }
 
     fn diag(&self) -> f64 {

@@ -72,7 +72,7 @@ impl std::fmt::Display for NotPositiveDefinite {
 impl std::error::Error for NotPositiveDefinite {}
 
 /// Rows per panel.
-const LANES: usize = 4;
+pub(crate) const LANES: usize = 4;
 
 /// Position of row `i`, column `k` in an `n × n` panel-major buffer.
 #[inline]

@@ -11,13 +11,15 @@
 //! live in [`TrainingInputs`], the targets are standardized once, and the
 //! evaluations reuse one factor buffer and each target's `α`, so they
 //! allocate nothing. At n = 180 on the reference host (2.1 GHz Xeon, AVX2)
-//! one evaluation is ≈ 0.20 ms: the factorization 0.09 (0.15 before it
-//! was compiled for AVX2 through `Kernel::run`), the kernel matrix 0.09
-//! (one `exp` per pair of points), the two solves 0.02. The fits are
-//! the largest part of a proposal on every benchmark workload; the split
-//! is in ARCHITECTURE.md, "Where recommendation time goes". (The paper
-//! reports 438 s of recommendation time over 200 iterations, ~2 s per
-//! iteration, for its whole pipeline.)
+//! one evaluation is ≈ 0.17 ms: the factorization 0.09 (0.15 before it
+//! was compiled for AVX2 through `Kernel::run`), the kernel matrix 0.06
+//! (0.10 with one libm `exp` call per pair of points; now the `exp`s run
+//! four lanes at a time through `vecdata::kernel::Kernel::exp`, and the
+//! two divisions per pair are the larger part), the two solves 0.02. The
+//! fits are the largest part of a proposal on every benchmark workload;
+//! the split is in ARCHITECTURE.md, "Where recommendation time goes".
+//! (The paper reports 438 s of recommendation time over 200 iterations,
+//! ~2 s per iteration, for its whole pipeline.)
 //!
 //! **Lockstep.** The likelihood depends on the hyperparameters only
 //! through `clamp_params`, and only the two solves depend on the target.
