@@ -17,10 +17,10 @@ use crate::history::TuningOutcome;
 use crate::npi::NpiNormalizer;
 use crate::space::SpaceSpec;
 use anns::params::IndexType;
-use gp::{fit_gp_on, FitOptions, GaussianProcess, Matern52, TrainingInputs};
+use gp::{fit_gp_on, FitOptions, GaussianProcess, Joint, Matern52, Posterior, TrainingInputs};
 use mobo::acquisition::constrained_ei;
 use mobo::hypervolume::FrontSweep;
-use mobo::optimize::{argmax_acquisition_par, candidate_pool, local_refine_par, CandidateOptions};
+use mobo::optimize::{argmax_blocks, candidate_pool, local_refine_blocks, CandidateOptions};
 use mobo::pareto::non_dominated_indices;
 use rand::Rng;
 use vdms::VdmsConfig;
@@ -29,11 +29,11 @@ use workload::{
     run_tuner, run_tuner_batched, EvalBackend, Evaluator, Observation, SimBackend, Tuner, Workload,
 };
 
-/// A boxed acquisition function over encoded configurations. `Sync` so the
-/// candidate pool can be scored from worker threads; the lifetime lets it
-/// borrow the fitted surrogates, which outlive it for the fantasy
-/// prediction of batched proposals.
-type Acquisition<'a> = Box<dyn Fn(&[f64]) -> f64 + Sync + 'a>;
+/// A boxed acquisition function of one candidate's speed and recall
+/// posteriors (computed a block of candidates at a time by [`Joint`]).
+/// `Sync` so the candidate pool can be scored from worker threads; the
+/// lifetime lets it borrow what the proposal prepared (front, samples).
+type Acquisition<'a> = Box<dyn Fn(&[Posterior; 2]) -> f64 + Sync + 'a>;
 
 /// Which surrogate-target transformation to use (Figure 8b ablation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -357,20 +357,19 @@ impl VdTuner {
             SurrogateKind::Native => 1.0,
         };
 
-        // The acquisition borrows the GPs (rather than consuming them) so
-        // the fantasy prediction below can reuse the same fit.
-        let (gps, gpr) = (&gp_speed, &gp_recall);
+        // Both surrogates fit on one training set: a block of candidates
+        // shares its distances to the training rows between them. The
+        // fantasy prediction below reuses the same fit.
+        let joint = Joint::new([&gp_speed, &gp_recall]);
         let acq: Acquisition<'_> = match self.options.mode {
             TunerMode::MultiObjective | TunerMode::CostEffective => {
-                Box::new(move |c: &[f64]| {
+                Box::new(|[ps, pr]: &[Posterior; 2]| {
                     // Log-normal MC for speed, ceiling-clipped normal for
                     // recall; hypervolume improvement in objective space.
                     // `mc_mean` evaluates the samples in parallel (degrading
                     // to a serial loop when the candidate fan-out above
                     // already owns the cores) with an in-order reduction, so
                     // the estimate is thread-count independent.
-                    let ps = gps.predict(c);
-                    let pr = gpr.predict(c);
                     let (ms, ss) = (ps.mean, ps.std_dev());
                     let (mr, sr) = (pr.mean, pr.std_dev());
                     mobo::acquisition::mc_mean(&z_pairs, |z1, z2| {
@@ -406,23 +405,24 @@ impl VdTuner {
                     SurrogateKind::Polling => recall_limit / normalizer.base(t).recall.max(1e-12),
                     SurrogateKind::Native => recall_limit,
                 };
-                Box::new(move |c: &[f64]| {
-                    let ps = gps.predict(c);
-                    let pr = gpr.predict(c);
-                    constrained_ei(&ps, &pr, log_best, rlim)
-                })
+                Box::new(move |[ps, pr]: &[Posterior; 2]| constrained_ei(ps, pr, log_best, rlim))
             }
         };
 
-        // Candidate scoring fans out across cores; the winner is selected
-        // by a serial scan, so results are identical to the serial path.
-        let acq_sub = |sub: &[f64]| acq(&embed_sub(sub));
-        let chosen = argmax_acquisition_par(&sub_pool, &acq_sub).map(|(start, v0)| {
+        // Candidate blocks fan out across cores; the winner is selected by
+        // a serial scan, so results are identical to the serial path.
+        let acq_sub = |block: &[Vec<f64>], out: &mut [f64]| {
+            let embedded: Vec<Vec<f64>> = block.iter().map(|sub| embed_sub(sub)).collect();
+            for (v, posteriors) in out.iter_mut().zip(joint.predict(&embedded)) {
+                *v = acq(&posteriors);
+            }
+        };
+        let chosen = argmax_blocks(&sub_pool, &acq_sub).map(|(start, v0)| {
             // Local refinement of the acquisition optimum (the paper's
             // BoTorch backend optimizes the acquisition with multi-start
             // gradients; shrinking perturbation search is our equivalent),
             // with each refinement round's probes scored in parallel.
-            local_refine_par(
+            local_refine_blocks(
                 &acq_sub,
                 &start,
                 v0,
@@ -441,8 +441,8 @@ impl VdTuner {
                                     // Posterior-mean belief at the chosen point, mapped back to
                                     // raw objective units (speed GP lives in log space of the
                                     // possibly-normalized target).
-                let s_norm = gp_speed.predict(&enc).mean.exp();
-                let r_norm = gp_recall.predict(&enc).mean;
+                let [ps, pr] = joint.predict(std::slice::from_ref(&enc))[0];
+                let (s_norm, r_norm) = (ps.mean.exp(), pr.mean);
                 let pred = match self.options.surrogate {
                     SurrogateKind::Polling => {
                         let base = normalizer.base(t);

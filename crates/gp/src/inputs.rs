@@ -7,23 +7,30 @@
 //! each — are computed once here and shared; a likelihood evaluation only
 //! maps them through the kernel's radial profile.
 
-use crate::kernel::{distance, Kernel};
+use crate::kernel::{distance, eval_dists, Kernel};
 use crate::linalg::{at, panel_len, LANES};
-
-/// Packed distances per pass of the kernel-matrix fill (two 2 KiB stack
-/// buffers).
-const CHUNK: usize = 256;
+use vecdata::kernel::Kernel as Tier;
 
 /// The rows of a training set (flattened row-major) and their pairwise
-/// distances as a packed lower triangle, diagonal included: row `i` holds
-/// `r(i, 0..=i)` at offset `i (i + 1) / 2`. Packing keeps the resident
-/// footprint at half an `n × n` matrix.
+/// distances, laid out like the lower panels of the kernel matrix (see
+/// [`crate::linalg`]): panel `p` (rows `4p..4p + 4`) holds its columns up
+/// to the end of its diagonal block, `0..min(4p + 4, n)`, four lanes each.
+/// The diagonal block's lanes above the diagonal hold their distances too,
+/// and padding rows hold zero, so the fill maps each panel as one
+/// contiguous run. The resident footprint stays at about half an `n × n`
+/// matrix.
 #[derive(Debug, Clone)]
 pub struct TrainingInputs {
     n: usize,
     dim: usize,
     x: Vec<f64>,
     r: Vec<f64>,
+}
+
+/// Columns stored for panel `p` of an `n`-row set: up to the end of its
+/// diagonal block.
+fn panel_columns(n: usize, p: usize) -> usize {
+    (LANES * (p + 1)).min(n)
 }
 
 impl TrainingInputs {
@@ -35,11 +42,19 @@ impl TrainingInputs {
         let n = x.len();
         let dim = x.first().map_or(0, Vec::len);
         let mut flat = Vec::with_capacity(n * dim);
-        let mut r = Vec::with_capacity(n * (n + 1) / 2);
         for (i, xi) in x.iter().enumerate() {
             assert_eq!(xi.len(), dim, "training row {i} has the wrong dimension");
             flat.extend_from_slice(xi);
-            r.extend(x[..=i].iter().map(|xj| distance(xi, xj)));
+        }
+        let panels = n.div_ceil(LANES);
+        let mut r = Vec::with_capacity((0..panels).map(|p| LANES * panel_columns(n, p)).sum());
+        for p in 0..panels {
+            for xk in &x[..panel_columns(n, p)] {
+                r.extend(
+                    (LANES * p..LANES * (p + 1))
+                        .map(|i| x.get(i).map_or(0.0, |xi| distance(xi, xk))),
+                );
+            }
         }
         TrainingInputs { n, dim, x: flat, r }
     }
@@ -64,56 +79,37 @@ impl TrainingInputs {
         &self.x
     }
 
-    /// Write the lower triangle of `K + noise·I` into the panel-major
-    /// buffer `a` (see [`crate::linalg`]), `K[i][j] = kernel(r(i, j))`.
-    /// Nothing else is touched (nothing in [`crate::linalg`] reads it).
+    /// Write `K + noise·I` into the panel-major buffer `a` (see
+    /// [`crate::linalg`]), `K[i][j] = kernel(r(i, j))`: the lower
+    /// triangle, and with it the diagonal blocks' lanes above the diagonal
+    /// and the padding lanes, which nothing in [`crate::linalg`] reads.
+    /// The rest of the upper triangle is not touched.
     ///
-    /// Every element is bit-identical to [`Kernel::eval_dist`]. The packed
-    /// distances run through [`CHUNK`]-element stack buffers in three
-    /// passes: [`Kernel::exponent`], the dispatched `vecdata` kernel's `exp`
-    /// (four lanes of glibc's algorithm on AVX2 + FMA, `f64::exp`
-    /// otherwise) and [`Kernel::finish`]; each chunk is then copied into
-    /// its rows. A fill allocates nothing, and all of it runs inside
-    /// `Kernel::run`, so the passes' divisions are 4-wide on AVX2.
+    /// Every element is bit-identical to [`Kernel::eval_dist`]. Each panel's
+    /// distances are copied into place and mapped there in one pass of the
+    /// dispatched `vecdata` kernel's `exp_map`: [`Kernel::exponent`], `exp`
+    /// and [`Kernel::finish`] per element, four lanes at a time on AVX2 +
+    /// FMA (glibc's `exp`, with the two divisions overlapping it),
+    /// `f64::exp` otherwise. A fill allocates nothing.
     pub(crate) fn kernel_matrix_into<K: Kernel>(&self, kernel: &K, noise: f64, a: &mut [f64]) {
+        self.kernel_matrix_on(vecdata::kernel::active(), kernel, noise, a);
+    }
+
+    /// [`TrainingInputs::kernel_matrix_into`] on the given tier.
+    fn kernel_matrix_on<K: Kernel>(&self, simd: Tier, kernel: &K, noise: f64, a: &mut [f64]) {
         let n = self.n;
         debug_assert_eq!(a.len(), panel_len(n));
-        let simd = vecdata::kernel::active();
-        let (mut xs, mut es) = ([0.0; CHUNK], [0.0; CHUNK]);
-        simd.run(
-            #[inline(always)]
-            || {
-                // The packed position of the next element: row `i`, column `k`.
-                let (mut i, mut k) = (0, 0);
-                for rc in self.r.chunks(CHUNK) {
-                    let (xs, es) = (&mut xs[..rc.len()], &mut es[..rc.len()]);
-                    for (x, &r) in xs.iter_mut().zip(rc) {
-                        *x = kernel.exponent(r);
-                    }
-                    es.copy_from_slice(xs);
-                    simd.exp(es);
-                    for (e, &x) in es.iter_mut().zip(&*xs) {
-                        *e = kernel.finish(x, *e);
-                    }
-                    let mut src = &es[..];
-                    while !src.is_empty() {
-                        // Row `i`'s columns are `LANES` apart in its panel.
-                        let m = (i + 1 - k).min(src.len());
-                        let start = at(n, i, k);
-                        let dst = &mut a[start..=start + LANES * (m - 1)];
-                        for (c, &e) in src[..m].iter().enumerate() {
-                            dst[LANES * c] = e;
-                        }
-                        src = &src[m..];
-                        k += m;
-                        if k == i + 1 {
-                            a[at(n, i, i)] += noise;
-                            (i, k) = (i + 1, 0);
-                        }
-                    }
-                }
-            },
-        )
+        let mut src = &self.r[..];
+        for (p, panel) in a.chunks_exact_mut(LANES * n).enumerate() {
+            let (r, rest) = src.split_at(LANES * panel_columns(n, p));
+            let dst = &mut panel[..r.len()];
+            dst.copy_from_slice(r);
+            eval_dists(simd, kernel, dst);
+            src = rest;
+        }
+        for i in 0..n {
+            a[at(n, i, i)] += noise;
+        }
     }
 }
 
@@ -123,37 +119,55 @@ mod tests {
     use crate::kernel::{Matern52, Rbf};
 
     #[test]
-    fn distances_are_packed_by_row() {
+    fn distances_are_laid_out_by_panel() {
         let t = TrainingInputs::new(&[vec![0.0, 0.0], vec![3.0, 4.0], vec![3.0, 0.0]]);
         assert_eq!((t.len(), t.dim()), (3, 2));
-        assert_eq!(t.r, [0.0, 5.0, 0.0, 3.0, 4.0, 0.0]);
+        // One partial panel: three columns of four lanes, the last a
+        // padding row.
+        assert_eq!(t.r, [0.0, 5.0, 3.0, 0.0, 5.0, 0.0, 4.0, 0.0, 3.0, 4.0, 0.0, 0.0]);
         assert_eq!(t.flat(), [0.0, 0.0, 3.0, 4.0, 3.0, 0.0]);
     }
 
-    /// The fill against `eval` element by element, in `to_bits()`, for
-    /// every row length up to 9 (the `exp` tails), rows across a chunk
-    /// boundary (n = 23) and longer than a chunk (n = 257), and
-    /// lengthscales down to 0.01, where many lanes leave the four-lane
-    /// `exp`'s range (points in `[0, 3)⁴`, so distances reach past
-    /// `512 ℓ/√5`).
+    /// Both tiers, whatever `VDTUNER_FORCE_SCALAR` says.
+    fn tiers() -> impl Iterator<Item = Tier> {
+        std::iter::once(vecdata::kernel::SCALAR).chain(Tier::avx2())
+    }
+
+    /// The fill on every tier against `eval` element by element, in
+    /// `to_bits()`, for every size up to 9 (the `exp` tails and partial
+    /// panels), n = 23 and n = 257, and lengthscales down to 0.01, where
+    /// many lanes leave the four-lane `exp`'s range (points in `[0, 3)⁴`,
+    /// so distances reach past `512 ℓ/√5`).
     fn assert_fill_is_pointwise<K: Kernel>(k: &K, what: &str) {
         for n in (1..=9).chain([23, 257]) {
             let x: Vec<Vec<f64>> = (0..n)
                 .map(|i| (0..4).map(|d| 3.0 * ((i * 4 + d) as f64 * 0.618).fract()).collect())
                 .collect();
-            let mut a = vec![f64::NAN; panel_len(n)];
-            TrainingInputs::new(&x).kernel_matrix_into(k, 0.25, &mut a);
-            let mut written = vec![false; a.len()];
-            for i in 0..n {
-                for j in 0..=i {
-                    let want = k.eval(&x[i], &x[j]) + if i == j { 0.25 } else { 0.0 };
-                    assert_eq!(a[at(n, i, j)].to_bits(), want.to_bits(), "{what} n={n} ({i},{j})");
-                    written[at(n, i, j)] = true;
+            let t = TrainingInputs::new(&x);
+            for tier in tiers() {
+                let mut a = vec![f64::NAN; panel_len(n)];
+                t.kernel_matrix_on(tier, k, 0.25, &mut a);
+                let mut written = vec![false; a.len()];
+                let what = format!("{what} on {}, n = {n}", tier.name());
+                // The lower triangle, the diagonal blocks' upper lanes and
+                // the padding rows (at distance zero).
+                for i in 0..n.next_multiple_of(LANES) {
+                    for j in 0..panel_columns(n, i / LANES) {
+                        let want = match x.get(i) {
+                            Some(xi) => k.eval(xi, &x[j]) + if i == j { 0.25 } else { 0.0 },
+                            None => k.eval_dist(0.0),
+                        };
+                        assert_eq!(a[at(n, i, j)].to_bits(), want.to_bits(), "{what} ({i},{j})");
+                        written[at(n, i, j)] = true;
+                    }
                 }
+                let untouched = a.iter().zip(&written).filter(|(_, &w)| !w);
+                assert!(
+                    untouched.clone().all(|(v, _)| v.is_nan()),
+                    "the rest of the upper triangle"
+                );
+                assert_eq!(untouched.count(), a.len() - t.r.len());
             }
-            let untouched = a.iter().zip(&written).filter(|(_, &w)| !w);
-            assert!(untouched.clone().all(|(v, _)| v.is_nan()), "upper triangle and padding");
-            assert_eq!(untouched.count(), a.len() - n * (n + 1) / 2);
         }
     }
 

@@ -13,10 +13,13 @@
 //! Both profiles are a polynomial times one exponential, so a kernel is
 //! written as two steps around that `exp`: [`Kernel::exponent`] and
 //! [`Kernel::finish`]. [`Kernel::eval_dist`] composes them with
-//! `f64::exp`; the kernel-matrix fill runs each step over a buffer of
-//! distances, and the `exp` between them through
-//! `vecdata::kernel::Kernel::exp`, which returns the same bits four lanes
-//! at a time.
+//! `f64::exp`, the one definition of the formula; the kernel-matrix fill
+//! and the posterior ([`crate::Joint`]) pass the two steps to
+//! `vecdata::kernel::Kernel::exp_map`, which runs `exponent`, `exp` and
+//! `finish` as one pass over four elements at a time and returns the same
+//! bits.
+
+use vecdata::kernel::Kernel as Tier;
 
 /// A positive-definite, stationary and isotropic covariance function.
 pub trait Kernel: Send + Sync {
@@ -42,6 +45,14 @@ pub trait Kernel: Send + Sync {
 
     /// Marginal variance `k(x, x)`.
     fn diag(&self) -> f64;
+}
+
+/// [`Kernel::eval_dist`] of every distance in `rs`, in place, bit for bit:
+/// `exponent`, `exp` and `finish` as one `exp_map` pass of `tier` (four
+/// lanes at a time on AVX2 + FMA). The fill and the posterior both map
+/// their distances here.
+pub(crate) fn eval_dists<K: Kernel>(tier: Tier, kernel: &K, rs: &mut [f64]) {
+    tier.exp_map(rs, |r| kernel.exponent(r), |x, e| kernel.finish(x, e));
 }
 
 /// Euclidean distance, the squares summed in ascending dimension. Does not

@@ -11,7 +11,8 @@
 //! * [`inputs`] — a training set with its pairwise distances, computed once
 //!   and shared by every likelihood evaluation and every target,
 //! * [`gp`] — exact GP posterior (mean/variance) with standardized targets
-//!   and the log marginal likelihood,
+//!   and the log marginal likelihood; [`Joint`] predicts several models
+//!   fitted on the same rows a block of queries at a time,
 //! * `opt` (crate-private) — a dependency-free Nelder–Mead simplex
 //!   minimizer, an ask/tell state machine,
 //! * [`mle`] — maximum-likelihood hyperparameter fitting via multi-start
@@ -31,7 +32,7 @@ mod opt;
 #[cfg(test)]
 mod reference;
 
-pub use gp::{GaussianProcess, Posterior};
+pub use gp::{GaussianProcess, Joint, Posterior, BLOCK};
 pub use inputs::TrainingInputs;
 pub use kernel::{Kernel, Matern52, Rbf};
 pub use mle::{fit_gp, fit_gp_on, FitOptions};

@@ -11,11 +11,13 @@
 //! live in [`TrainingInputs`], the targets are standardized once, and the
 //! evaluations reuse one factor buffer and each target's `α`, so they
 //! allocate nothing. At n = 180 on the reference host (2.1 GHz Xeon, AVX2)
-//! one evaluation is ≈ 0.17 ms: the factorization 0.09 (0.15 before it
-//! was compiled for AVX2 through `Kernel::run`), the kernel matrix 0.06
-//! (0.10 with one libm `exp` call per pair of points; now the `exp`s run
-//! four lanes at a time through `vecdata::kernel::Kernel::exp`, and the
-//! two divisions per pair are the larger part), the two solves 0.02. The
+//! one evaluation is ≈ 0.15 ms: the factorization 0.09 (0.15 before it
+//! was compiled for AVX2 through `Kernel::run`), the kernel matrix 0.04
+//! (0.10 with one libm `exp` call per pair of points, 0.06 with the `exp`s
+//! four lanes at a time in a pass of their own; now `exponent`, `exp` and
+//! `finish` run as one four-lane pass per panel through
+//! `vecdata::kernel::Kernel::exp_map`, so the two divisions per pair
+//! overlap the `exp`), the two solves 0.02. The
 //! fits are the largest part of a proposal on every benchmark workload;
 //! the split is in ARCHITECTURE.md, "Where recommendation time goes".
 //! (The paper reports 438 s of recommendation time over 200 iterations,

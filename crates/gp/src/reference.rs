@@ -21,7 +21,7 @@ use crate::kernel::{Kernel, Matern52};
 use crate::linalg::{at, dot, panel_len, NotPositiveDefinite};
 use crate::mle::{clamp_params, FitOptions, Lockstep, LOG_LS_RANGE};
 use crate::opt::{NelderMead, NelderMeadOptions};
-use crate::{linalg, GaussianProcess, TrainingInputs};
+use crate::{linalg, GaussianProcess, Joint, TrainingInputs, BLOCK};
 use proptest::panel::bits_f64 as bits;
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -435,6 +435,74 @@ fn triangular_solves_equal_the_scalar_loops_for_every_size() {
             "log-determinant, n = {n}"
         );
     }
+}
+
+/// The block posterior of two models on one training set, on every tier,
+/// against the oracle's one-query prediction and against
+/// `GaussianProcess::predict`, in `to_bits()`: every size up to 9 (partial
+/// panels), n = 23 and n = 181 (past two dozen panels), two full blocks
+/// plus each tail of 0–7 queries, and a lengthscale of 0.01 beside 0.4, at
+/// which the far queries' `k*` underflows to zero (and the mean sums
+/// signed zeros) and many lanes leave the four-lane `exp`'s range. One
+/// thread runs every case, so each reuses the scratch the one before left,
+/// of another size and with stale contents.
+#[test]
+fn block_posterior_equals_the_one_query_prediction_on_every_tier() {
+    let mut rng = proptest::test_rng("block-posterior");
+    for n in (1..=9).chain([23, 181]) {
+        let (x, y) = training_set(n, 22, 0, &mut rng);
+        let y2: Vec<f64> = x.iter().map(|p| p[1] * p[2] - p[3]).collect();
+        let (ka, kb) = (
+            Matern52 { lengthscale: 0.4, signal_variance: 1.3 },
+            Matern52 { lengthscale: 0.01, signal_variance: 0.7 },
+        );
+        let inputs = TrainingInputs::new(&x);
+        let a = GaussianProcess::fit_on(&inputs, &y, ka, 1e-3).unwrap();
+        let b = GaussianProcess::fit_on(&inputs, &y2, kb, 1e-2).unwrap();
+        let oracles =
+            [RefGp::fit(&x, &y, ka, 1e-3).unwrap(), RefGp::fit(&x, &y2, kb, 1e-2).unwrap()];
+        let queries: Vec<Vec<f64>> = (0..3 * BLOCK)
+            .map(|i| match i % 3 {
+                0 => x[i % n].clone(),
+                1 => (0..22).map(|_| rng.unit_f64()).collect(),
+                _ => (0..22).map(|_| 3.0 + rng.unit_f64()).collect(),
+            })
+            .collect();
+        for tail in 0..BLOCK {
+            let queries = &queries[..2 * BLOCK + tail];
+            for tier in tiers() {
+                let got = Joint::new([&a, &b]).predict_on(tier, queries);
+                assert_eq!(got.len(), queries.len());
+                for (i, (q, posteriors)) in queries.iter().zip(got).enumerate() {
+                    let case = format!("{}, n = {n}, tail {tail}, query {i}", tier.name());
+                    for (m, (p, (model, oracle))) in
+                        posteriors.into_iter().zip([&a, &b].into_iter().zip(&oracles)).enumerate()
+                    {
+                        let (mean, variance) = oracle.predict(q);
+                        assert_eq!(p.mean.to_bits(), mean.to_bits(), "mean {m}: {case}");
+                        assert_eq!(
+                            p.variance.to_bits(),
+                            variance.to_bits(),
+                            "variance {m}: {case}"
+                        );
+                        assert_eq!(p, model.predict(q), "model {m}: {case}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "the models were fitted on different training rows")]
+fn joint_prediction_refuses_models_on_different_rows() {
+    let mut rng = proptest::test_rng("joint-rows");
+    let (x, y) = training_set(6, 3, 0, &mut rng);
+    let a = GaussianProcess::fit(&x, &y, Matern52::default(), 1e-3).unwrap();
+    let mut moved = x.clone();
+    moved[5][2] = moved[5][2].next_up();
+    let b = GaussianProcess::fit(&moved, &y, Matern52::default(), 1e-3).unwrap();
+    Joint::new([&a, &b]);
 }
 
 /// `n` rows of dimension `d` in the unit cube; every `dup`-th row repeats

@@ -46,10 +46,10 @@ pub fn ehvi_mc(
 
 /// Mean of `f` over pre-drawn standard-normal pairs, computed **in
 /// parallel** with an input-order reduction, so the estimate is bit-stable
-/// across thread counts. The shared Monte-Carlo primitive behind
-/// [`ehvi_mc_par`] and VDTuner's log-normal EHVI estimate — any acquisition
-/// that averages a per-sample statistic should route through this rather
-/// than re-implementing the ordered reduction.
+/// across thread counts. The shared Monte-Carlo primitive behind VDTuner's
+/// log-normal EHVI estimate — any acquisition that averages a per-sample
+/// statistic should route through this rather than re-implementing the
+/// ordered reduction.
 pub fn mc_mean<F: Fn(f64, f64) -> f64 + Sync>(z_pairs: &[(f64, f64)], f: F) -> f64 {
     if z_pairs.is_empty() {
         return 0.0;
@@ -57,23 +57,6 @@ pub fn mc_mean<F: Fn(f64, f64) -> f64 + Sync>(z_pairs: &[(f64, f64)], f: F) -> f
     // The rayon shim's `sum` folds the mapped values in input order.
     let total: f64 = z_pairs.par_iter().map(|&(z1, z2)| f(z1, z2)).sum();
     total / z_pairs.len() as f64
-}
-
-/// Parallel [`ehvi_mc`]: per-sample hypervolume improvements computed
-/// concurrently via [`mc_mean`], bit-identical to the serial estimator for
-/// any thread count (useful when the MC sample count is large and the
-/// candidate loop is not already saturating the cores).
-pub fn ehvi_mc_par(
-    post_speed: &Posterior,
-    post_recall: &Posterior,
-    front: &[[f64; 2]],
-    reference: &[f64; 2],
-    z_pairs: &[(f64, f64)],
-) -> f64 {
-    let (m1, s1) = (post_speed.mean, post_speed.std_dev());
-    let (m2, s2) = (post_recall.mean, post_recall.std_dev());
-    let sweep = FrontSweep::new(front, reference);
-    mc_mean(z_pairs, |z1, z2| sweep.improvement(&[m1 + s1 * z1, m2 + s2 * z2]))
 }
 
 /// **Exact** 2-D EHVI for independent Gaussian objectives (maximization).
@@ -87,8 +70,8 @@ pub fn ehvi_mc_par(
 /// where `S(x)` is the staircase upper envelope of the Pareto front —
 /// piecewise constant, so each stripe contributes
 /// `EI_2(s) · σ1 (G(u_b) − G(u_a))` with `G(u) = u − uΦ(u) − φ(u)`
-/// (an antiderivative of `Φ(−u)`). Used by the acquisition ablation bench;
-/// the MC estimator stays the default for parity with the paper.
+/// (an antiderivative of `Φ(−u)`). The tests hold the MC estimator to it;
+/// the tuner keeps the MC estimator for parity with the paper.
 pub fn ehvi_2d_exact(
     post_speed: &Posterior,
     post_recall: &Posterior,
@@ -212,30 +195,7 @@ mod tests {
     #[test]
     fn ehvi_zero_when_no_samples() {
         assert_eq!(ehvi_mc(&post(1.0, 1.0), &post(1.0, 1.0), &[], &[0.0, 0.0], &[]), 0.0);
-        assert_eq!(ehvi_mc_par(&post(1.0, 1.0), &post(1.0, 1.0), &[], &[0.0, 0.0], &[]), 0.0);
-    }
-
-    #[test]
-    fn parallel_ehvi_matches_serial_bitwise() {
-        let front = [[4.0, 1.0], [2.5, 2.0], [1.0, 3.0]];
-        let r = [0.0, 0.0];
-        let z: Vec<(f64, f64)> = (0..513)
-            .map(|i| {
-                let t = i as f64 * 0.61803;
-                ((t.sin() * 1.7).clamp(-3.0, 3.0), (t.cos() * 1.3).clamp(-3.0, 3.0))
-            })
-            .collect();
-        let p1 = post(3.0, 0.7);
-        let p2 = post(2.0, 0.4);
-        let serial = ehvi_mc(&p1, &p2, &front, &r, &z);
-        for threads in [1, 4] {
-            let par = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap()
-                .install(|| ehvi_mc_par(&p1, &p2, &front, &r, &z));
-            assert_eq!(par.to_bits(), serial.to_bits(), "threads={threads}");
-        }
+        assert_eq!(mc_mean(&[], |_, _| 1.0), 0.0);
     }
 
     #[test]

@@ -46,11 +46,12 @@
 //! AVX2 kernel calls it inside a `#[target_feature(enable = "avx2")]`
 //! trampoline, so a loop inlined into `f` (mark the closure
 //! `#[inline(always)]`) gets 256-bit registers without a `#[target_feature]`
-//! outside this module. The GP's Cholesky factorization and kernel fill
-//! run this way. `run` enables only `avx2`, never `fma`: Rust does not
-//! contract `a * b - c` into a fused multiply-add, and without the feature
-//! LLVM cannot either, so both compilations of an exact loop run the same
-//! IEEE operations in the same order and return the same bits.
+//! outside this module. The GP's Cholesky factorization and block
+//! posterior run this way. `run` enables only `avx2`, never `fma`: Rust
+//! does not contract `a * b - c` into a fused multiply-add, and without
+//! the feature LLVM cannot either, so both compilations of an exact loop
+//! run the same IEEE operations in the same order and return the same
+//! bits.
 //!
 //! # The exponential: [`Kernel::exp`]
 //!
@@ -83,6 +84,18 @@
 //! `1.0 + x`, and so does the body; at `|x| ≥ 512` (the overflow and
 //! underflow range, ±∞) and for NaN the lane calls `f64::exp`.
 //!
+//! **Fused with its neighbours: [`Kernel::exp_map`].** `exp_map(xs, pre,
+//! post)` replaces every `v` with `post(x, exp(x))`, `x = pre(v)`, and
+//! [`Kernel::exp`] is its identity case. The AVX2 body calls `pre` on
+//! four elements, runs the four-lane `exp` and calls `post` on the four
+//! results, in one pass with both closures inlined, so their arithmetic
+//! overlaps the `exp`'s: the GP's Matérn kernel is `σ²(1 + s + s²/3)
+//! e^{−s}` with `s = √5 r/ℓ`, and its two correctly rounded divisions
+//! (`vdivpd`, four lanes) cost about as much as the `exp`. The closures
+//! keep their bits in the `fma`-enabled body because Rust never contracts
+//! `a * b + c`; a short tail is padded with a copy of its first element,
+//! so `pre` only ever sees the caller's values.
+//!
 //! **Self-check.** A libm other than glibc's (or an older glibc, or a host
 //! without `fma`) may round differently. So the AVX2 kernel's first `exp`
 //! call compares the four-lane body with `f64::exp` in `to_bits()` on a
@@ -103,8 +116,8 @@
 //! matches on the tag. Its AVX2 arm is the one `unsafe` call into the
 //! `#[target_feature(enable = "avx2")]` bodies (or, for [`Kernel::run`],
 //! the trampoline), sound because the tag exists only on a host that has
-//! the feature. The `exp` body alone also enables `fma`; its arm is taken
-//! only after the self-check has detected both features.
+//! the feature. The `exp_map` body alone also enables `fma`; its arm is
+//! taken only after the self-check has detected both features.
 
 use std::sync::OnceLock;
 
@@ -158,12 +171,25 @@ impl Kernel {
     /// time once its self-check has passed).
     #[inline]
     pub fn exp(self, xs: &mut [f64]) {
+        self.exp_map(xs, |x| x, |_, e| e);
+    }
+
+    /// Replace every element `v` of `xs` with `post(x, f64::exp(x))`, where
+    /// `x = pre(v)`, bit for bit. The AVX2 kernel runs `pre`, the four-lane
+    /// `exp` and `post` as one pass over each four elements, with both
+    /// closures inlined into the `exp` body, so their arithmetic (a
+    /// division, say) overlaps the `exp`'s. The closures must be pure;
+    /// `pre` may also be called on copies of elements (a short tail is
+    /// padded with its first element). Rust never contracts `a * b + c`,
+    /// so the closures return the same bits compiled with `fma` enabled.
+    #[inline]
+    pub fn exp_map(self, xs: &mut [f64], pre: impl Fn(f64) -> f64, post: impl Fn(f64, f64) -> f64) {
         match self.0 {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `exp_verified()` holds only after `avx2` and `fma`
             // were detected on this host.
-            Imp::Avx2 if exp_verified() => unsafe { avx2::exp(xs) },
-            _ => scalar::exp(xs),
+            Imp::Avx2 if exp_verified() => unsafe { avx2::exp_map(xs, pre, post) },
+            _ => scalar::exp_map(xs, pre, post),
         }
     }
 
@@ -313,7 +339,7 @@ fn exp_verified() -> bool {
         is_x86_feature_detected!("avx2")
             && is_x86_feature_detected!("fma")
             // SAFETY: both features were detected just above.
-            && agrees_with_libm(exp_probe(), |xs| unsafe { avx2::exp(xs) })
+            && agrees_with_libm(exp_probe(), |xs| unsafe { avx2::exp_map(xs, |x| x, |_, e| e) })
     })
 }
 
@@ -354,10 +380,13 @@ fn exp_probe() -> impl Iterator<Item = f64> {
 
 /// The scalar reference bodies.
 mod scalar {
-    /// `f64::exp` of every element, in place.
-    pub fn exp(xs: &mut [f64]) {
-        for x in xs {
-            *x = x.exp();
+    /// `post(x, f64::exp(x))` with `x = pre(v)` for every element `v`, in
+    /// place.
+    #[inline(always)]
+    pub fn exp_map(xs: &mut [f64], pre: impl Fn(f64) -> f64, post: impl Fn(f64, f64) -> f64) {
+        for v in xs {
+            let x = pre(*v);
+            *v = post(x, x.exp());
         }
     }
 
@@ -645,15 +674,20 @@ mod avx2 {
         0x3c77893b4d91cd9d, 0x3fefe7c1819e90d8, 0x3c5305c14160cc89, 0x3feff3c22b8f71f1,
     ];
 
-    /// `exp` of every element of `xs`, in place: four lanes per pass (a
-    /// short tail is padded to four); a lane below `2⁻⁵⁴` in magnitude is
+    /// `post(x, exp(x))` with `x = pre(v)` for every element `v` of `xs`,
+    /// in place: four lanes per pass (a short tail is padded to four with
+    /// its first element); an `exp` lane below `2⁻⁵⁴` in magnitude is
     /// `1.0 + x`, one at `|x| ≥ 512` or NaN is replaced by `f64::exp`.
     ///
     /// # Safety
     /// Requires avx2 and fma; reached only through the self-checked
     /// dispatch, which detects both.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn exp(xs: &mut [f64]) {
+    pub unsafe fn exp_map(
+        xs: &mut [f64],
+        pre: impl Fn(f64) -> f64,
+        post: impl Fn(f64, f64) -> f64,
+    ) {
         let inv_ln2_n = _mm256_set1_pd(f64::from_bits(0x4067_1547_652b_82fe)); // N/ln2
         let shift = _mm256_set1_pd(f64::from_bits(0x4338_0000_0000_0000)); // 1.5·2⁵²
         let neg_ln2_hi_n = _mm256_set1_pd(f64::from_bits(0xbf76_2e42_fefa_0000));
@@ -668,12 +702,13 @@ mod avx2 {
         let table = EXP_TABLE.as_ptr() as *const i64;
 
         let (quads, rest) = xs.as_chunks_mut::<4>();
-        // Padding lanes hold an input inside the body's range.
-        let mut pad = [-1.0; 4];
+        // Padding lanes repeat a live one, a valid input of `pre`.
+        let mut pad = [rest.first().copied().unwrap_or(0.0); 4];
         pad[..rest.len()].copy_from_slice(rest);
         let pad_lanes = (!rest.is_empty()).then_some(&mut pad);
         for lanes in quads.iter_mut().chain(pad_lanes) {
-            let x = _mm256_loadu_pd(lanes.as_ptr());
+            let xs = lanes.map(&pre);
+            let x = _mm256_loadu_pd(xs.as_ptr());
             let ax = _mm256_and_pd(x, abs_mask);
             // An ordered compare: a NaN lane is outside.
             let inside = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LT_OQ>(ax, huge));
@@ -700,15 +735,16 @@ mod avx2 {
             // glibc's own path for `|x| < 2⁻⁵⁴`, zero and subnormals included.
             let y = _mm256_blendv_pd(y, _mm256_add_pd(_mm256_set1_pd(1.0), x), is_tiny);
 
-            if inside == 0b1111 {
-                _mm256_storeu_pd(lanes.as_mut_ptr(), y);
-            } else {
-                let mut ys = [0.0; 4];
-                _mm256_storeu_pd(ys.as_mut_ptr(), y);
-                for (lane, (v, y)) in lanes.iter_mut().zip(ys).enumerate() {
-                    *v = if inside >> lane & 1 == 1 { y } else { v.exp() };
+            let mut es = [0.0; 4];
+            _mm256_storeu_pd(es.as_mut_ptr(), y);
+            if inside != 0b1111 {
+                for (lane, (e, x)) in es.iter_mut().zip(xs).enumerate() {
+                    if inside >> lane & 1 == 0 {
+                        *e = x.exp();
+                    }
                 }
             }
+            *lanes = std::array::from_fn(|t| post(xs[t], es[t]));
         }
         let n = rest.len();
         rest.copy_from_slice(&pad[..n]);
@@ -1033,6 +1069,43 @@ mod tests {
         assert_exp_is_libm(&[-1.0, 2.0, 3.0, 4.0, 0.0, 800.0, f64::NAN], "mixed tail");
     }
 
+    /// `exp_map` with a Matérn-shaped `pre` and `post` (a division each)
+    /// equals `post(x, f64::exp(x))`, `x = pre(v)`, element by element on
+    /// every tier: seeded distances at two lengthscales, the smaller
+    /// sending most lanes out of the body's range, every short length and
+    /// offset (the padded tails), and zero, subnormal, infinite and NaN
+    /// inputs.
+    #[test]
+    fn exp_map_is_pre_then_libm_exp_then_post() {
+        let mut rs: Vec<f64> = (0..4099).map(|i| 3.0 * unit(13, i)).collect();
+        rs.extend([0.0, -0.0, 5e-324, f64::INFINITY, f64::NAN, 1e-300, 17.0]);
+        for lengthscale in [0.01, 0.37] {
+            let pre = |r: f64| -(5f64.sqrt() * r / lengthscale);
+            let post = |x: f64, e: f64| {
+                let s = -x;
+                1.7 * (1.0 + s + s * s / 3.0) * e
+            };
+            for k in tiers() {
+                for (off, len) in
+                    (0..4).flat_map(|off| (0..=9).map(move |len| (off, len))).chain([(0, rs.len())])
+                {
+                    let vs = &rs[off..off + len];
+                    let mut got = vs.to_vec();
+                    k.exp_map(&mut got, pre, post);
+                    for (v, y) in vs.iter().zip(&got) {
+                        let x = pre(*v);
+                        let want = post(x, std::hint::black_box(x).exp());
+                        let what = format!("{} ℓ = {lengthscale}, len {len} off {off}", k.name());
+                        // Which NaN comes out is not part of the contract.
+                        let bits =
+                            |y: f64| if y.is_nan() { f64::NAN.to_bits() } else { y.to_bits() };
+                        assert_eq!(bits(*y), bits(want), "{what}: v = {v:e}");
+                    }
+                }
+            }
+        }
+    }
+
     /// Slow: 10⁸ inputs (`cargo test --release -p vecdata -- --ignored`).
     #[test]
     #[ignore]
@@ -1058,10 +1131,10 @@ mod tests {
     #[test]
     fn exp_self_check_rejects_one_wrong_ulp() {
         assert!(exp_probe().count() >= 4096 + 2 * 512 * 3);
-        assert!(agrees_with_libm(exp_probe(), scalar::exp));
+        assert!(agrees_with_libm(exp_probe(), |xs| SCALAR.exp(xs)));
         let mut chunks = 0;
         assert!(!agrees_with_libm(exp_probe(), |xs| {
-            scalar::exp(xs);
+            SCALAR.exp(xs);
             chunks += 1;
             if chunks == 50 {
                 xs[17] = f64::from_bits(xs[17].to_bits() + 1);
