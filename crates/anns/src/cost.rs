@@ -109,7 +109,7 @@ impl ScanUnitCosts {
     }
 
     /// Parse the top-level `calibration` object of a `results/kernels.json`
-    /// document (see the schema rustdoc on `bench::report::emit_json`).
+    /// document (written by `bench::experiments::kernels`).
     /// Any other block of the document is ignored.
     pub fn from_kernels_json(text: &str) -> Option<ScanUnitCosts> {
         ScanUnitCosts::parse_unit_costs(&text[text.find("\"calibration\"")?..])

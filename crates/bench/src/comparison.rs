@@ -7,6 +7,19 @@
 //! comparisons: nothing is ORed or ANDed into one word.
 
 use crate::report::{f1, JsonValue, Table};
+use std::io;
+
+/// An experiment's in-run contracts, `(name, holds)`, as its result: `Err`
+/// naming every one that does not hold. A false contract is a determinism
+/// regression, so the run that finds one fails; experiments call this
+/// after writing their artifacts, which keep the `false` row to inspect.
+pub fn contracts_hold(contracts: &[(&str, bool)]) -> io::Result<()> {
+    let broken: Vec<&str> = contracts.iter().filter(|c| !c.1).map(|c| c.0).collect();
+    if broken.is_empty() {
+        return Ok(());
+    }
+    Err(io::Error::other(format!("in-run contract does not hold: {}", broken.join("; "))))
+}
 
 /// Which way a metric improves.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -166,6 +179,18 @@ mod tests {
         let JsonValue::Obj(keys) = &entries[0] else { panic!("an object") };
         let keys: Vec<&str> = keys.iter().map(|k| k.0.as_str()).collect();
         assert_eq!(keys, ["metric", "better", "subject", "rivals", "verdict"]);
+    }
+
+    #[test]
+    fn a_false_contract_is_an_error_naming_it() {
+        let frozen = "frozen write knobs ≡ 19-dim (bitwise)";
+        let quiet = "write rate 0 ≡ read-only (bitwise)";
+        assert!(contracts_hold(&[(frozen, true), (quiet, true)]).is_ok());
+        assert!(contracts_hold(&[]).is_ok());
+        let err = contracts_hold(&[(frozen, true), (quiet, false)]).unwrap_err().to_string();
+        assert!(err.contains(quiet) && !err.contains(frozen), "{err}");
+        let err = contracts_hold(&[(frozen, false), (quiet, false)]).unwrap_err().to_string();
+        assert!(err.contains(frozen) && err.contains(quiet), "{err}");
     }
 
     /// Reactors: the co-tuned winner passed the SLO in tuning but reads the

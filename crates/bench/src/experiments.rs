@@ -7,23 +7,30 @@
 //! sections quote the checked-in `results/`).
 
 use crate::affinity;
-use crate::comparison::{Better, Comparison};
+use crate::comparison::{contracts_hold, Better, Comparison};
 use crate::cotuning::{
     arm_json, at_top, best_config, budget_table, ladder_table, measure_ladder, p99_ms, CoTuning,
     FixedArm, MeasuredField, BEST_QPS, LATENCY_LADDER, RECALL_FLOOR, SERVING_SLO_P99_SECS,
     TOP_P99_MS,
 };
-use crate::report::{emit, emit_json, f1, f2, f3, ms, pct, results_dir, JsonValue, Table};
+use crate::report::{
+    emit, emit_json, f1, f2, f3, ms, pct, read_back, results_dir, JsonValue, Table,
+};
 use crate::{
     recall_floor, run_parallel, vdtuner_paper_options, Arm, Method, Profile, Request, Runs,
     SACRIFICES,
 };
+use anns::cost::ScanUnitCosts;
 use anns::params::IndexType;
 use std::io;
+use std::path::Path;
 use vdms::cluster::ClusterSpec;
 use vdms::memory::MemoryUsage;
 use vdms::system_params::SystemParams;
-use vdms::{CostModel, PinningPolicy, SegmentLayout, VdmsConfig, WriteKnobs};
+use vdms::{
+    CalibrationSource, CostModel, PenaltyMatrix, PinningPolicy, SegmentLayout, VdmsConfig,
+    WriteKnobs,
+};
 use vdtuner_core::shap::shapley_attribution;
 use vdtuner_core::space::DIM_NAMES;
 use vdtuner_core::{SpaceSpec, TunerMode, TuningOutcome};
@@ -818,8 +825,8 @@ pub fn topology(profile: &Profile, runs: &Runs) -> io::Result<()> {
 /// serving simulator at the highest arrival rate with a p99 SLO: violators
 /// are failed observations, so the tuner optimizes QPS@recall *subject to*
 /// the SLO. Both winners are then measured under three arrival rates;
-/// written to `results/serving.json` (schema: `bench::report::emit_json`
-/// rustdoc) + CSVs, and smoked by the CI `repro-smoke` job on every PR.
+/// written to `results/serving.json` by the `emit_json` call at the end +
+/// CSVs, pinned by `crates/bench/repro_iters10.sha256`.
 pub fn serving(profile: &Profile, runs: &Runs) -> io::Result<()> {
     let w = runs.workload(DatasetKind::Glove);
     let floor = RECALL_FLOOR;
@@ -935,9 +942,9 @@ pub fn serving(profile: &Profile, runs: &Runs) -> io::Result<()> {
 /// co-tuned arm may buy its way out with read replicas — paying for them
 /// in memory, staleness and scheduling overhead. Also verifies in-run
 /// that freezing the 18th dimension at one copy reproduces the 17-dim
-/// topology tuning history bit for bit. Written to
-/// `results/replication.json` (schema: `bench::report::emit_json`
-/// rustdoc) + CSVs, and smoked by the CI `repro-smoke` job.
+/// topology tuning history bit for bit, and fails if it does not. Written
+/// to `results/replication.json` by the `emit_json` call at the end + CSVs,
+/// pinned by `crates/bench/repro_iters10.sha256`.
 pub fn replication(profile: &Profile, runs: &Runs) -> io::Result<()> {
     let w = runs.workload(DatasetKind::Glove);
     let max_shards = 4usize;
@@ -1019,7 +1026,8 @@ pub fn replication(profile: &Profile, runs: &Runs) -> io::Result<()> {
     doc.extend(run.json_head());
     doc.extend(run.json_arms("frozen_matches_17dim", ("replica_histogram", int_array(&hist)), &[]));
     doc.push(("comparison".into(), Comparison::json(&cmp)));
-    emit_json("replication", &JsonValue::Obj(doc))
+    emit_json("replication", &JsonValue::Obj(doc))?;
+    contracts_hold(&contracts)
 }
 
 /// Shard reactors + NUMA/affinity-aware pinning (beyond the paper):
@@ -1038,9 +1046,9 @@ pub fn replication(profile: &Profile, runs: &Runs) -> io::Result<()> {
 /// in `penalty_sources` — the file never claims a fallback was measured.
 /// Also verifies in-run that freezing the 19th dimension at
 /// [`PinningPolicy::Shared`] reproduces the 18-dim replication tuning
-/// history bit for bit. Written to `results/reactors.json` (schema:
-/// `bench::report::emit_json` rustdoc) + CSVs, and smoked by the CI
-/// `repro-smoke` job.
+/// history bit for bit. Written to `results/reactors.json` by the two
+/// `emit_json` calls below + CSVs. Fails if the penalties do not read back
+/// or the contract does not hold.
 pub fn reactors(profile: &Profile, runs: &Runs) -> io::Result<()> {
     let max_shards = 4usize;
     let max_replicas = 2usize;
@@ -1134,6 +1142,7 @@ pub fn reactors(profile: &Profile, runs: &Runs) -> io::Result<()> {
     // memo's, which every other experiment prices with the analytic one.
     let mut w = Workload::paper_default(DatasetSpec::scaled(DatasetKind::Glove));
     w.cost_model = CostModel::calibrated(&results_dir());
+    reactors_read_back(&results_dir().join("reactors.json"), &penalties, &w.cost_model)?;
     let space18 = || SpaceSpec::with_topology(max_shards).with_replication(max_replicas);
 
     let run = CoTuning {
@@ -1216,7 +1225,8 @@ pub fn reactors(profile: &Profile, runs: &Runs) -> io::Result<()> {
     doc.extend(run.json_head());
     doc.extend(run.json_arms("frozen_matches_18dim", ("policy_histogram", int_array(&hist)), &[]));
     doc.push(("comparison".into(), Comparison::json(&cmp)));
-    emit_json("reactors", &JsonValue::Obj(doc))
+    emit_json("reactors", &JsonValue::Obj(doc))?;
+    contracts_hold(&contracts)
 }
 
 /// §V-E scalability: deep-image (10× GloVe) — VDTuner vs qEHVI.
@@ -1282,9 +1292,9 @@ fn ns_per_dim(mdps: f64) -> f64 {
 /// distance-kernel throughput per (metric, dim), SQ8-vs-f32 quantized scan
 /// throughput and recall delta on a GloVe replay, and the cost-model scan
 /// constants derived from those measurements. Written to
-/// `results/kernels.json` (schema: `bench::report::emit_json` rustdoc),
-/// which [`vdms::CostModel::calibrated`] reads back; smoked by the CI
-/// `repro-smoke` job on every PR.
+/// `results/kernels.json` by the `emit_json` call at the end; fails unless
+/// [`ScanUnitCosts::load`], what [`CostModel::calibrated`] reads, returns
+/// the written constants.
 pub fn kernels(profile: &Profile, _runs: &Runs) -> io::Result<()> {
     use anns::ivf_pq::ProductQuantizer;
     use anns::ivf_sq8::ScalarQuantizer;
@@ -1408,15 +1418,17 @@ pub fn kernels(profile: &Profile, _runs: &Runs) -> io::Result<()> {
     });
 
     // --- Derived cost-model calibration (ns per SearchCost unit). ---
-    let cal_f32 = ns_per_dim(f32_mdps);
-    let cal_u8 = ns_per_dim(sq8_mdps);
-    let cal_pq = ns_per_dim(pq_mlps);
+    let cal = ScanUnitCosts {
+        f32_dim_ns: ns_per_dim(f32_mdps),
+        u8_dim_ns: ns_per_dim(sq8_mdps),
+        pq_lookup_ns: ns_per_dim(pq_mlps),
+    };
     t.row(vec![
         "calibration (ns/unit)".to_string(),
         "-".to_string(),
-        format!("f32 {cal_f32:.3}"),
-        format!("u8 {cal_u8:.3}"),
-        format!("pq {cal_pq:.3}"),
+        format!("f32 {:.3}", cal.f32_dim_ns),
+        format!("u8 {:.3}", cal.u8_dim_ns),
+        format!("pq {:.3}", cal.pq_lookup_ns),
     ]);
     emit("kernels", "Distance kernels: scalar vs dispatched + SQ8 scan", &t)?;
     println!(
@@ -1446,17 +1458,36 @@ pub fn kernels(profile: &Profile, _runs: &Runs) -> io::Result<()> {
                     ("recall_delta", JsonValue::Num(1.0 - recall_sq8)),
                 ]),
             ),
-            (
-                "calibration",
-                JsonValue::obj(vec![
-                    ("f32_dim_ns", JsonValue::Num(cal_f32)),
-                    ("u8_dim_ns", JsonValue::Num(cal_u8)),
-                    ("pq_lookup_ns", JsonValue::Num(cal_pq)),
-                    ("source", JsonValue::Str("measured".into())),
-                ]),
-            ),
+            ("calibration", kernels_calibration(&cal)),
         ]),
-    )
+    )?;
+    kernels_read_back(&results_dir().join("kernels.json"), &cal)
+}
+
+/// The `calibration` block of `results/kernels.json`: ns per
+/// [`anns::SearchCost`] unit, as [`ScanUnitCosts::from_kernels_json`] parses it.
+fn kernels_calibration(cal: &ScanUnitCosts) -> JsonValue {
+    JsonValue::obj(vec![
+        ("f32_dim_ns", JsonValue::Num(cal.f32_dim_ns)),
+        ("u8_dim_ns", JsonValue::Num(cal.u8_dim_ns)),
+        ("pq_lookup_ns", JsonValue::Num(cal.pq_lookup_ns)),
+        ("source", JsonValue::Str("measured".into())),
+    ])
+}
+
+/// The written `kernels.json` read back through [`ScanUnitCosts::load`].
+fn kernels_read_back(path: &Path, written: &ScanUnitCosts) -> io::Result<()> {
+    let units = |c: &ScanUnitCosts| [c.f32_dim_ns, c.u8_dim_ns, c.pq_lookup_ns];
+    read_back(path, units(written), ScanUnitCosts::load(path).as_ref().map(units))
+}
+
+/// The written `reactors.json` penalties as the calibrated `model` loaded
+/// them: a file it fell back from reads back as nothing.
+fn reactors_read_back(path: &Path, written: &PenaltyMatrix, model: &CostModel) -> io::Result<()> {
+    let units = |p: &PenaltyMatrix| [p.same_core_smt, p.same_socket, p.cross_socket];
+    let read =
+        (model.penalty_source == CalibrationSource::Measured).then(|| units(&model.penalties));
+    read_back(path, units(written), read)
 }
 
 /// Real write path (beyond the paper): WAL group commit + segment
@@ -1475,9 +1506,10 @@ pub fn kernels(profile: &Profile, _runs: &Runs) -> io::Result<()> {
 /// sheds under bursts. The experiment also checks two contracts in-run:
 /// freezing the write dimensions at [`WriteKnobs::DEFAULT`] reproduces the
 /// 19-dim pinning tuning history bit for bit, and a zero write rate
-/// degrades the mixed simulator to the read-only one bit for bit. Written
-/// to `results/writepath.json` (schema: `bench::report::emit_json`
-/// rustdoc) + CSVs, and smoked by the CI `repro-smoke` job.
+/// degrades the mixed simulator to the read-only one bit for bit, and
+/// fails if either does not hold. Written to `results/writepath.json` by
+/// the `emit_json` call at the end + CSVs, pinned by
+/// `crates/bench/repro_iters10.sha256`.
 pub fn writepath(profile: &Profile, runs: &Runs) -> io::Result<()> {
     let w = runs.workload(DatasetKind::Glove);
     let max_shards = 4usize;
@@ -1626,5 +1658,73 @@ pub fn writepath(profile: &Profile, runs: &Runs) -> io::Result<()> {
     ));
     doc.push(("write_rate_zero_matches".into(), JsonValue::Bool(write_rate_zero_matches)));
     doc.push(("comparison".into(), Comparison::json(&cmp)));
-    emit_json("writepath", &JsonValue::Obj(doc))
+    emit_json("writepath", &JsonValue::Obj(doc))?;
+    contracts_hold(&contracts)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A `kernels.json` under the system temp directory holding `cal`.
+    fn written_kernels(name: &str, cal: &ScanUnitCosts) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("vdtuner_bench_{name}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("kernels.json");
+        let doc = JsonValue::obj(vec![("calibration", kernels_calibration(cal))]);
+        std::fs::write(&path, doc.render(0)).unwrap();
+        path
+    }
+
+    const MEASURED: ScanUnitCosts = ScanUnitCosts {
+        f32_dim_ns: 0.09287532167043651,
+        u8_dim_ns: 0.5025146517762779,
+        pq_lookup_ns: 1.718765625,
+    };
+
+    #[test]
+    fn a_kernels_calibration_reads_back_bit_equal() {
+        let path = written_kernels("equal", &MEASURED);
+        kernels_read_back(&path, &MEASURED).unwrap();
+        // The clamp floor of `ns_per_dim` round-trips too.
+        let floor = ScanUnitCosts { u8_dim_ns: ns_per_dim(f64::INFINITY), ..MEASURED };
+        kernels_read_back(&written_kernels("floor", &floor), &floor).unwrap();
+        // The same file against a constant one ulp away does not.
+        let next = ScanUnitCosts {
+            pq_lookup_ns: f64::from_bits(1.718765625f64.to_bits() + 1),
+            ..MEASURED
+        };
+        assert!(kernels_read_back(&path, &next).is_err());
+    }
+
+    #[test]
+    fn a_kernels_calibration_the_parser_rejects_fails_the_read_back() {
+        let zero = ScanUnitCosts { u8_dim_ns: 0.0, ..MEASURED };
+        let path = written_kernels("rejected", &zero);
+        let err = kernels_read_back(&path, &zero).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains(&path.display().to_string()), "{err}");
+        assert!(err.to_string().contains("parsed None"), "{err}");
+    }
+
+    #[test]
+    fn reactors_penalties_read_back_only_when_the_model_loaded_them() {
+        let path = Path::new("results/reactors.json");
+        let measured = PenaltyMatrix { same_core_smt: 1.45, same_socket: 1.0, cross_socket: 1.4 };
+        let model = |penalties, penalty_source| CostModel {
+            penalties,
+            penalty_source,
+            ..CostModel::default()
+        };
+        reactors_read_back(path, &measured, &model(measured, CalibrationSource::Measured)).unwrap();
+        // Equal values are not enough: a model that fell back to the
+        // analytic surface read nothing back.
+        let analytic = PenaltyMatrix::ANALYTIC;
+        let fell_back = model(analytic, CalibrationSource::Analytic);
+        let err = reactors_read_back(path, &analytic, &fell_back).unwrap_err();
+        assert!(err.to_string().contains("reactors.json"), "{err}");
+        let moved =
+            model(PenaltyMatrix { cross_socket: 1.5, ..measured }, CalibrationSource::Measured);
+        assert!(reactors_read_back(path, &measured, &moved).is_err());
+    }
 }

@@ -115,193 +115,15 @@ pub fn emit(name: &str, title: &str, table: &Table) -> io::Result<()> {
 /// [`JsonValue::opt_num`] / [`JsonValue::opt_finite`], which encode absence
 /// as an explicit `null`.
 ///
-/// ## The `comparison` array
+/// The tracked documents, by writer and check:
 ///
-/// `serving`, `topology`, `replication`, `reactors` and `writepath` each
-/// carry a `comparison` key: a non-empty array, one object per
-/// [`Comparison`](crate::comparison::Comparison) the experiment's verdict
-/// CSV renders, in the same order. Each object:
-///
-/// * `metric` (str) — what is compared, in its reported unit (e.g.
-///   `"p99 @ top rate (ms)"`, `"best QPS @0.9"`);
-/// * `better` (str) — `"higher"` or `"lower"`;
-/// * `subject` (obj) — the arm judged: `arm` (str), `value` (num|null —
-///   null when it has no feasible reading);
-/// * `rivals` (array of obj) — every arm it is judged against, same keys;
-/// * `verdict` (str) — exactly one of `"no feasible point"` (the subject
-///   has no reading), `"no feasible rival"` (no rival has one — such a
-///   rival is never counted as beaten), `"beats"`, `"indistinguishable"`,
-///   `"loses"` (the subject strictly better than, equal to, or strictly
-///   worse than the best rival with a reading).
-///
-/// A top-rate reading exists only where the arm's winner, measured at the
-/// top rate, meets the SLO it was tuned under
-/// ([`at_top`](crate::cotuning::at_top)).
-///
-/// ## `results/serving.json` schema
-///
-/// Written by `repro serving` and consumed by the CI `repro-smoke` job.
-/// Top-level keys (all required):
-///
-/// * `experiment` (str, `"serving"`), `dataset` (str), `seed` (int),
-///   `iters_per_run` (int), `recall_floor` (num);
-/// * `slo_p99_ms` (num) — the p99 SLO the serving-tuned run enforced;
-/// * `rates` (array of num) — offered arrival rates (requests/s), ascending;
-/// * `offline` / `serving` (obj) — one per tuning arm, the per-arm keys
-///   of `replication.json`'s `fixed` entries (`best_qps`, `best_p99_ms`,
-///   `best_config`, `slo_rejections`, `failed`, `measured`), with
-///   `measured` rows of `rate`, `p50_ms`, `p99_ms`, `achieved_qps`,
-///   `shed` (latencies null when nothing completed);
-/// * `comparison` — serving-tuned vs offline-tuned: p99 at the top rate
-///   (lower), then best QPS @0.9 (higher).
-///
-/// `results/topology.json` (written by `repro topology`): `experiment`,
-/// `dataset`, `fixed`, `cotuned`, and a `comparison` of the co-tuned arm
-/// against every fixed shape on best QPS @0.9 (higher).
-///
-/// ## `results/replication.json` schema
-///
-/// Written by `repro replication` and consumed by the CI `repro-smoke`
-/// job. Top-level keys (all required):
-///
-/// * `experiment` (str, `"replication"`), `dataset` (str), `seed` (int),
-///   `iters_per_run` (int), `recall_floor` (num);
-/// * `slo_p99_ms` (num) — the p99 SLO every tuning arm enforced at the
-///   top arrival rate; `max_shards` / `max_replicas` (int) — the control
-///   plane's deployment ceilings;
-/// * `rates` (array of num) — offered arrival rates (requests/s),
-///   ascending; the last is the tuning/SLO rate;
-/// * `fixed` (array of obj, one per pinned-replica arm) — each:
-///   `replicas` (int, the pin), `best_qps` (num|null, best QPS@recall of
-///   SLO-passing observations), `best_p99_ms` (num|null, lowest
-///   shed-charged p99 among them), `best_config` (str|null),
-///   `slo_rejections` / `failed` (int), `measured` (array, one obj per
-///   rate for the arm's deployable winner: `rate`, `p99_ms`,
-///   `goodput_qps`, `shed` — null when the arm had no winner);
-/// * `cotuned` (obj) — the 18-dim arm, same keys as a fixed arm plus
-///   `replica_histogram` (array of int, evals spent at factor 1..=max);
-/// * `frozen_matches_17dim` (bool) — whether the pinned-at-1 arm
-///   reproduced the 17-dim topology tuning history bit for bit (the
-///   frozen-dimension contract, checked in-run);
-/// * `comparison` — the co-tuned arm against every fixed arm on p99 at
-///   the top rate (lower).
-///
-/// ## `results/reactors.json` schema
-///
-/// Written by `repro reactors` (twice: the calibration fragment before
-/// the tuning phase so `vdms::CostModel::calibrated` can read it back,
-/// then the full document) and consumed by the CI `repro-smoke` job and
-/// by `vdms::PenaltyMatrix::from_reactors_json`. Top-level keys (all
-/// required):
-///
-/// * `experiment` (str, `"reactors"`);
-/// * `calibration_source` (str) — `"measured"` when every penalty entry
-///   was measured by a pinned pair on this host, `"partial"` when some
-///   entries fell back, `"analytic"` when none was measurable (e.g. a
-///   1-CPU container has no pairs at all);
-/// * `topology` (obj) — the discovered host shape: `sockets`,
-///   `cores_per_socket`, `smt` (int, all ≥ 1);
-/// * `penalties` (obj) — the surface the cost model charges:
-///   `same_core_smt` (num, co-running scan slowdown on SMT siblings),
-///   `same_socket` / `cross_socket` (num, handoff latency ratios vs the
-///   fastest measured pair); all finite and ≥ 1.0 — the parser in
-///   `PenaltyMatrix::from_reactors_json` rejects the document otherwise
-///   and the cost model falls back to its analytic constants;
-/// * `penalty_sources` (obj) — per-entry provenance, same keys as
-///   `penalties`, each `"measured"` or `"analytic"` — an unmeasurable
-///   entry keeps the analytic constant and says so;
-/// * `host` (obj) — `logical_cpus` (int), `pinning_works` (bool, whether
-///   `sched_setaffinity` round-tripped), `solo_scan_mdps` (num|null,
-///   pinned solo scan throughput);
-/// * `tuning_penalty_source` (str) — what the tuning phase's calibrated
-///   cost model actually loaded (`"measured"` once phase 1's fragment is
-///   on disk);
-/// * `dataset` (str), `seed` (int), `iters_per_run` (int),
-///   `recall_floor` (num), `slo_p99_ms` (num), `max_shards` /
-///   `max_replicas` (int), `rates` (array of num) — as in
-///   `replication.json`;
-/// * `fixed` (array of obj, one per pinned-policy arm, ordinal order) —
-///   each: `policy` (str, `"shared"` | `"compact"` | `"scatter"` |
-///   `"smt-avoid"`), then the same per-arm keys as `replication.json`'s
-///   `fixed` entries (`best_qps`, `best_p99_ms`, `best_config`,
-///   `slo_rejections`, `failed`, `measured`);
-/// * `cotuned` (obj) — the 19-dim arm, same keys plus `policy_histogram`
-///   (array of 4 int, evals spent per policy in ordinal order);
-/// * `frozen_matches_18dim` (bool) — whether the pinned-at-`shared` arm
-///   reproduced the 18-dim replication tuning history bit for bit (the
-///   frozen-dimension contract, checked in-run);
-/// * `comparison` — the co-tuned arm against every fixed arm on best
-///   QPS @0.9 (higher), then on p99 at the top rate (lower).
-///
-/// ## `results/writepath.json` schema
-///
-/// Written by `repro writepath` and consumed by the CI `repro-smoke` job.
-/// Top-level keys (all required):
-///
-/// * `experiment` (str, `"writepath"`), `dataset` (str), `seed` (int),
-///   `iters_per_run` (int), `recall_floor` (num), `slo_p99_ms` (num),
-///   `max_shards` / `max_replicas` (int) — as in `replication.json`;
-/// * `insert_fraction` (num) — inserts offered per arriving query (the
-///   mixed-traffic scenario axis, `ServingSpec::insert_fraction`);
-/// * `rates` (array of num) — offered *query* arrival rates (requests/s),
-///   ascending; each also offers `rate × insert_fraction` inserts/s; the
-///   last is the tuning/SLO rate;
-/// * `fixed` (array of obj, one per fixed-flush arm) — each: `name`
-///   (str, `"eager-flush"` | `"lazy-flush"` | `"default-flush"`),
-///   `wal_batch_rows` / `seal_rows` (int) and `flush_interval_secs`
-///   (num) — the pinned knobs, then the same per-arm keys as
-///   `replication.json`'s `fixed` entries (`best_qps`, `best_p99_ms`,
-///   `best_config`, `slo_rejections`, `failed`, `measured`); each
-///   `measured` entry additionally carries the write ledger of the arm's
-///   deployable winner at that rate: `flushes_full_batch` /
-///   `flushes_end_of_tick` (int, group commits by trigger reason),
-///   `segments_sealed` / `compactions` (int), `inserts_shed` (int,
-///   admissions refused by backpressure overflow) — all null when the
-///   arm had no winner;
-/// * `cotuned` (obj) — the 22-dim arm (write knobs free), same keys plus
-///   `best_knobs` (obj|null: `wal_batch_rows`, `flush_interval_secs`,
-///   `seal_rows` — the winner's requested knobs, null when no winner or
-///   the winner carried no request);
-/// * `frozen_matches_19dim` (bool) — whether the pinned-at-default arm
-///   reproduced the 19-dim pinning tuning history bit for bit (the
-///   frozen-dimension contract, checked in-run);
-/// * `write_rate_zero_matches` (bool) — whether, at a zero insert
-///   fraction, the mixed simulator with and without a write-path request
-///   produced bit-identical outcomes with a zeroed write ledger (the
-///   write-rate→0 contract, checked in-run);
-/// * `comparison` — the co-tuned arm against every fixed-flush arm on
-///   goodput at the top rate (higher).
-///
-/// ## `results/kernels.json` schema
-///
-/// Written by `repro kernels` and consumed both by the CI `repro-smoke`
-/// job and by `anns::cost::ScanUnitCosts::from_kernels_json` (which
-/// `vdms::CostModel::calibrated` uses to replace the analytic scan
-/// constants with this machine's measured values). Top-level keys (all
-/// required):
-///
-/// * `experiment` (str, `"kernels"`), `seed` (int);
-/// * `dispatched_kernel` (str) — the kernel runtime dispatch selected on
-///   this host (`"scalar"` or `"avx2"`); `forced_scalar` (bool) — whether
-///   `VDTUNER_FORCE_SCALAR` pinned dispatch to scalar;
-/// * `f32` (array of obj, one per metric × dim point) — each: `metric`
-///   (str, `"l2"` | `"dot"` | `"angular"`), `dim` (int), `scalar_mdps` /
-///   `dispatched_mdps` (num, millions of dimension units per second),
-///   `speedup` (num, dispatched / scalar);
-/// * `sq8` (obj) — the quantized-scan comparison on the GloVe replay:
-///   `dataset` (str), `f32_scan_mdps` / `sq8_scan_mdps` (num, full-scan
-///   throughput through the dispatched kernel), `speedup` (num, sq8 /
-///   f32), `recall_sq8` (num, top-10 recall of the quantized scan against
-///   exact ground truth), `recall_delta` (num, `1 - recall_sq8`);
-/// * `calibration` (obj) — ns per [`anns::cost::SearchCost`] unit derived
-///   from the measurements above: `f32_dim_ns`, `u8_dim_ns`,
-///   `pq_lookup_ns` (num, all finite and positive — the parser in
-///   `ScanUnitCosts::from_kernels_json` rejects the document otherwise
-///   and the cost model falls back to its analytic constants), `source`
-///   (str, `"measured"`). [`anns::cost::ScanUnitCosts::load`] reads this
-///   block alone, so files that still carry the `fast_kernel`, `fast` and
-///   `tiers` keys of the retired second kernel tier calibrate to the same
-///   numbers.
+/// * `serving`, `topology`, `replication`, `writepath` — the experiments of
+///   those names in [`crate::experiments`], pinned byte for byte at
+///   `--iters 10` by `crates/bench/repro_iters10.sha256`;
+/// * `reactors` — [`crate::experiments::reactors`], host-measured; its
+///   `penalties` must read back through `vdms::CostModel::calibrated`;
+/// * `kernels` — [`crate::experiments::kernels`], host-measured; its
+///   `calibration` must read back through `anns::cost::ScanUnitCosts::load`.
 pub fn emit_json(name: &str, json: &JsonValue) -> io::Result<()> {
     let file = format!("{name}.json");
     json.validate().map_err(|e| {
@@ -311,6 +133,25 @@ pub fn emit_json(name: &str, json: &JsonValue) -> io::Result<()> {
         )
     })?;
     write_artifact(&artifact_path(&file)?, &format!("{}\n", json.render(0)))
+}
+
+/// A host calibration read back from the artifact at `path` through the
+/// parser that consumes it: `Err` naming the file unless the parser
+/// accepted it (`read` is `Some`) and every value equals the `written` one
+/// bit for bit. A calibration that does not read back would price a run
+/// with the analytic constants while the file claims a measurement.
+pub fn read_back<const N: usize>(
+    path: &Path,
+    written: [f64; N],
+    read: Option<[f64; N]>,
+) -> io::Result<()> {
+    if read.is_some_and(|r| r.map(f64::to_bits) == written.map(f64::to_bits)) {
+        return Ok(());
+    }
+    Err(io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("{} does not read back: wrote {written:?}, parsed {read:?}", path.display()),
+    ))
 }
 
 /// A minimal JSON document builder (the workspace is offline — no serde).

@@ -22,7 +22,6 @@ use mobo::acquisition::constrained_ei;
 use mobo::hypervolume::FrontSweep;
 use mobo::optimize::{argmax_blocks, candidate_pool, local_refine_blocks, CandidateOptions};
 use mobo::pareto::non_dominated_indices;
-use rand::Rng;
 use vdms::VdmsConfig;
 use vecdata::rng::{derive, rng, standard_normal};
 use workload::{
@@ -548,13 +547,6 @@ impl VdTuner {
             self.policy.score_trace.clone(),
         )
     }
-}
-
-/// A deterministic unique jitter so two tuners created in a loop don't
-/// collide (used by sweeps that instantiate many tuners).
-pub fn seed_for_run(base: u64, run: usize) -> u64 {
-    let mut r = rng(derive(base, run as u64));
-    r.gen()
 }
 
 #[cfg(test)]

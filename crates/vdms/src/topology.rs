@@ -272,7 +272,7 @@ impl PenaltyMatrix {
     }
 
     /// Parse the `penalties` object of a `results/reactors.json` document
-    /// (schema documented on `bench::report::emit_json`).
+    /// (written by `bench::experiments::reactors`).
     pub fn from_reactors_json(text: &str) -> Option<PenaltyMatrix> {
         PenaltyMatrix::parse_penalties(&text[text.find("\"penalties\"")?..])
     }

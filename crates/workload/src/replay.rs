@@ -4,7 +4,7 @@
 
 use crate::Workload;
 use vdms::cluster::{ClusterSpec, ShardedCollection};
-use vdms::cost_model::{REPLAY_REQUESTS, REPLAY_TIME_CAP_SECS};
+use vdms::cost_model::REPLAY_TIME_CAP_SECS;
 use vdms::{PinningPolicy, VdmsConfig, VdmsError};
 
 /// Relative σ of throughput measurement noise. Real VDMS benchmarks show
@@ -174,11 +174,6 @@ fn mean_cost(total: &anns::SearchCost, nq: u64) -> anns::SearchCost {
         heap_pushes: total.heap_pushes / nq,
         segments: total.segments / nq,
     }
-}
-
-/// Number of requests one replay represents (re-exported for reports).
-pub fn replay_requests() -> f64 {
-    REPLAY_REQUESTS
 }
 
 #[cfg(test)]
