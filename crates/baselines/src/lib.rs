@@ -65,7 +65,7 @@ mod tests {
         ];
         for mut t in tuners {
             let mut ev = Evaluator::with_backend(SimBackend::with_spec(&w, ClusterSpec::new(2)), 5);
-            run_tuner(t.as_mut(), &mut ev, 4);
+            run_tuner(t.as_mut(), &mut ev, 4, 1);
             assert_eq!(ev.len(), 4, "{}", t.name());
             assert!(ev.history().iter().any(|o| !o.failed), "{}", t.name());
         }
@@ -74,7 +74,7 @@ mod tests {
     #[test]
     fn every_baseline_co_tunes_topology_with_the_extended_space() {
         // With the 17-dimensional spec every baseline emits candidates the
-        // topology backend accepts (shard request included) — nothing is
+        // space's backend accepts (shard request included) — nothing is
         // rejected by the evaluator's space gate.
         use vdtuner_core::SpaceSpec;
         let w = Workload::prepare(DatasetSpec::tiny(DatasetKind::Glove), 10);
@@ -86,8 +86,8 @@ mod tests {
             Box::new(QehviTuner::with_space(space(), 5, 2)),
         ];
         for mut t in tuners {
-            let mut ev = Evaluator::with_backend(workload::TopologyBackend::new(&w, 4), 5);
-            run_tuner(t.as_mut(), &mut ev, 4);
+            let mut ev = Evaluator::with_backend(space().backend(&w), 5);
+            run_tuner(t.as_mut(), &mut ev, 4, 1);
             assert_eq!(ev.len(), 4, "{}", t.name());
             for o in ev.history() {
                 assert!(o.config.shards.is_some(), "{}: {}", t.name(), o.config.summary());

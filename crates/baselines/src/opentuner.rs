@@ -181,7 +181,7 @@ mod tests {
         let w = Workload::prepare(DatasetSpec::tiny(DatasetKind::Glove), 10);
         let mut ev = Evaluator::new(&w, 1);
         let mut t = OpenTunerStyle::new(5);
-        run_tuner(&mut t, &mut ev, 8);
+        run_tuner(&mut t, &mut ev, 8, 1);
         assert_eq!(ev.len(), 8);
     }
 
@@ -190,7 +190,7 @@ mod tests {
         let w = Workload::prepare(DatasetSpec::tiny(DatasetKind::Glove), 10);
         let mut ev = Evaluator::new(&w, 1);
         let mut t = OpenTunerStyle::new(5);
-        run_tuner(&mut t, &mut ev, 12);
+        run_tuner(&mut t, &mut ev, 12, 1);
         let used: usize = t.arms.iter().filter(|a| a.uses > 0).count();
         assert!(used >= 3, "UCB bonus must force exploration, used {used}");
     }

@@ -104,7 +104,7 @@ mod tests {
         let w = Workload::prepare(DatasetSpec::tiny(DatasetKind::Glove), 10);
         let mut ev = Evaluator::new(&w, 1);
         let mut t = OtterTuneStyle::new(5, 3);
-        run_tuner(&mut t, &mut ev, 6);
+        run_tuner(&mut t, &mut ev, 6, 1);
         assert_eq!(ev.len(), 6);
         assert!(ev.history().iter().any(|o| !o.failed));
     }

@@ -126,7 +126,7 @@ mod tests {
         let w = Workload::prepare(DatasetSpec::tiny(DatasetKind::Glove), 10);
         let mut ev = Evaluator::new(&w, 1);
         let mut t = QehviTuner::new(5, 3);
-        run_tuner(&mut t, &mut ev, 6);
+        run_tuner(&mut t, &mut ev, 6, 1);
         assert_eq!(ev.len(), 6);
     }
 
@@ -139,7 +139,7 @@ mod tests {
     fn history_matches_the_per_candidate_ehvi_mc_bitwise() {
         let w = Workload::prepare(DatasetSpec::tiny(DatasetKind::Glove), 10);
         let mut ev = Evaluator::new(&w, 1);
-        run_tuner(&mut QehviTuner::new(7, 3), &mut ev, 16);
+        run_tuner(&mut QehviTuner::new(7, 3), &mut ev, 16, 1);
         // FNV-1a over config summaries and feedback bits.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut eat = |bytes: &[u8]| {
@@ -161,7 +161,7 @@ mod tests {
         let run = |seed| {
             let mut ev = Evaluator::new(&w, 1);
             let mut t = QehviTuner::new(seed, 3);
-            run_tuner(&mut t, &mut ev, 5);
+            run_tuner(&mut t, &mut ev, 5, 1);
             ev.history().iter().map(|o| o.config.summary()).collect::<Vec<_>>()
         };
         assert_eq!(run(7), run(7));

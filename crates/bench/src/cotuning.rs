@@ -7,8 +7,9 @@
 //! 1. build an arrival-rate ladder anchored on the default configuration's
 //!    offline QPS (the top rung is the tuning/SLO rate);
 //! 2. run every fixed arm, the co-tuned arm and the narrower-space
-//!    reference in parallel through [`Runs::tune`] — same tuner, budget,
-//!    seed and control plane;
+//!    reference in parallel through [`Runs::tune`] — same tuner, budget and
+//!    seed, each arm served by the backend its space realizes
+//!    ([`SpaceSpec::backend`]);
 //! 3. check the frozen-dimension contract: the designated fixed arm must
 //!    reproduce the reference history bit for bit
 //!    ([`TuningOutcome::fingerprint`]);
@@ -32,9 +33,7 @@ use crate::report::{f1, ms, JsonValue, Table};
 use crate::{run_parallel, Method, Profile, Runs};
 use vdms::VdmsConfig;
 use vdtuner_core::{SpaceSpec, TuningOutcome};
-use workload::{
-    evaluate, EvalBackend, ServingBackend, ServingSpec, ServingStats, TopologyBackend, Workload,
-};
+use workload::{evaluate, EvalBackend, ServingBackend, ServingSpec, ServingStats, Workload};
 
 /// p99 service-level objective (seconds) the serving-tuned arms enforce.
 pub const SERVING_SLO_P99_SECS: f64 = 0.025;
@@ -45,10 +44,6 @@ pub const RECALL_FLOOR: f64 = 0.9;
 /// Verdict metrics more than one experiment compares on.
 pub const BEST_QPS: &str = "best QPS @0.9";
 pub const TOP_P99_MS: &str = "p99 @ top rate (ms)";
-
-/// Builds the control plane that realises a candidate's deployment
-/// requests, from `(workload, max_shards, max_replicas)`.
-pub type ControlPlane<'w> = fn(&'w Workload, usize, usize) -> TopologyBackend<'w>;
 
 /// One ladder-table column: header and cell.
 pub type LadderColumn = (&'static str, fn(&ServingStats) -> String);
@@ -215,21 +210,17 @@ pub struct FixedArm {
 /// against. Everything else is [`CoTuning::run`].
 pub struct CoTuning<'w> {
     pub workload: &'w Workload,
-    /// The control plane's deployment ceilings.
-    pub max_shards: usize,
-    pub max_replicas: usize,
     /// Arrival rates as multiples of the default configuration's offline
     /// QPS, ascending; the last is the tuning/SLO rate.
     pub ladder: [f64; 3],
     pub base_spec: ServingSpec,
-    /// The control plane that serves the free dimension (every arm's).
-    pub backend: ControlPlane<'w>,
     pub fixed: Vec<FixedArm>,
-    /// The co-tuned arm's table label and space.
+    /// The co-tuned arm's table label and space; its deployment ceilings
+    /// are the experiment's.
     pub cotuned: (String, SpaceSpec),
-    /// The narrower space without the free dimension, and its control
-    /// plane: the history `fixed[frozen_arm]` must reproduce.
-    pub reference: (SpaceSpec, ControlPlane<'w>),
+    /// The narrower space without the free dimension: the history
+    /// `fixed[frozen_arm]` must reproduce.
+    pub reference: SpaceSpec,
     pub frozen_arm: usize,
     /// Clears the free dimension's request, which differs between the
     /// frozen arm and the reference by construction.
@@ -263,38 +254,39 @@ pub struct CoTuningRun {
 
 impl<'w> CoTuning<'w> {
     pub fn run(self, profile: &Profile, runs: &Runs) -> CoTuningRun {
-        let CoTuning { workload: w, max_shards, max_replicas, base_spec, backend, .. } = self;
+        let CoTuning { workload: w, base_spec, .. } = self;
         let anchor = evaluate(w, &VdmsConfig::default_config(), profile.seed).qps;
         let rates: Vec<f64> = self.ladder.iter().map(|m| m * anchor).collect();
         let tune_spec = base_spec.at_rate(rates[rates.len() - 1]).with_slo(SERVING_SLO_P99_SECS);
-        let serve = |plane: ControlPlane<'w>, spec: ServingSpec| {
-            ServingBackend::new(w, plane(w, max_shards, max_replicas), spec)
-        };
+        let serve =
+            |space: &SpaceSpec, spec: ServingSpec| ServingBackend::new(w, space.backend(w), spec);
 
-        let jobs: Vec<(&SpaceSpec, ControlPlane<'w>)> = self
+        let jobs: Vec<&SpaceSpec> = self
             .fixed
             .iter()
-            .map(|arm| (&arm.space, backend))
-            .chain([(&self.cotuned.1, backend), (&self.reference.0, self.reference.1)])
+            .map(|arm| &arm.space)
+            .chain([&self.cotuned.1, &self.reference])
             .collect();
-        let mut outcomes = run_parallel(jobs, |&(space, plane)| {
+        let mut outcomes = run_parallel(jobs, |&space| {
             let arm = Method::VdTuner.arm(profile.iters);
-            runs.tune(arm, space.clone(), serve(plane, tune_spec), profile.iters, profile.seed)
+            runs.tune(arm, space.clone(), serve(space, tune_spec), profile.iters, profile.seed)
         });
         let reference = outcomes.pop().expect("the reference run is the last job");
         let frozen_matches =
             outcomes[self.frozen_arm].fingerprint(self.strip) == reference.fingerprint(self.strip);
 
+        let (max_shards, max_replicas) =
+            (self.cotuned.1.max_shards(), self.cotuned.1.max_replicas());
         let arms: Vec<ArmRun> = self
             .fixed
             .into_iter()
-            .map(|arm| (format!("{} ({})", arm.name, arm.pin), arm.name, arm.json))
-            .chain([(self.cotuned.0, "co-tuned".to_string(), Vec::new())])
+            .map(|arm| (format!("{} ({})", arm.name, arm.pin), arm.name, arm.json, arm.space))
+            .chain([(self.cotuned.0, "co-tuned".to_string(), Vec::new(), self.cotuned.1)])
             .zip(outcomes)
-            .map(|((label, name, json), outcome)| {
+            .map(|((label, name, json, space), outcome)| {
                 let winner = best_config(&outcome, RECALL_FLOOR);
                 let measured = measure_ladder(winner.as_ref(), &rates, profile.seed, |rate| {
-                    serve(backend, base_spec.at_rate(rate))
+                    serve(&space, base_spec.at_rate(rate))
                 });
                 ArmRun { name, label, json, outcome, measured }
             })

@@ -37,7 +37,7 @@ use vdtuner_core::{SpaceSpec, TunerMode, TuningOutcome};
 use vecdata::{DatasetKind, DatasetSpec};
 use workload::{
     evaluate, EvalBackend, Evaluator, Outcome, ServingBackend, ServingSpec, ServingStats,
-    SimBackend, TopologyBackend, Workload, WriteStats,
+    SimBackend, Workload, WriteStats,
 };
 
 /// A table header: one leading column, then a computed series.
@@ -723,8 +723,8 @@ pub fn topology(profile: &Profile, runs: &Runs) -> io::Result<()> {
     let fixed = runs.outcomes(profile, &fixed_counts.map(paper_on_glove));
     // Arm 2: the shard count as the 17th dimension — one tuning run whose
     // candidates each deploy their own cluster.
-    let (space, backend) =
-        (SpaceSpec::with_topology(max_shards), TopologyBackend::new(w, max_shards));
+    let space = SpaceSpec::with_topology(max_shards);
+    let backend = space.backend(w);
     let co =
         runs.tune(Method::VdTuner.arm(profile.iters), space, backend, profile.iters, profile.seed);
 
@@ -933,9 +933,9 @@ pub fn serving(profile: &Profile, runs: &Runs) -> io::Result<()> {
 
 /// Replica placement + routing (beyond the paper): 18-dimensional
 /// co-tuning of shards × replicas under a serving SLO, against
-/// fixed-replica arms — every arm the same tuner, budget, seed and
-/// control plane ([`TopologyBackend::with_replication`]), differing only
-/// in whether the `replicas` dimension is free or pinned. The top arrival
+/// fixed-replica arms — every arm the same tuner, budget and seed, each
+/// served by the backend its space realizes ([`SpaceSpec::backend`]),
+/// differing only in whether the `replicas` dimension is free or pinned. The top arrival
 /// rate is sized so a single replica group saturates: the fixed-1 arm
 /// must shed or blow the SLO (and the shed-charged percentiles now make
 /// that visible instead of flattering it), fixed-2 is marginal, and the
@@ -953,8 +953,6 @@ pub fn replication(profile: &Profile, runs: &Runs) -> io::Result<()> {
 
     let run = CoTuning {
         workload: w,
-        max_shards,
-        max_replicas,
         // The arrival ladder is anchored on the default configuration's
         // offline QPS; the top rate is ~18× it — past what one or two
         // replica groups of even the best-known config sustain (tuned
@@ -968,7 +966,6 @@ pub fn replication(profile: &Profile, runs: &Runs) -> io::Result<()> {
         // replicas buy.
         ladder: [4.5, 9.0, 18.0],
         base_spec: ServingSpec { queue_capacity: 32, ..ServingSpec::default() },
-        backend: TopologyBackend::with_replication,
         fixed: [1usize, 2]
             .iter()
             .map(|&r| FixedArm {
@@ -985,7 +982,7 @@ pub fn replication(profile: &Profile, runs: &Runs) -> io::Result<()> {
         // Frozen-at-1 contract: the fixed-1 arm *is* the 18-dim spec with
         // `replicas` frozen at one copy, and must reproduce the 17-dim
         // topology history bit for bit.
-        reference: (space17(), |w, shards, _| TopologyBackend::new(w, shards)),
+        reference: space17(),
         frozen_arm: 0,
         strip: |c| VdmsConfig { replicas: None, ..c },
     }
@@ -1032,9 +1029,10 @@ pub fn replication(profile: &Profile, runs: &Runs) -> io::Result<()> {
 
 /// Shard reactors + NUMA/affinity-aware pinning (beyond the paper):
 /// 19-dimensional co-tuning of the reactor pinning policy under a serving
-/// SLO, against four fixed-policy arms — every arm the same tuner, budget,
-/// seed and control plane ([`TopologyBackend::with_pinning`]), differing
-/// only in whether the `pinning` dimension is free or pinned.
+/// SLO, against four fixed-policy arms — every arm the same tuner, budget
+/// and seed, each served by the backend its space realizes
+/// ([`SpaceSpec::backend`]), differing only in whether the `pinning`
+/// dimension is free or pinned.
 ///
 /// Two-phase: the host's NUMA/SMT penalty surface is first *measured* by a
 /// real pinned multi-threaded replay (`bench::affinity` — raw
@@ -1071,9 +1069,9 @@ pub fn reactors(profile: &Profile, runs: &Runs) -> io::Result<()> {
     let measured_entries =
         sources.iter().filter(|s| **s == affinity::EntrySource::Measured).count();
     let calibration_source = match measured_entries {
-        3 => "measured",
-        0 => "analytic",
-        _ => "partial",
+        3 => CalibrationSource::Measured,
+        0 => CalibrationSource::Analytic,
+        _ => CalibrationSource::Partial,
     };
     let mut ct = Table::new(vec!["quantity", "value", "source"]);
     ct.row(vec![
@@ -1107,7 +1105,7 @@ pub fn reactors(profile: &Profile, runs: &Runs) -> io::Result<()> {
     // surface; the full document (same penalties) replaces it at the end.
     let calibration: Vec<(String, JsonValue)> = vec![
         ("experiment".into(), JsonValue::Str("reactors".into())),
-        ("calibration_source".into(), JsonValue::Str(calibration_source.into())),
+        ("calibration_source".into(), JsonValue::Str(calibration_source.name().into())),
         (
             "topology".into(),
             JsonValue::obj(vec![
@@ -1142,13 +1140,12 @@ pub fn reactors(profile: &Profile, runs: &Runs) -> io::Result<()> {
     // memo's, which every other experiment prices with the analytic one.
     let mut w = Workload::paper_default(DatasetSpec::scaled(DatasetKind::Glove));
     w.cost_model = CostModel::calibrated(&results_dir());
-    reactors_read_back(&results_dir().join("reactors.json"), &penalties, &w.cost_model)?;
+    let written = (penalties, calibration_source);
+    reactors_read_back(&results_dir().join("reactors.json"), written, &w.cost_model)?;
     let space18 = || SpaceSpec::with_topology(max_shards).with_replication(max_replicas);
 
     let run = CoTuning {
         workload: &w,
-        max_shards,
-        max_replicas,
         // Same ladder construction as the replication experiment, but with
         // the replication escape valve capped at 2 copies: at ~12× the
         // default config's offline QPS the cluster runs hot enough that
@@ -1157,7 +1154,6 @@ pub fn reactors(profile: &Profile, runs: &Runs) -> io::Result<()> {
         // meets the SLO.
         ladder: [3.0, 6.0, 12.0],
         base_spec: ServingSpec { queue_capacity: 32, ..ServingSpec::default() },
-        backend: TopologyBackend::with_pinning,
         fixed: PinningPolicy::ALL
             .iter()
             .map(|&p| FixedArm {
@@ -1171,7 +1167,7 @@ pub fn reactors(profile: &Profile, runs: &Runs) -> io::Result<()> {
         // Frozen-at-Shared contract: the fixed-shared arm *is* the 19-dim
         // spec with `pinning` frozen at the legacy slot pool, and must
         // reproduce the 18-dim replication history bit for bit.
-        reference: (space18(), TopologyBackend::with_replication),
+        reference: space18(),
         frozen_arm: 0,
         strip: |c| VdmsConfig { pinning: None, ..c },
     }
@@ -1181,7 +1177,7 @@ pub fn reactors(profile: &Profile, runs: &Runs) -> io::Result<()> {
         "reactors",
         &run.title(
             "Reactor pinning co-tuning: policy as the 19th dimension",
-            &format!("penalties {calibration_source}"),
+            &format!("penalties {}", calibration_source.name()),
         ),
         &run.arm_table(),
     )?;
@@ -1215,9 +1211,10 @@ pub fn reactors(profile: &Profile, runs: &Runs) -> io::Result<()> {
     )?;
 
     let mut doc = calibration;
-    // What the tuning phase actually priced with: `Measured` here means
-    // [`CostModel::calibrated`] read back the penalty surface this
-    // experiment's phase 1 wrote (per-entry provenance above).
+    // What the tuning phase actually priced with: the provenance
+    // [`CostModel::calibrated`] loaded with the penalty surface this
+    // experiment's phase 1 wrote — `calibration_source` itself, or the read
+    // back above would have failed.
     doc.push((
         "tuning_penalty_source".to_string(),
         JsonValue::Str(w.cost_model.penalty_source.name().into()),
@@ -1481,22 +1478,26 @@ fn kernels_read_back(path: &Path, written: &ScanUnitCosts) -> io::Result<()> {
     read_back(path, units(written), ScanUnitCosts::load(path).as_ref().map(units))
 }
 
-/// The written `reactors.json` penalties as the calibrated `model` loaded
-/// them: a file it fell back from reads back as nothing.
-fn reactors_read_back(path: &Path, written: &PenaltyMatrix, model: &CostModel) -> io::Result<()> {
+/// The written `reactors.json` penalties and provenance as the calibrated
+/// `model` loaded them: a file it fell back from, or loaded under another
+/// label, reads back as nothing.
+fn reactors_read_back(
+    path: &Path,
+    (penalties, source): (PenaltyMatrix, CalibrationSource),
+    model: &CostModel,
+) -> io::Result<()> {
     let units = |p: &PenaltyMatrix| [p.same_core_smt, p.same_socket, p.cross_socket];
-    let read =
-        (model.penalty_source == CalibrationSource::Measured).then(|| units(&model.penalties));
-    read_back(path, units(written), read)
+    let read = (model.penalty_source == source).then(|| units(&model.penalties));
+    read_back(path, units(&penalties), read)
 }
 
 /// Real write path (beyond the paper): WAL group commit + segment
 /// lifecycle under mixed read/write traffic — 22-dimensional co-tuning of
 /// the write knobs (group-commit batch, flush deadline, seal threshold)
 /// under a serving SLO, against fixed-flush arms — every arm the same
-/// tuner, budget, seed and control plane
-/// ([`TopologyBackend::with_writepath`]), differing only in whether the
-/// three write dimensions are free or pinned.
+/// tuner, budget and seed, each served by the backend its space realizes
+/// ([`SpaceSpec::backend`]), differing only in whether the three write
+/// dimensions are free or pinned.
 ///
 /// Inserts arrive as first-class events alongside queries
 /// ([`ServingSpec::insert_fraction`]): each one is admitted to a WAL whose
@@ -1546,10 +1547,9 @@ pub fn writepath(profile: &Profile, runs: &Runs) -> io::Result<()> {
     let space19 =
         || SpaceSpec::with_topology(max_shards).with_replication(max_replicas).with_pinning();
 
+    let wide = space19().with_writepath();
     let run = CoTuning {
         workload: w,
-        max_shards,
-        max_replicas,
         // The arrival ladder is anchored on the default configuration's
         // offline QPS, topped well below the replication experiment's 18×
         // — every arriving unit of work here is ~1.5 requests (each query
@@ -1558,7 +1558,6 @@ pub fn writepath(profile: &Profile, runs: &Runs) -> io::Result<()> {
         // runs much hotter.
         ladder: [2.0, 4.0, 8.0],
         base_spec,
-        backend: TopologyBackend::with_writepath,
         fixed: fixed_knobs
             .iter()
             .map(|(name, k)| FixedArm {
@@ -1573,11 +1572,11 @@ pub fn writepath(profile: &Profile, runs: &Runs) -> io::Result<()> {
                     .collect(),
             })
             .collect(),
-        cotuned: ("co-tuned write knobs (22-dim)".into(), space19().with_writepath()),
+        cotuned: ("co-tuned write knobs (22-dim)".into(), wide.clone()),
         // Frozen-knobs contract: the default-flush arm *is* the 22-dim
         // spec with the write dimensions frozen at the defaults, and must
         // reproduce the 19-dim pinning history bit for bit.
-        reference: (space19(), TopologyBackend::with_pinning),
+        reference: space19(),
         frozen_arm: 2,
         strip: |c| VdmsConfig { writepath: None, ..c },
     }
@@ -1590,12 +1589,7 @@ pub fn writepath(profile: &Profile, runs: &Runs) -> io::Result<()> {
         let quiet_spec = base_spec.at_rate(run.rates[0]).with_inserts(0.0);
         let eval = |wp: Option<WriteKnobs>| {
             let cfg = VdmsConfig { writepath: wp, ..VdmsConfig::default_config() };
-            ServingBackend::new(
-                w,
-                TopologyBackend::with_writepath(w, max_shards, max_replicas),
-                quiet_spec,
-            )
-            .evaluate(&cfg, profile.seed)
+            ServingBackend::new(w, wide.backend(w), quiet_spec).evaluate(&cfg, profile.seed)
         };
         let requested = eval(Some(WriteKnobs::DEFAULT));
         let unrequested = eval(None);
@@ -1716,15 +1710,21 @@ mod tests {
             penalty_source,
             ..CostModel::default()
         };
-        reactors_read_back(path, &measured, &model(measured, CalibrationSource::Measured)).unwrap();
+        use CalibrationSource::{Analytic, Fallback, Measured, Partial};
+        for source in [Measured, Partial] {
+            reactors_read_back(path, (measured, source), &model(measured, source)).unwrap();
+        }
+        // A file that could measure nothing still reads back as loaded.
+        let analytic = PenaltyMatrix::ANALYTIC;
+        reactors_read_back(path, (analytic, Analytic), &model(analytic, Analytic)).unwrap();
         // Equal values are not enough: a model that fell back to the
         // analytic surface read nothing back.
-        let analytic = PenaltyMatrix::ANALYTIC;
-        let fell_back = model(analytic, CalibrationSource::Analytic);
-        let err = reactors_read_back(path, &analytic, &fell_back).unwrap_err();
+        let err =
+            reactors_read_back(path, (analytic, Analytic), &model(analytic, Fallback)).unwrap_err();
         assert!(err.to_string().contains("reactors.json"), "{err}");
-        let moved =
-            model(PenaltyMatrix { cross_socket: 1.5, ..measured }, CalibrationSource::Measured);
-        assert!(reactors_read_back(path, &measured, &moved).is_err());
+        let relabelled = model(measured, Measured);
+        assert!(reactors_read_back(path, (measured, Partial), &relabelled).is_err());
+        let moved = model(PenaltyMatrix { cross_socket: 1.5, ..measured }, Measured);
+        assert!(reactors_read_back(path, (measured, Measured), &moved).is_err());
     }
 }

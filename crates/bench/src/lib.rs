@@ -193,7 +193,7 @@ impl Runs {
             Arm::Qehvi => Box::new(QehviTuner::with_space(space, seed, 10)),
         };
         let mut ev = Evaluator::with_backend(backend, seed);
-        run_tuner(tuner.as_mut(), &mut ev, iters);
+        run_tuner(tuner.as_mut(), &mut ev, iters, 1);
         TuningOutcome::from_evaluator(tuner.name().to_string(), &ev, Vec::new())
     }
 

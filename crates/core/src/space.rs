@@ -47,6 +47,7 @@ use anns::params::{ranges, IndexType, ParamRange};
 use std::sync::OnceLock;
 use vdms::system_params::ranges as sys_ranges;
 use vdms::{PinningPolicy, VdmsConfig, WriteKnobs};
+use workload::{DeploymentKnobs, SimBackend, Workload};
 
 /// Dimensionality of the paper's space: 1 (index type) + 8 (index) + 7
 /// (system). Kept for the fixed-space call sites; spec-aware code asks
@@ -546,6 +547,11 @@ impl SpaceSpec {
         self.dims.iter().map(|d| d.name).collect()
     }
 
+    /// The dimension writing `field`, if this spec carries one.
+    fn field(&self, field: FieldRef) -> Option<&Dimension> {
+        self.dims.iter().find(|d| d.field == field)
+    }
+
     /// Whether this spec carries a (non-frozen or frozen) topology
     /// dimension.
     pub fn has_topology(&self) -> bool {
@@ -553,39 +559,54 @@ impl SpaceSpec {
     }
 
     /// Largest shard count the topology dimension spans (1 when the spec
-    /// has no topology dimension).
+    /// has no shard-count dimension).
     pub fn max_shards(&self) -> usize {
-        self.dims
-            .iter()
-            .find(|d| d.field == FieldRef::ShardCount)
-            .map_or(1, |d| d.range.hi.round() as usize)
+        self.field(FieldRef::ShardCount).map_or(1, |d| d.range.hi.round() as usize)
     }
 
     /// Whether this spec carries a (non-frozen or frozen) replication
     /// dimension.
     pub fn has_replication(&self) -> bool {
-        self.dims.iter().any(|d| d.field == FieldRef::Replicas)
+        self.field(FieldRef::Replicas).is_some()
     }
 
     /// Largest replication factor the replication dimension spans (1 when
     /// the spec has no replication dimension).
     pub fn max_replicas(&self) -> usize {
-        self.dims
-            .iter()
-            .find(|d| d.field == FieldRef::Replicas)
-            .map_or(1, |d| d.range.hi.round() as usize)
+        self.field(FieldRef::Replicas).map_or(1, |d| d.range.hi.round() as usize)
     }
 
     /// Whether this spec carries a (non-frozen or frozen) pinning
     /// dimension.
     pub fn has_pinning(&self) -> bool {
-        self.dims.iter().any(|d| d.field == FieldRef::Pinning)
+        self.field(FieldRef::Pinning).is_some()
     }
 
     /// Whether this spec carries (non-frozen or frozen) write-path
     /// dimensions.
     pub fn has_writepath(&self) -> bool {
-        self.dims.iter().any(|d| d.field == FieldRef::WalBatch)
+        self.field(FieldRef::WalBatch).is_some()
+    }
+
+    /// The offline backend that realizes this space over `workload`: a
+    /// candidate's shard and replication requests deploy the cluster they
+    /// ask for, up to the largest value each dimension spans (a pinned
+    /// dimension's ceiling is its pin), and the pinning and write-path
+    /// requests are realized exactly when the space carries their
+    /// dimensions. Its [`workload::BackendInfo::space_dims`] is
+    /// [`SpaceSpec::dims`], so every candidate this space decodes is
+    /// evaluated, never rejected as a space mismatch.
+    pub fn backend<'a>(&self, workload: &'a Workload) -> SimBackend<'a> {
+        let has_shards = self.field(FieldRef::ShardCount).is_some();
+        SimBackend::with_knobs(
+            workload,
+            DeploymentKnobs {
+                max_shards: has_shards.then(|| self.max_shards()),
+                max_replicas: self.has_replication().then(|| self.max_replicas()),
+                pinning: self.has_pinning(),
+                writepath: self.has_writepath(),
+            },
+        )
     }
 
     /// The write-path request seed configurations carry: each write
@@ -593,7 +614,7 @@ impl SpaceSpec {
     /// [`SpaceSpec::with_pinned_writepath`], `None` without the
     /// dimensions.
     fn seed_writepath(&self) -> Option<WriteKnobs> {
-        let find = |f: FieldRef| self.dims.iter().find(|d| d.field == f).map(|d| d.range.lo);
+        let find = |f: FieldRef| self.field(f).map(|d| d.range.lo);
         Some(WriteKnobs {
             wal_batch_rows: (find(FieldRef::WalBatch)?.round() as usize).max(1),
             flush_interval_secs: find(FieldRef::WalFlushInterval)?,
@@ -606,9 +627,7 @@ impl SpaceSpec {
     /// for [`SpaceSpec::with_pinning`], the pinned policy for
     /// [`SpaceSpec::with_pinned_pinning`], `None` without the dimension.
     fn seed_pinning(&self) -> Option<PinningPolicy> {
-        self.dims
-            .iter()
-            .find(|d| d.field == FieldRef::Pinning)
+        self.field(FieldRef::Pinning)
             .map(|d| PinningPolicy::from_ordinal(d.range.lo.round() as usize))
     }
 
@@ -618,10 +637,7 @@ impl SpaceSpec {
     /// [`SpaceSpec::with_pinned_replication`], `None` without the
     /// dimension.
     fn seed_replicas(&self) -> Option<usize> {
-        self.dims
-            .iter()
-            .find(|d| d.field == FieldRef::Replicas)
-            .map(|d| (d.range.lo.round() as usize).max(1))
+        self.field(FieldRef::Replicas).map(|d| (d.range.lo.round() as usize).max(1))
     }
 
     /// The configuration the tuner seeds index type `t` with (Algorithm 1,
@@ -630,26 +646,18 @@ impl SpaceSpec {
     /// deployment shape — so shape exploration starts from the paper's
     /// testbed.
     pub fn seed_config(&self, t: IndexType) -> VdmsConfig {
-        let mut c = VdmsConfig::default_for(t);
-        if self.has_topology() {
-            c.shards = Some(1);
+        VdmsConfig {
+            shards: self.field(FieldRef::ShardCount).map(|_| 1),
+            replicas: self.seed_replicas(),
+            pinning: self.seed_pinning(),
+            writepath: self.seed_writepath(),
+            ..VdmsConfig::default_for(t)
         }
-        c.replicas = self.seed_replicas();
-        c.pinning = self.seed_pinning();
-        c.writepath = self.seed_writepath();
-        c
     }
 
     /// [`SpaceSpec::seed_config`] with the default index type.
     pub fn seed_default(&self) -> VdmsConfig {
-        let mut c = VdmsConfig::default_config();
-        if self.has_topology() {
-            c.shards = Some(1);
-        }
-        c.replicas = self.seed_replicas();
-        c.pinning = self.seed_pinning();
-        c.writepath = self.seed_writepath();
-        c
+        self.seed_config(VdmsConfig::default_config().index_type)
     }
 
     /// Encode a configuration into the unit hypercube.

@@ -24,9 +24,7 @@ use mobo::optimize::{argmax_blocks, candidate_pool, local_refine_blocks, Candida
 use mobo::pareto::non_dominated_indices;
 use vdms::VdmsConfig;
 use vecdata::rng::{derive, rng, standard_normal};
-use workload::{
-    run_tuner, run_tuner_batched, EvalBackend, Evaluator, Observation, SimBackend, Tuner, Workload,
-};
+use workload::{run_tuner, EvalBackend, Evaluator, Observation, Tuner, Workload};
 
 /// A boxed acquisition function of one candidate's speed and recall
 /// posteriors (computed a block of candidates at a time by [`Joint`]).
@@ -503,8 +501,9 @@ impl Tuner for VdTuner {
 }
 
 impl VdTuner {
-    /// Convenience driver: run `iterations` evaluations against `workload`
-    /// and package everything a report needs.
+    /// Convenience driver: run `iterations` evaluations against `workload`,
+    /// served by the backend this tuner's space realizes
+    /// ([`SpaceSpec::backend`]), and package everything a report needs.
     pub fn run(&mut self, workload: &Workload, iterations: usize) -> TuningOutcome {
         self.run_batched(workload, iterations, 1)
     }
@@ -518,7 +517,8 @@ impl VdTuner {
         iterations: usize,
         q: usize,
     ) -> TuningOutcome {
-        self.run_batched_on(SimBackend::new(workload), iterations, q)
+        let backend = self.space.backend(workload);
+        self.run_batched_on(backend, iterations, q)
     }
 
     /// Run against an arbitrary evaluation backend (sharded cluster, live
@@ -536,11 +536,7 @@ impl VdTuner {
         q: usize,
     ) -> TuningOutcome {
         let mut evaluator = Evaluator::with_backend(backend, derive(self.seed, 0xEBA1));
-        if q <= 1 {
-            run_tuner(self, &mut evaluator, iterations);
-        } else {
-            run_tuner_batched(self, &mut evaluator, iterations, q);
-        }
+        run_tuner(self, &mut evaluator, iterations, q);
         TuningOutcome::from_evaluator(
             self.name().to_string(),
             &evaluator,
@@ -563,7 +559,7 @@ mod tests {
         let w = tiny_workload();
         let mut tuner = VdTuner::new(TunerOptions::default(), 1);
         let mut ev = Evaluator::new(&w, 2);
-        run_tuner(&mut tuner, &mut ev, 7);
+        run_tuner(&mut tuner, &mut ev, 7, 1);
         let types: Vec<IndexType> = ev.history().iter().map(|o| o.config.index_type).collect();
         assert_eq!(types, IndexType::ALL.to_vec());
     }
@@ -585,7 +581,7 @@ mod tests {
             1,
         );
         let mut ev = Evaluator::new(&w, 2);
-        run_tuner(&mut tuner, &mut ev, 10);
+        run_tuner(&mut tuner, &mut ev, 10, 1);
         assert_eq!(ev.len(), 10);
         // Post-init proposals must follow the polling rotation.
         for o in &ev.history()[7..] {
@@ -611,7 +607,7 @@ mod tests {
             1,
         );
         let mut ev = Evaluator::new(&w, 2);
-        run_tuner(&mut tuner, &mut ev, 12);
+        run_tuner(&mut tuner, &mut ev, 12, 1);
         assert_eq!(tuner.remaining_types().len(), IndexType::ALL.len());
     }
 
@@ -633,7 +629,7 @@ mod tests {
             1,
         );
         let mut ev = Evaluator::new(&w, 2);
-        run_tuner(&mut tuner, &mut ev, 13);
+        run_tuner(&mut tuner, &mut ev, 13, 1);
         assert!(
             tuner.remaining_types().len() < IndexType::ALL.len(),
             "window=1 must abandon at least one type in 6 BO iterations"
@@ -680,7 +676,7 @@ mod tests {
         let w = tiny_workload();
         let mut tuner = VdTuner::new(small_options(), 3);
         let mut ev = Evaluator::new(&w, 2);
-        run_tuner(&mut tuner, &mut ev, 8); // past the init phase
+        run_tuner(&mut tuner, &mut ev, 8, 1); // past the init phase
         let batch = tuner.propose_batch(ev.history(), 4);
         assert_eq!(batch.len(), 4);
         for c in &batch {
@@ -709,7 +705,7 @@ mod tests {
         let w = tiny_workload();
         let mut tuner = VdTuner::new(small_options(), 7);
         let mut ev = Evaluator::new(&w, 2);
-        run_tuner(&mut tuner, &mut ev, 8); // past the init phase: model is fit
+        run_tuner(&mut tuner, &mut ev, 8, 1); // past the init phase: model is fit
         let (cfg, pred) = tuner.propose_inner(ev.history());
         assert!(IndexType::ALL.contains(&cfg.index_type));
         let (qps, recall) = pred.expect("post-init proposals carry a prediction");

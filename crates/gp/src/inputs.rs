@@ -116,7 +116,7 @@ impl TrainingInputs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{Matern52, Rbf};
+    use crate::kernel::Matern52;
 
     #[test]
     fn distances_are_laid_out_by_panel() {
@@ -177,8 +177,6 @@ mod tests {
             for signal_variance in [0.01, 1.7, 31.6] {
                 let m = Matern52 { lengthscale, signal_variance };
                 assert_fill_is_pointwise(&m, &format!("{m:?}"));
-                let r = Rbf { lengthscale, signal_variance };
-                assert_fill_is_pointwise(&r, &format!("{r:?}"));
             }
         }
     }

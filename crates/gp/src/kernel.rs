@@ -1,8 +1,8 @@
 //! Covariance functions.
 //!
 //! The paper chooses Matérn 5/2 "owing to its excellent ability to balance
-//! flexibility and smoothness" (§IV-B, citing Shahriari et al.). Both
-//! kernels here use an isotropic lengthscale over unit-hypercube inputs —
+//! flexibility and smoothness" (§IV-B, citing Shahriari et al.). It uses
+//! an isotropic lengthscale over unit-hypercube inputs —
 //! the tuner normalizes every parameter into [0, 1] first, which makes a
 //! shared lengthscale appropriate and keeps hyperparameter fitting cheap.
 //! Isotropic means the covariance depends on the two points only through
@@ -10,7 +10,7 @@
 //! a fit computes the distances once ([`crate::TrainingInputs`]) and every
 //! likelihood evaluation maps them through the kernel's radial profile.
 //!
-//! Both profiles are a polynomial times one exponential, so a kernel is
+//! The profile is a polynomial times one exponential, so a kernel is
 //! written as two steps around that `exp`: [`Kernel::exponent`] and
 //! [`Kernel::finish`]. [`Kernel::eval_dist`] composes them with
 //! `f64::exp`, the one definition of the formula; the kernel-matrix fill
@@ -96,37 +96,6 @@ impl Kernel for Matern52 {
     }
 }
 
-/// Squared-exponential (RBF): `σ² exp(−r²/(2ℓ²))`. Kept for kernel
-/// ablations; smoother than Matérn 5/2.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Rbf {
-    pub lengthscale: f64,
-    pub signal_variance: f64,
-}
-
-impl Default for Rbf {
-    fn default() -> Self {
-        Rbf { lengthscale: 0.3, signal_variance: 1.0 }
-    }
-}
-
-impl Kernel for Rbf {
-    #[inline]
-    fn exponent(&self, r: f64) -> f64 {
-        let l2 = self.lengthscale * self.lengthscale;
-        -0.5 * (r * r) / l2.max(1e-18)
-    }
-
-    #[inline]
-    fn finish(&self, _x: f64, e: f64) -> f64 {
-        self.signal_variance * e
-    }
-
-    fn diag(&self) -> f64 {
-        self.signal_variance
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,24 +133,5 @@ mod tests {
         let a = [0.0];
         let b = [0.5];
         assert!(long.eval(&a, &b) > short.eval(&a, &b));
-    }
-
-    #[test]
-    fn rbf_behaves() {
-        let k = Rbf::default();
-        let a = [0.2];
-        assert!((k.eval(&a, &a) - 1.0).abs() < 1e-12);
-        assert!(k.eval(&a, &[0.9]) < 1.0);
-    }
-
-    #[test]
-    fn matern_rougher_than_rbf_at_short_range() {
-        // At small distances the Matérn kernel drops faster than RBF with
-        // the same lengthscale (less smooth sample paths).
-        let m = Matern52 { lengthscale: 0.3, signal_variance: 1.0 };
-        let r = Rbf { lengthscale: 0.3, signal_variance: 1.0 };
-        let a = [0.0];
-        let b = [0.05];
-        assert!(m.eval(&a, &b) < r.eval(&a, &b));
     }
 }

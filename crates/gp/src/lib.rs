@@ -6,8 +6,7 @@
 //! * [`linalg`] — dense symmetric linear algebra on a panel-major factor:
 //!   Cholesky factorization with jitter, triangular solves,
 //!   log-determinants (public: the row-major [`linalg::cholesky_in_place`]),
-//! * [`kernel`] — the Matérn 5/2 covariance the paper chooses (with RBF as
-//!   an alternative for ablations),
+//! * [`kernel`] — the Matérn 5/2 covariance the paper chooses,
 //! * [`inputs`] — a training set with its pairwise distances, computed once
 //!   and shared by every likelihood evaluation and every target,
 //! * [`gp`] — exact GP posterior (mean/variance) with standardized targets
@@ -34,5 +33,5 @@ mod reference;
 
 pub use gp::{GaussianProcess, Joint, Posterior, BLOCK};
 pub use inputs::TrainingInputs;
-pub use kernel::{Kernel, Matern52, Rbf};
+pub use kernel::{Kernel, Matern52};
 pub use mle::{fit_gp, fit_gp_on, FitOptions};

@@ -51,10 +51,7 @@ fn suppression_set_is_pinned() {
     let report = lint::scan_workspace(workspace_root()).expect("workspace scan");
     let got: Vec<(&str, &str)> =
         report.suppressions.iter().map(|s| (s.rule.key(), s.file.as_str())).collect();
-    let want = [
-        ("r3_wall_clock", "crates/workload/src/tuner.rs"),
-        ("r3_wall_clock", "crates/workload/src/tuner.rs"),
-    ];
+    let want = [("r3_wall_clock", "crates/workload/src/tuner.rs")];
     assert_eq!(got, want, "lint:allow suppression set drifted — justify any new tag here");
 }
 

@@ -130,12 +130,6 @@ pub fn local_refine_blocks<F: Fn(&[Vec<f64>], &mut [f64]) + Sync>(
     refine(start, start_value, rounds, per_round, seed, |cands| score_blocks(cands, acq))
 }
 
-/// Score every candidate with the per-point `acq` in parallel, in
-/// candidate order: [`score_blocks`] one point at a time.
-pub fn score_candidates<F: Fn(&[f64]) -> f64 + Sync>(candidates: &[Vec<f64>], acq: &F) -> Vec<f64> {
-    score_blocks(candidates, &per_point(acq))
-}
-
 /// [`argmax_blocks`] for a per-point acquisition.
 pub fn argmax_acquisition_par<F: Fn(&[f64]) -> f64 + Sync>(
     candidates: &[Vec<f64>],
@@ -336,7 +330,8 @@ mod tests {
     #[test]
     fn score_candidates_preserves_order() {
         let candidates: Vec<Vec<f64>> = (0..33).map(|i| vec![i as f64]).collect();
-        let scores = with_threads(4, || score_candidates(&candidates, &|x: &[f64]| x[0] * 2.0));
+        let acq = per_point(&|x: &[f64]| x[0] * 2.0);
+        let scores = with_threads(4, || score_blocks(&candidates, &acq));
         assert_eq!(scores, (0..33).map(|i| i as f64 * 2.0).collect::<Vec<_>>());
     }
 }

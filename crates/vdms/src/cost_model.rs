@@ -225,13 +225,14 @@ impl CostModel {
     /// falling back to the analytic constants when no measurement exists.
     /// The fallback is **recorded**, not silent:
     /// [`CostModel::scan_source`] / [`CostModel::penalty_source`] say
-    /// whether each surface is [`CalibrationSource::Measured`], and
-    /// experiments surface that in their JSON so a run can't masquerade as
-    /// calibrated.
+    /// where each surface came from — [`CalibrationSource::Fallback`] when
+    /// no file was read, the provenance a penalty file records otherwise —
+    /// and experiments surface that in their JSON so a run can't
+    /// masquerade as calibrated.
     pub fn calibrated(results: &std::path::Path) -> CostModel {
         let (scan, scan_source) = match ScanUnitCosts::load(&results.join("kernels.json")) {
             Some(scan) => (scan, CalibrationSource::Measured),
-            None => (ScanUnitCosts::ANALYTIC, CalibrationSource::Analytic),
+            None => (ScanUnitCosts::ANALYTIC, CalibrationSource::Fallback),
         };
         let (penalties, penalty_source) =
             PenaltyMatrix::load_with_source(&results.join("reactors.json"));
@@ -552,9 +553,9 @@ mod tests {
     fn calibrated_without_the_files_is_analytic() {
         let cal = CostModel::calibrated(std::path::Path::new("/nonexistent/results"));
         assert_eq!(cal.scan, ScanUnitCosts::ANALYTIC);
-        assert_eq!(cal.scan_source, CalibrationSource::Analytic);
+        assert_eq!(cal.scan_source, CalibrationSource::Fallback);
         assert_eq!(cal.penalties, PenaltyMatrix::ANALYTIC);
-        assert_eq!(cal.penalty_source, CalibrationSource::Analytic);
+        assert_eq!(cal.penalty_source, CalibrationSource::Fallback);
     }
 
     #[test]
@@ -568,7 +569,8 @@ mod tests {
         .unwrap();
         std::fs::write(
             dir.join("reactors.json"),
-            r#"{"penalties": {"same_core_smt": 1.5, "same_socket": 1.2, "cross_socket": 1.9}}"#,
+            r#"{"calibration_source": "measured",
+                "penalties": {"same_core_smt": 1.5, "same_socket": 1.2, "cross_socket": 1.9}}"#,
         )
         .unwrap();
         let cal = CostModel::calibrated(&dir);

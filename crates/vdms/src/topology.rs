@@ -204,14 +204,21 @@ impl PinningPolicy {
 
 /// Where a set of cost-model constants came from. `repro` experiments
 /// surface this in their JSON so a run can never masquerade as calibrated
-/// while silently charging analytic fallbacks.
+/// while silently charging analytic fallbacks. A loaded measurement file
+/// keeps the label it was written with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CalibrationSource {
-    /// Loaded from a measurement file written by a `repro` experiment on
-    /// this host.
+    /// Every constant was measured on this host by a `repro` experiment.
     Measured,
-    /// The hand-picked analytic constants (file missing or unparsable).
+    /// Some constants were measured on this host; the rest kept the
+    /// analytic values (e.g. the host has no CPU pair of that relation).
+    Partial,
+    /// The hand-picked analytic constants, as declared: the default cost
+    /// model, or a measurement file that could measure none of them.
     Analytic,
+    /// No measurement file could be read (missing or unparsable), so the
+    /// analytic constants stand in for one.
+    Fallback,
 }
 
 impl CalibrationSource {
@@ -219,8 +226,22 @@ impl CalibrationSource {
     pub fn name(self) -> &'static str {
         match self {
             CalibrationSource::Measured => "measured",
+            CalibrationSource::Partial => "partial",
             CalibrationSource::Analytic => "analytic",
+            CalibrationSource::Fallback => "fallback",
         }
+    }
+
+    /// The `calibration_source` label of a `results/reactors.json`
+    /// document: `None` unless it names one a file can carry.
+    fn from_reactors_json(text: &str) -> Option<CalibrationSource> {
+        let key = "\"calibration_source\"";
+        let rest = text[text.find(key)? + key.len()..].trim_start().strip_prefix(':')?;
+        let value = rest.trim_start().strip_prefix('"')?;
+        let name = &value[..value.find('"')?];
+        [CalibrationSource::Measured, CalibrationSource::Partial, CalibrationSource::Analytic]
+            .into_iter()
+            .find(|s| s.name() == name)
     }
 }
 
@@ -277,16 +298,21 @@ impl PenaltyMatrix {
         PenaltyMatrix::parse_penalties(&text[text.find("\"penalties\"")?..])
     }
 
-    /// Load the measured penalty surface from a `reactors.json` file,
-    /// reporting where the constants came from. Missing or unparsable
-    /// files fall back to [`PenaltyMatrix::ANALYTIC`] — *visibly*, via
-    /// [`CalibrationSource::Analytic`].
+    /// Load the penalty surface from a `reactors.json` file, labelled with
+    /// the provenance the file records (`calibration_source`). A missing
+    /// file, or one without parsable penalties and label, falls back to
+    /// [`PenaltyMatrix::ANALYTIC`] — *visibly*, via
+    /// [`CalibrationSource::Fallback`].
     pub fn load_with_source(path: &std::path::Path) -> (PenaltyMatrix, CalibrationSource) {
-        match std::fs::read_to_string(path).ok().and_then(|t| PenaltyMatrix::from_reactors_json(&t))
-        {
-            Some(p) => (p, CalibrationSource::Measured),
-            None => (PenaltyMatrix::ANALYTIC, CalibrationSource::Analytic),
-        }
+        std::fs::read_to_string(path)
+            .ok()
+            .and_then(|t| {
+                Some((
+                    PenaltyMatrix::from_reactors_json(&t)?,
+                    CalibrationSource::from_reactors_json(&t)?,
+                ))
+            })
+            .unwrap_or((PenaltyMatrix::ANALYTIC, CalibrationSource::Fallback))
     }
 }
 
@@ -386,23 +412,43 @@ mod tests {
         assert!(PenaltyMatrix::from_reactors_json(missing).is_none());
     }
 
+    /// A `reactors.json` fixture with `penalties` and, when given, the
+    /// `calibration_source` label, in a directory of its own.
+    fn reactors_file(test: &str, label: Option<&str>) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("vdtuner_penalty_load_{test}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let label = label.map_or(String::new(), |l| format!(r#""calibration_source": "{l}", "#));
+        let path = dir.join("reactors.json");
+        let penalties =
+            r#""penalties": {"same_core_smt": 1.5, "same_socket": 1.2, "cross_socket": 1.9}"#;
+        std::fs::write(&path, format!("{{{label}{penalties}}}")).unwrap();
+        path
+    }
+
     #[test]
     fn load_with_source_reports_the_fallback() {
         let (p, src) =
             PenaltyMatrix::load_with_source(std::path::Path::new("/nonexistent/reactors.json"));
         assert_eq!(p, PenaltyMatrix::ANALYTIC);
-        assert_eq!(src, CalibrationSource::Analytic);
-        let dir = std::env::temp_dir().join("vdtuner_penalty_load_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("reactors.json");
-        std::fs::write(
-            &path,
-            r#"{"penalties": {"same_core_smt": 1.5, "same_socket": 1.2, "cross_socket": 1.9}}"#,
-        )
-        .unwrap();
-        let (p, src) = PenaltyMatrix::load_with_source(&path);
-        assert_eq!(src, CalibrationSource::Measured);
-        assert_eq!(p.cross_socket, 1.9);
-        std::fs::remove_file(&path).ok();
+        assert_eq!(src, CalibrationSource::Fallback);
+        // Penalties without a provenance label are not loaded as measured.
+        for label in [None, Some("fallback"), Some("sampled")] {
+            let path = reactors_file("unlabelled", label);
+            let loaded = PenaltyMatrix::load_with_source(&path);
+            assert_eq!(loaded, (PenaltyMatrix::ANALYTIC, CalibrationSource::Fallback), "{label:?}");
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn load_with_source_keeps_the_files_own_provenance() {
+        use CalibrationSource::{Analytic, Measured, Partial};
+        for source in [Measured, Partial, Analytic] {
+            let path = reactors_file(source.name(), Some(source.name()));
+            let (p, src) = PenaltyMatrix::load_with_source(&path);
+            assert_eq!(src, source);
+            assert_eq!(p.cross_socket, 1.9, "{source:?}: the file's penalties, whatever its label");
+            std::fs::remove_file(&path).ok();
+        }
     }
 }

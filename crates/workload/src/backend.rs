@@ -6,19 +6,20 @@
 //! [`Evaluator`](crate::Evaluator) owns the tuner-facing bookkeeping
 //! (caching, worst-in-history substitution for failures, timing) and is
 //! generic over a backend that turns a configuration into an
-//! [`Outcome`]. Three backends ship in-tree:
+//! [`Outcome`]. Two backends ship in-tree:
 //!
 //! * [`SimBackend`] — the simulator replay
-//!   ([`crate::replay::evaluate_sharded`]) against a fixed
-//!   [`vdms::cluster::ClusterSpec`]: the paper's single node by default
-//!   ([`SimBackend::new`]), or N query nodes with per-shard memory budgets
-//!   behind a scatter-gather proxy ([`SimBackend::with_spec`]);
-//! * [`TopologyBackend`] — the topology-as-a-knob backend: each candidate
-//!   carries its own requested shard count ([`VdmsConfig::shards`]) and is
-//!   served by the matching cluster, with the testbed memory budget split
-//!   evenly across the requested nodes — so the tuner feels the real
-//!   capacity trade-off of fanning out;
-//! * [`ServingBackend`] — any of the above, with every successful candidate
+//!   ([`crate::replay::evaluate_sharded`]). A candidate that requests no
+//!   deployment shape is served by the backend's fixed
+//!   [`vdms::cluster::ClusterSpec`]: the paper's single node
+//!   ([`SimBackend::new`]) or any fixed cluster ([`SimBackend::with_spec`]).
+//!   A backend built with [`DeploymentKnobs`] also lets each candidate carry
+//!   its own deployment — shard count, replication factor, reactor pinning,
+//!   write-path knobs — up to the backend's ceilings, so the tuner feels
+//!   the real capacity trade-off of fanning out. `SpaceSpec::backend` in
+//!   `vdtuner-core` builds that backend from a tuning space's own
+//!   dimensions;
+//! * [`ServingBackend`] — a backend whose every successful candidate is
 //!   then exercised by the discrete-event serving simulator under an
 //!   open-loop arrival process (and an optional p99 SLO).
 //!
@@ -33,28 +34,23 @@ use vdms::cluster::ClusterSpec;
 use vdms::{PinningPolicy, VdmsConfig, VdmsError, WriteKnobs};
 use vecdata::rng::derive;
 
-/// Capabilities and metadata of an evaluation backend, snapshotted by the
-/// evaluator at construction.
+/// Capabilities of an evaluation backend, snapshotted by the evaluator at
+/// construction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BackendInfo {
-    /// Display name for reports ("sim", "sim(4)", "sim(2x3)", ...).
-    pub name: String,
     /// Dataset dimensionality, for configuration sanitization.
     pub dim: usize,
     /// Neighbors retrieved per query.
     pub top_k: usize,
-    /// Query nodes serving the collection (1 for single-node backends; the
-    /// ceiling for topology-tuning backends).
-    pub shards: usize,
     /// Replica groups of the backend's *fixed* deployment — what a
-    /// candidate carrying no replication request is served by. 1 for
-    /// single-copy backends and for topology backends (whose candidates
-    /// carry their own per-candidate request, which takes precedence).
+    /// candidate carrying no replication request is served by (a
+    /// candidate's own request takes precedence).
     pub replicas: usize,
     /// Dimensionality of the tuning space this backend realizes: the 16
-    /// base tunables, plus one per deployment knob (shard count) it lets
-    /// candidates choose. The evaluator rejects candidates whose encoded
-    /// length disagrees — as failed observations, never panics.
+    /// base tunables, plus one per deployment request it lets candidates
+    /// carry (three for the write-path knobs). The evaluator rejects
+    /// candidates whose encoded length disagrees — as failed observations,
+    /// never panics.
     pub space_dims: usize,
 }
 
@@ -84,13 +80,55 @@ impl<B: EvalBackend + ?Sized> EvalBackend for &B {
     }
 }
 
-/// The simulator backend: the workload served by a fixed cluster shape —
-/// by default the paper's single node, the one-shard, one-replica cluster.
+/// The deployment requests a [`SimBackend`] realizes: one per deployment
+/// dimension of the tuning space it serves. The default realizes none —
+/// the paper's 16-dimensional space on a fixed cluster.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct DeploymentKnobs {
+    /// Largest shard count ([`VdmsConfig::shards`]) a candidate may
+    /// request; `None`: candidates carry no shard request.
+    pub max_shards: Option<usize>,
+    /// Largest replication factor ([`VdmsConfig::replicas`]) a candidate
+    /// may request; `None`: candidates carry no replication request.
+    pub max_replicas: Option<usize>,
+    /// Whether candidates choose a reactor pinning policy
+    /// ([`VdmsConfig::pinning`]). Without the knob the backend still
+    /// realizes [`PinningPolicy::Shared`] requests (the shared pool *is*
+    /// its execution model) but refuses every other policy with a typed
+    /// [`VdmsError::PinningUnrealizable`].
+    pub pinning: bool,
+    /// Whether candidates choose their write-path knobs
+    /// ([`VdmsConfig::writepath`], three dimensions). Without them the
+    /// backend still realizes [`WriteKnobs::DEFAULT`] requests (the
+    /// defaults *are* its fixed write path) but refuses every other
+    /// setting with a typed [`VdmsError::WritePathUnrealizable`].
+    pub writepath: bool,
+}
+
+/// The simulator backend: the workload served by the cluster each candidate
+/// asks for, or by a fixed cluster shape — by default the paper's single
+/// node — when it asks for none.
+///
+/// A shard or replication request selects the cluster that serves the
+/// candidate, with the single-node testbed budget split evenly across
+/// **all** requested nodes ([`ClusterSpec::replicated`]: per-node budget =
+/// testbed / (shards · replicas)) — fanning out buys straggler-bounded
+/// latency, replicating buys read slots and routing freedom, and both pay
+/// in per-node capacity, fixed overhead and (for replicas) consistency
+/// staleness, so the tuner optimizes real trade-offs rather than free
+/// knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct SimBackend<'a> {
     workload: &'a Workload,
+    /// What a candidate with no shard or replication request is served by.
     spec: ClusterSpec,
+    knobs: DeploymentKnobs,
 }
+
+/// The name the benchmark in `benchmark/` builds its backend by, kept for it
+/// like [`SimBackend::with_writepath`]; in-workspace code asks its space
+/// (`SpaceSpec::backend`).
+pub type TopologyBackend<'a> = SimBackend<'a>;
 
 impl<'a> SimBackend<'a> {
     /// The single-node testbed ([`ClusterSpec::new`]`(1)`).
@@ -102,252 +140,110 @@ impl<'a> SimBackend<'a> {
     /// directly constructed spec with `shards: 0` is clamped to one node,
     /// matching what the cluster layer would serve.
     pub fn with_spec(workload: &'a Workload, spec: ClusterSpec) -> SimBackend<'a> {
-        SimBackend { workload, spec: spec.normalized() }
+        SimBackend { workload, spec: spec.normalized(), knobs: DeploymentKnobs::default() }
+    }
+
+    /// The single-node testbed, additionally realizing the deployment
+    /// requests `knobs` names (ceilings below one are one).
+    pub fn with_knobs(workload: &'a Workload, knobs: DeploymentKnobs) -> SimBackend<'a> {
+        let at_least_one = |m: Option<usize>| m.map(|m| m.max(1));
+        let knobs = DeploymentKnobs {
+            max_shards: at_least_one(knobs.max_shards),
+            max_replicas: at_least_one(knobs.max_replicas),
+            ..knobs
+        };
+        SimBackend { knobs, ..SimBackend::new(workload) }
+    }
+
+    /// The 22-dimensional backend: shards up to `max_shards`, replicas up
+    /// to `max_replicas`, pinning and write-path knobs. Kept for the
+    /// benchmark in `benchmark/`, which builds its backend by this name.
+    pub fn with_writepath(
+        workload: &'a Workload,
+        max_shards: usize,
+        max_replicas: usize,
+    ) -> SimBackend<'a> {
+        SimBackend::with_knobs(
+            workload,
+            DeploymentKnobs {
+                max_shards: Some(max_shards),
+                max_replicas: Some(max_replicas),
+                pinning: true,
+                writepath: true,
+            },
+        )
     }
 
     /// The workload this backend replays.
     pub fn workload(&self) -> &Workload {
         self.workload
+    }
+
+    /// The cluster a candidate's deployment request maps to, or a typed
+    /// refusal when the request exceeds what this backend can deploy.
+    /// Rejecting — instead of silently clamping — keeps the recorded shape
+    /// honest: the tuner and the evaluator's cache never see a shape that
+    /// was substituted by another. A candidate with neither a shard nor a
+    /// replication request is served by the fixed cluster.
+    pub fn cluster_spec_for(&self, config: &VdmsConfig) -> Result<ClusterSpec, VdmsError> {
+        let spec = match (config.shards, config.replicas) {
+            (None, None) => self.spec,
+            (shards, replicas) => {
+                let (shards, max_shards) =
+                    (shards.unwrap_or(1).max(1), self.knobs.max_shards.unwrap_or(1));
+                if shards > max_shards {
+                    return Err(VdmsError::TopologyUnrealizable {
+                        requested_shards: shards,
+                        max_shards,
+                    });
+                }
+                let (replicas, max_replicas) =
+                    (replicas.unwrap_or(1).max(1), self.knobs.max_replicas.unwrap_or(1));
+                if replicas > max_replicas {
+                    return Err(VdmsError::ReplicationUnrealizable {
+                        requested_replicas: replicas,
+                        max_replicas,
+                    });
+                }
+                ClusterSpec::replicated(shards, replicas)
+            }
+        };
+        // Never a silent fallback to the pool or the default write path
+        // (see `DeploymentKnobs`).
+        if let Some(policy) = config.pinning {
+            if !self.knobs.pinning && policy != PinningPolicy::Shared {
+                return Err(VdmsError::PinningUnrealizable { requested: policy });
+            }
+        }
+        if let Some(knobs) = config.writepath {
+            if !self.knobs.writepath && knobs != WriteKnobs::DEFAULT {
+                return Err(VdmsError::WritePathUnrealizable { requested: knobs });
+            }
+        }
+        Ok(spec)
     }
 }
 
 impl EvalBackend for SimBackend<'_> {
     fn info(&self) -> BackendInfo {
-        let name = match (self.spec.shards, self.spec.replicas) {
-            (1, 1) => "sim".to_string(),
-            (s, 1) => format!("sim({s})"),
-            (s, r) => format!("sim({s}x{r})"),
-        };
+        let k = &self.knobs;
         BackendInfo {
-            name,
             dim: self.workload.dataset.dim(),
             top_k: self.workload.top_k,
-            shards: self.spec.shards,
             replicas: self.spec.replicas,
-            // The cluster shape is fixed per backend; candidates tune the
-            // 16 base knobs only.
-            space_dims: VdmsConfig::BASE_TUNABLES,
-        }
-    }
-
-    fn evaluate(&self, config: &VdmsConfig, seed: u64) -> Outcome {
-        evaluate_sharded(self.workload, config, seed, self.spec)
-    }
-}
-
-/// The topology-tuning backend: the deployment shape is *part of the
-/// candidate*. Each configuration's requested shard count
-/// ([`VdmsConfig::shards`]) — and, when replication tuning is enabled, its
-/// requested replication factor ([`VdmsConfig::replicas`]) — selects the
-/// cluster that serves it, with the single-node testbed budget split
-/// evenly across **all** requested nodes ([`ClusterSpec::replicated`]:
-/// per-node budget = testbed / (shards · replicas)) — fanning out buys
-/// straggler-bounded latency, replicating buys read slots and routing
-/// freedom, and both pay in per-node capacity, fixed overhead and (for
-/// replicas) consistency staleness, so the tuner optimizes real
-/// trade-offs rather than free knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct TopologyBackend<'a> {
-    workload: &'a Workload,
-    max_shards: usize,
-    /// `None`: the 17-dim backend — candidates carry a shard request only.
-    /// `Some(max)`: the 18-dim backend — candidates must also carry a
-    /// replication request, realized up to `max` copies.
-    max_replicas: Option<usize>,
-    /// Whether candidates additionally carry a reactor pinning request
-    /// ([`VdmsConfig::pinning`], the 19th dimension). A backend without
-    /// the knob still realizes [`PinningPolicy::Shared`] requests (the
-    /// shared pool *is* its execution model) but refuses every other
-    /// policy with a typed [`VdmsError::PinningUnrealizable`].
-    pinning: bool,
-    /// Whether candidates additionally carry write-path knobs
-    /// ([`VdmsConfig::writepath`], dimensions 20–22). A backend without
-    /// the knobs still realizes [`WriteKnobs::DEFAULT`] requests (the
-    /// defaults *are* its fixed write path) but refuses every other
-    /// setting with a typed [`VdmsError::WritePathUnrealizable`].
-    writepath: bool,
-}
-
-impl<'a> TopologyBackend<'a> {
-    /// A backend serving unreplicated clusters of 1..=`max_shards` query
-    /// nodes (the 17-dimensional space of PR 3).
-    pub fn new(workload: &'a Workload, max_shards: usize) -> TopologyBackend<'a> {
-        TopologyBackend {
-            workload,
-            max_shards: max_shards.max(1),
-            max_replicas: None,
-            pinning: false,
-            writepath: false,
-        }
-    }
-
-    /// A backend additionally serving 1..=`max_replicas` replicas of every
-    /// segment (the 18-dimensional space): candidates carry both a shard
-    /// and a replication request. `max_replicas == 1` still declares the
-    /// 18-dimensional space — that is what lets a frozen-at-1 replication
-    /// spec reproduce 17-dimensional tuning bit for bit against the same
-    /// control plane.
-    pub fn with_replication(
-        workload: &'a Workload,
-        max_shards: usize,
-        max_replicas: usize,
-    ) -> TopologyBackend<'a> {
-        TopologyBackend {
-            workload,
-            max_shards: max_shards.max(1),
-            max_replicas: Some(max_replicas.max(1)),
-            pinning: false,
-            writepath: false,
-        }
-    }
-
-    /// A backend additionally letting candidates choose the reactor
-    /// pinning policy (the 19-dimensional space): every [`PinningPolicy`]
-    /// is realizable, and the perf law
-    /// ([`vdms::CostModel::cluster_perf`]) prices non-shared policies as
-    /// shard reactors. Declaring the dimension
-    /// with the tuner's pinning coordinate frozen at
-    /// [`PinningPolicy::Shared`] reproduces 18-dimensional tuning bit for
-    /// bit against the same control plane.
-    pub fn with_pinning(
-        workload: &'a Workload,
-        max_shards: usize,
-        max_replicas: usize,
-    ) -> TopologyBackend<'a> {
-        TopologyBackend {
-            workload,
-            max_shards: max_shards.max(1),
-            max_replicas: Some(max_replicas.max(1)),
-            pinning: true,
-            writepath: false,
-        }
-    }
-
-    /// A backend additionally letting candidates choose their write-path
-    /// knobs (the 22-dimensional space: shards, replicas, pinning, and
-    /// the three WAL/segment-lifecycle dimensions of
-    /// `SpaceSpec::with_writepath`). The knobs only change measured
-    /// outcomes when the serving spec offers inserts
-    /// ([`ServingSpec::insert_fraction`]); declaring the dimensions with
-    /// the write coordinates frozen at [`WriteKnobs::DEFAULT`] reproduces
-    /// 19-dimensional tuning bit for bit against the same control plane.
-    pub fn with_writepath(
-        workload: &'a Workload,
-        max_shards: usize,
-        max_replicas: usize,
-    ) -> TopologyBackend<'a> {
-        TopologyBackend {
-            workload,
-            max_shards: max_shards.max(1),
-            max_replicas: Some(max_replicas.max(1)),
-            pinning: true,
-            writepath: true,
-        }
-    }
-
-    /// Whether candidates may choose a reactor pinning policy.
-    pub fn pins_reactors(&self) -> bool {
-        self.pinning
-    }
-
-    /// Whether candidates may choose their write-path knobs.
-    pub fn tunes_writepath(&self) -> bool {
-        self.writepath
-    }
-
-    /// The workload this backend replays.
-    pub fn workload(&self) -> &Workload {
-        self.workload
-    }
-
-    /// Largest cluster this backend will deploy.
-    pub fn max_shards(&self) -> usize {
-        self.max_shards
-    }
-
-    /// Largest replication factor this backend will deploy (1 when
-    /// replication tuning is disabled).
-    pub fn max_replicas(&self) -> usize {
-        self.max_replicas.unwrap_or(1)
-    }
-
-    /// The cluster a candidate's deployment request maps to, or a typed
-    /// refusal when the request exceeds what this control plane can
-    /// deploy. Rejecting — instead of silently clamping — keeps the
-    /// recorded shape honest: the tuner and the evaluator's cache never
-    /// see a shape that was substituted by another. Missing requests
-    /// deploy the single-node, single-copy testbed.
-    pub fn cluster_spec_for(&self, config: &VdmsConfig) -> Result<ClusterSpec, VdmsError> {
-        let requested = config.shards.unwrap_or(1).max(1);
-        if requested > self.max_shards {
-            return Err(VdmsError::TopologyUnrealizable {
-                requested_shards: requested,
-                max_shards: self.max_shards,
-            });
-        }
-        let replicas = config.replicas.unwrap_or(1).max(1);
-        let ceiling = self.max_replicas();
-        if replicas > ceiling {
-            return Err(VdmsError::ReplicationUnrealizable {
-                requested_replicas: replicas,
-                max_replicas: ceiling,
-            });
-        }
-        // A backend without the pinning knob still realizes shared-pool
-        // requests (that *is* its execution model) but refuses every other
-        // policy — never a silent fallback to the pool.
-        if let Some(policy) = config.pinning {
-            if !self.pinning && policy != PinningPolicy::Shared {
-                return Err(VdmsError::PinningUnrealizable { requested: policy });
-            }
-        }
-        // Same contract for the write path: the default knobs are the
-        // backend's own fixed write path, anything else needs the knob.
-        if let Some(knobs) = config.writepath {
-            if !self.writepath && knobs != WriteKnobs::DEFAULT {
-                return Err(VdmsError::WritePathUnrealizable { requested: knobs });
-            }
-        }
-        Ok(ClusterSpec::replicated(requested, replicas))
-    }
-}
-
-impl EvalBackend for TopologyBackend<'_> {
-    fn info(&self) -> BackendInfo {
-        let name = match (self.max_replicas, self.pinning, self.writepath) {
-            (Some(r), true, true) => {
-                format!("topology(1..={} x1..={r} +pinning +writepath)", self.max_shards)
-            }
-            (Some(r), true, false) => {
-                format!("topology(1..={} x1..={r} +pinning)", self.max_shards)
-            }
-            (Some(r), false, _) => format!("topology(1..={} x1..={r})", self.max_shards),
-            (None, ..) => format!("topology(1..={})", self.max_shards),
-        };
-        BackendInfo {
-            name,
-            dim: self.workload.dataset.dim(),
-            top_k: self.workload.top_k,
-            shards: self.max_shards,
-            // Candidates carry their own replication request; one without
-            // a request deploys a single copy.
-            replicas: 1,
-            // 16 base knobs + the shard-count deployment knob (+ the
-            // replication, pinning, and three write-path knobs when
-            // enabled).
             space_dims: VdmsConfig::BASE_TUNABLES
-                + 1
-                + usize::from(self.max_replicas.is_some())
-                + usize::from(self.pinning)
-                + 3 * usize::from(self.writepath),
+                + usize::from(k.max_shards.is_some())
+                + usize::from(k.max_replicas.is_some())
+                + usize::from(k.pinning)
+                + 3 * usize::from(k.writepath),
         }
     }
 
     fn evaluate(&self, config: &VdmsConfig, seed: u64) -> Outcome {
         match self.cluster_spec_for(config) {
             Ok(spec) => evaluate_sharded(self.workload, config, seed, spec),
-            // Refused by the control plane before any work ran: no memory
-            // accounted, no replay time burned.
+            // Refused before any work ran: no memory accounted, no replay
+            // time burned.
             Err(e) => Outcome {
                 qps: 0.0,
                 recall: 0.0,
@@ -362,7 +258,7 @@ impl EvalBackend for TopologyBackend<'_> {
 
 /// The live-serving backend: every candidate is measured by the offline
 /// path first (QPS capacity, recall, memory — via the wrapped `inner`
-/// backend, so serving works single-node, sharded, or under topology
+/// backend, so serving works on a fixed cluster or under deployment
 /// co-tuning), then *exercised* by the discrete-event serving simulator
 /// ([`crate::serving`]): an open-loop arrival process, consistency waits
 /// gated by `gracefulTime`, a bounded queue drained by
@@ -381,8 +277,8 @@ pub struct ServingBackend<'a, B: EvalBackend> {
     inner: B,
     spec: ServingSpec,
     /// Inner capabilities, snapshotted at construction — `evaluate` reads
-    /// `dim`/`top_k` per candidate and must not rebuild the info (and its
-    /// heap-allocated name) every time.
+    /// `dim`/`top_k` per candidate and must not ask the inner backend every
+    /// time.
     inner_info: BackendInfo,
     plans: PlanMemo,
 }
@@ -436,24 +332,11 @@ impl<'a, B: EvalBackend> ServingBackend<'a, B> {
         let inner_info = inner.info();
         ServingBackend { workload, inner, spec, inner_info, plans: PlanMemo::default() }
     }
-
-    /// The wrapped offline backend.
-    pub fn inner(&self) -> &B {
-        &self.inner
-    }
-
-    /// The arrival process and SLO this backend serves under.
-    pub fn spec(&self) -> &ServingSpec {
-        &self.spec
-    }
 }
 
 impl<B: EvalBackend> EvalBackend for ServingBackend<'_, B> {
     fn info(&self) -> BackendInfo {
-        BackendInfo {
-            name: format!("serving({} @ {:.0} qps)", self.inner_info.name, self.spec.arrival_qps),
-            ..self.inner_info.clone()
-        }
+        self.inner_info.clone()
     }
 
     fn evaluate(&self, config: &VdmsConfig, seed: u64) -> Outcome {
@@ -467,7 +350,7 @@ impl<B: EvalBackend> EvalBackend for ServingBackend<'_, B> {
         let cfg = config.sanitized(self.inner_info.dim, self.inner_info.top_k);
         let sys = cfg.system;
         // The replication the inner backend deployed for this candidate —
-        // the candidate's own request when it carries one (topology
+        // the candidate's own request when it carries one (deployment
         // co-tuning), the inner backend's fixed deployment otherwise
         // (e.g. a `SimBackend` fixed to a replicated spec). Each
         // replica group gets its own queue and worker slots, and the
@@ -521,24 +404,47 @@ mod tests {
         Workload::prepare(DatasetSpec::tiny(DatasetKind::Glove), 10)
     }
 
+    /// Candidates request 1..=`s` shards (17 dimensions).
+    fn shards(w: &Workload, s: usize) -> SimBackend<'_> {
+        SimBackend::with_knobs(w, DeploymentKnobs { max_shards: Some(s), ..Default::default() })
+    }
+
+    /// Candidates also request 1..=`r` replicas (18 dimensions), and with
+    /// `pinning` a reactor pinning policy (19).
+    fn replicated(w: &Workload, s: usize, r: usize, pinning: bool) -> SimBackend<'_> {
+        let knobs = DeploymentKnobs {
+            max_shards: Some(s),
+            max_replicas: Some(r),
+            pinning,
+            writepath: false,
+        };
+        SimBackend::with_knobs(w, knobs)
+    }
+
     #[test]
     fn sim_backend_reports_workload_shape() {
         let w = make();
         let info = SimBackend::new(&w).info();
         assert_eq!(info.dim, w.dataset.dim());
         assert_eq!(info.top_k, 10);
-        assert_eq!(info.shards, 1);
+        assert_eq!((info.replicas, info.space_dims), (1, VdmsConfig::BASE_TUNABLES));
     }
 
     #[test]
     fn sharded_backend_reports_shards() {
         let w = make();
-        let info = SimBackend::with_spec(&w, ClusterSpec::new(4)).info();
-        assert_eq!(info.shards, 4);
-        assert_eq!(info.name, "sim(4)");
+        let four = SimBackend::with_spec(&w, ClusterSpec::new(4));
+        let cfg = VdmsConfig::default_config();
+        assert_eq!(four.cluster_spec_for(&cfg), Ok(ClusterSpec::new(4)));
+        assert_eq!(four.info().space_dims, VdmsConfig::BASE_TUNABLES);
         let info = SimBackend::with_spec(&w, ClusterSpec::replicated(2, 3)).info();
-        assert_eq!((info.shards, info.replicas), (2, 3));
-        assert_eq!(info.name, "sim(2x3)");
+        assert_eq!(info.replicas, 3);
+        // A fixed backend realizes no shard request beyond one node.
+        let asks = VdmsConfig { shards: Some(2), ..cfg };
+        assert!(matches!(
+            four.cluster_spec_for(&asks),
+            Err(VdmsError::TopologyUnrealizable { requested_shards: 2, max_shards: 1 })
+        ));
     }
 
     #[test]
@@ -558,7 +464,6 @@ mod tests {
         let single = SimBackend::new(&w);
         let one = SimBackend::with_spec(&w, ClusterSpec::new(1));
         assert_eq!(single.info(), one.info());
-        assert_eq!(single.info().name, "sim");
         for seed in [0u64, 7] {
             assert_eq!(
                 single.evaluate(&VdmsConfig::default_config(), seed),
@@ -573,10 +478,7 @@ mod tests {
     #[test]
     fn topology_backend_reports_extended_space() {
         let w = make();
-        let info = TopologyBackend::new(&w, 8).info();
-        assert_eq!(info.space_dims, VdmsConfig::BASE_TUNABLES + 1);
-        assert_eq!(info.shards, 8);
-        assert_eq!(info.name, "topology(1..=8)");
+        assert_eq!(shards(&w, 8).info().space_dims, VdmsConfig::BASE_TUNABLES + 1);
         // Fixed-shape backends keep the paper's 16-dimensional space.
         assert_eq!(SimBackend::new(&w).info().space_dims, VdmsConfig::BASE_TUNABLES);
         assert_eq!(
@@ -588,20 +490,21 @@ mod tests {
     #[test]
     fn topology_backend_serves_the_requested_cluster() {
         let w = make();
-        let b = TopologyBackend::new(&w, 8);
+        let b = shards(&w, 8);
         // A layout with several sealed segments so sharding has work.
         let mut cfg = VdmsConfig::default_config();
         cfg.system.segment_max_size_mb = 64.0;
         cfg.system.segment_seal_proportion = 0.5;
         for shards in [1usize, 2, 4] {
+            let fixed = SimBackend::with_spec(&w, ClusterSpec::new(shards));
+            let via_fixed = fixed.evaluate(&cfg, 5);
             cfg.shards = Some(shards);
             let via_topology = b.evaluate(&cfg, 5);
-            let via_fixed = SimBackend::with_spec(&w, ClusterSpec::new(shards)).evaluate(&cfg, 5);
+            cfg.shards = None;
             assert_eq!(via_topology.qps.to_bits(), via_fixed.qps.to_bits(), "{shards}");
             assert_eq!(via_topology.memory_gib.to_bits(), via_fixed.memory_gib.to_bits());
         }
         // No topology request → the single-node testbed.
-        cfg.shards = None;
         let default_shape = b.evaluate(&cfg, 5);
         let single = SimBackend::new(&w).evaluate(&cfg, 5);
         assert_eq!(default_shape.qps.to_bits(), single.qps.to_bits());
@@ -613,7 +516,7 @@ mod tests {
         // silent clamp: clamping would record (and cache) a topology that
         // was never deployed, flattening the surrogate over 9..=N shapes.
         let w = make();
-        let b = TopologyBackend::new(&w, 8);
+        let b = shards(&w, 8);
         let mut cfg = VdmsConfig::default_config();
         cfg.shards = Some(64);
         assert!(matches!(
@@ -632,21 +535,16 @@ mod tests {
     #[test]
     fn replication_backend_reports_the_18_dim_space() {
         let w = make();
-        let info = TopologyBackend::with_replication(&w, 8, 4).info();
-        assert_eq!(info.space_dims, VdmsConfig::BASE_TUNABLES + 2);
-        assert_eq!(info.name, "topology(1..=8 x1..=4)");
-        // Even frozen-at-1 replication declares the 18-dim space: that is
-        // what lets a frozen spec reproduce 17-dim tuning against the
-        // same control plane.
-        let frozen = TopologyBackend::with_replication(&w, 8, 1).info();
-        assert_eq!(frozen.space_dims, VdmsConfig::BASE_TUNABLES + 2);
-        assert_eq!(TopologyBackend::new(&w, 8).info().space_dims, VdmsConfig::BASE_TUNABLES + 1);
+        assert_eq!(replicated(&w, 8, 4, false).info().space_dims, VdmsConfig::BASE_TUNABLES + 2);
+        // Frozen-at-1 replication still declares the 18-dim space.
+        assert_eq!(replicated(&w, 8, 1, false).info().space_dims, VdmsConfig::BASE_TUNABLES + 2);
+        assert_eq!(shards(&w, 8).info().space_dims, VdmsConfig::BASE_TUNABLES + 1);
     }
 
     #[test]
     fn replication_backend_deploys_the_requested_copies() {
         let w = make();
-        let b = TopologyBackend::with_replication(&w, 4, 4);
+        let b = replicated(&w, 4, 4, false);
         let mut cfg = VdmsConfig::default_config();
         cfg.system.segment_max_size_mb = 64.0;
         cfg.system.segment_seal_proportion = 0.5;
@@ -667,7 +565,7 @@ mod tests {
     #[test]
     fn replication_backend_refuses_over_ceiling_requests() {
         let w = make();
-        let b = TopologyBackend::with_replication(&w, 4, 2);
+        let b = replicated(&w, 4, 2, false);
         let mut cfg = VdmsConfig::default_config();
         cfg.shards = Some(2);
         cfg.replicas = Some(8);
@@ -680,7 +578,7 @@ mod tests {
         assert_eq!(out.simulated_secs, 0.0, "refused before any work ran");
         // The 17-dim backend refuses any replication request beyond one
         // copy — it cannot realize the axis at all.
-        let narrow = TopologyBackend::new(&w, 4);
+        let narrow = shards(&w, 4);
         assert!(matches!(
             narrow.cluster_spec_for(&cfg),
             Err(VdmsError::ReplicationUnrealizable { max_replicas: 1, .. })
@@ -690,17 +588,14 @@ mod tests {
     #[test]
     fn pinning_backend_reports_the_19_dim_space() {
         let w = make();
-        let info = TopologyBackend::with_pinning(&w, 8, 4).info();
-        assert_eq!(info.space_dims, VdmsConfig::BASE_TUNABLES + 3);
-        assert_eq!(info.name, "topology(1..=8 x1..=4 +pinning)");
-        assert!(TopologyBackend::with_pinning(&w, 8, 4).pins_reactors());
-        assert!(!TopologyBackend::with_replication(&w, 8, 4).pins_reactors());
+        assert_eq!(replicated(&w, 8, 4, true).info().space_dims, VdmsConfig::BASE_TUNABLES + 3);
+        assert_eq!(replicated(&w, 8, 4, false).info().space_dims, VdmsConfig::BASE_TUNABLES + 2);
     }
 
     #[test]
     fn pinning_requests_are_refused_without_the_knob() {
         let w = make();
-        let b = TopologyBackend::with_replication(&w, 4, 2);
+        let b = replicated(&w, 4, 2, false);
         let mut cfg = VdmsConfig::default_config();
         cfg.shards = Some(2);
         cfg.replicas = Some(1);
@@ -717,7 +612,7 @@ mod tests {
         assert!(!out.is_ok());
         assert_eq!(out.simulated_secs, 0.0, "refused before any work ran");
         // The pinning backend realizes all of them.
-        let pinned = TopologyBackend::with_pinning(&w, 4, 2);
+        let pinned = replicated(&w, 4, 2, true);
         for policy in PinningPolicy::ALL {
             cfg.pinning = Some(policy);
             assert!(pinned.cluster_spec_for(&cfg).is_ok(), "{policy:?}");
@@ -727,7 +622,7 @@ mod tests {
     #[test]
     fn shared_pinning_request_evaluates_bitwise_unpinned() {
         let w = make();
-        let b = TopologyBackend::with_pinning(&w, 4, 2);
+        let b = replicated(&w, 4, 2, true);
         let spec = ServingSpec { arrival_qps: 80.0, requests: 300, ..Default::default() };
         let serving = ServingBackend::new(&w, b, spec);
         let mut cfg = VdmsConfig::default_config();
@@ -758,18 +653,21 @@ mod tests {
     #[test]
     fn writepath_backend_reports_the_22_dim_space() {
         let w = make();
-        let info = TopologyBackend::with_writepath(&w, 8, 4).info();
-        assert_eq!(info.space_dims, VdmsConfig::BASE_TUNABLES + 6);
-        assert_eq!(info.name, "topology(1..=8 x1..=4 +pinning +writepath)");
-        assert!(TopologyBackend::with_writepath(&w, 8, 4).tunes_writepath());
-        assert!(TopologyBackend::with_writepath(&w, 8, 4).pins_reactors());
-        assert!(!TopologyBackend::with_pinning(&w, 8, 4).tunes_writepath());
+        let b = SimBackend::with_writepath(&w, 8, 4);
+        assert_eq!(b.info().space_dims, VdmsConfig::BASE_TUNABLES + 6);
+        // It realizes every pinning policy and non-default write knobs.
+        let mut cfg = VdmsConfig::default_config();
+        cfg.shards = Some(2);
+        cfg.replicas = Some(1);
+        cfg.pinning = Some(PinningPolicy::Scatter);
+        cfg.writepath = Some(WriteKnobs { wal_batch_rows: 64, ..WriteKnobs::DEFAULT });
+        assert!(b.cluster_spec_for(&cfg).is_ok());
     }
 
     #[test]
     fn writepath_requests_are_refused_without_the_knob() {
         let w = make();
-        let b = TopologyBackend::with_pinning(&w, 4, 2);
+        let b = replicated(&w, 4, 2, true);
         let mut cfg = VdmsConfig::default_config();
         cfg.shards = Some(2);
         cfg.replicas = Some(1);
@@ -787,14 +685,14 @@ mod tests {
         assert!(!out.is_ok());
         assert_eq!(out.simulated_secs, 0.0, "refused before any work ran");
         // The write-path backend realizes any sanitized knob setting.
-        let tuned = TopologyBackend::with_writepath(&w, 4, 2);
+        let tuned = SimBackend::with_writepath(&w, 4, 2);
         assert!(tuned.cluster_spec_for(&cfg).is_ok());
     }
 
     #[test]
     fn default_writepath_request_evaluates_bitwise_unrequested() {
         let w = make();
-        let b = TopologyBackend::with_writepath(&w, 4, 2);
+        let b = SimBackend::with_writepath(&w, 4, 2);
         let spec = ServingSpec { arrival_qps: 80.0, requests: 300, ..Default::default() }
             .with_inserts(0.5);
         let serving = ServingBackend::new(&w, b, spec);
@@ -830,7 +728,7 @@ mod tests {
             ..Default::default()
         }
         .with_inserts(0.5);
-        let backend = || ServingBackend::new(&w, TopologyBackend::with_writepath(&w, 2, 3), spec);
+        let backend = || ServingBackend::new(&w, SimBackend::with_writepath(&w, 2, 3), spec);
         let mut a = VdmsConfig::default_config();
         a.shards = Some(1);
         // B differs in everything a plan must not absorb: service time,
@@ -868,7 +766,7 @@ mod tests {
         // This plan cannot be drawn (its vectors overflow `isize`);
         // constructing, describing and cloning the backend must not try.
         let b = ServingBackend::over_sim(&w, spec);
-        assert_eq!(b.clone().info().name, b.info().name);
+        assert_eq!(b.clone().info(), b.info());
     }
 
     #[test]
@@ -923,7 +821,7 @@ mod tests {
     fn serving_backend_exercises_the_requested_replicas() {
         let w = make();
         let spec = ServingSpec { arrival_qps: 80.0, requests: 300, ..Default::default() };
-        let b = ServingBackend::new(&w, TopologyBackend::with_replication(&w, 2, 4), spec);
+        let b = ServingBackend::new(&w, replicated(&w, 2, 4, false), spec);
         let mut cfg = VdmsConfig::default_config();
         cfg.shards = Some(1);
         cfg.replicas = Some(3);
@@ -963,7 +861,6 @@ mod tests {
         let stats = served.serving.expect("serving phase ran");
         assert_eq!(stats.completed + stats.shed, 400);
         assert!(stats.p99_latency_secs >= stats.p50_latency_secs);
-        assert!(b.info().name.starts_with("serving(sim @"), "{}", b.info().name);
     }
 
     #[test]
@@ -1030,7 +927,7 @@ mod tests {
         let sharded = ServingBackend::new(&w, SimBackend::with_spec(&w, ClusterSpec::new(2)), spec);
         let out = sharded.evaluate(&VdmsConfig::default_config(), 5);
         assert!(out.is_ok() && out.serving.is_some());
-        let topo = ServingBackend::new(&w, TopologyBackend::new(&w, 4), spec);
+        let topo = ServingBackend::new(&w, shards(&w, 4), spec);
         assert_eq!(topo.info().space_dims, VdmsConfig::BASE_TUNABLES + 1);
         let mut cfg = VdmsConfig::default_config();
         cfg.shards = Some(2);

@@ -16,11 +16,10 @@
 //!
 //! The evaluator is generic over an [`backend::EvalBackend`] — the thing
 //! that actually measures a configuration. [`backend::SimBackend`] is the
-//! simulator on a fixed cluster shape (`vdms::cluster`) — the single node
-//! by default, or a sharded multi-node cluster;
-//! [`backend::TopologyBackend`] deploys whatever cluster shape each
-//! candidate requests, for topology-as-a-knob tuning;
-//! [`backend::ServingBackend`] composes over any of them and additionally
+//! simulator (`vdms::cluster`): a fixed cluster shape — the single node by
+//! default — or, for deployment co-tuning, whatever cluster, pinning and
+//! write path each candidate requests up to its ceilings;
+//! [`backend::ServingBackend`] composes over any backend and additionally
 //! *exercises* the configuration with a live open-loop serving simulation
 //! ([`serving`]) — tail latency, bounded queues, SLO-aware tuning; a live
 //! Milvus/qdrant driver would implement the same trait.
@@ -35,11 +34,13 @@ pub mod tuner;
 #[cfg(test)]
 mod noise_tests;
 
-pub use backend::{BackendInfo, EvalBackend, ServingBackend, SimBackend, TopologyBackend};
+pub use backend::{
+    BackendInfo, DeploymentKnobs, EvalBackend, ServingBackend, SimBackend, TopologyBackend,
+};
 pub use replay::{evaluate, evaluate_sharded, Outcome};
 pub use runner::{Evaluator, Observation};
 pub use serving::{ServingSpec, ServingStats, ServingTrace, WriteStats};
-pub use tuner::{run_tuner, run_tuner_batched, Tuner};
+pub use tuner::{run_tuner, Tuner};
 
 use vdms::cost_model::CostModel;
 use vecdata::{ground_truth, Dataset, DatasetSpec};

@@ -202,23 +202,8 @@ impl<B: EvalBackend> Evaluator<B> {
         }
     }
 
-    /// Fetch the outcome for a sanitized config, evaluating on a cache
-    /// miss.
-    fn outcome_for(&mut self, cfg: &VdmsConfig, key: ConfigKey) -> Outcome {
-        if let Some(cached) = self.cache.get(&key) {
-            cached.clone()
-        } else {
-            let out = self.backend.evaluate(cfg, self.seed);
-            self.cache.insert(key, out.clone());
-            out
-        }
-    }
-
     /// Append one outcome to the history with the tuner-facing semantics
-    /// (worst-in-history substitution, timing accounting). The single
-    /// record path shared by [`Evaluator::observe`] and
-    /// [`Evaluator::observe_batch`], which is what keeps the two
-    /// bit-identical.
+    /// (worst-in-history substitution, timing accounting).
     fn record(&mut self, cfg: VdmsConfig, outcome: Outcome, recommend_secs: f64) -> Observation {
         let failed = !outcome.is_ok();
         let (qps, recall) =
@@ -243,32 +228,28 @@ impl<B: EvalBackend> Evaluator<B> {
         obs
     }
 
-    /// Evaluate `config`, record and return the observation.
+    /// Evaluate `config`, record and return the observation: the batch of
+    /// one ([`Evaluator::observe_batch`]).
     ///
     /// `recommend_secs` is the wall-clock time the tuner took to propose
     /// this configuration (pass 0.0 when not tracked).
     pub fn observe(&mut self, config: &VdmsConfig, recommend_secs: f64) -> Observation {
-        let cfg = config.sanitized(self.info.dim, self.info.top_k);
-        if let Some(rejected) = space_mismatch_outcome(&cfg, self.info.space_dims) {
-            return self.record(cfg, rejected, recommend_secs);
-        }
-        let key = config_key(&cfg);
-        let outcome = self.outcome_for(&cfg, key);
-        self.record(cfg, outcome, recommend_secs)
+        let mut batch = self.observe_batch(std::slice::from_ref(config), recommend_secs);
+        batch.pop().expect("one observation per candidate")
     }
 
     /// Evaluate a batch of candidate configurations, replaying the uncached
     /// ones **in parallel**, and record them in candidate order.
     ///
-    /// The observation history is bit-identical to calling
-    /// [`Evaluator::observe`] on the same configs in the same order:
-    /// replays are pure functions of `(workload, config, seed)`, duplicates
-    /// within the batch are deduplicated before dispatch exactly like the
-    /// serial cache would, and the stateful bookkeeping (worst-in-history
+    /// The observation history is bit-identical to observing the same
+    /// configs one at a time in the same order: replays are pure functions
+    /// of `(workload, config, seed)`, duplicates within the batch are
+    /// deduplicated before dispatch exactly like the cache would across
+    /// batches, and the stateful bookkeeping (worst-in-history
     /// substitution, iteration numbering, timing totals) runs serially in
     /// candidate order afterwards. `recommend_secs` — the wall-clock cost of
     /// proposing the whole batch — is attributed to the batch's first
-    /// observation, so `observe_batch(&[c], t)` equals `observe(&c, t)`.
+    /// observation.
     pub fn observe_batch(
         &mut self,
         configs: &[VdmsConfig],
@@ -313,7 +294,7 @@ impl<B: EvalBackend> Evaluator<B> {
             .enumerate()
             .map(|(i, (cfg, key))| {
                 let outcome = space_mismatch_outcome(&cfg, space_dims)
-                    .unwrap_or_else(|| self.outcome_for(&cfg, key));
+                    .unwrap_or_else(|| self.cache[&key].clone());
                 let rs = if i == 0 { recommend_secs } else { 0.0 };
                 self.record(cfg, outcome, rs)
             })
@@ -353,6 +334,12 @@ mod tests {
 
     fn make() -> Workload {
         Workload::prepare(DatasetSpec::tiny(DatasetKind::Glove), 10)
+    }
+
+    /// The 17-dimensional backend: candidates request 1..=`max` shards.
+    fn shards_up_to(w: &Workload, max: usize) -> SimBackend<'_> {
+        let knobs = crate::backend::DeploymentKnobs { max_shards: Some(max), ..Default::default() };
+        SimBackend::with_knobs(w, knobs)
     }
 
     #[test]
@@ -626,7 +613,7 @@ mod tests {
     #[test]
     fn topology_backend_accepts_matching_candidates_only() {
         let w = make();
-        let mut ev = Evaluator::with_backend(crate::backend::TopologyBackend::new(&w, 4), 1);
+        let mut ev = Evaluator::with_backend(shards_up_to(&w, 4), 1);
         assert_eq!(ev.info().space_dims, VdmsConfig::BASE_TUNABLES + 1);
         let mut cfg = VdmsConfig::default_config();
         cfg.shards = Some(2);
@@ -641,7 +628,7 @@ mod tests {
     #[test]
     fn shard_request_is_part_of_the_cache_key() {
         let w = make();
-        let mut ev = Evaluator::with_backend(crate::backend::TopologyBackend::new(&w, 4), 1);
+        let mut ev = Evaluator::with_backend(shards_up_to(&w, 4), 1);
         let mut cfg = VdmsConfig::default_config();
         cfg.system.segment_max_size_mb = 64.0;
         cfg.system.segment_seal_proportion = 0.5;
@@ -658,7 +645,6 @@ mod tests {
         let w = make();
         let backend = crate::backend::SimBackend::with_spec(&w, vdms::cluster::ClusterSpec::new(2));
         let mut ev = Evaluator::with_backend(backend, 1);
-        assert_eq!(ev.info().shards, 2);
         let obs = ev.observe(&VdmsConfig::default_config(), 0.0);
         assert!(!obs.failed);
         assert!(obs.qps > 0.0);

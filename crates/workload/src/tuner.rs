@@ -37,31 +37,12 @@ pub trait Tuner {
 }
 
 /// Run `tuner` for `iterations` evaluations against `evaluator` (over any
-/// evaluation backend), measuring wall-clock recommendation time per
-/// iteration.
+/// evaluation backend): per step, ask for up to `q` candidates and evaluate
+/// them concurrently via [`Evaluator::observe_batch`], timing each
+/// proposal (Table VI's recommendation time). Exactly `iterations`
+/// evaluations are performed in total (the final batch is truncated);
+/// `q = 1` is the paper's sequential loop.
 pub fn run_tuner<T: Tuner + ?Sized, B: EvalBackend>(
-    tuner: &mut T,
-    evaluator: &mut Evaluator<B>,
-    iterations: usize,
-) {
-    for _ in 0..iterations {
-        // lint:allow(wall-clock): Table VI recommendation-time bookkeeping —
-        // measures the tuner's own thinking time, never feeds sim results.
-        #[allow(clippy::disallowed_methods)]
-        let t0 = Instant::now();
-        let config = tuner.propose(evaluator.history());
-        let recommend_secs = t0.elapsed().as_secs_f64();
-        let obs = evaluator.observe(&config, recommend_secs);
-        tuner.observe(&obs);
-    }
-}
-
-/// Batched driver: per step, ask `tuner` for up to `q` candidates and
-/// evaluate them concurrently via [`Evaluator::observe_batch`]. Exactly
-/// `iterations` evaluations are performed in total (the final batch is
-/// truncated). With `q == 1` the observation history is bit-identical to
-/// [`run_tuner`].
-pub fn run_tuner_batched<T: Tuner + ?Sized, B: EvalBackend>(
     tuner: &mut T,
     evaluator: &mut Evaluator<B>,
     iterations: usize,
@@ -107,7 +88,7 @@ mod tests {
         let w = Workload::prepare(DatasetSpec::tiny(DatasetKind::Glove), 10);
         let mut ev = Evaluator::new(&w, 3);
         let mut t = FixedTuner;
-        run_tuner(&mut t, &mut ev, 3);
+        run_tuner(&mut t, &mut ev, 3, 1);
         assert_eq!(ev.len(), 3);
         assert!(ev.history().iter().all(|o| o.recommend_secs >= 0.0));
     }
@@ -125,7 +106,7 @@ mod tests {
         let mut ev = Evaluator::new(&w, 3);
         let mut t = FixedTuner;
         // 7 iterations at q=3 -> batches of 3, 3, 1.
-        run_tuner_batched(&mut t, &mut ev, 7, 3);
+        run_tuner(&mut t, &mut ev, 7, 3);
         assert_eq!(ev.len(), 7);
         let iters: Vec<usize> = ev.history().iter().map(|o| o.iter).collect();
         assert_eq!(iters, (0..7).collect::<Vec<_>>());
@@ -136,22 +117,9 @@ mod tests {
         let w = Workload::prepare(DatasetSpec::tiny(DatasetKind::Glove), 10);
         let backend = crate::backend::SimBackend::with_spec(&w, vdms::cluster::ClusterSpec::new(2));
         let mut ev = Evaluator::with_backend(backend, 3);
-        run_tuner(&mut FixedTuner, &mut ev, 2);
-        run_tuner_batched(&mut FixedTuner, &mut ev, 4, 2);
+        run_tuner(&mut FixedTuner, &mut ev, 2, 1);
+        run_tuner(&mut FixedTuner, &mut ev, 4, 2);
         assert_eq!(ev.len(), 6);
         assert!(ev.history().iter().all(|o| !o.failed));
-    }
-
-    #[test]
-    fn batched_driver_q1_matches_serial_driver() {
-        let w = Workload::prepare(DatasetSpec::tiny(DatasetKind::Glove), 10);
-        let mut ev_a = Evaluator::new(&w, 3);
-        run_tuner(&mut FixedTuner, &mut ev_a, 4);
-        let mut ev_b = Evaluator::new(&w, 3);
-        run_tuner_batched(&mut FixedTuner, &mut ev_b, 4, 1);
-        for (a, b) in ev_a.history().iter().zip(ev_b.history()) {
-            assert_eq!(a.qps.to_bits(), b.qps.to_bits());
-            assert_eq!(a.recall.to_bits(), b.recall.to_bits());
-        }
     }
 }

@@ -12,10 +12,12 @@
 //!   including the sharded, replicated multi-node serving layer
 //!   (`vdms::cluster`: shard placement, replica groups, query routing),
 //! * [`workload`] — the vector-db-benchmark-style replay harness and the
-//!   evaluation-backend seam (`EvalBackend`: `SimBackend` on a fixed
-//!   cluster shape, the single node by default; topology-tuning
-//!   `TopologyBackend`; and the live-traffic `ServingBackend` over the
-//!   discrete-event serving simulator in `workload::serving`),
+//!   evaluation-backend seam (`EvalBackend`: the one offline `SimBackend`,
+//!   serving each candidate on the cluster it requests or on a fixed shape,
+//!   the single node by default — a tuning space builds the one that
+//!   realizes it, `SpaceSpec::backend`; and the live-traffic
+//!   `ServingBackend` over the discrete-event serving simulator in
+//!   `workload::serving`),
 //! * [`gp`] — Gaussian-process regression,
 //! * [`mobo`] — multi-objective Bayesian-optimization building blocks,
 //! * [`core`] (package `vdtuner-core`) — the VDTuner algorithm itself,
@@ -52,7 +54,6 @@ pub mod prelude {
     pub use vdms::config::VdmsConfig;
     pub use vecdata::{Dataset, DatasetKind, DatasetSpec};
     pub use workload::{
-        EvalBackend, ServingBackend, ServingSpec, ServingStats, SimBackend, TopologyBackend,
-        Workload,
+        EvalBackend, ServingBackend, ServingSpec, ServingStats, SimBackend, Workload,
     };
 }

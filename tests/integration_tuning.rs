@@ -53,7 +53,7 @@ fn every_baseline_runs_against_the_simulator() {
     ];
     for mut t in tuners {
         let mut ev = Evaluator::new(&w, 5);
-        run_tuner(t.as_mut(), &mut ev, 8);
+        run_tuner(t.as_mut(), &mut ev, 8, 1);
         assert_eq!(ev.len(), 8, "{}", t.name());
         assert!(
             ev.history().iter().any(|o| !o.failed),
@@ -127,7 +127,7 @@ fn tuning_beats_random_on_average_rank() {
     let vd = VdTuner::new(small_options(), 8).run(&w, 16);
     let mut random = RandomLhs::new(8);
     let mut ev = Evaluator::new(&w, 8);
-    run_tuner(&mut random, &mut ev, 16);
+    run_tuner(&mut random, &mut ev, 16, 1);
     let vd_best = vd.best_qps_with_recall(0.8);
     let rnd_best = ev.best_qps_with_recall(0.8);
     if let (Some(v), Some(r)) = (vd_best, rnd_best) {

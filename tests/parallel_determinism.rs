@@ -68,21 +68,14 @@ fn replicated_serving_run_is_thread_count_invariant() {
     // histories (and the serving stats feeding SLO decisions) are
     // bit-identical on 1 vs 4 rayon threads.
     use vdtuner::core::SpaceSpec;
-    use vdtuner::workload::{ServingBackend, ServingSpec, TopologyBackend};
+    use vdtuner::workload::{ServingBackend, ServingSpec};
     let w = tiny_workload();
     let spec = ServingSpec { arrival_qps: 400.0, requests: 250, ..Default::default() };
+    let space = SpaceSpec::with_topology(2).with_replication(3);
     let run = |threads: usize| {
         with_threads(threads, || {
-            VdTuner::with_space(
-                small_options(),
-                SpaceSpec::with_topology(2).with_replication(3),
-                42,
-            )
-            .run_batched_on(
-                ServingBackend::new(&w, TopologyBackend::with_replication(&w, 2, 3), spec),
-                10,
-                2,
-            )
+            let backend = ServingBackend::new(&w, space.backend(&w), spec);
+            VdTuner::with_space(small_options(), space.clone(), 42).run_batched_on(backend, 10, 2)
         })
     };
     let (a, b) = (run(1), run(4));
@@ -103,13 +96,15 @@ fn batch_on_a_shared_serving_backend_is_thread_count_invariant() {
     // One `ServingBackend` — one arrival-plan memo — behind several
     // evaluators: who fills the slot, finds it filled or evicts a foreign
     // plan, on one thread or four at once, must not show in the history.
+    use vdtuner::core::SpaceSpec;
     use vdtuner::core::TuningOutcome;
     use vdtuner::vdms::{PinningPolicy, WriteKnobs};
-    use vdtuner::workload::{ServingBackend, ServingSpec, TopologyBackend};
+    use vdtuner::workload::{ServingBackend, ServingSpec};
     let w = tiny_workload();
     let spec =
         ServingSpec { arrival_qps: 600.0, requests: 400, ..Default::default() }.with_inserts(0.5);
-    let backend = || ServingBackend::new(&w, TopologyBackend::with_writepath(&w, 2, 3), spec);
+    let space = SpaceSpec::with_topology(2).with_replication(3).with_pinning().with_writepath();
+    let backend = || ServingBackend::new(&w, space.backend(&w), spec);
     let configs: Vec<VdmsConfig> =
         [IndexType::Flat, IndexType::IvfFlat, IndexType::Hnsw, IndexType::IvfSq8]
             .into_iter()
@@ -167,26 +162,6 @@ fn collection_load_and_search_are_thread_count_invariant() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// `observe_batch` with q = 1 is the same function as `observe`, for
-    /// arbitrary (decoded) configurations.
-    #[test]
-    fn observe_batch_q1_matches_observe(u in prop::collection::vec(0.0f64..=1.0, 16),
-                                        seed in 0u64..32) {
-        let w = tiny_workload();
-        let cfg = SpaceSpec::legacy().decode(&u).expect("16 coordinates");
-        let mut a = Evaluator::new(&w, seed);
-        let oa = a.observe(&cfg, 0.125);
-        let mut b = Evaluator::new(&w, seed);
-        let ob = b.observe_batch(std::slice::from_ref(&cfg), 0.125);
-        prop_assert_eq!(ob.len(), 1);
-        prop_assert_eq!(oa.qps.to_bits(), ob[0].qps.to_bits());
-        prop_assert_eq!(oa.recall.to_bits(), ob[0].recall.to_bits());
-        prop_assert_eq!(oa.memory_gib.to_bits(), ob[0].memory_gib.to_bits());
-        prop_assert_eq!(oa.failed, ob[0].failed);
-        prop_assert_eq!(oa.replay_secs.to_bits(), ob[0].replay_secs.to_bits());
-        prop_assert_eq!(oa.recommend_secs.to_bits(), ob[0].recommend_secs.to_bits());
-    }
 
     /// A whole batch equals the serial replay of the same candidate list,
     /// bit for bit, under any thread count.

@@ -16,9 +16,7 @@ use vdtuner::vdms::cluster::reactor_placement;
 use vdtuner::vdms::system_params::SystemParams;
 use vdtuner::vdms::{CostModel, HostTopology, PinningPolicy, WriteKnobs};
 use vdtuner::workload::serving::{simulate_pinned, simulate_replicated};
-use vdtuner::workload::{
-    evaluate_sharded, Evaluator, ServingBackend, ServingSpec, TopologyBackend,
-};
+use vdtuner::workload::{evaluate_sharded, Evaluator, ServingBackend, ServingSpec};
 
 fn multi_segment_workload() -> Workload {
     let spec = DatasetSpec { n: 4_200, ..DatasetSpec::tiny(DatasetKind::Glove) };
@@ -125,9 +123,9 @@ fn sans_pinning(c: VdmsConfig) -> VdmsConfig {
 }
 
 /// Acceptance gate for the 19th dimension: tuning the 19-dimensional space
-/// with `pinning` frozen at the shared policy (over the pinning-enabled
-/// topology backend) yields a history bit-identical to the 18-dimensional
-/// replication spec over the plain replication backend — the extra
+/// with `pinning` frozen at the shared policy (over the backend that space
+/// builds) yields a history bit-identical to the 18-dimensional
+/// replication spec over its own backend — the extra
 /// constant coordinate changes no GP prediction, no acquisition value, no
 /// evaluation.
 #[test]
@@ -135,13 +133,13 @@ fn frozen_pinning_dimension_reproduces_replication_tuning_bitwise() {
     let w = Workload::prepare(DatasetSpec::tiny(DatasetKind::Glove), 10);
     let narrow =
         VdTuner::with_space(small_options(), SpaceSpec::with_topology(4).with_replication(2), 42)
-            .run_on(TopologyBackend::with_replication(&w, 4, 2), 12);
+            .run(&w, 12);
     let frozen = VdTuner::with_space(
         small_options(),
         SpaceSpec::with_topology(4).with_replication(2).with_pinned_pinning(PinningPolicy::Shared),
         42,
     )
-    .run_on(TopologyBackend::with_pinning(&w, 4, 2), 12);
+    .run(&w, 12);
 
     assert_eq!(narrow.fingerprint(sans_pinning), frozen.fingerprint(sans_pinning));
     // The frozen run really did carry the 19th dimension end to end.
@@ -160,23 +158,13 @@ fn frozen_pinning_dimension_reproduces_replication_tuning_bitwise() {
 fn frozen_pinning_reproduces_serving_tuning_bitwise() {
     let w = Workload::prepare(DatasetSpec::tiny(DatasetKind::Glove), 10);
     let spec = ServingSpec { arrival_qps: 300.0, requests: 300, ..Default::default() };
-    let narrow =
-        VdTuner::with_space(small_options(), SpaceSpec::with_topology(2).with_replication(2), 7)
-            .run_batched_on(
-                ServingBackend::new(&w, TopologyBackend::with_replication(&w, 2, 2), spec),
-                10,
-                3,
-            );
-    let frozen = VdTuner::with_space(
-        small_options(),
-        SpaceSpec::with_topology(2).with_replication(2).with_pinned_pinning(PinningPolicy::Shared),
-        7,
-    )
-    .run_batched_on(
-        ServingBackend::new(&w, TopologyBackend::with_pinning(&w, 2, 2), spec),
-        10,
-        3,
-    );
+    let tune = |space: SpaceSpec| {
+        let backend = ServingBackend::new(&w, space.backend(&w), spec);
+        VdTuner::with_space(small_options(), space, 7).run_batched_on(backend, 10, 3)
+    };
+    let space18 = || SpaceSpec::with_topology(2).with_replication(2);
+    let narrow = tune(space18());
+    let frozen = tune(space18().with_pinned_pinning(PinningPolicy::Shared));
     assert_eq!(narrow.fingerprint(sans_pinning), frozen.fingerprint(sans_pinning));
     // Serving stats (p99 included) agree bitwise wherever both exist.
     for (a, b) in narrow.observations.iter().zip(&frozen.observations) {
@@ -236,7 +224,7 @@ fn co_tuning_explores_pinning_policies() {
         SpaceSpec::with_topology(4).with_replication(2).with_pinning(),
         3,
     );
-    let out = tuner.run_on(TopologyBackend::with_pinning(&w, 4, 2), 16);
+    let out = tuner.run(&w, 16);
     assert_eq!(out.observations.len(), 16);
     let mut policies = std::collections::BTreeSet::new();
     for o in &out.observations {
@@ -253,7 +241,8 @@ fn co_tuning_explores_pinning_policies() {
 #[test]
 fn pinning_request_is_part_of_the_cache_key() {
     let w = multi_segment_workload();
-    let mut ev = Evaluator::with_backend(TopologyBackend::with_pinning(&w, 2, 2), 1);
+    let space = SpaceSpec::with_topology(2).with_replication(2).with_pinning();
+    let mut ev = Evaluator::with_backend(space.backend(&w), 1);
     let mut cfg = multi_segment_config();
     cfg.shards = Some(2);
     cfg.replicas = Some(1);
@@ -279,7 +268,8 @@ fn write_knobs_are_part_of_the_cache_key() {
     let w = multi_segment_workload();
     let spec =
         ServingSpec { arrival_qps: 300.0, requests: 600, ..Default::default() }.with_inserts(0.5);
-    let backend = ServingBackend::new(&w, TopologyBackend::with_writepath(&w, 2, 2), spec);
+    let space = SpaceSpec::with_topology(2).with_replication(2).with_pinning().with_writepath();
+    let backend = ServingBackend::new(&w, space.backend(&w), spec);
     let mut ev = Evaluator::with_backend(backend, 1);
     let mut cfg = multi_segment_config();
     cfg.shards = Some(1);

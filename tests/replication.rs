@@ -86,19 +86,18 @@ fn sans_replicas(c: VdmsConfig) -> VdmsConfig {
 }
 
 /// Acceptance gate for the 18th dimension: tuning the 18-dimensional space
-/// with `replicas` frozen at one copy (over the replication-enabled
-/// topology backend) yields a history bit-identical to the 17-dimensional
-/// topology spec over the plain topology backend — the extra constant
+/// with `replicas` frozen at one copy (over the backend that space builds)
+/// yields a history bit-identical to the 17-dimensional topology spec over
+/// its own backend — the extra constant
 /// coordinate changes no GP prediction, no acquisition value, no
 /// evaluation.
 #[test]
 fn frozen_replication_dimension_reproduces_topology_tuning_bitwise() {
     let w = Workload::prepare(DatasetSpec::tiny(DatasetKind::Glove), 10);
-    let narrow = VdTuner::with_space(small_options(), SpaceSpec::with_topology(4), 42)
-        .run_on(TopologyBackend::new(&w, 4), 12);
+    let narrow = VdTuner::with_space(small_options(), SpaceSpec::with_topology(4), 42).run(&w, 12);
     let frozen =
         VdTuner::with_space(small_options(), SpaceSpec::with_topology(4).with_replication(1), 42)
-            .run_on(TopologyBackend::with_replication(&w, 4, 1), 12);
+            .run(&w, 12);
 
     assert_eq!(narrow.fingerprint(sans_replicas), frozen.fingerprint(sans_replicas));
     // The frozen run really did carry the 18th dimension end to end.
@@ -117,15 +116,12 @@ fn frozen_replication_dimension_reproduces_topology_tuning_bitwise() {
 fn frozen_replication_reproduces_serving_tuning_bitwise() {
     let w = Workload::prepare(DatasetSpec::tiny(DatasetKind::Glove), 10);
     let spec = ServingSpec { arrival_qps: 300.0, requests: 300, ..Default::default() };
-    let narrow = VdTuner::with_space(small_options(), SpaceSpec::with_topology(2), 7)
-        .run_batched_on(ServingBackend::new(&w, TopologyBackend::new(&w, 2), spec), 10, 3);
-    let frozen =
-        VdTuner::with_space(small_options(), SpaceSpec::with_topology(2).with_replication(1), 7)
-            .run_batched_on(
-                ServingBackend::new(&w, TopologyBackend::with_replication(&w, 2, 1), spec),
-                10,
-                3,
-            );
+    let tune = |space: SpaceSpec| {
+        let backend = ServingBackend::new(&w, space.backend(&w), spec);
+        VdTuner::with_space(small_options(), space, 7).run_batched_on(backend, 10, 3)
+    };
+    let narrow = tune(SpaceSpec::with_topology(2));
+    let frozen = tune(SpaceSpec::with_topology(2).with_replication(1));
     assert_eq!(narrow.fingerprint(sans_replicas), frozen.fingerprint(sans_replicas));
     // Serving stats (p99 included) agree bitwise wherever both exist.
     for (a, b) in narrow.observations.iter().zip(&frozen.observations) {
@@ -147,7 +143,7 @@ fn co_tuning_explores_replication_factors() {
     let w = Workload::prepare(DatasetSpec::tiny(DatasetKind::Glove), 10);
     let mut tuner =
         VdTuner::with_space(small_options(), SpaceSpec::with_topology(4).with_replication(4), 3);
-    let out = tuner.run_on(TopologyBackend::with_replication(&w, 4, 4), 16);
+    let out = tuner.run(&w, 16);
     assert_eq!(out.observations.len(), 16);
     let mut factors = std::collections::BTreeSet::new();
     for o in &out.observations {
@@ -164,7 +160,8 @@ fn co_tuning_explores_replication_factors() {
 #[test]
 fn replica_request_is_part_of_the_cache_key() {
     let w = multi_segment_workload();
-    let mut ev = Evaluator::with_backend(TopologyBackend::with_replication(&w, 2, 4), 1);
+    let space = SpaceSpec::with_topology(2).with_replication(4);
+    let mut ev = Evaluator::with_backend(space.backend(&w), 1);
     let mut cfg = multi_segment_config();
     cfg.shards = Some(2);
     cfg.replicas = Some(1);

@@ -267,7 +267,7 @@ fn slo_constrained_tuning_records_rejections_as_failures() {
 fn serving_over_topology_backend_supports_co_tuning() {
     let w = tiny_workload();
     let spec = ServingSpec { arrival_qps: 100.0, requests: 200, ..Default::default() };
-    let inner = TopologyBackend::new(&w, 4);
+    let inner = SpaceSpec::with_topology(4).backend(&w);
     let backend = ServingBackend::new(&w, inner, spec);
     let mut ev = Evaluator::with_backend(backend, 1);
     assert_eq!(ev.info().space_dims, VdmsConfig::BASE_TUNABLES + 1);

@@ -138,8 +138,8 @@ fn sans_shards(c: VdmsConfig) -> VdmsConfig {
 }
 
 /// Acceptance gate for the spec refactor: tuning the 17-dimensional space
-/// with `shard_count` frozen at 1 (over the topology backend) yields a
-/// history bit-identical to the 16-dimensional spec over the single-node
+/// with `shard_count` frozen at 1 (over the backend that space realizes)
+/// yields a history bit-identical to the 16-dimensional spec over the single-node
 /// simulator — the extra constant coordinate changes no GP prediction, no
 /// acquisition value, no evaluation.
 #[test]
@@ -147,7 +147,7 @@ fn frozen_topology_dimension_reproduces_legacy_tuning_bitwise() {
     let w = tiny_workload();
     let legacy = VdTuner::new(small_options(), 42).run_on(SimBackend::new(&w), 12);
     let mut topo_tuner = VdTuner::with_space(small_options(), SpaceSpec::with_topology(1), 42);
-    let frozen = topo_tuner.run_on(TopologyBackend::new(&w, 1), 12);
+    let frozen = topo_tuner.run(&w, 12);
 
     assert_eq!(legacy.fingerprint(sans_shards), frozen.fingerprint(sans_shards));
     // The frozen run really did carry the 17th dimension end to end.
@@ -164,8 +164,8 @@ fn frozen_topology_dimension_reproduces_legacy_tuning_bitwise() {
 fn frozen_topology_dimension_reproduces_legacy_batched_tuning_bitwise() {
     let w = tiny_workload();
     let legacy = VdTuner::new(small_options(), 7).run_batched_on(SimBackend::new(&w), 12, 3);
-    let frozen = VdTuner::with_space(small_options(), SpaceSpec::with_topology(1), 7)
-        .run_batched_on(TopologyBackend::new(&w, 1), 12, 3);
+    let frozen =
+        VdTuner::with_space(small_options(), SpaceSpec::with_topology(1), 7).run_batched(&w, 12, 3);
     assert_eq!(legacy.fingerprint(sans_shards), frozen.fingerprint(sans_shards));
 }
 
@@ -176,7 +176,7 @@ fn frozen_topology_dimension_reproduces_legacy_batched_tuning_bitwise() {
 fn co_tuning_explores_topologies() {
     let w = tiny_workload();
     let mut tuner = VdTuner::with_space(small_options(), SpaceSpec::with_topology(8), 3);
-    let out = tuner.run_on(TopologyBackend::new(&w, 8), 16);
+    let out = tuner.run(&w, 16);
     assert_eq!(out.observations.len(), 16);
     let mut shapes = std::collections::BTreeSet::new();
     for o in &out.observations {
@@ -198,12 +198,78 @@ fn co_tuning_explores_topologies() {
 #[test]
 fn co_tuning_is_deterministic() {
     let w = tiny_workload();
-    let run = |seed| {
-        VdTuner::with_space(small_options(), SpaceSpec::with_topology(4), seed)
-            .run_on(TopologyBackend::new(&w, 4), 10)
-    };
+    let run =
+        |seed| VdTuner::with_space(small_options(), SpaceSpec::with_topology(4), seed).run(&w, 10);
     let key = |out: &vdtuner::core::TuningOutcome| -> Vec<(String, u64)> {
         out.observations.iter().map(|o| (o.config.summary(), o.qps.to_bits())).collect()
     };
     assert_eq!(key(&run(9)), key(&run(9)));
+}
+
+/// Regression: `VdTuner::run` used to drive every space against the
+/// 16-dimensional single-node backend, so each candidate of a wider space
+/// came back as a `SpaceMismatch` failure. It now runs on the backend the
+/// space realizes, bit for bit.
+#[test]
+fn run_serves_a_wide_space_on_the_backend_it_realizes() {
+    let w = tiny_workload();
+    let space = SpaceSpec::with_topology(4);
+    let via_run = VdTuner::with_space(small_options(), space.clone(), 5).run(&w, 10);
+    let via_backend =
+        VdTuner::with_space(small_options(), space.clone(), 5).run_on(space.backend(&w), 10);
+    assert!(via_run.observations.iter().any(|o| !o.failed), "no successful observation");
+    assert_eq!(via_run.fingerprint(|c| c), via_backend.fingerprint(|c| c));
+    assert!(via_run.observations.iter().all(|o| o.config.shards.is_some()));
+}
+
+/// Every space the workspace builds realizes itself: its backend declares
+/// the space's width, and each seed configuration evaluates without a
+/// space mismatch or a refused deployment request.
+#[test]
+fn every_space_realizes_itself() {
+    use vdtuner::vdms::{PinningPolicy, VdmsError, WriteKnobs};
+    use vdtuner::workload::Evaluator;
+    let w = tiny_workload();
+    let eager = WriteKnobs { wal_batch_rows: 16, flush_interval_secs: 0.005, seal_rows: 128 };
+    let replicated = || SpaceSpec::with_topology(4).with_replication(4);
+    let spaces = [
+        SpaceSpec::legacy(),
+        SpaceSpec::with_topology(1),
+        SpaceSpec::with_topology(8),
+        SpaceSpec::with_topology(4).with_replication(1),
+        replicated(),
+        SpaceSpec::with_topology(4).with_pinned_replication(2),
+        replicated().with_pinning(),
+        replicated().with_pinned_pinning(PinningPolicy::SmtAvoid),
+        replicated().with_pinning().with_writepath(),
+        replicated().with_pinning().with_pinned_writepath(eager),
+        replicated().with_pinning().with_pinned_writepath(WriteKnobs::DEFAULT),
+    ];
+    for (i, space) in spaces.iter().enumerate() {
+        let backend = space.backend(&w);
+        assert_eq!(backend.info().space_dims, space.dims(), "space {i}");
+        let mut ev = Evaluator::with_backend(backend, 1);
+        for t in IndexType::ALL {
+            let cfg = space.seed_config(t);
+            // The evaluator's gate: a candidate of another width is a
+            // `SpaceMismatch` failure, never dispatched.
+            assert_eq!(cfg.tunable_dims(), space.dims(), "space {i}, {t}");
+            let obs = ev.observe(&cfg, 0.0);
+            let failure = obs.failed.then(|| ev.backend().evaluate(&obs.config, 1).failure);
+            assert!(
+                !matches!(
+                    failure.flatten(),
+                    Some(
+                        VdmsError::SpaceMismatch { .. }
+                            | VdmsError::TopologyUnrealizable { .. }
+                            | VdmsError::ReplicationUnrealizable { .. }
+                            | VdmsError::PinningUnrealizable { .. }
+                            | VdmsError::WritePathUnrealizable { .. }
+                    )
+                ),
+                "space {i}, {t}: {:?}",
+                ev.backend().evaluate(&obs.config, 1).failure
+            );
+        }
+    }
 }

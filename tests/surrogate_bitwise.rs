@@ -15,10 +15,9 @@
 
 use vdtuner::core::{SpaceSpec, TunerOptions, VdTuner};
 use vdtuner::prelude::*;
-use vdtuner::workload::TopologyBackend;
 
 /// Captured on the pre-fast-path tree (seed 42, 40 iterations, 22
-/// dimensions, tiny GloVe, topology backend with the write path).
+/// dimensions, tiny GloVe, the backend the space realizes).
 const SURROGATE_DIGEST: u64 = 0x7884c10d7a4dd5e7;
 
 /// FNV-1a over the little-endian bytes of each part.
@@ -51,11 +50,7 @@ fn wide_space_history_matches_pre_fast_path_baseline_bitwise() {
     let w = Workload::prepare(DatasetSpec::tiny(DatasetKind::Glove), 10);
     let space = SpaceSpec::with_topology(4).with_replication(4).with_pinning().with_writepath();
     assert_eq!(space.dims(), 22);
-    let out = VdTuner::with_space(small_options(), space, 42).run_batched_on(
-        TopologyBackend::with_writepath(&w, 4, 4),
-        40,
-        1,
-    );
+    let out = VdTuner::with_space(small_options(), space, 42).run(&w, 40);
     assert_eq!(out.observations.len(), 40);
     let mut parts = Vec::new();
     for o in &out.observations {

@@ -18,7 +18,7 @@ use vdtuner::vdms::system_params::SystemParams;
 use vdtuner::vdms::writepath::{Admission, WalSim, WriteKnobs};
 use vdtuner::vdms::{CostModel, PinningPolicy};
 use vdtuner::workload::serving::{simulate_pinned, simulate_pinned_mixed, simulate_replicated};
-use vdtuner::workload::{TopologyBackend, WriteStats};
+use vdtuner::workload::WriteStats;
 
 fn small_options() -> TunerOptions {
     TunerOptions {
@@ -189,23 +189,22 @@ fn sans_write_knobs(c: VdmsConfig) -> VdmsConfig {
 }
 
 /// Acceptance gate for dimensions 20–22: tuning the 22-dimensional space
-/// with the write knobs frozen at the defaults (over the write-path
-/// topology backend) yields a history bit-identical to the 19-dimensional
-/// pinning spec over the plain pinning backend — the extra constant
+/// with the write knobs frozen at the defaults (over the backend that
+/// space realizes) yields a history bit-identical to the 19-dimensional
+/// pinning spec over its own backend — the extra constant
 /// coordinates change no GP prediction, no acquisition value, no
 /// evaluation.
 #[test]
 fn frozen_write_knobs_reproduce_pinning_tuning_bitwise() {
     let w = Workload::prepare(DatasetSpec::tiny(DatasetKind::Glove), 10);
     let space19 = || SpaceSpec::with_topology(4).with_replication(2).with_pinning();
-    let narrow = VdTuner::with_space(small_options(), space19(), 42)
-        .run_on(TopologyBackend::with_pinning(&w, 4, 2), 12);
+    let narrow = VdTuner::with_space(small_options(), space19(), 42).run(&w, 12);
     let frozen = VdTuner::with_space(
         small_options(),
         space19().with_pinned_writepath(WriteKnobs::DEFAULT),
         42,
     )
-    .run_on(TopologyBackend::with_writepath(&w, 4, 2), 12);
+    .run(&w, 12);
 
     assert_eq!(narrow.fingerprint(sans_write_knobs), frozen.fingerprint(sans_write_knobs));
     // The frozen run really did carry the write dimensions end to end.
@@ -227,21 +226,12 @@ fn frozen_write_knobs_reproduce_mixed_serving_tuning_bitwise() {
     let spec =
         ServingSpec { arrival_qps: 300.0, requests: 300, ..Default::default() }.with_inserts(0.5);
     let space19 = || SpaceSpec::with_topology(2).with_replication(2).with_pinning();
-    let narrow = VdTuner::with_space(small_options(), space19(), 7).run_batched_on(
-        ServingBackend::new(&w, TopologyBackend::with_pinning(&w, 2, 2), spec),
-        10,
-        3,
-    );
-    let frozen = VdTuner::with_space(
-        small_options(),
-        space19().with_pinned_writepath(WriteKnobs::DEFAULT),
-        7,
-    )
-    .run_batched_on(
-        ServingBackend::new(&w, TopologyBackend::with_writepath(&w, 2, 2), spec),
-        10,
-        3,
-    );
+    let tune = |space: SpaceSpec| {
+        let backend = ServingBackend::new(&w, space.backend(&w), spec);
+        VdTuner::with_space(small_options(), space, 7).run_batched_on(backend, 10, 3)
+    };
+    let narrow = tune(space19());
+    let frozen = tune(space19().with_pinned_writepath(WriteKnobs::DEFAULT));
     assert_eq!(narrow.fingerprint(sans_write_knobs), frozen.fingerprint(sans_write_knobs));
     // Serving stats (write ledger included) agree bitwise wherever both
     // exist — and the mixed phase really offered inserts.
@@ -271,7 +261,7 @@ fn co_tuning_explores_write_knobs() {
         SpaceSpec::with_topology(4).with_replication(2).with_pinning().with_writepath(),
         3,
     );
-    let out = tuner.run_on(TopologyBackend::with_writepath(&w, 4, 2), 16);
+    let out = tuner.run(&w, 16);
     assert_eq!(out.observations.len(), 16);
     let mut batches = std::collections::BTreeSet::new();
     for o in &out.observations {
