@@ -33,7 +33,7 @@ use crate::report::{f1, ms, JsonValue, Table};
 use crate::{run_parallel, Method, Profile, Runs};
 use vdms::VdmsConfig;
 use vdtuner_core::{SpaceSpec, TuningOutcome};
-use workload::{evaluate, EvalBackend, ServingBackend, ServingSpec, ServingStats, Workload};
+use workload::{evaluate, EvalBackend, ServingSpec, ServingStats, Workload};
 
 /// p99 service-level objective (seconds) the serving-tuned arms enforce.
 pub const SERVING_SLO_P99_SECS: f64 = 0.025;
@@ -258,8 +258,7 @@ impl<'w> CoTuning<'w> {
         let anchor = evaluate(w, &VdmsConfig::default_config(), profile.seed).qps;
         let rates: Vec<f64> = self.ladder.iter().map(|m| m * anchor).collect();
         let tune_spec = base_spec.at_rate(rates[rates.len() - 1]).with_slo(SERVING_SLO_P99_SECS);
-        let serve =
-            |space: &SpaceSpec, spec: ServingSpec| ServingBackend::new(w, space.backend(w), spec);
+        let serve = |space: &SpaceSpec, spec: ServingSpec| space.backend(w).serving(spec);
 
         let jobs: Vec<&SpaceSpec> = self
             .fixed

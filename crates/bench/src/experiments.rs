@@ -36,8 +36,8 @@ use vdtuner_core::space::DIM_NAMES;
 use vdtuner_core::{SpaceSpec, TunerMode, TuningOutcome};
 use vecdata::{DatasetKind, DatasetSpec};
 use workload::{
-    evaluate, EvalBackend, Evaluator, Outcome, ServingBackend, ServingSpec, ServingStats,
-    SimBackend, Workload, WriteStats,
+    evaluate, EvalBackend, Evaluator, Outcome, ServingSpec, ServingStats, SimBackend, Workload,
+    WriteStats,
 };
 
 /// A table header: one leading column, then a computed series.
@@ -851,7 +851,7 @@ pub fn serving(profile: &Profile, runs: &Runs) -> io::Result<()> {
     // candidate is exercised at the top arrival rate under the p99 SLO.
     let tune_spec = base_spec.at_rate(top_rate).with_slo(SERVING_SLO_P99_SECS);
     let arm = Method::VdTuner.arm(profile.iters);
-    let tuned_backend = ServingBackend::over_sim(w, tune_spec);
+    let tuned_backend = SimBackend::new(w).serving(tune_spec);
     let served = runs.tune(arm, SpaceSpec::legacy(), tuned_backend, profile.iters, profile.seed);
     let arms = [offline, &served];
 
@@ -861,7 +861,7 @@ pub fn serving(profile: &Profile, runs: &Runs) -> io::Result<()> {
         .iter()
         .map(|out| {
             measure_ladder(best_config(out, floor).as_ref(), &rates, profile.seed, |rate| {
-                ServingBackend::over_sim(w, base_spec.at_rate(rate))
+                SimBackend::new(w).serving(base_spec.at_rate(rate))
             })
         })
         .collect();
@@ -1589,7 +1589,7 @@ pub fn writepath(profile: &Profile, runs: &Runs) -> io::Result<()> {
         let quiet_spec = base_spec.at_rate(run.rates[0]).with_inserts(0.0);
         let eval = |wp: Option<WriteKnobs>| {
             let cfg = VdmsConfig { writepath: wp, ..VdmsConfig::default_config() };
-            ServingBackend::new(w, wide.backend(w), quiet_spec).evaluate(&cfg, profile.seed)
+            wide.backend(w).serving(quiet_spec).evaluate(&cfg, profile.seed)
         };
         let requested = eval(Some(WriteKnobs::DEFAULT));
         let unrequested = eval(None);

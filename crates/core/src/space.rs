@@ -552,10 +552,11 @@ impl SpaceSpec {
         self.dims.iter().find(|d| d.field == field)
     }
 
-    /// Whether this spec carries a (non-frozen or frozen) topology
-    /// dimension.
-    pub fn has_topology(&self) -> bool {
-        self.dims.iter().any(|d| d.kind == DimensionKind::Topology)
+    /// Whether this spec carries a (non-frozen or frozen) shard-count
+    /// dimension — the one deployment dimension that makes its candidates
+    /// carry a shard request.
+    pub fn has_shards(&self) -> bool {
+        self.field(FieldRef::ShardCount).is_some()
     }
 
     /// Largest shard count the topology dimension spans (1 when the spec
@@ -597,11 +598,10 @@ impl SpaceSpec {
     /// [`SpaceSpec::dims`], so every candidate this space decodes is
     /// evaluated, never rejected as a space mismatch.
     pub fn backend<'a>(&self, workload: &'a Workload) -> SimBackend<'a> {
-        let has_shards = self.field(FieldRef::ShardCount).is_some();
         SimBackend::with_knobs(
             workload,
             DeploymentKnobs {
-                max_shards: has_shards.then(|| self.max_shards()),
+                max_shards: self.has_shards().then(|| self.max_shards()),
                 max_replicas: self.has_replication().then(|| self.max_replicas()),
                 pinning: self.has_pinning(),
                 writepath: self.has_writepath(),
@@ -647,7 +647,7 @@ impl SpaceSpec {
     /// testbed.
     pub fn seed_config(&self, t: IndexType) -> VdmsConfig {
         VdmsConfig {
-            shards: self.field(FieldRef::ShardCount).map(|_| 1),
+            shards: self.has_shards().then_some(1),
             replicas: self.seed_replicas(),
             pinning: self.seed_pinning(),
             writepath: self.seed_writepath(),
@@ -745,7 +745,11 @@ mod tests {
         let legacy = SpaceSpec::legacy();
         assert_eq!(legacy.dims(), DIMS);
         assert_eq!(legacy.dim_names(), DIM_NAMES.to_vec());
-        assert!(!legacy.has_topology());
+        assert!(!legacy.has_shards());
+        // A deployment dimension is not a shard dimension.
+        let pinned = SpaceSpec::legacy().with_pinning();
+        assert!(!pinned.has_shards() && pinned.has_pinning());
+        assert_eq!(pinned.seed_default().shards, None);
     }
 
     #[test]
@@ -834,7 +838,7 @@ mod tests {
     fn topology_spec_appends_shard_dimension() {
         let spec = SpaceSpec::with_topology(8);
         assert_eq!(spec.dims(), DIMS + 1);
-        assert!(spec.has_topology());
+        assert!(spec.has_shards());
         assert_eq!(spec.max_shards(), 8);
         assert_eq!(spec.dim_names()[DIMS], SHARD_COUNT_DIM_NAME);
         let last = spec.dimensions()[DIMS];
@@ -888,7 +892,7 @@ mod tests {
     fn replication_spec_appends_replicas_dimension() {
         let spec = SpaceSpec::with_topology(8).with_replication(4);
         assert_eq!(spec.dims(), DIMS + 2);
-        assert!(spec.has_topology() && spec.has_replication());
+        assert!(spec.has_shards() && spec.has_replication());
         assert_eq!(spec.max_replicas(), 4);
         assert_eq!(spec.dim_names()[DIMS + 1], REPLICAS_DIM_NAME);
         let last = spec.dimensions()[DIMS + 1];
@@ -950,7 +954,7 @@ mod tests {
     fn pinning_spec_appends_pinning_dimension() {
         let spec = SpaceSpec::with_topology(8).with_replication(4).with_pinning();
         assert_eq!(spec.dims(), DIMS + 3);
-        assert!(spec.has_topology() && spec.has_replication() && spec.has_pinning());
+        assert!(spec.has_shards() && spec.has_replication() && spec.has_pinning());
         assert_eq!(spec.dim_names()[DIMS + 2], PINNING_DIM_NAME);
         let last = spec.dimensions()[DIMS + 2];
         assert_eq!(last.kind, DimensionKind::Topology);

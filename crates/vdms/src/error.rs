@@ -28,31 +28,15 @@ pub enum VdmsError {
     /// *before* dispatch, so mismatched points surface as failed
     /// observations instead of silently tuning a knob nobody realizes.
     SpaceMismatch { config_dims: usize, backend_dims: usize },
-    /// The candidate requests more query nodes than the control plane can
-    /// deploy. Rejecting (rather than clamping) keeps the recorded
-    /// topology honest: the tuner never trains on a shape that was
-    /// silently substituted by another.
-    TopologyUnrealizable { requested_shards: usize, max_shards: usize },
-    /// The candidate requests more replicas per shard than the control
-    /// plane can deploy. Same contract as
-    /// [`VdmsError::TopologyUnrealizable`]: a typed refusal, never a
-    /// silent clamp, so the recorded replication factor is always the one
-    /// that actually served the workload.
-    ReplicationUnrealizable { requested_replicas: usize, max_replicas: usize },
-    /// The candidate requests a reactor pinning policy the control plane
-    /// cannot realize (its execution model is the fixed shared slot pool).
-    /// Same contract as [`VdmsError::TopologyUnrealizable`]: a typed
-    /// refusal, never a silent fallback to the shared pool, so the
-    /// recorded execution model is always the one that actually served
-    /// the workload.
-    PinningUnrealizable { requested: crate::topology::PinningPolicy },
-    /// The candidate requests write-path knobs (WAL group-commit batch,
-    /// flush interval, seal threshold) but the control plane's write path
-    /// is fixed. Same contract as [`VdmsError::TopologyUnrealizable`]: a
-    /// typed refusal, never a silent fallback to the default knobs, so
-    /// the recorded write path is always the one that actually served the
-    /// workload.
-    WritePathUnrealizable { requested: crate::writepath::WriteKnobs },
+    /// The candidate requests a deployment the backend cannot realize on
+    /// dimension `dim` (`"shards"`, `"replicas"`, `"pinning"` or
+    /// `"write path"`): `asked` is the request, `ceiling` what the backend
+    /// realizes there — at most the ceiling of a dimension it tunes, only
+    /// the fixed value of one it does not. Refusing, instead of clamping or
+    /// falling back, keeps the recorded deployment honest: the tuner and
+    /// the evaluator's cache never see a deployment silently substituted by
+    /// another.
+    Unrealizable { dim: &'static str, asked: String, ceiling: String },
     /// The configuration served the workload but violated the operator's
     /// serving-level objective: p99 latency above the SLO, or more than
     /// the tolerated fraction of requests shed from a full queue. Like a
@@ -85,34 +69,11 @@ impl std::fmt::Display for VdmsError {
                      serves a {backend_dims}-dimensional space"
                 )
             }
-            VdmsError::TopologyUnrealizable { requested_shards, max_shards } => {
+            VdmsError::Unrealizable { dim, asked, ceiling } => {
                 write!(
                     f,
-                    "topology unrealizable: candidate requests {requested_shards} query nodes \
-                     but the backend deploys at most {max_shards}"
-                )
-            }
-            VdmsError::ReplicationUnrealizable { requested_replicas, max_replicas } => {
-                write!(
-                    f,
-                    "replication unrealizable: candidate requests {requested_replicas} replicas \
-                     but the backend deploys at most {max_replicas}"
-                )
-            }
-            VdmsError::PinningUnrealizable { requested } => {
-                write!(
-                    f,
-                    "pinning unrealizable: candidate requests the {} reactor policy but the \
-                     backend's execution model is the fixed shared slot pool",
-                    requested.name()
-                )
-            }
-            VdmsError::WritePathUnrealizable { requested } => {
-                write!(
-                    f,
-                    "write path unrealizable: candidate requests WAL knobs (batch {} rows, \
-                     flush {:.3}s, seal {} rows) but the backend's write path is fixed",
-                    requested.wal_batch_rows, requested.flush_interval_secs, requested.seal_rows
+                    "{dim} unrealizable: candidate requests {asked} but the backend realizes \
+                     {ceiling}"
                 )
             }
             VdmsError::SloViolation { p99_secs, slo_secs, shed } => {
@@ -145,6 +106,10 @@ mod tests {
     fn display_messages() {
         let e = VdmsError::ReplayTimeout { simulated_seconds: 1000.0 };
         assert!(e.to_string().contains("1000"));
+        let e =
+            VdmsError::Unrealizable { dim: "shards", asked: "1".into(), ceiling: "only 4".into() };
+        let want = "shards unrealizable: candidate requests 1 but the backend realizes only 4";
+        assert_eq!(e.to_string(), want);
         let e: VdmsError = BuildError::EmptySegment.into();
         assert!(matches!(e, VdmsError::Build(_)));
     }

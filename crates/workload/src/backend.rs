@@ -6,29 +6,29 @@
 //! [`Evaluator`](crate::Evaluator) owns the tuner-facing bookkeeping
 //! (caching, worst-in-history substitution for failures, timing) and is
 //! generic over a backend that turns a configuration into an
-//! [`Outcome`]. Two backends ship in-tree:
-//!
-//! * [`SimBackend`] — the simulator replay
-//!   ([`crate::replay::evaluate_sharded`]). A candidate that requests no
-//!   deployment shape is served by the backend's fixed
-//!   [`vdms::cluster::ClusterSpec`]: the paper's single node
-//!   ([`SimBackend::new`]) or any fixed cluster ([`SimBackend::with_spec`]).
-//!   A backend built with [`DeploymentKnobs`] also lets each candidate carry
-//!   its own deployment — shard count, replication factor, reactor pinning,
-//!   write-path knobs — up to the backend's ceilings, so the tuner feels
-//!   the real capacity trade-off of fanning out. `SpaceSpec::backend` in
-//!   `vdtuner-core` builds that backend from a tuning space's own
-//!   dimensions;
-//! * [`ServingBackend`] — a backend whose every successful candidate is
-//!   then exercised by the discrete-event serving simulator under an
-//!   open-loop arrival process (and an optional p99 SLO).
+//! [`Outcome`]. One backend ships in-tree, [`SimBackend`]: it resolves
+//! each candidate's [`Placement`] once — the cluster, reactor pinning and
+//! write path that serve it — and replays the workload there. A candidate
+//! that requests no deployment is served by the backend's fixed
+//! [`vdms::cluster::ClusterSpec`]: the paper's single node
+//! ([`SimBackend::new`]) or any fixed cluster ([`SimBackend::with_spec`]).
+//! A backend built with [`DeploymentKnobs`] also lets each candidate carry
+//! its own deployment — shard count, replication factor, reactor pinning,
+//! write-path knobs — up to the backend's ceilings, so the tuner feels the
+//! real capacity trade-off of fanning out. `SpaceSpec::backend` in
+//! `vdtuner-core` builds that backend from a tuning space's own dimensions.
+//! With a serving phase ([`SimBackend::serving`]) every successful
+//! candidate is then exercised on the same placement by the discrete-event
+//! serving simulator under an open-loop arrival process (and an optional
+//! p99 SLO).
 //!
 //! Every backend is a pure function of `(config, seed)`: the evaluator
 //! caches outcomes by configuration.
 
-use crate::replay::{evaluate_sharded, Outcome};
+use crate::replay::{replay, Outcome};
 use crate::serving::{ArrivalPlan, Deployment, ServingSpec};
 use crate::Workload;
+use std::fmt::Debug;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use vdms::cluster::ClusterSpec;
 use vdms::{PinningPolicy, VdmsConfig, VdmsError, WriteKnobs};
@@ -42,10 +42,6 @@ pub struct BackendInfo {
     pub dim: usize,
     /// Neighbors retrieved per query.
     pub top_k: usize,
-    /// Replica groups of the backend's *fixed* deployment — what a
-    /// candidate carrying no replication request is served by (a
-    /// candidate's own request takes precedence).
-    pub replicas: usize,
     /// Dimensionality of the tuning space this backend realizes: the 16
     /// base tunables, plus one per deployment request it lets candidates
     /// carry (three for the write-path knobs). The evaluator rejects
@@ -80,34 +76,47 @@ impl<B: EvalBackend + ?Sized> EvalBackend for &B {
     }
 }
 
-/// The deployment requests a [`SimBackend`] realizes: one per deployment
-/// dimension of the tuning space it serves. The default realizes none —
-/// the paper's 16-dimensional space on a fixed cluster.
+/// The deployment dimensions a [`SimBackend`] tunes: one per deployment
+/// dimension of the tuning space it serves. The default tunes none — the
+/// paper's 16-dimensional space on a fixed cluster. On a dimension it does
+/// not tune the backend realizes only its fixed value: the fixed cluster's
+/// shard and replica counts, [`PinningPolicy::Shared`] (the shared pool
+/// *is* its execution model), [`WriteKnobs::DEFAULT`] (the defaults *are*
+/// its write path); any other request is a typed
+/// [`VdmsError::Unrealizable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DeploymentKnobs {
     /// Largest shard count ([`VdmsConfig::shards`]) a candidate may
-    /// request; `None`: candidates carry no shard request.
+    /// request; `None`: only the fixed cluster's.
     pub max_shards: Option<usize>,
     /// Largest replication factor ([`VdmsConfig::replicas`]) a candidate
-    /// may request; `None`: candidates carry no replication request.
+    /// may request; `None`: only the fixed cluster's.
     pub max_replicas: Option<usize>,
     /// Whether candidates choose a reactor pinning policy
-    /// ([`VdmsConfig::pinning`]). Without the knob the backend still
-    /// realizes [`PinningPolicy::Shared`] requests (the shared pool *is*
-    /// its execution model) but refuses every other policy with a typed
-    /// [`VdmsError::PinningUnrealizable`].
+    /// ([`VdmsConfig::pinning`]).
     pub pinning: bool,
     /// Whether candidates choose their write-path knobs
-    /// ([`VdmsConfig::writepath`], three dimensions). Without them the
-    /// backend still realizes [`WriteKnobs::DEFAULT`] requests (the
-    /// defaults *are* its fixed write path) but refuses every other
-    /// setting with a typed [`VdmsError::WritePathUnrealizable`].
+    /// ([`VdmsConfig::writepath`], three dimensions).
     pub writepath: bool,
+}
+
+/// How one candidate is deployed: what [`SimBackend::place`] resolves once
+/// per candidate, and the offline replay and the serving phase both read.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Placement {
+    /// The candidate, sanitized for the backend's workload.
+    pub config: VdmsConfig,
+    /// The cluster that serves it.
+    pub cluster: ClusterSpec,
+    /// Each replica group's execution model.
+    pub policy: PinningPolicy,
+    /// The write path its inserts run under.
+    pub knobs: WriteKnobs,
 }
 
 /// The simulator backend: the workload served by the cluster each candidate
 /// asks for, or by a fixed cluster shape — by default the paper's single
-/// node — when it asks for none.
+/// node — when it asks for none, optionally followed by a serving phase.
 ///
 /// A shard or replication request selects the cluster that serves the
 /// candidate, with the single-node testbed budget split evenly across
@@ -117,12 +126,13 @@ pub struct DeploymentKnobs {
 /// in per-node capacity, fixed overhead and (for replicas) consistency
 /// staleness, so the tuner optimizes real trade-offs rather than free
 /// knobs.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct SimBackend<'a> {
     workload: &'a Workload,
     /// What a candidate with no shard or replication request is served by.
     spec: ClusterSpec,
     knobs: DeploymentKnobs,
+    serving: Option<Serving>,
 }
 
 /// The name the benchmark in `benchmark/` builds its backend by, kept for it
@@ -140,7 +150,8 @@ impl<'a> SimBackend<'a> {
     /// directly constructed spec with `shards: 0` is clamped to one node,
     /// matching what the cluster layer would serve.
     pub fn with_spec(workload: &'a Workload, spec: ClusterSpec) -> SimBackend<'a> {
-        SimBackend { workload, spec: spec.normalized(), knobs: DeploymentKnobs::default() }
+        let spec = spec.normalized();
+        SimBackend { workload, spec, knobs: DeploymentKnobs::default(), serving: None }
     }
 
     /// The single-node testbed, additionally realizing the deployment
@@ -174,55 +185,78 @@ impl<'a> SimBackend<'a> {
         )
     }
 
+    /// This backend with a serving phase: every candidate the offline
+    /// replay measures successfully is then exercised on the same
+    /// [`Placement`] by the discrete-event serving simulator
+    /// ([`crate::serving`]) under `spec`'s open-loop traffic. The outcome
+    /// keeps the offline `qps`/`recall`/`memory_gib` and attaches
+    /// [`crate::ServingStats`]; with `arrival_qps <= 0` or NaN it is the
+    /// offline outcome bit for bit. A config that violates the spec's p99
+    /// SLO comes back *failed* ([`VdmsError::SloViolation`]): the tuner
+    /// optimizes QPS@recall **subject to** the SLO.
+    pub fn serving(self, spec: ServingSpec) -> SimBackend<'a> {
+        SimBackend { serving: Some(Serving { spec, plan: Mutex::default() }), ..self }
+    }
+
     /// The workload this backend replays.
     pub fn workload(&self) -> &Workload {
         self.workload
     }
 
-    /// The cluster a candidate's deployment request maps to, or a typed
-    /// refusal when the request exceeds what this backend can deploy.
-    /// Rejecting — instead of silently clamping — keeps the recorded shape
-    /// honest: the tuner and the evaluator's cache never see a shape that
-    /// was substituted by another. A candidate with neither a shard nor a
-    /// replication request is served by the fixed cluster.
-    pub fn cluster_spec_for(&self, config: &VdmsConfig) -> Result<ClusterSpec, VdmsError> {
-        let spec = match (config.shards, config.replicas) {
-            (None, None) => self.spec,
-            (shards, replicas) => {
-                let (shards, max_shards) =
-                    (shards.unwrap_or(1).max(1), self.knobs.max_shards.unwrap_or(1));
-                if shards > max_shards {
-                    return Err(VdmsError::TopologyUnrealizable {
-                        requested_shards: shards,
-                        max_shards,
-                    });
-                }
-                let (replicas, max_replicas) =
-                    (replicas.unwrap_or(1).max(1), self.knobs.max_replicas.unwrap_or(1));
-                if replicas > max_replicas {
-                    return Err(VdmsError::ReplicationUnrealizable {
-                        requested_replicas: replicas,
-                        max_replicas,
-                    });
-                }
-                ClusterSpec::replicated(shards, replicas)
-            }
+    /// Where `config` is deployed, or a typed refusal. Every deployment
+    /// dimension follows one rule: a missing request takes the fixed
+    /// cluster's value; a dimension the backend does not tune
+    /// ([`DeploymentKnobs`]) realizes only that value, one it tunes any
+    /// value up to its ceiling. Refusing instead of clamping keeps the
+    /// recorded deployment the one that served the candidate.
+    pub fn place(&self, config: &VdmsConfig) -> Result<Placement, VdmsError> {
+        let config = config.sanitized(self.workload.dataset.dim(), self.workload.top_k);
+        let (fixed, k) = (self.spec, self.knobs);
+        let shards = count("shards", config.shards, fixed.shards, k.max_shards)?;
+        let replicas = count("replicas", config.replicas, fixed.replicas, k.max_replicas)?;
+        let policy = choice("pinning", config.pinning, PinningPolicy::Shared, k.pinning)?;
+        let knobs = choice("write path", config.writepath, WriteKnobs::DEFAULT, k.writepath)?;
+        let cluster = if (shards, replicas) == (fixed.shards, fixed.replicas) {
+            fixed
+        } else {
+            ClusterSpec::replicated(shards, replicas)
         };
-        // Never a silent fallback to the pool or the default write path
-        // (see `DeploymentKnobs`).
-        if let Some(policy) = config.pinning {
-            if !self.knobs.pinning && policy != PinningPolicy::Shared {
-                return Err(VdmsError::PinningUnrealizable { requested: policy });
-            }
-        }
-        if let Some(knobs) = config.writepath {
-            if !self.knobs.writepath && knobs != WriteKnobs::DEFAULT {
-                return Err(VdmsError::WritePathUnrealizable { requested: knobs });
-            }
-        }
-        Ok(spec)
+        Ok(Placement { config, cluster, policy, knobs })
     }
 }
+
+/// A count dimension: the request, or `fixed` without one; up to `max` when
+/// the backend tunes it, only `fixed` when it does not.
+fn count(dim: &'static str, n: Option<usize>, fixed: usize, max: Option<usize>) -> Realized<usize> {
+    let n = n.unwrap_or(fixed);
+    let ceiling = match max {
+        Some(max) if n > max => format!("at most {max}"),
+        None if n != fixed => format!("only {fixed}"),
+        _ => return Ok(n),
+    };
+    Err(VdmsError::Unrealizable { dim, asked: n.to_string(), ceiling })
+}
+
+/// A dimension without a ceiling: the request, or `fixed` without one; any
+/// value when the backend tunes it, only `fixed` when it does not.
+fn choice<T: Copy + PartialEq + Debug>(
+    dim: &'static str,
+    v: Option<T>,
+    fixed: T,
+    tuned: bool,
+) -> Realized<T> {
+    match v.unwrap_or(fixed) {
+        v if tuned || v == fixed => Ok(v),
+        v => Err(VdmsError::Unrealizable {
+            dim,
+            asked: format!("{v:?}"),
+            ceiling: format!("only {fixed:?}"),
+        }),
+    }
+}
+
+/// One resolved deployment dimension.
+type Realized<T> = Result<T, VdmsError>;
 
 impl EvalBackend for SimBackend<'_> {
     fn info(&self) -> BackendInfo {
@@ -230,7 +264,6 @@ impl EvalBackend for SimBackend<'_> {
         BackendInfo {
             dim: self.workload.dataset.dim(),
             top_k: self.workload.top_k,
-            replicas: self.spec.replicas,
             space_dims: VdmsConfig::BASE_TUNABLES
                 + usize::from(k.max_shards.is_some())
                 + usize::from(k.max_replicas.is_some())
@@ -240,138 +273,75 @@ impl EvalBackend for SimBackend<'_> {
     }
 
     fn evaluate(&self, config: &VdmsConfig, seed: u64) -> Outcome {
-        match self.cluster_spec_for(config) {
-            Ok(spec) => evaluate_sharded(self.workload, config, seed, spec),
-            // Refused before any work ran: no memory accounted, no replay
-            // time burned.
-            Err(e) => Outcome {
-                qps: 0.0,
-                recall: 0.0,
-                memory_gib: 0.0,
-                simulated_secs: 0.0,
-                failure: Some(e),
-                serving: None,
-            },
+        let placement = match self.place(config) {
+            Ok(placement) => placement,
+            // Refused before any work ran: no replay time burned.
+            Err(e) => return Outcome::failed(e, 0.0),
+        };
+        let mut out = replay(self.workload, &placement, seed);
+        if let Some(serving) = &self.serving {
+            serving.serve(self.workload, &placement, seed, &mut out);
         }
+        out
     }
 }
 
-/// The live-serving backend: every candidate is measured by the offline
-/// path first (QPS capacity, recall, memory — via the wrapped `inner`
-/// backend, so serving works on a fixed cluster or under deployment
-/// co-tuning), then *exercised* by the discrete-event serving simulator
-/// ([`crate::serving`]): an open-loop arrival process, consistency waits
-/// gated by `gracefulTime`, a bounded queue drained by
-/// `maxReadConcurrency` worker slots.
-///
-/// The outcome keeps the inner backend's `qps`/`recall`/`memory_gib`
-/// (tuners still optimize QPS@recall; with `arrival_qps <= 0` or NaN the
-/// backend degrades to the offline semantics bit-for-bit) and attaches
-/// [`crate::serving::ServingStats`]. When the spec carries a p99 SLO,
-/// violating configs come back *failed*
-/// ([`VdmsError::SloViolation`]) — the tuner optimizes QPS@recall
-/// **subject to** the SLO, exactly like budget and space rejections.
-#[derive(Debug, Clone)]
-pub struct ServingBackend<'a, B: EvalBackend> {
-    workload: &'a Workload,
-    inner: B,
-    spec: ServingSpec,
-    /// Inner capabilities, snapshotted at construction — `evaluate` reads
-    /// `dim`/`top_k` per candidate and must not ask the inner backend every
-    /// time.
-    inner_info: BackendInfo,
-    plans: PlanMemo,
-}
-
-/// The arrival plan of the seed a [`ServingBackend`] was last evaluated
+/// A [`SimBackend`]'s serving phase: the traffic its candidates are
+/// exercised under, and the arrival plan of the seed it was last evaluated
 /// with. An evaluator hands every candidate of a tune the same seed, and
 /// the plan is a function of `(spec, seed)` alone, so one draw serves the
 /// whole tune. Purely a cache: another seed gets its own, correct plan (and
 /// takes the slot), so outcomes never depend on what was evaluated before.
-/// Empty until the first `evaluate` — construction stays free.
-#[derive(Debug, Default)]
-struct PlanMemo(Mutex<Option<Arc<ArrivalPlan>>>);
+/// Empty until the first evaluation — construction stays free.
+#[derive(Debug)]
+struct Serving {
+    spec: ServingSpec,
+    plan: Mutex<Option<Arc<ArrivalPlan>>>,
+}
 
-impl PlanMemo {
+impl Clone for Serving {
+    fn clone(&self) -> Serving {
+        Serving { spec: self.spec, plan: Mutex::new(self.slot().clone()) }
+    }
+}
+
+impl Serving {
     /// The slot is only ever assigned a finished plan, and nothing that can
     /// panic runs under the lock, so a poisoned slot is still valid.
     fn slot(&self) -> MutexGuard<'_, Option<Arc<ArrivalPlan>>> {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+        self.plan.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn plan(&self, spec: &ServingSpec, seed: u64) -> Arc<ArrivalPlan> {
+    fn plan(&self, seed: u64) -> Arc<ArrivalPlan> {
         if let Some(plan) = self.slot().as_ref().filter(|plan| plan.seed() == seed) {
             return Arc::clone(plan);
         }
         // Drawn outside the lock: concurrent first evaluations each draw
         // the (identical) plan rather than wait on one another.
-        let plan = Arc::new(ArrivalPlan::new(spec, seed));
+        let plan = Arc::new(ArrivalPlan::new(&self.spec, seed));
         *self.slot() = Some(Arc::clone(&plan));
         plan
     }
-}
 
-impl Clone for PlanMemo {
-    fn clone(&self) -> PlanMemo {
-        PlanMemo(Mutex::new(self.slot().clone()))
-    }
-}
-
-impl<'a> ServingBackend<'a, SimBackend<'a>> {
-    /// Serving over the single-node simulator.
-    pub fn over_sim(workload: &'a Workload, spec: ServingSpec) -> Self {
-        ServingBackend::new(workload, SimBackend::new(workload), spec)
-    }
-}
-
-impl<'a, B: EvalBackend> ServingBackend<'a, B> {
-    /// Serving over an arbitrary inner backend. `workload` must be the
-    /// same workload `inner` measures — it supplies the cost model that
-    /// turns the inner QPS back into per-query service times.
-    pub fn new(workload: &'a Workload, inner: B, spec: ServingSpec) -> Self {
-        let inner_info = inner.info();
-        ServingBackend { workload, inner, spec, inner_info, plans: PlanMemo::default() }
-    }
-}
-
-impl<B: EvalBackend> EvalBackend for ServingBackend<'_, B> {
-    fn info(&self) -> BackendInfo {
-        self.inner_info.clone()
-    }
-
-    fn evaluate(&self, config: &VdmsConfig, seed: u64) -> Outcome {
-        let mut out = self.inner.evaluate(config, seed);
-        // Offline failures (crash/OOM/timeout/space) propagate untouched;
-        // a zero or NaN arrival rate means "no serving phase" and degrades
-        // to the inner backend bit-for-bit.
+    /// Exercise a candidate the offline replay measured as `out` on its
+    /// placement. Offline failures (crash/OOM/timeout) keep no serving
+    /// phase, and neither does a spec that offers no traffic.
+    fn serve(&self, workload: &Workload, placement: &Placement, seed: u64, out: &mut Outcome) {
         if !out.is_ok() || !self.spec.has_serving_phase() {
-            return out;
+            return;
         }
-        let cfg = config.sanitized(self.inner_info.dim, self.inner_info.top_k);
-        let sys = cfg.system;
-        // The replication the inner backend deployed for this candidate —
-        // the candidate's own request when it carries one (deployment
-        // co-tuning), the inner backend's fixed deployment otherwise
-        // (e.g. a `SimBackend` fixed to a replicated spec). Each
-        // replica group gets its own queue and worker slots, and the
+        let (model, sys) = (&workload.cost_model, &placement.config.system);
+        // Each replica group gets its own queue and worker slots, and the
         // router picks one per arrival.
-        let replicas = cfg.replicas.unwrap_or(self.inner_info.replicas);
-        let model = &self.workload.cost_model;
-        let service = model.service_secs_from_qps_replicated(out.qps, &sys, replicas);
-        // A pinning request replaces each group's shared slot pool with
-        // per-reactor single-owner queues, and a write-path request selects
-        // the WAL/segment knobs the simulated insert traffic runs under.
-        // Absent a request the backend's fixed execution model and write
-        // path apply — the shared pool and the default knobs — so
-        // `Some(Shared)` and `Some(DEFAULT)` are the same call as `None`.
-        let stats = self.plans.plan(&self.spec, derive(seed, 0x5E2B)).stats(&Deployment {
+        let replicas = placement.cluster.replicas;
+        let stats = self.plan(derive(seed, 0x5E2B)).stats(&Deployment {
             model,
-            sys: &sys,
-            base_service_secs: service,
+            sys,
+            base_service_secs: model.service_secs_from_qps_replicated(out.qps, sys, replicas),
             replicas,
-            policy: cfg.pinning.unwrap_or(PinningPolicy::Shared),
-            top_k: self.inner_info.top_k,
-            knobs: cfg.writepath.unwrap_or(WriteKnobs::DEFAULT),
+            policy: placement.policy,
+            top_k: workload.top_k,
+            knobs: placement.knobs,
         });
         if stats.violates_slo(&self.spec) {
             out.failure = Some(VdmsError::SloViolation {
@@ -391,7 +361,33 @@ impl<B: EvalBackend> EvalBackend for ServingBackend<'_, B> {
             out.qps = stats.goodput_qps;
         }
         out.serving = Some(stats);
-        out
+    }
+}
+
+/// The name the benchmark in `benchmark/` builds its serving backend by,
+/// kept for it like [`TopologyBackend`]: a name, never a value.
+/// In-workspace code calls [`SimBackend::serving`].
+#[derive(Debug)]
+pub enum ServingBackend {}
+
+impl ServingBackend {
+    /// `sim` with the serving phase `spec` ([`SimBackend::serving`]).
+    ///
+    /// # Panics
+    /// When `workload` is not the workload `sim` replays: the serving phase
+    /// prices every candidate with the cost model of the workload the
+    /// replay measured it on.
+    #[allow(clippy::new_ret_no_self)] // The constructor the benchmark calls, by its old name.
+    pub fn new<'a>(
+        workload: &'a Workload,
+        sim: SimBackend<'a>,
+        spec: ServingSpec,
+    ) -> SimBackend<'a> {
+        assert!(
+            std::ptr::eq(workload, sim.workload),
+            "ServingBackend::new: `workload` is not the workload `sim` replays"
+        );
+        sim.serving(spec)
     }
 }
 
@@ -427,7 +423,20 @@ mod tests {
         let info = SimBackend::new(&w).info();
         assert_eq!(info.dim, w.dataset.dim());
         assert_eq!(info.top_k, 10);
-        assert_eq!((info.replicas, info.space_dims), (1, VdmsConfig::BASE_TUNABLES));
+        assert_eq!(info.space_dims, VdmsConfig::BASE_TUNABLES);
+    }
+
+    /// The cluster `b` deploys `cfg` on.
+    fn cluster(b: &SimBackend<'_>, cfg: &VdmsConfig) -> Result<ClusterSpec, VdmsError> {
+        b.place(cfg).map(|p| p.cluster)
+    }
+
+    /// `(dim, asked, ceiling)` of an `Unrealizable` refusal.
+    fn refusal(r: Result<Placement, VdmsError>) -> (&'static str, String, String) {
+        match r {
+            Err(VdmsError::Unrealizable { dim, asked, ceiling }) => (dim, asked, ceiling),
+            other => panic!("expected an Unrealizable refusal, got {other:?}"),
+        }
     }
 
     #[test]
@@ -435,16 +444,49 @@ mod tests {
         let w = make();
         let four = SimBackend::with_spec(&w, ClusterSpec::new(4));
         let cfg = VdmsConfig::default_config();
-        assert_eq!(four.cluster_spec_for(&cfg), Ok(ClusterSpec::new(4)));
+        assert_eq!(cluster(&four, &cfg), Ok(ClusterSpec::new(4)));
         assert_eq!(four.info().space_dims, VdmsConfig::BASE_TUNABLES);
-        let info = SimBackend::with_spec(&w, ClusterSpec::replicated(2, 3)).info();
-        assert_eq!(info.replicas, 3);
-        // A fixed backend realizes no shard request beyond one node.
-        let asks = VdmsConfig { shards: Some(2), ..cfg };
-        assert!(matches!(
-            four.cluster_spec_for(&asks),
-            Err(VdmsError::TopologyUnrealizable { requested_shards: 2, max_shards: 1 })
-        ));
+        let three = SimBackend::with_spec(&w, ClusterSpec::replicated(2, 3));
+        assert_eq!(cluster(&three, &cfg).map(|c| c.replicas), Ok(3));
+        // A fixed backend realizes its own shard count and no other — not
+        // more nodes, and not fewer either.
+        let asks = |shards| VdmsConfig { shards: Some(shards), ..cfg };
+        assert_eq!(cluster(&four, &asks(4)), Ok(ClusterSpec::new(4)));
+        for n in [1, 2, 8] {
+            let want = ("shards", n.to_string(), "only 4".to_string());
+            assert_eq!(refusal(four.place(&asks(n))), want);
+        }
+    }
+
+    /// Regression: a fixed replicated backend used to replay a candidate
+    /// carrying `shards: Some(1)` on a 1×1 cluster (the offline replay
+    /// defaulted the missing replica count to one) while its serving phase
+    /// simulated all three replica groups. Every dimension now takes the
+    /// fixed cluster's value when the candidate leaves it out.
+    #[test]
+    fn a_fixed_dimension_request_is_the_unrequested_candidate() {
+        let w = make();
+        let spec = ServingSpec { arrival_qps: 120.0, requests: 300, ..Default::default() };
+        let fixed = ClusterSpec { shard_budget_gib: 125.0, ..ClusterSpec::replicated(1, 3) };
+        let b = SimBackend::with_spec(&w, fixed).serving(spec);
+        let unrequested = VdmsConfig::default_config();
+        let asks_one = VdmsConfig { shards: Some(1), ..unrequested };
+        assert_eq!(cluster(&b, &asks_one), Ok(fixed));
+        let (a, o) = (b.evaluate(&unrequested, 5), b.evaluate(&asks_one, 5));
+        assert!(a.is_ok(), "{:?}", a.failure);
+        assert_eq!(a.qps.to_bits(), o.qps.to_bits());
+        assert_eq!(a.recall.to_bits(), o.recall.to_bits());
+        assert_eq!(a.memory_gib.to_bits(), o.memory_gib.to_bits());
+        assert_eq!(a.simulated_secs.to_bits(), o.simulated_secs.to_bits());
+        assert!(a.serving.is_some());
+        assert_eq!(a.serving, o.serving);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not the workload `sim` replays")]
+    fn serving_backend_rejects_a_workload_its_backend_does_not_replay() {
+        let (w, other) = (make(), make());
+        let _ = ServingBackend::new(&other, SimBackend::new(&w), ServingSpec::default());
     }
 
     #[test]
@@ -519,17 +561,14 @@ mod tests {
         let b = shards(&w, 8);
         let mut cfg = VdmsConfig::default_config();
         cfg.shards = Some(64);
-        assert!(matches!(
-            b.cluster_spec_for(&cfg),
-            Err(VdmsError::TopologyUnrealizable { requested_shards: 64, max_shards: 8 })
-        ));
+        assert_eq!(refusal(b.place(&cfg)), ("shards", "64".into(), "at most 8".into()));
         let out = b.evaluate(&cfg, 5);
         assert!(!out.is_ok());
         assert_eq!(out.simulated_secs, 0.0, "refused before any work ran");
-        assert!(matches!(out.failure, Some(VdmsError::TopologyUnrealizable { .. })));
+        assert!(matches!(out.failure, Some(VdmsError::Unrealizable { dim: "shards", .. })));
         // In-range requests still deploy exactly what was asked.
         cfg.shards = Some(8);
-        assert_eq!(b.cluster_spec_for(&cfg).unwrap().shards, 8);
+        assert_eq!(cluster(&b, &cfg).unwrap().shards, 8);
     }
 
     #[test]
@@ -557,7 +596,7 @@ mod tests {
         assert_eq!(one.recall.to_bits(), two.recall.to_bits(), "recall is replication-invariant");
         assert!(two.memory_gib > one.memory_gib * 1.8, "copies are accounted per replica");
         // Spec mapping: per-node budget = testbed / (shards · replicas).
-        let spec = b.cluster_spec_for(&cfg).unwrap();
+        let spec = cluster(&b, &cfg).unwrap();
         assert_eq!(spec.nodes(), 4);
         assert!((spec.shard_budget_gib - vdms::collection::MEMORY_BUDGET_GIB / 4.0).abs() < 1e-12);
     }
@@ -569,20 +608,14 @@ mod tests {
         let mut cfg = VdmsConfig::default_config();
         cfg.shards = Some(2);
         cfg.replicas = Some(8);
-        assert!(matches!(
-            b.cluster_spec_for(&cfg),
-            Err(VdmsError::ReplicationUnrealizable { requested_replicas: 8, max_replicas: 2 })
-        ));
+        assert_eq!(refusal(b.place(&cfg)), ("replicas", "8".into(), "at most 2".into()));
         let out = b.evaluate(&cfg, 5);
         assert!(!out.is_ok());
         assert_eq!(out.simulated_secs, 0.0, "refused before any work ran");
-        // The 17-dim backend refuses any replication request beyond one
-        // copy — it cannot realize the axis at all.
+        // The 17-dim backend refuses any replication request but its fixed
+        // single copy — it cannot realize the axis at all.
         let narrow = shards(&w, 4);
-        assert!(matches!(
-            narrow.cluster_spec_for(&cfg),
-            Err(VdmsError::ReplicationUnrealizable { max_replicas: 1, .. })
-        ));
+        assert_eq!(refusal(narrow.place(&cfg)), ("replicas", "8".into(), "only 1".into()));
     }
 
     #[test]
@@ -601,13 +634,10 @@ mod tests {
         cfg.replicas = Some(1);
         // The shared policy is the backend's own execution model: realized.
         cfg.pinning = Some(PinningPolicy::Shared);
-        assert!(b.cluster_spec_for(&cfg).is_ok());
+        assert!(b.place(&cfg).is_ok());
         // Every other policy is a typed refusal, never a silent pool.
         cfg.pinning = Some(PinningPolicy::Scatter);
-        assert!(matches!(
-            b.cluster_spec_for(&cfg),
-            Err(VdmsError::PinningUnrealizable { requested: PinningPolicy::Scatter })
-        ));
+        assert_eq!(refusal(b.place(&cfg)), ("pinning", "Scatter".into(), "only Shared".into()));
         let out = b.evaluate(&cfg, 5);
         assert!(!out.is_ok());
         assert_eq!(out.simulated_secs, 0.0, "refused before any work ran");
@@ -615,7 +645,7 @@ mod tests {
         let pinned = replicated(&w, 4, 2, true);
         for policy in PinningPolicy::ALL {
             cfg.pinning = Some(policy);
-            assert!(pinned.cluster_spec_for(&cfg).is_ok(), "{policy:?}");
+            assert_eq!(pinned.place(&cfg).map(|p| p.policy), Ok(policy));
         }
     }
 
@@ -624,7 +654,7 @@ mod tests {
         let w = make();
         let b = replicated(&w, 4, 2, true);
         let spec = ServingSpec { arrival_qps: 80.0, requests: 300, ..Default::default() };
-        let serving = ServingBackend::new(&w, b, spec);
+        let serving = b.serving(spec);
         let mut cfg = VdmsConfig::default_config();
         cfg.system.segment_max_size_mb = 64.0;
         cfg.system.segment_seal_proportion = 0.5;
@@ -661,7 +691,7 @@ mod tests {
         cfg.replicas = Some(1);
         cfg.pinning = Some(PinningPolicy::Scatter);
         cfg.writepath = Some(WriteKnobs { wal_batch_rows: 64, ..WriteKnobs::DEFAULT });
-        assert!(b.cluster_spec_for(&cfg).is_ok());
+        assert!(b.place(&cfg).is_ok());
     }
 
     #[test]
@@ -673,20 +703,20 @@ mod tests {
         cfg.replicas = Some(1);
         // The default knobs are the backend's own fixed write path: realized.
         cfg.writepath = Some(WriteKnobs::DEFAULT);
-        assert!(b.cluster_spec_for(&cfg).is_ok());
+        assert!(b.place(&cfg).is_ok());
         // Anything else is a typed refusal, never a silent clamp back.
         let custom = WriteKnobs { wal_batch_rows: 64, ..WriteKnobs::DEFAULT };
         cfg.writepath = Some(custom);
-        assert!(matches!(
-            b.cluster_spec_for(&cfg),
-            Err(VdmsError::WritePathUnrealizable { requested }) if requested == custom
-        ));
+        let (dim, asked, ceiling) = refusal(b.place(&cfg));
+        assert_eq!(dim, "write path");
+        assert_eq!(asked, format!("{custom:?}"));
+        assert_eq!(ceiling, format!("only {:?}", WriteKnobs::DEFAULT));
         let out = b.evaluate(&cfg, 5);
         assert!(!out.is_ok());
         assert_eq!(out.simulated_secs, 0.0, "refused before any work ran");
         // The write-path backend realizes any sanitized knob setting.
         let tuned = SimBackend::with_writepath(&w, 4, 2);
-        assert!(tuned.cluster_spec_for(&cfg).is_ok());
+        assert_eq!(tuned.place(&cfg).map(|p| p.knobs), Ok(custom));
     }
 
     #[test]
@@ -695,7 +725,7 @@ mod tests {
         let b = SimBackend::with_writepath(&w, 4, 2);
         let spec = ServingSpec { arrival_qps: 80.0, requests: 300, ..Default::default() }
             .with_inserts(0.5);
-        let serving = ServingBackend::new(&w, b, spec);
+        let serving = b.serving(spec);
         let mut cfg = VdmsConfig::default_config();
         cfg.shards = Some(2);
         cfg.replicas = Some(1);
@@ -728,7 +758,7 @@ mod tests {
             ..Default::default()
         }
         .with_inserts(0.5);
-        let backend = || ServingBackend::new(&w, SimBackend::with_writepath(&w, 2, 3), spec);
+        let backend = || SimBackend::with_writepath(&w, 2, 3).serving(spec);
         let mut a = VdmsConfig::default_config();
         a.shards = Some(1);
         // B differs in everything a plan must not absorb: service time,
@@ -765,7 +795,7 @@ mod tests {
         let spec = ServingSpec { requests: usize::MAX, ..Default::default() }.with_inserts(1.0);
         // This plan cannot be drawn (its vectors overflow `isize`);
         // constructing, describing and cloning the backend must not try.
-        let b = ServingBackend::over_sim(&w, spec);
+        let b = SimBackend::new(&w).serving(spec);
         assert_eq!(b.clone().info(), b.info());
     }
 
@@ -774,7 +804,7 @@ mod tests {
         let w = make();
         let spec = ServingSpec { arrival_qps: 80.0, requests: 300, ..Default::default() }
             .with_inserts(0.5);
-        let b = ServingBackend::over_sim(&w, spec);
+        let b = SimBackend::new(&w).serving(spec);
         let out = b.evaluate(&VdmsConfig::default_config(), 5);
         assert!(out.is_ok(), "{:?}", out.failure);
         let stats = out.serving.expect("serving phase ran");
@@ -783,7 +813,8 @@ mod tests {
         assert_eq!(stats.writes.last_durable_lsn as usize, stats.writes.accepted);
         assert!(stats.writes.flushes_end_of_tick + stats.writes.flushes_full_batch > 0);
         // Read-only specs keep the zeroed write ledger.
-        let quiet = ServingBackend::over_sim(&w, spec.with_inserts(0.0))
+        let quiet = SimBackend::new(&w)
+            .serving(spec.with_inserts(0.0))
             .evaluate(&VdmsConfig::default_config(), 5);
         assert_eq!(quiet.serving.expect("serving ran").writes, crate::WriteStats::default());
     }
@@ -801,8 +832,7 @@ mod tests {
         let spec = ServingSpec { arrival_qps: 120.0, requests: 300, ..Default::default() };
         let cluster = ClusterSpec { shard_budget_gib: 125.0, ..ClusterSpec::replicated(1, 3) };
         let inner = SimBackend::with_spec(&w, cluster);
-        assert_eq!(inner.info().replicas, 3);
-        let b = ServingBackend::new(&w, inner, spec);
+        let b = inner.clone().serving(spec);
         let cfg = VdmsConfig::default_config();
         assert_eq!(cfg.replicas, None, "fixed-backend candidates carry no request");
         let out = b.evaluate(&cfg, 5);
@@ -821,7 +851,7 @@ mod tests {
     fn serving_backend_exercises_the_requested_replicas() {
         let w = make();
         let spec = ServingSpec { arrival_qps: 80.0, requests: 300, ..Default::default() };
-        let b = ServingBackend::new(&w, replicated(&w, 2, 4, false), spec);
+        let b = replicated(&w, 2, 4, false).serving(spec);
         let mut cfg = VdmsConfig::default_config();
         cfg.shards = Some(1);
         cfg.replicas = Some(3);
@@ -851,7 +881,7 @@ mod tests {
         let w = make();
         let offline = SimBackend::new(&w).evaluate(&VdmsConfig::default_config(), 5);
         let spec = ServingSpec { arrival_qps: 50.0, requests: 400, ..Default::default() };
-        let b = ServingBackend::over_sim(&w, spec);
+        let b = SimBackend::new(&w).serving(spec);
         let served = b.evaluate(&VdmsConfig::default_config(), 5);
         assert!(served.is_ok());
         // The tuner-facing objectives are the offline backend's, bitwise.
@@ -866,7 +896,7 @@ mod tests {
     #[test]
     fn serving_backend_at_rate_zero_is_bitwise_offline() {
         let w = make();
-        let b = ServingBackend::over_sim(&w, ServingSpec::default().at_rate(0.0));
+        let b = SimBackend::new(&w).serving(ServingSpec::default().at_rate(0.0));
         let a = b.evaluate(&VdmsConfig::default_config(), 9);
         let o = SimBackend::new(&w).evaluate(&VdmsConfig::default_config(), 9);
         assert_eq!(a, o, "rate 0 degrades to the offline backend");
@@ -881,7 +911,7 @@ mod tests {
     fn serving_backend_at_a_nan_rate_is_bitwise_offline() {
         let w = make();
         let spec = ServingSpec { requests: 50, ..Default::default() }.at_rate(f64::NAN);
-        let b = ServingBackend::over_sim(&w, spec.with_slo(0.025));
+        let b = SimBackend::new(&w).serving(spec.with_slo(0.025));
         let a = b.evaluate(&VdmsConfig::default_config(), 9);
         let o = SimBackend::new(&w).evaluate(&VdmsConfig::default_config(), 9);
         assert_eq!(a, o, "a NaN rate degrades to the offline backend");
@@ -894,7 +924,7 @@ mod tests {
         // An SLO below any achievable p99 (1 ns) must reject every config.
         let spec =
             ServingSpec { arrival_qps: 50.0, requests: 200, ..Default::default() }.with_slo(1e-9);
-        let b = ServingBackend::over_sim(&w, spec);
+        let b = SimBackend::new(&w).serving(spec);
         let out = b.evaluate(&VdmsConfig::default_config(), 5);
         assert!(!out.is_ok());
         assert!(matches!(out.failure, Some(VdmsError::SloViolation { .. })));
@@ -906,7 +936,7 @@ mod tests {
         let w = make();
         let spec =
             ServingSpec { arrival_qps: 50.0, requests: 200, ..Default::default() }.with_slo(1e-9);
-        let b = ServingBackend::over_sim(&w, spec);
+        let b = SimBackend::new(&w).serving(spec);
         let offline = SimBackend::new(&w).evaluate(&VdmsConfig::default_config(), 5);
         let out = b.evaluate(&VdmsConfig::default_config(), 5);
         assert!(!out.is_ok());
@@ -914,7 +944,8 @@ mod tests {
         assert_eq!(out.qps.to_bits(), stats.goodput_qps.to_bits());
         assert_ne!(out.qps.to_bits(), offline.qps.to_bits());
         // Non-violating evaluations keep the offline objectives, bitwise.
-        let ok = ServingBackend::over_sim(&w, spec.with_slo(f64::MAX))
+        let ok = SimBackend::new(&w)
+            .serving(spec.with_slo(f64::MAX))
             .evaluate(&VdmsConfig::default_config(), 5);
         assert!(ok.is_ok());
         assert_eq!(ok.qps.to_bits(), offline.qps.to_bits());
@@ -924,10 +955,10 @@ mod tests {
     fn serving_backend_composes_over_sharded_and_topology_backends() {
         let w = make();
         let spec = ServingSpec { arrival_qps: 40.0, requests: 200, ..Default::default() };
-        let sharded = ServingBackend::new(&w, SimBackend::with_spec(&w, ClusterSpec::new(2)), spec);
+        let sharded = SimBackend::with_spec(&w, ClusterSpec::new(2)).serving(spec);
         let out = sharded.evaluate(&VdmsConfig::default_config(), 5);
         assert!(out.is_ok() && out.serving.is_some());
-        let topo = ServingBackend::new(&w, shards(&w, 4), spec);
+        let topo = shards(&w, 4).serving(spec);
         assert_eq!(topo.info().space_dims, VdmsConfig::BASE_TUNABLES + 1);
         let mut cfg = VdmsConfig::default_config();
         cfg.shards = Some(2);
@@ -936,7 +967,7 @@ mod tests {
         // Inner failures propagate with no serving phase attached.
         cfg.shards = Some(64);
         let refused = topo.evaluate(&cfg, 5);
-        assert!(matches!(refused.failure, Some(VdmsError::TopologyUnrealizable { .. })));
+        assert!(matches!(refused.failure, Some(VdmsError::Unrealizable { dim: "shards", .. })));
         assert!(refused.serving.is_none());
     }
 }

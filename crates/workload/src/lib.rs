@@ -4,10 +4,9 @@
 //! A [`Workload`] owns a generated dataset, its exact ground truth (top-100
 //! by default, as in the paper) and the cost model (10 concurrent clients).
 //! [`replay::evaluate`] measures one [`vdms::VdmsConfig`] on the paper's
-//! single node — the one-shard case of [`replay::evaluate_sharded`]: it
-//! loads a collection, replays every query, and reports QPS (modeled), recall
-//! (measured), memory (accounted) and the simulated replay seconds —
-//! enforcing the paper's 15-minute cap.
+//! single node: it loads a collection, replays every query, and reports QPS
+//! (modeled), recall (measured), memory (accounted) and the simulated replay
+//! seconds — enforcing the paper's 15-minute cap.
 //!
 //! [`runner::Evaluator`] adds the bookkeeping every tuner needs: failed
 //! configurations are fed back with worst-in-history values (§V-A),
@@ -16,13 +15,15 @@
 //!
 //! The evaluator is generic over an [`backend::EvalBackend`] — the thing
 //! that actually measures a configuration. [`backend::SimBackend`] is the
-//! simulator (`vdms::cluster`): a fixed cluster shape — the single node by
-//! default — or, for deployment co-tuning, whatever cluster, pinning and
-//! write path each candidate requests up to its ceilings;
-//! [`backend::ServingBackend`] composes over any backend and additionally
-//! *exercises* the configuration with a live open-loop serving simulation
-//! ([`serving`]) — tail latency, bounded queues, SLO-aware tuning; a live
-//! Milvus/qdrant driver would implement the same trait.
+//! simulator (`vdms::cluster`): it resolves each candidate's
+//! [`backend::Placement`] once — a fixed cluster shape, the single node by
+//! default, or, for deployment co-tuning, whatever cluster, pinning and
+//! write path the candidate requests up to its ceilings — and replays the
+//! workload there. With a serving phase ([`backend::SimBackend::serving`])
+//! it additionally *exercises* the configuration on that placement with a
+//! live open-loop serving simulation ([`serving`]) — tail latency, bounded
+//! queues, SLO-aware tuning; a live Milvus/qdrant driver would implement
+//! the same trait.
 #![deny(unsafe_code)]
 
 pub mod backend;
@@ -35,9 +36,10 @@ pub mod tuner;
 mod noise_tests;
 
 pub use backend::{
-    BackendInfo, DeploymentKnobs, EvalBackend, ServingBackend, SimBackend, TopologyBackend,
+    BackendInfo, DeploymentKnobs, EvalBackend, Placement, ServingBackend, SimBackend,
+    TopologyBackend,
 };
-pub use replay::{evaluate, evaluate_sharded, Outcome};
+pub use replay::{evaluate, Outcome};
 pub use runner::{Evaluator, Observation};
 pub use serving::{ServingSpec, ServingStats, ServingTrace, WriteStats};
 pub use tuner::{run_tuner, Tuner};

@@ -1,11 +1,12 @@
-//! Evaluate one configuration: load, replay, measure — against a sharded,
-//! replicated cluster ([`evaluate_sharded`]), of which the paper's single
-//! node ([`evaluate`]) is the one-shard case.
+//! Evaluate one configuration: load, replay, measure — on the sharded,
+//! replicated cluster a [`Placement`] resolved for it, of which the paper's
+//! single node ([`evaluate`]) is the one-shard case.
 
+use crate::backend::{EvalBackend, Placement, SimBackend};
 use crate::Workload;
-use vdms::cluster::{ClusterSpec, ShardedCollection};
+use vdms::cluster::ShardedCollection;
 use vdms::cost_model::REPLAY_TIME_CAP_SECS;
-use vdms::{PinningPolicy, VdmsConfig, VdmsError};
+use vdms::{VdmsConfig, VdmsError};
 
 /// Relative σ of throughput measurement noise. Real VDMS benchmarks show
 /// 5–15% run-to-run variance (scheduling, cache state, compaction); a
@@ -55,9 +56,8 @@ pub struct Outcome {
     /// Set when the evaluation failed (crash / timeout / OOM). The caller
     /// substitutes worst-in-history feedback per §V-A.
     pub failure: Option<VdmsError>,
-    /// Serving-level metrics when the evaluation ran under the live
-    /// serving simulator ([`crate::ServingBackend`]); `None` for offline
-    /// replays.
+    /// Serving-level metrics when the evaluation ran a serving phase
+    /// ([`SimBackend::serving`]); `None` for offline replays.
     pub serving: Option<crate::serving::ServingStats>,
 }
 
@@ -73,51 +73,44 @@ impl Outcome {
     pub fn is_ok(&self) -> bool {
         self.failure.is_none()
     }
+
+    /// A failure that measured nothing and burned `simulated_secs` of
+    /// tuning time before it was noticed.
+    pub(crate) fn failed(failure: VdmsError, simulated_secs: f64) -> Outcome {
+        let failure = Some(failure);
+        Outcome { qps: 0.0, recall: 0.0, memory_gib: 0.0, simulated_secs, failure, serving: None }
+    }
 }
 
 /// Replay the workload under `config` on the paper's testbed: the
-/// one-shard, one-replica cluster ([`ClusterSpec::new`]`(1)`).
+/// one-shard, one-replica cluster of [`SimBackend::new`], which refuses any
+/// other deployment request.
 ///
 /// The configuration is sanitized exactly as a driver would sanitize it
 /// before handing it to Milvus — except that *unsanitizable* combinations
 /// (caught inside the collection build) surface as failures, matching the
 /// paper's treatment of crashing configs.
 pub fn evaluate(workload: &Workload, config: &VdmsConfig, seed: u64) -> Outcome {
-    evaluate_sharded(workload, config, seed, ClusterSpec::new(1))
+    SimBackend::new(workload).evaluate(config, seed)
 }
 
-/// Replay the workload under `config` on a sharded (and possibly
-/// replicated) cluster.
+/// Replay the workload on `placement`.
 ///
-/// The collection is served by `spec.replicas` groups of `spec.shards`
-/// query nodes: load failures — bad index parameters, OOM, per-shard
-/// placement ([`VdmsError::ShardOutOfMemory`]) — surface as failed
-/// outcomes, the latency model pays the straggler of the *routed* group
-/// plus the proxy merge and the slowest-replica consistency staleness
+/// The collection is served by `replicas` groups of `shards` query nodes:
+/// load failures — bad index parameters, OOM, per-shard placement
+/// ([`VdmsError::ShardOutOfMemory`]) — surface as failed outcomes, the
+/// latency model pays the straggler of the *routed* group plus the proxy
+/// merge and the slowest-replica consistency staleness
 /// ([`vdms::CostModel::cluster_perf`]), builds and loads proceed per node
 /// in parallel, and memory is the cluster aggregate — every copy
 /// accounted.
-pub fn evaluate_sharded(
-    workload: &Workload,
-    config: &VdmsConfig,
-    seed: u64,
-    spec: ClusterSpec,
-) -> Outcome {
-    let cfg = config.sanitized(workload.dataset.dim(), workload.top_k);
+pub(crate) fn replay(workload: &Workload, placement: &Placement, seed: u64) -> Outcome {
+    let Placement { config: cfg, cluster: spec, policy, .. } = *placement;
     let cluster = match ShardedCollection::load(&workload.dataset, &cfg, seed, spec) {
         Ok(c) => c,
         // A failed load still burns tuning time before the failure is
         // noticed; charge a fixed fraction of the cap.
-        Err(e) => {
-            return Outcome {
-                qps: 0.0,
-                recall: 0.0,
-                memory_gib: 0.0,
-                simulated_secs: REPLAY_TIME_CAP_SECS * 0.25,
-                failure: Some(e),
-                serving: None,
-            }
-        }
+        Err(e) => return Outcome::failed(e, REPLAY_TIME_CAP_SECS * 0.25),
     };
 
     let (node_totals, results) = cluster.run_queries(workload.top_k);
@@ -134,15 +127,13 @@ pub fn evaluate_sharded(
     }
     let shard_means: Vec<anns::SearchCost> =
         shard_totals.iter().map(|c| mean_cost(c, nq)).collect();
-    // No pinning request means the shared slot pool, so a frozen pinning
-    // dimension reproduces unpinned replays bit for bit.
     let mut perf = workload.cost_model.cluster_perf(
         &shard_means,
         &cluster.shard_segment_counts(),
         &cfg.system,
         workload.top_k,
         cluster.replicas(),
-        cfg.pinning.unwrap_or(PinningPolicy::Shared),
+        policy,
     );
     perf.qps *= qps_noise_factor(&cfg, seed);
     let recall = workload.mean_recall(&results);

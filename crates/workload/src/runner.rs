@@ -100,14 +100,7 @@ fn space_mismatch_outcome(cfg: &VdmsConfig, backend_dims: usize) -> Option<Outco
     if config_dims == backend_dims {
         return None;
     }
-    Some(Outcome {
-        qps: 0.0,
-        recall: 0.0,
-        memory_gib: 0.0,
-        simulated_secs: 0.0,
-        failure: Some(VdmsError::SpaceMismatch { config_dims, backend_dims }),
-        serving: None,
-    })
+    Some(Outcome::failed(VdmsError::SpaceMismatch { config_dims, backend_dims }, 0.0))
 }
 
 /// Evaluates configurations against a backend with tuner-facing semantics.

@@ -10,8 +10,9 @@
 //! [`ArrivalPlan`] — depends on `(spec, seed)` only and is drawn once; how
 //! it is *served* — a [`Deployment`] — is the candidate, and is all the
 //! loop computes. [`simulate`] does both for one candidate and keeps the
-//! full [`ServingTrace`]; [`crate::ServingBackend`] keeps the plan of the
-//! seed it is evaluated with and asks each candidate only for its
+//! full [`ServingTrace`]; a backend's serving phase
+//! ([`crate::SimBackend::serving`]) keeps the plan of the seed it is
+//! evaluated with and asks each candidate only for its
 //! [`ServingStats`] ([`ArrivalPlan::stats`]), which the loop feeds event by
 //! event without ever materialising a trace.
 //!
@@ -459,8 +460,8 @@ impl ArrivalPlan {
 
     /// Serve the plan on `deployment` and keep only the aggregate:
     /// bit-identical to `self.trace(deployment).stats(spec)` for the spec
-    /// the plan was drawn from, without materialising the trace — what
-    /// [`crate::ServingBackend`] pays per candidate.
+    /// the plan was drawn from, without materialising the trace — what a
+    /// serving phase ([`crate::SimBackend::serving`]) pays per candidate.
     pub fn stats(&self, deployment: &Deployment<'_>) -> ServingStats {
         let mut acc = StatsAccumulator::new(&self.spec, self.queries.len());
         let summary = run(self, deployment, |i, event| acc.record(i, &event));
@@ -698,7 +699,7 @@ fn schedule_commit(
 }
 
 /// The serving simulation — the one event loop every entry point and
-/// [`crate::ServingBackend`] drive, reporting each query's
+/// [`crate::SimBackend::serving`] drive, reporting each query's
 /// [`QueryEvent`] to `resolved` (with its arrival index) the moment it
 /// is known, and returning everything else a [`ServingTrace`] holds —
 /// `events` is left empty for the caller that kept them. Arrivals, replica

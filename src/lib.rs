@@ -12,11 +12,12 @@
 //!   including the sharded, replicated multi-node serving layer
 //!   (`vdms::cluster`: shard placement, replica groups, query routing),
 //! * [`workload`] — the vector-db-benchmark-style replay harness and the
-//!   evaluation-backend seam (`EvalBackend`: the one offline `SimBackend`,
-//!   serving each candidate on the cluster it requests or on a fixed shape,
-//!   the single node by default — a tuning space builds the one that
-//!   realizes it, `SpaceSpec::backend`; and the live-traffic
-//!   `ServingBackend` over the discrete-event serving simulator in
+//!   evaluation-backend seam (`EvalBackend`: the one `SimBackend`, which
+//!   resolves each candidate's placement once — the cluster it requests or
+//!   a fixed shape, the single node by default; a tuning space builds the
+//!   one that realizes it, `SpaceSpec::backend` — and replays the workload
+//!   there, optionally followed by a live-traffic serving phase,
+//!   `SimBackend::serving`, on the discrete-event serving simulator in
 //!   `workload::serving`),
 //! * [`gp`] — Gaussian-process regression,
 //! * [`mobo`] — multi-objective Bayesian-optimization building blocks,
@@ -53,7 +54,5 @@ pub mod prelude {
     pub use vdms::cluster::{ClusterSpec, RoutingPolicy};
     pub use vdms::config::VdmsConfig;
     pub use vecdata::{Dataset, DatasetKind, DatasetSpec};
-    pub use workload::{
-        EvalBackend, ServingBackend, ServingSpec, ServingStats, SimBackend, Workload,
-    };
+    pub use workload::{EvalBackend, ServingSpec, ServingStats, SimBackend, Workload};
 }

@@ -68,13 +68,13 @@ fn replicated_serving_run_is_thread_count_invariant() {
     // histories (and the serving stats feeding SLO decisions) are
     // bit-identical on 1 vs 4 rayon threads.
     use vdtuner::core::SpaceSpec;
-    use vdtuner::workload::{ServingBackend, ServingSpec};
+    use vdtuner::workload::ServingSpec;
     let w = tiny_workload();
     let spec = ServingSpec { arrival_qps: 400.0, requests: 250, ..Default::default() };
     let space = SpaceSpec::with_topology(2).with_replication(3);
     let run = |threads: usize| {
         with_threads(threads, || {
-            let backend = ServingBackend::new(&w, space.backend(&w), spec);
+            let backend = space.backend(&w).serving(spec);
             VdTuner::with_space(small_options(), space.clone(), 42).run_batched_on(backend, 10, 2)
         })
     };
@@ -93,18 +93,18 @@ fn replicated_serving_run_is_thread_count_invariant() {
 
 #[test]
 fn batch_on_a_shared_serving_backend_is_thread_count_invariant() {
-    // One `ServingBackend` — one arrival-plan memo — behind several
+    // One serving backend — one arrival-plan memo — behind several
     // evaluators: who fills the slot, finds it filled or evicts a foreign
     // plan, on one thread or four at once, must not show in the history.
     use vdtuner::core::SpaceSpec;
     use vdtuner::core::TuningOutcome;
     use vdtuner::vdms::{PinningPolicy, WriteKnobs};
-    use vdtuner::workload::{ServingBackend, ServingSpec};
+    use vdtuner::workload::ServingSpec;
     let w = tiny_workload();
     let spec =
         ServingSpec { arrival_qps: 600.0, requests: 400, ..Default::default() }.with_inserts(0.5);
     let space = SpaceSpec::with_topology(2).with_replication(3).with_pinning().with_writepath();
-    let backend = || ServingBackend::new(&w, space.backend(&w), spec);
+    let backend = || space.backend(&w).serving(spec);
     let configs: Vec<VdmsConfig> =
         [IndexType::Flat, IndexType::IvfFlat, IndexType::Hnsw, IndexType::IvfSq8]
             .into_iter()
@@ -118,7 +118,7 @@ fn batch_on_a_shared_serving_backend_is_thread_count_invariant() {
                 cfg
             })
             .collect();
-    let observe = |backend: &ServingBackend<'_, _>, threads: usize, seed: u64| {
+    let observe = |backend: &SimBackend<'_>, threads: usize, seed: u64| {
         let mut evaluator = Evaluator::with_backend(backend, seed);
         let obs = with_threads(threads, || evaluator.observe_batch(&configs, 0.0));
         assert!(obs.iter().all(|o| o.serving.is_some()), "every candidate must be served");

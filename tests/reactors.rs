@@ -7,7 +7,7 @@
 //!   bit — serial, batched, and under serving composition,
 //! * on a degenerate single-core host topology every pinning policy
 //!   collapses to one reactor and reproduces the pre-reactor simulator
-//!   bitwise, end to end through `evaluate_sharded`.
+//!   bitwise, end to end through a pinning backend's offline replay.
 
 use proptest::prelude::*;
 use vdtuner::core::{SpaceSpec, TunerOptions, VdTuner};
@@ -16,7 +16,7 @@ use vdtuner::vdms::cluster::reactor_placement;
 use vdtuner::vdms::system_params::SystemParams;
 use vdtuner::vdms::{CostModel, HostTopology, PinningPolicy, WriteKnobs};
 use vdtuner::workload::serving::{simulate_pinned, simulate_replicated};
-use vdtuner::workload::{evaluate_sharded, Evaluator, ServingBackend, ServingSpec};
+use vdtuner::workload::{Evaluator, ServingSpec};
 
 fn multi_segment_workload() -> Workload {
     let spec = DatasetSpec { n: 4_200, ..DatasetSpec::tiny(DatasetKind::Glove) };
@@ -159,7 +159,7 @@ fn frozen_pinning_reproduces_serving_tuning_bitwise() {
     let w = Workload::prepare(DatasetSpec::tiny(DatasetKind::Glove), 10);
     let spec = ServingSpec { arrival_qps: 300.0, requests: 300, ..Default::default() };
     let tune = |space: SpaceSpec| {
-        let backend = ServingBackend::new(&w, space.backend(&w), spec);
+        let backend = space.backend(&w).serving(spec);
         VdTuner::with_space(small_options(), space, 7).run_batched_on(backend, 10, 3)
     };
     let space18 = || SpaceSpec::with_topology(2).with_replication(2);
@@ -179,7 +179,7 @@ fn frozen_pinning_reproduces_serving_tuning_bitwise() {
 }
 
 /// Degenerate host, offline path: with a single-core topology in the cost
-/// model, `evaluate_sharded` under any pinning policy reproduces the
+/// model, the offline replay under any pinning policy reproduces the
 /// unpinned (pre-reactor) evaluation bitwise — every field of the outcome.
 #[test]
 fn single_core_topology_reproduces_the_pre_reactor_replay_bitwise() {
@@ -190,15 +190,15 @@ fn single_core_topology_reproduces_the_pre_reactor_replay_bitwise() {
         ..Default::default()
     };
     let base = multi_segment_config();
+    let backend = SpaceSpec::with_topology(2).with_replication(2).with_pinning().backend(&w);
     for shards in [1usize, 2] {
         for replicas in [1usize, 2] {
-            let spec = ClusterSpec::replicated(shards, replicas);
             let mut cfg = base;
-            cfg.pinning = None;
-            let legacy = evaluate_sharded(&w, &cfg, 5, spec);
+            (cfg.shards, cfg.replicas, cfg.pinning) = (Some(shards), Some(replicas), None);
+            let legacy = backend.evaluate(&cfg, 5);
             for policy in PinningPolicy::ALL {
                 cfg.pinning = Some(policy);
-                let pinned = evaluate_sharded(&w, &cfg, 5, spec);
+                let pinned = backend.evaluate(&cfg, 5);
                 assert_eq!(
                     legacy.qps.to_bits(),
                     pinned.qps.to_bits(),
@@ -269,8 +269,7 @@ fn write_knobs_are_part_of_the_cache_key() {
     let spec =
         ServingSpec { arrival_qps: 300.0, requests: 600, ..Default::default() }.with_inserts(0.5);
     let space = SpaceSpec::with_topology(2).with_replication(2).with_pinning().with_writepath();
-    let backend = ServingBackend::new(&w, space.backend(&w), spec);
-    let mut ev = Evaluator::with_backend(backend, 1);
+    let mut ev = Evaluator::with_backend(space.backend(&w).serving(spec), 1);
     let mut cfg = multi_segment_config();
     cfg.shards = Some(1);
     cfg.replicas = Some(1);

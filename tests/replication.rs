@@ -12,7 +12,7 @@ use vdtuner::core::{SpaceSpec, TunerOptions, VdTuner};
 use vdtuner::prelude::*;
 use vdtuner::vdms::cluster::ShardedCollection;
 use vdtuner::vdms::system_params::SystemParams;
-use vdtuner::workload::{Evaluator, ServingBackend, ServingSpec};
+use vdtuner::workload::{Evaluator, ServingSpec};
 
 fn multi_segment_workload() -> Workload {
     let spec = DatasetSpec { n: 4_200, ..DatasetSpec::tiny(DatasetKind::Glove) };
@@ -117,7 +117,7 @@ fn frozen_replication_reproduces_serving_tuning_bitwise() {
     let w = Workload::prepare(DatasetSpec::tiny(DatasetKind::Glove), 10);
     let spec = ServingSpec { arrival_qps: 300.0, requests: 300, ..Default::default() };
     let tune = |space: SpaceSpec| {
-        let backend = ServingBackend::new(&w, space.backend(&w), spec);
+        let backend = space.backend(&w).serving(spec);
         VdTuner::with_space(small_options(), space, 7).run_batched_on(backend, 10, 3)
     };
     let narrow = tune(SpaceSpec::with_topology(2));

@@ -2,8 +2,8 @@
 //!
 //! * the event loop is deterministic — same seed ⇒ bit-identical trace on
 //!   1 vs N rayon worker threads (by property),
-//! * `ServingBackend` with `arrival_qps → 0` degrades to the wrapped
-//!   offline backend's QPS/recall,
+//! * a serving phase with `arrival_qps → 0` degrades to the offline
+//!   replay's QPS/recall,
 //! * `gracefulTime` is finally load-bearing: the knob moves serving p99 in
 //!   a regime where the offline mean-field model attributes *exactly zero*
 //!   to it (the SHAP contrast the motivation figure needs).
@@ -15,7 +15,7 @@ use vdtuner::prelude::*;
 use vdtuner::vdms::cost_model::CostModel;
 use vdtuner::vdms::system_params::SystemParams;
 use vdtuner::workload::serving::simulate_replicated;
-use vdtuner::workload::{Evaluator, ServingBackend, ServingSpec, SimBackend};
+use vdtuner::workload::{Evaluator, ServingSpec, SimBackend};
 
 fn tiny_workload() -> Workload {
     Workload::prepare(DatasetSpec::tiny(DatasetKind::Glove), 10)
@@ -77,8 +77,8 @@ proptest! {
         prop_assert_eq!(bits(&serial), bits(&parallel));
     }
 
-    /// The tuner-facing objectives of a served evaluation are the wrapped
-    /// offline backend's, bit for bit — at any arrival rate, for any seed.
+    /// The tuner-facing objectives of a served evaluation are the offline
+    /// replay's, bit for bit — at any arrival rate, for any seed.
     #[test]
     fn served_objectives_equal_offline_objectives(
         rate in 0.0f64..200.0,
@@ -86,7 +86,7 @@ proptest! {
     ) {
         let w = tiny_workload();
         let spec = ServingSpec { arrival_qps: rate, requests: 150, ..Default::default() };
-        let served = ServingBackend::over_sim(&w, spec).evaluate(&VdmsConfig::default_config(), seed);
+        let served = SimBackend::new(&w).serving(spec).evaluate(&VdmsConfig::default_config(), seed);
         let offline = SimBackend::new(&w).evaluate(&VdmsConfig::default_config(), seed);
         prop_assert_eq!(served.qps.to_bits(), offline.qps.to_bits());
         prop_assert_eq!(served.recall.to_bits(), offline.recall.to_bits());
@@ -97,7 +97,7 @@ proptest! {
 #[test]
 fn rate_zero_serving_backend_is_bitwise_the_offline_backend() {
     let w = tiny_workload();
-    let b = ServingBackend::over_sim(&w, ServingSpec::default().at_rate(0.0));
+    let b = SimBackend::new(&w).serving(ServingSpec::default().at_rate(0.0));
     for seed in [0u64, 7, 99] {
         let served = b.evaluate(&VdmsConfig::default_config(), seed);
         let offline = SimBackend::new(&w).evaluate(&VdmsConfig::default_config(), seed);
@@ -226,7 +226,7 @@ fn slo_constrained_tuning_records_rejections_as_failures() {
     // rate near capacity rejects slow configs but admits fast ones.
     let spec =
         ServingSpec { arrival_qps: 500.0, requests: 600, ..Default::default() }.with_slo(0.002);
-    let backend = ServingBackend::over_sim(&w, spec);
+    let backend = SimBackend::new(&w).serving(spec);
     let mut tuner = VdTuner::new(
         TunerOptions {
             mc_samples: 8,
@@ -267,8 +267,7 @@ fn slo_constrained_tuning_records_rejections_as_failures() {
 fn serving_over_topology_backend_supports_co_tuning() {
     let w = tiny_workload();
     let spec = ServingSpec { arrival_qps: 100.0, requests: 200, ..Default::default() };
-    let inner = SpaceSpec::with_topology(4).backend(&w);
-    let backend = ServingBackend::new(&w, inner, spec);
+    let backend = SpaceSpec::with_topology(4).backend(&w).serving(spec);
     let mut ev = Evaluator::with_backend(backend, 1);
     assert_eq!(ev.info().space_dims, VdmsConfig::BASE_TUNABLES + 1);
     let mut cfg = VdmsConfig::default_config();

@@ -11,7 +11,7 @@
 //! became one heap and a depth counter per queue.
 //!
 //! The same panel, and a property over random deployments, also hold the
-//! trace-free path a `ServingBackend` takes ([`ArrivalPlan::stats`]) to the
+//! trace-free path a serving phase takes ([`ArrivalPlan::stats`]) to the
 //! stats of the materialised trace, field by field.
 
 use proptest::prelude::*;

@@ -54,7 +54,7 @@ fn check_roundtrip(spec: &SpaceSpec, u: &[f64]) {
     assert_projection_stable(&c1, &c2);
     let c3 = spec.decode(&spec.encode(&c2)).unwrap();
     assert_projection_stable(&c2, &c3);
-    if spec.has_topology() {
+    if spec.has_shards() {
         assert!(c1.shards.is_some());
     } else {
         assert_eq!(c1.shards, None);
@@ -83,6 +83,8 @@ proptest! {
         check_roundtrip(&SpaceSpec::with_topology(8), &u);
         check_roundtrip(&SpaceSpec::with_topology(8).with_replication(4), &u);
         check_roundtrip(&SpaceSpec::with_topology(8).with_pinned_replication(3), &u);
+        // A deployment dimension without a shard dimension: no shard request.
+        check_roundtrip(&SpaceSpec::legacy().with_pinning(), &u);
     }
 }
 
@@ -234,6 +236,7 @@ fn every_space_realizes_itself() {
     let replicated = || SpaceSpec::with_topology(4).with_replication(4);
     let spaces = [
         SpaceSpec::legacy(),
+        SpaceSpec::legacy().with_pinning(),
         SpaceSpec::with_topology(1),
         SpaceSpec::with_topology(8),
         SpaceSpec::with_topology(4).with_replication(1),
@@ -259,13 +262,7 @@ fn every_space_realizes_itself() {
             assert!(
                 !matches!(
                     failure.flatten(),
-                    Some(
-                        VdmsError::SpaceMismatch { .. }
-                            | VdmsError::TopologyUnrealizable { .. }
-                            | VdmsError::ReplicationUnrealizable { .. }
-                            | VdmsError::PinningUnrealizable { .. }
-                            | VdmsError::WritePathUnrealizable { .. }
-                    )
+                    Some(VdmsError::SpaceMismatch { .. } | VdmsError::Unrealizable { .. })
                 ),
                 "space {i}, {t}: {:?}",
                 ev.backend().evaluate(&obs.config, 1).failure

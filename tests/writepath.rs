@@ -227,7 +227,7 @@ fn frozen_write_knobs_reproduce_mixed_serving_tuning_bitwise() {
         ServingSpec { arrival_qps: 300.0, requests: 300, ..Default::default() }.with_inserts(0.5);
     let space19 = || SpaceSpec::with_topology(2).with_replication(2).with_pinning();
     let tune = |space: SpaceSpec| {
-        let backend = ServingBackend::new(&w, space.backend(&w), spec);
+        let backend = space.backend(&w).serving(spec);
         VdTuner::with_space(small_options(), space, 7).run_batched_on(backend, 10, 3)
     };
     let narrow = tune(space19());
