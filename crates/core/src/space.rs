@@ -722,8 +722,16 @@ impl SpaceSpec {
 
     /// Embed free-dimension values into the template for `t`.
     pub fn embed(&self, t: IndexType, free: &[(usize, f64)]) -> Vec<f64> {
-        let mut u = self.template_for(t);
-        for &(dim, v) in free {
+        SpaceSpec::embed_in(&self.template_for(t), free.iter().copied())
+    }
+
+    /// [`SpaceSpec::embed`] into a template already encoded by
+    /// [`SpaceSpec::template_for`]: a copy of it with each free value
+    /// clamped to the unit interval. For callers embedding many candidates
+    /// of one type, which encode the template once.
+    pub fn embed_in(template: &[f64], free: impl IntoIterator<Item = (usize, f64)>) -> Vec<f64> {
+        let mut u = template.to_vec();
+        for (dim, v) in free {
             debug_assert_ne!(dim, IDX_TYPE_DIM, "index type is never free");
             u[dim] = v.clamp(0.0, 1.0);
         }

@@ -18,7 +18,7 @@ use crate::npi::NpiNormalizer;
 use crate::space::SpaceSpec;
 use anns::params::IndexType;
 use gp::{fit_gp_on, FitOptions, GaussianProcess, Joint, Matern52, Posterior, TrainingInputs};
-use mobo::acquisition::constrained_ei;
+use mobo::acquisition::{constrained_ei, ehvi_log_speed};
 use mobo::hypervolume::FrontSweep;
 use mobo::optimize::{argmax_blocks, candidate_pool, local_refine_blocks, CandidateOptions};
 use mobo::pareto::non_dominated_indices;
@@ -329,10 +329,11 @@ impl VdTuner {
             .collect();
         let pool_seed = derive(self.seed, self.iter as u64);
         let sub_pool = candidate_pool(free.len(), &incumbents, &self.options.candidates, pool_seed);
-        // Candidates live in the polled type's subspace; embed on demand.
+        // Candidates live in the polled type's subspace; embed on demand
+        // into the type's template, encoded once per proposal.
+        let template = self.space.template_for(t);
         let embed_sub = |sub: &[f64]| -> Vec<f64> {
-            let pairs: Vec<(usize, f64)> = free.iter().copied().zip(sub.iter().copied()).collect();
-            self.space.embed(t, &pairs)
+            SpaceSpec::embed_in(&template, free.iter().copied().zip(sub.iter().copied()))
         };
 
         // Line 21: maximize the acquisition over X'. The Pareto front is
@@ -363,16 +364,10 @@ impl VdTuner {
                 Box::new(|[ps, pr]: &[Posterior; 2]| {
                     // Log-normal MC for speed, ceiling-clipped normal for
                     // recall; hypervolume improvement in objective space.
-                    // `mc_mean` evaluates the samples in parallel (degrading
-                    // to a serial loop when the candidate fan-out above
-                    // already owns the cores) with an in-order reduction, so
-                    // the estimate is thread-count independent.
-                    let (ms, ss) = (ps.mean, ps.std_dev());
-                    let (mr, sr) = (pr.mean, pr.std_dev());
-                    mobo::acquisition::mc_mean(&z_pairs, |z1, z2| {
-                        let y = [(ms + ss * z1).exp(), (mr + sr * z2).min(recall_ceiling)];
-                        sweep.improvement(&y)
-                    })
+                    // One serial in-order sum per candidate (the candidate
+                    // fan-out above owns the cores), so the estimate is
+                    // thread-count independent.
+                    ehvi_log_speed(&sweep, &z_pairs, ps, pr, recall_ceiling)
                 })
             }
             TunerMode::Constrained { recall_limit } => {

@@ -4,6 +4,8 @@ use crate::hypervolume::FrontSweep;
 use crate::normal::{cdf, pdf};
 use gp::Posterior;
 use rayon::prelude::*;
+use std::cell::Cell;
+use vecdata::kernel::Kernel;
 
 /// Analytic Expected Improvement over `best` for a maximization problem.
 ///
@@ -46,16 +48,71 @@ pub fn ehvi_mc(
 
 /// Mean of `f` over pre-drawn standard-normal pairs, computed **in
 /// parallel** with an input-order reduction, so the estimate is bit-stable
-/// across thread counts. The shared Monte-Carlo primitive behind VDTuner's
-/// log-normal EHVI estimate — any acquisition that averages a per-sample
-/// statistic should route through this rather than re-implementing the
-/// ordered reduction.
+/// across thread counts. The tuner's EHVI is [`ehvi_log_speed`], the
+/// same bits with the `exp`s batched; this generic form serves
+/// `benchmark/`'s acquisition probe and the oracles.
 pub fn mc_mean<F: Fn(f64, f64) -> f64 + Sync>(z_pairs: &[(f64, f64)], f: F) -> f64 {
     if z_pairs.is_empty() {
         return 0.0;
     }
     // The rayon shim's `sum` folds the mapped values in input order.
     let total: f64 = z_pairs.par_iter().map(|&(z1, z2)| f(z1, z2)).sum();
+    total / z_pairs.len() as f64
+}
+
+thread_local! {
+    /// Each thread's speed samples, reused across candidates: the
+    /// acquisition scans' worker threads score many candidates each.
+    static SPEEDS: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
+}
+
+/// VDTuner's Monte-Carlo EHVI of one candidate: a log-normal speed (the
+/// surrogate `log_speed` models its log) and a normal recall clipped at
+/// `recall_ceiling`, against a front prepared once, over pre-drawn
+/// standard-normal pairs. Bit for bit
+///
+/// `mc_mean(z_pairs, |z1, z2| sweep.improvement(&[(ms + ss·z1).exp(), (mr + sr·z2).min(recall_ceiling)]))`
+///
+/// with `(ms, ss)` and `(mr, sr)` the posteriors' means and deviations,
+/// and cheaper: all the speed samples go through one
+/// [`Kernel::exp_map`] pass of the active kernel (four lanes on
+/// AVX2 + FMA, the bits of `f64::exp`) in a reused thread-local buffer,
+/// and the improvements are summed serially in sample order with
+/// `Iterator::sum`, which is the fold `mc_mean` runs on any thread count.
+pub fn ehvi_log_speed(
+    sweep: &FrontSweep,
+    z_pairs: &[(f64, f64)],
+    log_speed: &Posterior,
+    recall: &Posterior,
+    recall_ceiling: f64,
+) -> f64 {
+    ehvi_log_speed_on(vecdata::kernel::active(), sweep, z_pairs, log_speed, recall, recall_ceiling)
+}
+
+/// [`ehvi_log_speed`] on a given kernel tier.
+fn ehvi_log_speed_on(
+    kernel: Kernel,
+    sweep: &FrontSweep,
+    z_pairs: &[(f64, f64)],
+    log_speed: &Posterior,
+    recall: &Posterior,
+    recall_ceiling: f64,
+) -> f64 {
+    if z_pairs.is_empty() {
+        return 0.0;
+    }
+    let (ms, ss) = (log_speed.mean, log_speed.std_dev());
+    let (mr, sr) = (recall.mean, recall.std_dev());
+    let mut speeds = SPEEDS.take();
+    speeds.clear();
+    speeds.extend(z_pairs.iter().map(|&(z1, _)| z1));
+    kernel.exp_map(&mut speeds, |z1| ms + ss * z1, |_, e| e);
+    let total: f64 = speeds
+        .iter()
+        .zip(z_pairs)
+        .map(|(&speed, &(_, z2))| sweep.improvement(&[speed, (mr + sr * z2).min(recall_ceiling)]))
+        .sum();
+    SPEEDS.set(speeds);
     total / z_pairs.len() as f64
 }
 
@@ -196,6 +253,60 @@ mod tests {
     fn ehvi_zero_when_no_samples() {
         assert_eq!(ehvi_mc(&post(1.0, 1.0), &post(1.0, 1.0), &[], &[0.0, 0.0], &[]), 0.0);
         assert_eq!(mc_mean(&[], |_, _| 1.0), 0.0);
+    }
+
+    /// [`ehvi_log_speed`] on either kernel tier equals its `mc_mean` form,
+    /// bit for bit: seeded fronts and posteriors, sample counts with and
+    /// without a four-lane tail, a zero deviation (every sample at the
+    /// mean), a mean whose `exp` overflows to `+∞` (and deviations that
+    /// carry part of the samples past it), a NaN mean of either surrogate,
+    /// and a front prepared with zero, some or all points below the
+    /// reference.
+    #[test]
+    fn batched_log_speed_ehvi_equals_its_mc_mean_form() {
+        let tiers: Vec<Kernel> =
+            [Some(vecdata::kernel::SCALAR), Kernel::avx2()].into_iter().flatten().collect();
+        let mut rng = proptest::TestRng::from_seed(0xE4F1_0045);
+        // Estimates seen: zero, finite and positive, infinite.
+        let mut seen = [0; 3];
+        for case in 0..600u64 {
+            let n = rng.below(12) as usize;
+            let front: Vec<[f64; 2]> = (0..n)
+                .map(|_| [(rng.unit_f64() * 4.0 - 2.0).exp(), rng.unit_f64() * 1.2])
+                .collect();
+            let reference = [[0.5, 0.5], [0.0, 0.0], [1.5, 0.9]][case as usize % 3];
+            let sweep = FrontSweep::new(&front, &reference);
+            let samples = [96, 0, 1, 7, 64, 130][rng.below(6) as usize];
+            let z: Vec<(f64, f64)> = (0..samples)
+                .map(|_| (rng.unit_f64() * 8.0 - 4.0, rng.unit_f64() * 8.0 - 4.0))
+                .collect();
+            let mut log_speed = post(rng.unit_f64() * 4.0 - 2.0, rng.unit_f64());
+            let mut recall = post(rng.unit_f64() * 1.4 - 0.2, rng.unit_f64() * 0.1);
+            match case % 6 {
+                0 => log_speed.variance = 0.0,
+                1 => log_speed.mean = 709.0 + rng.unit_f64(),
+                2 => log_speed = post(700.0, 16.0),
+                3 => log_speed.mean = f64::NAN,
+                4 => recall.mean = f64::NAN,
+                _ => {}
+            }
+            let ceiling = 1.0 + rng.unit_f64() * 0.5;
+
+            let (ms, ss) = (log_speed.mean, log_speed.std_dev());
+            let (mr, sr) = (recall.mean, recall.std_dev());
+            let want = mc_mean(&z, |z1, z2| {
+                sweep.improvement(&[(ms + ss * z1).exp(), (mr + sr * z2).min(ceiling)])
+            });
+            let tag = format!("case {case}: {log_speed:?} {recall:?} {samples} samples");
+            for &tier in &tiers {
+                let got = ehvi_log_speed_on(tier, &sweep, &z, &log_speed, &recall, ceiling);
+                assert_eq!(got.to_bits(), want.to_bits(), "{} tier, {tag}", tier.name());
+            }
+            let got = ehvi_log_speed(&sweep, &z, &log_speed, &recall, ceiling);
+            assert_eq!(got.to_bits(), want.to_bits(), "active tier, {tag}");
+            seen[usize::from(want > 0.0) + usize::from(want == f64::INFINITY)] += 1;
+        }
+        assert!(seen.iter().all(|&k| k >= 30), "zero, finite, infinite estimates: {seen:?}");
     }
 
     #[test]

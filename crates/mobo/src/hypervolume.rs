@@ -33,6 +33,27 @@
 //! 3. **Summation order.** Float addition is not associative: rectangles
 //!    go into one accumulator started at `0.0` in sweep order, and `base`
 //!    is subtracted from the finished sum, never folded into it.
+//!
+//! **The plain walk.** Most fronts and samples need less than fact 2's
+//! two dominance tests per point. A front is *plain* when every coordinate
+//! is finite and no first objective is `-0.0` (decided once, in
+//! [`FrontSweep::new`]). For a plain front and a finite sample with
+//! `z0 > 0`, comparisons and `total_cmp` agree on every first objective,
+//! so the sorted front is the points above `z0`, then those tying it, then
+//! those below, and the walk takes them in three runs:
+//!
+//! * above: a point dominates `z` exactly when `p1 >= z1` (the answer is
+//!   `+0.0`), and is visited otherwise;
+//! * tying: the per-point tests of fact 2, visited before `z`;
+//! * `z`, then each point below with `p1 > z1` (`z` dominates the rest).
+//!
+//! Those are the same visits in the same order. Every other input — a NaN
+//! or an infinity in the front, a `-0.0` first objective, a sample that is
+//! not finite or not above zero speed — takes the general walk. The
+//! condition is the one under which that agreement is immediate, not the
+//! widest one it holds on (a NaN is where it fails: `p0 > z0` and
+//! `p0 <= z0` are both false); it is decided from the input alone, with
+//! no option. `oracle.rs` holds both walks to the literal.
 
 use crate::pareto::{dominates, pareto_front_sorted};
 
@@ -86,6 +107,9 @@ pub struct FrontSweep {
     reference: [f64; 2],
     /// Hypervolume of the front: what [`hv2d`] returns.
     base: f64,
+    /// Every coordinate finite and no `-0.0` first objective: the front
+    /// the plain walk may take (module docs).
+    plain: bool,
 }
 
 impl FrontSweep {
@@ -97,7 +121,10 @@ impl FrontSweep {
         for p in &front {
             stairs.add(p);
         }
-        FrontSweep { front, reference: *reference, base: stairs.hv }
+        let plain = front
+            .iter()
+            .all(|p| p[0].is_finite() && p[1].is_finite() && p[0].to_bits() != (-0.0f64).to_bits());
+        FrontSweep { front, reference: *reference, base: stairs.hv, plain }
     }
 
     /// Hypervolume *improvement* of adding `z` to the prepared points:
@@ -117,9 +144,70 @@ impl FrontSweep {
     /// Visit the non-dominated subset of `points + [z]` in the order the
     /// stable sort would leave it in, without building it. Returns `false`
     /// (after an arbitrary prefix of visits) when a front point dominates
-    /// `z`.
+    /// `z`. The plain walk when the front is plain and `z` finite with
+    /// `z0 > 0`, the general walk otherwise: the same visits either way.
     #[inline]
-    fn visit_augmented(&self, z: &[f64; 2], mut visit: impl FnMut(&[f64; 2])) -> bool {
+    fn visit_augmented(&self, z: &[f64; 2], visit: impl FnMut(&[f64; 2])) -> bool {
+        if self.takes_plain_walk(z) {
+            self.visit_plain(z, visit)
+        } else {
+            self.visit_general(z, visit)
+        }
+    }
+
+    /// Whether `z` takes the plain walk: a plain front and a finite `z`
+    /// with `z0 > 0`.
+    #[inline]
+    fn takes_plain_walk(&self, z: &[f64; 2]) -> bool {
+        self.plain && z[0] > 0.0 && z[0] < f64::INFINITY && z[1].is_finite()
+    }
+
+    /// [`FrontSweep::visit_augmented`] on a plain front for a finite `z`
+    /// with `z0 > 0`, where comparisons and `total_cmp` agree on first
+    /// objectives: the front is the points above `z0`, then those tying
+    /// it, then those below, and only the ties need both dominance tests.
+    #[inline]
+    fn visit_plain(&self, z: &[f64; 2], mut visit: impl FnMut(&[f64; 2])) -> bool {
+        let mut rest = self.front.as_slice();
+        // Above `z0`: a point dominates `z` exactly when `p1 >= z1`, and
+        // `z` dominates none of them.
+        while let Some((p, tail)) = rest.split_first() {
+            if p[0] <= z[0] {
+                break;
+            }
+            if p[1] >= z[1] {
+                return false;
+            }
+            visit(p);
+            rest = tail;
+        }
+        // Tying `z0`: sorted before `z`, dominance either way.
+        while let Some((p, tail)) = rest.split_first() {
+            if p[0] != z[0] {
+                break;
+            }
+            if dominates(p, z) {
+                return false;
+            }
+            if !dominates(z, p) {
+                visit(p);
+            }
+            rest = tail;
+        }
+        // Below `z0`: `z` goes first, and dominates those with `p1 <= z1`.
+        visit(z);
+        for p in rest {
+            if p[1] > z[1] {
+                visit(p);
+            }
+        }
+        true
+    }
+
+    /// [`FrontSweep::visit_augmented`] for any front and any `z`: dominance
+    /// tested per point, `z` placed by `total_cmp`.
+    #[inline]
+    fn visit_general(&self, z: &[f64; 2], mut visit: impl FnMut(&[f64; 2])) -> bool {
         let mut z_pending = true;
         for p in &self.front {
             if dominates(p, z) {

@@ -108,21 +108,38 @@ fn bits(points: &[[f64; 2]]) -> Vec<[u64; 2]> {
 
 /// Hold one `(points, reference, z)` to the oracle: the value of the
 /// prepared and of the one-shot form, and — stronger, and what makes the
-/// value follow — the very sequence of points the sweep adds up.
-fn assert_matches_literal(sweep: &FrontSweep, points: &[[f64; 2]], r: &[f64; 2], z: &[f64; 2]) {
+/// value follow — the very sequence of points the sweep adds up, for the
+/// walk `improvement` takes and for the general walk, which every input
+/// may take. Returns whether `z` takes the plain walk.
+fn assert_matches_literal(
+    sweep: &FrontSweep,
+    points: &[[f64; 2]],
+    r: &[f64; 2],
+    z: &[f64; 2],
+) -> bool {
     let tag = format!("points {points:?} reference {r:?} z {z:?}");
     let want = hv_improvement_2d(points, r, z);
     assert_eq!(sweep.improvement(z).to_bits(), want.to_bits(), "prepared, {tag}");
     assert_eq!(super::hv_improvement_2d(points, r, z).to_bits(), want.to_bits(), "one-shot, {tag}");
 
-    let mut visited = Vec::new();
-    let survives = sweep.visit_augmented(z, |p| visited.push(*p));
     let augmented = sorted_front(&with_z(points, z));
-    if survives {
-        assert_eq!(bits(&visited), bits(&augmented), "sweep order, {tag}");
-    } else {
-        assert_eq!(bits(&augmented), bits(&sweep.front), "dominated z changes no front, {tag}");
+    let check_walk = |walk: &str, survives: bool, visited: Vec<[f64; 2]>| {
+        if survives {
+            assert_eq!(bits(&visited), bits(&augmented), "{walk} walk order, {tag}");
+        } else {
+            assert_eq!(bits(&augmented), bits(&sweep.front), "{walk} walk: dominated z, {tag}");
+        }
+    };
+    let mut visited = Vec::new();
+    let survives = sweep.visit_general(z, |p| visited.push(*p));
+    check_walk("general", survives, visited);
+    let plain = sweep.takes_plain_walk(z);
+    if plain {
+        let mut visited = Vec::new();
+        let survives = sweep.visit_plain(z, |p| visited.push(*p));
+        check_walk("plain", survives, visited);
     }
+    plain
 }
 
 /// Values that do not multiply or add exactly (a grid of dyadic rationals
@@ -218,7 +235,8 @@ proptest! {
         prop_assert_eq!(ehvi_mc(&ps, &pr, &front, &r, &z).to_bits(), serial.to_bits());
         for threads in [1, 4] {
             let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-            // The prepared sweep under `mc_mean`, as the tuner runs it.
+            // The prepared sweep under `mc_mean`: what the tuner's
+            // `ehvi_log_speed` computes (its tests hold the two equal).
             let sweep = FrontSweep::new(&front, &r);
             let (m1, s1, m2, s2) = (ps.mean, ps.std_dev(), pr.mean, pr.std_dev());
             let (got, want) = pool.install(|| {
@@ -228,6 +246,97 @@ proptest! {
             prop_assert_eq!(got.to_bits(), want.to_bits());
             prop_assert_eq!(got.to_bits(), serial.to_bits());
         }
+    }
+
+    /// The inputs on which the plain walk and the general walk part ways,
+    /// or could: fronts with duplicated points, with a `+0.0` or `-0.0`
+    /// first objective, now and then an infinite or NaN coordinate, or
+    /// nothing at all; samples tying a front point's first objective from
+    /// above, below and on the point itself, one ulp off it, at zero speed,
+    /// and infinite or NaN. Each is held to the literal through both forms
+    /// and both walks.
+    #[test]
+    fn both_walks_equal_the_literal_on_adversarial_samples(
+        seed in 0u64..u64::MAX,
+        n in 0usize..10,
+        pool_size in 1usize..6,
+        zero_kind in 0usize..3,
+        special in 0u64..3,
+        below_zero in 0u64..2,
+    ) {
+        let mut rng = TestRng::from_seed(seed);
+        let coords = Coordinates::draw(pool_size, 0, &mut rng);
+        let mut points: Vec<[f64; 2]> = (0..n).map(|_| coords.point(&mut rng)).collect();
+        // Duplicates: repeat a point.
+        if n > 0 && rng.below(2) == 0 {
+            let p = points[rng.below(n as u64) as usize];
+            points.push(p);
+        }
+        // A zero first objective: sorted by `total_cmp`, `+0.0` before `-0.0`.
+        if n > 0 && zero_kind > 0 {
+            let i = rng.below(n as u64) as usize;
+            points[i][0] = [0.0, -0.0][zero_kind - 1];
+        }
+        // Now and then an infinite or NaN coordinate: the general walk.
+        if n > 0 && rng.below(4) < special {
+            let i = rng.below(n as u64) as usize;
+            points[i][rng.below(2) as usize] = SPECIAL[2 + rng.below(4) as usize];
+        }
+        // Below zero, so that zero coordinates are above the reference.
+        let r = if below_zero == 1 { [-1.0, -0.75] } else { [0.0, 0.0] };
+        let sweep = FrontSweep::new(&points, &r);
+
+        let mut zs = vec![[0.0, 1.0], [-0.0, 1.0], [f64::INFINITY, 1.0], [1.0, f64::INFINITY]];
+        zs.extend([[f64::NAN, 1.0], [1.0, f64::NAN], [f64::MIN_POSITIVE, 2.9]]);
+        for p in &points {
+            let v = coords.next(&mut rng);
+            zs.extend([*p, [p[0], v], [p[0], p[1].next_up()], [p[0], p[1].next_down()]]);
+            zs.extend([[p[0].next_up(), p[1]], [p[0].next_down(), p[1]], [v, p[1]]]);
+        }
+        zs.extend((0..4).map(|_| coords.point(&mut rng)));
+        for z in &zs {
+            assert_matches_literal(&sweep, &points, &r, z);
+        }
+    }
+}
+
+/// Named inputs for the plain walk, each with the walk it must take.
+#[test]
+fn plain_walk_cases_equal_the_literal() {
+    const A: f64 = 0.7;
+    const B: f64 = 1.1;
+    const C: f64 = 1.9;
+    let stairs = [[C, 0.3], [B, A], [A, B], [0.3, C]];
+    let zero = [0.0, 0.0];
+    let below = [-1.0, -0.75];
+    let inf = f64::INFINITY;
+    // (what it is, points, reference, z, plain walk)
+    type Case<'a> = (&'a str, &'a [[f64; 2]], [f64; 2], [f64; 2], bool);
+    let cases: &[Case<'_>] = &[
+        ("empty front", &[], zero, [A, B], true),
+        ("z above the whole front", &stairs, zero, [2.3, 2.1], true),
+        ("z dominated by a point above it", &stairs, zero, [1.0, 0.6], true),
+        ("z dominated by a point tying it", &stairs, zero, [B, 0.6], true),
+        ("z dominating a point tying it", &stairs, zero, [B, 0.9], true),
+        ("z equal to a front point", &stairs, zero, [B, A], true),
+        ("z ties a point below in the second objective", &stairs, zero, [1.3, A], true),
+        ("z ties a point above in the second objective", &stairs, zero, [0.9, A], true),
+        ("z below the last point", &stairs, zero, [0.1, 2.5], true),
+        ("duplicated points, z ties them", &[[B, A], [B, A], [A, B]], zero, [B, 0.9], true),
+        ("duplicated points, z equal to them", &[[B, A], [B, A], [A, B]], zero, [B, A], true),
+        ("+0.0 first objective", &[[0.0, B], [A, -0.3]], below, [0.5, A], true),
+        ("-0.0 first objective", &[[-0.0, B], [A, -0.3]], below, [0.5, A], false),
+        ("-0.0 second objective", &[[A, -0.0], [0.3, B]], below, [0.5, A], true),
+        ("z at zero speed", &[[0.0, B], [A, -0.3]], below, [0.0, A], false),
+        ("z at +inf speed", &stairs, zero, [inf, 0.9], false),
+        ("z at +inf recall", &stairs, zero, [1.3, inf], false),
+        ("z with a NaN recall", &stairs, zero, [1.3, f64::NAN], false),
+        ("front point at +inf", &[[inf, A], [A, B]], zero, [C, 0.9], false),
+        ("front point with a NaN", &[[A, f64::NAN], [A, B]], zero, [0.9, 0.9], false),
+    ];
+    for (name, points, r, z, plain) in cases {
+        let sweep = FrontSweep::new(points, r);
+        assert_eq!(assert_matches_literal(&sweep, points, r, z), *plain, "{name}");
     }
 }
 

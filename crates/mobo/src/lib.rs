@@ -23,7 +23,9 @@ pub mod optimize;
 pub mod pareto;
 pub mod sampling;
 
-pub use acquisition::{constrained_ei, ehvi_2d_exact, ehvi_mc, expected_improvement, mc_mean};
+pub use acquisition::{
+    constrained_ei, ehvi_2d_exact, ehvi_log_speed, ehvi_mc, expected_improvement, mc_mean,
+};
 pub use hypervolume::{hv2d, hv_improvement_2d, FrontSweep};
 pub use pareto::{non_dominated_indices, pareto_ranks};
 pub use sampling::{latin_hypercube, uniform_points};
