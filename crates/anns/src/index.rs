@@ -6,15 +6,11 @@
 //! index here works in squared-L2 space internally; recall and ranking are
 //! identical.
 
-use crate::autoindex::AutoIndexIndex;
 use crate::cost::{BuildStats, SearchCost};
 use crate::flat::FlatIndex;
 use crate::hnsw::HnswIndex;
-use crate::ivf_flat::IvfFlatIndex;
-use crate::ivf_pq::IvfPqIndex;
-use crate::ivf_sq8::IvfSq8Index;
+use crate::ivf::IvfIndex;
 use crate::params::{IndexParams, IndexType, SearchParams};
-use crate::scann::ScannIndex;
 use vecdata::Neighbor;
 
 /// Why an index build was rejected.
@@ -67,16 +63,13 @@ pub trait VectorIndex {
     }
 }
 
-/// A built index of any type (static dispatch via enum).
+/// A built index of any type.
 #[derive(Debug, Clone)]
 pub enum AnnIndex {
     Flat(FlatIndex),
-    IvfFlat(IvfFlatIndex),
-    IvfSq8(IvfSq8Index),
-    IvfPq(IvfPqIndex),
     Hnsw(HnswIndex),
-    Scann(ScannIndex),
-    AutoIndex(AutoIndexIndex),
+    /// IVF_FLAT, IVF_SQ8, IVF_PQ, SCANN and AUTOINDEX.
+    Ivf(IvfIndex),
 }
 
 impl AnnIndex {
@@ -98,23 +91,15 @@ impl AnnIndex {
         let mut stats = BuildStats::default();
         let idx = match kind {
             IndexType::Flat => AnnIndex::Flat(FlatIndex::build(vectors, dim, &mut stats)),
-            IndexType::IvfFlat => {
-                AnnIndex::IvfFlat(IvfFlatIndex::build(vectors, dim, params, seed, &mut stats)?)
-            }
-            IndexType::IvfSq8 => {
-                AnnIndex::IvfSq8(IvfSq8Index::build(vectors, dim, params, seed, &mut stats)?)
-            }
-            IndexType::IvfPq => {
-                AnnIndex::IvfPq(IvfPqIndex::build(vectors, dim, params, seed, &mut stats)?)
-            }
             IndexType::Hnsw => {
                 AnnIndex::Hnsw(HnswIndex::build(vectors, dim, params, seed, &mut stats)?)
             }
-            IndexType::Scann => {
-                AnnIndex::Scann(ScannIndex::build(vectors, dim, params, seed, &mut stats)?)
-            }
-            IndexType::AutoIndex => {
-                AnnIndex::AutoIndex(AutoIndexIndex::build(vectors, dim, seed, &mut stats)?)
+            IndexType::IvfFlat
+            | IndexType::IvfSq8
+            | IndexType::IvfPq
+            | IndexType::Scann
+            | IndexType::AutoIndex => {
+                AnnIndex::Ivf(IvfIndex::build(kind, vectors, dim, params, seed, &mut stats)?)
             }
         };
         stats.memory_bytes = idx.memory_bytes();
@@ -125,51 +110,31 @@ impl AnnIndex {
     pub fn kind(&self) -> IndexType {
         match self {
             AnnIndex::Flat(_) => IndexType::Flat,
-            AnnIndex::IvfFlat(_) => IndexType::IvfFlat,
-            AnnIndex::IvfSq8(_) => IndexType::IvfSq8,
-            AnnIndex::IvfPq(_) => IndexType::IvfPq,
             AnnIndex::Hnsw(_) => IndexType::Hnsw,
-            AnnIndex::Scann(_) => IndexType::Scann,
-            AnnIndex::AutoIndex(_) => IndexType::AutoIndex,
+            AnnIndex::Ivf(i) => i.kind(),
+        }
+    }
+
+    fn as_dyn(&self) -> &dyn VectorIndex {
+        match self {
+            AnnIndex::Flat(i) => i,
+            AnnIndex::Hnsw(i) => i,
+            AnnIndex::Ivf(i) => i,
         }
     }
 }
 
 impl VectorIndex for AnnIndex {
     fn search(&self, query: &[f32], sp: &SearchParams, cost: &mut SearchCost) -> Vec<Neighbor> {
-        match self {
-            AnnIndex::Flat(i) => i.search(query, sp, cost),
-            AnnIndex::IvfFlat(i) => i.search(query, sp, cost),
-            AnnIndex::IvfSq8(i) => i.search(query, sp, cost),
-            AnnIndex::IvfPq(i) => i.search(query, sp, cost),
-            AnnIndex::Hnsw(i) => i.search(query, sp, cost),
-            AnnIndex::Scann(i) => i.search(query, sp, cost),
-            AnnIndex::AutoIndex(i) => i.search(query, sp, cost),
-        }
+        self.as_dyn().search(query, sp, cost)
     }
 
     fn memory_bytes(&self) -> u64 {
-        match self {
-            AnnIndex::Flat(i) => i.memory_bytes(),
-            AnnIndex::IvfFlat(i) => i.memory_bytes(),
-            AnnIndex::IvfSq8(i) => i.memory_bytes(),
-            AnnIndex::IvfPq(i) => i.memory_bytes(),
-            AnnIndex::Hnsw(i) => i.memory_bytes(),
-            AnnIndex::Scann(i) => i.memory_bytes(),
-            AnnIndex::AutoIndex(i) => i.memory_bytes(),
-        }
+        self.as_dyn().memory_bytes()
     }
 
     fn len(&self) -> usize {
-        match self {
-            AnnIndex::Flat(i) => i.len(),
-            AnnIndex::IvfFlat(i) => i.len(),
-            AnnIndex::IvfSq8(i) => i.len(),
-            AnnIndex::IvfPq(i) => i.len(),
-            AnnIndex::Hnsw(i) => i.len(),
-            AnnIndex::Scann(i) => i.len(),
-            AnnIndex::AutoIndex(i) => i.len(),
-        }
+        self.as_dyn().len()
     }
 }
 
@@ -231,6 +196,21 @@ mod tests {
     fn empty_build_fails() {
         let err = AnnIndex::build(IndexType::Flat, &[], 8, &IndexParams::default(), 0);
         assert!(matches!(err, Err(BuildError::EmptySegment)));
+    }
+
+    #[test]
+    fn zero_nlist_is_refused_before_m_except_by_autoindex() {
+        let ds = DatasetSpec::tiny(DatasetKind::Glove).generate();
+        // `m = 7` divides no dimension this dataset has: `nlist` is named first.
+        assert!(!ds.dim().is_multiple_of(7));
+        let params = IndexParams { nlist: 0, m: 7, ..Default::default() };
+        for kind in [IndexType::IvfFlat, IndexType::IvfSq8, IndexType::IvfPq, IndexType::Scann] {
+            let err = AnnIndex::build(kind, ds.raw(), ds.dim(), &params, 5).err();
+            assert_eq!(err, Some(BuildError::InvalidParam("nlist")), "{kind}");
+        }
+        let (idx, _) = AnnIndex::build(IndexType::AutoIndex, ds.raw(), ds.dim(), &params, 5)
+            .expect("AUTOINDEX picks its own nlist");
+        assert_eq!(idx.len(), ds.len());
     }
 
     #[test]

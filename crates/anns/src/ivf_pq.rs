@@ -1,14 +1,11 @@
-//! IVF_PQ: IVF lists storing product-quantization codes, searched with
-//! asymmetric distance computation (ADC) lookup tables.
+//! The product quantizer of IVF_PQ and SCANN lists, searched with
+//! asymmetric distance computation (ADC) lookup tables; the index itself is
+//! [`crate::ivf::IvfIndex`].
 
 use crate::cost::{BuildStats, SearchCost};
-use crate::index::{BuildError, VectorIndex};
-use crate::ivf::{GroupedLists, IvfLists};
+use crate::index::BuildError;
 use crate::kmeans::{assign_nearest, KMeans};
-use crate::params::{IndexParams, SearchParams};
-use vecdata::ground_truth::TopK;
 use vecdata::kernel;
-use vecdata::Neighbor;
 
 /// A trained product quantizer: `m` subspaces × `2^nbits` centroids each.
 #[derive(Debug, Clone)]
@@ -130,9 +127,10 @@ fn subvectors(vectors: &[f32], dim: usize, from: usize, width: usize, out: &mut 
     }
 }
 
-/// Reusable per-thread scratch for PQ search: the ADC table and the kernel
-/// score buffer. Batched search does zero per-query allocations once these
-/// are warm.
+/// Reusable per-thread scratch for IVF search: the PQ ADC table and the
+/// kernel score buffer (the ADC table's sub-space scores, then every probed
+/// list's scores, whatever its codes). Batched search does zero per-query
+/// allocations once these are warm.
 #[derive(Debug, Default)]
 pub struct PqScratch {
     pub table: Vec<f32>,
@@ -149,102 +147,13 @@ pub(crate) fn with_pq_scratch<R>(f: impl FnOnce(&mut PqScratch) -> R) -> R {
     PQ_SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
 
-/// IVF over PQ codes, stored contiguously per posting list.
-#[derive(Debug, Clone)]
-pub struct IvfPqIndex {
-    quantizer: KMeans,
-    groups: GroupedLists,
-    pq: ProductQuantizer,
-    /// Codes gathered into list-grouped contiguous `m`-byte rows: row `j`
-    /// holds the code of `groups.ids[j]`.
-    list_codes: Vec<u8>,
-    n: usize,
-}
-
-impl IvfPqIndex {
-    pub fn build(
-        vectors: &[f32],
-        dim: usize,
-        params: &IndexParams,
-        seed: u64,
-        stats: &mut BuildStats,
-    ) -> Result<IvfPqIndex, BuildError> {
-        if params.nlist == 0 {
-            return Err(BuildError::InvalidParam("nlist"));
-        }
-        let ivf = IvfLists::build(vectors, dim, params.nlist, seed, stats);
-        let pq =
-            ProductQuantizer::train(vectors, dim, params.m, params.nbits, seed ^ 0x9051, stats)?;
-        let n = vectors.len() / dim;
-        let mut codes = vec![0u8; n * pq.m];
-        pq.encode(vectors, &mut codes);
-        stats.train_dims += (n * pq.m * pq.ksub * pq.dsub) as u64; // encode pass
-        Ok(Self::from_parts(ivf, pq, &codes))
-    }
-
-    /// The index over already-built lists, codebooks and per-vector codes
-    /// (`m` bytes each, in id order).
-    pub(crate) fn from_parts(ivf: IvfLists, pq: ProductQuantizer, codes: &[u8]) -> IvfPqIndex {
-        let n = codes.len() / pq.m;
-        let groups = GroupedLists::from_lists(&ivf.lists);
-        let list_codes = groups.gather_u8(codes, pq.m);
-        IvfPqIndex { quantizer: ivf.quantizer, groups, pq, list_codes, n }
-    }
-}
-
-impl VectorIndex for IvfPqIndex {
-    fn search(&self, query: &[f32], sp: &SearchParams, cost: &mut SearchCost) -> Vec<Neighbor> {
-        let probes = self.quantizer.nearest_n(query, sp.nprobe, &mut cost.f32_dims);
-        if probes.is_empty() {
-            // An empty segment's quantizer: no list to scan, no table to build.
-            return Vec::new();
-        }
-        let mut top = TopK::new(sp.top_k);
-        let m = self.pq.m;
-        with_pq_scratch(|scratch| {
-            self.pq.adc_table_into(query, &mut scratch.table, &mut scratch.scores, cost);
-            for c in probes {
-                cost.lists_probed += 1;
-                let r = self.groups.range(c);
-                let ids = &self.groups.ids[r.clone()];
-                let codes = &self.list_codes[r.start * m..r.end * m];
-                cost.pq_lookups += (ids.len() * m) as u64;
-                cost.heap_pushes += ids.len() as u64;
-                for (j, code) in codes.chunks_exact(m).enumerate() {
-                    top.push(ids[j], self.pq.adc_distance(&scratch.table, code));
-                }
-            }
-        });
-        top.into_sorted()
-    }
-
-    fn memory_bytes(&self) -> u64 {
-        self.groups.memory_bytes()
-            + (self.quantizer.centroids.len() * 4) as u64
-            + self.list_codes.len() as u64
-            + self.pq.memory_bytes()
-    }
-
-    fn len(&self) -> usize {
-        self.n
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::VectorIndex;
+    use crate::ivf::IvfIndex;
+    use crate::params::{IndexParams, IndexType, SearchParams};
     use vecdata::{ground_truth, DatasetKind, DatasetSpec};
-
-    #[test]
-    fn empty_build_searches_to_no_hits() {
-        let params = IndexParams { nlist: 4, m: 2, nbits: 4, ..Default::default() };
-        let mut stats = BuildStats::default();
-        let idx = IvfPqIndex::build(&[], 4, &params, 0, &mut stats).unwrap();
-        let mut cost = SearchCost::default();
-        let sp = SearchParams { nprobe: 4, ef: 16, reorder_k: 16, top_k: 10 };
-        assert!(idx.search(&[0.5; 4], &sp, &mut cost).is_empty());
-        assert_eq!(cost, SearchCost::default(), "no probe, no scan");
-    }
 
     #[test]
     fn pq_rejects_bad_m() {
@@ -290,7 +199,8 @@ mod tests {
         let params =
             IndexParams { nlist: 16, m: 8, nbits: 8, ..Default::default() }.sanitized(ds.dim(), 10);
         let mut stats = BuildStats::default();
-        let idx = IvfPqIndex::build(ds.raw(), ds.dim(), &params, 1, &mut stats).unwrap();
+        let idx =
+            IvfIndex::build(IndexType::IvfPq, ds.raw(), ds.dim(), &params, 1, &mut stats).unwrap();
         let gt = ground_truth(&ds, 10);
         let sp = SearchParams { nprobe: 16, ef: 0, reorder_k: 0, top_k: 10 };
         let mut acc = 0.0;
@@ -334,7 +244,8 @@ mod tests {
         let params =
             IndexParams { nlist: 16, m: 4, nbits: 4, ..Default::default() }.sanitized(ds.dim(), 10);
         let mut stats = BuildStats::default();
-        let idx = IvfPqIndex::build(ds.raw(), ds.dim(), &params, 1, &mut stats).unwrap();
+        let idx =
+            IvfIndex::build(IndexType::IvfPq, ds.raw(), ds.dim(), &params, 1, &mut stats).unwrap();
         // Codes are m bytes per vector vs dim*4 raw bytes; with the codebook
         // overhead total memory must still be far below raw storage.
         assert!(idx.memory_bytes() < (ds.raw().len() * 4 / 2) as u64);

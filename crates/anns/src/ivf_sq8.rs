@@ -1,18 +1,12 @@
-//! IVF_SQ8: IVF lists storing 8-bit scalar-quantized vectors.
+//! The scalar quantizer of IVF_SQ8 (and AUTOINDEX) lists; the index itself
+//! is [`crate::ivf::IvfIndex`].
 //!
 //! Each dimension is linearly quantized to `u8` with per-dimension min/max
 //! trained over the segment. Memory drops ~4x vs IVF_FLAT and scans run in
 //! the cheaper quantized domain, at a small recall penalty — exactly the
 //! trade-off the tuner must discover.
 
-use crate::cost::{BuildStats, SearchCost};
-use crate::index::{BuildError, VectorIndex};
-use crate::ivf::{GroupedLists, IvfLists};
-use crate::kmeans::KMeans;
-use crate::params::{IndexParams, SearchParams};
-use vecdata::ground_truth::TopK;
 use vecdata::kernel;
-use vecdata::Neighbor;
 
 /// Per-dimension linear quantizer to `u8`.
 #[derive(Debug, Clone)]
@@ -56,103 +50,14 @@ impl ScalarQuantizer {
     }
 }
 
-/// IVF over SQ8 codes, stored contiguously per posting list so probed lists
-/// scan quantized codes through the kernel's asymmetric block API.
-#[derive(Debug, Clone)]
-pub struct IvfSq8Index {
-    dim: usize,
-    quantizer: KMeans,
-    groups: GroupedLists,
-    sq: ScalarQuantizer,
-    /// Codes gathered into list-grouped contiguous rows: row `j` holds the
-    /// code of `groups.ids[j]`.
-    list_codes: Vec<u8>,
-}
-
-impl IvfSq8Index {
-    pub fn build(
-        vectors: &[f32],
-        dim: usize,
-        params: &IndexParams,
-        seed: u64,
-        stats: &mut BuildStats,
-    ) -> Result<IvfSq8Index, BuildError> {
-        if params.nlist == 0 {
-            return Err(BuildError::InvalidParam("nlist"));
-        }
-        let ivf = IvfLists::build(vectors, dim, params.nlist, seed, stats);
-        Ok(Self::from_ivf(vectors, dim, ivf, stats))
-    }
-
-    /// The index over already-built lists: trains the scalar quantizer and
-    /// encodes every vector.
-    pub(crate) fn from_ivf(
-        vectors: &[f32],
-        dim: usize,
-        ivf: IvfLists,
-        stats: &mut BuildStats,
-    ) -> IvfSq8Index {
-        let sq = ScalarQuantizer::train(vectors, dim);
-        let n = vectors.len() / dim;
-        let mut codes = vec![0u8; n * dim];
-        for i in 0..n {
-            sq.encode(&vectors[i * dim..(i + 1) * dim], &mut codes[i * dim..(i + 1) * dim]);
-        }
-        stats.train_dims += vectors.len() as u64; // encode pass
-        let groups = GroupedLists::from_lists(&ivf.lists);
-        let list_codes = groups.gather_u8(&codes, dim);
-        IvfSq8Index { dim, quantizer: ivf.quantizer, groups, sq, list_codes }
-    }
-}
-
-impl VectorIndex for IvfSq8Index {
-    fn search(&self, query: &[f32], sp: &SearchParams, cost: &mut SearchCost) -> Vec<Neighbor> {
-        let probes = self.quantizer.nearest_n(query, sp.nprobe, &mut cost.f32_dims);
-        let mut top = TopK::new(sp.top_k);
-        let kern = kernel::active();
-        let mut scores = Vec::new();
-        for c in probes {
-            cost.lists_probed += 1;
-            let r = self.groups.range(c);
-            let ids = &self.groups.ids[r.clone()];
-            let codes = &self.list_codes[r.start * self.dim..r.end * self.dim];
-            kern.sq8_l2_block(query, codes, &self.sq.mins, &self.sq.scales, self.dim, &mut scores);
-            cost.u8_dims += (ids.len() * self.dim) as u64;
-            cost.heap_pushes += ids.len() as u64;
-            for (j, &d) in scores.iter().enumerate() {
-                top.push(ids[j], d);
-            }
-        }
-        top.into_sorted()
-    }
-
-    fn memory_bytes(&self) -> u64 {
-        self.groups.memory_bytes()
-            + (self.quantizer.centroids.len() * 4) as u64
-            + self.list_codes.len() as u64
-            + (self.sq.mins.len() * 8) as u64
-    }
-
-    fn len(&self) -> usize {
-        self.list_codes.len() / self.dim
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::{BuildStats, SearchCost};
+    use crate::index::VectorIndex;
+    use crate::ivf::IvfIndex;
+    use crate::params::{IndexParams, IndexType, SearchParams};
     use vecdata::{ground_truth, DatasetKind, DatasetSpec};
-
-    #[test]
-    fn empty_build_searches_to_no_hits() {
-        let params = IndexParams { nlist: 4, ..Default::default() };
-        let mut stats = BuildStats::default();
-        let idx = IvfSq8Index::build(&[], 4, &params, 0, &mut stats).unwrap();
-        let mut cost = SearchCost::default();
-        let sp = SearchParams { nprobe: 4, ef: 16, reorder_k: 16, top_k: 10 };
-        assert!(idx.search(&[0.5; 4], &sp, &mut cost).is_empty());
-        assert_eq!(cost, SearchCost::default(), "no probe, no scan");
-    }
 
     #[test]
     fn quantizer_roundtrip_error_bounded() {
@@ -203,7 +108,8 @@ mod tests {
         let ds = DatasetSpec::tiny(DatasetKind::Glove).generate();
         let params = IndexParams { nlist: 16, ..Default::default() }.sanitized(ds.dim(), 10);
         let mut stats = BuildStats::default();
-        let idx = IvfSq8Index::build(ds.raw(), ds.dim(), &params, 1, &mut stats).unwrap();
+        let idx =
+            IvfIndex::build(IndexType::IvfSq8, ds.raw(), ds.dim(), &params, 1, &mut stats).unwrap();
         assert!(idx.memory_bytes() < (ds.raw().len() * 4) as u64);
         let gt = ground_truth(&ds, 10);
         let sp = SearchParams { nprobe: 16, ef: 0, reorder_k: 0, top_k: 10 };

@@ -1,11 +1,13 @@
 //! Test-only oracle for the block-wise k-means pipeline: the per-point,
 //! per-centroid loops that [`super::KMeans::train`],
-//! [`IvfLists::build`](crate::ivf::IvfLists::build) and
-//! [`ProductQuantizer::encode`] replaced — an index list per sample, one
-//! pairwise `l2_sq` per (point, centroid) with the point on the left, a
-//! scalar strict-`<` argmin — and the panels that hold the two to the same
-//! centroids, lists, codes, `BuildStats`, generator state and search
-//! behaviour bit for bit.
+//! [`IvfLists::build`] and [`ProductQuantizer::encode`] replaced — an index
+//! list per sample, one pairwise `l2_sq` per (point, centroid) with the
+//! point on the left, a scalar strict-`<` argmin, nested per-centroid lists
+//! (flattened into the production CSR form at the end) — and the panels
+//! that hold the two to the same centroids, lists, codes, `BuildStats`,
+//! generator state and search behaviour bit for bit. The literal builds of
+//! the five IVF-family types assemble their index through
+//! `IvfIndex::from_parts`, so both sides search with the production code.
 //!
 //! It may be retired when the production pipeline stops promising the old
 //! bits: the day a history-changing change to training (another sample
@@ -18,15 +20,11 @@ use super::{
     assign_nearest, assign_pruned, KMeans, LLOYD_ITERS, ROWS_SCORED, TINY,
     TRAIN_POINTS_PER_CENTROID,
 };
-use crate::autoindex::AutoIndexIndex;
 use crate::cost::{BuildStats, SearchCost};
 use crate::index::{AnnIndex, BuildError, VectorIndex};
-use crate::ivf::IvfLists;
-use crate::ivf_flat::IvfFlatIndex;
-use crate::ivf_pq::{IvfPqIndex, ProductQuantizer};
-use crate::ivf_sq8::IvfSq8Index;
+use crate::ivf::{autoindex_heuristic, IvfIndex, IvfLists};
+use crate::ivf_pq::ProductQuantizer;
 use crate::params::{nearest_divisor, IndexParams, IndexType, SearchParams};
-use crate::scann::ScannIndex;
 use proptest::panel::bits_f32 as bits;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -157,7 +155,7 @@ fn train(data: &[f32], dim: usize, k: usize, seed: u64, stats: &mut BuildStats) 
     train_with(&mut rng(seed), data, dim, k, stats)
 }
 
-/// The literal `IvfLists::build`.
+/// The literal `IvfLists::build`: nested lists, flattened at the end.
 fn ivf_lists(
     vectors: &[f32],
     dim: usize,
@@ -173,7 +171,12 @@ fn ivf_lists(
         lists[c].push(i as u32);
     }
     stats.train_dims += (n * quantizer.k * dim) as u64;
-    IvfLists { quantizer, lists }
+    let mut offsets = vec![0];
+    offsets.extend(lists.iter().scan(0, |end, list| {
+        *end += list.len();
+        Some(*end)
+    }));
+    IvfLists { quantizer, offsets, ids: lists.concat() }
 }
 
 /// The literal `ProductQuantizer::train`.
@@ -234,39 +237,24 @@ fn build(
 ) -> Result<(AnnIndex, BuildStats), BuildError> {
     let mut stats = BuildStats::default();
     let n = vectors.len() / dim;
-    let pq_parts = |m, nbits, pq_seed, stats: &mut BuildStats| {
-        let ivf = ivf_lists(vectors, dim, params.nlist, seed, stats);
-        let pq = pq_train(vectors, dim, m, nbits, pq_seed, stats)?;
+    let nlist = match kind {
+        IndexType::AutoIndex => autoindex_heuristic(n).0,
+        _ => params.nlist,
+    };
+    let ivf = ivf_lists(vectors, dim, nlist, seed, &mut stats);
+    let mut pq_parts = |m, nbits, pq_seed| -> Result<_, BuildError> {
+        let pq = pq_train(vectors, dim, m, nbits, pq_seed, &mut stats)?;
         let codes = pq_encode_all(&pq, vectors);
         stats.train_dims += (n * pq.m * pq.ksub * pq.dsub) as u64;
-        Ok((ivf, pq, codes))
+        Ok(Some((pq, codes)))
     };
-    let idx = match kind {
-        IndexType::IvfFlat => {
-            let ivf = ivf_lists(vectors, dim, params.nlist, seed, &mut stats);
-            AnnIndex::IvfFlat(IvfFlatIndex::from_ivf(vectors, dim, ivf))
-        }
-        IndexType::IvfSq8 => {
-            let ivf = ivf_lists(vectors, dim, params.nlist, seed, &mut stats);
-            AnnIndex::IvfSq8(IvfSq8Index::from_ivf(vectors, dim, ivf, &mut stats))
-        }
-        IndexType::IvfPq => {
-            let (ivf, pq, codes) = pq_parts(params.m, params.nbits, seed ^ 0x9051, &mut stats)?;
-            AnnIndex::IvfPq(IvfPqIndex::from_parts(ivf, pq, &codes))
-        }
-        IndexType::Scann => {
-            let m = nearest_divisor(dim, (dim / 2).max(1));
-            let (ivf, pq, codes) = pq_parts(m, 4, seed ^ 0x5CA1, &mut stats)?;
-            AnnIndex::Scann(ScannIndex::from_parts(vectors, dim, ivf, pq, &codes))
-        }
-        IndexType::AutoIndex => {
-            let (nlist, nprobe) = AutoIndexIndex::heuristic(n);
-            let ivf = ivf_lists(vectors, dim, nlist, seed, &mut stats);
-            let inner = IvfSq8Index::from_ivf(vectors, dim, ivf, &mut stats);
-            AnnIndex::AutoIndex(AutoIndexIndex::from_inner(inner, nprobe))
-        }
+    let pq = match kind {
+        IndexType::IvfPq => pq_parts(params.m, params.nbits, seed ^ 0x9051)?,
+        IndexType::Scann => pq_parts(nearest_divisor(dim, (dim / 2).max(1)), 4, seed ^ 0x5CA1)?,
+        IndexType::IvfFlat | IndexType::IvfSq8 | IndexType::AutoIndex => None,
         IndexType::Flat | IndexType::Hnsw => unreachable!("not a k-means index"),
     };
+    let idx = AnnIndex::Ivf(IvfIndex::from_parts(kind, vectors, dim, ivf, pq, &mut stats));
     stats.memory_bytes = idx.memory_bytes();
     Ok((idx, stats))
 }
@@ -336,7 +324,7 @@ fn assert_pipeline_equivalent(data: &[f32], dim: usize, k: usize, seed: u64, tag
     let new = IvfLists::build(data, dim, k, seed, &mut s_new);
     let old = ivf_lists(data, dim, k, seed, &mut s_old);
     assert_eq!(bits(&new.quantizer.centroids), bits(&old.quantizer.centroids), "{tag}: quantizer");
-    assert_eq!(new.lists, old.lists, "{tag}: lists");
+    assert_eq!((new.offsets, new.ids), (old.offsets, old.ids), "{tag}: lists");
     assert_eq!(s_new, s_old, "{tag}: list stats");
 
     // Codebooks of min(k, 256) rows over the widest split of `dim` into
@@ -585,7 +573,8 @@ fn pruned_passes_score_a_fraction_of_the_rows() {
 fn empty_segments_build_empty_lists() {
     let mut stats = BuildStats::default();
     let ivf = IvfLists::build(&[], 4, 8, 0, &mut stats);
-    assert!(ivf.lists.is_empty() && ivf.quantizer.k == 0 && stats == BuildStats::default());
+    assert!(ivf.offsets == [0] && ivf.is_empty());
+    assert!(ivf.quantizer.k == 0 && stats == BuildStats::default());
     let pq = ProductQuantizer::train(&[], 4, 2, 4, 0, &mut stats).unwrap();
     pq.encode(&[], &mut []);
 }

@@ -13,6 +13,12 @@
 //! | `SCANN`     | quantization      | `nlist`               | `nprobe`, `reorder_k`|
 //! | `AUTOINDEX` | heuristic default | —                     | —                    |
 //!
+//! FLAT is [`flat::FlatIndex`] and HNSW [`hnsw::HnswIndex`]; the five
+//! k-means-family types are one [`ivf::IvfIndex`] over one list build
+//! ([`ivf::IvfLists::build`]), whose rows are raw vectors, SQ8 codes
+//! ([`ivf_sq8::ScalarQuantizer`]) or PQ codes ([`ivf_pq::ProductQuantizer`]).
+//! [`AnnIndex::build`] builds any of them.
+//!
 //! Every search reports a [`cost::SearchCost`]: deterministic counts of the
 //! work performed (full-precision distance dims, quantized dims, PQ table
 //! lookups, graph hops). The VDMS simulator turns those counts into latency
@@ -21,18 +27,15 @@
 //! real against exact ground truth.
 #![deny(unsafe_code)]
 
-pub mod autoindex;
 pub mod cost;
 pub mod flat;
 pub mod hnsw;
 pub mod index;
 pub mod ivf;
-pub mod ivf_flat;
 pub mod ivf_pq;
 pub mod ivf_sq8;
 pub mod kmeans;
 pub mod params;
-pub mod scann;
 
 pub use cost::{BuildStats, SearchCost};
 pub use index::{AnnIndex, BuildError, VectorIndex};

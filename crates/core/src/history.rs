@@ -6,7 +6,7 @@ use crate::npi::balanced_base;
 use crate::space::SpaceSpec;
 use mobo::pareto::{non_dominated_indices, pareto_ranks};
 use vdms::VdmsConfig;
-use workload::{EvalBackend, Evaluator, Observation};
+use workload::{runner, EvalBackend, Evaluator, Observation};
 
 /// Everything a finished tuning run produced.
 #[derive(Debug, Clone)]
@@ -80,27 +80,16 @@ impl TuningOutcome {
         self.observations.iter().find(|o| o.qps == base.speed && o.recall == base.recall)
     }
 
-    /// Best QPS among observations meeting the recall floor (Figures 6–8).
+    /// Best QPS among observations meeting the recall floor (Figures 6–8;
+    /// [`runner::best_qps_with_recall`]).
     pub fn best_qps_with_recall(&self, min_recall: f64) -> Option<f64> {
-        self.observations
-            .iter()
-            .filter(|o| !o.failed && o.recall >= min_recall)
-            .map(|o| o.qps)
-            .fold(None, |acc, q| Some(acc.map_or(q, |a: f64| a.max(q))))
+        runner::best_qps_with_recall(&self.observations, min_recall)
     }
 
-    /// Best-so-far QPS curve under a recall floor (Figure 7).
+    /// Best-so-far QPS curve under a recall floor (Figure 7;
+    /// [`runner::qps_curve`]).
     pub fn qps_curve(&self, min_recall: f64) -> Vec<f64> {
-        let mut best = 0.0f64;
-        self.observations
-            .iter()
-            .map(|o| {
-                if !o.failed && o.recall >= min_recall {
-                    best = best.max(o.qps);
-                }
-                best
-            })
-            .collect()
+        runner::qps_curve(&self.observations, min_recall)
     }
 
     /// Best cost-effectiveness (QP$) under a recall floor (Figure 13a).
@@ -167,19 +156,6 @@ impl TuningOutcome {
             .filter(|o| !o.failed && o.recall >= min_recall)
             .filter_map(|o| o.serving.map(|s| s.p99_latency_secs))
             .fold(None, |acc, p| Some(acc.map_or(p, |a: f64| a.min(p))))
-    }
-
-    /// Best QPS among successful observations that meet the recall floor
-    /// *and* a p99 SLO, judged post-hoc from the recorded serving stats —
-    /// for holding a run that was tuned *without* an SLO against one after
-    /// the fact. Observations without serving stats never qualify.
-    pub fn best_qps_with_recall_under_slo(&self, min_recall: f64, slo_p99: f64) -> Option<f64> {
-        self.observations
-            .iter()
-            .filter(|o| !o.failed && o.recall >= min_recall)
-            .filter(|o| o.serving.is_some_and(|s| s.p99_latency_secs <= slo_p99))
-            .map(|o| o.qps)
-            .fold(None, |acc, q| Some(acc.map_or(q, |a: f64| a.max(q))))
     }
 
     /// Failed observations that carry serving stats — in a serving-tuned
@@ -344,14 +320,9 @@ mod tests {
         out.observations[2] = with_p99(out.observations[2].clone(), 0.001);
         // Lowest p99 above the recall floor (the 0.001 obs misses recall).
         assert_eq!(out.best_p99_with_recall(0.9), Some(0.010));
-        // SLO 25ms: only the 100-QPS config qualifies.
-        assert_eq!(out.best_qps_with_recall_under_slo(0.9, 0.025), Some(100.0));
-        // SLO 50ms: both qualify; best QPS wins.
-        assert_eq!(out.best_qps_with_recall_under_slo(0.9, 0.050), Some(200.0));
-        // No SLO can be met by observations without serving stats.
+        // Observations without serving stats have no p99.
         let offline = outcome(&[(100.0, 0.95)]);
         assert_eq!(offline.best_p99_with_recall(0.0), None);
-        assert_eq!(offline.best_qps_with_recall_under_slo(0.0, 1.0), None);
     }
 
     #[test]

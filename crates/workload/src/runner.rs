@@ -293,30 +293,31 @@ impl<B: EvalBackend> Evaluator<B> {
             })
             .collect()
     }
+}
 
-    /// Best observed QPS among configurations with `recall >= min_recall`
-    /// (the paper's Figure 6/7 metric: best speed under a recall sacrifice).
-    pub fn best_qps_with_recall(&self, min_recall: f64) -> Option<f64> {
-        self.history
-            .iter()
-            .filter(|o| !o.failed && o.recall >= min_recall)
-            .map(|o| o.qps)
-            .fold(None, |acc, q| Some(acc.map_or(q, |a: f64| a.max(q))))
-    }
+/// Best QPS among successful observations with `recall >= min_recall`
+/// (the paper's Figures 6–8 metric: best speed under a recall sacrifice).
+pub fn best_qps_with_recall(history: &[Observation], min_recall: f64) -> Option<f64> {
+    history
+        .iter()
+        .filter(|o| !o.failed && o.recall >= min_recall)
+        .map(|o| o.qps)
+        .fold(None, |acc, q| Some(acc.map_or(q, |a: f64| a.max(q))))
+}
 
-    /// Running best-so-far QPS curve under a recall floor (Figure 7).
-    pub fn qps_curve(&self, min_recall: f64) -> Vec<f64> {
-        let mut best = 0.0f64;
-        self.history
-            .iter()
-            .map(|o| {
-                if !o.failed && o.recall >= min_recall {
-                    best = best.max(o.qps);
-                }
-                best
-            })
-            .collect()
-    }
+/// Running best-so-far QPS curve under a recall floor (Figure 7): one
+/// entry per observation, 0 until a successful one meets the floor.
+pub fn qps_curve(history: &[Observation], min_recall: f64) -> Vec<f64> {
+    let mut best = 0.0f64;
+    history
+        .iter()
+        .map(|o| {
+            if !o.failed && o.recall >= min_recall {
+                best = best.max(o.qps);
+            }
+            best
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -485,9 +486,9 @@ mod tests {
         let w = make();
         let mut ev = Evaluator::new(&w, 1);
         ev.observe(&VdmsConfig::default_for(IndexType::Flat), 0.0);
-        let impossible = ev.best_qps_with_recall(1.01);
+        let impossible = best_qps_with_recall(ev.history(), 1.01);
         assert!(impossible.is_none());
-        let any = ev.best_qps_with_recall(0.0).unwrap();
+        let any = best_qps_with_recall(ev.history(), 0.0).unwrap();
         assert!(any > 0.0);
     }
 
@@ -498,7 +499,7 @@ mod tests {
         for t in [IndexType::Flat, IndexType::Hnsw, IndexType::IvfFlat, IndexType::AutoIndex] {
             ev.observe(&VdmsConfig::default_for(t), 0.0);
         }
-        let curve = ev.qps_curve(0.5);
+        let curve = qps_curve(ev.history(), 0.5);
         assert_eq!(curve.len(), 4);
         assert!(curve.windows(2).all(|w| w[1] >= w[0]));
     }
@@ -535,8 +536,12 @@ mod tests {
         let mut ev = Evaluator::new(&w, 1);
         let obs = ev.observe(&failing_config(), 0.0);
         assert!(obs.failed);
-        assert_eq!(ev.best_qps_with_recall(0.0), None, "failed-only history has no best");
-        assert_eq!(ev.qps_curve(0.0), vec![0.0], "curve stays at zero");
+        assert_eq!(
+            best_qps_with_recall(ev.history(), 0.0),
+            None,
+            "failed-only history has no best"
+        );
+        assert_eq!(qps_curve(ev.history(), 0.0), vec![0.0], "curve stays at zero");
     }
 
     #[test]
@@ -545,8 +550,8 @@ mod tests {
         let mut ev = Evaluator::new(&w, 1);
         ev.observe(&VdmsConfig::default_for(IndexType::Flat), 0.0);
         ev.observe(&VdmsConfig::default_for(IndexType::Hnsw), 0.0);
-        assert_eq!(ev.best_qps_with_recall(1.01), None);
-        assert_eq!(ev.qps_curve(1.01), vec![0.0, 0.0]);
+        assert_eq!(best_qps_with_recall(ev.history(), 1.01), None);
+        assert_eq!(qps_curve(ev.history(), 1.01), vec![0.0, 0.0]);
     }
 
     #[test]
@@ -556,7 +561,7 @@ mod tests {
         ev.observe(&VdmsConfig::default_for(IndexType::Flat), 0.0);
         ev.observe(&failing_config(), 0.0);
         ev.observe(&VdmsConfig::default_for(IndexType::Hnsw), 0.0);
-        let curve = ev.qps_curve(0.0);
+        let curve = qps_curve(ev.history(), 0.0);
         assert_eq!(curve.len(), 3);
         assert!(curve.windows(2).all(|w| w[1] >= w[0]), "monotone despite the failure");
         assert_eq!(curve[0], curve[1], "a failed observation cannot improve the best");

@@ -5,6 +5,7 @@ use vdtuner::baselines::{OpenTunerStyle, OtterTuneStyle, QehviTuner, RandomLhs};
 use vdtuner::core::{BudgetAllocation, SurrogateKind, TunerMode, TunerOptions, VdTuner};
 use vdtuner::prelude::*;
 use vdtuner::vecdata::DatasetSpec as Spec;
+use vdtuner::workload::runner::best_qps_with_recall;
 use vdtuner::workload::{run_tuner, Evaluator, Tuner};
 
 fn tiny_workload() -> Workload {
@@ -129,7 +130,7 @@ fn tuning_beats_random_on_average_rank() {
     let mut ev = Evaluator::new(&w, 8);
     run_tuner(&mut random, &mut ev, 16, 1);
     let vd_best = vd.best_qps_with_recall(0.8);
-    let rnd_best = ev.best_qps_with_recall(0.8);
+    let rnd_best = best_qps_with_recall(ev.history(), 0.8);
     if let (Some(v), Some(r)) = (vd_best, rnd_best) {
         assert!(
             v >= r * 0.5,
