@@ -156,6 +156,11 @@ mod tests {
     use vecdata::{ground_truth, DatasetKind, DatasetSpec};
 
     #[test]
+    fn empty_build_searches_to_no_hits() {
+        crate::ivf::tests::assert_empty_build_searches_to_no_hits(IndexType::IvfPq);
+    }
+
+    #[test]
     fn pq_rejects_bad_m() {
         let data = vec![0.5f32; 10 * 6];
         let mut stats = BuildStats::default();

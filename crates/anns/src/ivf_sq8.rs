@@ -60,6 +60,11 @@ mod tests {
     use vecdata::{ground_truth, DatasetKind, DatasetSpec};
 
     #[test]
+    fn empty_build_searches_to_no_hits() {
+        crate::ivf::tests::assert_empty_build_searches_to_no_hits(IndexType::IvfSq8);
+    }
+
+    #[test]
     fn quantizer_roundtrip_error_bounded() {
         let data: Vec<f32> = (0..64).map(|i| (i as f32).sin()).collect();
         let sq = ScalarQuantizer::train(&data, 8);
