@@ -25,7 +25,6 @@
 //! and QPS through its cost model, which is what makes the reproduction's
 //! "search speed" axis deterministic while the *recall* axis is measured for
 //! real against exact ground truth.
-#![deny(unsafe_code)]
 
 pub mod cost;
 pub mod flat;

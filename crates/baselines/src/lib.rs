@@ -16,7 +16,6 @@
 //!   weighted-sum reward, initialized with 10 LHS samples,
 //! * [`qehvi`] — vanilla multi-objective BO with Monte-Carlo EHVI and a
 //!   zero reference point, initialized with 10 LHS samples.
-#![deny(unsafe_code)]
 
 pub mod opentuner;
 pub mod ottertune;

@@ -102,16 +102,21 @@ mod sys {
     /// pointer-validity requirements beyond what the caller passes.
     unsafe fn syscall3(n: usize, a1: usize, a2: usize, a3: usize) -> isize {
         let ret: isize;
-        core::arch::asm!(
-            "syscall",
-            inlateout("rax") n as isize => ret,
-            in("rdi") a1,
-            in("rsi") a2,
-            in("rdx") a3,
-            lateout("rcx") _,
-            lateout("r11") _,
-            options(nostack),
-        );
+        // SAFETY: the x86_64 Linux syscall ABI: number in rax, arguments in
+        // rdi/rsi/rdx, rcx and r11 clobbered, no stack use; the caller
+        // vouches for what `n` does with its arguments.
+        unsafe {
+            core::arch::asm!(
+                "syscall",
+                inlateout("rax") n as isize => ret,
+                in("rdi") a1,
+                in("rsi") a2,
+                in("rdx") a3,
+                lateout("rcx") _,
+                lateout("r11") _,
+                options(nostack),
+            );
+        }
         ret
     }
 

@@ -13,8 +13,10 @@
 //! replication, reactors, writepath and kernels. Exits 2 on a bad command
 //! line (before running anything) and 1 when an artifact cannot be
 //! written.
-// Wall-clock progress reporting for the CLI; bench is the timing domain.
-#![allow(clippy::disallowed_methods)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "wall-clock progress reporting for the CLI; bench is the timing domain"
+)]
 
 use bench::{experiments, Profile, Runs};
 use std::io;

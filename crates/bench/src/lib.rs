@@ -7,10 +7,16 @@
 //! figures share go through [`Runs::outcomes`], a memo over one `repro`
 //! invocation, so each (method, dataset, shard count, budget, seed) tunes
 //! once however many experiments report on it.
-// bench is the designated wall-clock domain (real timing, calibration) and
-// its affinity maps never reach tuning results — see clippy.toml / lint R2+R3.
-#![allow(clippy::disallowed_methods, clippy::disallowed_types)]
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "bench is the wall-clock domain (real timing, calibration), and its hash maps are lookups whose order reaches no result"
+)]
 
+#[allow(
+    unsafe_code,
+    reason = "the raw `sched_{get,set}affinity` syscalls: the one place outside `vecdata::kernel` that may use `unsafe`"
+)]
 pub mod affinity;
 pub mod comparison;
 pub mod cotuning;

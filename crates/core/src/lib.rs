@@ -23,7 +23,6 @@
 //! ([`tuner`]), the **cost-effectiveness** objective QP$ (Eq. 8), and a
 //! Shapley-value attribution of parameters to objectives ([`shap`],
 //! Fig. 13b).
-#![deny(unsafe_code)]
 
 pub mod abandon;
 pub mod history;

@@ -190,7 +190,10 @@ impl VdTuner {
     /// blinding the acquisition to the speed axis. The acquisition
     /// exponentiates posterior samples back (log-normal MC), so EHVI is
     /// still computed in the original objective space.
-    #[allow(clippy::type_complexity)]
+    #[allow(
+        clippy::type_complexity,
+        reason = "the two surrogates and their targets, consumed at once"
+    )]
     fn fit_surrogates(
         &self,
         history: &[Observation],

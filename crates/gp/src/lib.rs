@@ -20,7 +20,6 @@
 //!
 //! Inputs are expected in the unit hypercube (the tuner encodes every
 //! configuration that way); targets are standardized internally.
-#![deny(unsafe_code)]
 
 pub mod gp;
 pub mod inputs;

@@ -14,7 +14,6 @@
 //!   following qEHVI), and the constrained EI of Eq. 7,
 //! * [`sampling`] — Latin hypercube and uniform sampling in the unit cube,
 //! * [`optimize`] — candidate-pool generation and acquisition argmax.
-#![deny(unsafe_code)]
 
 pub mod acquisition;
 pub mod hypervolume;

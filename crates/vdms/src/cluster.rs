@@ -384,7 +384,7 @@ fn account_shard(col: &Collection<'_>, segs: &[usize], delegator: bool) -> Memor
 /// Place sealed segments on query nodes: round-robin preference, with
 /// deterministic rebalancing to the least-loaded node when the preferred
 /// one would exceed its budget.
-#[allow(clippy::type_complexity)]
+#[allow(clippy::type_complexity, reason = "a private helper's three parallel outputs")]
 fn place(
     col: &Collection<'_>,
     spec: &ClusterSpec,

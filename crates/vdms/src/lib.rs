@@ -33,7 +33,6 @@
 //!   machine the mixed read/write serving simulator drives,
 //! * [`memory`] — resident + peak memory accounting (for QP$ tuning),
 //! * [`error`] — build/evaluation failure semantics.
-#![deny(unsafe_code)]
 
 pub mod cluster;
 pub mod collection;

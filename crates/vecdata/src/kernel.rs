@@ -486,18 +486,17 @@ mod avx2 {
 
     /// Fold a 256-bit lane accumulator exactly like `acc.iter().sum()` over
     /// the scalar `[f32; 8]`: left-to-right, starting from 0.0.
-    ///
-    /// # Safety
-    /// Requires avx2; reached only through the detection-gated dispatch.
     #[target_feature(enable = "avx2")]
-    unsafe fn lane_sum(acc: __m256) -> f32 {
+    fn lane_sum(acc: __m256) -> f32 {
         let mut lanes = [0.0f32; 8];
-        _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
+        // SAFETY: `lanes` holds the eight `f32`s the store writes.
+        unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), acc) };
         lanes.iter().sum()
     }
 
     /// # Safety
-    /// Requires avx2; reached only through the detection-gated dispatch.
+    /// Requires avx2 and `b.len() >= a.len()`; reached only through the
+    /// detection-gated dispatch, which asserts equal lengths.
     #[target_feature(enable = "avx2")]
     pub unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
         let n = a.len();
@@ -505,8 +504,10 @@ mod avx2 {
         let mut acc = _mm256_setzero_ps();
         for i in 0..chunks {
             let off = i * 8;
-            let va = _mm256_loadu_ps(a.as_ptr().add(off));
-            let vb = _mm256_loadu_ps(b.as_ptr().add(off));
+            // SAFETY: `off + 8 <= a.len() <= b.len()` (the contract above).
+            let (va, vb) = unsafe {
+                (_mm256_loadu_ps(a.as_ptr().add(off)), _mm256_loadu_ps(b.as_ptr().add(off)))
+            };
             // mul then add: bit-identical to `acc[lane] += a*b` (no FMA).
             acc = _mm256_add_ps(acc, _mm256_mul_ps(va, vb));
         }
@@ -518,7 +519,8 @@ mod avx2 {
     }
 
     /// # Safety
-    /// Requires avx2; reached only through the detection-gated dispatch.
+    /// Requires avx2 and `b.len() >= a.len()`; reached only through the
+    /// detection-gated dispatch, which asserts equal lengths.
     #[target_feature(enable = "avx2")]
     pub unsafe fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
         let n = a.len();
@@ -526,8 +528,10 @@ mod avx2 {
         let mut acc = _mm256_setzero_ps();
         for i in 0..chunks {
             let off = i * 8;
-            let va = _mm256_loadu_ps(a.as_ptr().add(off));
-            let vb = _mm256_loadu_ps(b.as_ptr().add(off));
+            // SAFETY: `off + 8 <= a.len() <= b.len()` (the contract above).
+            let (va, vb) = unsafe {
+                (_mm256_loadu_ps(a.as_ptr().add(off)), _mm256_loadu_ps(b.as_ptr().add(off)))
+            };
             let d = _mm256_sub_ps(va, vb);
             acc = _mm256_add_ps(acc, _mm256_mul_ps(d, d));
         }
@@ -540,7 +544,8 @@ mod avx2 {
     }
 
     /// # Safety
-    /// Requires avx2; reached only through the detection-gated dispatch.
+    /// Requires avx2 and `b.len() >= a.len()`; reached only through the
+    /// detection-gated dispatch, which asserts equal lengths.
     #[target_feature(enable = "avx2")]
     pub unsafe fn dot3(a: &[f32], b: &[f32]) -> [f32; 3] {
         let n = a.len();
@@ -550,8 +555,10 @@ mod avx2 {
         let mut ab = _mm256_setzero_ps();
         for i in 0..chunks {
             let off = i * 8;
-            let va = _mm256_loadu_ps(a.as_ptr().add(off));
-            let vb = _mm256_loadu_ps(b.as_ptr().add(off));
+            // SAFETY: `off + 8 <= a.len() <= b.len()` (the contract above).
+            let (va, vb) = unsafe {
+                (_mm256_loadu_ps(a.as_ptr().add(off)), _mm256_loadu_ps(b.as_ptr().add(off)))
+            };
             aa = _mm256_add_ps(aa, _mm256_mul_ps(va, va));
             bb = _mm256_add_ps(bb, _mm256_mul_ps(vb, vb));
             ab = _mm256_add_ps(ab, _mm256_mul_ps(va, vb));
@@ -573,7 +580,9 @@ mod avx2 {
     /// legacy sequential loop.
     ///
     /// # Safety
-    /// Requires avx2; reached only through the detection-gated dispatch.
+    /// Requires avx2, and `code`, `mins` and `scales` at least as long as
+    /// `query`; reached only through the detection-gated dispatch, which
+    /// asserts equal lengths.
     #[target_feature(enable = "avx2")]
     pub unsafe fn sq8_l2(query: &[f32], code: &[u8], mins: &[f32], scales: &[f32]) -> f32 {
         let n = query.len();
@@ -582,16 +591,24 @@ mod avx2 {
         let mut sq = [0.0f32; 8];
         for i in 0..chunks {
             let off = i * 8;
+            // SAFETY: each load reads 8 elements at `off + 8 <= query.len()`,
+            // and `code`, `mins` and `scales` are at least as long (the
+            // contract above).
+            let (c8, mn, sc, q) = unsafe {
+                (
+                    _mm_loadl_epi64(code.as_ptr().add(off) as *const __m128i),
+                    _mm256_loadu_ps(mins.as_ptr().add(off)),
+                    _mm256_loadu_ps(scales.as_ptr().add(off)),
+                    _mm256_loadu_ps(query.as_ptr().add(off)),
+                )
+            };
             // Zero-extend 8 code bytes to i32, convert to f32 (both exact).
-            let c8 = _mm_loadl_epi64(code.as_ptr().add(off) as *const __m128i);
             let cf = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(c8));
-            let mn = _mm256_loadu_ps(mins.as_ptr().add(off));
-            let sc = _mm256_loadu_ps(scales.as_ptr().add(off));
             // x = min + code * scale: mul then add, like the scalar loop.
             let x = _mm256_add_ps(mn, _mm256_mul_ps(cf, sc));
-            let q = _mm256_loadu_ps(query.as_ptr().add(off));
             let d = _mm256_sub_ps(q, x);
-            _mm256_storeu_ps(sq.as_mut_ptr(), _mm256_mul_ps(d, d));
+            // SAFETY: `sq` holds the eight `f32`s the store writes.
+            unsafe { _mm256_storeu_ps(sq.as_mut_ptr(), _mm256_mul_ps(d, d)) };
             for &v in &sq {
                 sum += v;
             }
@@ -708,7 +725,8 @@ mod avx2 {
         let pad_lanes = (!rest.is_empty()).then_some(&mut pad);
         for lanes in quads.iter_mut().chain(pad_lanes) {
             let xs = lanes.map(&pre);
-            let x = _mm256_loadu_pd(xs.as_ptr());
+            // SAFETY: `xs` holds the four `f64`s the load reads.
+            let x = unsafe { _mm256_loadu_pd(xs.as_ptr()) };
             let ax = _mm256_and_pd(x, abs_mask);
             // An ordered compare: a NaN lane is outside.
             let inside = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LT_OQ>(ax, huge));
@@ -720,11 +738,16 @@ mod avx2 {
             let r = _mm256_fmadd_pd(kd, neg_ln2_hi_n, x);
             let r = _mm256_fmadd_pd(kd, neg_ln2_lo_n, r);
             let idx = _mm256_slli_epi64::<1>(_mm256_and_si256(ki, _mm256_set1_epi64x(127)));
-            let tail = _mm256_castsi256_pd(_mm256_i64gather_epi64::<8>(table, idx));
-            let sbits = _mm256_add_epi64(
-                _mm256_i64gather_epi64::<8>(table.add(1), idx),
-                _mm256_slli_epi64::<45>(ki),
-            );
+            // SAFETY: `idx` is even and at most 254, so both gathers read
+            // inside the 256 entries of `EXP_TABLE`.
+            let (tail, hi) = unsafe {
+                (
+                    _mm256_i64gather_epi64::<8>(table, idx),
+                    _mm256_i64gather_epi64::<8>(table.add(1), idx),
+                )
+            };
+            let tail = _mm256_castsi256_pd(tail);
+            let sbits = _mm256_add_epi64(hi, _mm256_slli_epi64::<45>(ki));
             let r2 = _mm256_mul_pd(r, r);
             let p1 = _mm256_fmadd_pd(r, c3, c2);
             let p2 = _mm256_fmadd_pd(r, c5, c4);
@@ -736,7 +759,8 @@ mod avx2 {
             let y = _mm256_blendv_pd(y, _mm256_add_pd(_mm256_set1_pd(1.0), x), is_tiny);
 
             let mut es = [0.0; 4];
-            _mm256_storeu_pd(es.as_mut_ptr(), y);
+            // SAFETY: `es` holds the four `f64`s the store writes.
+            unsafe { _mm256_storeu_pd(es.as_mut_ptr(), y) };
             if inside != 0b1111 {
                 for (lane, (e, x)) in es.iter_mut().zip(xs).enumerate() {
                     if inside >> lane & 1 == 0 {
@@ -803,7 +827,8 @@ mod avx2 {
     /// per-row bodies.
     ///
     /// # Safety
-    /// Requires avx2; reached only through the detection-gated dispatch.
+    /// Requires avx2 and `query.len() == dim`; reached only through the
+    /// detection-gated dispatch, which asserts the length.
     #[target_feature(enable = "avx2")]
     pub unsafe fn score_block<const L2: bool>(
         query: &[f32],
@@ -826,9 +851,12 @@ mod avx2 {
             if chunks > 0 {
                 let mut acc = [_mm256_setzero_ps(); 8];
                 for c in 0..chunks {
-                    let q = _mm256_loadu_ps(q_chunks.as_ptr().add(c * 8));
+                    // SAFETY: `c * 8 + 8 <= q_chunks.len()`.
+                    let q = unsafe { _mm256_loadu_ps(q_chunks.as_ptr().add(c * 8)) };
                     for (r, a) in acc.iter_mut().enumerate() {
-                        let x = _mm256_loadu_ps(rows.add(r * dim + c * 8));
+                        // SAFETY: row `r < 8` of the `8 * dim` group, lanes
+                        // `c * 8 .. c * 8 + 8 <= dim` of it.
+                        let x = unsafe { _mm256_loadu_ps(rows.add(r * dim + c * 8)) };
                         *a = _mm256_add_ps(*a, term::<L2>(q, x));
                     }
                 }
@@ -839,23 +867,36 @@ mod avx2 {
             if !q_tail.is_empty() {
                 let mut tails = [_mm256_setzero_ps(); 8];
                 for (r, t) in tails.iter_mut().enumerate() {
-                    *t = _mm256_maskload_ps(rows.add(r * dim + chunks * 8), tail_mask);
+                    // SAFETY: row `r < 8` of the group; the mask reads only
+                    // its `dim - chunks * 8` tail lanes.
+                    *t = unsafe { _mm256_maskload_ps(rows.add(r * dim + chunks * 8), tail_mask) };
                 }
                 for (&q, col) in q_tail.iter().zip(transpose8(tails)) {
                     sums = _mm256_add_ps(sums, term::<L2>(_mm256_set1_ps(q), col));
                 }
             }
             let mut scores = [0.0f32; 8];
-            _mm256_storeu_ps(scores.as_mut_ptr(), sums);
+            // SAFETY: `scores` holds the eight `f32`s the store writes.
+            unsafe { _mm256_storeu_ps(scores.as_mut_ptr(), sums) };
             out.extend_from_slice(&scores);
         }
         for row in groups.remainder().chunks_exact(dim) {
-            out.push(if L2 { l2_sq(query, row) } else { dot(query, row) });
+            // SAFETY: avx2 is enabled here, and `row.len() == dim == query.len()`
+            // (the contract above).
+            out.push(unsafe {
+                if L2 {
+                    l2_sq(query, row)
+                } else {
+                    dot(query, row)
+                }
+            });
         }
     }
 
     /// # Safety
-    /// Requires avx2; reached only through the detection-gated dispatch.
+    /// Requires avx2, and `query`, `mins` and `scales` of `dim` elements;
+    /// reached only through the detection-gated dispatch, which asserts
+    /// those lengths.
     #[target_feature(enable = "avx2")]
     pub unsafe fn sq8_l2_block(
         query: &[f32],
@@ -866,7 +907,9 @@ mod avx2 {
         out: &mut Vec<f32>,
     ) {
         for row in codes.chunks_exact(dim) {
-            out.push(sq8_l2(query, row, mins, scales));
+            // SAFETY: avx2 is enabled here, and `query`, `mins` and `scales`
+            // have `dim == row.len()` elements (the contract above).
+            out.push(unsafe { sq8_l2(query, row, mins, scales) });
         }
     }
 }

@@ -21,6 +21,10 @@
 pub mod dataset;
 pub mod distance;
 pub mod ground_truth;
+#[allow(
+    unsafe_code,
+    reason = "the SIMD bodies and their detection-gated dispatch: the one place outside `bench::affinity` that may use `unsafe`"
+)]
 pub mod kernel;
 pub mod rng;
 

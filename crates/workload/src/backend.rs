@@ -377,7 +377,10 @@ impl ServingBackend {
     /// When `workload` is not the workload `sim` replays: the serving phase
     /// prices every candidate with the cost model of the workload the
     /// replay measured it on.
-    #[allow(clippy::new_ret_no_self)] // The constructor the benchmark calls, by its old name.
+    #[allow(
+        clippy::new_ret_no_self,
+        reason = "the constructor the benchmark calls, by its old name"
+    )]
     pub fn new<'a>(
         workload: &'a Workload,
         sim: SimBackend<'a>,

@@ -24,7 +24,6 @@
 //! live open-loop serving simulation ([`serving`]) — tail latency, bounded
 //! queues, SLO-aware tuning; a live Milvus/qdrant driver would implement
 //! the same trait.
-#![deny(unsafe_code)]
 
 pub mod backend;
 pub mod replay;

@@ -899,7 +899,7 @@ fn run(
 /// `base_service_secs` is the per-query service time the cost model derived
 /// for this configuration
 /// ([`vdms::CostModel::service_secs_from_qps_replicated`]).
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "the signature the repo benchmark calls")]
 pub fn simulate(
     model: &CostModel,
     sys: &SystemParams,
@@ -949,7 +949,7 @@ pub fn simulate_replicated(
 
 /// Read-only [`simulate`] under `policy`: any insert fraction the spec
 /// carries is ignored.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "the signature the repo benchmark calls")]
 pub fn simulate_pinned(
     model: &CostModel,
     sys: &SystemParams,
@@ -975,7 +975,7 @@ pub fn simulate_pinned(
 }
 
 /// [`simulate`] under the name the repo benchmark imports.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "the signature the repo benchmark calls")]
 pub fn simulate_pinned_mixed(
     model: &CostModel,
     sys: &SystemParams,

@@ -52,9 +52,10 @@ pub fn run_tuner<T: Tuner + ?Sized, B: EvalBackend>(
     let mut remaining = iterations;
     while remaining > 0 {
         let batch = q.min(remaining);
-        // lint:allow(wall-clock): Table VI recommendation-time bookkeeping —
-        // measures the tuner's own thinking time, never feeds sim results.
-        #[allow(clippy::disallowed_methods)]
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "Table VI's recommendation time: the tuner's own thinking time, never a simulated result"
+        )]
         let t0 = Instant::now();
         let configs = tuner.propose_batch(evaluator.history(), batch);
         assert_eq!(configs.len(), batch, "tuner must return exactly q candidates");

@@ -36,7 +36,6 @@
 //! let outcome = tuner.run(&workload, 30);
 //! println!("best balanced config: {:?}", outcome.best_balanced());
 //! ```
-#![deny(unsafe_code)]
 
 pub use anns;
 pub use baselines;
