@@ -509,8 +509,8 @@ mod tests {
     #[test]
     fn calibration_penalties_are_model_legal() {
         // Whatever this host measures (or falls back to), the matrix must
-        // be chargeable: every entry finite and ≥ 1.0 — the same contract
-        // `PenaltyMatrix::parse_penalties` enforces on load.
+        // be chargeable: every entry finite and ≥ 1.0 (a penalty below 1.0
+        // would mean contention speeds work up).
         if let Some(cal) = calibrate() {
             for p in
                 [cal.penalties.same_core_smt, cal.penalties.same_socket, cal.penalties.cross_socket]

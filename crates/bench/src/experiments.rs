@@ -13,9 +13,7 @@ use crate::cotuning::{
     FixedArm, MeasuredField, BEST_QPS, LATENCY_LADDER, RECALL_FLOOR, SERVING_SLO_P99_SECS,
     TOP_P99_MS,
 };
-use crate::report::{
-    emit, emit_json, f1, f2, f3, ms, pct, read_back, results_dir, JsonValue, Table,
-};
+use crate::report::{emit, emit_json, f1, f2, f3, ms, pct, JsonValue, Table};
 use crate::{
     recall_floor, run_parallel, vdtuner_paper_options, Arm, Method, Profile, Request, Runs,
     SACRIFICES,
@@ -23,7 +21,6 @@ use crate::{
 use anns::cost::ScanUnitCosts;
 use anns::params::IndexType;
 use std::io;
-use std::path::Path;
 use vdms::cluster::ClusterSpec;
 use vdms::memory::MemoryUsage;
 use vdms::system_params::SystemParams;
@@ -419,7 +416,11 @@ pub fn fig10(profile: &Profile, runs: &Runs) -> io::Result<()> {
             out.observations.iter().filter(|o| o.qps >= 0.7 * max_q && o.recall >= 0.9).count();
         summary.row(vec![name.to_string(), f3(sigma), good.to_string(), f1(max_q), f3(max_r)]);
     }
-    emit("fig10_summary", "Fig 10 summary: polling explores wider and samples better", &summary)
+    emit(
+        "fig10_summary",
+        "Fig 10 summary: recall spread and high-quality samples per surrogate",
+        &summary,
+    )
 }
 
 /// Figure 11: parameter traces over iterations (Geo-radius).
@@ -445,7 +446,7 @@ pub fn fig11(profile: &Profile, runs: &Runs) -> io::Result<()> {
         let std = |rows: &[Vec<f64>]| std_dev(&rows.iter().map(|r| r[d]).collect::<Vec<f64>>());
         s.row(vec![name.to_string(), f3(std(&trace[..half])), f3(std(&trace[half..]))]);
     }
-    emit("fig11_convergence", "Fig 11 summary: exploration → exploitation", &s)
+    emit("fig11_convergence", "Fig 11 summary: parameter spread, first vs second half", &s)
 }
 
 /// Figure 12: user recall preference — constraint model and bootstrapping.
@@ -1037,16 +1038,15 @@ pub fn replication(profile: &Profile, runs: &Runs) -> io::Result<()> {
 /// Two-phase: the host's NUMA/SMT penalty surface is first *measured* by a
 /// real pinned multi-threaded replay (`bench::affinity` — raw
 /// `sched_setaffinity`, sysfs topology discovery, SMT co-run and ping-pong
-/// pair probes) and written to `results/reactors.json`; the tuning phase
-/// then prices reactors with [`CostModel::calibrated`], which reads that
-/// surface back. Penalty classes the host cannot measure (a 1-CPU
-/// container has no pairs) keep the analytic constants, recorded per entry
-/// in `penalty_sources` — the file never claims a fallback was measured.
-/// Also verifies in-run that freezing the 19th dimension at
-/// [`PinningPolicy::Shared`] reproduces the 18-dim replication tuning
-/// history bit for bit. Written to `results/reactors.json` by the two
-/// `emit_json` calls below + CSVs. Fails if the penalties do not read back
-/// or the contract does not hold.
+/// pair probes), and the scan constants by the same `measure_scans` that
+/// `kernels` records; the tuning phase then prices reactors with both,
+/// handed to the cost model as values (`host_cost_model`). Penalty
+/// classes the host cannot measure (a 1-CPU container has no pairs) keep
+/// the analytic constants, recorded per entry in `penalty_sources` — the
+/// file never claims a fallback was measured. Also verifies in-run that
+/// freezing the 19th dimension at [`PinningPolicy::Shared`] reproduces the
+/// 18-dim replication tuning history bit for bit. Written to
+/// `results/reactors.json` + CSVs. Fails if the contract does not hold.
 pub fn reactors(profile: &Profile, runs: &Runs) -> io::Result<()> {
     let max_shards = 4usize;
     let max_replicas = 2usize;
@@ -1066,13 +1066,15 @@ pub fn reactors(profile: &Profile, runs: &Runs) -> io::Result<()> {
             0.0,
         ),
     };
-    let measured_entries =
-        sources.iter().filter(|s| **s == affinity::EntrySource::Measured).count();
-    let calibration_source = match measured_entries {
-        3 => CalibrationSource::Measured,
-        0 => CalibrationSource::Analytic,
-        _ => CalibrationSource::Partial,
-    };
+    // Phase 2 prices with this run's measurements: the surface above and
+    // this host's scan constants. Its own workload: the host's cost model
+    // must not reach the memo's, which every other experiment prices with
+    // the analytic one.
+    let mut w = Workload::paper_default(DatasetSpec::scaled(DatasetKind::Glove));
+    let scan = measure_scans(&w.dataset, profile).unit_costs();
+    w.cost_model = host_cost_model(scan, penalties, sources);
+    let calibration_source = w.cost_model.penalty_source;
+
     let mut ct = Table::new(vec!["quantity", "value", "source"]);
     ct.row(vec![
         "host topology (sockets x cores x smt)".into(),
@@ -1100,10 +1102,7 @@ pub fn reactors(profile: &Profile, runs: &Runs) -> io::Result<()> {
     }
     emit("reactors_calibration", "Pinned-replay calibration of the reactor penalty surface", &ct)?;
 
-    // The calibration fragment is written *before* tuning so the
-    // calibrated cost model below prices reactors with this host's
-    // surface; the full document (same penalties) replaces it at the end.
-    let calibration: Vec<(String, JsonValue)> = vec![
+    let mut doc: Vec<(String, JsonValue)> = vec![
         ("experiment".into(), JsonValue::Str("reactors".into())),
         ("calibration_source".into(), JsonValue::Str(calibration_source.name().into())),
         (
@@ -1133,15 +1132,14 @@ pub fn reactors(profile: &Profile, runs: &Runs) -> io::Result<()> {
             ]),
         ),
     ];
-    emit_json("reactors", &JsonValue::Obj(calibration.clone()))?;
+    // What the tuning phase priced with.
+    doc.push((
+        "tuning_penalty_source".to_string(),
+        JsonValue::Str(w.cost_model.penalty_source.name().into()),
+    ));
+    doc.push(("tuning_scan".to_string(), scan_json(&w.cost_model.scan, w.cost_model.scan_source)));
 
-    // --- Phase 2: co-tune the pinning policy with the calibrated model ----
-    // Its own workload: the calibrated cost model must not reach the
-    // memo's, which every other experiment prices with the analytic one.
-    let mut w = Workload::paper_default(DatasetSpec::scaled(DatasetKind::Glove));
-    w.cost_model = CostModel::calibrated(&results_dir());
-    let written = (penalties, calibration_source);
-    reactors_read_back(&results_dir().join("reactors.json"), written, &w.cost_model)?;
+    // --- Phase 2: co-tune the pinning policy with the host's model --------
     let space18 = || SpaceSpec::with_topology(max_shards).with_replication(max_replicas);
 
     let run = CoTuning {
@@ -1210,20 +1208,34 @@ pub fn reactors(profile: &Profile, runs: &Runs) -> io::Result<()> {
         &Comparison::table(&cmp, &contracts),
     )?;
 
-    let mut doc = calibration;
-    // What the tuning phase actually priced with: the provenance
-    // [`CostModel::calibrated`] loaded with the penalty surface this
-    // experiment's phase 1 wrote — `calibration_source` itself, or the read
-    // back above would have failed.
-    doc.push((
-        "tuning_penalty_source".to_string(),
-        JsonValue::Str(w.cost_model.penalty_source.name().into()),
-    ));
     doc.extend(run.json_head());
     doc.extend(run.json_arms("frozen_matches_18dim", ("policy_histogram", int_array(&hist)), &[]));
     doc.push(("comparison".into(), Comparison::json(&cmp)));
     emit_json("reactors", &JsonValue::Obj(doc))?;
     contracts_hold(&contracts)
+}
+
+/// The cost model `reactors` tunes with: the scan constants measured in
+/// this run and the pinned calibration's penalty surface, labelled by how
+/// many of its three entries (`sources`) the host could measure.
+fn host_cost_model(
+    scan: ScanUnitCosts,
+    penalties: PenaltyMatrix,
+    sources: [affinity::EntrySource; 3],
+) -> CostModel {
+    let measured = sources.iter().filter(|s| **s == affinity::EntrySource::Measured).count();
+    let penalty_source = match measured {
+        3 => CalibrationSource::Measured,
+        0 => CalibrationSource::Analytic,
+        _ => CalibrationSource::Partial,
+    };
+    CostModel {
+        scan,
+        scan_source: CalibrationSource::Measured,
+        penalties,
+        penalty_source,
+        ..CostModel::default()
+    }
 }
 
 /// §V-E scalability: deep-image (10× GloVe) — VDTuner vs qEHVI.
@@ -1285,23 +1297,112 @@ fn ns_per_dim(mdps: f64) -> f64 {
     (1_000.0 / mdps.max(1e-9)).max(1e-4)
 }
 
-/// Kernel calibration (beyond the paper): measured scalar-vs-dispatched
-/// distance-kernel throughput per (metric, dim), SQ8-vs-f32 quantized scan
-/// throughput and recall delta on a GloVe replay, and the cost-model scan
-/// constants derived from those measurements. Written to
-/// `results/kernels.json` by the `emit_json` call at the end; fails unless
-/// [`ScanUnitCosts::load`], what [`CostModel::calibrated`] reads, returns
-/// the written constants.
-pub fn kernels(profile: &Profile, _runs: &Runs) -> io::Result<()> {
+/// Timed repetitions per kernel measurement at `profile`'s budget.
+fn timing_reps(profile: &Profile) -> usize {
+    (profile.iters / 10).clamp(3, 20)
+}
+
+/// This host's scan throughputs on a GloVe replay: the dispatched f32
+/// scan and the SQ8 scan in Mdim/s, PQ ADC lookups in millions per
+/// second, and the SQ8 scan's recall against exact top-10.
+struct ScanMeasurement {
+    f32_mdps: f64,
+    sq8_mdps: f64,
+    pq_mlps: f64,
+    recall_sq8: f64,
+}
+
+impl ScanMeasurement {
+    /// The cost-model scan constants the throughputs imply.
+    fn unit_costs(&self) -> ScanUnitCosts {
+        ScanUnitCosts {
+            f32_dim_ns: ns_per_dim(self.f32_mdps),
+            u8_dim_ns: ns_per_dim(self.sq8_mdps),
+            pq_lookup_ns: ns_per_dim(self.pq_mlps),
+        }
+    }
+}
+
+/// Measure the three scans behind the cost model's scan constants on `ds`
+/// (up to 32 of its queries): the one measurement `kernels` records and
+/// `reactors` prices with.
+fn measure_scans(ds: &vecdata::Dataset, profile: &Profile) -> ScanMeasurement {
     use anns::ivf_pq::ProductQuantizer;
     use anns::ivf_sq8::ScalarQuantizer;
     use vecdata::ground_truth::{recall, TopK};
+
+    let dispatched = vecdata::kernel::select(false);
+    let reps = timing_reps(profile);
+    let (dim, n) = (ds.dim(), ds.len());
+    let sq = ScalarQuantizer::train(ds.raw(), dim);
+    let mut codes = vec![0u8; n * dim];
+    for i in 0..n {
+        sq.encode(ds.vector(i), &mut codes[i * dim..(i + 1) * dim]);
+    }
+    let n_queries = ds.n_queries().min(32);
+    let top_k = 10;
+    let gt = vecdata::ground_truth(ds, top_k);
+    let mut scores: Vec<f32> = Vec::with_capacity(n);
+    let mut f32_acc = 0.0f64;
+    let mut sq8_acc = 0.0f64;
+    let mut recall_acc = 0.0f64;
+    for qi in 0..n_queries {
+        let q = ds.query(qi);
+        f32_acc += measure_mdps(n * dim, reps, || {
+            dispatched.l2_sq_block(q, ds.raw(), dim, &mut scores);
+            scores[n - 1]
+        });
+        sq8_acc += measure_mdps(n * dim, reps, || {
+            dispatched.sq8_l2_block(q, &codes, &sq.mins, &sq.scales, dim, &mut scores);
+            scores[n - 1]
+        });
+        // Recall of the quantized scan against exact ground truth (GloVe is
+        // ingest-normalized, so L2 order == angular order).
+        dispatched.sq8_l2_block(q, &codes, &sq.mins, &sq.scales, dim, &mut scores);
+        let mut top = TopK::new(top_k);
+        for (i, &d) in scores.iter().enumerate() {
+            top.push(i as u32, d);
+        }
+        let ids: Vec<u32> = top.into_sorted().iter().map(|nb| nb.id).collect();
+        recall_acc += recall(&ids, &gt[qi]);
+    }
+
+    let mut stats = anns::BuildStats::default();
+    let pq = ProductQuantizer::train(ds.raw(), dim, 8, 8, profile.seed ^ 0xADC, &mut stats)
+        .expect("48 % 8 == 0");
+    let mut pq_codes = vec![0u8; n * pq.m];
+    pq.encode(ds.raw(), &mut pq_codes);
+    let mut cost = anns::SearchCost::default();
+    let table = pq.adc_table(ds.query(0), &mut cost);
+    let pq_mlps = measure_mdps(n * pq.m, reps, || {
+        let mut acc = 0.0f32;
+        for code in pq_codes.chunks_exact(pq.m) {
+            acc += pq.adc_distance(&table, code);
+        }
+        acc
+    });
+
+    ScanMeasurement {
+        f32_mdps: f32_acc / n_queries as f64,
+        sq8_mdps: sq8_acc / n_queries as f64,
+        pq_mlps,
+        recall_sq8: recall_acc / n_queries as f64,
+    }
+}
+
+/// Kernel calibration (beyond the paper): measured scalar-vs-dispatched
+/// distance-kernel throughput per (metric, dim), SQ8-vs-f32 quantized scan
+/// throughput and recall delta on a GloVe replay, and the cost-model scan
+/// constants derived from those measurements (`measure_scans`, what
+/// `reactors` prices with). Written to `results/kernels.json` by the
+/// `emit_json` call at the end.
+pub fn kernels(profile: &Profile, _runs: &Runs) -> io::Result<()> {
     use vecdata::kernel;
     use vecdata::rng::{derive, fill_gaussian, rng};
 
     let scalar = kernel::select(true);
     let dispatched = kernel::select(false);
-    let reps = (profile.iters / 10).clamp(3, 20);
+    let reps = timing_reps(profile);
     let rows = 2048usize;
 
     // --- f32 kernels: scalar vs dispatched per (metric, dim). ---
@@ -1357,69 +1458,18 @@ pub fn kernels(profile: &Profile, _runs: &Runs) -> io::Result<()> {
         }
     }
 
-    // --- SQ8 quantized scan vs f32 scan on the GloVe replay. ---
+    // --- f32 and SQ8 scans and PQ lookups on the GloVe replay. ---
     let ds = DatasetSpec::scaled(DatasetKind::Glove).generate();
-    let (dim, n) = (ds.dim(), ds.len());
-    let sq = ScalarQuantizer::train(ds.raw(), dim);
-    let mut codes = vec![0u8; n * dim];
-    for i in 0..n {
-        sq.encode(ds.vector(i), &mut codes[i * dim..(i + 1) * dim]);
-    }
-    let n_queries = ds.n_queries().min(32);
-    let top_k = 10;
-    let gt = vecdata::ground_truth(&ds, top_k);
-    let mut scores: Vec<f32> = Vec::with_capacity(n);
-    let mut f32_acc = 0.0f64;
-    let mut sq8_acc = 0.0f64;
-    let mut recall_acc = 0.0f64;
-    for qi in 0..n_queries {
-        let q = ds.query(qi);
-        f32_acc += measure_mdps(n * dim, reps, || {
-            dispatched.l2_sq_block(q, ds.raw(), dim, &mut scores);
-            scores[n - 1]
-        });
-        sq8_acc += measure_mdps(n * dim, reps, || {
-            dispatched.sq8_l2_block(q, &codes, &sq.mins, &sq.scales, dim, &mut scores);
-            scores[n - 1]
-        });
-        // Recall of the quantized scan against exact ground truth (GloVe is
-        // ingest-normalized, so L2 order == angular order).
-        dispatched.sq8_l2_block(q, &codes, &sq.mins, &sq.scales, dim, &mut scores);
-        let mut top = TopK::new(top_k);
-        for (i, &d) in scores.iter().enumerate() {
-            top.push(i as u32, d);
-        }
-        let ids: Vec<u32> = top.into_sorted().iter().map(|nb| nb.id).collect();
-        recall_acc += recall(&ids, &gt[qi]);
-    }
-    let f32_mdps = f32_acc / n_queries as f64;
-    let sq8_mdps = sq8_acc / n_queries as f64;
-    let recall_sq8 = recall_acc / n_queries as f64;
-    let sq8_note = format!("{:.2}x (recall {:.3})", sq8_mdps / f32_mdps.max(1e-9), recall_sq8);
-    row("sq8 scan", dim, f32_mdps, sq8_mdps, sq8_note);
-
-    // --- PQ ADC lookups (for the third calibration constant). ---
-    let mut stats = anns::BuildStats::default();
-    let pq = ProductQuantizer::train(ds.raw(), dim, 8, 8, profile.seed ^ 0xADC, &mut stats)
-        .expect("48 % 8 == 0");
-    let mut pq_codes = vec![0u8; n * pq.m];
-    pq.encode(ds.raw(), &mut pq_codes);
-    let mut cost = anns::SearchCost::default();
-    let table = pq.adc_table(ds.query(0), &mut cost);
-    let pq_mlps = measure_mdps(n * pq.m, reps, || {
-        let mut acc = 0.0f32;
-        for code in pq_codes.chunks_exact(pq.m) {
-            acc += pq.adc_distance(&table, code);
-        }
-        acc
-    });
+    let scans = measure_scans(&ds, profile);
+    let sq8_note = format!(
+        "{:.2}x (recall {:.3})",
+        scans.sq8_mdps / scans.f32_mdps.max(1e-9),
+        scans.recall_sq8
+    );
+    row("sq8 scan", ds.dim(), scans.f32_mdps, scans.sq8_mdps, sq8_note);
 
     // --- Derived cost-model calibration (ns per SearchCost unit). ---
-    let cal = ScanUnitCosts {
-        f32_dim_ns: ns_per_dim(f32_mdps),
-        u8_dim_ns: ns_per_dim(sq8_mdps),
-        pq_lookup_ns: ns_per_dim(pq_mlps),
-    };
+    let cal = scans.unit_costs();
     t.row(vec![
         "calibration (ns/unit)".to_string(),
         "-".to_string(),
@@ -1428,13 +1478,14 @@ pub fn kernels(profile: &Profile, _runs: &Runs) -> io::Result<()> {
         format!("pq {:.3}", cal.pq_lookup_ns),
     ]);
     emit("kernels", "Distance kernels: scalar vs dispatched + SQ8 scan", &t)?;
+    let analytic = ScanUnitCosts::ANALYTIC;
     println!(
-        "  dispatched kernel: {} (forced scalar: {}); analytic fallback f32/u8/pq = {}/{}/{} ns",
+        "  dispatched kernel: {} (forced scalar: {}); analytic f32/u8/pq = {}/{}/{} ns",
         dispatched.name(),
         kernel::force_scalar_requested(),
-        vdms::cost_model::unit_costs::F32_DIM_NS,
-        vdms::cost_model::unit_costs::U8_DIM_NS,
-        vdms::cost_model::unit_costs::PQ_LOOKUP_NS,
+        analytic.f32_dim_ns,
+        analytic.u8_dim_ns,
+        analytic.pq_lookup_ns,
     );
     emit_json(
         "kernels",
@@ -1448,47 +1499,28 @@ pub fn kernels(profile: &Profile, _runs: &Runs) -> io::Result<()> {
                 "sq8",
                 JsonValue::obj(vec![
                     ("dataset", JsonValue::Str("GloVe (scaled)".into())),
-                    ("f32_scan_mdps", JsonValue::Num(f32_mdps)),
-                    ("sq8_scan_mdps", JsonValue::Num(sq8_mdps)),
-                    ("speedup", JsonValue::Num(sq8_mdps / f32_mdps.max(1e-9))),
-                    ("recall_sq8", JsonValue::Num(recall_sq8)),
-                    ("recall_delta", JsonValue::Num(1.0 - recall_sq8)),
+                    ("f32_scan_mdps", JsonValue::Num(scans.f32_mdps)),
+                    ("sq8_scan_mdps", JsonValue::Num(scans.sq8_mdps)),
+                    ("speedup", JsonValue::Num(scans.sq8_mdps / scans.f32_mdps.max(1e-9))),
+                    ("recall_sq8", JsonValue::Num(scans.recall_sq8)),
+                    ("recall_delta", JsonValue::Num(1.0 - scans.recall_sq8)),
                 ]),
             ),
-            ("calibration", kernels_calibration(&cal)),
+            ("calibration", scan_json(&cal, CalibrationSource::Measured)),
         ]),
-    )?;
-    kernels_read_back(&results_dir().join("kernels.json"), &cal)
+    )
 }
 
-/// The `calibration` block of `results/kernels.json`: ns per
-/// [`anns::SearchCost`] unit, as [`ScanUnitCosts::from_kernels_json`] parses it.
-fn kernels_calibration(cal: &ScanUnitCosts) -> JsonValue {
+/// Scan constants as a JSON record: ns per [`anns::SearchCost`] unit and
+/// where they came from (`kernels.json`'s `calibration` block,
+/// `reactors.json`'s `tuning_scan`).
+fn scan_json(scan: &ScanUnitCosts, source: CalibrationSource) -> JsonValue {
     JsonValue::obj(vec![
-        ("f32_dim_ns", JsonValue::Num(cal.f32_dim_ns)),
-        ("u8_dim_ns", JsonValue::Num(cal.u8_dim_ns)),
-        ("pq_lookup_ns", JsonValue::Num(cal.pq_lookup_ns)),
-        ("source", JsonValue::Str("measured".into())),
+        ("f32_dim_ns", JsonValue::Num(scan.f32_dim_ns)),
+        ("u8_dim_ns", JsonValue::Num(scan.u8_dim_ns)),
+        ("pq_lookup_ns", JsonValue::Num(scan.pq_lookup_ns)),
+        ("source", JsonValue::Str(source.name().into())),
     ])
-}
-
-/// The written `kernels.json` read back through [`ScanUnitCosts::load`].
-fn kernels_read_back(path: &Path, written: &ScanUnitCosts) -> io::Result<()> {
-    let units = |c: &ScanUnitCosts| [c.f32_dim_ns, c.u8_dim_ns, c.pq_lookup_ns];
-    read_back(path, units(written), ScanUnitCosts::load(path).as_ref().map(units))
-}
-
-/// The written `reactors.json` penalties and provenance as the calibrated
-/// `model` loaded them: a file it fell back from, or loaded under another
-/// label, reads back as nothing.
-fn reactors_read_back(
-    path: &Path,
-    (penalties, source): (PenaltyMatrix, CalibrationSource),
-    model: &CostModel,
-) -> io::Result<()> {
-    let units = |p: &PenaltyMatrix| [p.same_core_smt, p.same_socket, p.cross_socket];
-    let read = (model.penalty_source == source).then(|| units(&model.penalties));
-    read_back(path, units(&penalties), read)
 }
 
 /// Real write path (beyond the paper): WAL group commit + segment
@@ -1660,71 +1692,34 @@ pub fn writepath(profile: &Profile, runs: &Runs) -> io::Result<()> {
 mod tests {
     use super::*;
 
-    /// A `kernels.json` under the system temp directory holding `cal`.
-    fn written_kernels(name: &str, cal: &ScanUnitCosts) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("vdtuner_bench_{name}_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("kernels.json");
-        let doc = JsonValue::obj(vec![("calibration", kernels_calibration(cal))]);
-        std::fs::write(&path, doc.render(0)).unwrap();
-        path
-    }
-
-    const MEASURED: ScanUnitCosts = ScanUnitCosts {
-        f32_dim_ns: 0.09287532167043651,
-        u8_dim_ns: 0.5025146517762779,
-        pq_lookup_ns: 1.718765625,
-    };
-
     #[test]
-    fn a_kernels_calibration_reads_back_bit_equal() {
-        let path = written_kernels("equal", &MEASURED);
-        kernels_read_back(&path, &MEASURED).unwrap();
-        // The clamp floor of `ns_per_dim` round-trips too.
-        let floor = ScanUnitCosts { u8_dim_ns: ns_per_dim(f64::INFINITY), ..MEASURED };
-        kernels_read_back(&written_kernels("floor", &floor), &floor).unwrap();
-        // The same file against a constant one ulp away does not.
-        let next = ScanUnitCosts {
-            pq_lookup_ns: f64::from_bits(1.718765625f64.to_bits() + 1),
-            ..MEASURED
+    fn the_host_model_carries_its_measurements_and_their_provenance() {
+        use affinity::EntrySource::{Analytic as A, Measured as M};
+        let scan = ScanUnitCosts {
+            f32_dim_ns: 0.09287532167043651,
+            u8_dim_ns: 0.5025146517762779,
+            pq_lookup_ns: 1.718765625,
         };
-        assert!(kernels_read_back(&path, &next).is_err());
-    }
-
-    #[test]
-    fn a_kernels_calibration_the_parser_rejects_fails_the_read_back() {
-        let zero = ScanUnitCosts { u8_dim_ns: 0.0, ..MEASURED };
-        let path = written_kernels("rejected", &zero);
-        let err = kernels_read_back(&path, &zero).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains(&path.display().to_string()), "{err}");
-        assert!(err.to_string().contains("parsed None"), "{err}");
-    }
-
-    #[test]
-    fn reactors_penalties_read_back_only_when_the_model_loaded_them() {
-        let path = Path::new("results/reactors.json");
-        let measured = PenaltyMatrix { same_core_smt: 1.45, same_socket: 1.0, cross_socket: 1.4 };
-        let model = |penalties, penalty_source| CostModel {
-            penalties,
-            penalty_source,
-            ..CostModel::default()
-        };
-        use CalibrationSource::{Analytic, Fallback, Measured, Partial};
-        for source in [Measured, Partial] {
-            reactors_read_back(path, (measured, source), &model(measured, source)).unwrap();
+        let penalties = PenaltyMatrix { same_core_smt: 1.62, same_socket: 1.05, cross_socket: 2.0 };
+        let default = CostModel::default();
+        for (sources, want) in [
+            ([M, M, M], CalibrationSource::Measured),
+            ([A, A, A], CalibrationSource::Analytic),
+            ([M, A, A], CalibrationSource::Partial),
+            ([A, M, M], CalibrationSource::Partial),
+        ] {
+            let model = host_cost_model(scan, penalties, sources);
+            assert_eq!(model.penalty_source, want, "{sources:?}");
+            assert_eq!(model.scan_source, CalibrationSource::Measured);
+            assert_eq!(model.scan, scan);
+            assert_eq!(model.penalties, penalties);
+            // Everything else is the default model's.
+            assert_eq!(model.topology, default.topology);
+            assert_eq!(model.query_node_cores, default.query_node_cores);
+            assert_eq!(model.workload_concurrency, default.workload_concurrency);
         }
-        // A file that could measure nothing still reads back as loaded.
-        let analytic = PenaltyMatrix::ANALYTIC;
-        reactors_read_back(path, (analytic, Analytic), &model(analytic, Analytic)).unwrap();
-        // Equal values are not enough: a model that fell back to the
-        // analytic surface read nothing back.
-        let err =
-            reactors_read_back(path, (analytic, Analytic), &model(analytic, Fallback)).unwrap_err();
-        assert!(err.to_string().contains("reactors.json"), "{err}");
-        let relabelled = model(measured, Measured);
-        assert!(reactors_read_back(path, (measured, Partial), &relabelled).is_err());
-        let moved = model(PenaltyMatrix { cross_socket: 1.5, ..measured }, Measured);
-        assert!(reactors_read_back(path, (measured, Measured), &moved).is_err());
+        // What the benchmark's fingerprint prints for its default model.
+        assert_eq!(default.scan_source.name(), "analytic");
+        assert_eq!(default.penalty_source.name(), "analytic");
     }
 }

@@ -10,7 +10,7 @@
 #![allow(
     clippy::disallowed_methods,
     clippy::disallowed_types,
-    reason = "bench is the wall-clock domain (real timing, calibration), and its hash maps are lookups whose order reaches no result"
+    reason = "bench is the wall-clock and I/O domain (real timing, host calibration, the `results/` artifacts it writes), and its hash maps are lookups whose order reaches no result"
 )]
 
 #[allow(

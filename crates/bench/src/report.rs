@@ -70,9 +70,8 @@ impl Table {
     }
 }
 
-/// Directory where repro runs drop their artifacts and read their
-/// calibrations: `results/` under the working directory, wherever the
-/// binary was built.
+/// Directory where repro runs drop their artifacts: `results/` under the
+/// working directory, wherever the binary was built.
 pub fn results_dir() -> PathBuf {
     PathBuf::from("results")
 }
@@ -120,10 +119,13 @@ pub fn emit(name: &str, title: &str, table: &Table) -> io::Result<()> {
 /// * `serving`, `topology`, `replication`, `writepath` — the experiments of
 ///   those names in [`crate::experiments`], pinned byte for byte at
 ///   `--iters 10` by `crates/bench/repro_iters10.sha256`;
-/// * `reactors` — [`crate::experiments::reactors`], host-measured; its
-///   `penalties` must read back through `vdms::CostModel::calibrated`;
-/// * `kernels` — [`crate::experiments::kernels`], host-measured; its
-///   `calibration` must read back through `anns::cost::ScanUnitCosts::load`.
+/// * `reactors` — [`crate::experiments::reactors`], host-measured: the
+///   penalty surface and scan constants its tuning phase priced with;
+/// * `kernels` — [`crate::experiments::kernels`], host-measured: the
+///   kernel throughputs and the scan constants they imply.
+///
+/// Every document is a write-only record: nothing in the workspace reads
+/// `results/` back.
 pub fn emit_json(name: &str, json: &JsonValue) -> io::Result<()> {
     let file = format!("{name}.json");
     json.validate().map_err(|e| {
@@ -133,25 +135,6 @@ pub fn emit_json(name: &str, json: &JsonValue) -> io::Result<()> {
         )
     })?;
     write_artifact(&artifact_path(&file)?, &format!("{}\n", json.render(0)))
-}
-
-/// A host calibration read back from the artifact at `path` through the
-/// parser that consumes it: `Err` naming the file unless the parser
-/// accepted it (`read` is `Some`) and every value equals the `written` one
-/// bit for bit. A calibration that does not read back would price a run
-/// with the analytic constants while the file claims a measurement.
-pub fn read_back<const N: usize>(
-    path: &Path,
-    written: [f64; N],
-    read: Option<[f64; N]>,
-) -> io::Result<()> {
-    if read.is_some_and(|r| r.map(f64::to_bits) == written.map(f64::to_bits)) {
-        return Ok(());
-    }
-    Err(io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("{} does not read back: wrote {written:?}, parsed {read:?}", path.display()),
-    ))
 }
 
 /// A minimal JSON document builder (the workspace is offline — no serde).

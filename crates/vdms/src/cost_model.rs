@@ -11,15 +11,11 @@ use crate::topology::{CalibrationSource, HostTopology, PenaltyMatrix, PinningPol
 use anns::cost::{ScanUnitCosts, SearchCost};
 
 /// Per-operation latency constants, in nanoseconds.
+///
+/// The scan constants (f32, u8 and PQ lookup work) are not here: they are
+/// [`crate::CostModel::scan`], [`anns::cost::ScanUnitCosts::ANALYTIC`]
+/// unless a measured value is handed in.
 pub mod unit_costs {
-    /// One f32 multiply-add dimension of distance work (analytic default;
-    /// [`super::CostModel::calibrated`] replaces the scan constants with
-    /// values measured by the `repro kernels` experiment).
-    pub const F32_DIM_NS: f64 = 60.0;
-    /// One u8 (scalar-quantized) dimension.
-    pub const U8_DIM_NS: f64 = 20.0;
-    /// One PQ ADC table lookup.
-    pub const PQ_LOOKUP_NS: f64 = 25.0;
     /// One HNSW neighbor expansion (pointer chase).
     pub const GRAPH_HOP_NS: f64 = 120.0;
     /// One heap push.
@@ -84,19 +80,18 @@ pub struct CostModel {
     pub query_node_cores: usize,
     /// Per-unit scan costs. Defaults to [`ScanUnitCosts::ANALYTIC`] (the
     /// historical constants, keeping default-constructed models
-    /// bit-identical across hosts); [`CostModel::calibrated`] swaps in the
-    /// measured values from `results/kernels.json` when present.
+    /// bit-identical across hosts); `repro reactors` sets the values its
+    /// own run measured.
     pub scan: ScanUnitCosts,
     /// Shape of one query-node host. Always [`HostTopology::DEFAULT`] in
     /// normal operation (cross-host determinism); tests use degenerate
     /// shapes to prove reactor/slot-pool equivalences.
     pub topology: HostTopology,
     /// NUMA/SMT penalty surface charged by the pinned reactor paths.
-    /// [`CostModel::calibrated`] swaps in the host-measured surface from
-    /// `results/reactors.json` when present.
+    /// `repro reactors` sets the surface its own run measured.
     pub penalties: PenaltyMatrix,
-    /// Where [`CostModel::scan`] came from ([`CostModel::calibrated`]
-    /// records it; default-constructed models are analytic by definition).
+    /// Where [`CostModel::scan`] came from (default-constructed models are
+    /// analytic by definition).
     pub scan_source: CalibrationSource,
     /// Where [`CostModel::penalties`] came from.
     pub penalty_source: CalibrationSource,
@@ -215,28 +210,6 @@ impl CostModel {
         let eff = (self.workload_concurrency.min(slots)) as f64;
         let over = (slots as f64 / self.workload_concurrency as f64).max(1.0);
         eff / (1.0 + 0.04 * (over - 1.0))
-    }
-
-    /// A cost model whose scan constants come from the measured kernel
-    /// throughputs in `results/kernels.json` (written by `repro kernels`)
-    /// and whose NUMA/SMT penalty surface comes from the pinned-replay
-    /// measurements in `results/reactors.json` (written by
-    /// `repro reactors`), both read from the `results` directory given,
-    /// falling back to the analytic constants when no measurement exists.
-    /// The fallback is **recorded**, not silent:
-    /// [`CostModel::scan_source`] / [`CostModel::penalty_source`] say
-    /// where each surface came from — [`CalibrationSource::Fallback`] when
-    /// no file was read, the provenance a penalty file records otherwise —
-    /// and experiments surface that in their JSON so a run can't
-    /// masquerade as calibrated.
-    pub fn calibrated(results: &std::path::Path) -> CostModel {
-        let (scan, scan_source) = match ScanUnitCosts::load(&results.join("kernels.json")) {
-            Some(scan) => (scan, CalibrationSource::Measured),
-            None => (ScanUnitCosts::ANALYTIC, CalibrationSource::Fallback),
-        };
-        let (penalties, penalty_source) =
-            PenaltyMatrix::load_with_source(&results.join("reactors.json"));
-        CostModel { scan, scan_source, penalties, penalty_source, ..Default::default() }
     }
 
     /// Latency and QPS of one unreplicated node serving `cost` per query.
@@ -531,9 +504,6 @@ mod tests {
         // existing default-constructed model stays bit-identical.
         let model = CostModel::default();
         assert_eq!(model.scan, ScanUnitCosts::ANALYTIC);
-        assert_eq!(model.scan.f32_dim_ns, unit_costs::F32_DIM_NS);
-        assert_eq!(model.scan.u8_dim_ns, unit_costs::U8_DIM_NS);
-        assert_eq!(model.scan.pq_lookup_ns, unit_costs::PQ_LOOKUP_NS);
     }
 
     #[test]
@@ -547,40 +517,6 @@ mod tests {
         let b = base.query_perf(&flat_cost(), &sys);
         let f = fast.query_perf(&flat_cost(), &sys);
         assert!(f.qps > b.qps, "measured (faster) constants must raise modelled qps");
-    }
-
-    #[test]
-    fn calibrated_without_the_files_is_analytic() {
-        let cal = CostModel::calibrated(std::path::Path::new("/nonexistent/results"));
-        assert_eq!(cal.scan, ScanUnitCosts::ANALYTIC);
-        assert_eq!(cal.scan_source, CalibrationSource::Fallback);
-        assert_eq!(cal.penalties, PenaltyMatrix::ANALYTIC);
-        assert_eq!(cal.penalty_source, CalibrationSource::Fallback);
-    }
-
-    #[test]
-    fn calibrated_with_the_files_is_measured() {
-        let dir = std::env::temp_dir().join("vdtuner_cost_model_calibrated_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(
-            dir.join("kernels.json"),
-            r#"{"calibration": {"f32_dim_ns": 0.11, "u8_dim_ns": 0.05, "pq_lookup_ns": 0.7, "source": "measured"}}"#,
-        )
-        .unwrap();
-        std::fs::write(
-            dir.join("reactors.json"),
-            r#"{"calibration_source": "measured",
-                "penalties": {"same_core_smt": 1.5, "same_socket": 1.2, "cross_socket": 1.9}}"#,
-        )
-        .unwrap();
-        let cal = CostModel::calibrated(&dir);
-        assert_eq!(
-            cal.scan,
-            ScanUnitCosts { f32_dim_ns: 0.11, u8_dim_ns: 0.05, pq_lookup_ns: 0.7 }
-        );
-        assert_eq!(cal.scan_source, CalibrationSource::Measured);
-        assert_eq!(cal.penalty_source, CalibrationSource::Measured);
-        assert_ne!(cal.penalties, PenaltyMatrix::ANALYTIC);
     }
 
     #[test]

@@ -13,10 +13,10 @@
 //!
 //! Determinism: simulated results must be identical across hosts, so the
 //! cost model always uses [`HostTopology::DEFAULT`] (a fixed 2 × 8 × 2
-//! shape) unless explicitly constructed otherwise. The *measured* penalty
-//! surface from `repro reactors` (`results/reactors.json`) only changes the
-//! charged constants, exactly like the kernel calibration in
-//! `results/kernels.json`.
+//! shape) unless explicitly constructed otherwise. A *measured* penalty
+//! surface, which `repro reactors` hands to its cost model as a value,
+//! only changes the charged constants, exactly like measured scan
+//! constants.
 
 /// Sockets × cores × SMT shape of a (simulated) query-node host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -204,8 +204,7 @@ impl PinningPolicy {
 
 /// Where a set of cost-model constants came from. `repro` experiments
 /// surface this in their JSON so a run can never masquerade as calibrated
-/// while silently charging analytic fallbacks. A loaded measurement file
-/// keeps the label it was written with.
+/// while charging analytic constants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CalibrationSource {
     /// Every constant was measured on this host by a `repro` experiment.
@@ -213,12 +212,9 @@ pub enum CalibrationSource {
     /// Some constants were measured on this host; the rest kept the
     /// analytic values (e.g. the host has no CPU pair of that relation).
     Partial,
-    /// The hand-picked analytic constants, as declared: the default cost
-    /// model, or a measurement file that could measure none of them.
+    /// The hand-picked analytic constants: the default cost model, or a
+    /// host calibration that could measure none of them.
     Analytic,
-    /// No measurement file could be read (missing or unparsable), so the
-    /// analytic constants stand in for one.
-    Fallback,
 }
 
 impl CalibrationSource {
@@ -228,20 +224,7 @@ impl CalibrationSource {
             CalibrationSource::Measured => "measured",
             CalibrationSource::Partial => "partial",
             CalibrationSource::Analytic => "analytic",
-            CalibrationSource::Fallback => "fallback",
         }
-    }
-
-    /// The `calibration_source` label of a `results/reactors.json`
-    /// document: `None` unless it names one a file can carry.
-    fn from_reactors_json(text: &str) -> Option<CalibrationSource> {
-        let key = "\"calibration_source\"";
-        let rest = text[text.find(key)? + key.len()..].trim_start().strip_prefix(':')?;
-        let value = rest.trim_start().strip_prefix('"')?;
-        let name = &value[..value.find('"')?];
-        [CalibrationSource::Measured, CalibrationSource::Partial, CalibrationSource::Analytic]
-            .into_iter()
-            .find(|s| s.name() == name)
     }
 }
 
@@ -261,10 +244,10 @@ pub struct PenaltyMatrix {
 }
 
 impl PenaltyMatrix {
-    /// Analytic defaults (used when `results/reactors.json` is absent):
-    /// SMT siblings co-running scans retire ~70% each of solo throughput,
-    /// a same-socket hop costs ~10% over a sibling hop, a cross-socket hop
-    /// ~40%. `repro reactors` replaces these with host measurements.
+    /// Analytic defaults: SMT siblings co-running scans retire ~70% each
+    /// of solo throughput, a same-socket hop costs ~10% over a sibling hop,
+    /// a cross-socket hop ~40%. `repro reactors` prices with host
+    /// measurements instead, where the host can make them.
     pub const ANALYTIC: PenaltyMatrix =
         PenaltyMatrix { same_core_smt: 1.45, same_socket: 1.10, cross_socket: 1.40 };
 
@@ -277,42 +260,6 @@ impl PenaltyMatrix {
             CoreRelation::SameSocket => self.same_socket,
             CoreRelation::CrossSocket => self.cross_socket,
         }
-    }
-
-    /// Parse the three penalty keys from a JSON object slice
-    /// ([`anns::cost::json_number`]): `None` unless all keys are finite
-    /// values ≥ 1.0 — a penalty below 1.0 would mean contention *speeds
-    /// up* work, which is a measurement artifact, not a model input.
-    fn parse_penalties(obj: &str) -> Option<PenaltyMatrix> {
-        let get = |key: &str| anns::cost::json_number(obj, key).filter(|&v| v >= 1.0);
-        Some(PenaltyMatrix {
-            same_core_smt: get("same_core_smt")?,
-            same_socket: get("same_socket")?,
-            cross_socket: get("cross_socket")?,
-        })
-    }
-
-    /// Parse the `penalties` object of a `results/reactors.json` document
-    /// (written by `bench::experiments::reactors`).
-    pub fn from_reactors_json(text: &str) -> Option<PenaltyMatrix> {
-        PenaltyMatrix::parse_penalties(&text[text.find("\"penalties\"")?..])
-    }
-
-    /// Load the penalty surface from a `reactors.json` file, labelled with
-    /// the provenance the file records (`calibration_source`). A missing
-    /// file, or one without parsable penalties and label, falls back to
-    /// [`PenaltyMatrix::ANALYTIC`] — *visibly*, via
-    /// [`CalibrationSource::Fallback`].
-    pub fn load_with_source(path: &std::path::Path) -> (PenaltyMatrix, CalibrationSource) {
-        std::fs::read_to_string(path)
-            .ok()
-            .and_then(|t| {
-                Some((
-                    PenaltyMatrix::from_reactors_json(&t)?,
-                    CalibrationSource::from_reactors_json(&t)?,
-                ))
-            })
-            .unwrap_or((PenaltyMatrix::ANALYTIC, CalibrationSource::Fallback))
     }
 }
 
@@ -385,70 +332,10 @@ mod tests {
     }
 
     #[test]
-    fn penalties_parse_from_reactors_json() {
-        let text = r#"{
-          "experiment": "reactors",
-          "penalties": {
-            "same_core_smt": 1.62,
-            "same_socket": 1.05,
-            "cross_socket": 2e0
-          }
-        }"#;
-        let p = PenaltyMatrix::from_reactors_json(text).unwrap();
-        assert_eq!(p.same_core_smt, 1.62);
-        assert_eq!(p.same_socket, 1.05);
-        assert_eq!(p.cross_socket, 2.0);
+    fn handoffs_within_a_core_are_free() {
+        let p = PenaltyMatrix { same_core_smt: 1.62, same_socket: 1.05, cross_socket: 2.0 };
         assert_eq!(p.handoff(CoreRelation::SameCoreSmt), 1.0);
+        assert_eq!(p.handoff(CoreRelation::SameSocket), 1.05);
         assert_eq!(p.handoff(CoreRelation::CrossSocket), 2.0);
-    }
-
-    #[test]
-    fn penalties_reject_speedups_and_missing_keys() {
-        assert!(PenaltyMatrix::from_reactors_json("{}").is_none());
-        let below_one = r#"{"penalties": {
-            "same_core_smt": 0.8, "same_socket": 1.0, "cross_socket": 1.2}}"#;
-        assert!(PenaltyMatrix::from_reactors_json(below_one).is_none());
-        let missing = r#"{"penalties": {"same_core_smt": 1.5, "same_socket": 1.1}}"#;
-        assert!(PenaltyMatrix::from_reactors_json(missing).is_none());
-    }
-
-    /// A `reactors.json` fixture with `penalties` and, when given, the
-    /// `calibration_source` label, in a directory of its own.
-    fn reactors_file(test: &str, label: Option<&str>) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("vdtuner_penalty_load_{test}"));
-        std::fs::create_dir_all(&dir).unwrap();
-        let label = label.map_or(String::new(), |l| format!(r#""calibration_source": "{l}", "#));
-        let path = dir.join("reactors.json");
-        let penalties =
-            r#""penalties": {"same_core_smt": 1.5, "same_socket": 1.2, "cross_socket": 1.9}"#;
-        std::fs::write(&path, format!("{{{label}{penalties}}}")).unwrap();
-        path
-    }
-
-    #[test]
-    fn load_with_source_reports_the_fallback() {
-        let (p, src) =
-            PenaltyMatrix::load_with_source(std::path::Path::new("/nonexistent/reactors.json"));
-        assert_eq!(p, PenaltyMatrix::ANALYTIC);
-        assert_eq!(src, CalibrationSource::Fallback);
-        // Penalties without a provenance label are not loaded as measured.
-        for label in [None, Some("fallback"), Some("sampled")] {
-            let path = reactors_file("unlabelled", label);
-            let loaded = PenaltyMatrix::load_with_source(&path);
-            assert_eq!(loaded, (PenaltyMatrix::ANALYTIC, CalibrationSource::Fallback), "{label:?}");
-            std::fs::remove_file(&path).ok();
-        }
-    }
-
-    #[test]
-    fn load_with_source_keeps_the_files_own_provenance() {
-        use CalibrationSource::{Analytic, Measured, Partial};
-        for source in [Measured, Partial, Analytic] {
-            let path = reactors_file(source.name(), Some(source.name()));
-            let (p, src) = PenaltyMatrix::load_with_source(&path);
-            assert_eq!(src, source);
-            assert_eq!(p.cross_socket, 1.9, "{source:?}: the file's penalties, whatever its label");
-            std::fs::remove_file(&path).ok();
-        }
     }
 }

@@ -4,6 +4,10 @@
 //! rustc's `unsafe_code` lint keeps `unsafe` calls out of other modules;
 //! this test keeps the attribute out of them, since a safe
 //! `#[target_feature]` function needs no `unsafe` to define.
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the test reads the workspace's own sources; no library code touches files"
+)]
 
 use std::fs;
 use std::path::{Path, PathBuf};
