@@ -27,6 +27,17 @@ impl FlatIndex {
         stats.train_dims += vectors.len() as u64; // ingest copy cost
         FlatIndex { dim, data: vectors.to_vec() }
     }
+
+    /// What one search charges: every row scored and pushed, nothing for
+    /// an empty index. The one definition of the charge, also for a replay
+    /// that reads the answer from [`vecdata::Dataset::exact_l2`] instead of
+    /// searching.
+    pub fn charge_search(&self, cost: &mut SearchCost) {
+        if !self.data.is_empty() {
+            cost.f32_dims += self.data.len() as u64;
+            cost.heap_pushes += self.len() as u64;
+        }
+    }
 }
 
 impl VectorIndex for FlatIndex {
@@ -37,8 +48,7 @@ impl VectorIndex for FlatIndex {
         if self.data.is_empty() {
             return Vec::new();
         }
-        cost.f32_dims += (self.len() * self.dim) as u64;
-        cost.heap_pushes += self.len() as u64;
+        self.charge_search(cost);
         SCORES.with(|scores| {
             let mut scores = scores.borrow_mut();
             kernel::active().l2_sq_block(query, &self.data, self.dim, &mut scores);

@@ -1342,9 +1342,15 @@ fn measure_scans(ds: &vecdata::Dataset, profile: &Profile) -> ScanMeasurement {
     let n_queries = ds.n_queries().min(32);
     let top_k = 10;
     let gt = vecdata::ground_truth(ds, top_k);
+    let mut stats = anns::BuildStats::default();
+    let pq = ProductQuantizer::train(ds.raw(), dim, 8, 8, profile.seed ^ 0xADC, &mut stats)
+        .expect("48 % 8 == 0");
+    let mut pq_codes = vec![0u8; n * pq.m];
+    pq.encode(ds.raw(), &mut pq_codes);
     let mut scores: Vec<f32> = Vec::with_capacity(n);
     let mut f32_acc = 0.0f64;
     let mut sq8_acc = 0.0f64;
+    let mut pq_acc = 0.0f64;
     let mut recall_acc = 0.0f64;
     for qi in 0..n_queries {
         let q = ds.query(qi);
@@ -1365,27 +1371,22 @@ fn measure_scans(ds: &vecdata::Dataset, profile: &Profile) -> ScanMeasurement {
         }
         let ids: Vec<u32> = top.into_sorted().iter().map(|nb| nb.id).collect();
         recall_acc += recall(&ids, &gt[qi]);
+        // PQ lookups through this query's ADC table: their time depends on
+        // the table, so they are averaged over the same queries as the scans.
+        let table = pq.adc_table(q, &mut anns::SearchCost::default());
+        pq_acc += measure_mdps(n * pq.m, reps, || {
+            let mut acc = 0.0f32;
+            for code in pq_codes.chunks_exact(pq.m) {
+                acc += pq.adc_distance(&table, code);
+            }
+            acc
+        });
     }
-
-    let mut stats = anns::BuildStats::default();
-    let pq = ProductQuantizer::train(ds.raw(), dim, 8, 8, profile.seed ^ 0xADC, &mut stats)
-        .expect("48 % 8 == 0");
-    let mut pq_codes = vec![0u8; n * pq.m];
-    pq.encode(ds.raw(), &mut pq_codes);
-    let mut cost = anns::SearchCost::default();
-    let table = pq.adc_table(ds.query(0), &mut cost);
-    let pq_mlps = measure_mdps(n * pq.m, reps, || {
-        let mut acc = 0.0f32;
-        for code in pq_codes.chunks_exact(pq.m) {
-            acc += pq.adc_distance(&table, code);
-        }
-        acc
-    });
 
     ScanMeasurement {
         f32_mdps: f32_acc / n_queries as f64,
         sq8_mdps: sq8_acc / n_queries as f64,
-        pq_mlps,
+        pq_mlps: pq_acc / n_queries as f64,
         recall_sq8: recall_acc / n_queries as f64,
     }
 }

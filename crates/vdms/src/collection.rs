@@ -12,7 +12,7 @@ use anns::cost::{BuildStats, SearchCost};
 use anns::index::{AnnIndex, VectorIndex};
 use anns::params::SearchParams;
 use rayon::prelude::*;
-use vecdata::ground_truth::TopK;
+use vecdata::ground_truth::{ExactL2, TopK};
 use vecdata::kernel;
 use vecdata::{Dataset, Neighbor};
 
@@ -155,13 +155,27 @@ impl<'a> Collection<'a> {
         query: &[f32],
         sp: &SearchParams,
     ) -> (Vec<Neighbor>, SearchCost) {
+        let mut hits = Vec::new();
+        let seg_cost = self.charge_sealed(si, |index, cost| hits = index.search(query, sp, cost));
+        (hits, seg_cost)
+    }
+
+    /// What one query's visit to sealed segment `si` charges: the segment,
+    /// what `probe` charges against its index, and the graph cache premium
+    /// on that. The one definition of the charge, for a search and for an
+    /// exact replay alike.
+    fn charge_sealed(
+        &self,
+        si: usize,
+        probe: impl FnOnce(&AnnIndex, &mut SearchCost),
+    ) -> SearchCost {
         let seg = &self.sealed[si];
         let (start, end) = self.layout.sealed[si];
         debug_assert_eq!(seg.start, start);
         let mut seg_cost = SearchCost { segments: 1, ..Default::default() };
-        let hits = seg.index.search(query, sp, &mut seg_cost);
+        probe(&seg.index, &mut seg_cost);
         seg_cost.graph_dims = Self::scale_graph_dims(seg_cost.graph_dims, end - start);
-        (hits, seg_cost)
+        seg_cost
     }
 
     /// Apply the graph cache premium to a traversal work count, rounding to
@@ -180,14 +194,11 @@ impl<'a> Collection<'a> {
     /// already holds the sealed segments' hits, and the rows are not sorted
     /// by distance, so neither score-then-select nor an early exit applies.
     fn scan_growing(&self, query: &[f32], merged: &mut TopK, cost: &mut SearchCost) {
-        let rows = self.layout.growing_rows();
-        if rows == 0 {
+        if self.layout.growing_rows() == 0 {
             return;
         }
+        self.charge_growing(cost);
         let dim = self.dataset.dim();
-        cost.segments += 1;
-        cost.f32_dims += (rows * dim) as u64;
-        cost.heap_pushes += rows as u64;
         let kern = kernel::active();
         let raw = &self.dataset.raw()[self.layout.growing_start * dim..self.layout.n * dim];
         let mut scores = Vec::with_capacity(SCAN_BLOCK_ROWS);
@@ -199,6 +210,45 @@ impl<'a> Collection<'a> {
             }
             base += block.len() / dim;
         }
+    }
+
+    /// What one query's scan of the growing tail charges: the segment, and
+    /// every row scored and pushed; nothing when nothing is growing. The
+    /// one definition of the charge, for a search and for an exact replay
+    /// alike.
+    fn charge_growing(&self, cost: &mut SearchCost) {
+        let rows = self.layout.growing_rows();
+        if rows > 0 {
+            cost.segments += 1;
+            cost.f32_dims += (rows * self.dataset.dim()) as u64;
+            cost.heap_pushes += rows as u64;
+        }
+    }
+
+    /// One query's per-local-shard charges on an **exact** collection —
+    /// every sealed segment FLAT, or nothing sealed — with the memo that
+    /// holds every query's answer ([`Dataset::exact_l2`]); `None` for an
+    /// approximate collection (before the memo is touched) or when the
+    /// memo declines. The charges are those [`Collection::scatter_gather`]
+    /// makes, through the same definitions, and the FLAT segments' scans
+    /// plus the merge keep what one scan over all rows keeps
+    /// (ARCHITECTURE.md, "Where a replay goes"), so reading the memo is a
+    /// replay that scans nothing.
+    fn exact_charges(
+        &self,
+        top_k: usize,
+        shards: usize,
+        shard_of: impl Fn(usize) -> usize,
+    ) -> Option<(Vec<SearchCost>, &'a ExactL2)> {
+        let mut costs = vec![SearchCost::default(); shards];
+        for si in 0..self.sealed.len() {
+            let AnnIndex::Flat(flat) = &self.sealed[si].index else {
+                return None;
+            };
+            costs[shard_of(si)].add(&self.charge_sealed(si, |_, cost| flat.charge_search(cost)));
+        }
+        self.charge_growing(&mut costs[0]);
+        Some((costs, self.dataset.exact_l2(top_k)?))
     }
 
     /// Scatter-gather top-k search: query every sealed segment's index plus
@@ -214,7 +264,9 @@ impl<'a> Collection<'a> {
     /// segment `i`'s work to `costs[shard_of(i)]`, merge the partials in
     /// global segment order — the same push sequence as a serial probe, so
     /// the results never depend on placement or thread count — then scan
-    /// the growing tail on the delegator, `costs[0]`.
+    /// the growing tail on the delegator, `costs[0]`. The replay of an
+    /// exact collection reads the dataset's memo instead, and is held to
+    /// this scan by `tests/metamorphic.rs`.
     pub(crate) fn scatter_gather(
         &self,
         query: &[f32],
@@ -248,32 +300,54 @@ impl<'a> Collection<'a> {
     /// `spec.routing.route_batch(qi, ..)` and charging sealed segment `i`
     /// to that group's local shard `shard_of(i)`. Returns the accumulated
     /// per-**node** costs (`spec.nodes()` of them, group-major) and the
-    /// per-query result ids. Queries execute in parallel; the route is a
-    /// pure function of the query index, and costs and results are folded
-    /// in query order, so the output is identical for any thread count.
+    /// per-query result ids. An exact collection reads every answer from
+    /// the dataset's memo and charges each query what its scatter-gather
+    /// would ([`Collection::exact_charges`]); otherwise queries execute in
+    /// parallel. The route is a pure function of the query index, and
+    /// costs and results are folded in query order, so the output is
+    /// identical for any thread count.
     pub(crate) fn replay(
         &self,
         top_k: usize,
         spec: &ClusterSpec,
         shard_of: impl Fn(usize) -> usize + Sync,
     ) -> (Vec<SearchCost>, Vec<Vec<u32>>) {
-        let per_query: Vec<(usize, Vec<SearchCost>, Vec<u32>)> = (0..self.dataset.n_queries())
-            .into_par_iter()
-            .map(|qi| {
-                let group = spec.routing.route_batch(qi as u64, spec.replicas);
-                let mut costs = vec![SearchCost::default(); spec.shards];
-                let res = self.scatter_gather(self.dataset.query(qi), top_k, &mut costs, &shard_of);
-                (group, costs, res.into_iter().map(|n| n.id).collect())
-            })
-            .collect();
+        let n_queries = self.dataset.n_queries();
         let mut totals = vec![SearchCost::default(); spec.nodes()];
-        let mut results = Vec::with_capacity(per_query.len());
-        for (group, costs, res) in per_query {
+        let mut charge = |qi: usize, costs: &[SearchCost]| {
+            let group = spec.routing.route_batch(qi as u64, spec.replicas);
             for (j, c) in costs.iter().enumerate() {
                 totals[group * spec.shards + j].add(c);
             }
-            results.push(res);
-        }
+        };
+        let results = if let Some((costs, exact)) =
+            self.exact_charges(top_k, spec.shards, &shard_of)
+        {
+            (0..n_queries)
+                .map(|qi| {
+                    charge(qi, &costs);
+                    exact.query(qi).to_vec()
+                })
+                .collect()
+        } else {
+            let per_query: Vec<(Vec<SearchCost>, Vec<u32>)> = (0..n_queries)
+                .into_par_iter()
+                .map(|qi| {
+                    let mut costs = vec![SearchCost::default(); spec.shards];
+                    let res =
+                        self.scatter_gather(self.dataset.query(qi), top_k, &mut costs, &shard_of);
+                    (costs, res.into_iter().map(|n| n.id).collect())
+                })
+                .collect();
+            per_query
+                .into_iter()
+                .enumerate()
+                .map(|(qi, (costs, ids))| {
+                    charge(qi, &costs);
+                    ids
+                })
+                .collect()
+        };
         (totals, results)
     }
 

@@ -25,8 +25,10 @@
 //! seconds; `DatasetSpec::paper_full` restores paper-scale dimensions.
 
 use crate::distance::{norm, normalize_in_place, Metric};
+use crate::ground_truth::ExactL2;
 use crate::rng::{derive, fill_gaussian, rng};
 use rand::Rng;
+use std::sync::OnceLock;
 
 /// Which of the paper's datasets to imitate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -128,6 +130,9 @@ impl DatasetSpec {
     }
 }
 
+/// The metric of every dataset: all of the paper's are angular (Table III).
+const METRIC: Metric = Metric::Angular;
+
 /// An in-memory dataset: base vectors plus query vectors, flat row-major.
 #[derive(Debug, Clone)]
 pub struct Dataset {
@@ -139,18 +144,19 @@ pub struct Dataset {
     /// need them at query time ([`Metric::Angular`], [`Metric::InnerProduct`]);
     /// empty for [`Metric::L2`].
     norms: Vec<f32>,
+    /// [`Dataset::exact_l2`]'s memo, filled by its first call.
+    exact_l2: OnceLock<Option<ExactL2>>,
 }
 
 impl Dataset {
     /// Deterministically generate the dataset described by `spec`.
     pub fn generate(spec: DatasetSpec) -> Self {
-        let metric = Metric::Angular; // all of the paper's datasets are angular (Table III)
         let profile = GenProfile::for_kind(spec.kind);
         let mut data = vec![0.0f32; spec.n * spec.dim];
         let mut queries = vec![0.0f32; spec.n_queries * spec.dim];
         profile.fill(spec, &mut data, derive(spec.seed, 1));
         profile.fill_queries(spec, &data, &mut queries, derive(spec.seed, 2));
-        if metric.normalizes() {
+        if METRIC.normalizes() {
             for row in data.chunks_mut(spec.dim) {
                 normalize_in_place(row);
             }
@@ -158,13 +164,29 @@ impl Dataset {
                 normalize_in_place(row);
             }
         }
+        Dataset::from_rows(spec, data, queries)
+    }
+
+    /// A dataset of the given rows, as they are: `spec.n` base vectors and
+    /// `spec.n_queries` queries, row-major and `spec.dim` wide, under the
+    /// metric [`Dataset::generate`] uses (`spec.kind` and
+    /// `spec.seed` only label it). For hand-made data — duplicate rows,
+    /// non-finite coordinates — in tests.
+    ///
+    /// # Panics
+    ///
+    /// When a slice's length does not match the spec.
+    pub fn from_rows(spec: DatasetSpec, data: Vec<f32>, queries: Vec<f32>) -> Self {
+        assert_eq!(data.len(), spec.n * spec.dim, "base rows do not match the spec");
+        assert_eq!(queries.len(), spec.n_queries * spec.dim, "queries do not match the spec");
+        let metric = METRIC;
         let norms = match metric {
             Metric::Angular | Metric::InnerProduct => {
                 data.chunks_exact(spec.dim.max(1)).map(norm).collect()
             }
             Metric::L2 => Vec::new(),
         };
-        Dataset { spec, metric, data, queries, norms }
+        Dataset { spec, metric, data, queries, norms, exact_l2: OnceLock::new() }
     }
 
     /// Number of base vectors.
@@ -224,6 +246,22 @@ impl Dataset {
     /// All precomputed base-vector norms (empty for [`Metric::L2`]).
     pub fn stored_norms(&self) -> &[f32] {
         &self.norms
+    }
+
+    /// Every query's exact squared-L2 top-`k` ids among all base vectors
+    /// (see [`ExactL2`] for exactly which), computed by the first call and
+    /// kept for the dataset's lifetime: an exact collection reads its
+    /// answers here instead of scanning. Whatever the metric, the scores
+    /// are `l2_sq`, which is what FLAT segments and growing tails rank by.
+    ///
+    /// `None` when some query scores NaN against some row (the one case
+    /// where per-segment selection plus the merge may keep other rows than
+    /// one scan) or when the memo holds another `k` (`k` 0 counts as 1,
+    /// like [`TopK::new`](crate::ground_truth::TopK::new)): the caller
+    /// scans instead.
+    pub fn exact_l2(&self, k: usize) -> Option<&ExactL2> {
+        let k = k.max(1);
+        self.exact_l2.get_or_init(|| ExactL2::scan(self, k)).as_ref().filter(|memo| memo.k() == k)
     }
 }
 

@@ -264,6 +264,49 @@ pub fn exact_top_k(dataset: &Dataset, query: &[f32], k: usize) -> Vec<Neighbor> 
     })
 }
 
+/// Every query's exact squared-L2 top-`k` ids, the memo behind
+/// [`Dataset::exact_l2`]: for query `qi`, the ids of
+/// [`top_k_of_scan`]`(0, l2_sq_block(query, all rows), k)` — what pushing
+/// every row in id order into a [`TopK::new`]`(k)` keeps — in ascending
+/// distance, `min(k, n)` of them. Held flat, four bytes an id.
+#[derive(Debug, Clone)]
+pub struct ExactL2 {
+    k: usize,
+    stride: usize,
+    ids: Vec<u32>,
+}
+
+impl ExactL2 {
+    /// Score every query against every row through the dispatched block
+    /// kernel and select; `None` at the first NaN score. `k >= 1`.
+    pub(crate) fn scan(dataset: &Dataset, k: usize) -> Option<ExactL2> {
+        let stride = k.min(dataset.len());
+        let mut ids = Vec::with_capacity(dataset.n_queries() * stride);
+        if stride > 0 {
+            let kern = kernel::active();
+            let mut scores = Vec::with_capacity(dataset.len());
+            for qi in 0..dataset.n_queries() {
+                kern.l2_sq_block(dataset.query(qi), dataset.raw(), dataset.dim(), &mut scores);
+                if scores.iter().any(|d| d.is_nan()) {
+                    return None;
+                }
+                ids.extend(top_k_of_scan(0, &scores, k).into_iter().map(|n| n.id));
+            }
+        }
+        Some(ExactL2 { k, stride, ids })
+    }
+
+    /// The `k` the ids were selected for.
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Query `qi`'s ids, nearest first.
+    pub fn query(&self, qi: usize) -> &[u32] {
+        &self.ids[qi * self.stride..(qi + 1) * self.stride]
+    }
+}
+
 /// Exact top-k neighbor ids for every query in the dataset.
 ///
 /// Returns one `Vec<u32>` (sorted by ascending distance) per query.
@@ -404,6 +447,44 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn the_exact_l2_memo_keeps_what_one_push_stream_keeps() {
+        // Duplicate rows make ties that only the id breaks.
+        let spec = DatasetSpec::tiny(DatasetKind::Glove);
+        let base = spec.generate();
+        let mut rows = base.raw().to_vec();
+        rows.copy_within(0..spec.dim * 50, spec.dim * 300);
+        let queries = (0..spec.n_queries).flat_map(|qi| base.query(qi).to_vec()).collect();
+        let ds = Dataset::from_rows(spec, rows, queries);
+        for k in [0, 1, 10, 599, 600, 700] {
+            let fresh = ds.clone();
+            let memo = fresh.exact_l2(k).expect("finite rows");
+            assert_eq!(memo.k(), k.max(1));
+            for qi in 0..ds.n_queries() {
+                let mut pushed = TopK::new(k);
+                for (i, v) in ds.iter().enumerate() {
+                    pushed.push(i as u32, crate::distance::l2_sq(ds.query(qi), v));
+                }
+                let pushed: Vec<u32> = pushed.into_sorted().iter().map(|n| n.id).collect();
+                assert_eq!(memo.query(qi), pushed, "k {k}, query {qi}");
+            }
+            assert!(fresh.exact_l2(k.max(1) + 1).is_none(), "one `k` is held");
+        }
+    }
+
+    #[test]
+    fn the_exact_l2_memo_declines_a_nan_score() {
+        let spec = DatasetSpec { n_queries: 3, ..DatasetSpec::tiny(DatasetKind::Glove) };
+        let base = spec.generate();
+        let mut rows = base.raw().to_vec();
+        rows[599 * spec.dim] = f32::NAN;
+        let queries = (0..3).flat_map(|qi| base.query(qi).to_vec()).collect();
+        assert!(Dataset::from_rows(spec, rows, queries).exact_l2(10).is_none());
+        let empty = DatasetSpec { n: 0, ..spec };
+        let none = Dataset::from_rows(empty, Vec::new(), base.raw()[..3 * spec.dim].to_vec());
+        assert!(none.exact_l2(10).unwrap().query(2).is_empty());
     }
 
     #[test]

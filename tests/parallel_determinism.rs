@@ -160,6 +160,28 @@ fn collection_load_and_search_are_thread_count_invariant() {
     assert_eq!(cost_a, cost_b);
 }
 
+#[test]
+fn exact_replay_is_thread_count_invariant() {
+    // Nothing sealed, so this HNSW collection is exact: its replay reads
+    // the dataset's memo of exact ids instead of scanning. Each run fills
+    // its own memo (a fresh dataset) and routes over replica groups.
+    let spec = DatasetSpec::tiny(DatasetKind::Glove);
+    let mut cfg = VdmsConfig::default_for(IndexType::Hnsw).sanitized(spec.dim, 10);
+    cfg.system.segment_max_size_mb = 2048.0;
+    cfg.system.insert_buf_size_mb = 2048.0;
+    let cluster = ClusterSpec::replicated(3, 2).with_routing(RoutingPolicy::Random { seed: 5 });
+
+    let run = |threads: usize| {
+        with_threads(threads, || {
+            let ds = spec.generate();
+            let col = vdtuner::vdms::ShardedCollection::load(&ds, &cfg, 3, cluster).unwrap();
+            assert_eq!(col.collection().layout().sealed_count(), 0);
+            col.run_queries(10)
+        })
+    };
+    assert_eq!(run(1), run(4));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
