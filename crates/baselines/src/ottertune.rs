@@ -18,8 +18,6 @@ pub struct OtterTuneStyle {
     seed: u64,
     init: Vec<Vec<f64>>,
     iter: u64,
-    fit: FitOptions,
-    candidates: CandidateOptions,
 }
 
 impl OtterTuneStyle {
@@ -32,14 +30,7 @@ impl OtterTuneStyle {
     /// dimension).
     pub fn with_space(space: SpaceSpec, seed: u64, init_samples: usize) -> OtterTuneStyle {
         let init = latin_hypercube(init_samples, space.dims(), derive(seed, 0x0771));
-        OtterTuneStyle {
-            space,
-            seed,
-            init,
-            iter: 0,
-            fit: FitOptions::default(),
-            candidates: CandidateOptions::default(),
-        }
+        OtterTuneStyle { space, seed, init, iter: 0 }
     }
 }
 
@@ -62,7 +53,7 @@ impl Tuner for OtterTuneStyle {
         let x: Vec<Vec<f64>> = history.iter().map(|o| self.space.encode(&o.config)).collect();
         let y: Vec<f64> =
             history.iter().map(|o| weighted_reward(history, o.qps, o.recall)).collect();
-        let gp = fit_gp(&x, &y, &self.fit);
+        let gp = fit_gp(&x, &y, &FitOptions::default());
         let best = y.iter().copied().fold(f64::MIN, f64::max);
 
         // Incumbent = best-reward configuration.
@@ -72,7 +63,7 @@ impl Tuner for OtterTuneStyle {
         let pool = candidate_pool(
             self.space.dims(),
             &incumbents,
-            &self.candidates,
+            &CandidateOptions::default(),
             derive(self.seed, self.iter),
         );
         let acq = |c: &[f64]| expected_improvement(&gp.predict(c), best);

@@ -15,15 +15,15 @@ use vdtuner_core::space::SpaceSpec;
 use vecdata::rng::{derive, rng, standard_normal};
 use workload::{Observation, Tuner};
 
+/// Monte-Carlo samples per EHVI estimate.
+const MC_SAMPLES: usize = 64;
+
 /// Standard MOBO with MC-EHVI.
 pub struct QehviTuner {
     space: SpaceSpec,
     seed: u64,
     init: Vec<Vec<f64>>,
     iter: u64,
-    mc_samples: usize,
-    fit: FitOptions,
-    candidates: CandidateOptions,
 }
 
 impl QehviTuner {
@@ -35,15 +35,7 @@ impl QehviTuner {
     /// dimension).
     pub fn with_space(space: SpaceSpec, seed: u64, init_samples: usize) -> QehviTuner {
         let init = latin_hypercube(init_samples, space.dims(), derive(seed, 0x0E51));
-        QehviTuner {
-            space,
-            seed,
-            init,
-            iter: 0,
-            mc_samples: 64,
-            fit: FitOptions::default(),
-            candidates: CandidateOptions::default(),
-        }
+        QehviTuner { space, seed, init, iter: 0 }
     }
 }
 
@@ -69,7 +61,7 @@ impl Tuner for QehviTuner {
         let y_speed: Vec<f64> = history.iter().map(|o| o.qps / max_qps).collect();
         let y_recall: Vec<f64> = history.iter().map(|o| o.recall).collect();
         let inputs = TrainingInputs::new(&x);
-        let fits = fit_gp_on(&inputs, &[&y_speed, &y_recall], &self.fit);
+        let fits = fit_gp_on(&inputs, &[&y_speed, &y_recall], &FitOptions::default());
         let Ok([gp_speed, gp_recall]) = <[_; 2]>::try_from(fits) else {
             unreachable!("one model per target")
         };
@@ -84,11 +76,11 @@ impl Tuner for QehviTuner {
         let pool = candidate_pool(
             self.space.dims(),
             &incumbents,
-            &self.candidates,
+            &CandidateOptions::default(),
             derive(self.seed, self.iter),
         );
         let mut zrng = rng(derive(self.seed, 0xE0 + self.iter));
-        let z_pairs: Vec<(f64, f64)> = (0..self.mc_samples)
+        let z_pairs: Vec<(f64, f64)> = (0..MC_SAMPLES)
             .map(|_| (standard_normal(&mut zrng), standard_normal(&mut zrng)))
             .collect();
 

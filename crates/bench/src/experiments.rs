@@ -1717,7 +1717,6 @@ mod tests {
             // Everything else is the default model's.
             assert_eq!(model.topology, default.topology);
             assert_eq!(model.query_node_cores, default.query_node_cores);
-            assert_eq!(model.workload_concurrency, default.workload_concurrency);
         }
         // What the benchmark's fingerprint prints for its default model.
         assert_eq!(default.scan_source.name(), "analytic");

@@ -382,15 +382,15 @@ impl SpaceSpec {
     /// the dimension is frozen (encoded but never free), which makes the
     /// 17-dimensional spec reproduce 16-dimensional tuning bit for bit.
     pub fn with_topology(max_shards: usize) -> SpaceSpec {
-        let mut dims = base_dimensions();
         let range = ParamRange::new(1.0, max_shards.max(1) as f64, true);
-        dims.push(Dimension::new(
-            SHARD_COUNT_DIM_NAME,
-            DimensionKind::Topology,
-            range,
-            FieldRef::ShardCount,
-        ));
-        SpaceSpec { dims }
+        SpaceSpec::legacy().push(SHARD_COUNT_DIM_NAME, range, FieldRef::ShardCount)
+    }
+
+    /// This spec extended with one topology dimension `name` over `range`,
+    /// decoding into `field`. A single-value range freezes it.
+    fn push(mut self, name: &'static str, range: ParamRange, field: FieldRef) -> SpaceSpec {
+        self.dims.push(Dimension::new(name, DimensionKind::Topology, range, field));
+        self
     }
 
     /// This spec extended with a `replicas` topology dimension over
@@ -403,15 +403,9 @@ impl SpaceSpec {
     /// dimension is frozen (encoded but never free), which makes the
     /// extended spec reproduce the unextended spec's tuning bit for bit —
     /// the same contract [`SpaceSpec::with_topology`] gives at one shard.
-    pub fn with_replication(mut self, max_replicas: usize) -> SpaceSpec {
+    pub fn with_replication(self, max_replicas: usize) -> SpaceSpec {
         let range = ParamRange::new(1.0, max_replicas.max(1) as f64, false);
-        self.dims.push(Dimension::new(
-            REPLICAS_DIM_NAME,
-            DimensionKind::Topology,
-            range,
-            FieldRef::Replicas,
-        ));
-        self
+        self.push(REPLICAS_DIM_NAME, range, FieldRef::Replicas)
     }
 
     /// This spec extended with a `replicas` dimension *pinned* at exactly
@@ -420,15 +414,9 @@ impl SpaceSpec {
     /// but frozen, so the acquisition never varies it. The fixed-replica
     /// arms of the replication experiment are built this way, keeping
     /// every arm in the same space against the same backend.
-    pub fn with_pinned_replication(mut self, replicas: usize) -> SpaceSpec {
+    pub fn with_pinned_replication(self, replicas: usize) -> SpaceSpec {
         let r = replicas.max(1) as f64;
-        self.dims.push(Dimension::new(
-            REPLICAS_DIM_NAME,
-            DimensionKind::Topology,
-            ParamRange::new(r, r, false),
-            FieldRef::Replicas,
-        ));
-        self
+        self.push(REPLICAS_DIM_NAME, ParamRange::new(r, r, false), FieldRef::Replicas)
     }
 
     /// This spec extended with a `pinning` topology dimension spanning all
@@ -440,15 +428,9 @@ impl SpaceSpec {
     /// ([`PinningPolicy::Shared`]), which evaluates bit-identically to "no
     /// pinning request" — so tuning histories with the dimension frozen at
     /// the seed reproduce the unextended spec's histories bit for bit.
-    pub fn with_pinning(mut self) -> SpaceSpec {
+    pub fn with_pinning(self) -> SpaceSpec {
         let range = ParamRange::new(0.0, (PinningPolicy::ALL.len() - 1) as f64, false);
-        self.dims.push(Dimension::new(
-            PINNING_DIM_NAME,
-            DimensionKind::Topology,
-            range,
-            FieldRef::Pinning,
-        ));
-        self
+        self.push(PINNING_DIM_NAME, range, FieldRef::Pinning)
     }
 
     /// This spec extended with a `pinning` dimension *pinned* at exactly
@@ -457,15 +439,9 @@ impl SpaceSpec {
     /// so the acquisition never varies it. The fixed-policy arms of the
     /// reactors experiment are built this way, keeping every arm in the
     /// same space against the same backend.
-    pub fn with_pinned_pinning(mut self, policy: PinningPolicy) -> SpaceSpec {
+    pub fn with_pinned_pinning(self, policy: PinningPolicy) -> SpaceSpec {
         let o = policy.ordinal() as f64;
-        self.dims.push(Dimension::new(
-            PINNING_DIM_NAME,
-            DimensionKind::Topology,
-            ParamRange::new(o, o, false),
-            FieldRef::Pinning,
-        ));
-        self
+        self.push(PINNING_DIM_NAME, ParamRange::new(o, o, false), FieldRef::Pinning)
     }
 
     /// This spec extended with the three write-path dimensions — WAL
@@ -476,27 +452,11 @@ impl SpaceSpec {
     /// orders of magnitude (fsync amortization, commit latency, seal
     /// pause size), the same shape as `insertBufSize`. The seed carries
     /// each dimension's low end, like the topology dimensions.
-    pub fn with_writepath(mut self) -> SpaceSpec {
-        use DimensionKind::Topology;
-        self.dims.push(Dimension::new(
-            WAL_BATCH_DIM_NAME,
-            Topology,
-            ParamRange::new(16.0, 2048.0, true),
-            FieldRef::WalBatch,
-        ));
-        self.dims.push(Dimension::new(
-            WAL_FLUSH_DIM_NAME,
-            Topology,
-            ParamRange::new(0.005, 0.5, true),
-            FieldRef::WalFlushInterval,
-        ));
-        self.dims.push(Dimension::new(
-            WAL_SEAL_DIM_NAME,
-            Topology,
-            ParamRange::new(128.0, 8192.0, true),
-            FieldRef::WalSealRows,
-        ));
-        self
+    pub fn with_writepath(self) -> SpaceSpec {
+        let log = |lo, hi| ParamRange::new(lo, hi, true);
+        self.push(WAL_BATCH_DIM_NAME, log(16.0, 2048.0), FieldRef::WalBatch)
+            .push(WAL_FLUSH_DIM_NAME, log(0.005, 0.5), FieldRef::WalFlushInterval)
+            .push(WAL_SEAL_DIM_NAME, log(128.0, 8192.0), FieldRef::WalSealRows)
     }
 
     /// This spec extended with the three write-path dimensions *pinned*
@@ -507,29 +467,12 @@ impl SpaceSpec {
     /// "no write-path request" — the extended spec reproduces the
     /// unextended spec's tuning bit for bit; the fixed-flush arms of the
     /// writepath experiment pin other values.
-    pub fn with_pinned_writepath(mut self, knobs: WriteKnobs) -> SpaceSpec {
-        use DimensionKind::Topology;
+    pub fn with_pinned_writepath(self, knobs: WriteKnobs) -> SpaceSpec {
         let k = knobs.sanitized();
-        let (b, f, s) = (k.wal_batch_rows as f64, k.flush_interval_secs, k.seal_rows as f64);
-        self.dims.push(Dimension::new(
-            WAL_BATCH_DIM_NAME,
-            Topology,
-            ParamRange::new(b, b, false),
-            FieldRef::WalBatch,
-        ));
-        self.dims.push(Dimension::new(
-            WAL_FLUSH_DIM_NAME,
-            Topology,
-            ParamRange::new(f, f, false),
-            FieldRef::WalFlushInterval,
-        ));
-        self.dims.push(Dimension::new(
-            WAL_SEAL_DIM_NAME,
-            Topology,
-            ParamRange::new(s, s, false),
-            FieldRef::WalSealRows,
-        ));
-        self
+        let at = |v| ParamRange::new(v, v, false);
+        self.push(WAL_BATCH_DIM_NAME, at(k.wal_batch_rows as f64), FieldRef::WalBatch)
+            .push(WAL_FLUSH_DIM_NAME, at(k.flush_interval_secs), FieldRef::WalFlushInterval)
+            .push(WAL_SEAL_DIM_NAME, at(k.seal_rows as f64), FieldRef::WalSealRows)
     }
 
     /// Number of encoded dimensions.

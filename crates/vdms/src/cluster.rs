@@ -26,7 +26,10 @@
 //! real VDMSs use: the cluster becomes `r` *replica groups* of
 //! [`ClusterSpec::shards`] nodes each, every sealed segment is placed on
 //! `r` distinct nodes (one per group, same deterministic spread within
-//! each group), and a [`RoutingPolicy`] picks exactly one group per query.
+//! each group), and each query is routed to exactly one group: round-robin
+//! over the query index in the batch replay
+//! ([`ShardedCollection::run_queries`]), the shortest queue under the
+//! serving simulator.
 //! Each group's local node 0 is that group's shard delegator — replicas
 //! subscribe to the WAL independently, so every group serves the growing
 //! tail and pays the insert buffer, exactly like Milvus in-memory
@@ -59,43 +62,8 @@ use anns::cost::SearchCost;
 use anns::index::VectorIndex;
 use vecdata::{Dataset, Neighbor};
 
-/// How the proxy picks the replica group that serves a query. Load-aware
-/// routing is where replication pays off under serving: random routing
-/// spreads load in expectation only, join-shortest-queue spreads it by
-/// construction. With one replica every policy routes to the only group,
-/// so the choice is a no-op for unreplicated clusters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RoutingPolicy {
-    /// A seeded uniform draw per query — stateless, but blind to load.
-    Random { seed: u64 },
-    /// Join the replica group with the fewest outstanding requests (ties
-    /// broken by lowest group index). In the closed **batch replay** every
-    /// group drains at the same rate, so JSQ degenerates to deterministic
-    /// round-robin over the query index; under the *serving* simulator it
-    /// inspects the real per-group queue depths at arrival time.
-    #[default]
-    JoinShortestQueue,
-}
-
-impl RoutingPolicy {
-    /// The replica group serving query `query_index` in the closed batch
-    /// replay — a pure function of the index (via the workspace's shared
-    /// [`vecdata::rng::derive`] mixer), so parallel replays stay
-    /// bit-identical on any thread count. Always 0 for one replica.
-    pub fn route_batch(&self, query_index: u64, replicas: usize) -> usize {
-        let r = replicas.max(1);
-        match self {
-            RoutingPolicy::Random { seed } => {
-                (vecdata::rng::derive(*seed, query_index) % r as u64) as usize
-            }
-            RoutingPolicy::JoinShortestQueue => (query_index % r as u64) as usize,
-        }
-    }
-}
-
 /// Shape of a simulated cluster: how many query nodes per replica group,
-/// how many replica groups, how much memory each node may use, and how
-/// queries are routed across the groups.
+/// how many replica groups, and how much memory each node may use.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterSpec {
     /// Number of query nodes per replica group (≥ 1).
@@ -105,9 +73,6 @@ pub struct ClusterSpec {
     pub replicas: usize,
     /// Memory budget per query node, GiB.
     pub shard_budget_gib: f64,
-    /// How queries choose a replica group (cost attribution in the batch
-    /// replay; actual queue selection under the serving simulator).
-    pub routing: RoutingPolicy,
 }
 
 impl ClusterSpec {
@@ -130,7 +95,6 @@ impl ClusterSpec {
             shards,
             replicas,
             shard_budget_gib: MEMORY_BUDGET_GIB / (shards * replicas) as f64,
-            routing: RoutingPolicy::default(),
         }
     }
 
@@ -138,11 +102,6 @@ impl ClusterSpec {
     /// tight-memory experiments where the even split would never bind).
     pub fn with_budget(shards: usize, shard_budget_gib: f64) -> ClusterSpec {
         ClusterSpec { shard_budget_gib, ..ClusterSpec::new(shards) }
-    }
-
-    /// This spec with a different routing policy.
-    pub fn with_routing(self, routing: RoutingPolicy) -> ClusterSpec {
-        ClusterSpec { routing, ..self }
     }
 
     /// Total query nodes across all replica groups.
@@ -308,8 +267,10 @@ impl<'a> ShardedCollection<'a> {
         self.collection.scatter_gather(query, top_k, shard_costs, |si| self.assignment[si])
     }
 
-    /// Run every query once, routing each to a replica group per
-    /// `spec.routing`; returns accumulated per-**node** costs (all
+    /// Run every query once, routing query `qi` to replica group
+    /// `qi % replicas` (round-robin: in the closed batch every group
+    /// drains at the same rate, so the shortest queue is the next one in
+    /// turn); returns accumulated per-**node** costs (all
     /// [`ShardedCollection::nodes`] of them, group-major) plus the
     /// per-query result id lists, identical for any thread count. With one
     /// replica the node costs are exactly the per-shard costs of the
@@ -576,12 +537,7 @@ mod tests {
         // `replicas: 0`) must be served as a one-node cluster, not a
         // modulo-by-zero panic.
         let (ds, cfg) = multi_segment_setup();
-        let spec = ClusterSpec {
-            shards: 0,
-            replicas: 0,
-            shard_budget_gib: MEMORY_BUDGET_GIB,
-            routing: RoutingPolicy::default(),
-        };
+        let spec = ClusterSpec { shards: 0, replicas: 0, shard_budget_gib: MEMORY_BUDGET_GIB };
         let sharded = ShardedCollection::load(&ds, &cfg, 1, spec).unwrap();
         assert_eq!(sharded.shards(), 1);
         assert_eq!(sharded.replicas(), 1);
@@ -659,64 +615,23 @@ mod tests {
     }
 
     #[test]
-    fn both_routing_policies_return_identical_results() {
+    fn offline_replay_round_robins_replica_groups() {
+        // Query `qi` is charged, shard by shard, to group `qi % 3` alone.
         let (ds, cfg) = multi_segment_setup();
-        let base =
+        let spec =
             ClusterSpec { shard_budget_gib: MEMORY_BUDGET_GIB, ..ClusterSpec::replicated(2, 3) };
-        let jsq = ShardedCollection::load(&ds, &cfg, 7, base).unwrap();
-        let rand = ShardedCollection::load(
-            &ds,
-            &cfg,
-            7,
-            base.with_routing(RoutingPolicy::Random { seed: 99 }),
-        )
-        .unwrap();
-        let single = Collection::load(&ds, &cfg, 7).unwrap();
-        let (_, expect) = single.run_queries(10);
-        let (jsq_costs, jsq_res) = jsq.run_queries(10);
-        let (rand_costs, rand_res) = rand.run_queries(10);
-        assert_eq!(jsq_res, expect, "JSQ routing never changes results");
-        assert_eq!(rand_res, expect, "random routing never changes results");
-        // Work is conserved across the fleet under either policy...
-        let total = |costs: &[SearchCost]| {
-            let mut t = SearchCost::default();
-            for c in costs {
-                t.add(c);
+        let cluster = ShardedCollection::load(&ds, &cfg, 7, spec).unwrap();
+        let mut expect = vec![SearchCost::default(); 6];
+        for qi in 0..ds.n_queries() {
+            let mut costs = [SearchCost::default(); 2];
+            cluster.search(ds.query(qi), 10, &mut costs);
+            for (j, c) in costs.iter().enumerate() {
+                expect[(qi % 3) * 2 + j].add(c);
             }
-            t
-        };
-        let (st, _) = single.run_queries(10);
-        assert_eq!(total(&jsq_costs), st);
-        assert_eq!(total(&rand_costs), st);
-        // ...and both policies actually spread it across replica groups.
-        let groups_touched = |costs: &[SearchCost]| {
-            (0..3).filter(|g| (0..2).any(|j| !costs[g * 2 + j].is_zero())).count()
-        };
-        assert_eq!(groups_touched(&jsq_costs), 3, "JSQ round-robins the batch replay");
-        assert!(groups_touched(&rand_costs) >= 2, "random routing hits multiple groups");
-    }
-
-    #[test]
-    fn routing_policy_offline_routes_are_deterministic() {
-        let jsq = RoutingPolicy::JoinShortestQueue;
-        for qi in 0..12u64 {
-            assert_eq!(jsq.route_batch(qi, 3), (qi % 3) as usize);
-            assert_eq!(jsq.route_batch(qi, 1), 0);
         }
-        let rand = RoutingPolicy::Random { seed: 5 };
-        let a: Vec<usize> = (0..64).map(|qi| rand.route_batch(qi, 4)).collect();
-        let b: Vec<usize> = (0..64).map(|qi| rand.route_batch(qi, 4)).collect();
-        assert_eq!(a, b, "seeded draws are pure functions of the index");
-        assert!(a.iter().all(|&g| g < 4));
-        let distinct: std::collections::BTreeSet<usize> = a.iter().copied().collect();
-        assert!(distinct.len() > 1, "64 draws over 4 groups must spread: {distinct:?}");
-        assert_ne!(
-            a,
-            (0..64)
-                .map(|qi| RoutingPolicy::Random { seed: 6 }.route_batch(qi, 4))
-                .collect::<Vec<_>>(),
-            "seed matters"
-        );
+        let (costs, _) = cluster.run_queries(10);
+        assert_eq!(costs, expect);
+        assert!(ds.n_queries() >= 3 && costs.iter().step_by(2).all(|c| !c.is_zero()));
     }
 
     #[test]

@@ -296,13 +296,13 @@ impl<'a> Collection<'a> {
     }
 
     /// The one per-query loop: run every query once against `spec`'s
-    /// replica groups, routing query `qi` to group
-    /// `spec.routing.route_batch(qi, ..)` and charging sealed segment `i`
-    /// to that group's local shard `shard_of(i)`. Returns the accumulated
-    /// per-**node** costs (`spec.nodes()` of them, group-major) and the
-    /// per-query result ids. An exact collection reads every answer from
-    /// the dataset's memo and charges each query what its scatter-gather
-    /// would ([`Collection::exact_charges`]); otherwise queries execute in
+    /// replica groups, routing query `qi` to group `qi % spec.replicas`
+    /// (round-robin) and charging sealed segment `i` to that group's local
+    /// shard `shard_of(i)`. Returns the accumulated per-**node** costs
+    /// (`spec.nodes()` of them, group-major) and the per-query result ids.
+    /// An exact collection reads every answer from the dataset's memo and
+    /// charges each query what its scatter-gather would
+    /// ([`Collection::exact_charges`]); otherwise queries execute in
     /// parallel. The route is a pure function of the query index, and
     /// costs and results are folded in query order, so the output is
     /// identical for any thread count.
@@ -315,7 +315,7 @@ impl<'a> Collection<'a> {
         let n_queries = self.dataset.n_queries();
         let mut totals = vec![SearchCost::default(); spec.nodes()];
         let mut charge = |qi: usize, costs: &[SearchCost]| {
-            let group = spec.routing.route_batch(qi as u64, spec.replicas);
+            let group = qi % spec.replicas;
             for (j, c) in costs.iter().enumerate() {
                 totals[group * spec.shards + j].add(c);
             }

@@ -52,6 +52,10 @@ pub const REPLAY_TIME_CAP_SECS: f64 = 900.0;
 /// [`CostModel::replica_lag_ms`].
 pub const REPLICA_LAG_MS_PER_COPY: f64 = 15.0;
 
+/// Concurrent clients the workload replay issues queries from: the
+/// paper's 10 (§V-A).
+pub const WORKLOAD_CONCURRENCY: usize = 10;
+
 /// Number of virtual search requests one workload replay issues. Chosen so
 /// simulated replay times per iteration land near the paper's Table VI
 /// averages (~150 s per iteration).
@@ -66,12 +70,11 @@ pub struct QueryPerf {
     pub qps: f64,
 }
 
-/// The cost model; holds the workload concurrency (10 clients by default,
-/// as in §V-A) and the simulated query node's core count, which caps how
-/// many worker slots the serving executor can actually run in parallel.
+/// The cost model; holds the simulated query node's core count, which
+/// caps how many worker slots the serving executor can actually run in
+/// parallel.
 #[derive(Debug, Clone, Copy)]
 pub struct CostModel {
-    pub workload_concurrency: usize,
     /// Physical cores of one simulated query node. `maxReadConcurrency`
     /// beyond this adds scheduling overhead instead of parallelism — the
     /// serving-side analogue of the offline throughput law's
@@ -100,7 +103,6 @@ pub struct CostModel {
 impl Default for CostModel {
     fn default() -> Self {
         CostModel {
-            workload_concurrency: 10,
             // Derived, not a magic literal: the serving slot cap and the
             // topology surface agree by construction.
             query_node_cores: HostTopology::DEFAULT.physical_cores(),
@@ -205,10 +207,10 @@ impl CostModel {
     /// `replicas ×` the slots — capped by the workload's own concurrency,
     /// with a mild over-provisioning penalty on the *total* slot count (a
     /// fleet of idle slots is pure scheduling overhead).
-    fn parallelism_replicated(&self, sys: &SystemParams, replicas: usize) -> f64 {
+    fn parallelism_replicated(sys: &SystemParams, replicas: usize) -> f64 {
         let slots = sys.max_read_concurrency * replicas.max(1);
-        let eff = (self.workload_concurrency.min(slots)) as f64;
-        let over = (slots as f64 / self.workload_concurrency as f64).max(1.0);
+        let eff = (WORKLOAD_CONCURRENCY.min(slots)) as f64;
+        let over = (slots as f64 / WORKLOAD_CONCURRENCY as f64).max(1.0);
         eff / (1.0 + 0.04 * (over - 1.0))
     }
 
@@ -245,7 +247,7 @@ impl CostModel {
             + Self::stall_secs_replicated(sys, 1);
         QueryPerf {
             latency_secs,
-            qps: self.parallelism_replicated(sys, 1) / latency_secs.max(1e-9),
+            qps: Self::parallelism_replicated(sys, 1) / latency_secs.max(1e-9),
         }
     }
 
@@ -283,7 +285,7 @@ impl CostModel {
         sys: &SystemParams,
         replicas: usize,
     ) -> f64 {
-        (self.parallelism_replicated(sys, replicas) / qps.max(1e-9)
+        (Self::parallelism_replicated(sys, replicas) / qps.max(1e-9)
             - Self::stall_secs_replicated(sys, replicas))
         .max(1e-6)
             * self.serving_overhead_factor(sys)
@@ -422,7 +424,7 @@ impl CostModel {
             let latency_secs = slowest.latency_secs + proxy;
             QueryPerf {
                 latency_secs,
-                qps: self.parallelism_replicated(sys, 1) / latency_secs.max(1e-9),
+                qps: Self::parallelism_replicated(sys, 1) / latency_secs.max(1e-9),
             }
         };
         if replicas <= 1 {
@@ -434,7 +436,7 @@ impl CostModel {
             + Self::stall_secs_replicated(sys, replicas);
         QueryPerf {
             latency_secs,
-            qps: self.parallelism_replicated(sys, replicas) / latency_secs.max(1e-9),
+            qps: Self::parallelism_replicated(sys, replicas) / latency_secs.max(1e-9),
         }
     }
 

@@ -106,6 +106,5 @@ mod tests {
     fn paper_default_caps_top_k() {
         let w = Workload::paper_default(DatasetSpec::tiny(DatasetKind::Glove)); // n=600
         assert_eq!(w.top_k, 60);
-        assert_eq!(w.cost_model.workload_concurrency, 10);
     }
 }

@@ -17,7 +17,7 @@
 //! event without ever materialising a trace.
 //!
 //! * **Arrivals.** A seeded process ([`ServingSpec::arrival_qps`],
-//!   hyperexponential burstiness via [`ServingSpec::burstiness`]) generates
+//!   hyperexponential burstiness [`BURSTINESS`]) generates
 //!   query arrivals; when the spec carries an insert fraction
 //!   ([`ServingSpec::insert_fraction`]) a second, independent stream
 //!   generates insert arrivals. Both are time-sorted vectors walked by
@@ -26,7 +26,8 @@
 //!   Pinning, knobs and service time change *scheduling*, never the
 //!   offered workload.
 //! * **Slots.** Eligible requests queue (bounded — overflow is **shed**)
-//!   for a worker slot. The shared pool is one queue per replica group
+//!   for a worker slot; an arrival joins the shortest queue (ties to the
+//!   lowest index). The shared pool is one queue per replica group
 //!   over [`vdms::CostModel::serving_slots`] slots (`maxReadConcurrency`
 //!   capped by the node's cores, over-provisioning paying a scheduling
 //!   penalty); shard reactors are [`vdms::CostModel::reactor_count`]
@@ -65,11 +66,26 @@
 use rayon::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use vdms::cluster::RoutingPolicy;
 use vdms::cost_model::CostModel;
 use vdms::system_params::SystemParams;
 use vdms::topology::PinningPolicy;
 use vdms::writepath::{FlushJob, FlushReason, WalSim, WriteKnobs};
+
+/// Arrival burstiness `b`. Inter-arrival gaps are exponential draws scaled
+/// by a two-point mixture with mean 1 — half the gaps shrink by `1/(1+b)`,
+/// half stretch by `2 - 1/(1+b)` — so the mean rate is preserved while
+/// the squared coefficient of variation grows with `b`. `0.0` would be a
+/// plain Poisson process.
+pub const BURSTINESS: f64 = 0.5;
+
+/// Latency above which a completed request counts as a timeout — and the
+/// penalty latency a shed request is charged in the percentile stream
+/// (the client gives up after this long either way).
+pub const TIMEOUT_SECS: f64 = 1.0;
+
+/// Largest tolerable dropped fraction — shed, and (separately) timed out
+/// — before an SLO counts as violated ([`ServingStats::violates_slo`]).
+pub const MAX_SHED_FRACTION: f64 = 0.01;
 
 /// The open-loop arrival process and serving-level objectives of one
 /// simulation run. `Copy` so backends can embed it freely.
@@ -79,12 +95,6 @@ pub struct ServingSpec {
     /// the simulation entirely: the backend degrades to pure offline
     /// semantics.
     pub arrival_qps: f64,
-    /// Arrival burstiness `>= 0`: inter-arrival gaps are exponential draws
-    /// scaled by a two-point mixture with mean 1 — half the gaps shrink by
-    /// `1/(1+b)`, half stretch by `2 - 1/(1+b)` — so the mean rate is
-    /// preserved while the squared coefficient of variation grows with
-    /// `b`. `0.0` is a plain Poisson process.
-    pub burstiness: f64,
     /// Number of requests to simulate.
     pub requests: usize,
     /// Bound of each replica's scheduler queue (requests waiting for a
@@ -92,24 +102,11 @@ pub struct ServingSpec {
     /// routed queue full is shed — counted, and charged its penalty
     /// latency in the percentile stream, but never served.
     pub queue_capacity: usize,
-    /// Latency above which a completed request counts as a timeout — and
-    /// the penalty latency a shed request is charged in the percentile
-    /// stream (the client gives up after this long either way).
-    pub timeout_secs: f64,
     /// Optional p99 service-level objective. When set, the serving backend
     /// records configs whose p99 exceeds it — or that shed *or time out*
-    /// more than [`ServingSpec::max_shed_fraction`] of requests — as
-    /// *failed* observations ([`vdms::VdmsError::SloViolation`]).
+    /// more than [`MAX_SHED_FRACTION`] of requests — as *failed*
+    /// observations ([`vdms::VdmsError::SloViolation`]).
     pub slo_p99_secs: Option<f64>,
-    /// Largest tolerable dropped fraction — shed, and (separately) timed
-    /// out — before the SLO counts as violated.
-    pub max_shed_fraction: f64,
-    /// How arrivals choose a replica group when the deployment is
-    /// replicated. [`RoutingPolicy::JoinShortestQueue`] inspects the real
-    /// per-replica queue depths at arrival time;
-    /// [`RoutingPolicy::Random`] draws a group per request. Irrelevant
-    /// (and bit-invisible) for unreplicated deployments.
-    pub routing: RoutingPolicy,
     /// Insert traffic as a fraction of the query arrival rate: inserts
     /// arrive in an independent seeded stream at `arrival_qps *
     /// insert_fraction`, and `requests * insert_fraction` (rounded) of
@@ -124,13 +121,9 @@ impl Default for ServingSpec {
     fn default() -> Self {
         ServingSpec {
             arrival_qps: 500.0,
-            burstiness: 0.5,
             requests: 2_000,
             queue_capacity: 256,
-            timeout_secs: 1.0,
             slo_p99_secs: None,
-            max_shed_fraction: 0.01,
-            routing: RoutingPolicy::JoinShortestQueue,
             insert_fraction: 0.0,
         }
     }
@@ -152,11 +145,6 @@ impl ServingSpec {
     /// This spec with a p99 SLO (seconds).
     pub fn with_slo(self, slo_p99_secs: f64) -> ServingSpec {
         ServingSpec { slo_p99_secs: Some(slo_p99_secs), ..self }
-    }
-
-    /// This spec with a different replica-routing policy.
-    pub fn with_routing(self, routing: RoutingPolicy) -> ServingSpec {
-        ServingSpec { routing, ..self }
     }
 
     /// This spec with insert traffic at `insert_fraction` times the query
@@ -246,7 +234,7 @@ pub struct ServingStats {
     /// Completed requests divided by the makespan — *including* the ones
     /// that blew the timeout.
     pub achieved_qps: f64,
-    /// **Goodput**: completions under [`ServingSpec::timeout_secs`]
+    /// **Goodput**: completions under [`TIMEOUT_SECS`]
     /// divided by the makespan — the throughput a client actually
     /// experienced. Always `<= achieved_qps`.
     pub goodput_qps: f64,
@@ -295,8 +283,8 @@ impl ServingStats {
         match spec.slo_p99_secs {
             Some(slo) => {
                 self.p99_latency_secs > slo
-                    || self.shed_fraction() > spec.max_shed_fraction
-                    || self.timeout_fraction() > spec.max_shed_fraction
+                    || self.shed_fraction() > MAX_SHED_FRACTION
+                    || self.timeout_fraction() > MAX_SHED_FRACTION
             }
             None => false,
         }
@@ -325,21 +313,14 @@ fn unit(bits: u64) -> f64 {
 const STREAMS_QUERY: (u64, u64) = (0x5E21, 0x5E22);
 const STREAMS_INSERT: (u64, u64) = (0x5E25, 0x5E26);
 const STREAM_JITTER: u64 = 0x5E23;
-const STREAM_ROUTE: u64 = 0x5E24;
 
 /// Inter-arrival gap before request `i` of a process arriving at `rate`:
 /// an exponential draw at the mean rate, scaled by the two-point
-/// burstiness mixture (mean exactly 1). Queries and inserts are the same
-/// process on independent `(arrival, burst)` streams.
-fn interarrival_secs(
-    rate: f64,
-    burstiness: f64,
-    (arrival, burst): (u64, u64),
-    seed: u64,
-    i: u64,
-) -> f64 {
+/// [`BURSTINESS`] mixture (mean exactly 1). Queries and inserts are the
+/// same process on independent `(arrival, burst)` streams.
+fn interarrival_secs(rate: f64, (arrival, burst): (u64, u64), seed: u64, i: u64) -> f64 {
     let exp = -unit(mix(seed, arrival, i)).ln() / rate.max(1e-9);
-    let tight = 1.0 / (1.0 + burstiness.max(0.0));
+    let tight = 1.0 / (1.0 + BURSTINESS);
     let scale = if mix(seed, burst, i) & 1 == 0 { tight } else { 2.0 - tight };
     exp * scale
 }
@@ -411,7 +392,7 @@ impl ArrivalPlan {
             .map(|i| {
                 let i = i as u64;
                 (
-                    interarrival_secs(spec.arrival_qps, spec.burstiness, STREAMS_QUERY, seed, i),
+                    interarrival_secs(spec.arrival_qps, STREAMS_QUERY, seed, i),
                     service_jitter(seed, i),
                 )
             })
@@ -420,7 +401,7 @@ impl ArrivalPlan {
         let insert_qps = spec.arrival_qps * spec.insert_fraction;
         let mut inserts: Vec<f64> = (0..n_inserts)
             .into_par_iter()
-            .map(|j| interarrival_secs(insert_qps, spec.burstiness, STREAMS_INSERT, seed, j as u64))
+            .map(|j| interarrival_secs(insert_qps, STREAMS_INSERT, seed, j as u64))
             .collect();
         accumulate(inserts.iter_mut());
         ArrivalPlan { spec: *spec, seed, queries, inserts }
@@ -602,12 +583,6 @@ impl SlotPool {
         self.free[0].len() * self.queues_per_group
     }
 
-    /// Queue `q`'s depth in the router's eyes. Backpressure is visible to
-    /// reads: `parked` inserts occupy the primary queue.
-    fn depth(&self, q: usize, parked: usize) -> usize {
-        self.depths[q] + if q == 0 { parked } else { 0 }
-    }
-
     /// What an arrival at `now` pays for: requests whose service has
     /// started by `now` have left their scheduler queues, so drain them
     /// from the one heap, each taking one off its queue's counter; then
@@ -623,8 +598,10 @@ impl SlotPool {
             }
         }
         let mut seen = Depths { shortest_queue: 0, shortest: usize::MAX, deepest: 0 };
-        for q in 0..self.depths.len() {
-            let depth = self.depth(q, parked);
+        for (q, &waiting) in self.depths.iter().enumerate() {
+            // Backpressure is visible to reads: `parked` inserts occupy
+            // the primary queue.
+            let depth = waiting + if q == 0 { parked } else { 0 };
             if depth < seen.shortest {
                 (seen.shortest_queue, seen.shortest) = (q, depth);
             }
@@ -714,9 +691,8 @@ fn schedule_commit(
 /// shared-nothing property), paying its SMT scan penalty
 /// ([`vdms::CostModel::reactor_scan_penalties`]) and delegator handoff
 /// ([`vdms::CostModel::reactor_handoff_secs`]). At every arrival the
-/// router ([`ServingSpec::routing`]) picks one queue across the fleet:
-/// join-shortest-queue reads the *real* depths (ties to the lowest index),
-/// random routing draws a queue from the seed.
+/// router joins the shortest queue across the fleet, reading the *real*
+/// depths (ties to the lowest index).
 ///
 /// **Events.** Query and insert arrival times come from the plan — drawn
 /// before the loop, never by it — and are walked by two cursors; only the
@@ -745,7 +721,7 @@ fn schedule_commit(
 /// the primary queue's worker slots, commits serialized one after
 /// another. A full insert window parks arrivals (shedding past
 /// `queue_capacity`); parked inserts count against the primary queue in
-/// the router's eyes, steering JSQ away and shedding queries once the
+/// the router's eyes, steering arrivals away and shedding queries once the
 /// shared bound fills. The tick chain runs until every accepted insert
 /// is durable — backpressure delays, never drops.
 fn run(
@@ -758,7 +734,6 @@ fn run(
     let replicas = replicas.max(1);
     let mut pool = SlotPool::new(model, sys, replicas, policy, top_k);
     let slots = pool.slots_per_group();
-    let queues = pool.free.len();
     let (n, n_inserts) = (queries.len(), inserts.len());
     let has_inserts = spec.insert_fraction > 0.0;
 
@@ -798,14 +773,8 @@ fn run(
             qi += 1;
             let seen = pool.survey(now, wal.parked());
             max_queue_depth = max_queue_depth.max(seen.deepest);
-            let (q, depth) = match spec.routing {
-                RoutingPolicy::JoinShortestQueue => (seen.shortest_queue, seen.shortest),
-                RoutingPolicy::Random { seed: route_seed } => {
-                    let q = (mix(route_seed, STREAM_ROUTE, i as u64) % queues as u64) as usize;
-                    (q, pool.depth(q, wal.parked()))
-                }
-            };
-            if depth >= spec.queue_capacity {
+            let q = seen.shortest_queue;
+            if seen.shortest >= spec.queue_capacity {
                 let shed = QueryEvent {
                     arrival_secs: now,
                     consistency_wait_secs: 0.0,
@@ -1058,11 +1027,11 @@ impl StatsAccumulator {
     /// Request `index` (in arrival order) resolved as `event`.
     fn record(&mut self, index: usize, event: &QueryEvent) {
         let latency = if event.shed {
-            self.spec.timeout_secs
+            TIMEOUT_SECS
         } else {
             self.completed += 1;
             let latency = event.latency_secs();
-            if latency > self.spec.timeout_secs {
+            if latency > TIMEOUT_SECS {
                 self.timeouts += 1;
             }
             latency
@@ -1106,7 +1075,7 @@ impl ServingTrace {
     /// contributes one sample — completed requests their intended-start
     /// latency (arrival is the intended start of an open-loop process, so
     /// `finish - arrival` already includes all queueing), shed requests
-    /// their penalty latency [`ServingSpec::timeout_secs`] (the client
+    /// their penalty latency [`TIMEOUT_SECS`] (the client
     /// gives up after that long). An earlier revision computed percentiles
     /// over completed requests only, so a config that shed 40% of its
     /// traffic could report a *better* p99 than one that served
@@ -1223,27 +1192,6 @@ mod tests {
     }
 
     #[test]
-    fn burstiness_inflates_the_tail_at_fixed_mean_rate() {
-        let sys = SystemParams { max_read_concurrency: 4, ..Default::default() };
-        let model = CostModel::default();
-        let smooth = ServingSpec {
-            arrival_qps: 700.0,
-            burstiness: 0.0,
-            requests: 2_000,
-            ..Default::default()
-        };
-        let bursty = ServingSpec { burstiness: 3.0, ..smooth };
-        let a = simulate_replicated(&model, &sys, 0.004, &smooth, 5, 1).stats(&smooth);
-        let b = simulate_replicated(&model, &sys, 0.004, &bursty, 5, 1).stats(&bursty);
-        assert!(
-            b.p99_latency_secs > a.p99_latency_secs,
-            "bursts queue deeper: {} vs {}",
-            b.p99_latency_secs,
-            a.p99_latency_secs
-        );
-    }
-
-    #[test]
     fn empty_run_yields_infinite_percentiles() {
         let sys = SystemParams::default();
         let model = CostModel::default();
@@ -1281,12 +1229,14 @@ mod tests {
         let s = ServingSpec {
             arrival_qps: 400.0,
             requests: 500,
-            timeout_secs: 0.02,
             queue_capacity: 10_000,
             ..Default::default()
         };
-        let stats = simulate_replicated(&model, &sys, 0.010, &s, 9, 1).stats(&s);
-        assert!(stats.timeouts > 0, "queueing at 4x capacity must blow a 20ms timeout");
+        let trace = simulate_replicated(&model, &sys, 0.010, &s, 9, 1);
+        let stats = trace.stats(&s);
+        let slow = trace.events.iter().filter(|e| e.latency_secs() > TIMEOUT_SECS).count();
+        assert!(slow > 0, "queueing at 4x capacity must blow the timeout");
+        assert_eq!(stats.timeouts, slow);
         assert!(stats.timeouts <= stats.completed);
     }
 
@@ -1321,7 +1271,7 @@ mod tests {
         /// puts both at n); a palette of `levels` ordinary latencies makes
         /// duplicates heavy; and a quarter of the samples are the values
         /// orderings disagree on — ±0, subnormals, ±∞, both NaN signs and a
-        /// negative `timeout_secs` charged to a shed request.
+        /// negative latency.
         #[test]
         fn selected_ranks_equal_the_sorted_oracle_bitwise(
             short in 0usize..2,
@@ -1362,7 +1312,7 @@ mod tests {
             5e-324,
             0.004,
             1.0,
-            -0.02, // a negative `timeout_secs` charged to a shed request
+            -0.02,
             f64::INFINITY,
             f64::NEG_INFINITY,
             f64::NAN,
@@ -1378,11 +1328,11 @@ mod tests {
 
     /// The percentiles as they were computed before the keys: `f64`
     /// latencies under `sort_by(total_cmp)`.
-    fn float_sorted_percentiles(trace: &ServingTrace, spec: &ServingSpec) -> [u64; 3] {
+    fn float_sorted_percentiles(trace: &ServingTrace) -> [u64; 3] {
         let mut latencies: Vec<f64> = trace
             .events
             .iter()
-            .map(|e| if e.shed { spec.timeout_secs } else { e.latency_secs() })
+            .map(|e| if e.shed { TIMEOUT_SECS } else { e.latency_secs() })
             .collect();
         latencies.sort_by(f64::total_cmp);
         QUANTILES.map(|q| {
@@ -1401,19 +1351,11 @@ mod tests {
             queue_capacity: 16,
             ..Default::default()
         };
-        // Sheds charged an ordinary, a negative and an infinite timeout.
-        for timeout_secs in [0.02, -0.02, f64::INFINITY] {
-            let s = ServingSpec { timeout_secs, ..overload };
-            let trace = simulate_replicated(&model, &sys, 0.002, &s, 3, 1);
-            let stats = trace.stats(&s);
-            assert!(stats.shed > 0 && stats.completed > 0);
-            let ours = [stats.p50_latency_secs, stats.p95_latency_secs, stats.p99_latency_secs];
-            assert_eq!(
-                ours.map(f64::to_bits),
-                float_sorted_percentiles(&trace, &s),
-                "{timeout_secs}"
-            );
-        }
+        let trace = simulate_replicated(&model, &sys, 0.002, &overload, 3, 1);
+        let stats = trace.stats(&overload);
+        assert!(stats.shed > 0 && stats.completed > 0);
+        let ours = [stats.p50_latency_secs, stats.p95_latency_secs, stats.p99_latency_secs];
+        assert_eq!(ours.map(f64::to_bits), float_sorted_percentiles(&trace));
     }
 
     /// Regression (coordinated omission): an overloaded config that sheds
@@ -1485,7 +1427,6 @@ mod tests {
         let s = ServingSpec {
             arrival_qps: 400.0,
             requests: 500,
-            timeout_secs: 0.02,
             queue_capacity: 10_000,
             ..Default::default()
         };
@@ -1499,7 +1440,7 @@ mod tests {
         );
         let expected = (stats.completed - stats.timeouts) as f64 / stats.makespan_secs;
         assert!((stats.goodput_qps - expected).abs() < 1e-9);
-        assert!(stats.timeout_fraction() > s.max_shed_fraction);
+        assert!(stats.timeout_fraction() > MAX_SHED_FRACTION);
         // A sky-high p99 SLO alone would pass; the timeout fraction trips it.
         assert!(stats.violates_slo(&s.with_slo(f64::MAX)));
     }
@@ -1522,48 +1463,25 @@ mod tests {
     }
 
     #[test]
-    fn jsq_routing_beats_random_routing_on_the_tail() {
-        // Near saturation, random routing overloads some group by chance;
-        // JSQ spreads by construction.
-        let model = CostModel::default();
-        let sys = SystemParams { max_read_concurrency: 2, ..Default::default() };
-        let base = ServingSpec { arrival_qps: 1_300.0, requests: 4_000, ..Default::default() };
-        let jsq = base.with_routing(RoutingPolicy::JoinShortestQueue);
-        let rand = base.with_routing(RoutingPolicy::Random { seed: 21 });
-        let a = simulate_replicated(&model, &sys, 0.004, &jsq, 13, 3).stats(&jsq);
-        let b = simulate_replicated(&model, &sys, 0.004, &rand, 13, 3).stats(&rand);
-        assert!(
-            a.p99_latency_secs <= b.p99_latency_secs,
-            "JSQ must not lose to blind routing: {} vs {}",
-            a.p99_latency_secs,
-            b.p99_latency_secs
-        );
-        assert!(a.max_queue_depth <= b.max_queue_depth);
-    }
-
-    #[test]
     fn routed_replicas_each_serve_traffic() {
         let model = CostModel::default();
         // One slot per group at 4 ms = 250 QPS/group; offering 600 QPS to
-        // 3 groups keeps queues non-empty, so JSQ has depths to compare
-        // (an idle fleet ties every arrival to group 0).
+        // 3 groups keeps queues non-empty, so the router has depths to
+        // compare.
         let sys = SystemParams { max_read_concurrency: 1, ..Default::default() };
-        let jsq = ServingSpec { arrival_qps: 600.0, requests: 1_200, ..Default::default() };
-        let trace = simulate_replicated(&model, &sys, 0.004, &jsq, 7, 3);
+        let busy = ServingSpec { arrival_qps: 600.0, requests: 1_200, ..Default::default() };
+        let trace = simulate_replicated(&model, &sys, 0.004, &busy, 7, 3);
         assert_eq!(trace.replicas, 3);
         for g in 0..3 {
             let served = trace.events.iter().filter(|e| e.replica == g && !e.shed).count();
-            assert!(served > 120, "JSQ: group {g} must carry a share of the load ({served})");
+            assert!(served > 120, "group {g} must carry a share of the load ({served})");
         }
-        // Random routing spreads even an idle fleet.
-        let idle = SystemParams::default();
-        let rand = ServingSpec { arrival_qps: 200.0, requests: 900, ..Default::default() }
-            .with_routing(RoutingPolicy::Random { seed: 17 });
-        let trace = simulate_replicated(&model, &idle, 0.004, &rand, 7, 3);
-        for g in 0..3 {
-            let served = trace.events.iter().filter(|e| e.replica == g).count();
-            assert!(served > 100, "random: group {g} must carry a share of the load ({served})");
-        }
+        // An idle fleet: every queue is empty at every arrival, and the
+        // tie goes to the lowest index, so group 0 serves every query.
+        let idle = ServingSpec { arrival_qps: 5.0, requests: 800, ..Default::default() };
+        let trace = simulate_replicated(&model, &SystemParams::default(), 0.004, &idle, 7, 3);
+        assert_eq!(trace.max_queue_depth, 0);
+        assert!(trace.events.iter().all(|e| e.replica == 0 && !e.shed));
     }
 
     #[test]
@@ -1745,11 +1663,8 @@ mod tests {
 
     #[test]
     fn burstiness_mixture_preserves_the_mean_rate() {
-        let s = ServingSpec { arrival_qps: 1_000.0, burstiness: 2.0, ..Default::default() };
         let n = 200_000u64;
-        let total: f64 = (0..n)
-            .map(|i| interarrival_secs(s.arrival_qps, s.burstiness, STREAMS_QUERY, 42, i))
-            .sum();
+        let total: f64 = (0..n).map(|i| interarrival_secs(1_000.0, STREAMS_QUERY, 42, i)).sum();
         let mean = total / n as f64;
         assert!((mean - 0.001).abs() < 5e-5, "mean gap {mean} should be ~1ms");
     }

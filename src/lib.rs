@@ -50,7 +50,7 @@ pub use workload;
 pub mod prelude {
     pub use crate::core::{SpaceSpec, TunerOptions, TuningOutcome, VdTuner};
     pub use anns::params::IndexType;
-    pub use vdms::cluster::{ClusterSpec, RoutingPolicy};
+    pub use vdms::cluster::ClusterSpec;
     pub use vdms::config::VdmsConfig;
     pub use vecdata::{Dataset, DatasetKind, DatasetSpec};
     pub use workload::{EvalBackend, ServingSpec, ServingStats, SimBackend, Workload};

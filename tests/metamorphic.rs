@@ -4,8 +4,8 @@
 //! nothing; the scanning scatter-gather (`ShardedCollection::search`, one
 //! query at a time, routed like the replay) stays the oracle. Per query
 //! the ids must be equal, and so must the per-node `SearchCost` totals,
-//! under every layout, shard count, replica count and routing policy drawn
-//! below: single-row segments, an all-growing tail, duplicate rows and
+//! under every layout, shard count and replica count drawn below:
+//! single-row segments, an all-growing tail, duplicate rows and
 //! `top_k >= n` included. A NaN row makes the memo decline and the scan
 //! answer. Seeded: every run draws the same cases.
 
@@ -60,17 +60,12 @@ fn check_shape(name: &str, layout: &SegmentLayout) {
     assert!(ok, "{name}: sealed rows {rows:?}, {} growing", layout.growing_rows());
 }
 
-/// The shards (1–8), replicas (1–4) and routing policy of case `case`.
+/// The shards (1–8) and replicas (1–4) of case `case`.
 fn cluster(case: u64) -> ClusterSpec {
     let draw = derive(SEED, case);
-    let routing = if draw & 1 == 0 {
-        RoutingPolicy::JoinShortestQueue
-    } else {
-        RoutingPolicy::Random { seed: draw >> 32 }
-    };
     let shards = 1 + (draw >> 1) as usize % 8;
     let replicas = 1 + (draw >> 4) as usize % 4;
-    ClusterSpec::replicated(shards, replicas).with_routing(routing)
+    ClusterSpec::replicated(shards, replicas)
 }
 
 /// The oracle: every query through the scanning scatter-gather, routed and
@@ -84,7 +79,7 @@ fn scatter_gather(
     let mut totals = vec![SearchCost::default(); spec.nodes()];
     let mut results = Vec::new();
     for qi in 0..ds.n_queries() {
-        let group = spec.routing.route_batch(qi as u64, spec.replicas);
+        let group = qi % spec.replicas;
         let mut costs = vec![SearchCost::default(); spec.shards];
         let hits = cluster.search(ds.query(qi), top_k, &mut costs);
         for (j, c) in costs.iter().enumerate() {
@@ -100,7 +95,6 @@ fn scatter_gather(
 struct Drawn {
     shards: BTreeSet<usize>,
     replicas: BTreeSet<usize>,
-    random_routing: usize,
     cases: u64,
 }
 
@@ -128,7 +122,6 @@ fn replays_equal_the_scan(ds: &Dataset, top_k: usize, drawn: &mut Drawn) {
                 drawn.cases += 1;
                 drawn.shards.insert(spec.shards);
                 drawn.replicas.insert(spec.replicas);
-                drawn.random_routing += usize::from(spec.routing != RoutingPolicy::default());
                 let case = format!("{index_type:?}, {name}, {spec:?}, top_k {top_k}");
                 let sharded = ShardedCollection::load(ds, &cfg, 1, spec).unwrap();
                 let (costs, ids) = sharded.run_queries(top_k);
@@ -190,7 +183,6 @@ fn exact_replays_equal_the_scatter_gather() {
 
     assert_eq!(drawn.shards, (1..=8).collect(), "drawn shard counts");
     assert_eq!(drawn.replicas, (1..=4).collect(), "drawn replica counts");
-    assert!(drawn.random_routing > 0 && drawn.random_routing < drawn.cases as usize);
 }
 
 #[test]

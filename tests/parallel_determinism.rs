@@ -63,7 +63,7 @@ fn sharded_backend_run_is_thread_count_invariant() {
 
 #[test]
 fn replicated_serving_run_is_thread_count_invariant() {
-    // The full 18-dim stack — replica placement, JSQ-routed serving,
+    // The full 18-dim stack — replica placement, shortest-queue-routed serving,
     // shed-charged percentiles — must still be a pure speedup: tuning
     // histories (and the serving stats feeding SLO decisions) are
     // bit-identical on 1 vs 4 rayon threads.
@@ -169,7 +169,7 @@ fn exact_replay_is_thread_count_invariant() {
     let mut cfg = VdmsConfig::default_for(IndexType::Hnsw).sanitized(spec.dim, 10);
     cfg.system.segment_max_size_mb = 2048.0;
     cfg.system.insert_buf_size_mb = 2048.0;
-    let cluster = ClusterSpec::replicated(3, 2).with_routing(RoutingPolicy::Random { seed: 5 });
+    let cluster = ClusterSpec::replicated(3, 2);
 
     let run = |threads: usize| {
         with_threads(threads, || {

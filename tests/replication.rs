@@ -1,7 +1,8 @@
 //! The replication contracts, stated across crates:
 //!
-//! * both routing policies return identical result ids — and therefore
-//!   identical recall — because every replica group hosts the same data,
+//! * a replicated cluster returns the single node's result ids — and
+//!   therefore its recall — because every replica group hosts the same
+//!   data,
 //! * an 18-dimensional tuning run with the replication dimension frozen
 //!   at one copy reproduces the 17-dimensional topology run bit for bit,
 //! * replica-aware evaluation diverges honestly on cost: memory per copy,
@@ -10,8 +11,8 @@
 use proptest::prelude::*;
 use vdtuner::core::{SpaceSpec, TunerOptions, VdTuner};
 use vdtuner::prelude::*;
-use vdtuner::vdms::cluster::ShardedCollection;
 use vdtuner::vdms::system_params::SystemParams;
+use vdtuner::vdms::{Collection, ShardedCollection};
 use vdtuner::workload::{Evaluator, ServingSpec};
 
 fn multi_segment_workload() -> Workload {
@@ -46,36 +47,27 @@ fn small_options() -> TunerOptions {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Routing never changes what a query returns: JSQ and seeded-random
-    /// routed clusters produce identical result ids (and so identical
-    /// recall) for any shard count, replication factor and seed.
+    /// Replication never changes what a query returns: a cluster routing
+    /// its queries round-robin over replica groups produces the single
+    /// node's result ids (and so its recall) for any shard count,
+    /// replication factor and seed.
     #[test]
-    fn routing_policies_return_identical_results(
+    fn replicated_clusters_return_single_node_results(
         shards in 1usize..=3,
         replicas in 1usize..=3,
-        route_seed in 0u64..1_000,
         seed in 0u64..64,
     ) {
         let w = multi_segment_workload();
         let cfg = multi_segment_config().sanitized(w.dataset.dim(), w.top_k);
-        let base = ClusterSpec {
+        let spec = ClusterSpec {
             shard_budget_gib: vdtuner::vdms::collection::MEMORY_BUDGET_GIB,
             ..ClusterSpec::replicated(shards, replicas)
         };
-        let jsq = ShardedCollection::load(
-            &w.dataset, &cfg, seed,
-            base.with_routing(RoutingPolicy::JoinShortestQueue)).unwrap();
-        let rand = ShardedCollection::load(
-            &w.dataset, &cfg, seed,
-            base.with_routing(RoutingPolicy::Random { seed: route_seed })).unwrap();
-        let (_, jr) = jsq.run_queries(w.top_k);
-        let (_, rr) = rand.run_queries(w.top_k);
-        prop_assert_eq!(&jr, &rr);
-        // Recall is therefore routing-invariant too.
-        prop_assert_eq!(
-            w.mean_recall(&jr).to_bits(),
-            w.mean_recall(&rr).to_bits()
-        );
+        let cluster = ShardedCollection::load(&w.dataset, &cfg, seed, spec).unwrap();
+        let single = Collection::load(&w.dataset, &cfg, seed).unwrap();
+        let (_, cr) = cluster.run_queries(w.top_k);
+        let (_, sr) = single.run_queries(w.top_k);
+        prop_assert_eq!(cr, sr);
     }
 }
 

@@ -30,18 +30,16 @@ proptest! {
 
     /// Same seed ⇒ bit-identical event trace no matter how many worker
     /// threads execute the simulation: every draw is a pure function of
-    /// the query index and the event loop (including JSQ replica routing,
+    /// the query index and the event loop (including replica routing,
     /// which reads per-group queue depths serially) is serial.
     #[test]
     fn serving_trace_is_thread_count_invariant(
         rate in 50.0f64..2_000.0,
-        burst in 0.0f64..3.0,
         graceful in 0.0f64..5_000.0,
         buf in 16.0f64..2_048.0,
         conc in 1usize..64,
         service_ms in 0.5f64..20.0,
         replicas in 1usize..=4,
-        random_routing in 0u8..2,
         seed in 0u64..u64::MAX,
     ) {
         let model = CostModel::default();
@@ -51,18 +49,7 @@ proptest! {
             max_read_concurrency: conc,
             ..Default::default()
         };
-        let routing = if random_routing == 1 {
-            RoutingPolicy::Random { seed: seed ^ 0xABCD }
-        } else {
-            RoutingPolicy::JoinShortestQueue
-        };
-        let spec = ServingSpec {
-            arrival_qps: rate,
-            burstiness: burst,
-            requests: 300,
-            routing,
-            ..Default::default()
-        };
+        let spec = ServingSpec { arrival_qps: rate, requests: 300, ..Default::default() };
         let service = service_ms / 1_000.0;
         let serial =
             with_threads(1, || simulate_replicated(&model, &sys, service, &spec, seed, replicas));

@@ -4,11 +4,11 @@
 //! current code, these compare the current code with that commit: every
 //! field of every event, bit for bit, over a panel that reaches each arm
 //! of the loop (shared pool / reactors, analytic watermark / WAL
-//! visibility, both routers, query shedding, insert parking and shedding,
-//! the deferred-consistency retry, the empty run). The two four-group
-//! reactor fleets (64 queues each) joined later; their digests were
-//! captured on the commit before the router's per-queue waiting heaps
-//! became one heap and a depth counter per queue.
+//! visibility, replicated routing, query shedding, insert parking and
+//! shedding, the deferred-consistency retry, the empty run). The four-group
+//! reactor fleet (64 queues) joined later; its digest was captured on the
+//! commit before the router's per-queue waiting heaps became one heap and
+//! a depth counter per queue.
 //!
 //! The same panel, and a property over random deployments, also hold the
 //! trace-free path a serving phase takes ([`ArrivalPlan::stats`]) to the
@@ -95,19 +95,14 @@ fn check(pinned: &[(&str, u64)], actual: &[(String, u64)]) {
 const TRACES: &[(&str, u64)] = &[
     ("readonly shared r1", 0xcf678e1d3c7a78c5),
     ("readonly shared r3", 0x60a312d7482e98d2),
-    ("readonly shared r3 random tight", 0x44135103cd76d54e),
     ("readonly compact r1", 0x9553a0065f6473a5),
     ("readonly smt-avoid r2", 0xb36e6d0f7d1d6960),
     ("readonly smt-avoid r4", 0xeb2915aef69802a3),
-    ("readonly scatter r2 random", 0xd28dfe94ab627246),
     ("readonly overload sheds queries", 0xd3aee671e1439b32),
     ("readonly wrappers ignore inserts", 0x14a26b2f5ef6754b),
     ("readonly pinned wrapper ignores inserts", 0xd4dc46f25857c577),
     ("mixed shared r1", 0x31b48280d9cfa5e6),
-    ("mixed shared r3 random", 0x7931e148e1d71a32),
     ("mixed scatter r2", 0xb3f5d0365de94e64),
-    ("mixed scatter r4 random", 0xdd965a4616d86606),
-    ("mixed compact r2 random", 0xc3d6321d0eb01503),
     ("mixed parks and sheds inserts", 0xfafab1e784d01169),
     ("mixed retry shared r2", 0xd6ee104b1c9b1ac1),
     ("mixed retry smt-avoid r1", 0xcf8ddeb762fa0898),
@@ -151,8 +146,6 @@ fn serving_traces_match_the_pre_collapse_simulators_bitwise() {
     let wide = SystemParams { max_read_concurrency: 16, ..sys };
     let base = ServingSpec { arrival_qps: 1_200.0, requests: 900, ..Default::default() };
     let fleet = ServingSpec { arrival_qps: 20_000.0, requests: 2_000, ..base };
-    let random = base.with_routing(RoutingPolicy::Random { seed: 21 });
-    let fleet_random = fleet.with_routing(RoutingPolicy::Random { seed: 21 });
     let mixed = base.with_inserts(0.5);
     let overload =
         ServingSpec { arrival_qps: 5_000.0, requests: 1_500, queue_capacity: 16, ..base };
@@ -190,30 +183,22 @@ fn serving_traces_match_the_pre_collapse_simulators_bitwise() {
     // the WAL visibility arm and runs the tick chain.
     let rounds_to_none = mix(&tight, &base.with_inserts(0.0004), 9, 2, Compact, lazy);
     assert_eq!(rounds_to_none.writes.offered, 0);
-    // The fleets really are 64 single-slot queues, and they really queue.
-    let fleet_jsq = pin(&wide, &fleet, 7, 4, SmtAvoid);
-    let fleet_mixed = mix(&wide, &fleet_random.with_inserts(0.5), 5, 4, Scatter, knobs);
-    for fleet in [&fleet_jsq, &fleet_mixed] {
-        assert_eq!((fleet.replicas, fleet.slots), (4, 16));
-        assert!(fleet.max_queue_depth > 1, "{}", fleet.max_queue_depth);
-    }
+    // The fleet really is 64 single-slot queues, and they really queue.
+    let reactor_fleet = pin(&wide, &fleet, 7, 4, SmtAvoid);
+    assert_eq!((reactor_fleet.replicas, reactor_fleet.slots), (4, 16));
+    assert!(reactor_fleet.max_queue_depth > 1, "{}", reactor_fleet.max_queue_depth);
 
     let panel = [
         ("readonly shared r1", ro(&sys, &base, 11, 1)),
         ("readonly shared r3", ro(&sys, &base, 11, 3)),
-        ("readonly shared r3 random tight", ro(&tight, &random, 5, 3)),
         ("readonly compact r1", pin(&sys, &base, 11, 1, Compact)),
         ("readonly smt-avoid r2", pin(&sys, &base, 7, 2, SmtAvoid)),
-        ("readonly smt-avoid r4", fleet_jsq),
-        ("readonly scatter r2 random", pin(&sys, &random, 7, 2, Scatter)),
+        ("readonly smt-avoid r4", reactor_fleet),
         ("readonly overload sheds queries", shed_queries),
         ("readonly wrappers ignore inserts", ro(&sys, &mixed, 11, 2)),
         ("readonly pinned wrapper ignores inserts", pin(&sys, &mixed, 11, 2, Compact)),
         ("mixed shared r1", mix(&sys, &mixed, 7, 1, Shared, knobs)),
-        ("mixed shared r3 random", mix(&sys, &random.with_inserts(0.5), 7, 3, Shared, knobs)),
         ("mixed scatter r2", mix(&sys, &mixed, 5, 2, Scatter, knobs)),
-        ("mixed scatter r4 random", fleet_mixed),
-        ("mixed compact r2 random", mix(&sys, &random.with_inserts(0.5), 5, 2, Compact, lazy)),
         ("mixed parks and sheds inserts", parked),
         ("mixed retry shared r2", retried),
         ("mixed retry smt-avoid r1", mix(&tight, &mixed, 9, 1, SmtAvoid, lazy)),
@@ -251,7 +236,6 @@ proptest! {
             ),
             2,
         ),
-        random_routing in 0usize..2,
         capacity in 0usize..4,
         inserts in 0usize..4,
         arrival_qps in 300.0f64..4_000.0,
@@ -262,8 +246,6 @@ proptest! {
             arrival_qps,
             requests: 300,
             queue_capacity: [0, 3, 32, 256][capacity],
-            routing: [RoutingPolicy::JoinShortestQueue, RoutingPolicy::Random { seed: 21 }]
-                [random_routing],
             // None, one that rounds to zero inserts, and two real streams.
             insert_fraction: [0.0, 0.001, 0.5, 1.0][inserts],
             ..Default::default()
