@@ -73,8 +73,7 @@ mod tests {
     #[test]
     fn every_baseline_co_tunes_topology_with_the_extended_space() {
         // With the 17-dimensional spec every baseline emits candidates the
-        // space's backend accepts (shard request included) — nothing is
-        // rejected by the evaluator's space gate.
+        // space's backend realizes, shard request included.
         use vdtuner_core::SpaceSpec;
         let w = Workload::prepare(DatasetSpec::tiny(DatasetKind::Glove), 10);
         let space = || SpaceSpec::with_topology(4);

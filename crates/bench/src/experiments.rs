@@ -1716,7 +1716,6 @@ mod tests {
             assert_eq!(model.penalties, penalties);
             // Everything else is the default model's.
             assert_eq!(model.topology, default.topology);
-            assert_eq!(model.query_node_cores, default.query_node_cores);
         }
         // What the benchmark's fingerprint prints for its default model.
         assert_eq!(default.scan_source.name(), "analytic");

@@ -179,7 +179,7 @@ impl Runs {
 
     /// Run `arm` over `space` against `backend` for `iters` evaluations:
     /// the one place a tuner is built and driven. VDTuner evaluates under
-    /// its own derived seed ([`VdTuner::run_on`]); a baseline under `seed`.
+    /// its own derived seed ([`VdTuner::run_batched_on`]); a baseline under `seed`.
     pub fn tune<B: EvalBackend>(
         &self,
         arm: Arm,
@@ -191,7 +191,7 @@ impl Runs {
         self.started.fetch_add(1, Ordering::Relaxed);
         let mut tuner: Box<dyn Tuner> = match arm {
             Arm::VdTuner(options) => {
-                return VdTuner::with_space(options, space, seed).run_on(backend, iters)
+                return VdTuner::with_space(options, space, seed).run_batched_on(backend, iters, 1)
             }
             Arm::Random => Box::new(RandomLhs::with_space(space, seed)),
             Arm::OpenTuner => Box::new(OpenTunerStyle::with_space(space, seed)),

@@ -537,9 +537,9 @@ impl SpaceSpec {
     /// ask for, up to the largest value each dimension spans (a pinned
     /// dimension's ceiling is its pin), and the pinning and write-path
     /// requests are realized exactly when the space carries their
-    /// dimensions. Its [`workload::BackendInfo::space_dims`] is
-    /// [`SpaceSpec::dims`], so every candidate this space decodes is
-    /// evaluated, never rejected as a space mismatch.
+    /// dimensions. Every candidate this space decodes is a deployment its
+    /// [`SimBackend::place`] realizes, so none comes back
+    /// [`vdms::VdmsError::Unrealizable`].
     pub fn backend<'a>(&self, workload: &'a Workload) -> SimBackend<'a> {
         SimBackend::with_knobs(
             workload,
@@ -692,7 +692,6 @@ mod tests {
     fn dims_is_sixteen_as_in_paper() {
         assert_eq!(DIMS, 16);
         assert_eq!(DIM_NAMES.len(), 16);
-        assert_eq!(DIMS, VdmsConfig::BASE_TUNABLES);
         let legacy = SpaceSpec::legacy();
         assert_eq!(legacy.dims(), DIMS);
         assert_eq!(legacy.dim_names(), DIM_NAMES.to_vec());

@@ -503,30 +503,15 @@ impl VdTuner {
     /// served by the backend this tuner's space realizes
     /// ([`SpaceSpec::backend`]), and package everything a report needs.
     pub fn run(&mut self, workload: &Workload, iterations: usize) -> TuningOutcome {
-        self.run_batched(workload, iterations, 1)
-    }
-
-    /// Batched driver: per polling step, propose `q` candidates via the
-    /// kriging-believer loop and evaluate them concurrently. `q = 1` is the
-    /// paper's sequential Algorithm 1 (and what [`VdTuner::run`] uses).
-    pub fn run_batched(
-        &mut self,
-        workload: &Workload,
-        iterations: usize,
-        q: usize,
-    ) -> TuningOutcome {
         let backend = self.space.backend(workload);
-        self.run_batched_on(backend, iterations, q)
+        self.run_batched_on(backend, iterations, 1)
     }
 
     /// Run against an arbitrary evaluation backend (sharded cluster, live
     /// system, ...) — the tuner never sees what is behind the evaluator.
-    pub fn run_on<B: EvalBackend>(&mut self, backend: B, iterations: usize) -> TuningOutcome {
-        self.run_batched_on(backend, iterations, 1)
-    }
-
-    /// Batched driver over an arbitrary evaluation backend; see
-    /// [`VdTuner::run_batched`].
+    /// Per polling step it proposes `q` candidates via the kriging-believer
+    /// loop and evaluates them concurrently; `q = 1` is the paper's
+    /// sequential Algorithm 1 (and what [`VdTuner::run`] uses).
     pub fn run_batched_on<B: EvalBackend>(
         &mut self,
         backend: B,
@@ -547,6 +532,7 @@ impl VdTuner {
 mod tests {
     use super::*;
     use vecdata::{DatasetKind, DatasetSpec};
+    use workload::SimBackend;
 
     fn tiny_workload() -> Workload {
         Workload::prepare(DatasetSpec::tiny(DatasetKind::Glove), 10)
@@ -690,8 +676,8 @@ mod tests {
     #[test]
     fn batched_run_completes_budget_and_is_deterministic() {
         let w = tiny_workload();
-        let a = VdTuner::new(small_options(), 11).run_batched(&w, 12, 4);
-        let b = VdTuner::new(small_options(), 11).run_batched(&w, 12, 4);
+        let a = VdTuner::new(small_options(), 11).run_batched_on(SimBackend::new(&w), 12, 4);
+        let b = VdTuner::new(small_options(), 11).run_batched_on(SimBackend::new(&w), 12, 4);
         assert_eq!(a.observations.len(), 12);
         let ka: Vec<String> = a.observations.iter().map(|o| o.config.summary()).collect();
         let kb: Vec<String> = b.observations.iter().map(|o| o.config.summary()).collect();
@@ -723,7 +709,8 @@ mod tests {
     fn run_on_sim_backend_matches_run_bitwise() {
         let w = tiny_workload();
         let via_workload = VdTuner::new(small_options(), 9).run(&w, 9);
-        let via_backend = VdTuner::new(small_options(), 9).run_on(workload::SimBackend::new(&w), 9);
+        let via_backend =
+            VdTuner::new(small_options(), 9).run_batched_on(SimBackend::new(&w), 9, 1);
         let key = |out: &TuningOutcome| -> Vec<(String, u64, u64)> {
             out.observations
                 .iter()
@@ -736,7 +723,7 @@ mod tests {
     #[test]
     fn tuning_runs_against_sharded_backend() {
         let w = tiny_workload();
-        let backend = workload::SimBackend::with_spec(&w, vdms::cluster::ClusterSpec::new(2));
+        let backend = SimBackend::with_spec(&w, vdms::cluster::ClusterSpec::new(2));
         let out = VdTuner::new(small_options(), 5).run_batched_on(backend, 10, 2);
         assert_eq!(out.observations.len(), 10);
         assert!(out.observations.iter().any(|o| !o.failed));

@@ -17,49 +17,31 @@ pub struct VdmsConfig {
     pub system: SystemParams,
     /// Requested query-node count. `None` means "the backend's fixed
     /// topology" (the paper's single-node testbed, or whatever cluster an
-    /// experiment pinned); `Some(n)` is a topology-tuning candidate that
-    /// only a backend advertising the topology dimension can realize.
+    /// experiment pinned); `Some(n)` asks for `n` nodes, which a backend
+    /// tuning the topology realizes up to its ceiling and a fixed one only
+    /// at its own count.
     pub shards: Option<usize>,
     /// Requested replication factor: how many distinct nodes host a copy
     /// of every sealed segment. `None` means "the backend's fixed
-    /// replication" (one copy, like the paper's testbed); `Some(r)` is a
-    /// replication-tuning candidate that only a backend advertising the
-    /// replication dimension can realize.
+    /// replication" (one copy, like the paper's testbed); `Some(r)` asks
+    /// for `r` copies, realized like a shard request.
     pub replicas: Option<usize>,
     /// Requested reactor pinning policy. `None` means "the backend's fixed
-    /// execution model" (the legacy shared slot pool); `Some(p)` is a
-    /// pinning-tuning candidate that only a backend advertising the
-    /// pinning dimension can realize. `Some(PinningPolicy::Shared)`
+    /// execution model" (the legacy shared slot pool); any other policy
+    /// only a backend tuning pinning realizes. `Some(PinningPolicy::Shared)`
     /// evaluates bit-identically to `None` — the shared policy *is* the
     /// legacy model.
     pub pinning: Option<PinningPolicy>,
     /// Requested write-path knobs (WAL group-commit batch size, flush
     /// interval, segment seal threshold). `None` means "the backend's
-    /// fixed write path" ([`WriteKnobs::DEFAULT`]); `Some(k)` is a
-    /// write-tuning candidate that only a backend advertising the
-    /// write-path dimensions can realize.
-    /// `Some(WriteKnobs::DEFAULT)` evaluates bit-identically to `None` —
-    /// the defaults *are* the fixed write path.
+    /// fixed write path" ([`WriteKnobs::DEFAULT`]); any other knobs only a
+    /// backend tuning the write path realizes. `Some(WriteKnobs::DEFAULT)`
+    /// evaluates bit-identically to `None` — the defaults *are* the fixed
+    /// write path.
     pub writepath: Option<WriteKnobs>,
 }
 
 impl VdmsConfig {
-    /// Dimensionality of the paper's tuning space: 1 index type + 8 index
-    /// parameters + 7 system parameters.
-    pub const BASE_TUNABLES: usize = 16;
-
-    /// Encoded dimensionality this configuration spans: the 16 base
-    /// tunables, plus one per deployment request it carries (topology,
-    /// replication, pinning), plus three for a write-path request (batch
-    /// size, flush interval, seal threshold).
-    pub fn tunable_dims(&self) -> usize {
-        Self::BASE_TUNABLES
-            + usize::from(self.shards.is_some())
-            + usize::from(self.replicas.is_some())
-            + usize::from(self.pinning.is_some())
-            + 3 * usize::from(self.writepath.is_some())
-    }
-
     /// The Milvus default configuration (the paper's `Default` baseline
     /// uses AUTOINDEX, which is what Milvus ships with).
     pub fn default_config() -> VdmsConfig {
@@ -163,20 +145,6 @@ mod tests {
         let s = c.sanitized(48, 10);
         assert_eq!(48 % s.index.m, 0);
         assert!(s.system.max_read_concurrency <= 64);
-    }
-
-    #[test]
-    fn tunable_dims_counts_topology() {
-        let base = VdmsConfig::default_config();
-        assert_eq!(base.tunable_dims(), VdmsConfig::BASE_TUNABLES);
-        let topo = VdmsConfig { shards: Some(4), ..base };
-        assert_eq!(topo.tunable_dims(), VdmsConfig::BASE_TUNABLES + 1);
-        let replicated = VdmsConfig { shards: Some(4), replicas: Some(2), ..base };
-        assert_eq!(replicated.tunable_dims(), VdmsConfig::BASE_TUNABLES + 2);
-        let pinned = VdmsConfig { pinning: Some(PinningPolicy::Compact), ..replicated };
-        assert_eq!(pinned.tunable_dims(), VdmsConfig::BASE_TUNABLES + 3);
-        let writing = VdmsConfig { writepath: Some(WriteKnobs::DEFAULT), ..pinned };
-        assert_eq!(writing.tunable_dims(), VdmsConfig::BASE_TUNABLES + 6);
     }
 
     #[test]

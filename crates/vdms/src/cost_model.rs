@@ -70,17 +70,10 @@ pub struct QueryPerf {
     pub qps: f64,
 }
 
-/// The cost model; holds the simulated query node's core count, which
-/// caps how many worker slots the serving executor can actually run in
-/// parallel.
+/// The cost model; its host topology's physical core count caps how many
+/// worker slots the serving executor can actually run in parallel.
 #[derive(Debug, Clone, Copy)]
 pub struct CostModel {
-    /// Physical cores of one simulated query node. `maxReadConcurrency`
-    /// beyond this adds scheduling overhead instead of parallelism — the
-    /// serving-side analogue of the offline throughput law's
-    /// over-provisioning penalty. Derived from [`CostModel::topology`] by
-    /// default so the two cannot drift.
-    pub query_node_cores: usize,
     /// Per-unit scan costs. Defaults to [`ScanUnitCosts::ANALYTIC`] (the
     /// historical constants, keeping default-constructed models
     /// bit-identical across hosts); `repro reactors` sets the values its
@@ -88,7 +81,10 @@ pub struct CostModel {
     pub scan: ScanUnitCosts,
     /// Shape of one query-node host. Always [`HostTopology::DEFAULT`] in
     /// normal operation (cross-host determinism); tests use degenerate
-    /// shapes to prove reactor/slot-pool equivalences.
+    /// shapes to prove reactor/slot-pool equivalences. Its physical cores
+    /// are the serving slot cap: `maxReadConcurrency` beyond them adds
+    /// scheduling overhead instead of parallelism — the serving-side
+    /// analogue of the offline throughput law's over-provisioning penalty.
     pub topology: HostTopology,
     /// NUMA/SMT penalty surface charged by the pinned reactor paths.
     /// `repro reactors` sets the surface its own run measured.
@@ -103,9 +99,6 @@ pub struct CostModel {
 impl Default for CostModel {
     fn default() -> Self {
         CostModel {
-            // Derived, not a magic literal: the serving slot cap and the
-            // topology surface agree by construction.
-            query_node_cores: HostTopology::DEFAULT.physical_cores(),
             scan: ScanUnitCosts::ANALYTIC,
             topology: HostTopology::DEFAULT,
             penalties: PenaltyMatrix::ANALYTIC,
@@ -260,7 +253,7 @@ impl CostModel {
     /// Worker slots the serving executor actually runs concurrently: the
     /// configured `maxReadConcurrency`, capped by the node's core count.
     pub fn serving_slots(&self, sys: &SystemParams) -> usize {
-        sys.max_read_concurrency.clamp(1, self.query_node_cores.max(1))
+        sys.max_read_concurrency.clamp(1, self.topology.physical_cores().max(1))
     }
 
     /// Per-query service-time inflation from over-provisioned read
@@ -268,7 +261,8 @@ impl CostModel {
     /// (see [`CostModel::serving_slots`]) but still pay context-switch and
     /// scheduler-queue overhead on every query.
     pub fn serving_overhead_factor(&self, sys: &SystemParams) -> f64 {
-        let over = (sys.max_read_concurrency as f64 / self.query_node_cores.max(1) as f64).max(1.0);
+        let cores = self.topology.physical_cores().max(1);
+        let over = (sys.max_read_concurrency as f64 / cores as f64).max(1.0);
         1.0 + 0.04 * (over - 1.0)
     }
 
@@ -727,12 +721,13 @@ mod tests {
     }
 
     #[test]
-    fn query_node_cores_derives_from_the_default_topology() {
-        // Regression (the field used to be a bare magic 16): the slot cap
-        // and the topology surface must agree by construction.
+    fn serving_slots_derive_from_the_default_topology() {
+        // Regression (the cap used to be a bare magic 16, then a field
+        // that could drift from the topology): the slot cap is the
+        // topology's physical core count.
         let model = CostModel::default();
-        assert_eq!(model.query_node_cores, model.topology.physical_cores());
-        assert_eq!(model.query_node_cores, HostTopology::DEFAULT.physical_cores());
+        let sys = SystemParams { max_read_concurrency: 64, ..Default::default() };
+        assert_eq!(model.serving_slots(&sys), HostTopology::DEFAULT.physical_cores());
         assert_eq!(model.scan_source, CalibrationSource::Analytic);
         assert_eq!(model.penalty_source, CalibrationSource::Analytic);
     }
@@ -784,11 +779,7 @@ mod tests {
     fn single_core_topology_reproduces_the_slot_pool_bitwise() {
         // One reactor, no siblings, no handoff: the pinned model must be
         // bit-identical to the pre-reactor model for every policy.
-        let model = CostModel {
-            topology: HostTopology::SINGLE_CORE,
-            query_node_cores: HostTopology::SINGLE_CORE.physical_cores(),
-            ..Default::default()
-        };
+        let model = CostModel { topology: HostTopology::SINGLE_CORE, ..Default::default() };
         let sys = SystemParams::default();
         let costs = [flat_cost(), flat_cost()];
         for replicas in [1, 2] {

@@ -22,12 +22,6 @@ pub enum VdmsError {
     /// per-shard budget: the configuration may fit the aggregate cluster
     /// memory but not any single node's share, even after rebalancing.
     ShardOutOfMemory { shard: usize, required_gib: f64, budget_gib: f64 },
-    /// The candidate spans a different tuning space than the evaluation
-    /// backend serves (e.g. it carries a topology request but the backend's
-    /// deployment shape is fixed, or vice versa). Raised by the evaluator
-    /// *before* dispatch, so mismatched points surface as failed
-    /// observations instead of silently tuning a knob nobody realizes.
-    SpaceMismatch { config_dims: usize, backend_dims: usize },
     /// The candidate requests a deployment the backend cannot realize on
     /// dimension `dim` (`"shards"`, `"replicas"`, `"pinning"` or
     /// `"write path"`): `asked` is the request, `ceiling` what the backend
@@ -40,8 +34,9 @@ pub enum VdmsError {
     /// The configuration served the workload but violated the operator's
     /// serving-level objective: p99 latency above the SLO, or more than
     /// the tolerated fraction of requests shed from a full queue. Like a
-    /// budget or space rejection, the config is recorded as a failed
-    /// observation — the tuner optimizes QPS@recall *subject to* the SLO.
+    /// budget rejection or an unrealizable deployment, the config is
+    /// recorded as a failed observation — the tuner optimizes QPS@recall
+    /// *subject to* the SLO.
     SloViolation { p99_secs: f64, slo_secs: f64, shed: usize },
 }
 
@@ -60,13 +55,6 @@ impl std::fmt::Display for VdmsError {
                     f,
                     "shard {shard} out of memory: {required_gib:.1} GiB > {budget_gib:.1} GiB \
                      per-shard budget (no node can host the placement)"
-                )
-            }
-            VdmsError::SpaceMismatch { config_dims, backend_dims } => {
-                write!(
-                    f,
-                    "space mismatch: candidate spans {config_dims} tunables but the backend \
-                     serves a {backend_dims}-dimensional space"
                 )
             }
             VdmsError::Unrealizable { dim, asked, ceiling } => {

@@ -32,9 +32,8 @@ pub struct HostTopology {
 impl HostTopology {
     /// The fixed default shape every default-constructed cost model uses:
     /// 2 sockets × 8 cores × 2-way SMT. Chosen so
-    /// [`HostTopology::physical_cores`] equals the historical
-    /// `query_node_cores: 16` — the two are now derived from one constant
-    /// and cannot drift.
+    /// [`HostTopology::physical_cores`] equals the historical 16-core
+    /// serving slot cap, which is now derived from it.
     pub const DEFAULT: HostTopology = HostTopology { sockets: 2, cores_per_socket: 8, smt: 2 };
 
     /// A degenerate single-core host (1 × 1 × 1): one reactor, no SMT
@@ -56,7 +55,7 @@ impl HostTopology {
     /// refuses sibling threads (one reactor per physical core), everything
     /// else can use every logical CPU. [`PinningPolicy::Shared`] has no
     /// reactors at all — its capacity is the physical core count, matching
-    /// the legacy slot pool's `query_node_cores` cap.
+    /// the legacy slot pool's cap ([`crate::CostModel::serving_slots`]).
     pub fn capacity(&self, policy: PinningPolicy) -> usize {
         match policy {
             PinningPolicy::Shared | PinningPolicy::SmtAvoid => self.physical_cores(),

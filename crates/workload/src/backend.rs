@@ -42,12 +42,6 @@ pub struct BackendInfo {
     pub dim: usize,
     /// Neighbors retrieved per query.
     pub top_k: usize,
-    /// Dimensionality of the tuning space this backend realizes: the 16
-    /// base tunables, plus one per deployment request it lets candidates
-    /// carry (three for the write-path knobs). The evaluator rejects
-    /// candidates whose encoded length disagrees — as failed observations,
-    /// never panics.
-    pub space_dims: usize,
 }
 
 /// A system that can evaluate one VDMS configuration.
@@ -260,16 +254,7 @@ type Realized<T> = Result<T, VdmsError>;
 
 impl EvalBackend for SimBackend<'_> {
     fn info(&self) -> BackendInfo {
-        let k = &self.knobs;
-        BackendInfo {
-            dim: self.workload.dataset.dim(),
-            top_k: self.workload.top_k,
-            space_dims: VdmsConfig::BASE_TUNABLES
-                + usize::from(k.max_shards.is_some())
-                + usize::from(k.max_replicas.is_some())
-                + usize::from(k.pinning)
-                + 3 * usize::from(k.writepath),
-        }
+        BackendInfo { dim: self.workload.dataset.dim(), top_k: self.workload.top_k }
     }
 
     fn evaluate(&self, config: &VdmsConfig, seed: u64) -> Outcome {
@@ -426,7 +411,6 @@ mod tests {
         let info = SimBackend::new(&w).info();
         assert_eq!(info.dim, w.dataset.dim());
         assert_eq!(info.top_k, 10);
-        assert_eq!(info.space_dims, VdmsConfig::BASE_TUNABLES);
     }
 
     /// The cluster `b` deploys `cfg` on.
@@ -448,7 +432,6 @@ mod tests {
         let four = SimBackend::with_spec(&w, ClusterSpec::new(4));
         let cfg = VdmsConfig::default_config();
         assert_eq!(cluster(&four, &cfg), Ok(ClusterSpec::new(4)));
-        assert_eq!(four.info().space_dims, VdmsConfig::BASE_TUNABLES);
         let three = SimBackend::with_spec(&w, ClusterSpec::replicated(2, 3));
         assert_eq!(cluster(&three, &cfg).map(|c| c.replicas), Ok(3));
         // A fixed backend realizes its own shard count and no other — not
@@ -521,18 +504,6 @@ mod tests {
     }
 
     #[test]
-    fn topology_backend_reports_extended_space() {
-        let w = make();
-        assert_eq!(shards(&w, 8).info().space_dims, VdmsConfig::BASE_TUNABLES + 1);
-        // Fixed-shape backends keep the paper's 16-dimensional space.
-        assert_eq!(SimBackend::new(&w).info().space_dims, VdmsConfig::BASE_TUNABLES);
-        assert_eq!(
-            SimBackend::with_spec(&w, ClusterSpec::new(4)).info().space_dims,
-            VdmsConfig::BASE_TUNABLES
-        );
-    }
-
-    #[test]
     fn topology_backend_serves_the_requested_cluster() {
         let w = make();
         let b = shards(&w, 8);
@@ -575,15 +546,6 @@ mod tests {
     }
 
     #[test]
-    fn replication_backend_reports_the_18_dim_space() {
-        let w = make();
-        assert_eq!(replicated(&w, 8, 4, false).info().space_dims, VdmsConfig::BASE_TUNABLES + 2);
-        // Frozen-at-1 replication still declares the 18-dim space.
-        assert_eq!(replicated(&w, 8, 1, false).info().space_dims, VdmsConfig::BASE_TUNABLES + 2);
-        assert_eq!(shards(&w, 8).info().space_dims, VdmsConfig::BASE_TUNABLES + 1);
-    }
-
-    #[test]
     fn replication_backend_deploys_the_requested_copies() {
         let w = make();
         let b = replicated(&w, 4, 4, false);
@@ -619,13 +581,6 @@ mod tests {
         // single copy — it cannot realize the axis at all.
         let narrow = shards(&w, 4);
         assert_eq!(refusal(narrow.place(&cfg)), ("replicas", "8".into(), "only 1".into()));
-    }
-
-    #[test]
-    fn pinning_backend_reports_the_19_dim_space() {
-        let w = make();
-        assert_eq!(replicated(&w, 8, 4, true).info().space_dims, VdmsConfig::BASE_TUNABLES + 3);
-        assert_eq!(replicated(&w, 8, 4, false).info().space_dims, VdmsConfig::BASE_TUNABLES + 2);
     }
 
     #[test]
@@ -687,8 +642,8 @@ mod tests {
     fn writepath_backend_reports_the_22_dim_space() {
         let w = make();
         let b = SimBackend::with_writepath(&w, 8, 4);
-        assert_eq!(b.info().space_dims, VdmsConfig::BASE_TUNABLES + 6);
-        // It realizes every pinning policy and non-default write knobs.
+        // The 22-dimensional backend realizes every pinning policy and
+        // non-default write knobs.
         let mut cfg = VdmsConfig::default_config();
         cfg.shards = Some(2);
         cfg.replicas = Some(1);
@@ -962,7 +917,6 @@ mod tests {
         let out = sharded.evaluate(&VdmsConfig::default_config(), 5);
         assert!(out.is_ok() && out.serving.is_some());
         let topo = shards(&w, 4).serving(spec);
-        assert_eq!(topo.info().space_dims, VdmsConfig::BASE_TUNABLES + 1);
         let mut cfg = VdmsConfig::default_config();
         cfg.shards = Some(2);
         let out = topo.evaluate(&cfg, 5);

@@ -12,7 +12,7 @@ use crate::Workload;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 use vdms::memory::MIN_MEMORY_GIB;
-use vdms::{VdmsConfig, VdmsError};
+use vdms::VdmsConfig;
 
 /// One completed evaluation, as seen by a tuner.
 #[derive(Debug, Clone)]
@@ -88,19 +88,6 @@ fn config_key(c: &VdmsConfig) -> ConfigKey {
         c.writepath.map_or(0, |k| k.flush_interval_secs.to_bits()),
         c.writepath.map_or(0, |k| k.seal_rows as u64),
     ]
-}
-
-/// When a candidate spans a different tuning space than the backend serves
-/// (e.g. it requests a deployment shape a fixed-topology backend cannot
-/// realize), the evaluator rejects it *before* dispatch — as a failed
-/// outcome the usual worst-in-history substitution applies to, never a
-/// panic. A rejected candidate burns no replay time.
-fn space_mismatch_outcome(cfg: &VdmsConfig, backend_dims: usize) -> Option<Outcome> {
-    let config_dims = cfg.tunable_dims();
-    if config_dims == backend_dims {
-        return None;
-    }
-    Some(Outcome::failed(VdmsError::SpaceMismatch { config_dims, backend_dims }, 0.0))
 }
 
 /// Evaluates configurations against a backend with tuner-facing semantics.
@@ -259,16 +246,10 @@ impl<B: EvalBackend> Evaluator<B> {
 
         let backend = &self.backend;
         let seed = self.seed;
-        let space_dims = self.info.space_dims;
-        // Unique uncached configs, first-occurrence order. Candidates
-        // the space-mismatch gate rejects are never dispatched (their
-        // failure outcome is synthesized during bookkeeping below).
+        // Unique uncached configs, first-occurrence order.
         let mut pending: Vec<(VdmsConfig, ConfigKey)> = Vec::new();
         for &(cfg, key) in &sanitized {
-            if space_mismatch_outcome(&cfg, space_dims).is_none()
-                && !self.cache.contains_key(&key)
-                && pending.iter().all(|&(_, k)| k != key)
-            {
+            if !self.cache.contains_key(&key) && pending.iter().all(|&(_, k)| k != key) {
                 pending.push((cfg, key));
             }
         }
@@ -286,8 +267,7 @@ impl<B: EvalBackend> Evaluator<B> {
             .into_iter()
             .enumerate()
             .map(|(i, (cfg, key))| {
-                let outcome = space_mismatch_outcome(&cfg, space_dims)
-                    .unwrap_or_else(|| self.cache[&key].clone());
+                let outcome = self.cache[&key].clone();
                 let rs = if i == 0 { recommend_secs } else { 0.0 };
                 self.record(cfg, outcome, rs)
             })
@@ -324,6 +304,7 @@ pub fn qps_curve(history: &[Observation], min_recall: f64) -> Vec<f64> {
 mod tests {
     use super::*;
     use anns::params::IndexType;
+    use vdms::VdmsError;
     use vecdata::{DatasetKind, DatasetSpec};
 
     fn make() -> Workload {
@@ -571,56 +552,48 @@ mod tests {
         assert_eq!(curve[1], ev.history()[0].qps);
     }
 
+    /// The evaluator gives no verdict of its own: a candidate fails exactly
+    /// when the backend's outcome for it fails, whatever deployment it asks
+    /// for — including none, and the fixed cluster's own shape.
     #[test]
-    fn space_mismatch_is_failed_observation_not_panic() {
-        // A candidate carrying a topology request is rejected by a
-        // fixed-topology backend as a failed outcome; worst-in-history
-        // substitution applies exactly as for a crash.
+    fn the_evaluator_refuses_only_what_the_backend_refuses() {
         let w = make();
-        let mut ev = Evaluator::new(&w, 1);
-        let good = ev.observe(&VdmsConfig::default_config(), 0.0);
-        let mut wide = VdmsConfig::default_config();
-        wide.shards = Some(2);
-        let obs = ev.observe(&wide, 0.0);
-        assert!(obs.failed);
-        assert_eq!(obs.qps, good.qps, "worst-in-history substitution");
-        assert_eq!(obs.replay_secs, 0.0, "rejected before dispatch, no replay time");
-        assert_eq!(ev.cache.len(), 1, "rejected candidates are not cached");
-        // The raw outcome carries the typed error.
-        let raw = space_mismatch_outcome(&wide.sanitized(w.dataset.dim(), 10), 16).unwrap();
-        assert!(matches!(
-            raw.failure,
-            Some(VdmsError::SpaceMismatch { config_dims: 17, backend_dims: 16 })
-        ));
+        let fixed = vdms::cluster::ClusterSpec::replicated(1, 3);
+        let candidates: Vec<VdmsConfig> = [None, Some(1), Some(2), Some(4), Some(9)]
+            .into_iter()
+            .map(|shards| VdmsConfig { shards, ..VdmsConfig::default_config() })
+            .collect();
+        let mut verdicts = Vec::new();
+        for backend in [shards_up_to(&w, 4), SimBackend::with_spec(&w, fixed)] {
+            let mut ev = Evaluator::with_backend(backend, 3);
+            let observed = ev.observe_batch(&candidates, 0.0);
+            for (c, obs) in candidates.iter().zip(observed) {
+                let sanitized = c.sanitized(w.dataset.dim(), w.top_k);
+                let refused = !ev.backend().evaluate(&sanitized, 3).is_ok();
+                assert_eq!(obs.failed, refused, "shards {:?}", c.shards);
+                verdicts.push(refused);
+            }
+        }
+        assert!(verdicts.contains(&true) && verdicts.contains(&false), "{verdicts:?}");
     }
 
     #[test]
-    fn space_mismatch_rejects_in_batches_too() {
+    fn an_unrealizable_candidate_is_a_failed_observation_not_panic() {
+        // The single node realizes one shard only: a candidate asking for
+        // three is refused by the backend, and worst-in-history
+        // substitution applies inside the batch exactly as for a crash.
         let w = make();
-        let mut wide = VdmsConfig::default_for(IndexType::Flat);
-        wide.shards = Some(3);
         let good = VdmsConfig::default_config();
+        let wide = VdmsConfig { shards: Some(3), ..VdmsConfig::default_for(IndexType::Flat) };
         let mut ev = Evaluator::new(&w, 2);
         let obs = ev.observe_batch(&[good, wide, good], 0.0);
         assert!(!obs[0].failed && !obs[2].failed);
         assert!(obs[1].failed);
         assert_eq!(obs[1].qps.to_bits(), obs[0].qps.to_bits(), "substituted from the batch");
-        assert_eq!(ev.cache.len(), 1, "only the good config was dispatched");
-    }
-
-    #[test]
-    fn topology_backend_accepts_matching_candidates_only() {
-        let w = make();
-        let mut ev = Evaluator::with_backend(shards_up_to(&w, 4), 1);
-        assert_eq!(ev.info().space_dims, VdmsConfig::BASE_TUNABLES + 1);
-        let mut cfg = VdmsConfig::default_config();
-        cfg.shards = Some(2);
-        let obs = ev.observe(&cfg, 0.0);
-        assert!(!obs.failed, "17-dim candidate on a 17-dim backend");
-        // A 16-dim candidate on the topology backend is a mismatch: the
-        // tuner driving this backend must own the topology knob.
-        let narrow = ev.observe(&VdmsConfig::default_config(), 0.0);
-        assert!(narrow.failed);
+        assert_eq!(obs[1].recall.to_bits(), obs[0].recall.to_bits());
+        assert_eq!(obs[1].replay_secs, 0.0, "refused before any work ran");
+        let raw = &ev.cache[&config_key(&obs[1].config)];
+        assert!(matches!(raw.failure, Some(VdmsError::Unrealizable { dim: "shards", .. })));
     }
 
     #[test]

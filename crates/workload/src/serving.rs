@@ -1488,11 +1488,7 @@ mod tests {
     fn one_reactor_pinned_serving_is_bitwise_the_one_slot_pool() {
         // On a single-core host every policy degenerates to one reactor,
         // penalty 1.0, handoff 0.0 — the same schedule as a 1-slot pool.
-        let model = CostModel {
-            topology: vdms::HostTopology::SINGLE_CORE,
-            query_node_cores: 1,
-            ..Default::default()
-        };
+        let model = CostModel { topology: vdms::HostTopology::SINGLE_CORE, ..Default::default() };
         let sys = SystemParams { max_read_concurrency: 4, ..Default::default() };
         for policy in PinningPolicy::ALL {
             for replicas in [1, 2] {

@@ -40,8 +40,9 @@ fn vdtuner_run_is_thread_count_invariant() {
 #[test]
 fn batched_run_is_thread_count_invariant() {
     let w = tiny_workload();
-    let serial = with_threads(1, || VdTuner::new(small_options(), 7).run_batched(&w, 12, 4));
-    let parallel = with_threads(4, || VdTuner::new(small_options(), 7).run_batched(&w, 12, 4));
+    let tune = || VdTuner::new(small_options(), 7).run_batched_on(SimBackend::new(&w), 12, 4);
+    let serial = with_threads(1, tune);
+    let parallel = with_threads(4, tune);
     assert_eq!(serial.observations.len(), 12);
     assert_eq!(serial.fingerprint(|c| c), parallel.fingerprint(|c| c));
 }

@@ -103,11 +103,7 @@ proptest! {
         seed in 0u64..64,
     ) {
         let policy = PinningPolicy::from_ordinal(policy_ord);
-        let model = CostModel {
-            topology: HostTopology::SINGLE_CORE,
-            query_node_cores: 1,
-            ..Default::default()
-        };
+        let model = CostModel { topology: HostTopology::SINGLE_CORE, ..Default::default() };
         let sys = SystemParams { max_read_concurrency: 4, ..Default::default() };
         let spec = ServingSpec { arrival_qps: 900.0, requests: 400, ..Default::default() };
         let pinned = simulate_pinned(&model, &sys, 0.004, &spec, seed, replicas, policy, 10);
@@ -184,11 +180,7 @@ fn frozen_pinning_reproduces_serving_tuning_bitwise() {
 #[test]
 fn single_core_topology_reproduces_the_pre_reactor_replay_bitwise() {
     let mut w = multi_segment_workload();
-    w.cost_model = CostModel {
-        topology: HostTopology::SINGLE_CORE,
-        query_node_cores: 1,
-        ..Default::default()
-    };
+    w.cost_model = CostModel { topology: HostTopology::SINGLE_CORE, ..Default::default() };
     let base = multi_segment_config();
     let backend = SpaceSpec::with_topology(2).with_replication(2).with_pinning().backend(&w);
     for shards in [1usize, 2] {

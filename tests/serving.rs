@@ -227,7 +227,7 @@ fn slo_constrained_tuning_records_rejections_as_failures() {
         },
         3,
     );
-    let out = tuner.run_on(backend, 10);
+    let out = tuner.run_batched_on(backend, 10, 1);
     assert_eq!(out.observations.len(), 10);
     assert!(
         out.observations.iter().any(|o| !o.failed && o.serving.is_some()),
@@ -256,7 +256,6 @@ fn serving_over_topology_backend_supports_co_tuning() {
     let spec = ServingSpec { arrival_qps: 100.0, requests: 200, ..Default::default() };
     let backend = SpaceSpec::with_topology(4).backend(&w).serving(spec);
     let mut ev = Evaluator::with_backend(backend, 1);
-    assert_eq!(ev.info().space_dims, VdmsConfig::BASE_TUNABLES + 1);
     let mut cfg = VdmsConfig::default_config();
     cfg.shards = Some(2);
     let obs = ev.observe(&cfg, 0.0);
